@@ -5,6 +5,7 @@
 #include "util/log.hpp"
 
 #include <cmath>
+#include <utility>
 
 namespace socbuf::core {
 
@@ -15,17 +16,20 @@ namespace {
 ctmdp::LpSolveResult solve_priced(const SubsystemCtmdp& sub, double rho) {
     const auto& base = sub.model();
     if (rho == 0.0) return ctmdp::solve_average_cost_lp(base);
-    // Clone the model with the priced cost. CtmdpModel is cheap to rebuild.
-    ctmdp::CtmdpModel priced(1);
-    for (std::size_t s = 0; s < base.state_count(); ++s) priced.add_state();
+    // Rebuild the model with the priced cost.
+    ctmdp::CtmdpBuilder priced(base.state_count(), 1);
+    const auto& pair_offset = base.pair_offsets();
+    const auto& trans_offset = base.transition_offsets();
     for (std::size_t s = 0; s < base.state_count(); ++s) {
-        for (std::size_t a = 0; a < base.action_count(s); ++a) {
-            ctmdp::Action act = base.action(s, a);
-            act.cost += rho * act.extra_costs[0];
-            priced.add_action(s, std::move(act));
+        for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p) {
+            const double occ = base.extra_costs()[p];
+            priced.add_action(s, {}, base.costs()[p] + rho * occ, {occ});
+            for (std::size_t k = trans_offset[p]; k < trans_offset[p + 1];
+                 ++k)
+                priced.add_transition(base.targets()[k], base.rates()[k]);
         }
     }
-    auto result = ctmdp::solve_average_cost_lp(priced);
+    auto result = ctmdp::solve_average_cost_lp(std::move(priced).freeze());
     if (result.status == lp::SolveStatus::kOptimal) {
         // Report the pure loss component, not the priced objective.
         result.average_cost -= rho * result.extra_cost_values[0];
@@ -74,32 +78,30 @@ JointSolveResult solve_joint_lp(const std::vector<SubsystemCtmdp>& models,
     for (std::size_t k = 0; k < models.size(); ++k) {
         const auto& m = models[k].model();
         var_offset[k] = program.variable_count();
-        for (std::size_t p = 0; p < m.pair_count(); ++p) {
-            const std::size_t s = m.pair_state(p);
-            const std::size_t a = m.pair_action(p);
-            program.add_variable(m.action(s, a).cost,
+        for (std::size_t p = 0; p < m.pair_count(); ++p)
+            program.add_variable(m.costs()[p],
                                  "x" + std::to_string(k) + "_" +
                                      std::to_string(p));
-        }
     }
 
     // Block constraints per subsystem: balance (one row dropped) and
     // normalization.
     for (std::size_t k = 0; k < models.size(); ++k) {
         const auto& m = models[k].model();
+        const auto& pair_offset = m.pair_offsets();
         std::vector<lp::Constraint> balance(m.state_count());
-        for (std::size_t p = 0; p < m.pair_count(); ++p) {
-            const std::size_t s = m.pair_state(p);
-            const std::size_t a = m.pair_action(p);
-            double exit = 0.0;
-            for (const auto& t : m.action(s, a).transitions) {
-                if (t.target == s || t.rate <= 0.0) continue;
-                balance[t.target].terms.emplace_back(var_offset[k] + p,
-                                                     t.rate);
-                exit += t.rate;
+        for (std::size_t s = 0; s < m.state_count(); ++s) {
+            for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1];
+                 ++p) {
+                double exit = 0.0;
+                m.for_each_jump(s, p, [&](std::size_t target, double rate) {
+                    balance[target].terms.emplace_back(var_offset[k] + p,
+                                                       rate);
+                    exit += rate;
+                });
+                if (exit > 0.0)
+                    balance[s].terms.emplace_back(var_offset[k] + p, -exit);
             }
-            if (exit > 0.0)
-                balance[s].terms.emplace_back(var_offset[k] + p, -exit);
         }
         for (std::size_t s = 1; s < m.state_count(); ++s) {
             balance[s].relation = lp::Relation::kEqual;
@@ -123,9 +125,7 @@ JointSolveResult solve_joint_lp(const std::vector<SubsystemCtmdp>& models,
         for (std::size_t k = 0; k < models.size(); ++k) {
             const auto& m = models[k].model();
             for (std::size_t p = 0; p < m.pair_count(); ++p) {
-                const std::size_t s = m.pair_state(p);
-                const std::size_t a = m.pair_action(p);
-                const double occ = m.action(s, a).extra_costs[0];
+                const double occ = m.extra_costs()[p];
                 if (occ != 0.0)
                     budget.terms.emplace_back(var_offset[k] + p, occ);
             }
@@ -152,13 +152,15 @@ JointSolveResult solve_joint_lp(const std::vector<SubsystemCtmdp>& models,
                             sol.x.begin() + var_offset[k] + m.pair_count());
         r.state_probability.assign(m.state_count(), 0.0);
         r.extra_cost_values.assign(1, 0.0);
-        for (std::size_t p = 0; p < m.pair_count(); ++p) {
-            const std::size_t s = m.pair_state(p);
-            const std::size_t a = m.pair_action(p);
-            const double x = std::max(r.occupation[p], 0.0);
-            r.state_probability[s] += x;
-            r.average_cost += m.action(s, a).cost * x;
-            r.extra_cost_values[0] += m.action(s, a).extra_costs[0] * x;
+        const auto& pair_offset = m.pair_offsets();
+        for (std::size_t s = 0; s < m.state_count(); ++s) {
+            for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1];
+                 ++p) {
+                const double x = std::max(r.occupation[p], 0.0);
+                r.state_probability[s] += x;
+                r.average_cost += m.costs()[p] * x;
+                r.extra_cost_values[0] += m.extra_costs()[p] * x;
+            }
         }
         std::vector<std::vector<double>> probs(m.state_count());
         for (std::size_t s = 0; s < m.state_count(); ++s) {

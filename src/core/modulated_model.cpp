@@ -3,6 +3,7 @@
 #include "util/contracts.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace socbuf::core {
 
@@ -94,12 +95,12 @@ double ModulatedSubsystemCtmdp::arrival_rate_in_state(std::size_t state,
 void ModulatedSubsystemCtmdp::build() {
     const std::size_t n_states = state_count();
     const double mu = subsystem_->service_rate;
-    action_serves_.resize(n_states);
-    for (std::size_t s = 0; s < n_states; ++s) model_.add_state();
+    ctmdp::CtmdpBuilder builder(n_states, 1);
+    std::vector<ctmdp::Transition> env;
     for (std::size_t s = 0; s < n_states; ++s) {
         // Environment transitions (phase flips) and arrivals are common to
         // every action of the state.
-        std::vector<ctmdp::Transition> env;
+        env.clear();
         double loss_cost = 0.0;
         double total_occ = 0.0;
         for (std::size_t f = 0; f < caps_.size(); ++f) {
@@ -117,30 +118,21 @@ void ModulatedSubsystemCtmdp::build() {
                     env.push_back({s + phase_stride_[f], off_rate_[f]});
             }
         }
+        const std::vector<double> extra{total_occ};
         bool any_action = false;
         for (std::size_t f = 0; f < caps_.size(); ++f) {
             if (occupancy(s, f) == 0) continue;
-            ctmdp::Action act;
-            act.name = "serve_" + std::to_string(f);
-            act.transitions = env;
-            act.transitions.push_back({s - occ_stride_[f], mu});
-            act.cost = loss_cost;
-            act.extra_costs = {total_occ};
-            model_.add_action(s, std::move(act));
-            action_serves_[s].push_back(f);
+            builder.add_action(s, env, loss_cost, extra);
+            builder.add_transition(s - occ_stride_[f], mu);
+            pair_serves_.push_back(f);
             any_action = true;
         }
         if (!any_action) {
-            ctmdp::Action idle;
-            idle.name = "idle";
-            idle.transitions = env;
-            idle.cost = loss_cost;
-            idle.extra_costs = {total_occ};
-            model_.add_action(s, std::move(idle));
-            action_serves_[s].push_back(caps_.size());
+            builder.add_action(s, env, loss_cost, extra);
+            pair_serves_.push_back(caps_.size());  // sentinel: idle
         }
     }
-    model_.validate();
+    model_ = std::move(builder).freeze();
 }
 
 std::vector<double> ModulatedSubsystemCtmdp::flow_marginal(
@@ -161,9 +153,7 @@ std::vector<double> ModulatedSubsystemCtmdp::service_shares(
     std::vector<double> shares(caps_.size(), 0.0);
     double total = 0.0;
     for (std::size_t p = 0; p < occupation.size(); ++p) {
-        const std::size_t s = model_.pair_state(p);
-        const std::size_t a = model_.pair_action(p);
-        const std::size_t served = action_serves_[s][a];
+        const std::size_t served = pair_serves_[p];
         if (served >= caps_.size()) continue;
         shares[served] += std::max(occupation[p], 0.0);
         total += std::max(occupation[p], 0.0);

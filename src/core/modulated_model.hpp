@@ -78,8 +78,9 @@ private:
     std::vector<std::size_t> occ_stride_;
     std::vector<std::size_t> phase_stride_;  // 0 for unmodulated flows
     std::size_t phase_index_of_flow_count_ = 0;
-    ctmdp::CtmdpModel model_{1};
-    std::vector<std::vector<std::size_t>> action_serves_;
+    ctmdp::CtmdpModel model_;  // one extra cost: total occupancy
+    /// pair index -> served local flow (flow_count() means idle).
+    std::vector<std::size_t> pair_serves_;
 };
 
 /// Build one modulated model per subsystem (mirror of

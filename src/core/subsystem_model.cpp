@@ -3,6 +3,7 @@
 #include "util/contracts.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace socbuf::core {
 
@@ -49,42 +50,33 @@ double SubsystemCtmdp::loss_rate(std::size_t state) const {
 void SubsystemCtmdp::build() {
     const std::size_t n = state_count();
     const double mu = subsystem_->service_rate;
-    action_serves_.resize(n);
-    for (std::size_t s = 0; s < n; ++s) model_.add_state();
+    ctmdp::CtmdpBuilder builder(n, 1);
+    std::vector<ctmdp::Transition> arrivals;
     for (std::size_t s = 0; s < n; ++s) {
         const double cost = loss_rate(s);
         double total_occ = 0.0;
-        std::vector<ctmdp::Transition> arrivals;
+        arrivals.clear();
         for (std::size_t f = 0; f < caps_.size(); ++f) {
             const long k = occupancy(s, f);
             total_occ += static_cast<double>(k);
             if (k < caps_[f] && rates_[f] > 0.0)
                 arrivals.push_back({s + strides_[f], rates_[f]});
         }
+        const std::vector<double> extra{total_occ};
         bool any_action = false;
         for (std::size_t f = 0; f < caps_.size(); ++f) {
             if (occupancy(s, f) == 0) continue;
-            ctmdp::Action act;
-            act.name = "serve_" + std::to_string(f);
-            act.transitions = arrivals;
-            act.transitions.push_back({s - strides_[f], mu});
-            act.cost = cost;
-            act.extra_costs = {total_occ};
-            model_.add_action(s, std::move(act));
-            action_serves_[s].push_back(f);
+            builder.add_action(s, arrivals, cost, extra);
+            builder.add_transition(s - strides_[f], mu);
+            pair_serves_.push_back(f);
             any_action = true;
         }
         if (!any_action) {
-            ctmdp::Action idle;
-            idle.name = "idle";
-            idle.transitions = arrivals;
-            idle.cost = cost;
-            idle.extra_costs = {total_occ};
-            model_.add_action(s, std::move(idle));
-            action_serves_[s].push_back(caps_.size());  // sentinel: idle
+            builder.add_action(s, arrivals, cost, extra);
+            pair_serves_.push_back(caps_.size());  // sentinel: idle
         }
     }
-    model_.validate();
+    model_ = std::move(builder).freeze();
 }
 
 std::vector<double> SubsystemCtmdp::flow_marginal(const linalg::Vector& pi,
@@ -104,9 +96,7 @@ std::vector<double> SubsystemCtmdp::service_shares(
     std::vector<double> shares(caps_.size(), 0.0);
     double total = 0.0;
     for (std::size_t p = 0; p < occupation.size(); ++p) {
-        const std::size_t s = model_.pair_state(p);
-        const std::size_t a = model_.pair_action(p);
-        const std::size_t served = action_serves_[s][a];
+        const std::size_t served = pair_serves_[p];
         if (served >= caps_.size()) continue;  // idle
         shares[served] += std::max(occupation[p], 0.0);
         total += std::max(occupation[p], 0.0);

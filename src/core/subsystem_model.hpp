@@ -59,10 +59,9 @@ private:
     std::vector<long> caps_;
     std::vector<double> rates_;
     std::vector<std::size_t> strides_;
-    ctmdp::CtmdpModel model_{1};  // one extra cost: total occupancy
-    /// action index -> served local flow (flow_count() means idle), per
-    /// state action lists are built in this order.
-    std::vector<std::vector<std::size_t>> action_serves_;
+    ctmdp::CtmdpModel model_;  // one extra cost: total occupancy
+    /// pair index -> served local flow (flow_count() means idle).
+    std::vector<std::size_t> pair_serves_;
 };
 
 /// Build one SubsystemCtmdp per subsystem with per-site caps taken from an

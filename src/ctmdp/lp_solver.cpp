@@ -10,23 +10,21 @@ namespace socbuf::ctmdp {
 LpSolveResult solve_average_cost_lp(const CtmdpModel& model,
                                     const std::vector<CostBound>& bounds,
                                     const LpSolverOptions& options) {
-    model.validate();
+    if (model.state_count() == 0) throw util::ModelError("CTMDP has no states");
     for (const auto& b : bounds)
         SOCBUF_REQUIRE_MSG(b.cost_index < model.extra_cost_count(),
                            "cost bound references unknown extra cost");
 
     const std::size_t n_states = model.state_count();
     const std::size_t n_pairs = model.pair_count();
+    const std::size_t n_extra = model.extra_cost_count();
+    const auto& pair_offset = model.pair_offsets();
+    const auto& extra = model.extra_costs();
 
     lp::LinearProgram program;
     program.set_sense(lp::Sense::kMinimize);
-    for (std::size_t p = 0; p < n_pairs; ++p) {
-        const std::size_t s = model.pair_state(p);
-        const std::size_t a = model.pair_action(p);
-        program.add_variable(model.action(s, a).cost,
-                             "x(" + model.state_name(s) + "," +
-                                 model.action(s, a).name + ")");
-    }
+    for (std::size_t p = 0; p < n_pairs; ++p)
+        program.add_variable(model.costs()[p]);
 
     // Balance constraints: for each state s', sum_{s,a} q(s'|s,a) x(s,a) = 0.
     // The rows sum to zero over s', so one (state 0's) is redundant and
@@ -36,19 +34,16 @@ LpSolveResult solve_average_cost_lp(const CtmdpModel& model,
     for (std::size_t sprime = 0; sprime < n_states; ++sprime) {
         balance[sprime].relation = lp::Relation::kEqual;
         balance[sprime].rhs = 0.0;
-        balance[sprime].name = "balance(" + model.state_name(sprime) + ")";
     }
-    for (std::size_t p = 0; p < n_pairs; ++p) {
-        const std::size_t s = model.pair_state(p);
-        const std::size_t a = model.pair_action(p);
-        const Action& act = model.action(s, a);
-        double exit = 0.0;
-        for (const auto& t : act.transitions) {
-            if (t.target == s || t.rate <= 0.0) continue;
-            balance[t.target].terms.emplace_back(p, t.rate);
-            exit += t.rate;
+    for (std::size_t s = 0; s < n_states; ++s) {
+        for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p) {
+            double exit = 0.0;
+            model.for_each_jump(s, p, [&](std::size_t target, double rate) {
+                balance[target].terms.emplace_back(p, rate);
+                exit += rate;
+            });
+            if (exit > 0.0) balance[s].terms.emplace_back(p, -exit);
         }
-        if (exit > 0.0) balance[s].terms.emplace_back(p, -exit);
     }
     for (std::size_t sprime = 1; sprime < n_states; ++sprime)
         program.add_constraint(std::move(balance[sprime]));
@@ -71,10 +66,7 @@ LpSolveResult solve_average_cost_lp(const CtmdpModel& model,
         c.rhs = b.bound;
         c.name = "cost_bound(" + std::to_string(b.cost_index) + ")";
         for (std::size_t p = 0; p < n_pairs; ++p) {
-            const std::size_t s = model.pair_state(p);
-            const std::size_t a = model.pair_action(p);
-            const double coeff =
-                model.action(s, a).extra_costs[b.cost_index];
+            const double coeff = extra[p * n_extra + b.cost_index];
             if (coeff != 0.0) c.terms.emplace_back(p, coeff);
         }
         program.add_constraint(std::move(c));
@@ -94,29 +86,26 @@ LpSolveResult solve_average_cost_lp(const CtmdpModel& model,
     out.average_cost = sol.objective;
     out.occupation = sol.x;
     out.state_probability.assign(n_states, 0.0);
-    for (std::size_t p = 0; p < n_pairs; ++p)
-        out.state_probability[model.pair_state(p)] +=
-            std::max(sol.x[p], 0.0);
+    for (std::size_t s = 0; s < n_states; ++s)
+        for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p)
+            out.state_probability[s] += std::max(sol.x[p], 0.0);
 
-    out.extra_cost_values.assign(model.extra_cost_count(), 0.0);
-    for (std::size_t p = 0; p < n_pairs; ++p) {
-        const std::size_t s = model.pair_state(p);
-        const std::size_t a = model.pair_action(p);
-        for (std::size_t k = 0; k < model.extra_cost_count(); ++k)
+    out.extra_cost_values.assign(n_extra, 0.0);
+    for (std::size_t p = 0; p < n_pairs; ++p)
+        for (std::size_t k = 0; k < n_extra; ++k)
             out.extra_cost_values[k] +=
-                model.action(s, a).extra_costs[k] * std::max(sol.x[p], 0.0);
-    }
+                extra[p * n_extra + k] * std::max(sol.x[p], 0.0);
 
     // Policy extraction.
     std::vector<std::vector<double>> probs(n_states);
     for (std::size_t s = 0; s < n_states; ++s) {
-        const std::size_t n_a = model.action_count(s);
+        const std::size_t p0 = pair_offset[s];
+        const std::size_t n_a = pair_offset[s + 1] - p0;
         probs[s].assign(n_a, 0.0);
         const double mass = out.state_probability[s];
         if (mass > options.unvisited_state_tolerance) {
             for (std::size_t a = 0; a < n_a; ++a)
-                probs[s][a] =
-                    std::max(sol.x[model.pair_index(s, a)], 0.0) / mass;
+                probs[s][a] = std::max(sol.x[p0 + a], 0.0) / mass;
         } else {
             // Unvisited under the optimal measure: any choice is
             // gain-optimal; pick uniform for determinism.

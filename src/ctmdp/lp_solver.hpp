@@ -50,7 +50,7 @@ struct LpSolverOptions {
     double unvisited_state_tolerance = 1e-12;
 };
 
-/// Solve the constrained average-cost problem. The model must be validated
+/// Solve the constrained average-cost problem. The model must have states
 /// and should be unichain under every stationary policy (true for the
 /// queueing models socbuf builds, which always allow draining to empty).
 [[nodiscard]] LpSolveResult solve_average_cost_lp(

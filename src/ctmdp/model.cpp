@@ -3,166 +3,131 @@
 #include "util/contracts.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace socbuf::ctmdp {
 
-std::size_t CtmdpModel::add_state(std::string name) {
-    if (name.empty()) name = "s" + std::to_string(states_.size());
-    states_.push_back(StateEntry{std::move(name), {}});
-    index_dirty_ = true;
-    structure_dirty_ = true;
-    return states_.size() - 1;
+namespace {
+
+// Positional labels for diagnostics; models store no names.
+std::string state_label(std::size_t state) {
+    return "s" + std::to_string(state);
 }
 
-std::size_t CtmdpModel::add_action(std::size_t state, Action action) {
-    SOCBUF_REQUIRE_MSG(state < states_.size(), "unknown state");
-    SOCBUF_REQUIRE_MSG(action.extra_costs.size() == extra_cost_count_,
-                       "extra cost width mismatch");
-    for (const auto& t : action.transitions) {
-        SOCBUF_REQUIRE_MSG(t.rate >= 0.0, "negative transition rate");
-    }
-    if (action.name.empty())
-        action.name = "a" + std::to_string(states_[state].actions.size());
-    states_[state].actions.push_back(std::move(action));
-    index_dirty_ = true;
-    structure_dirty_ = true;
-    return states_[state].actions.size() - 1;
+std::string action_label(std::size_t action) {
+    return "a" + std::to_string(action);
 }
+
+}  // namespace
 
 std::size_t CtmdpModel::action_count(std::size_t state) const {
-    SOCBUF_REQUIRE_MSG(state < states_.size(), "unknown state");
-    return states_[state].actions.size();
-}
-
-const Action& CtmdpModel::action(std::size_t state, std::size_t a) const {
-    SOCBUF_REQUIRE_MSG(state < states_.size(), "unknown state");
-    SOCBUF_REQUIRE_MSG(a < states_[state].actions.size(), "unknown action");
-    return states_[state].actions[a];
-}
-
-const std::string& CtmdpModel::state_name(std::size_t state) const {
-    SOCBUF_REQUIRE_MSG(state < states_.size(), "unknown state");
-    return states_[state].name;
-}
-
-// Double-checked entry to the lazy rebuild: concurrent const accessors on
-// a shared model only pay an acquire load once the index is built, and
-// exactly one thread rebuilds after an invalidation. The release store in
-// rebuild_pair_index() publishes the rebuilt vectors to later acquirers.
-void CtmdpModel::ensure_pair_index() const {
-    if (!index_dirty_.load(std::memory_order_acquire)) return;
-    const std::scoped_lock lock(cache_mutex_);
-    if (index_dirty_.load(std::memory_order_relaxed)) rebuild_pair_index();
-}
-
-void CtmdpModel::rebuild_pair_index() const {
-    pair_offset_.assign(states_.size() + 1, 0);
-    pair_to_state_.clear();
-    for (std::size_t s = 0; s < states_.size(); ++s) {
-        pair_offset_[s + 1] = pair_offset_[s] + states_[s].actions.size();
-        for (std::size_t a = 0; a < states_[s].actions.size(); ++a)
-            pair_to_state_.push_back(s);
-    }
-    index_dirty_.store(false, std::memory_order_release);
-}
-
-std::size_t CtmdpModel::pair_count() const {
-    ensure_pair_index();
-    return pair_to_state_.size();
+    SOCBUF_REQUIRE_MSG(state < state_count(), "unknown state");
+    return pair_offset_[state + 1] - pair_offset_[state];
 }
 
 std::size_t CtmdpModel::pair_index(std::size_t state, std::size_t a) const {
-    ensure_pair_index();
-    SOCBUF_REQUIRE_MSG(state < states_.size(), "unknown state");
-    SOCBUF_REQUIRE_MSG(a < states_[state].actions.size(), "unknown action");
+    SOCBUF_REQUIRE_MSG(a < action_count(state), "unknown action");
     return pair_offset_[state] + a;
 }
 
 std::size_t CtmdpModel::pair_state(std::size_t pair) const {
-    ensure_pair_index();
-    SOCBUF_REQUIRE_MSG(pair < pair_to_state_.size(), "pair out of range");
-    return pair_to_state_[pair];
+    SOCBUF_REQUIRE_MSG(pair < pair_count(), "pair out of range");
+    // The last offset <= pair; every state owns at least one pair, so the
+    // offsets are strictly increasing and the owner is unique.
+    const auto after =
+        std::upper_bound(pair_offset_.begin(), pair_offset_.end(), pair);
+    return static_cast<std::size_t>(after - pair_offset_.begin()) - 1;
 }
 
 std::size_t CtmdpModel::pair_action(std::size_t pair) const {
-    ensure_pair_index();
-    SOCBUF_REQUIRE_MSG(pair < pair_to_state_.size(), "pair out of range");
-    return pair - pair_offset_[pair_to_state_[pair]];
-}
-
-void CtmdpModel::ensure_structure() const {
-    if (!structure_dirty_.load(std::memory_order_acquire)) return;
-    const std::scoped_lock lock(cache_mutex_);
-    if (structure_dirty_.load(std::memory_order_relaxed))
-        rebuild_structure();
-}
-
-void CtmdpModel::rebuild_structure() const {
-    bandwidth_ = 0;
-    transition_count_ = 0;
-    for (std::size_t s = 0; s < states_.size(); ++s) {
-        for (const auto& act : states_[s].actions) {
-            transition_count_ += act.transitions.size();
-            for (const auto& t : act.transitions) {
-                if (t.rate <= 0.0) continue;
-                const std::size_t dist =
-                    t.target >= s ? t.target - s : s - t.target;
-                bandwidth_ = std::max(bandwidth_, dist);
-            }
-        }
-    }
-    structure_dirty_.store(false, std::memory_order_release);
-}
-
-std::size_t CtmdpModel::bandwidth() const {
-    ensure_structure();
-    return bandwidth_;
-}
-
-std::size_t CtmdpModel::transition_count() const {
-    ensure_structure();
-    return transition_count_;
+    return pair - pair_offset_[pair_state(pair)];
 }
 
 double CtmdpModel::exit_rate(std::size_t state, std::size_t a) const {
-    const Action& act = action(state, a);
     double total = 0.0;
-    for (const auto& t : act.transitions)
-        if (t.target != state) total += t.rate;
+    for_each_jump(state, pair_index(state, a),
+                  [&](std::size_t, double rate) { total += rate; });
     return total;
 }
 
-double CtmdpModel::max_exit_rate() const {
-    double best = 0.0;
-    for (std::size_t s = 0; s < states_.size(); ++s)
-        for (std::size_t a = 0; a < states_[s].actions.size(); ++a)
-            best = std::max(best, exit_rate(s, a));
-    return best;
+CtmdpBuilder::CtmdpBuilder(std::size_t state_count,
+                           std::size_t extra_cost_count)
+    : state_count_(state_count) {
+    model_.extra_cost_count_ = extra_cost_count;
 }
 
-void CtmdpModel::validate() const {
-    if (states_.empty()) throw util::ModelError("CTMDP has no states");
-    for (std::size_t s = 0; s < states_.size(); ++s) {
-        if (states_[s].actions.empty())
-            throw util::ModelError("state " + states_[s].name +
+void CtmdpBuilder::advance_to(std::size_t state) {
+    for (; current_ < state; ++current_)
+        model_.pair_offset_.push_back(model_.pair_count());
+}
+
+std::size_t CtmdpBuilder::add_action(std::size_t state,
+                                     const std::vector<Transition>& transitions,
+                                     double cost,
+                                     const std::vector<double>& extra_costs) {
+    if (state >= state_count_)
+        throw util::ModelError("action appended to unknown state " +
+                               state_label(state) + " (model has " +
+                               std::to_string(state_count_) + " states)");
+    if (state < current_)
+        throw util::ModelError("action of state " + state_label(state) +
+                               " appended out of order, after state " +
+                               state_label(current_));
+    advance_to(state);
+    const std::size_t a = model_.pair_count() - model_.pair_offset_[state];
+    if (extra_costs.size() != model_.extra_cost_count_)
+        throw util::ModelError(
+            "action " + action_label(a) + " of state " + state_label(state) +
+            " has wrong extra-cost width " +
+            std::to_string(extra_costs.size()) + " (model wants " +
+            std::to_string(model_.extra_cost_count_) + ")");
+    model_.cost_.push_back(cost);
+    model_.extra_cost_.insert(model_.extra_cost_.end(), extra_costs.begin(),
+                              extra_costs.end());
+    model_.transition_offset_.push_back(model_.target_.size());
+    for (const Transition& t : transitions) add_transition(t.target, t.rate);
+    return a;
+}
+
+void CtmdpBuilder::add_transition(std::size_t target, double rate) {
+    SOCBUF_REQUIRE_MSG(model_.pair_count() > 0,
+                       "add_transition before any add_action");
+    if (target >= state_count_ || !(rate >= 0.0)) {
+        const std::size_t a =
+            model_.pair_count() - 1 - model_.pair_offset_[current_];
+        const std::string where = "action " + action_label(a) +
+                                  " of state " + state_label(current_);
+        if (target >= state_count_)
+            throw util::ModelError(where + " targets unknown state " +
+                                   std::to_string(target));
+        throw util::ModelError("negative rate in " + where);
+    }
+    model_.target_.push_back(target);
+    model_.rate_.push_back(rate);
+    ++model_.transition_offset_.back();
+}
+
+CtmdpModel CtmdpBuilder::freeze() && {
+    if (state_count_ == 0) throw util::ModelError("CTMDP has no states");
+    advance_to(state_count_);
+    CtmdpModel& m = model_;
+    for (std::size_t s = 0; s < state_count_; ++s) {
+        if (m.pair_offset_[s + 1] == m.pair_offset_[s])
+            throw util::ModelError("state " + state_label(s) +
                                    " has no actions");
-        for (const auto& act : states_[s].actions) {
-            if (act.extra_costs.size() != extra_cost_count_)
-                throw util::ModelError("action " + act.name + " of state " +
-                                       states_[s].name +
-                                       " has wrong extra-cost width");
-            for (const auto& t : act.transitions) {
-                if (t.target >= states_.size())
-                    throw util::ModelError(
-                        "action " + act.name + " of state " +
-                        states_[s].name + " targets unknown state " +
-                        std::to_string(t.target));
-                if (t.rate < 0.0)
-                    throw util::ModelError("negative rate in action " +
-                                           act.name);
-            }
+        for (std::size_t p = m.pair_offset_[s]; p < m.pair_offset_[s + 1];
+             ++p) {
+            // Zero rates add nothing to the exit rate and self-loops
+            // nothing to the band, so the jumps give both exactly.
+            double exit = 0.0;
+            m.for_each_jump(s, p, [&](std::size_t t, double rate) {
+                exit += rate;
+                m.bandwidth_ = std::max(m.bandwidth_, t > s ? t - s : s - t);
+            });
+            m.max_exit_rate_ = std::max(m.max_exit_rate_, exit);
         }
     }
+    return std::move(model_);
 }
 
 }  // namespace socbuf::ctmdp

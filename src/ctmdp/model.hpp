@@ -5,13 +5,21 @@
 // in long-run average, and optional extra cost rates used as side
 // constraints (Feinberg's constrained average-cost setting, which the paper
 // builds on).
+//
+// A model is built once by a CtmdpBuilder and then frozen: an immutable,
+// flat compressed-row (CSR) layout every solver reads directly.
+//   * pairs — the (state, action) pairs, state-major: state s owns pairs
+//     [pair_offsets()[s], pair_offsets()[s + 1]), action a of s is pair
+//     pair_offsets()[s] + a;
+//   * transitions — pair p owns entries [transition_offsets()[p],
+//     transition_offsets()[p + 1]) of targets()/rates(), in append order;
+//   * costs()[p] and extra_costs()[p * extra_cost_count() + k].
+// Nothing is cached lazily, so a shared model is safe to read from any
+// thread. States and actions carry no names; diagnostics synthesize
+// positional labels ("action a1 of state s3").
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <mutex>
-#include <string>
-#include <utility>
 #include <vector>
 
 namespace socbuf::ctmdp {
@@ -21,121 +29,130 @@ struct Transition {
     double rate = 0.0;
 };
 
-struct Action {
-    std::string name;
-    std::vector<Transition> transitions;
-    double cost = 0.0;                // primary cost rate (minimized)
-    std::vector<double> extra_costs;  // length must equal extra_cost_count()
-};
-
 class CtmdpModel {
 public:
-    /// Number of extra cost signals every action must carry (default 0).
-    explicit CtmdpModel(std::size_t extra_cost_count = 0)
-        : extra_cost_count_(extra_cost_count) {}
+    /// The empty model (no states). Solvable models come from
+    /// CtmdpBuilder::freeze().
+    CtmdpModel() = default;
 
-    // The lazy caches carry a mutex and atomic flags, so copies and moves
-    // transfer only the model itself; the destination's caches start
-    // dirty and rebuild on first use.
-    CtmdpModel(const CtmdpModel& other)
-        : states_(other.states_),
-          extra_cost_count_(other.extra_cost_count_) {}
-    CtmdpModel(CtmdpModel&& other) noexcept
-        : states_(std::move(other.states_)),
-          extra_cost_count_(other.extra_cost_count_) {}
-    CtmdpModel& operator=(const CtmdpModel& other) {
-        if (this != &other) {
-            states_ = other.states_;
-            extra_cost_count_ = other.extra_cost_count_;
-            index_dirty_ = true;
-            structure_dirty_ = true;
-        }
-        return *this;
+    [[nodiscard]] std::size_t state_count() const {
+        return pair_offset_.size() - 1;
     }
-    CtmdpModel& operator=(CtmdpModel&& other) noexcept {
-        if (this != &other) {
-            states_ = std::move(other.states_);
-            extra_cost_count_ = other.extra_cost_count_;
-            index_dirty_ = true;
-            structure_dirty_ = true;
-        }
-        return *this;
-    }
-
-    std::size_t add_state(std::string name = {});
-
-    /// Attach an action to a state; returns the action's index within the
-    /// state. Transitions to the same target are allowed and are summed by
-    /// consumers.
-    std::size_t add_action(std::size_t state, Action action);
-
-    [[nodiscard]] std::size_t state_count() const { return states_.size(); }
-    [[nodiscard]] std::size_t action_count(std::size_t state) const;
-    [[nodiscard]] const Action& action(std::size_t state,
-                                       std::size_t a) const;
-    [[nodiscard]] const std::string& state_name(std::size_t state) const;
+    /// Total number of state-action pairs.
+    [[nodiscard]] std::size_t pair_count() const { return cost_.size(); }
     [[nodiscard]] std::size_t extra_cost_count() const {
         return extra_cost_count_;
     }
-
-    /// Total number of state-action pairs.
-    [[nodiscard]] std::size_t pair_count() const;
+    [[nodiscard]] std::size_t action_count(std::size_t state) const;
 
     /// Flat index of (state, action) in [0, pair_count()); the inverse of
-    /// pair_state()/pair_action().
+    /// pair_state()/pair_action(), which binary-search the offsets — loops
+    /// over pairs walk pair_offsets() state by state instead.
     [[nodiscard]] std::size_t pair_index(std::size_t state,
                                          std::size_t a) const;
     [[nodiscard]] std::size_t pair_state(std::size_t pair) const;
     [[nodiscard]] std::size_t pair_action(std::size_t pair) const;
 
-    /// Total exit rate of (s,a).
+    /// CSR arrays (see the file comment for the layout).
+    [[nodiscard]] const std::vector<std::size_t>& pair_offsets() const {
+        return pair_offset_;
+    }
+    [[nodiscard]] const std::vector<std::size_t>& transition_offsets()
+        const {
+        return transition_offset_;
+    }
+    [[nodiscard]] const std::vector<std::size_t>& targets() const {
+        return target_;
+    }
+    [[nodiscard]] const std::vector<double>& rates() const { return rate_; }
+    [[nodiscard]] const std::vector<double>& costs() const { return cost_; }
+    [[nodiscard]] const std::vector<double>& extra_costs() const {
+        return extra_cost_;
+    }
+
+    /// Total exit rate of (s,a): the sum of its rates to other states.
     [[nodiscard]] double exit_rate(std::size_t state, std::size_t a) const;
+
+    /// Calls visit(target, rate) for each transition of `pair` (a pair of
+    /// `state`) that leaves the state at a positive rate, in append order:
+    /// the jumps every solver builds its chain from. Self-loops and zero
+    /// rates are skipped.
+    template <typename Visit>
+    void for_each_jump(std::size_t state, std::size_t pair,
+                       Visit&& visit) const {
+        for (std::size_t k = transition_offset_[pair];
+             k < transition_offset_[pair + 1]; ++k)
+            if (target_[k] != state && rate_[k] > 0.0)
+                visit(target_[k], rate_[k]);
+    }
 
     /// Structural bandwidth: max |target - state| over every transition
     /// with a positive rate, any action (0 for a diagonal-only model).
     /// Subsystem models pack occupancy vectors with strides, so this is
-    /// the largest stride — the banded policy-evaluation path keys off
-    /// it. Lazily cached alongside the pair index.
-    [[nodiscard]] std::size_t bandwidth() const;
+    /// the largest stride — the banded policy-evaluation path keys off it.
+    [[nodiscard]] std::size_t bandwidth() const { return bandwidth_; }
 
     /// Total transition entries across every action — the model's
     /// structural non-zero count (sparsity diagnostic for the solvers).
-    [[nodiscard]] std::size_t transition_count() const;
+    [[nodiscard]] std::size_t transition_count() const {
+        return target_.size();
+    }
 
     /// Largest exit rate over all pairs (uniformization bound).
-    [[nodiscard]] double max_exit_rate() const;
-
-    /// Structural validation: every state has at least one action, targets
-    /// in range, rates and extra-cost widths consistent. Throws ModelError.
-    void validate() const;
+    [[nodiscard]] double max_exit_rate() const { return max_exit_rate_; }
 
 private:
-    struct StateEntry {
-        std::string name;
-        std::vector<Action> actions;
-    };
+    friend class CtmdpBuilder;
 
-    void ensure_pair_index() const;
-    void ensure_structure() const;
-    void rebuild_pair_index() const;
-    void rebuild_structure() const;
+    std::vector<std::size_t> pair_offset_{0};
+    std::vector<std::size_t> transition_offset_{0};
+    std::vector<std::size_t> target_;
+    std::vector<double> rate_;
+    std::vector<double> cost_;
+    std::vector<double> extra_cost_;
+    std::size_t extra_cost_count_ = 0;
+    // Structural summary, computed once by CtmdpBuilder::freeze().
+    std::size_t bandwidth_ = 0;
+    double max_exit_rate_ = 0.0;
+};
 
-    std::vector<StateEntry> states_;
-    std::size_t extra_cost_count_;
-    // Guards the lazy rebuilds below: const accessors on a shared model
-    // are safe from any thread (double-checked on the atomic flags, so
-    // the warm path is a single acquire load). Pure synchronization —
-    // no result, iteration order or report byte depends on it.
-    // socbuf-lint: allow(raw-thread) — serializes only the const-lazy cache rebuilds; results never observe it.
-    mutable std::mutex cache_mutex_;
-    // Lazily rebuilt flat indexing caches.
-    mutable std::vector<std::size_t> pair_offset_;
-    mutable std::vector<std::size_t> pair_to_state_;
-    mutable std::atomic<bool> index_dirty_{true};
-    // Lazily rebuilt structural summary (bandwidth / non-zero count).
-    mutable std::size_t bandwidth_ = 0;
-    mutable std::size_t transition_count_ = 0;
-    mutable std::atomic<bool> structure_dirty_{true};
+/// Appends a model straight into its CSR arrays. Actions arrive in state
+/// order — every action of state s before any action of a later state —
+/// so the arrays are never rebuilt. Each append is checked against the
+/// model's shape; errors throw util::ModelError naming the offending
+/// action and state by their positional labels.
+class CtmdpBuilder {
+public:
+    /// A model over `state_count` states whose actions each carry
+    /// `extra_cost_count` extra cost rates.
+    explicit CtmdpBuilder(std::size_t state_count,
+                          std::size_t extra_cost_count = 0);
+
+    /// Append an action to `state` and return its index within the state.
+    /// `state` may not precede the state of the previous append.
+    /// Transitions to the same target are allowed and are summed by
+    /// consumers; `extra_costs` must have the builder's extra_cost_count
+    /// entries.
+    std::size_t add_action(std::size_t state,
+                           const std::vector<Transition>& transitions = {},
+                           double cost = 0.0,
+                           const std::vector<double>& extra_costs = {});
+
+    /// Append one more transition to the most recently added action.
+    void add_transition(std::size_t target, double rate);
+
+    /// Check that every state has an action, compute the structural
+    /// summary, and hand over the arrays. Throws util::ModelError on a
+    /// model with no states or a state with no actions.
+    [[nodiscard]] CtmdpModel freeze() &&;
+
+private:
+    /// Close every state before `state` (they receive no more actions).
+    void advance_to(std::size_t state);
+
+    CtmdpModel model_;
+    std::size_t state_count_;
+    std::size_t current_ = 0;  // the state receiving actions
 };
 
 }  // namespace socbuf::ctmdp

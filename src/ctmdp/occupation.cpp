@@ -12,6 +12,7 @@ namespace socbuf::ctmdp {
 InducedUniformizedChain induced_uniformized_chain(
     const CtmdpModel& model, const RandomizedPolicy& policy) {
     const std::size_t n = model.state_count();
+    const auto& pair_offset = model.pair_offsets();
     InducedUniformizedChain chain;
     std::vector<linalg::SparseEntry> entries;
     entries.reserve(model.transition_count());
@@ -23,15 +24,14 @@ InducedUniformizedChain induced_uniformized_chain(
                 max_exit = std::max(max_exit, model.exit_rate(s, a));
     chain.lambda = std::max(max_exit, 1e-12) * 1.05 + 1e-9;
     for (std::size_t s = 0; s < n; ++s) {
-        for (std::size_t a = 0; a < model.action_count(s); ++a) {
-            const double pa = policy.probability(s, a);
+        for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p) {
+            const double pa = policy.probability(s, p - pair_offset[s]);
             if (pa <= 0.0) continue;
-            for (const auto& t : model.action(s, a).transitions) {
-                if (t.target == s || t.rate <= 0.0) continue;
-                const double prob = pa * t.rate / chain.lambda;
-                entries.push_back({s, t.target, prob});
+            model.for_each_jump(s, p, [&](std::size_t target, double rate) {
+                const double prob = pa * rate / chain.lambda;
+                entries.push_back({s, target, prob});
                 chain.stay[s] -= prob;
-            }
+            });
         }
     }
     // CSR keeps the (state, action, transition) append order within each
@@ -49,12 +49,11 @@ std::vector<double> occupation_of_policy(const CtmdpModel& model,
         induced_uniformized_chain(model, policy);
     const linalg::Vector pi = ctmc::stationary_power_sparse(
         chain.jumps, chain.stay, 1e-11, 500000, executor);
+    const auto& pair_offset = model.pair_offsets();
     std::vector<double> x(model.pair_count(), 0.0);
-    for (std::size_t p = 0; p < model.pair_count(); ++p) {
-        const std::size_t s = model.pair_state(p);
-        const std::size_t a = model.pair_action(p);
-        x[p] = pi[s] * policy.probability(s, a);
-    }
+    for (std::size_t s = 0; s < model.state_count(); ++s)
+        for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p)
+            x[p] = pi[s] * policy.probability(s, p - pair_offset[s]);
     return x;
 }
 

@@ -93,10 +93,11 @@ ctmc::Generator induced_generator(const CtmdpModel& model,
                            "policy/model action count mismatch");
         for (std::size_t a = 0; a < dist.size(); ++a) {
             if (dist[a] <= 0.0) continue;
-            for (const auto& t : model.action(s, a).transitions) {
-                if (t.target == s || t.rate <= 0.0) continue;
-                gen.add_rate(s, t.target, dist[a] * t.rate);
-            }
+            model.for_each_jump(
+                s, model.pair_index(s, a),
+                [&](std::size_t target, double rate) {
+                    gen.add_rate(s, target, dist[a] * rate);
+                });
         }
     }
     return gen;

@@ -20,6 +20,21 @@ struct Evaluation {
     linalg::Vector bias;
 };
 
+/// Pair `pair` of state `s` on the uniformized chain: calls
+/// visit(target, probability) for each positive-rate move to another
+/// state, in model order, and returns the stay probability.
+template <typename Visit>
+double fold_moves(const CtmdpModel& model, std::size_t s, std::size_t pair,
+                  double lambda, Visit&& visit) {
+    double stay = 1.0;
+    model.for_each_jump(s, pair, [&](std::size_t target, double rate) {
+        const double p = rate / lambda;
+        stay -= p;
+        visit(target, p);
+    });
+    return stay;
+}
+
 Evaluation evaluate_dense(const CtmdpModel& model,
                           const DeterministicPolicy& pol, double lambda,
                           std::size_t ref) {
@@ -34,22 +49,18 @@ Evaluation evaluate_dense(const CtmdpModel& model,
     linalg::Matrix a(n, n);
     linalg::Vector b(n, 0.0);
     for (std::size_t s = 0; s < n; ++s) {
-        const Action& act = model.action(s, pol.action(s));
+        const std::size_t pair = model.pair_index(s, pol.action(s));
         // Row: g + h(s) - sum P(s'|s) h(s') = c_step(s).
         a(s, 0) = 1.0;
-        double stay = 1.0;
         auto add_h = [&](std::size_t state, double coeff) {
             if (state == ref) return;  // h(ref) = 0
             a(s, col_of[state]) += coeff;
         };
-        for (const auto& t : act.transitions) {
-            if (t.target == s || t.rate <= 0.0) continue;
-            const double p = t.rate / lambda;
-            stay -= p;
-            add_h(t.target, -p);
-        }
+        const double stay = fold_moves(
+            model, s, pair, lambda,
+            [&](std::size_t target, double p) { add_h(target, -p); });
         add_h(s, 1.0 - stay);
-        b[s] = act.cost / lambda;
+        b[s] = model.costs()[pair] / lambda;
     }
     const linalg::Vector z = linalg::LuDecomposition(a).solve(b);
     Evaluation ev;
@@ -81,9 +92,8 @@ Evaluation evaluate_banded(const CtmdpModel& model,
     linalg::Vector ref_row(m, 0.0);  // H(ref, .) over compact columns
     double b_ref = 0.0;
     for (std::size_t s = 0; s < n; ++s) {
-        const Action& act = model.action(s, pol.action(s));
+        const std::size_t pair = model.pair_index(s, pol.action(s));
         const bool is_ref = (s == ref);
-        double stay = 1.0;
         auto add_h = [&](std::size_t state, double coeff) {
             if (state == ref) return;  // h(ref) = 0
             if (is_ref)
@@ -91,17 +101,15 @@ Evaluation evaluate_banded(const CtmdpModel& model,
             else
                 bt.at(compact(s), compact(state)) += coeff;
         };
-        for (const auto& t : act.transitions) {
-            if (t.target == s || t.rate <= 0.0) continue;
-            const double p = t.rate / lambda;
-            stay -= p;
-            add_h(t.target, -p);
-        }
+        const double stay = fold_moves(
+            model, s, pair, lambda,
+            [&](std::size_t target, double p) { add_h(target, -p); });
         add_h(s, 1.0 - stay);
+        const double step_cost = model.costs()[pair] / lambda;
         if (is_ref)
-            b_ref = act.cost / lambda;
+            b_ref = step_cost;
         else
-            b[compact(s)] = act.cost / lambda;
+            b[compact(s)] = step_cost;
     }
     const linalg::BandedLu lu(bt);
     const linalg::Vector u = lu.solve(b);
@@ -133,17 +141,27 @@ bool use_banded(const PiOptions& options, std::size_t n, std::size_t bw) {
            3 * bw * (2 * bw + 1) < n * n;
 }
 
+/// The banded LU does not pivot. When the policy drifts away from the
+/// reference state, so that ref carries almost no stationary mass, its
+/// last pivots underflow and the factorization reports a singular band;
+/// the dense LU's partial pivoting still solves that system, so it takes
+/// over.
 Evaluation evaluate(const CtmdpModel& model, const DeterministicPolicy& pol,
                     double lambda, std::size_t ref, bool banded,
                     std::size_t bw) {
-    return banded ? evaluate_banded(model, pol, lambda, ref, bw)
-                  : evaluate_dense(model, pol, lambda, ref);
+    if (banded) {
+        try {
+            return evaluate_banded(model, pol, lambda, ref, bw);
+        } catch (const util::NumericalError&) {
+        }
+    }
+    return evaluate_dense(model, pol, lambda, ref);
 }
 
 }  // namespace
 
 PiResult policy_iteration(const CtmdpModel& model, const PiOptions& options) {
-    model.validate();
+    if (model.state_count() == 0) throw util::ModelError("CTMDP has no states");
     SOCBUF_REQUIRE_MSG(options.reference_state < model.state_count(),
                        "reference state out of range");
     const double lambda =
@@ -163,6 +181,7 @@ PiResult policy_iteration(const CtmdpModel& model, const PiOptions& options) {
         if (in_range) start = options.initial_policy;
     }
     DeterministicPolicy policy(std::move(start));
+    const auto& pair_offset = model.pair_offsets();
     PiResult out;
     for (std::size_t update = 0; update < options.max_policy_updates;
          ++update) {
@@ -173,16 +192,14 @@ PiResult policy_iteration(const CtmdpModel& model, const PiOptions& options) {
         for (std::size_t s = 0; s < n; ++s) {
             double best = std::numeric_limits<double>::infinity();
             std::size_t best_a = policy.action(s);
-            for (std::size_t a = 0; a < model.action_count(s); ++a) {
-                const Action& act = model.action(s, a);
-                double stay = 1.0;
-                double value = act.cost / lambda;
-                for (const auto& t : act.transitions) {
-                    if (t.target == s || t.rate <= 0.0) continue;
-                    const double p = t.rate / lambda;
-                    stay -= p;
-                    value += p * ev.bias[t.target];
-                }
+            const std::size_t p0 = pair_offset[s];
+            for (std::size_t a = 0; a < pair_offset[s + 1] - p0; ++a) {
+                double value = model.costs()[p0 + a] / lambda;
+                const double stay = fold_moves(
+                    model, s, p0 + a, lambda,
+                    [&](std::size_t target, double p) {
+                        value += p * ev.bias[target];
+                    });
                 value += stay * ev.bias[s];
                 if (value < best - options.improvement_tolerance) {
                     best = value;

@@ -29,10 +29,12 @@ struct PiOptions {
     /// remaining bias system is factorized with a banded LU — O(n·bw²)
     /// per update instead of the dense O(n³). Auto-gated: the dense path
     /// still runs when the model is small or its bandwidth is too close
-    /// to n for the banded factorization to win. The bordered solve is a
-    /// different (better-conditioned-size) elimination order, so gains
-    /// and biases agree with the dense path to solver tolerance, not bit
-    /// for bit — which is why this knob is part of the solve fingerprint.
+    /// to n for the banded factorization to win, and it takes over any
+    /// evaluation whose unpivoted banded LU breaks down. The bordered
+    /// solve is a different (better-conditioned-size) elimination order,
+    /// so gains and biases agree with the dense path to solver tolerance,
+    /// not bit for bit — which is why this knob is part of the solve
+    /// fingerprint.
     bool banded_evaluation = true;
     /// Warm start: the converged policy of a structurally identical model
     /// (injected by SolveCache's warm path). Empty — or any shape that

@@ -30,25 +30,36 @@ void append_double(std::string& out, double v) {
 
 std::string solve_fingerprint(const CtmdpModel& model,
                               const DispatchOptions& options) {
+    const std::size_t n = model.state_count();
+    const std::size_t n_extra = model.extra_cost_count();
+    const auto& pair_offset = model.pair_offsets();
+    const auto& trans_offset = model.transition_offsets();
+    const auto& target = model.targets();
+    const auto& rate = model.rates();
+    const auto& extra = model.extra_costs();
     std::string key;
-    // Typical subsystem models are a few hundred pairs; reserve generously
-    // once instead of growing through reallocations.
-    key.reserve(64 + 32 * model.pair_count());
+    // Reserve the model block's exact size (plus room for the options
+    // block): on a 16384-state model the key is ~5.6 MB, and growing into
+    // it by doubling would hold up to twice that per in-flight solve.
+    key.reserve(1 + 8 * (2 + n + (3 + n_extra) * model.pair_count() +
+                         2 * model.transition_count()) +
+                256);
 
     key.push_back('M');
-    append_size(key, model.state_count());
-    append_size(key, model.extra_cost_count());
-    for (std::size_t s = 0; s < model.state_count(); ++s) {
-        append_size(key, model.action_count(s));
-        for (std::size_t a = 0; a < model.action_count(s); ++a) {
-            const Action& action = model.action(s, a);
-            append_double(key, action.cost);
-            append_size(key, action.extra_costs.size());
-            for (const double c : action.extra_costs) append_double(key, c);
-            append_size(key, action.transitions.size());
-            for (const Transition& t : action.transitions) {
-                append_size(key, t.target);
-                append_double(key, t.rate);
+    append_size(key, n);
+    append_size(key, n_extra);
+    for (std::size_t s = 0; s < n; ++s) {
+        append_size(key, pair_offset[s + 1] - pair_offset[s]);
+        for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p) {
+            append_double(key, model.costs()[p]);
+            append_size(key, n_extra);
+            for (std::size_t k = 0; k < n_extra; ++k)
+                append_double(key, extra[p * n_extra + k]);
+            append_size(key, trans_offset[p + 1] - trans_offset[p]);
+            for (std::size_t k = trans_offset[p]; k < trans_offset[p + 1];
+                 ++k) {
+                append_size(key, target[k]);
+                append_double(key, rate[k]);
             }
         }
     }
@@ -93,17 +104,19 @@ std::string solve_fingerprint(const CtmdpModel& model,
 }
 
 std::string model_structure_fingerprint(const CtmdpModel& model) {
+    const auto& pair_offset = model.pair_offsets();
+    const auto& trans_offset = model.transition_offsets();
     std::string key;
     key.reserve(32 + 16 * model.pair_count());
     key.push_back('S');
     append_size(key, model.state_count());
     for (std::size_t s = 0; s < model.state_count(); ++s) {
-        append_size(key, model.action_count(s));
-        for (std::size_t a = 0; a < model.action_count(s); ++a) {
-            const Action& action = model.action(s, a);
-            append_size(key, action.transitions.size());
-            for (const Transition& t : action.transitions)
-                append_size(key, t.target);
+        append_size(key, pair_offset[s + 1] - pair_offset[s]);
+        for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p) {
+            append_size(key, trans_offset[p + 1] - trans_offset[p]);
+            for (std::size_t k = trans_offset[p]; k < trans_offset[p + 1];
+                 ++k)
+                append_size(key, model.targets()[k]);
         }
     }
     return key;

@@ -39,9 +39,11 @@ SubsystemSolution from_deterministic(const CtmdpModel& model,
     out.iterations = iterations;
     out.policy = RandomizedPolicy::from_deterministic(policy, model);
     out.occupation = occupation_of_policy(model, out.policy, executor);
+    const auto& pair_offset = model.pair_offsets();
     out.stationary.assign(model.state_count(), 0.0);
-    for (std::size_t p = 0; p < out.occupation.size(); ++p)
-        out.stationary[model.pair_state(p)] += out.occupation[p];
+    for (std::size_t s = 0; s < model.state_count(); ++s)
+        for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p)
+            out.stationary[s] += out.occupation[p];
     out.switching_states = 0;  // deterministic policies never randomize
     out.solved_by = kind;
     out.converged = converged;

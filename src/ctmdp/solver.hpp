@@ -79,7 +79,7 @@ public:
     virtual ~AverageCostSolver() = default;
     [[nodiscard]] virtual SolverKind kind() const = 0;
     [[nodiscard]] virtual const char* name() const = 0;
-    /// Solve `model` (validated, unichain). Throws util::NumericalError
+    /// Solve `model` (non-empty, unichain). Throws util::NumericalError
     /// when the algorithm fails outright (e.g. an infeasible LP).
     [[nodiscard]] virtual SubsystemSolution solve(
         const CtmdpModel& model, const SolverOptions& options) const = 0;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 namespace socbuf::ctmdp {
@@ -15,47 +16,53 @@ namespace {
 
 /// Precomputed uniformized model: per pair, per-step cost, stay
 /// probability, and the jump probabilities in compressed-row (CSR) form —
-/// one flat target/probability array indexed by per-pair offsets. The
-/// flat arrays keep the per-pair append order of the old nested vectors,
-/// so the Bellman fold below visits identical values in identical order
-/// (bit-identical results) while the sweep streams three contiguous
-/// arrays.
+/// one flat target/probability array indexed by per-pair offsets, in the
+/// model's transition order, so every sweep visits identical values in
+/// identical order (bit-identical results) while streaming contiguous
+/// arrays. The state -> pair offsets are the model's own; the jump
+/// indices are 32-bit, which cuts the sweep's index traffic by half.
 struct Uniformized {
     double lambda = 1.0;
+    const std::size_t* pair_offset = nullptr;  // model.pair_offsets()
     std::vector<double> step_cost;
     std::vector<double> stay;
     // CSR over pairs: entries [jump_offset[p], jump_offset[p + 1]).
-    std::vector<std::size_t> jump_offset;
-    std::vector<std::size_t> jump_target;
+    std::vector<std::uint32_t> jump_offset;
+    std::vector<std::uint32_t> jump_target;
     std::vector<double> jump_prob;
 };
 
 Uniformized uniformize(const CtmdpModel& model) {
+    SOCBUF_REQUIRE_MSG(
+        std::max(model.state_count(), model.transition_count()) <=
+            std::numeric_limits<std::uint32_t>::max(),
+        "model too large for 32-bit jump indices");
     Uniformized u;
+    u.pair_offset = model.pair_offsets().data();
     // A margin keeps every self-loop probability strictly positive, which
     // makes the uniformized chain aperiodic (required for RVI convergence).
     u.lambda = std::max(model.max_exit_rate(), 1e-12) * 1.05 + 1e-9;
     const std::size_t n_pairs = model.pair_count();
+    const std::vector<std::size_t>& pair_offset = model.pair_offsets();
     u.step_cost.resize(n_pairs);
     u.stay.resize(n_pairs);
     u.jump_offset.assign(n_pairs + 1, 0);
     u.jump_target.reserve(model.transition_count());
     u.jump_prob.reserve(model.transition_count());
-    for (std::size_t p = 0; p < n_pairs; ++p) {
-        const std::size_t s = model.pair_state(p);
-        const std::size_t a = model.pair_action(p);
-        const Action& act = model.action(s, a);
-        u.step_cost[p] = act.cost / u.lambda;
-        double move = 0.0;
-        for (const auto& t : act.transitions) {
-            if (t.target == s || t.rate <= 0.0) continue;
-            u.jump_target.push_back(t.target);
-            u.jump_prob.push_back(t.rate / u.lambda);
-            move += t.rate / u.lambda;
+    for (std::size_t s = 0; s < model.state_count(); ++s) {
+        for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p) {
+            u.step_cost[p] = model.costs()[p] / u.lambda;
+            double move = 0.0;
+            model.for_each_jump(s, p, [&](std::size_t target, double rate) {
+                u.jump_target.push_back(static_cast<std::uint32_t>(target));
+                u.jump_prob.push_back(rate / u.lambda);
+                move += rate / u.lambda;
+            });
+            u.jump_offset[p + 1] =
+                static_cast<std::uint32_t>(u.jump_target.size());
+            u.stay[p] = 1.0 - move;
+            SOCBUF_ASSERT(u.stay[p] > 0.0);
         }
-        u.jump_offset[p + 1] = u.jump_target.size();
-        u.stay[p] = 1.0 - move;
-        SOCBUF_ASSERT(u.stay[p] > 0.0);
     }
     return u;
 }
@@ -63,13 +70,15 @@ Uniformized uniformize(const CtmdpModel& model) {
 /// One state's Bellman minimization over the values in `h`. The action
 /// scan and jump fold run in the model's pair order — the fold order every
 /// sweep variant and thread count shares.
-inline void bellman_min(const CtmdpModel& model, const Uniformized& u,
-                        const linalg::Vector& h, std::size_t s,
-                        double& best_out, std::size_t& action_out) {
+inline void bellman_min(const Uniformized& u, const linalg::Vector& h,
+                        std::size_t s, double& best_out,
+                        std::size_t& action_out) {
     double best = std::numeric_limits<double>::infinity();
     std::size_t best_a = 0;
-    for (std::size_t a = 0; a < model.action_count(s); ++a) {
-        const std::size_t p = model.pair_index(s, a);
+    const std::size_t p0 = u.pair_offset[s];
+    const std::size_t na = u.pair_offset[s + 1] - p0;
+    for (std::size_t a = 0; a < na; ++a) {
+        const std::size_t p = p0 + a;
         double value = u.step_cost[p] + u.stay[p] * h[s];
         for (std::size_t k = u.jump_offset[p]; k < u.jump_offset[p + 1]; ++k)
             value += u.jump_prob[k] * h[u.jump_target[k]];
@@ -96,15 +105,16 @@ inline void bellman_min(const CtmdpModel& model, const Uniformized& u,
 /// margin makes `stay` large exactly for low-exit states, which is where
 /// the acceleration pays. Degenerate all-self-loop actions (stay == 1)
 /// fall back to the explicit update. Returns h_a, not th_a.
-inline void bellman_min_implicit(const CtmdpModel& model,
-                                 const Uniformized& u,
+inline void bellman_min_implicit(const Uniformized& u,
                                  const linalg::Vector& h, std::size_t s,
                                  double g, double& best_out,
                                  std::size_t& action_out) {
     double best = std::numeric_limits<double>::infinity();
     std::size_t best_a = 0;
-    for (std::size_t a = 0; a < model.action_count(s); ++a) {
-        const std::size_t p = model.pair_index(s, a);
+    const std::size_t p0 = u.pair_offset[s];
+    const std::size_t na = u.pair_offset[s + 1] - p0;
+    for (std::size_t a = 0; a < na; ++a) {
+        const std::size_t p = p0 + a;
         double value = u.step_cost[p];
         for (std::size_t k = u.jump_offset[p]; k < u.jump_offset[p + 1]; ++k)
             value += u.jump_prob[k] * h[u.jump_target[k]];
@@ -145,7 +155,7 @@ ViResult jacobi_rvi(const CtmdpModel& model, const Uniformized& u,
         double lo = std::numeric_limits<double>::infinity();
         double hi = -lo;
         for (std::size_t s = lo_s; s < hi_s; ++s) {
-            bellman_min(model, u, h, s, th[s], greedy[s]);
+            bellman_min(u, h, s, th[s], greedy[s]);
             const double d = th[s] - h[s];
             lo = std::min(lo, d);
             hi = std::max(hi, d);
@@ -279,13 +289,13 @@ ViResult gauss_seidel_rvi(const CtmdpModel& model, const Uniformized& u,
         // The sweep's gain estimate: the explicit Bellman value at the
         // pinned reference state, from the pre-sweep h alone.
         std::size_t ref_action = 0;
-        bellman_min(model, u, h, ref, g, ref_action);
+        bellman_min(u, h, ref, g, ref_action);
         // Phase 1 Bellman: reads only the pre-sweep h and g; th holds
         // the candidate bias (bellman_min_implicit returns h_a directly).
         fan(phase1.size(), [&](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i) {
                 const std::size_t s = phase1[i];
-                bellman_min_implicit(model, u, h, s, g, th[s], greedy[s]);
+                bellman_min_implicit(u, h, s, g, th[s], greedy[s]);
             }
         });
         // Phase 1 write-back: h(s) <- candidate, tracking the sup-norm
@@ -309,7 +319,7 @@ ViResult gauss_seidel_rvi(const CtmdpModel& model, const Uniformized& u,
         fan(phase2.size(), [&](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i) {
                 const std::size_t s = phase2[i];
-                bellman_min_implicit(model, u, h, s, g, th[s], greedy[s]);
+                bellman_min_implicit(u, h, s, g, th[s], greedy[s]);
             }
         });
         std::fill(chunk_delta.begin(), chunk_delta.end(), 0.0);
@@ -344,7 +354,7 @@ ViResult gauss_seidel_rvi(const CtmdpModel& model, const Uniformized& u,
 
 ViResult relative_value_iteration(const CtmdpModel& model,
                                   const ViOptions& options) {
-    model.validate();
+    if (model.state_count() == 0) throw util::ModelError("CTMDP has no states");
     SOCBUF_REQUIRE_MSG(options.reference_state < model.state_count(),
                        "reference state out of range");
     const Uniformized u = uniformize(model);
@@ -364,7 +374,6 @@ ViResult relative_value_iteration(const CtmdpModel& model,
 double average_cost_of_policy(const CtmdpModel& model,
                               const RandomizedPolicy& policy,
                               exec::Executor* executor) {
-    model.validate();
     const InducedUniformizedChain chain =
         induced_uniformized_chain(model, policy);
     const linalg::Vector pi = ctmc::stationary_power_sparse(
@@ -373,7 +382,7 @@ double average_cost_of_policy(const CtmdpModel& model,
     for (std::size_t s = 0; s < model.state_count(); ++s) {
         const auto& dist = policy.distribution(s);
         for (std::size_t a = 0; a < dist.size(); ++a)
-            cost += pi[s] * dist[a] * model.action(s, a).cost;
+            cost += pi[s] * dist[a] * model.costs()[model.pair_index(s, a)];
     }
     return cost;
 }

@@ -67,8 +67,8 @@ struct ViOptions {
 };
 
 /// Minimize long-run average cost with relative value iteration on the
-/// uniformized chain. The model must be validated, unichain, and have at
-/// least one action everywhere.
+/// uniformized chain. The model must have states and be unichain (a frozen
+/// model already has at least one action everywhere).
 [[nodiscard]] ViResult relative_value_iteration(const CtmdpModel& model,
                                                 const ViOptions& options = {});
 

@@ -6,6 +6,7 @@
 #include "ctmdp/occupation.hpp"
 #include "ctmdp/policy.hpp"
 #include "ctmdp/policy_iteration.hpp"
+#include "ctmdp/solve_cache.hpp"
 #include "ctmdp/solver.hpp"
 #include "ctmdp/value_iteration.hpp"
 #include "exec/parallel.hpp"
@@ -15,9 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
+#include <string>
 #include <utility>
+#include <vector>
 
 namespace sm = socbuf::ctmdp;
 
@@ -27,45 +31,25 @@ namespace {
 /// State 0 offers: A (rate 1 -> state 1, cost 2) giving average cost 4/3,
 /// or B (rate 4 -> state 1, cost 3) giving average cost 1. B is optimal.
 sm::CtmdpModel two_state_toy(std::size_t extra_costs = 0) {
-    sm::CtmdpModel m(extra_costs);
-    const auto s0 = m.add_state("idle");
-    const auto s1 = m.add_state("busy");
-    sm::Action a;
-    a.name = "A";
-    a.transitions = {{s1, 1.0}};
-    a.cost = 2.0;
-    a.extra_costs.assign(extra_costs, 0.0);
-    m.add_action(s0, a);
-    sm::Action b;
-    b.name = "B";
-    b.transitions = {{s1, 4.0}};
-    b.cost = 3.0;
-    b.extra_costs.assign(extra_costs, extra_costs > 0 ? 1.0 : 0.0);
-    m.add_action(s0, b);
-    sm::Action done;
-    done.name = "done";
-    done.transitions = {{s0, 2.0}};
-    done.cost = 0.0;
-    done.extra_costs.assign(extra_costs, 0.0);
-    m.add_action(s1, done);
-    return m;
+    sm::CtmdpBuilder b(2, extra_costs);
+    b.add_action(0, {{1, 1.0}}, 2.0, std::vector<double>(extra_costs, 0.0));
+    b.add_action(0, {{1, 4.0}}, 3.0,
+                 std::vector<double>(extra_costs, extra_costs > 0 ? 1.0 : 0.0));
+    b.add_action(1, {{0, 2.0}}, 0.0, std::vector<double>(extra_costs, 0.0));
+    return std::move(b).freeze();
 }
 
 /// Single M/M/1/K queue as a (single-action) CTMDP whose average cost is
 /// the closed-form loss rate.
 sm::CtmdpModel mm1k_model(double lambda, double mu, std::size_t k) {
-    sm::CtmdpModel m;
-    for (std::size_t i = 0; i <= k; ++i)
-        m.add_state("q" + std::to_string(i));
+    sm::CtmdpBuilder b(k + 1);
     for (std::size_t i = 0; i <= k; ++i) {
-        sm::Action a;
-        a.name = "serve";
-        if (i < k) a.transitions.push_back({i + 1, lambda});
-        if (i > 0) a.transitions.push_back({i - 1, mu});
-        a.cost = (i == k) ? lambda : 0.0;  // loss rate while full
-        m.add_action(i, a);
+        std::vector<sm::Transition> moves;
+        if (i < k) moves.push_back({i + 1, lambda});
+        if (i > 0) moves.push_back({i - 1, mu});
+        b.add_action(i, moves, (i == k) ? lambda : 0.0);  // loss while full
     }
-    return m;
+    return std::move(b).freeze();
 }
 
 /// Random strongly-connected CTMDP for solver cross-validation.
@@ -74,21 +58,17 @@ sm::CtmdpModel random_model(unsigned seed, std::size_t n_states,
     std::mt19937_64 gen(seed);
     std::uniform_real_distribution<double> rate(0.2, 3.0);
     std::uniform_real_distribution<double> cost(0.0, 5.0);
-    sm::CtmdpModel m;
-    for (std::size_t s = 0; s < n_states; ++s) m.add_state();
+    sm::CtmdpBuilder b(n_states);
     for (std::size_t s = 0; s < n_states; ++s) {
         for (std::size_t a = 0; a < n_actions; ++a) {
-            sm::Action act;
             // A guaranteed ring edge keeps every policy irreducible.
-            act.transitions.push_back({(s + 1) % n_states, rate(gen)});
+            std::vector<sm::Transition> moves{{(s + 1) % n_states, rate(gen)}};
             const std::size_t other = gen() % n_states;
-            if (other != s)
-                act.transitions.push_back({other, rate(gen)});
-            act.cost = cost(gen);
-            m.add_action(s, act);
+            if (other != s) moves.push_back({other, rate(gen)});
+            b.add_action(s, moves, cost(gen));
         }
     }
-    return m;
+    return std::move(b).freeze();
 }
 
 }  // namespace
@@ -105,40 +85,33 @@ TEST(Model, IndexingRoundTrips) {
 }
 
 TEST(Model, ExitRatesIgnoreSelfLoops) {
-    sm::CtmdpModel m;
-    m.add_state();
-    m.add_state();
-    sm::Action a;
-    a.transitions = {{0, 5.0}, {1, 2.0}};  // self-loop rate must not count
-    m.add_action(0, a);
-    sm::Action b;
-    b.transitions = {{0, 1.0}};
-    m.add_action(1, b);
+    sm::CtmdpBuilder b(2);
+    b.add_action(0, {{0, 5.0}, {1, 2.0}});  // self-loop rate must not count
+    b.add_action(1, {{0, 1.0}});
+    const auto m = std::move(b).freeze();
     EXPECT_DOUBLE_EQ(m.exit_rate(0, 0), 2.0);
     EXPECT_DOUBLE_EQ(m.max_exit_rate(), 2.0);
 }
 
-TEST(Model, ValidateCatchesStructuralErrors) {
-    sm::CtmdpModel empty;
-    EXPECT_THROW(empty.validate(), socbuf::util::ModelError);
+TEST(Model, FreezeCatchesStructuralErrors) {
+    EXPECT_THROW((void)sm::CtmdpBuilder(0).freeze(),
+                 socbuf::util::ModelError);
 
-    sm::CtmdpModel no_action;
-    no_action.add_state();
-    EXPECT_THROW(no_action.validate(), socbuf::util::ModelError);
+    // State 1 never receives an action.
+    sm::CtmdpBuilder no_action(2);
+    no_action.add_action(0, {{0, 1.0}});
+    try {
+        (void)std::move(no_action).freeze();
+        FAIL() << "a state without actions must not freeze";
+    } catch (const socbuf::util::ModelError& e) {
+        EXPECT_NE(std::string(e.what()).find("state s1 has no actions"),
+                  std::string::npos)
+            << e.what();
+    }
 
-    sm::CtmdpModel bad_target;
-    bad_target.add_state();
-    sm::Action a;
-    a.transitions = {{5, 1.0}};
-    bad_target.add_action(0, a);
-    EXPECT_THROW(bad_target.validate(), socbuf::util::ModelError);
-
-    sm::CtmdpModel wrong_extra(2);
-    wrong_extra.add_state();
-    sm::Action b;
-    b.extra_costs = {1.0};  // width 1, model wants 2
-    EXPECT_THROW(wrong_extra.add_action(0, b),
-                 socbuf::util::ContractViolation);
+    sm::CtmdpBuilder bad_target(1);
+    EXPECT_THROW(bad_target.add_action(0, {{5, 1.0}}),
+                 socbuf::util::ModelError);
 }
 
 TEST(LpSolver, FindsKnownOptimum) {
@@ -425,24 +398,250 @@ TEST(MakeSolver, StandaloneSolversCarryTheirIdentity) {
 }
 
 TEST(Model, BandwidthAndTransitionCountTrackStructure) {
-    sm::CtmdpModel m;
-    for (int i = 0; i < 5; ++i) m.add_state();
-    sm::Action a;
-    a.transitions = {{1, 1.0}, {0, 0.0}};  // zero-rate edge: count, no band
-    m.add_action(0, a);
-    EXPECT_EQ(m.bandwidth(), 1u);
-    EXPECT_EQ(m.transition_count(), 2u);
-    sm::Action b;
-    b.transitions = {{4, 2.0}};
-    m.add_action(1, b);  // |4 - 1| = 3 widens the band
-    EXPECT_EQ(m.bandwidth(), 3u);
-    EXPECT_EQ(m.transition_count(), 3u);
-    for (int i = 0; i < 3; ++i) {
-        sm::Action c;
-        c.transitions = {{0, 1.0}};
-        m.add_action(2 + i, c);
-    }
+    sm::CtmdpBuilder b(5);
+    b.add_action(0, {{1, 1.0}, {0, 0.0}});  // zero-rate edge: count, no band
+    b.add_action(1, {{4, 2.0}});             // |4 - 1| = 3 widens the band
+    for (std::size_t s = 2; s < 5; ++s) b.add_action(s, {{0, 1.0}});
+    const auto m = std::move(b).freeze();
     EXPECT_EQ(m.bandwidth(), 4u);  // state 4 -> 0
+    EXPECT_EQ(m.transition_count(), 6u);
+
+    sm::CtmdpBuilder narrow(2);
+    narrow.add_action(0, {{1, 1.0}, {0, 0.0}});
+    narrow.add_action(1, {{0, 0.0}});  // zero rates never widen the band
+    const auto n = std::move(narrow).freeze();
+    EXPECT_EQ(n.bandwidth(), 1u);
+    EXPECT_EQ(n.transition_count(), 3u);
+}
+
+namespace {
+
+/// A random model kept in nested form next to its frozen CSR twin, so
+/// the frozen layout can be checked against a brute-force recount.
+struct NestedModel {
+    struct Act {
+        std::vector<sm::Transition> moves;
+        double cost = 0.0;
+        std::vector<double> extra;
+    };
+    std::vector<std::vector<Act>> states;
+};
+
+NestedModel random_nested(unsigned seed, std::size_t n_states,
+                          std::size_t extra_costs) {
+    std::mt19937_64 gen(seed);
+    std::uniform_real_distribution<double> rate(0.0, 2.0);
+    NestedModel nested;
+    nested.states.resize(n_states);
+    for (std::size_t s = 0; s < n_states; ++s) {
+        const std::size_t actions = 1 + gen() % 3;
+        for (std::size_t a = 0; a < actions; ++a) {
+            NestedModel::Act act;
+            const std::size_t moves = gen() % 4;  // zero moves allowed
+            for (std::size_t k = 0; k < moves; ++k)
+                act.moves.push_back({gen() % n_states,
+                                     k == 2 ? 0.0 : rate(gen)});
+            act.cost = rate(gen);
+            for (std::size_t e = 0; e < extra_costs; ++e)
+                act.extra.push_back(rate(gen));
+            nested.states[s].push_back(act);
+        }
+    }
+    return nested;
+}
+
+sm::CtmdpModel freeze_nested(const NestedModel& nested,
+                             std::size_t extra_costs) {
+    sm::CtmdpBuilder b(nested.states.size(), extra_costs);
+    for (std::size_t s = 0; s < nested.states.size(); ++s)
+        for (const auto& act : nested.states[s])
+            b.add_action(s, act.moves, act.cost, act.extra);
+    return std::move(b).freeze();
+}
+
+template <typename Fn>
+std::string model_error_of(Fn&& fn) {
+    try {
+        fn();
+    } catch (const socbuf::util::ModelError& e) {
+        return e.what();
+    }
+    return "<no ModelError>";
+}
+
+}  // namespace
+
+TEST(FrozenModel, CsrLayoutMatchesBruteForceRecount) {
+    for (const unsigned seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+        const std::size_t extras = seed % 3;
+        const auto nested = random_nested(seed, 5 + 7 * seed, extras);
+        const auto m = freeze_nested(nested, extras);
+        ASSERT_EQ(m.state_count(), nested.states.size());
+        ASSERT_EQ(m.extra_cost_count(), extras);
+
+        // Offsets are monotone, start at 0 and end at the array sizes.
+        const auto& po = m.pair_offsets();
+        const auto& to = m.transition_offsets();
+        ASSERT_EQ(po.size(), m.state_count() + 1);
+        ASSERT_EQ(to.size(), m.pair_count() + 1);
+        EXPECT_EQ(po.front(), 0u);
+        EXPECT_EQ(to.front(), 0u);
+        EXPECT_TRUE(std::is_sorted(po.begin(), po.end()));
+        EXPECT_TRUE(std::is_sorted(to.begin(), to.end()));
+        EXPECT_EQ(po.back(), m.pair_count());
+        EXPECT_EQ(to.back(), m.transition_count());
+        EXPECT_EQ(m.targets().size(), m.transition_count());
+        EXPECT_EQ(m.rates().size(), m.transition_count());
+        EXPECT_EQ(m.costs().size(), m.pair_count());
+        EXPECT_EQ(m.extra_costs().size(), m.pair_count() * extras);
+
+        std::size_t transitions = 0;
+        std::size_t band = 0;
+        double max_exit = 0.0;
+        for (std::size_t s = 0; s < nested.states.size(); ++s) {
+            ASSERT_EQ(m.action_count(s), nested.states[s].size());
+            for (std::size_t a = 0; a < nested.states[s].size(); ++a) {
+                const auto& act = nested.states[s][a];
+                const std::size_t p = m.pair_index(s, a);
+                EXPECT_EQ(m.pair_state(p), s);
+                EXPECT_EQ(m.pair_action(p), a);
+                EXPECT_EQ(m.costs()[p], act.cost);
+                for (std::size_t e = 0; e < extras; ++e)
+                    EXPECT_EQ(m.extra_costs()[p * extras + e], act.extra[e]);
+                ASSERT_EQ(to[p + 1] - to[p], act.moves.size());
+                double exit = 0.0;
+                for (std::size_t k = 0; k < act.moves.size(); ++k) {
+                    const auto& t = act.moves[k];
+                    EXPECT_EQ(m.targets()[to[p] + k], t.target);
+                    EXPECT_EQ(m.rates()[to[p] + k], t.rate);
+                    if (t.target != s) exit += t.rate;
+                    if (t.rate > 0.0)
+                        band = std::max(band, t.target > s ? t.target - s
+                                                           : s - t.target);
+                }
+                transitions += act.moves.size();
+                EXPECT_EQ(m.exit_rate(s, a), exit);
+                max_exit = std::max(max_exit, exit);
+            }
+        }
+        EXPECT_EQ(m.transition_count(), transitions) << "seed " << seed;
+        EXPECT_EQ(m.bandwidth(), band) << "seed " << seed;
+        EXPECT_EQ(m.max_exit_rate(), max_exit) << "seed " << seed;
+        // Every pair maps back to itself.
+        for (std::size_t p = 0; p < m.pair_count(); ++p)
+            EXPECT_EQ(m.pair_index(m.pair_state(p), m.pair_action(p)), p);
+    }
+}
+
+TEST(FrozenModel, AccessorsRejectOutOfRangeIndices) {
+    const auto m = two_state_toy();
+    EXPECT_THROW((void)m.action_count(2), socbuf::util::ContractViolation);
+    EXPECT_THROW((void)m.pair_index(1, 1), socbuf::util::ContractViolation);
+    EXPECT_THROW((void)m.pair_state(3), socbuf::util::ContractViolation);
+    const sm::CtmdpModel empty;
+    EXPECT_EQ(empty.state_count(), 0u);
+    EXPECT_EQ(empty.pair_count(), 0u);
+}
+
+TEST(CtmdpBuilder, RejectsMalformedAppendsNamingTheLabels) {
+    // Out of order: state 1 already received actions.
+    const std::string order = model_error_of([] {
+        sm::CtmdpBuilder b(3);
+        b.add_action(0, {{1, 1.0}});
+        b.add_action(1, {{0, 1.0}});
+        b.add_action(0, {{2, 1.0}});
+    });
+    EXPECT_NE(order.find("state s0"), std::string::npos) << order;
+    EXPECT_NE(order.find("out of order"), std::string::npos) << order;
+    EXPECT_NE(order.find("after state s1"), std::string::npos) << order;
+
+    // Negative rate, in the list and appended on its own.
+    const std::string negative = model_error_of([] {
+        sm::CtmdpBuilder b(3);
+        b.add_action(2, {{0, 1.0}});
+        b.add_action(2, {{1, 1.0}, {0, -0.5}});
+    });
+    EXPECT_NE(negative.find("negative rate in action a1 of state s2"),
+              std::string::npos)
+        << negative;
+    const std::string appended = model_error_of([] {
+        sm::CtmdpBuilder b(2);
+        b.add_action(1);
+        b.add_transition(0, -1.0);
+    });
+    EXPECT_NE(appended.find("action a0 of state s1"), std::string::npos)
+        << appended;
+
+    // Extra-cost width must match the model's.
+    const std::string width = model_error_of([] {
+        sm::CtmdpBuilder b(2, 2);
+        b.add_action(0, {{1, 1.0}}, 0.0, {1.0, 2.0});
+        b.add_action(1, {{0, 1.0}}, 0.0, {1.0});
+    });
+    EXPECT_NE(width.find("action a0 of state s1 has wrong extra-cost width"),
+              std::string::npos)
+        << width;
+
+    // A target outside the model and a state outside the model.
+    const std::string target = model_error_of([] {
+        sm::CtmdpBuilder b(2);
+        b.add_action(0, {{7, 1.0}});
+    });
+    EXPECT_NE(target.find("action a0 of state s0 targets unknown state 7"),
+              std::string::npos)
+        << target;
+    const std::string state = model_error_of([] {
+        sm::CtmdpBuilder b(2);
+        b.add_action(2, {{0, 1.0}});
+    });
+    EXPECT_NE(state.find("unknown state s2"), std::string::npos) << state;
+}
+
+TEST(CtmdpBuilder, SkippedStatesAreCaughtAtFreeze) {
+    sm::CtmdpBuilder b(3);
+    b.add_action(0, {{2, 1.0}});
+    b.add_action(2, {{0, 1.0}});  // state 1 skipped
+    const std::string error =
+        model_error_of([&] { (void)std::move(b).freeze(); });
+    EXPECT_NE(error.find("state s1 has no actions"), std::string::npos)
+        << error;
+}
+
+TEST(FrozenModel, SolveFingerprintIsExactOnTheFlatArrays) {
+    const sm::DispatchOptions opts;
+    const auto nested = random_nested(11, 40, 1);
+    const auto a = freeze_nested(nested, 1);
+    const auto b = freeze_nested(nested, 1);
+    EXPECT_EQ(sm::solve_fingerprint(a, opts), sm::solve_fingerprint(b, opts));
+    EXPECT_EQ(sm::model_structure_fingerprint(a),
+              sm::model_structure_fingerprint(b));
+
+    // Nudge one positive rate by a single ulp: a different model.
+    NestedModel nudged = nested;
+    bool done = false;
+    for (auto& acts : nudged.states)
+        for (auto& act : acts)
+            for (auto& t : act.moves)
+                if (!done && t.rate > 0.0) {
+                    t.rate = std::nextafter(t.rate, 10.0);
+                    done = true;
+                }
+    ASSERT_TRUE(done);
+    const auto c = freeze_nested(nudged, 1);
+    EXPECT_NE(sm::solve_fingerprint(c, opts), sm::solve_fingerprint(a, opts));
+    // ...with the same structure.
+    EXPECT_EQ(sm::model_structure_fingerprint(c),
+              sm::model_structure_fingerprint(a));
+
+    // The key is the exact canonical encoding: 'M', the shape, and per
+    // pair cost, extra width + extras, move count + (target, rate)s.
+    const std::size_t model_bytes =
+        1 + 8 * (2 + a.state_count() + 3 * a.pair_count() +
+                 a.pair_count() * a.extra_cost_count() +
+                 2 * a.transition_count());
+    const std::string key = sm::solve_fingerprint(a, opts);
+    EXPECT_EQ(key[0], 'M');
+    EXPECT_EQ(key[model_bytes], 'D');
 }
 
 namespace {

@@ -10,6 +10,8 @@
 #include <atomic>
 #include <cstddef>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace sm = socbuf::ctmdp;
 
@@ -18,24 +20,19 @@ namespace {
 /// Small controlled queue: serve fast (cost 3) or slow (cost 1); the
 /// optimum is size-dependent enough that solvers do real work.
 sm::CtmdpModel queue_model(std::size_t cap, double lambda) {
-    sm::CtmdpModel m;
-    for (std::size_t i = 0; i <= cap; ++i)
-        m.add_state("q" + std::to_string(i));
+    sm::CtmdpBuilder b(cap + 1);
     for (std::size_t i = 0; i <= cap; ++i) {
-        sm::Action slow;
-        slow.name = "slow";
-        if (i < cap) slow.transitions.push_back({i + 1, lambda});
-        if (i > 0) slow.transitions.push_back({i - 1, 1.0});
-        slow.cost = static_cast<double>(i) + (i == cap ? lambda : 0.0);
-        m.add_action(i, slow);
-        sm::Action fast;
-        fast.name = "fast";
-        if (i < cap) fast.transitions.push_back({i + 1, lambda});
-        if (i > 0) fast.transitions.push_back({i - 1, 3.0});
-        fast.cost = static_cast<double>(i) + 2.0 + (i == cap ? lambda : 0.0);
-        m.add_action(i, fast);
+        for (const double mu : {1.0, 3.0}) {  // slow, then fast
+            std::vector<sm::Transition> moves;
+            if (i < cap) moves.push_back({i + 1, lambda});
+            if (i > 0) moves.push_back({i - 1, mu});
+            const double speed_cost = mu > 1.0 ? 2.0 : 0.0;
+            b.add_action(i, moves,
+                         static_cast<double>(i) + speed_cost +
+                             (i == cap ? lambda : 0.0));
+        }
     }
-    return m;
+    return std::move(b).freeze();
 }
 
 }  // namespace
@@ -115,14 +112,9 @@ TEST(SolveCache, DistinctModelsGetDistinctEntries) {
 
 namespace {
 
-/// A model every solver rejects (a state with no actions fails
-/// CtmdpModel::validate inside each algorithm) — the cache's view of a
-/// "solver that throws".
-sm::CtmdpModel unsolvable_model() {
-    sm::CtmdpModel m;
-    m.add_state("dead-end");
-    return m;
-}
+/// A model every solver rejects (the empty model fails each algorithm's
+/// precondition) — the cache's view of a "solver that throws".
+sm::CtmdpModel unsolvable_model() { return sm::CtmdpModel{}; }
 
 }  // namespace
 
@@ -330,8 +322,22 @@ TEST(ModelStructureFingerprint, IgnoresRatesAndCostsButNotTopology) {
     EXPECT_EQ(sm::model_structure_fingerprint(queue_model(4, 1.6)), key);
     EXPECT_NE(sm::model_structure_fingerprint(queue_model(5, 0.8)), key);
 
-    auto rewired = queue_model(4, 0.8);
-    rewired.add_state("extra");
+    // Same states, actions and rates, one transition retargeted.
+    const auto base = queue_model(4, 0.8);
+    sm::CtmdpBuilder b(base.state_count());
+    for (std::size_t s = 0; s < base.state_count(); ++s) {
+        for (std::size_t a = 0; a < base.action_count(s); ++a) {
+            const std::size_t p = base.pair_index(s, a);
+            b.add_action(s, {}, base.costs()[p]);
+            for (std::size_t k = base.transition_offsets()[p];
+                 k < base.transition_offsets()[p + 1]; ++k) {
+                const std::size_t target = base.targets()[k];
+                b.add_transition(s == 0 && target == 1 ? 2 : target,
+                                 base.rates()[k]);
+            }
+        }
+    }
+    const auto rewired = std::move(b).freeze();
     EXPECT_NE(sm::model_structure_fingerprint(rewired), key);
 }
 
