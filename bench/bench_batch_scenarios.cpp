@@ -2,7 +2,7 @@
 //
 //   1. cache — a Table 1-style budget sweep re-solves identical subsystem
 //      CTMDPs (the round-0 models coincide across budgets once caps clamp
-//      to model_cap, and sweep scenarios overlap); the batch-wide
+//      to model_cap, and sweep scenarios overlap); each batch's
 //      SolveCache turns those into hits, reported as a hit rate,
 //   2. scaling — the same batch gets faster with more workers on one
 //      shared pool (threads = 1/2/4 wall-clock and speedup),
@@ -10,23 +10,20 @@
 //      counts evaluation jobs that started while another job's sizing
 //      run was still in flight (0 serially, > 0 once workers pipeline),
 //   4. latency — the "first eval" column is the wall-clock until the
-//      first evaluation job *completed*: under priority scheduling a
-//      finished sizing job's evaluations are claimed ahead of still-
-//      queued sizing work (exec::Priority::kEvaluation > kSizing), so
-//      the first usable result lands earlier than under FIFO claims —
-//      measured head-to-head on the paper-suite batch,
-//   5. determinism — every thread count *and both schedules* produce
-//      bit-identical batch reports (the exec-layer contract lifted to
-//      whole batches), shown in the table rather than assumed.
+//      first evaluation job *completed*: a finished sizing job's
+//      evaluations are claimed ahead of still-queued sizing work
+//      (exec::Priority::kEvaluation > kSizing), so the first usable
+//      result lands before the batch's sizing stage drains,
+//   5. determinism — every thread count produces bit-identical batch
+//      reports (the exec-layer contract lifted to whole batches), shown
+//      in the table rather than assumed.
 //
 // Everything runs through the socbuf::Session facade (one object owning
-// the executor, the batch-wide solve cache and the registry) — the same
-// entry point socbuf_cli and the experiment drivers use.
-// `--json <file>` switches to the structure-exploitation measurement:
-// cold vs warm-started solves and FIFO vs longest-first submission on
-// the Table 1 budget sweep, written as one JSON document (the
-// perf-trajectory format under BENCH_*.json) — the google-benchmark
-// loop is skipped in that mode.
+// the executor and the registry) — the same entry point socbuf_cli and
+// the experiment drivers use. `--json <file>` writes the same rows —
+// cached vs uncached, threads 1/2/4 — as one JSON document (the
+// perf-trajectory format under BENCH_*.json); the google-benchmark loop
+// is skipped in that mode.
 #include "exec/executor.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/scenario.hpp"
@@ -42,6 +39,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -83,186 +81,119 @@ bool identical_runs(const BatchReport& a, const BatchReport& b) {
     return true;
 }
 
-void print_batch_scaling() {
-    std::printf("\n=== B1: batch scenario execution (hardware threads: %zu) "
-                "===\n",
-                socbuf::exec::resolve_thread_count(0));
-    const ScenarioSpec spec = sweep_spec();
+/// One width's row of the scaling table.
+struct ScalingRow {
+    std::size_t threads = 0;
+    double batch_s = 0.0;
+    double speedup = 0.0;
+    BatchReport report;
+    bool identical = false;
+};
 
-    // Cache effect at fixed threads: the same sweep with and without the
-    // session's batch-wide solve cache.
+/// Everything the bench reports, measured once on the budget sweep.
+struct BatchMeasurement {
     double cached_s = 0.0;
-    BatchReport cached_report;
+    double uncached_s = 0.0;
+    BatchReport cached;
+    std::vector<ScalingRow> scaling;
+};
+
+BatchMeasurement measure(const ScenarioSpec& spec) {
+    BatchMeasurement out;
+    // Cache effect at fixed threads: the same sweep with and without the
+    // batch's solve cache.
     {
         Session session({1});
-        cached_s = seconds_of([&] { cached_report = session.run(spec); });
+        out.cached_s = seconds_of([&] { out.cached = session.run(spec); });
     }
-    double uncached_s = 0.0;
     {
         SessionOptions options;
         options.threads = 1;
         options.use_solve_cache = false;
         Session session(options);
-        uncached_s = seconds_of([&] { (void)session.run(spec); });
+        out.uncached_s = seconds_of([&] { (void)session.run(spec); });
     }
+    double base_s = 0.0;
+    for (const std::size_t threads : {1UL, 2UL, 4UL}) {
+        ScalingRow row;
+        row.threads = threads;
+        Session session({threads});
+        row.batch_s = seconds_of([&] { row.report = session.run(spec); });
+        if (threads == 1) base_s = row.batch_s;
+        row.speedup = base_s / row.batch_s;
+        row.identical = identical_runs(row.report, out.cached);
+        out.scaling.push_back(std::move(row));
+    }
+    return out;
+}
+
+void print_batch_scaling() {
+    std::printf("\n=== B1: batch scenario execution (hardware threads: %zu) "
+                "===\n",
+                socbuf::exec::resolve_thread_count(0));
+    const ScenarioSpec spec = sweep_spec();
+    const BatchMeasurement m = measure(spec);
     std::printf(
         "budget sweep %ld/%ld/%ld: solve cache %zu hits / %zu misses "
         "(%.0f%% hit rate); serial wall-clock %.3fs cached vs %.3fs "
         "uncached\n",
         spec.budgets[0], spec.budgets[1], spec.budgets[2],
-        cached_report.cache.hits, cached_report.cache.misses,
-        100.0 * cached_report.cache.hit_rate(), cached_s, uncached_s);
+        m.cached.cache.hits, m.cached.cache.misses,
+        100.0 * m.cached.cache.hit_rate(), m.cached_s, m.uncached_s);
 
     socbuf::util::Table table({"threads", "batch [s]", "speedup",
                                "cache hit rate", "overlap", "first eval [s]",
                                "identical"});
-    double base_s = 0.0;
-    for (const std::size_t threads : {1UL, 2UL, 4UL}) {
-        Session session({threads});
-        BatchReport report;
-        const double s = seconds_of([&] { report = session.run(spec); });
-        if (threads == 1) base_s = s;
+    for (const ScalingRow& row : m.scaling)
         table.add_row(
-            {std::to_string(threads), socbuf::util::format_fixed(s, 3),
-             socbuf::util::format_fixed(base_s / s, 2) + "x",
-             socbuf::util::format_fixed(100.0 * report.cache.hit_rate(), 0) +
+            {std::to_string(row.threads),
+             socbuf::util::format_fixed(row.batch_s, 3),
+             socbuf::util::format_fixed(row.speedup, 2) + "x",
+             socbuf::util::format_fixed(
+                 100.0 * row.report.cache.hit_rate(), 0) +
                  "%",
-             std::to_string(report.eval_overlap),
-             socbuf::util::format_fixed(report.first_eval_latency_s, 3),
-             identical_runs(report, cached_report) ? "yes" : "NO"});
-    }
+             std::to_string(row.report.eval_overlap),
+             socbuf::util::format_fixed(row.report.first_eval_latency_s, 3),
+             row.identical ? "yes" : "NO"});
     std::printf("%s", table.to_string().c_str());
     std::printf(
         "overlap = evaluation jobs started while another sizing run was "
         "still in flight (pipelined task graph; 0 in serial execution)\n");
 }
 
-/// The paper-suite batch (both testbenches) at a bench-friendly horizon —
-/// the workload the latency claim is stated on: 5 sizing jobs whose
-/// evaluation replications compete with still-queued sizing work.
-std::vector<ScenarioSpec> paper_suite_specs() {
-    const socbuf::scenario::ScenarioRegistry registry;
-    std::vector<ScenarioSpec> specs = registry.expand("paper-suite");
-    for (ScenarioSpec& spec : specs) {
-        spec.sim.horizon = 1500.0;
-        spec.sim.warmup = 150.0;
-        spec.replications = 3;
-        spec.sizing_iterations = 4;
-    }
-    return specs;
-}
-
-void print_first_eval_latency() {
-    std::printf("\n--- first-evaluation-completion latency: priority vs "
-                "FIFO claims (paper-suite) ---\n");
-    const std::vector<ScenarioSpec> specs = paper_suite_specs();
-
-    // The serial run doubles as the bit-identity reference (scheduling is
-    // moot on a serial executor — tasks run inline at submission — so one
-    // row covers both schedules at threads = 1).
-    BatchReport reference;
-    bool have_reference = false;
-
-    socbuf::util::Table table({"threads", "schedule", "batch [s]",
-                               "first eval [s]", "overlap", "identical"});
-    for (const std::size_t threads : {1UL, 2UL, 4UL}) {
-        for (const bool prioritized : {false, true}) {
-            if (threads == 1 && prioritized) continue;
-            SessionOptions options;
-            options.threads = threads;
-            options.priority_scheduling = prioritized;
-            Session session(options);
-            BatchReport report;
-            const double s = seconds_of([&] { report = session.run(specs); });
-            if (!have_reference) {
-                reference = report;
-                have_reference = true;
-            }
-            table.add_row(
-                {std::to_string(threads),
-                 threads == 1      ? "(serial)"
-                 : prioritized     ? "priority"
-                                   : "fifo",
-                 socbuf::util::format_fixed(s, 3),
-                 socbuf::util::format_fixed(report.first_eval_latency_s, 3),
-                 std::to_string(report.eval_overlap),
-                 identical_runs(report, reference) ? "yes" : "NO"});
-        }
-    }
-    std::printf("%s", table.to_string().c_str());
-    std::printf(
-        "first eval = wall-clock until the first evaluation job completed "
-        "(priority claims evaluations ahead of queued sizing jobs; reports "
-        "are bit-identical either way)\n");
-}
-
-/// The --json measurement: warm starts and longest-first submission on
-/// the Table 1 budget sweep. Warm starts trade bit-identity for fewer
-/// PI/VI iterations (counted); longest-first moves only the schedule.
+/// The --json measurement: the table mode's rows as one document.
 void write_json_report(const std::string& path) {
     namespace sj = socbuf::util;
     const ScenarioSpec spec = sweep_spec();
+    const BatchMeasurement m = measure(spec);
 
-    auto cold_vs_warm = sj::JsonValue::object();
-    {
-        SessionOptions cold_options;
-        cold_options.threads = 1;
-        Session cold_session(cold_options);
-        BatchReport cold;
-        const double cold_s =
-            seconds_of([&] { cold = cold_session.run(spec); });
+    auto cache = sj::JsonValue::object();
+    cache.set("cached_s", m.cached_s);
+    cache.set("uncached_s", m.uncached_s);
+    cache.set("hits", m.cached.cache.hits);
+    cache.set("misses", m.cached.cache.misses);
+    cache.set("hit_rate", m.cached.cache.hit_rate());
+    cache.set("bytes_resident", m.cached.cache.bytes_resident);
+    std::printf("budget sweep %ld/%ld/%ld: %.3fs cached vs %.3fs uncached "
+                "(%.0f%% hit rate)\n",
+                spec.budgets[0], spec.budgets[1], spec.budgets[2],
+                m.cached_s, m.uncached_s, 100.0 * m.cached.cache.hit_rate());
 
-        SessionOptions warm_options;
-        warm_options.threads = 1;
-        warm_options.warm_start = true;
-        Session warm_session(warm_options);
-        BatchReport warm;
-        const double warm_s =
-            seconds_of([&] { warm = warm_session.run(spec); });
-
-        cold_vs_warm.set("cold_s", cold_s);
-        cold_vs_warm.set("warm_s", warm_s);
-        cold_vs_warm.set("warm_hits", warm.cache.warm_hits);
-        cold_vs_warm.set("iterations_saved", warm.cache.iterations_saved);
-        cold_vs_warm.set("bytes_resident", warm.cache.bytes_resident);
-        cold_vs_warm.set("identical_results", identical_runs(warm, cold));
-        std::printf("cold vs warm (budgets %ld/%ld/%ld): %.3fs -> %.3fs, "
-                    "%zu warm hits, %zu solver iterations saved, results "
-                    "%s\n",
-                    spec.budgets[0], spec.budgets[1], spec.budgets[2],
-                    cold_s, warm_s, warm.cache.warm_hits,
-                    warm.cache.iterations_saved,
-                    identical_runs(warm, cold) ? "identical" : "DIFFER");
-    }
-
-    auto orderings = sj::JsonValue::array();
-    for (const std::size_t threads : {2UL, 4UL}) {
-        SessionOptions fifo_options;
-        fifo_options.threads = threads;
-        fifo_options.longest_first = false;
-        Session fifo_session(fifo_options);
-        BatchReport fifo;
-        const double fifo_s =
-            seconds_of([&] { fifo = fifo_session.run(spec); });
-
-        SessionOptions longest_options;
-        longest_options.threads = threads;
-        longest_options.longest_first = true;
-        Session longest_session(longest_options);
-        BatchReport longest;
-        const double longest_s =
-            seconds_of([&] { longest = longest_session.run(spec); });
-
-        auto row = sj::JsonValue::object();
-        row.set("threads", threads);
-        row.set("fifo_s", fifo_s);
-        row.set("longest_first_s", longest_s);
-        row.set("identical_results", identical_runs(longest, fifo));
-        orderings.push_back(std::move(row));
-        std::printf("threads %zu: fifo %.3fs vs longest-first %.3fs, "
+    auto scaling = sj::JsonValue::array();
+    for (const ScalingRow& row : m.scaling) {
+        auto node = sj::JsonValue::object();
+        node.set("threads", row.threads);
+        node.set("batch_s", row.batch_s);
+        node.set("speedup", row.speedup);
+        node.set("overlap", row.report.eval_overlap);
+        node.set("first_eval_s", row.report.first_eval_latency_s);
+        node.set("identical_results", row.identical);
+        scaling.push_back(std::move(node));
+        std::printf("threads %zu: %.3fs (%.2fx), first eval %.3fs, "
                     "results %s\n",
-                    threads, fifo_s, longest_s,
-                    identical_runs(longest, fifo) ? "identical" : "DIFFER");
+                    row.threads, row.batch_s, row.speedup,
+                    row.report.first_eval_latency_s,
+                    row.identical ? "identical" : "DIFFER");
     }
 
     auto root = sj::JsonValue::object();
@@ -270,8 +201,8 @@ void write_json_report(const std::string& path) {
     auto budgets = sj::JsonValue::array();
     for (const long b : spec.budgets) budgets.push_back(b);
     root.set("budgets", std::move(budgets));
-    root.set("cold_vs_warm", std::move(cold_vs_warm));
-    root.set("fifo_vs_longest_first", std::move(orderings));
+    root.set("cached_vs_uncached", std::move(cache));
+    root.set("threads", std::move(scaling));
     std::ofstream out(path);
     out << root.dump(2) << "\n";
     std::printf("wrote %s\n", path.c_str());
@@ -322,7 +253,6 @@ int main(int argc, char** argv) {
         return 0;
     }
     print_batch_scaling();
-    print_first_eval_latency();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

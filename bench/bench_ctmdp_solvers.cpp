@@ -6,14 +6,12 @@
 // LP -> PI -> VI by model size.
 //
 // `--json <file>` switches to the structure-exploitation measurement:
-// dense vs banded policy-iteration evaluation per cap, and cold vs
-// warm-seeded re-solves through the SolveCache, written as one JSON
-// document (the perf-trajectory format under BENCH_*.json) — the
+// dense vs banded policy-iteration evaluation per cap and VI at scale,
+// written as one JSON document (the perf-trajectory format under BENCH_*.json) — the
 // google-benchmark loop is skipped in that mode.
 #include "arch/presets.hpp"
 #include "core/allocation.hpp"
 #include "core/subsystem_model.hpp"
-#include "ctmdp/solve_cache.hpp"
 #include "ctmdp/solver.hpp"
 #include "exec/executor.hpp"
 #include "split/splitter.hpp"
@@ -31,10 +29,8 @@
 
 namespace {
 
-/// A bus-b style subsystem model at a given per-flow cap; rate_scale
-/// rescales every arrival rate (structure-identical cost/rate variants
-/// for the warm-start measurement).
-socbuf::core::SubsystemCtmdp make_model(long cap, double rate_scale = 1.0) {
+/// A bus-b style subsystem model at a given per-flow cap.
+socbuf::core::SubsystemCtmdp make_model(long cap) {
     static const auto sys = socbuf::arch::figure1_system();
     static const auto split = socbuf::split::split_architecture(sys);
     const socbuf::split::Subsystem* bus_b = nullptr;
@@ -43,7 +39,7 @@ socbuf::core::SubsystemCtmdp make_model(long cap, double rate_scale = 1.0) {
     std::vector<long> caps(bus_b->flows.size(), cap);
     std::vector<double> rates;
     for (const auto& f : bus_b->flows)
-        rates.push_back(f.arrival_rate * rate_scale);
+        rates.push_back(f.arrival_rate);
     return socbuf::core::SubsystemCtmdp(*bus_b, caps, rates);
 }
 
@@ -121,9 +117,8 @@ double best_solve_seconds(const socbuf::ctmdp::CtmdpModel& model,
 }
 
 /// The --json measurement: dense vs banded PI evaluation per cap (the
-/// structural speedup behind kAuto's widened pi_state_limit), then cold
-/// vs warm-seeded re-solves of a structure-identical, rate-shifted
-/// model through a warm SolveCache.
+/// structural speedup behind kAuto's widened pi_state_limit), then VI at
+/// scale.
 void write_json_report(const std::string& path) {
     using socbuf::ctmdp::SolverChoice;
     namespace sj = socbuf::util;
@@ -152,46 +147,6 @@ void write_json_report(const std::string& path) {
                     cap, model.model().state_count(),
                     model.model().bandwidth(), dense_s, banded_s,
                     banded_s > 0.0 ? dense_s / banded_s : 0.0);
-    }
-
-    // Cold vs warm: the second solve sees a structure-identical model
-    // with every rate shifted 5% — a budget-sweep-style neighbour — and
-    // is seeded from the first solve's converged policy/bias.
-    auto cold_vs_warm = sj::JsonValue::object();
-    {
-        const long cap = 4;
-        const auto base = make_model(cap);
-        const auto shifted = make_model(cap, 1.05);
-        const auto pi = forced(SolverChoice::kPolicyIteration);
-
-        socbuf::ctmdp::SolverRegistry reference;
-        const auto start = std::chrono::steady_clock::now();
-        const auto cold = reference.solve(shifted.model(), pi);
-        const auto stop = std::chrono::steady_clock::now();
-        const double cold_s =
-            std::chrono::duration<double>(stop - start).count();
-
-        socbuf::ctmdp::SolverRegistry registry;
-        socbuf::ctmdp::SolveCache cache(0, /*warm_start=*/true);
-        (void)cache.solve(registry, base.model(), pi);
-        const auto warm_start = std::chrono::steady_clock::now();
-        const auto warm = cache.solve(registry, shifted.model(), pi);
-        const auto warm_stop = std::chrono::steady_clock::now();
-        const double warm_s =
-            std::chrono::duration<double>(warm_stop - warm_start).count();
-
-        cold_vs_warm.set("cap", cap);
-        cold_vs_warm.set("cold_iterations", cold.iterations);
-        cold_vs_warm.set("warm_iterations", warm.iterations);
-        cold_vs_warm.set("warm_hits", cache.stats().warm_hits);
-        cold_vs_warm.set("iterations_saved", cache.stats().iterations_saved);
-        cold_vs_warm.set("cold_s", cold_s);
-        cold_vs_warm.set("warm_s", warm_s);
-        cold_vs_warm.set("gain_delta", warm.gain - cold.gain);
-        std::printf("cold vs warm (cap %ld, rates x1.05): %zu -> %zu PI "
-                    "updates (%zu saved), %.6fs -> %.6fs\n",
-                    cap, cold.iterations, warm.iterations,
-                    cache.stats().iterations_saved, cold_s, warm_s);
     }
 
     // VI at scale: serial Jacobi vs the executor-fanned sweep at four
@@ -273,7 +228,6 @@ void write_json_report(const std::string& path) {
     auto root = sj::JsonValue::object();
     root.set("bench", std::string("ctmdp_solvers"));
     root.set("dense_vs_banded_pi", std::move(dense_vs_banded));
-    root.set("cold_vs_warm", std::move(cold_vs_warm));
     root.set("vi_scaling", std::move(vi_scaling));
     std::ofstream out(path);
     out << root.dump(2) << "\n";

@@ -58,8 +58,8 @@ struct SizingOptions {
     /// Jacobi: roughly halves the iteration count on large models, but
     /// follows a different trajectory to the fixed point — gains agree
     /// with Jacobi to the stopping tolerance, not bit for bit. Opt-in
-    /// and default off, exactly like warm starts: the bit-identical-
-    /// report contract holds whenever this is off.
+    /// and default off: the bit-identical-report contract holds
+    /// whenever this is off.
     bool gauss_seidel = false;
     /// Worker threads for the per-subsystem CTMDP solves and per-round
     /// evaluation sims (0 = hardware concurrency). Results are

@@ -170,17 +170,8 @@ PiResult policy_iteration(const CtmdpModel& model, const PiOptions& options) {
     const std::size_t bw = model.bandwidth();
     const bool banded = use_banded(options, n, bw);
 
-    // Cold start from the all-zeros policy; a shape- and range-valid warm
-    // seed (the converged policy of a structurally identical model) skips
-    // most of the improvement ladder instead.
-    std::vector<std::size_t> start(n, 0);
-    if (options.initial_policy.size() == n) {
-        bool in_range = true;
-        for (std::size_t s = 0; s < n && in_range; ++s)
-            in_range = options.initial_policy[s] < model.action_count(s);
-        if (in_range) start = options.initial_policy;
-    }
-    DeterministicPolicy policy(std::move(start));
+    // Start from the all-zeros policy.
+    DeterministicPolicy policy(std::vector<std::size_t>(n, 0));
     const auto& pair_offset = model.pair_offsets();
     PiResult out;
     for (std::size_t update = 0; update < options.max_policy_updates;

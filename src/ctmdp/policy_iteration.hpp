@@ -36,13 +36,6 @@ struct PiOptions {
     /// not bit for bit — which is why this knob is part of the solve
     /// fingerprint.
     bool banded_evaluation = true;
-    /// Warm start: the converged policy of a structurally identical model
-    /// (injected by SolveCache's warm path). Empty — or any shape that
-    /// does not match the model — starts from the all-zeros policy, the
-    /// classic cold iteration. Tie-breaking keeps the incumbent action,
-    /// so a warm seed can land on a different (equally optimal) policy
-    /// than the cold solve: results are tolerance-pinned, not bit-pinned.
-    std::vector<std::size_t> initial_policy;
 };
 
 /// Minimize long-run average cost by policy iteration. Requires a unichain

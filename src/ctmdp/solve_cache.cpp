@@ -83,10 +83,7 @@ std::string solve_fingerprint(const CtmdpModel& model,
     append_size(key, so.pi.reference_state);
     append_double(key, so.pi.improvement_tolerance);
     // The banded evaluation is a different elimination order (tolerance-
-    // level different bits), so it is part of the key. The warm-start
-    // seeds (vi.initial_values, pi.initial_policy) deliberately are NOT:
-    // the cache injects them *after* fingerprinting, and a seeded solve
-    // must be able to serve later cold lookups of the same key.
+    // level different bits), so it is part of the key.
     append_size(key, so.pi.banded_evaluation ? 1 : 0);
     // The sweep variant changes result bits (Gauss-Seidel follows a
     // different trajectory), so it is part of the key — but appended only
@@ -103,36 +100,16 @@ std::string solve_fingerprint(const CtmdpModel& model,
     return key;
 }
 
-std::string model_structure_fingerprint(const CtmdpModel& model) {
-    const auto& pair_offset = model.pair_offsets();
-    const auto& trans_offset = model.transition_offsets();
-    std::string key;
-    key.reserve(32 + 16 * model.pair_count());
-    key.push_back('S');
-    append_size(key, model.state_count());
-    for (std::size_t s = 0; s < model.state_count(); ++s) {
-        append_size(key, pair_offset[s + 1] - pair_offset[s]);
-        for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p) {
-            append_size(key, trans_offset[p + 1] - trans_offset[p]);
-            for (std::size_t k = trans_offset[p]; k < trans_offset[p + 1];
-                 ++k)
-                append_size(key, model.targets()[k]);
-        }
-    }
-    return key;
-}
-
 namespace {
 
 /// Approximate resident footprint of one solved entry: both stored copies
-/// of the key (list node + index), the structure key, the solution's
-/// vectors, and fixed per-entry bookkeeping. An estimate, not an audit —
-/// it ignores allocator slop — but it is a pure function of the entry's
-/// contents, so the total is deterministic for a given resident set.
+/// of the key (list node + index), the solution's vectors, and fixed
+/// per-entry bookkeeping. An estimate, not an audit — it ignores
+/// allocator slop — but it is a pure function of the entry's contents,
+/// so the total is deterministic for a given resident set.
 std::size_t approx_entry_bytes(const std::string& key,
-                               const std::string& structure,
                                const SubsystemSolution& solution) {
-    std::size_t bytes = 2 * key.size() + structure.size();
+    std::size_t bytes = 2 * key.size();
     bytes += sizeof(std::pair<const std::string, void*>) * 2;  // map nodes
     bytes += solution.stationary.size() * sizeof(double);
     bytes += solution.occupation.size() * sizeof(double);
@@ -146,40 +123,28 @@ std::size_t approx_entry_bytes(const std::string& key,
 
 }  // namespace
 
-SolveCache::SolveCache(std::size_t capacity, bool warm_start,
-                       std::size_t byte_budget)
-    : capacity_(capacity), byte_budget_(byte_budget),
-      warm_start_(warm_start) {}
+SolveCache::SolveCache(std::size_t byte_budget) : byte_budget_(byte_budget) {}
 
 void SolveCache::touch(EntryIter pos) {
     entries_.splice(entries_.begin(), entries_, pos);
 }
 
 SolveCache::EntryIter SolveCache::drop_entry(EntryIter pos) {
-    const Slot& slot = pos->second;
-    if (!slot.structure.empty()) {
-        const auto warm = warm_index_.find(slot.structure);
-        if (warm != warm_index_.end() && warm->second == pos)
-            warm_index_.erase(warm);
-    }
-    bytes_resident_ -= slot.bytes;
+    bytes_resident_ -= pos->second.bytes;
     index_.erase(pos->first);
     return entries_.erase(pos);
 }
 
-void SolveCache::evict_over_capacity() {
-    if (capacity_ == 0 && byte_budget_ == 0) return;
+void SolveCache::evict_over_budget() {
+    if (byte_budget_ == 0) return;
     auto candidate = entries_.end();
-    // Either budget being over triggers the same LRU walk; both use the
-    // same pinning rules, so a byte budget composes with a capacity.
-    while ((capacity_ != 0 && entries_.size() > capacity_) ||
-           (byte_budget_ != 0 && bytes_resident_ > byte_budget_)) {
+    while (bytes_resident_ > byte_budget_) {
         if (candidate == entries_.begin()) break;
         --candidate;
         // The front entry is the one the completing solve just touched;
         // when pinned entries crowd the back the scan could otherwise
         // reach it, and every solve would self-evict at tight
-        // capacities. Sparing it means residency can transiently exceed
+        // budgets. Sparing it means residency can transiently exceed
         // the budget instead — the documented best-effort trade.
         if (candidate == entries_.begin()) break;
         const Slot& slot = candidate->second;
@@ -217,14 +182,14 @@ SubsystemSolution SolveCache::solve(SolverRegistry& registry,
             // stays over budget until *some* bookkeeping event retries —
             // with eviction only on the insert path, a hit-only tail
             // would keep the stale entry resident forever.
-            evict_over_capacity();
+            evict_over_budget();
             return slot.solution;
         }
         if (slot.state == Slot::kUnsolved) break;  // ours to claim
         // Another thread is solving this key: wait and share its result
         // instead of duplicating the work. Every lookup counts exactly
         // one hit (served a solution) or one miss (claimed the solve), so
-        // with an unlimited capacity the totals are independent of the
+        // with an unlimited budget the totals are independent of the
         // thread interleaving.
         ++slot.waiters;
         slot_ready_.wait(lock, [&] { return slot.state != Slot::kSolving; });
@@ -236,54 +201,16 @@ SubsystemSolution SolveCache::solve(SolverRegistry& registry,
     slot.state = Slot::kSolving;
     ++misses_;
 
-    // Nearest-fingerprint warm start: while still under the lock, copy the
-    // seed (policy + bias + effort) out of the most recently solved entry
-    // with the same model structure — the entry itself may be evicted the
-    // moment the lock drops. The seed goes into a *copy* of the dispatch
-    // options after the key was computed, so seeded and cold solves of
-    // the same key stay interchangeable cache-wise.
-    bool seeded = false;
-    SolverKind seed_kind = SolverKind::kLp;
-    std::size_t seed_iterations = 0;
-    DispatchOptions effective = options;
-    std::string structure;
-    if (warm_start_) {
-        structure = model_structure_fingerprint(model);
-        const auto warm = warm_index_.find(structure);
-        if (warm != warm_index_.end()) {
-            const SubsystemSolution& seed = warm->second->second.solution;
-            if (seed.converged) {
-                effective.solver.pi.initial_policy =
-                    seed.policy.mode().choices();
-                effective.solver.vi.initial_values = seed.bias;
-                seed_kind = seed.solved_by;
-                seed_iterations = seed.iterations;
-                seeded = true;
-            }
-        }
-    }
-
     lock.unlock();
     try {
-        SubsystemSolution solution = registry.solve(model, effective);
+        SubsystemSolution solution = registry.solve(model, options);
         lock.lock();
         slot.solution = solution;
-        slot.structure = std::move(structure);
-        slot.bytes = approx_entry_bytes(pos->first, slot.structure, solution);
+        slot.bytes = approx_entry_bytes(pos->first, solution);
         bytes_resident_ += slot.bytes;
         slot.state = Slot::kReady;
-        if (warm_start_) warm_index_[slot.structure] = pos;
-        if (seeded) {
-            ++warm_hits_;
-            // Iteration counts are only comparable within one algorithm;
-            // clamp at zero so a warm solve that happened to take longer
-            // does not wrap the counter.
-            if (solution.solved_by == seed_kind &&
-                seed_iterations > solution.iterations)
-                iterations_saved_ += seed_iterations - solution.iterations;
-        }
         touch(pos);
-        evict_over_capacity();
+        evict_over_budget();
         slot_ready_.notify_all();
         return solution;
     } catch (...) {
@@ -293,14 +220,13 @@ SubsystemSolution SolveCache::solve(SolverRegistry& registry,
             // Nobody is watching the failed slot: drop the husk so a
             // failed key costs no residency. Waiters, if any, re-claim
             // it instead (the slot must stay alive for them).
-            slot.structure.clear();  // never entered the warm index
             drop_entry(pos);
         }
         // Same reclamation as the hit path: this failure may be the last
         // bookkeeping event of the batch, and entries an earlier
         // eviction had to skip (pinned then, settled now) must not
         // outlive the budget because of it.
-        evict_over_capacity();
+        evict_over_budget();
         slot_ready_.notify_all();
         throw;
     }
@@ -312,8 +238,6 @@ SolveCacheStats SolveCache::stats() const {
     out.hits = hits_;
     out.misses = misses_;
     out.evictions = evictions_;
-    out.warm_hits = warm_hits_;
-    out.iterations_saved = iterations_saved_;
     out.bytes_resident = bytes_resident_;
     return out;
 }
@@ -324,19 +248,6 @@ std::size_t SolveCache::size() const {
     for (const auto& entry : entries_)
         if (entry.second.state == Slot::kReady) ++ready;
     return ready;
-}
-
-void SolveCache::clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    entries_.clear();
-    index_.clear();
-    warm_index_.clear();
-    hits_ = 0;
-    misses_ = 0;
-    evictions_ = 0;
-    warm_hits_ = 0;
-    iterations_saved_ = 0;
-    bytes_resident_ = 0;
 }
 
 }  // namespace socbuf::ctmdp

@@ -15,15 +15,15 @@
 // Each key is solved exactly once while it is resident: the first
 // requester claims it and solves *outside* the lock while later
 // requesters wait on the in-flight solve and share its result. No work is
-// duplicated, and with an unlimited capacity the counters are
+// duplicated, and with an unlimited budget the counters are
 // scheduling-independent — for a fixed set of lookups, misses always
 // equal the number of distinct keys and hits the remainder, whatever the
 // thread interleaving (which is why batch reports can include them and
 // stay bit-identical across worker counts).
 //
-// Size budget: construct with a positive `capacity` to bound the number
-// of resident entries; least-recently-used unpinned entries are evicted
-// whenever a lookup's bookkeeping settles over budget — on solve
+// Size budget: construct with a positive `byte_budget` to bound the
+// approximate resident bytes; least-recently-used unpinned entries are
+// evicted whenever a lookup's bookkeeping settles over budget — on solve
 // completion, on a hit, and on the failure path alike (entries another
 // thread is solving or waiting on are pinned, and the most-recently-used
 // entry — the one the finishing lookup just touched — is never the
@@ -33,8 +33,8 @@
 // Eviction never changes *results* — a re-solve of an evicted key
 // returns identical bits — but under concurrency it makes the
 // hit/miss/eviction split depend on which entry completed first, so
-// counter determinism is only guaranteed when capacity is 0 (unlimited)
-// or at least the number of distinct keys.
+// counter determinism is only guaranteed when the budget is 0
+// (unlimited) or covers every distinct key.
 #pragma once
 
 #include "ctmdp/solver.hpp"
@@ -56,29 +56,13 @@ namespace socbuf::ctmdp {
 [[nodiscard]] std::string solve_fingerprint(const CtmdpModel& model,
                                             const DispatchOptions& options);
 
-/// Topology-only fingerprint: state count, per-state action counts, and
-/// every transition target — but no rates, costs, or solver options. Two
-/// models with equal structure fingerprints pose the "same" decision
-/// problem under different numbers, which is exactly when a converged
-/// policy/bias of one is a good warm seed for the other (budget sweeps
-/// rebuild identical graphs with scaled costs).
-[[nodiscard]] std::string model_structure_fingerprint(const CtmdpModel& model);
-
 struct SolveCacheStats {
     std::size_t hits = 0;
     std::size_t misses = 0;
-    std::size_t evictions = 0;  // 0 unless a capacity is set
-    /// Misses that ran with a warm seed from a structurally identical,
-    /// previously solved entry (warm starts enabled only).
-    std::size_t warm_hits = 0;
-    /// Sum over warm-seeded solves of (seed's iteration count - warm
-    /// solve's iteration count), clamped at zero per solve and only
-    /// counted when both solves used the same algorithm — a proxy for
-    /// the work the seeds avoided.
-    std::size_t iterations_saved = 0;
+    std::size_t evictions = 0;  // 0 unless a byte budget is set
     /// Approximate bytes held by resident (solved) entries: keys, result
     /// vectors, and per-entry bookkeeping. Deterministic given the set of
-    /// resident entries (exact at capacity 0).
+    /// resident entries (exact with no budget).
     std::size_t bytes_resident = 0;
     [[nodiscard]] std::size_t lookups() const { return hits + misses; }
     [[nodiscard]] double hit_rate() const {
@@ -92,30 +76,14 @@ struct SolveCacheStats {
 /// live as long as a batch and be shared by every engine run in it.
 class SolveCache {
 public:
-    /// `capacity` bounds the number of resident entries (LRU eviction);
+    /// `byte_budget` bounds the *approximate* resident bytes
+    /// (stats().bytes_resident): least-recently-used unpinned entries are
+    /// evicted until the residency is back under budget (see the header
+    /// comment for the pinning rules and the best-effort transients).
     /// 0 means unlimited, the default and the only setting under which
     /// the hit/miss counters are scheduling-independent for every
-    /// workload (see the header comment).
-    ///
-    /// `warm_start` enables nearest-fingerprint seeding: a miss whose
-    /// model *structure* matches an already-solved entry (same topology,
-    /// different costs/rates — the budget-sweep shape) injects that
-    /// entry's converged policy and bias as PI/VI warm seeds before
-    /// solving. Warm-seeded solves converge to the same tolerances but
-    /// along a different trajectory, so they are NOT bit-identical to
-    /// cold solves — which is why this is opt-in and default off:
-    /// BatchRunner's bit-determinism contract holds whenever it is off.
-    /// `byte_budget` bounds the *approximate* resident bytes
-    /// (stats().bytes_resident) the same way `capacity` bounds the entry
-    /// count: least-recently-used unpinned entries are evicted until the
-    /// residency is back under budget, with the same pinning rules and
-    /// the same best-effort transients. 0 means unlimited. The two
-    /// budgets compose — whichever is exceeded triggers the LRU walk.
-    explicit SolveCache(std::size_t capacity = 0, bool warm_start = false,
-                        std::size_t byte_budget = 0);
-
-    /// Whether nearest-fingerprint warm seeding is enabled.
-    [[nodiscard]] bool warm_start() const { return warm_start_; }
+    /// workload.
+    explicit SolveCache(std::size_t byte_budget = 0);
 
     /// Return the cached solution for (model, options) or solve through
     /// `registry` and remember the result. Registry counters only advance
@@ -131,13 +99,8 @@ public:
     [[nodiscard]] SolveCacheStats stats() const;
     /// Number of solved entries held.
     [[nodiscard]] std::size_t size() const;
-    /// The entry budget this cache was constructed with (0 = unlimited).
-    [[nodiscard]] std::size_t capacity() const { return capacity_; }
     /// The byte budget this cache was constructed with (0 = unlimited).
     [[nodiscard]] std::size_t byte_budget() const { return byte_budget_; }
-    /// Drop every entry and reset the counters. Must not race in-flight
-    /// solve() calls (call it between batches, not during one).
-    void clear();
 
 private:
     struct Slot {
@@ -148,8 +111,6 @@ private:
         /// held reference stays valid — std::list storage keeps it
         /// stable across unrelated inserts and evictions.
         std::size_t waiters = 0;
-        /// Structure fingerprint (warm starts only; empty otherwise).
-        std::string structure;
         /// Approximate resident footprint, set when the slot turns kReady.
         std::size_t bytes = 0;
         SubsystemSolution solution;
@@ -159,11 +120,11 @@ private:
 
     /// Move `pos` to the front of the recency list. Caller holds mutex_.
     void touch(EntryIter pos);
-    /// Evict LRU unpinned entries until within capacity (best effort —
-    /// pinned entries are skipped). Caller holds mutex_.
-    void evict_over_capacity();
-    /// Drop one entry: index, warm index, byte accounting. Caller holds
-    /// mutex_. Returns the iterator past the erased entry.
+    /// Evict LRU unpinned entries until within the byte budget (best
+    /// effort — pinned entries are skipped). Caller holds mutex_.
+    void evict_over_budget();
+    /// Drop one entry: index and byte accounting. Caller holds mutex_.
+    /// Returns the iterator past the erased entry.
     EntryIter drop_entry(EntryIter pos);
 
     mutable std::mutex mutex_;
@@ -174,17 +135,10 @@ private:
     // entries_ list, so hash order cannot reach results or reports.
     // socbuf-lint: allow(unordered-container) — keyed lookups only; eviction order comes from entries_.
     std::unordered_map<std::string, EntryIter> index_;
-    /// structure fingerprint -> most recently solved entry with it.
-    // socbuf-lint: allow(unordered-container) — keyed lookups only; warm seeding picks one exact entry.
-    std::unordered_map<std::string, EntryIter> warm_index_;
-    std::size_t capacity_ = 0;
     std::size_t byte_budget_ = 0;
-    bool warm_start_ = false;
     std::size_t hits_ = 0;
     std::size_t misses_ = 0;
     std::size_t evictions_ = 0;
-    std::size_t warm_hits_ = 0;
-    std::size_t iterations_saved_ = 0;
     std::size_t bytes_resident_ = 0;
 };
 

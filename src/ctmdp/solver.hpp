@@ -56,7 +56,7 @@ struct SubsystemSolution {
     std::vector<double> occupation;  // x(s,a), flat pair-indexed
     RandomizedPolicy policy;
     /// Relative value function h (h(ref) = 0) for PI/VI solves; empty for
-    /// LP solves. SolveCache feeds this back as a VI warm seed.
+    /// LP solves.
     linalg::Vector bias;
     /// Algorithm-specific effort: simplex pivots, VI sweeps, or PI policy
     /// updates. Comparable only between solves of the same solved_by.

@@ -141,11 +141,7 @@ ViResult jacobi_rvi(const CtmdpModel& model, const Uniformized& u,
                     const ViOptions& options, exec::Executor* executor) {
     const std::size_t n = model.state_count();
 
-    // Cold start from zeros; a size-matched warm seed (the converged bias
-    // of a structurally identical model) starts the iteration near the
-    // fixed point instead.
     linalg::Vector h(n, 0.0);
-    if (options.initial_values.size() == n) h = options.initial_values;
     linalg::Vector th(n, 0.0);
     std::vector<std::size_t> greedy(n, 0);
 
@@ -260,12 +256,6 @@ ViResult gauss_seidel_rvi(const CtmdpModel& model, const Uniformized& u,
         (s % 2 == ref_parity ? phase1 : phase2).push_back(s);
 
     linalg::Vector h(n, 0.0);
-    if (options.initial_values.size() == n) {
-        h = options.initial_values;
-        // Re-pin the seed to the h(ref) = 0 convention.
-        const double shift = h[ref];
-        for (double& v : h) v -= shift;
-    }
     linalg::Vector th(n, 0.0);
     std::vector<std::size_t> greedy(n, 0);
 

@@ -38,20 +38,13 @@ struct ViResult {
 ///     a sweep roughly halves the iteration count on the birth-death-like
 ///     buffer chains, but follows a different trajectory — the gain
 ///     agrees with Jacobi to the stopping tolerance, not bit for bit, so
-///     the knob is opt-in exactly like warm starts.
+///     the knob is opt-in.
 enum class ViSweep { kJacobi = 0, kGaussSeidel = 1 };
 
 struct ViOptions {
     double tolerance = 1e-10;        // on the per-step gain bounds
     std::size_t max_iterations = 500000;
     std::size_t reference_state = 0;
-    /// Warm start: initial relative values (converged bias of a nearby
-    /// model, injected by SolveCache's warm path). Empty — or any size
-    /// other than the model's state count — starts from zeros, the
-    /// classic cold iteration. A warm seed changes only the trajectory
-    /// to the fixed point (fewer iterations), so the result agrees with
-    /// the cold solve to the stopping tolerance, not bit for bit.
-    linalg::Vector initial_values;
     /// Sweep variant. kGaussSeidel changes result bits (within
     /// tolerance); everything below is schedule-only and never does.
     ViSweep sweep = ViSweep::kJacobi;
@@ -59,7 +52,7 @@ struct ViOptions {
     /// serial. Schedule-only: per-state results land in index-addressed
     /// slots and every fold is order-exact (min/max) or runs in state
     /// order, so results are bit-identical for any worker count.
-    /// Excluded from SolveCache fingerprints, like warm seeds.
+    /// Excluded from SolveCache fingerprints.
     exec::Executor* executor = nullptr;
     /// Don't fan sweeps below this state count — chunk bookkeeping beats
     /// the arithmetic on small models. Schedule-only.

@@ -14,8 +14,7 @@ std::size_t resolve_thread_count(std::size_t requested) {
     return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-ThreadPool::ThreadPool(std::size_t threads, std::size_t aging_limit)
-    : aging_limit_(aging_limit) {
+ThreadPool::ThreadPool(std::size_t threads) {
     const std::size_t n = resolve_thread_count(threads);
     workers_.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
@@ -62,37 +61,11 @@ void ThreadPool::worker_loop() {
             std::unique_lock<std::mutex> lock(mutex_);
             job_available_.wait(
                 lock, [this] { return stopping_ || !queues_empty(); });
-            // Claim the oldest job of the highest non-empty priority —
-            // unless aging is on and a lower non-empty level has already
-            // been passed over aging_limit_ times, in which case that
-            // level (the highest-priority aged one) is claimed instead.
-            std::size_t claim = kPriorityLevels;
-            if (aging_limit_ > 0) {
-                for (std::size_t l = 0; l < kPriorityLevels; ++l) {
-                    if (!queues_[l].empty() && skipped_[l] >= aging_limit_) {
-                        claim = l;
-                        break;
-                    }
-                }
-            }
-            if (claim == kPriorityLevels) {
-                for (std::size_t l = 0; l < kPriorityLevels; ++l) {
-                    if (!queues_[l].empty()) {
-                        claim = l;
-                        break;
-                    }
-                }
-            }
+            // Claim the oldest job of the highest non-empty priority.
+            std::size_t claim = 0;
+            while (claim < kPriorityLevels && queues_[claim].empty())
+                ++claim;
             if (claim == kPriorityLevels) return;  // stopping_, nothing left
-            if (aging_limit_ > 0) {
-                // Every non-empty level below the claimed one was passed
-                // over by this claim; a level above it (possible only when
-                // an aged level won) is about to be claimed next anyway
-                // and never counts as starved.
-                for (std::size_t l = claim + 1; l < kPriorityLevels; ++l)
-                    if (!queues_[l].empty()) ++skipped_[l];
-                skipped_[claim] = 0;
-            }
             job = std::move(queues_[claim].front());
             queues_[claim].pop_front();
             ++active_;

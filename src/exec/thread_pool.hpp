@@ -57,17 +57,7 @@ public:
     /// Spawn `threads` workers (resolved via resolve_thread_count, so 0 =
     /// hardware concurrency). A 1-thread pool is valid and still runs jobs
     /// on its single worker.
-    ///
-    /// `aging_limit` is the opt-in starvation guard: 0 (the default)
-    /// keeps strict priority claims; a positive limit bounds how many
-    /// consecutive claims may pass over a non-empty lower-priority level
-    /// before the next claim must take that level's oldest job — so a
-    /// saturated kEvaluation stream cannot park queued kSizing/kDefault
-    /// work forever. Aging moves only *claims* (the schedule): every
-    /// socbuf fan-out folds index-addressed slots, so reports stay
-    /// bit-identical for any limit.
-    explicit ThreadPool(std::size_t threads = 0,
-                        std::size_t aging_limit = 0);
+    explicit ThreadPool(std::size_t threads = 0);
 
     /// Drains outstanding jobs, then joins every worker.
     ~ThreadPool();
@@ -95,11 +85,6 @@ private:
     /// One FIFO per priority level, indexed by Priority's value; workers
     /// drain lower indices (higher priorities) first.
     std::array<std::deque<std::function<void()>>, kPriorityLevels> queues_;
-    /// Starvation guard (see the constructor): 0 disables aging;
-    /// skipped_[l] counts consecutive claims that passed over non-empty
-    /// level l, reset when level l is claimed. Guarded by mutex_.
-    std::size_t aging_limit_ = 0;
-    std::array<std::size_t, kPriorityLevels> skipped_{};
     mutable std::mutex mutex_;
     std::condition_variable job_available_;
     std::condition_variable idle_;

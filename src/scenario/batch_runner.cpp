@@ -98,21 +98,18 @@ struct EvalSample {
 
 SizingOutcome run_sizing(const ScenarioSpec& spec, const SizingJob& job,
                          exec::Executor& executor,
-                         ctmdp::SolveCache* cache,
-                         bool force_gauss_seidel) {
+                         ctmdp::SolveCache* cache) {
     SizingOutcome out;
     out.system = spec.build_system(job.variant);
     core::SizingOptions options = spec.sizing_options(job.budget);
-    // The batch-level knob forces the accelerated sweep on; a spec that
-    // already opted in keeps it regardless.
-    if (force_gauss_seidel) options.gauss_seidel = true;
 
     if (spec.insertion.search) {
         // Placement search first: score every candidate plan by a full
         // sizing run at this budget (all through the shared executor and
         // solve cache — plans sharing subsystem structure hit the cache),
         // then size under the winner below. The final engine run repeats
-        // the winning plan's evaluation, so its solves are all warm.
+        // the winning plan's evaluation, so its solves are all cache
+        // hits.
         arch::SiteCostModel cost_model;
         cost_model.processor_cost = spec.insertion.processor_site_cost;
         cost_model.bridge_cost = spec.insertion.bridge_site_cost;
@@ -271,23 +268,19 @@ BatchReport BatchRunner::run(const std::vector<ScenarioSpec>& specs) {
         eval_offset[j + 1] =
             eval_offset[j] + specs[jobs[j].spec].replications;
 
-    ctmdp::SolveCache local_cache(options_.cache_capacity,
-                                  options_.warm_start,
-                                  options_.cache_byte_budget);
-    ctmdp::SolveCache& cache = options_.shared_cache != nullptr
-                                   ? *options_.shared_cache
-                                   : local_cache;
+    ctmdp::SolveCache cache(options_.cache_byte_budget);
     ctmdp::SolveCache* cache_ptr = options_.use_solve_cache ? &cache : nullptr;
 
     // Longest-first submission: order same-priority sizing jobs by
     // descending estimated cost (stable, so ties keep expansion order and
-    // the schedule stays reproducible). Same-cost memoization per
+    // the schedule stays reproducible), so the biggest CTMDPs start first
+    // and the batch's makespan is not hostage to a large job queued last. Same-cost memoization per
     // (spec, variant): budgets share a model, so one estimate covers a
     // whole sweep. Submission order is invisible to the results — slots
     // are index-addressed and folded in expansion order below.
     std::vector<std::size_t> order(jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j) order[j] = j;
-    if (options_.longest_first && jobs.size() > 1) {
+    if (jobs.size() > 1) {
         std::vector<double> variant_cost;  // (spec, variant) memo, -1 unset
         std::vector<std::size_t> variant_base(specs.size() + 1, 0);
         for (std::size_t s = 0; s < specs.size(); ++s)
@@ -312,21 +305,15 @@ BatchReport BatchRunner::run(const std::vector<ScenarioSpec>& specs) {
     // submitted up front and submits its own evaluation replications the
     // moment it finishes, so evaluation work starts while other sizing
     // jobs are still running. Sizing enters the graph at Priority::kSizing
-    // and evaluations at Priority::kEvaluation (unless the FIFO knob is
-    // set), so a finished job's evaluations are claimed before queued
-    // sizing work — that ordering is what first_eval_latency_s measures;
-    // it cannot change the results. Sizing jobs keep the shared executor
+    // and evaluations at Priority::kEvaluation, so a finished job's
+    // evaluations are claimed before queued sizing work — that ordering
+    // is what first_eval_latency_s measures; it cannot change the
+    // results. Sizing jobs keep the shared executor
     // for their nested fan-outs (subsystem solves, per-round eval sims,
     // calibration sims) — nested maps are deadlock-free by the executor's
     // nesting rule. Every job writes an index-addressed slot; the fold
     // below reads them in expansion order, which is what keeps the report
-    // bit-identical for any worker count and either schedule.
-    const exec::Priority sizing_priority = options_.priority_scheduling
-                                               ? exec::Priority::kSizing
-                                               : exec::Priority::kDefault;
-    const exec::Priority eval_priority = options_.priority_scheduling
-                                             ? exec::Priority::kEvaluation
-                                             : exec::Priority::kDefault;
+    // bit-identical for any worker count.
     std::vector<SizingOutcome> sized(jobs.size());
     std::vector<EvalSample> samples(eval_offset.back());
     std::atomic<std::size_t> sizing_in_flight{0};
@@ -343,8 +330,7 @@ BatchReport BatchRunner::run(const std::vector<ScenarioSpec>& specs) {
             [&, j] {
                 ++sizing_in_flight;
                 sized[j] = run_sizing(specs[jobs[j].spec], jobs[j],
-                                      executor_, cache_ptr,
-                                      options_.gauss_seidel);
+                                      executor_, cache_ptr);
                 --sizing_in_flight;
                 for (std::size_t e = eval_offset[j]; e < eval_offset[j + 1];
                      ++e) {
@@ -373,10 +359,10 @@ BatchReport BatchRunner::run(const std::vector<ScenarioSpec>& specs) {
                                        seen, us, std::memory_order_relaxed)) {
                             }
                         },
-                        eval_priority);
+                        exec::Priority::kEvaluation);
                 }
             },
-            sizing_priority);
+            exec::Priority::kSizing);
     }
     graph.wait();
 
@@ -427,7 +413,6 @@ BatchReport BatchRunner::run(const std::vector<ScenarioSpec>& specs) {
     }
     report.cache = cache.stats();
     report.cache_enabled = options_.use_solve_cache;
-    report.cache_capacity = cache.capacity();
     report.cache_byte_budget = cache.byte_budget();
     return report;
 }
@@ -504,7 +489,6 @@ std::string BatchReport::to_json(int indent) const {
     util::JsonValue cache_node = util::JsonValue::object();
     cache_node.set("enabled", cache_enabled);
     if (cache_enabled) {
-        cache_node.set("capacity", cache_capacity);
         // Only when set: a default (unlimited) budget keeps pre-existing
         // report bytes unchanged, like the optional keys below.
         if (cache_byte_budget != 0)
@@ -513,8 +497,6 @@ std::string BatchReport::to_json(int indent) const {
         cache_node.set("misses", cache.misses);
         cache_node.set("evictions", cache.evictions);
         cache_node.set("hit_rate", cache.hit_rate());
-        cache_node.set("warm_hits", cache.warm_hits);
-        cache_node.set("iterations_saved", cache.iterations_saved);
         cache_node.set("bytes_resident", cache.bytes_resident);
     }
     root.set("solve_cache", std::move(cache_node));

@@ -4,7 +4,7 @@
 // A batch expands its ScenarioSpecs into two deterministic job lists:
 //
 //   sizing jobs, one per (scenario, variant, budget): build the
-//     testbench, run the BufferSizingEngine (through the batch-wide
+//     testbench, run the BufferSizingEngine (through the batch's own
 //     ctmdp::SolveCache, so identical subsystem CTMDPs across rounds,
 //     budgets and replications are solved once), and calibrate the
 //     timeout policy when the spec asks for it;
@@ -18,18 +18,16 @@
 // work overlaps the remaining sizing work (BatchReport::eval_overlap
 // counts how often) instead of the whole batch idling until the slowest
 // sizing run completes. Scheduling is **priority-aware** on top: sizing
-// jobs enter the graph at exec::Priority::kSizing and evaluation
-// replications at exec::Priority::kEvaluation, so a finished sizing job's
-// evaluations are claimed before still-queued sizing work — first results
-// land as early as the pool allows (BatchReport::first_eval_latency_s
-// measures it; BatchOptions::priority_scheduling = false restores plain
-// FIFO claims for comparison — the report bits are identical either way,
-// only the schedule moves). Sizing jobs keep the *shared* executor for
-// their per-subsystem solves, per-round evaluation sims and timeout-
-// calibration sims (spec.calibration_replications fans the latter):
-// nested fan-outs on one pool are safe (the caller drives its own loop —
-// see the nesting rule in exec/executor.hpp), so a lone sizing run still
-// parallelizes internally.
+// jobs enter the graph at exec::Priority::kSizing, longest estimated
+// solve first, and evaluation replications at exec::Priority::kEvaluation,
+// so a finished sizing job's evaluations are claimed before still-queued
+// sizing work — first results land as early as the pool allows
+// (BatchReport::first_eval_latency_s measures it). Sizing jobs keep the
+// *shared* executor for their per-subsystem solves, per-round evaluation
+// sims and timeout-calibration sims (spec.calibration_replications fans
+// the latter): nested fan-outs on one pool are safe (the caller drives
+// its own loop — see the nesting rule in exec/executor.hpp), so a lone
+// sizing run still parallelizes internally.
 //
 // Every job writes an index-addressed slot and the runner folds the slots
 // in expansion order, so a BatchReport is **bit-identical for any worker
@@ -41,7 +39,7 @@
 // execution rather than the workload by design: `workers` records the
 // width, and `eval_overlap` is a scheduling-dependent pipelining
 // diagnostic; neither is serialized into the run data. A finite
-// `cache_capacity` smaller than the batch's distinct-model count can
+// `cache_byte_budget` too small for the batch's distinct models can
 // additionally make the cache *counters* (never the results) depend on
 // eviction order under concurrency — leave it 0 where counter
 // determinism matters.
@@ -64,59 +62,12 @@ struct BatchOptions {
     /// are identical either way; this is purely a work-avoidance knob
     /// (and the thing bench_batch_scenarios measures).
     bool use_solve_cache = true;
-    /// Entry budget for the batch-wide solve cache: 0 = unlimited (every
-    /// entry lives for the batch), otherwise the least-recently-used
-    /// entries are evicted beyond this many (ctmdp::SolveCache's LRU).
+    /// Approximate byte budget for the batch's solve cache: 0 =
+    /// unlimited (every entry lives for the batch), otherwise LRU entries
+    /// are evicted until stats().bytes_resident is back under budget.
     /// Results are bit-identical for any value; see the header comment
     /// for what a tight budget does to the cache *counters*.
-    std::size_t cache_capacity = 0;
-    /// Run through a caller-owned cache instead of a fresh per-batch one
-    /// (socbuf::Session passes its own here). Non-owning; when set,
-    /// cache_capacity is ignored (the cache was built with its own) and
-    /// the report echoes the shared cache's stats — clear() it between
-    /// batches if per-batch counters matter. Ignored when use_solve_cache
-    /// is false.
-    ctmdp::SolveCache* shared_cache = nullptr;
-    /// Approximate byte budget for the batch-wide solve cache: 0 =
-    /// unlimited, otherwise LRU entries are evicted until
-    /// stats().bytes_resident is back under budget (composes with
-    /// cache_capacity; same pinning rules, same counter caveats as a
-    /// tight capacity). Ignored when shared_cache is set — that cache
-    /// was constructed with its own budget.
     std::size_t cache_byte_budget = 0;
-    /// Claim-order evaluation replications ahead of still-queued sizing
-    /// jobs (exec::Priority::kEvaluation > kSizing). Off = plain FIFO
-    /// claims, the pre-priority schedule. Results are bit-identical
-    /// either way — this knob moves only *when* jobs start, which is
-    /// what first_eval_latency_s measures.
-    bool priority_scheduling = true;
-    /// Nearest-fingerprint warm starts in the batch's own solve cache:
-    /// a miss whose model structure matches an already-solved entry
-    /// seeds PI/VI with that entry's converged policy/bias. Saves
-    /// iterations on budget sweeps, but seeded solves converge along a
-    /// different trajectory — results agree to solver tolerance, NOT bit
-    /// for bit — so this is opt-in and default off: the batch
-    /// determinism contract (identical reports at any worker count)
-    /// holds unconditionally only when it stays off. Ignored when
-    /// shared_cache is set (that cache was constructed with its own
-    /// warm flag) or when use_solve_cache is false.
-    bool warm_start = false;
-    /// Submit same-priority sizing jobs longest-first: jobs are ordered
-    /// by descending estimated solve cost (per subsystem,
-    /// (model_cap+1)^flows states x (flows+1) actions) before entering
-    /// the task graph, so the biggest CTMDPs start before the small fry
-    /// and the batch's makespan is not hostage to a monster job queued
-    /// last. Pure submission-order change: results are folded in
-    /// expansion order and stay bit-identical either way.
-    bool longest_first = true;
-    /// Force the red-black Gauss-Seidel VI sweep on every sizing job in
-    /// the batch, on top of whatever each spec says (a spec with
-    /// gauss_seidel = true keeps it either way). Opt-in like warm_start
-    /// and with the same caveat: tolerance-level, not bit-identical,
-    /// results. Off (the default) leaves the per-spec knob in charge and
-    /// preserves the bit-identical-report contract for default-knob
-    /// specs.
-    bool gauss_seidel = false;
 };
 
 /// Outcome of one run's buffer-insertion placement search. Only present
@@ -182,8 +133,6 @@ struct BatchReport {
     /// Whether the batch ran with the solve cache at all — lets report
     /// consumers tell "disabled" apart from "enabled but cold".
     bool cache_enabled = true;
-    /// The cache's entry budget (0 = unlimited), echoed for the report.
-    std::size_t cache_capacity = 0;
     /// The cache's byte budget (0 = unlimited), echoed for the report.
     std::size_t cache_byte_budget = 0;
     std::size_t workers = 1;

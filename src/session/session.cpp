@@ -5,10 +5,7 @@
 namespace socbuf {
 
 Session::Session(SessionOptions options)
-    : options_(options),
-      executor_(options.threads),
-      cache_(options.cache_capacity, options.warm_start,
-             options.cache_byte_budget) {}
+    : options_(options), executor_(options.threads) {}
 
 scenario::BatchReport Session::run(const std::string& name) {
     return run(registry_.expand(name));
@@ -20,18 +17,9 @@ scenario::BatchReport Session::run(const scenario::ScenarioSpec& spec) {
 
 scenario::BatchReport Session::run(
     const std::vector<scenario::ScenarioSpec>& specs) {
-    // A fresh cache per batch keeps reports reproducible run over run;
-    // reuse_cache trades that for cross-run memoization.
-    if (!options_.reuse_cache) cache_.clear();
     scenario::BatchOptions batch;
     batch.use_solve_cache = options_.use_solve_cache;
-    batch.cache_capacity = options_.cache_capacity;
     batch.cache_byte_budget = options_.cache_byte_budget;
-    batch.shared_cache = &cache_;
-    batch.priority_scheduling = options_.priority_scheduling;
-    batch.warm_start = options_.warm_start;  // echoed; cache_ owns the flag
-    batch.longest_first = options_.longest_first;
-    batch.gauss_seidel = options_.gauss_seidel;
     scenario::BatchRunner runner(executor_, batch);
     return runner.run(specs);
 }

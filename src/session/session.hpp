@@ -1,12 +1,13 @@
 // socbuf::Session — the one-object entry point to the scenario system.
 //
-// A Session owns the three pieces every consumer previously wired by hand:
+// A Session owns the two pieces every consumer previously wired by hand:
 //
 //   * the exec::Executor (one worker pool for everything the session runs),
-//   * the batch-wide ctmdp::SolveCache (cleared at the start of each run,
-//     so two runs of the same workload produce bit-identical reports —
-//     opt into cross-run reuse with SessionOptions::reuse_cache),
 //   * the ScenarioRegistry (built-in presets plus whatever load_file adds).
+//
+// Every run is one scenario::BatchRunner batch with its own
+// ctmdp::SolveCache, so two runs of the same workload produce
+// bit-identical reports.
 //
 // The experiment drivers (core::run_figure3 / run_table1), the benches and
 // socbuf_cli are thin clients of this facade:
@@ -22,7 +23,6 @@
 // BatchRunner determinism contract, surfaced at the facade.
 #pragma once
 
-#include "ctmdp/solve_cache.hpp"
 #include "exec/executor.hpp"
 #include "scenario/batch_runner.hpp"
 #include "scenario/scenario.hpp"
@@ -40,38 +40,10 @@ struct SessionOptions {
     std::size_t threads = 0;
     /// Memoize subsystem CTMDP solves across every engine run of a batch.
     bool use_solve_cache = true;
-    /// Entry budget of the session's solve cache (0 = unlimited).
-    std::size_t cache_capacity = 0;
-    /// Approximate byte budget of the session's solve cache (0 =
-    /// unlimited); LRU eviction until back under budget, composing with
-    /// cache_capacity. See ctmdp::SolveCache.
+    /// Approximate byte budget of each batch's solve cache (0 =
+    /// unlimited); LRU eviction until back under budget. See
+    /// ctmdp::SolveCache.
     std::size_t cache_byte_budget = 0;
-    /// Keep the solve cache warm *across* run() calls instead of clearing
-    /// it per batch. Results never change; the per-report cache counters
-    /// then accumulate session history (a repeated workload reports ~100%
-    /// hits), so leave this off where per-batch counters matter.
-    bool reuse_cache = false;
-    /// Claim evaluation replications ahead of still-queued sizing jobs
-    /// (exec::Priority levels in the batch task graph); off = plain FIFO
-    /// claims. Reports are bit-identical either way — only the schedule
-    /// (and BatchReport::first_eval_latency_s) moves.
-    bool priority_scheduling = true;
-    /// Warm-start PI/VI solves from the most recent structurally
-    /// identical cached solution (nearest-fingerprint seeding in the
-    /// session's solve cache). Cuts iterations on budget sweeps, but a
-    /// seeded solve converges along a different trajectory: results agree
-    /// to solver tolerance, not bit for bit, so the default stays off —
-    /// the bit-identical-reports contract above holds only then.
-    bool warm_start = false;
-    /// Submit sizing jobs longest-estimated-first inside each batch.
-    /// Schedule-only (results bit-identical); see
-    /// scenario::BatchOptions::longest_first.
-    bool longest_first = true;
-    /// Force the red-black Gauss-Seidel VI sweep on every sizing job
-    /// (scenario::BatchOptions::gauss_seidel). Fewer iterations on large
-    /// models; tolerance-level, not bit-identical, results — default off
-    /// like warm_start.
-    bool gauss_seidel = false;
 };
 
 class Session {
@@ -87,9 +59,6 @@ public:
     }
     [[nodiscard]] exec::Executor& executor() { return executor_; }
     [[nodiscard]] std::size_t workers() const { return executor_.workers(); }
-    [[nodiscard]] const ctmdp::SolveCache& solve_cache() const {
-        return cache_;
-    }
 
     /// Run a registered scenario — or batch preset — by name. Throws
     /// util::ContractViolation for unknown names.
@@ -122,7 +91,6 @@ public:
 private:
     SessionOptions options_;
     exec::Executor executor_;
-    ctmdp::SolveCache cache_;
     scenario::ScenarioRegistry registry_;
 };
 

@@ -164,7 +164,9 @@ TEST(Sites, CandidateBridgeSitesAreTheBridgeSitesInOrder) {
     ASSERT_EQ(candidates.size(), 4u);
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         EXPECT_EQ(sites[candidates[i]].kind, sa::SiteKind::kBridge);
-        if (i > 0) EXPECT_LT(candidates[i - 1], candidates[i]);
+        if (i > 0) {
+            EXPECT_LT(candidates[i - 1], candidates[i]);
+        }
     }
     // No processor site is ever a candidate.
     std::size_t bridge_sites = 0;

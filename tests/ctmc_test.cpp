@@ -1,7 +1,6 @@
 #include "ctmc/birth_death.hpp"
 #include "ctmc/generator.hpp"
 #include "ctmc/stationary.hpp"
-#include "ctmc/transient.hpp"
 #include "util/contracts.hpp"
 
 #include <gtest/gtest.h>
@@ -143,66 +142,4 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Mm1k, CriticalLoadIsUniform) {
     const auto pi = sc::mm1k_stationary(1.0, 1.0, 5);
     for (std::size_t i = 0; i <= 5; ++i) EXPECT_NEAR(pi[i], 1.0 / 6.0, 1e-12);
-}
-
-TEST(Transient, AtTimeZeroReturnsInitial) {
-    sc::Generator g = two_state(1.0, 2.0);
-    const socbuf::linalg::Vector init{1.0, 0.0};
-    EXPECT_EQ(sc::transient_distribution(g, init, 0.0), init);
-}
-
-TEST(Transient, TwoStateClosedForm) {
-    // pi_1(t) = a/(a+b) * (1 - exp(-(a+b) t)) starting from state 0.
-    const double a = 1.3;
-    const double b = 0.7;
-    sc::Generator g = two_state(a, b);
-    const socbuf::linalg::Vector init{1.0, 0.0};
-    for (const double t : {0.1, 0.5, 1.0, 3.0}) {
-        const auto pi = sc::transient_distribution(g, init, t);
-        const double expected =
-            a / (a + b) * (1.0 - std::exp(-(a + b) * t));
-        EXPECT_NEAR(pi[1], expected, 1e-9) << "t=" << t;
-        EXPECT_NEAR(pi[0] + pi[1], 1.0, 1e-12);
-    }
-}
-
-TEST(Transient, LongHorizonApproachesStationary) {
-    sc::Generator g(3);
-    g.set_rate(0, 1, 1.0);
-    g.set_rate(1, 2, 0.5);
-    g.set_rate(2, 0, 0.8);
-    g.set_rate(1, 0, 0.3);
-    const auto stationary = sc::stationary_direct(g);
-    const socbuf::linalg::Vector init{1.0, 0.0, 0.0};
-    const auto pi = sc::transient_distribution(g, init, 200.0);
-    for (std::size_t s = 0; s < 3; ++s)
-        EXPECT_NEAR(pi[s], stationary[s], 1e-8);
-}
-
-TEST(Transient, AverageCostConvergesToStationaryAverage) {
-    sc::Generator g = two_state(2.0, 1.0);
-    const socbuf::linalg::Vector cost{0.0, 3.0};
-    const auto stationary = sc::stationary_direct(g);
-    const double limit = stationary[1] * 3.0;
-    const socbuf::linalg::Vector init{1.0, 0.0};
-    const double avg_short = sc::transient_average_cost(g, init, cost, 0.5);
-    const double avg_long =
-        sc::transient_average_cost(g, init, cost, 5000.0);
-    // Starting empty, the short-horizon average is below the long-run one;
-    // the long-horizon one converges at the O(bias/t) rate.
-    EXPECT_LT(avg_short, limit);
-    EXPECT_NEAR(avg_long, limit, 5e-4);
-}
-
-TEST(Transient, RejectsBadInputs) {
-    sc::Generator g = two_state(1.0, 1.0);
-    EXPECT_THROW(
-        (void)sc::transient_distribution(g, {0.5, 0.2}, 1.0),  // sums to 0.7
-        socbuf::util::ContractViolation);
-    EXPECT_THROW(
-        (void)sc::transient_average_cost(g, {1.0, 0.0}, {1.0}, 1.0),
-        socbuf::util::ContractViolation);
-    EXPECT_THROW(
-        (void)sc::transient_average_cost(g, {1.0, 0.0}, {1.0, 1.0}, 0.0),
-        socbuf::util::ContractViolation);
 }

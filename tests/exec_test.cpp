@@ -98,41 +98,6 @@ TEST(ThreadPool, ClaimsHigherPrioritiesFirstAndKeepsFifoWithinALevel) {
                                         "default-2"}));
 }
 
-TEST(ThreadPool, AgingLimitBoundsHowLongLowerLevelsStarve) {
-    // Same single-worker gate pattern as the claim-order test, with the
-    // opt-in aging knob at 2: a saturated kEvaluation stream may pass
-    // over a waiting lower level at most twice before that level's
-    // oldest job is claimed. Expected claim trace — e1, e2 (sizing and
-    // default each skipped twice), s1 (sizing aged first: higher
-    // priority of the aged levels; default is passed over again), d1
-    // (default aged), then the remaining evaluations.
-    se::ThreadPool pool(1, /*aging_limit=*/2);
-    std::promise<void> gate;
-    std::shared_future<void> open = gate.get_future().share();
-    std::promise<void> parked;
-    pool.submit([open, &parked] {
-        parked.set_value();
-        open.wait();
-    });
-    parked.get_future().wait();
-
-    std::mutex order_mutex;
-    std::vector<std::string> order;
-    const auto record = [&](const char* name) {
-        std::lock_guard<std::mutex> lock(order_mutex);
-        order.emplace_back(name);
-    };
-    pool.submit([&] { record("d1"); }, se::Priority::kDefault);
-    pool.submit([&] { record("s1"); }, se::Priority::kSizing);
-    for (const char* name : {"e1", "e2", "e3", "e4", "e5"})
-        pool.submit([&, name] { record(name); }, se::Priority::kEvaluation);
-
-    gate.set_value();
-    pool.wait_idle();
-    EXPECT_EQ(order, (std::vector<std::string>{"e1", "e2", "s1", "d1", "e3",
-                                               "e4", "e5"}));
-}
-
 TEST(ParallelMap, OrderedResultsForAnyThreadCount) {
     const std::size_t n = 257;
     auto square = [](std::size_t i) { return i * i; };

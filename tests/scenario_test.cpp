@@ -316,13 +316,12 @@ TEST(BatchRunner, PipelinedEvaluationOverlapsSizing) {
     EXPECT_EQ(normalized.to_json(), serial_report.to_json());
 }
 
-TEST(BatchRunner, PriorityScheduledBatchesMatchFifoBitForBitAtAnyWidth) {
-    // The tentpole contract: priority scheduling (evaluations claimed
-    // ahead of still-queued sizing jobs) moves only the schedule, never
-    // the report. A mixed batch — including a spec that evaluates the
-    // timeout policy with *fanned* calibration sims — must produce
-    // byte-identical JSON under FIFO and priority claims at threads
-    // 1, 2 and 4.
+TEST(BatchRunner, PriorityScheduledBatchesAreBitIdenticalAtAnyWidth) {
+    // Priority scheduling (evaluations claimed ahead of still-queued
+    // sizing jobs, sizing jobs submitted longest-first) moves only the
+    // schedule, never the report. A mixed batch — including a spec that
+    // evaluates the timeout policy with *fanned* calibration sims — must
+    // produce byte-identical JSON at threads 1, 2 and 4.
     ss::ScenarioSpec plain = small_figure1();
     plain.name = "prio-plain";
     plain.budgets = {12, 16, 20};
@@ -333,34 +332,29 @@ TEST(BatchRunner, PriorityScheduledBatchesMatchFifoBitForBitAtAnyWidth) {
     timeout.replications = 2;
     timeout.evaluate_timeout_policy = true;
     timeout.calibration_replications = 3;  // fans inside the sizing job
-    const std::vector<ss::ScenarioSpec> specs{plain, timeout};
+    // A costlier job (bigger testbench) expanded last, so longest-first
+    // submission genuinely reorders the batch.
+    ss::ScenarioSpec big = small_figure1();
+    big.name = "prio-big";
+    big.testbench = ss::Testbench::kNetworkProcessor;
+    big.budgets = {160};
+    big.replications = 1;
+    const std::vector<ss::ScenarioSpec> specs{plain, timeout, big};
 
-    ss::BatchOptions fifo_options;
-    fifo_options.priority_scheduling = false;
     socbuf::exec::Executor serial(1);
-    ss::BatchRunner serial_runner(serial, fifo_options);
+    ss::BatchRunner serial_runner(serial);
     const ss::BatchReport reference = serial_runner.run(specs);
     EXPECT_GT(reference.runs[3].timeout_total, 0.0);
 
     for (const std::size_t threads : {1UL, 2UL, 4UL}) {
-        socbuf::exec::Executor fifo_exec(threads);
-        ss::BatchRunner fifo_runner(fifo_exec, fifo_options);
-        ss::BatchReport fifo = fifo_runner.run(specs);
-
-        socbuf::exec::Executor prio_exec(threads);
-        ss::BatchRunner prio_runner(prio_exec);  // priorities on (default)
-        ss::BatchReport prio = prio_runner.run(specs);
-
-        // Both evaluated something, so the latency diagnostic is set.
-        EXPECT_GE(fifo.first_eval_latency_s, 0.0) << "threads=" << threads;
-        EXPECT_GE(prio.first_eval_latency_s, 0.0) << "threads=" << threads;
-
-        fifo.workers = reference.workers;
-        prio.workers = reference.workers;
-        EXPECT_EQ(fifo.to_json(), reference.to_json())
-            << "fifo threads=" << threads;
-        EXPECT_EQ(prio.to_json(), reference.to_json())
-            << "priority threads=" << threads;
+        socbuf::exec::Executor exec(threads);
+        ss::BatchRunner runner(exec);
+        ss::BatchReport report = runner.run(specs);
+        // Evaluated something, so the latency diagnostic is set.
+        EXPECT_GE(report.first_eval_latency_s, 0.0) << "threads=" << threads;
+        report.workers = reference.workers;
+        EXPECT_EQ(report.to_json(), reference.to_json())
+            << "threads=" << threads;
     }
 }
 
@@ -389,27 +383,39 @@ TEST(BatchRunner, FannedCalibrationMatchesTheSerialCalibrationPath) {
     EXPECT_EQ(report.runs[0].timeout_threshold, expected);
 }
 
-TEST(BatchRunner, CacheCapacityBoundsEntriesWithoutChangingResults) {
+TEST(BatchRunner, CacheByteBudgetBoundsResidencyWithoutChangingResults) {
     const ss::ScenarioSpec spec = small_figure1();
     socbuf::exec::Executor serial(1);
 
     ss::BatchRunner unlimited(serial);
     const auto reference = unlimited.run(spec);
-    // Precondition for the eviction claim below: the batch has more
-    // distinct subsystem models than the tight capacity.
-    ASSERT_GT(reference.cache.misses, 2u);
+    // Precondition for the eviction claim below: the batch has more than
+    // one distinct subsystem model.
+    ASSERT_GT(reference.cache.misses, 1u);
     EXPECT_EQ(reference.cache.evictions, 0u);
-    EXPECT_EQ(reference.cache_capacity, 0u);
+    EXPECT_EQ(reference.cache_byte_budget, 0u);
 
+    // The tightest budget: one byte, so only the entry a lookup just
+    // touched survives it — serially and with four workers racing.
     ss::BatchOptions tight;
-    tight.cache_capacity = 2;
-    ss::BatchRunner bounded(serial, tight);
-    const auto got = bounded.run(spec);
-    EXPECT_EQ(got.cache_capacity, 2u);
-    EXPECT_GT(got.cache.evictions, 0u);
-    // Eviction costs extra solves, never different answers.
-    EXPECT_GE(got.cache.misses, reference.cache.misses);
-    expect_identical(got, reference);
+    tight.cache_byte_budget = 1;
+    for (const std::size_t threads : {1UL, 4UL}) {
+        socbuf::exec::Executor exec(threads);
+        ss::BatchRunner bounded(exec, tight);
+        const auto got = bounded.run(spec);
+        EXPECT_EQ(got.cache_byte_budget, 1u);
+        EXPECT_GT(got.cache.evictions, 0u) << "threads=" << threads;
+        EXPECT_LT(got.cache.bytes_resident, reference.cache.bytes_resident)
+            << "threads=" << threads;
+        // Eviction costs extra solves, never different answers.
+        EXPECT_GE(got.cache.misses, reference.cache.misses);
+        expect_identical(got, reference);
+
+        const auto json = socbuf::util::JsonValue::parse(got.to_json());
+        const auto& cache = json.at("solve_cache");
+        EXPECT_EQ(cache.at("byte_budget").as_number(), 1.0);
+        EXPECT_GT(cache.at("bytes_resident").as_number(), 0.0);
+    }
 }
 
 TEST(BatchReport, CacheDisabledIsMarkedInJson) {
@@ -529,70 +535,4 @@ TEST(BatchReport, SerializesToJsonAndCsv) {
     EXPECT_NE(csv.find("figure1-small"), std::string::npos);
     // Two runs + header = three lines.
     EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
-}
-
-TEST(BatchRunner, LongestFirstSubmissionMatchesFifoBitForBit) {
-    // Longest-first ordering moves only the submission schedule; the
-    // index-addressed report slots make the serialized report identical
-    // bit for bit, at any width.
-    ss::ScenarioSpec a = small_figure1();
-    a.name = "order-a";
-    a.budgets = {12, 18};
-    ss::ScenarioSpec b = small_figure1();
-    b.name = "order-b";
-    b.budgets = {16};
-    // A costlier job (bigger testbench), so the orderings genuinely
-    // differ: FIFO submits it last, longest-first submits it first.
-    b.testbench = ss::Testbench::kNetworkProcessor;
-    b.budgets = {160};
-    const std::vector<ss::ScenarioSpec> specs{a, b};
-
-    for (const std::size_t threads : {1UL, 4UL}) {
-        socbuf::exec::Executor exec(threads);
-        ss::BatchOptions fifo;
-        fifo.longest_first = false;
-        ss::BatchRunner fifo_runner(exec, fifo);
-        ss::BatchReport fifo_report = fifo_runner.run(specs);
-
-        ss::BatchOptions longest;
-        longest.longest_first = true;
-        ss::BatchRunner longest_runner(exec, longest);
-        ss::BatchReport longest_report = longest_runner.run(specs);
-
-        // Overlap is schedule-reflecting; everything serialized must
-        // agree exactly.
-        longest_report.eval_overlap = fifo_report.eval_overlap;
-        EXPECT_EQ(longest_report.to_json(), fifo_report.to_json())
-            << "threads=" << threads;
-    }
-}
-
-TEST(BatchRunner, WarmStartCountsSeedsWithoutChangingAnswers) {
-    // A budget sweep re-solves structurally identical subsystem CTMDPs
-    // with shifted costs; warm starts must seed those solves (counted in
-    // the report) while landing on the same allocations and losses.
-    ss::ScenarioSpec sweep = small_figure1();
-    sweep.budgets = {12, 14, 16, 18};
-
-    socbuf::exec::Executor serial(1);
-    ss::BatchRunner cold_runner(serial);
-    const auto cold = cold_runner.run(sweep);
-
-    ss::BatchOptions options;
-    options.warm_start = true;
-    ss::BatchRunner warm_runner(serial, options);
-    const auto warm = warm_runner.run(sweep);
-
-    EXPECT_GT(warm.cache.warm_hits, 0u);
-    expect_identical(warm, cold);
-
-    const auto json = socbuf::util::JsonValue::parse(warm.to_json());
-    EXPECT_TRUE(json.at("solve_cache").contains("warm_hits"));
-    EXPECT_TRUE(json.at("solve_cache").contains("iterations_saved"));
-    EXPECT_TRUE(json.at("solve_cache").contains("bytes_resident"));
-    EXPECT_GT(json.at("solve_cache").at("bytes_resident").as_number(), 0.0);
-
-    // Cold reports never count warm activity.
-    EXPECT_EQ(cold.cache.warm_hits, 0u);
-    EXPECT_EQ(cold.cache.iterations_saved, 0u);
 }

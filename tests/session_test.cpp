@@ -103,23 +103,6 @@ TEST(Session, ReportsBitIdenticalForAnyThreadCount) {
     }
 }
 
-TEST(Session, FifoSchedulingOptionMatchesPriorityReports) {
-    // The facade surfaces the scheduling knob; like the thread count it
-    // must never show up in the results.
-    const ss::ScenarioSpec spec = small_figure1();
-    Session priority({4});
-    const auto reference = priority.run(spec);
-
-    SessionOptions fifo_options;
-    fifo_options.threads = 4;
-    fifo_options.priority_scheduling = false;
-    Session fifo(fifo_options);
-    auto got = fifo.run(spec);
-    got.eval_overlap = reference.eval_overlap;  // diagnostics
-    got.first_eval_latency_s = reference.first_eval_latency_s;
-    EXPECT_EQ(got.to_json(), reference.to_json());
-}
-
 TEST(Session, RunBatchExpandsBatchPresetsInOrder) {
     Session session({1});
     session.registry().add(small_figure1("batch-a"));
@@ -143,26 +126,9 @@ TEST(Session, FreshCachePerRunKeepsReportsReproducible) {
     const auto first = session.run(spec);
     const auto second = session.run(spec);
     // Identical workload, identical report — counters included, because
-    // the session clears its cache per batch.
+    // every batch owns a fresh cache.
     EXPECT_EQ(first.to_json(), second.to_json());
     EXPECT_GT(second.cache.misses, 0u);
-
-    // reuse_cache keeps the memo warm: the repeat run is served from
-    // cache (no new misses), with identical results.
-    SessionOptions warm_options;
-    warm_options.threads = 1;
-    warm_options.reuse_cache = true;
-    Session warm(warm_options);
-    const auto cold_run = warm.run(spec);
-    const auto warm_run = warm.run(spec);
-    EXPECT_EQ(warm_run.cache.misses, cold_run.cache.misses);
-    EXPECT_GT(warm_run.cache.hits, cold_run.cache.hits);
-    ASSERT_EQ(warm_run.runs.size(), cold_run.runs.size());
-    for (std::size_t i = 0; i < warm_run.runs.size(); ++i) {
-        EXPECT_EQ(warm_run.runs[i].post_total, cold_run.runs[i].post_total);
-        EXPECT_EQ(warm_run.runs[i].resized_alloc,
-                  cold_run.runs[i].resized_alloc);
-    }
 }
 
 TEST(Session, ExportCatalogRoundTripsEveryPreset) {
@@ -197,29 +163,23 @@ TEST(Session, DisabledCacheIsHonored) {
     EXPECT_EQ(report.cache.lookups(), 0u);
 }
 
-TEST(Session, WarmStartAndLongestFirstOptionsReachTheBatch) {
-    ss::ScenarioSpec sweep = small_figure1("session-sweep");
-    sweep.budgets = {12, 14, 16, 18};
+TEST(Session, CacheByteBudgetReachesTheBatch) {
+    const ss::ScenarioSpec spec = small_figure1();
+    Session unlimited({1});
+    const auto reference = unlimited.run(spec);
 
-    SessionOptions cold_options;
-    cold_options.threads = 1;
-    Session cold_session(cold_options);
-    const auto cold = cold_session.run(sweep);
-    EXPECT_EQ(cold.cache.warm_hits, 0u);
-
-    SessionOptions warm_options;
-    warm_options.threads = 1;
-    warm_options.warm_start = true;
-    warm_options.longest_first = false;
-    Session warm_session(warm_options);
-    const auto warm = warm_session.run(sweep);
-    EXPECT_GT(warm.cache.warm_hits, 0u);
-
-    // Seeded solves land on the same allocations and losses here.
-    ASSERT_EQ(warm.runs.size(), cold.runs.size());
-    for (std::size_t i = 0; i < warm.runs.size(); ++i) {
-        EXPECT_EQ(warm.runs[i].resized_alloc, cold.runs[i].resized_alloc);
-        EXPECT_EQ(warm.runs[i].post_loss, cold.runs[i].post_loss);
+    SessionOptions options;
+    options.threads = 1;
+    options.cache_byte_budget = 1;  // only the just-touched entry stays
+    Session bounded(options);
+    const auto got = bounded.run(spec);
+    EXPECT_EQ(got.cache_byte_budget, 1u);
+    EXPECT_GT(got.cache.evictions, 0u);
+    // Eviction costs extra solves, never different answers.
+    ASSERT_EQ(got.runs.size(), reference.runs.size());
+    for (std::size_t i = 0; i < got.runs.size(); ++i) {
+        EXPECT_EQ(got.runs[i].resized_alloc, reference.runs[i].resized_alloc);
+        EXPECT_EQ(got.runs[i].post_loss, reference.runs[i].post_loss);
     }
 }
 
@@ -247,26 +207,20 @@ TEST(Session, MixedBatchWithViRungModelsIsThreadInvariant) {
     }
 }
 
-TEST(Session, GaussSeidelSessionIsThreadInvariant) {
-    // The session-level Gauss–Seidel opt-in: a different sweep (and a
+TEST(Session, GaussSeidelSpecIsThreadInvariant) {
+    // The spec-level Gauss–Seidel opt-in: a different sweep (and a
     // different report trajectory is allowed vs the default), but the
     // red-black phases keep the determinism contract, so the GS report
     // too must be bit-identical at every thread count.
-    SessionOptions gs_serial;
-    gs_serial.threads = 1;
-    gs_serial.gauss_seidel = true;
-    Session serial(gs_serial);
-    serial.registry().add(vi_rung_np());
-    const auto reference = serial.run("np-vi-rung");
+    ss::ScenarioSpec spec = vi_rung_np();
+    spec.gauss_seidel = true;
+    Session serial({1});
+    const auto reference = serial.run(spec);
     ASSERT_EQ(reference.runs.size(), 1u);
     EXPECT_GT(reference.runs[0].vi_solves, 0u);
     for (const std::size_t threads : {2UL, 4UL}) {
-        SessionOptions gs_options;
-        gs_options.threads = threads;
-        gs_options.gauss_seidel = true;
-        Session parallel(gs_options);
-        parallel.registry().add(vi_rung_np());
-        auto got = parallel.run("np-vi-rung");
+        Session parallel({threads});
+        auto got = parallel.run(spec);
         got.workers = reference.workers;
         got.eval_overlap = reference.eval_overlap;
         got.first_eval_latency_s = reference.first_eval_latency_s;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <string>
@@ -63,6 +64,15 @@ TEST(SolveFingerprint, RateAndOptionChangesChangeTheKey) {
     sm::DispatchOptions tighter = opts;
     tighter.solver.vi.tolerance = 1e-8;
     EXPECT_NE(sm::solve_fingerprint(base, tighter), key);
+    // ...including the iteration limits: a run that raises them after an
+    // unconverged solve gets a fresh key and re-solves instead of being
+    // served the cached unconverged solution.
+    sm::DispatchOptions more_sweeps = opts;
+    more_sweeps.solver.vi.max_iterations *= 2;
+    EXPECT_NE(sm::solve_fingerprint(base, more_sweeps), key);
+    sm::DispatchOptions more_updates = opts;
+    more_updates.solver.pi.max_policy_updates *= 2;
+    EXPECT_NE(sm::solve_fingerprint(base, more_updates), key);
 }
 
 TEST(SolveCache, CountsHitsAndMissesAndReturnsIdenticalBits) {
@@ -104,10 +114,6 @@ TEST(SolveCache, DistinctModelsGetDistinctEntries) {
     EXPECT_EQ(cache.stats().misses, 2u);
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_NE(a.gain, b.gain);
-
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.stats().lookups(), 0u);
 }
 
 namespace {
@@ -116,19 +122,38 @@ namespace {
 /// precondition) — the cache's view of a "solver that throws".
 sm::CtmdpModel unsolvable_model() { return sm::CtmdpModel{}; }
 
+/// Approximate resident bytes of one model's entry, measured in an
+/// unbudgeted cache (the accounting is a pure function of the entry's
+/// contents, so it is the same in every cache).
+std::size_t entry_bytes(const sm::CtmdpModel& model,
+                        const sm::DispatchOptions& opts = {}) {
+    sm::SolverRegistry registry;
+    sm::SolveCache probe;
+    (void)probe.solve(registry, model, opts);
+    return probe.stats().bytes_resident;
+}
+
 }  // namespace
 
-TEST(SolveCache, EvictsLeastRecentlyUsedBeyondCapacity) {
-    sm::SolverRegistry registry;
-    sm::SolveCache cache(2);
-    EXPECT_EQ(cache.capacity(), 2u);
+TEST(SolveCache, EvictsLeastRecentlyUsedBeyondByteBudget) {
+    // Three same-shaped models (one structure, three arrival rates) have
+    // equal footprints; a budget of two and a half entries holds any two
+    // of them but never all three.
     const sm::DispatchOptions opts;
-    const auto model_a = queue_model(3, 0.7);
-    const auto model_b = queue_model(4, 0.7);
-    const auto model_c = queue_model(5, 0.7);
+    const auto model_a = queue_model(4, 0.7);
+    const auto model_b = queue_model(4, 0.8);
+    const auto model_c = queue_model(4, 0.9);
+    const std::size_t one = entry_bytes(model_a);
+    ASSERT_GT(one, 0u);
+    ASSERT_EQ(entry_bytes(model_b), one);
+    ASSERT_EQ(entry_bytes(model_c), one);
+
+    sm::SolverRegistry registry;
+    sm::SolveCache cache(2 * one + one / 2);
+    EXPECT_EQ(cache.byte_budget(), 2 * one + one / 2);
 
     (void)cache.solve(registry, model_a, opts);  // A
-    (void)cache.solve(registry, model_b, opts);  // B A — at capacity
+    (void)cache.solve(registry, model_b, opts);  // B A — two fit
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_EQ(cache.stats().evictions, 0u);
 
@@ -136,44 +161,35 @@ TEST(SolveCache, EvictsLeastRecentlyUsedBeyondCapacity) {
     (void)cache.solve(registry, model_c, opts);  // C A — evicts B
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(cache.stats().bytes_resident, 2 * one);
 
     // A survived (hit, no new registry work); B was the victim (re-miss).
     const std::size_t solves_before = registry.stats().total_solves();
-    (void)cache.solve(registry, model_a, opts);
+    (void)cache.solve(registry, model_a, opts);  // A C
     EXPECT_EQ(registry.stats().total_solves(), solves_before);
-    (void)cache.solve(registry, model_b, opts);
+    (void)cache.solve(registry, model_b, opts);  // B A — evicts C
     EXPECT_EQ(registry.stats().total_solves(), solves_before + 1);
     // Serial access keeps the counters exact: 3 compulsory misses + 1
     // eviction re-miss, hits for the touch and the surviving-A lookup.
     EXPECT_EQ(cache.stats().misses, 4u);
     EXPECT_EQ(cache.stats().hits, 2u);
-    EXPECT_EQ(cache.stats().evictions, 2u);  // B again displaced A or C
+    EXPECT_EQ(cache.stats().evictions, 2u);
+    // C (the least recently used) went, A stayed.
+    const std::size_t solves_after = registry.stats().total_solves();
+    (void)cache.solve(registry, model_a, opts);
+    EXPECT_EQ(registry.stats().total_solves(), solves_after);
 }
 
-TEST(SolveCache, JustSolvedEntryIsNeverTheEvictionVictim) {
-    // At the tightest budget the freshly completed entry must stay
-    // resident (the LRU victim is taken from the back, never the front),
-    // otherwise every solve would evict itself and the cache could never
-    // serve a hit.
-    sm::SolverRegistry registry;
-    sm::SolveCache cache(1);
+TEST(SolveCache, ByteBudgetCoveringAllKeysKeepsCountersSchedulingIndependent) {
+    // With a budget that holds every distinct key nothing is ever
+    // evicted, so the unlimited-cache counter contract holds unchanged
+    // under concurrency.
     const sm::DispatchOptions opts;
-    (void)cache.solve(registry, queue_model(3, 0.7), opts);
-    (void)cache.solve(registry, queue_model(4, 0.7), opts);  // evicts first
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    const std::size_t solves = registry.stats().total_solves();
-    (void)cache.solve(registry, queue_model(4, 0.7), opts);  // resident: hit
-    EXPECT_EQ(registry.stats().total_solves(), solves);
-    EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(SolveCache, CapacityCoveringAllKeysKeepsCountersSchedulingIndependent) {
-    // With capacity >= distinct keys nothing is ever evicted, so the
-    // unlimited-cache counter contract holds unchanged under concurrency.
+    std::size_t all_keys = 0;
+    for (std::size_t k = 0; k < 8; ++k)
+        all_keys += entry_bytes(queue_model(3 + k, 0.8));
     sm::SolverRegistry registry;
-    sm::SolveCache cache(8);
-    const sm::DispatchOptions opts;
+    sm::SolveCache cache(all_keys);
     socbuf::exec::Executor exec(4);
     const auto gains = exec.map(32, [&](std::size_t i) {
         const auto model = queue_model(3 + i % 8, 0.8);
@@ -183,6 +199,7 @@ TEST(SolveCache, CapacityCoveringAllKeysKeepsCountersSchedulingIndependent) {
     EXPECT_EQ(cache.stats().misses, 8u);
     EXPECT_EQ(cache.stats().hits, 24u);
     EXPECT_EQ(cache.stats().evictions, 0u);
+    EXPECT_EQ(cache.stats().bytes_resident, all_keys);
     for (std::size_t i = 8; i < 32; ++i) EXPECT_EQ(gains[i], gains[i % 8]);
 }
 
@@ -237,15 +254,16 @@ TEST(SolveCache, ConcurrentFailuresAllPropagateWithoutHangingWaiters) {
     EXPECT_EQ(cache.stats().hits, 0u);
 }
 
-TEST(SolveCache, CapacityOneCountersStayConsistentUnderFailuresAndWaiters) {
-    // The nastiest corner the counters have: capacity == 1 (every
-    // completing solve tries to evict), a key every solver rejects (the
-    // failure path runs constantly, with waiters pinning the failed
-    // slot), and solvable keys churning through the single budgeted
-    // entry. Whatever the interleaving, the accounting invariants must
-    // hold exactly: every lookup is one hit or one miss (never zero,
-    // never two), every exception was a miss, and an eviction can only
-    // follow a successful insert.
+TEST(SolveCache, TightestByteBudgetCountersStayConsistentUnderFailuresAndWaiters) {
+    // The nastiest corner the counters have: a one-byte budget (every
+    // settling lookup tries to evict, and only the just-touched entry
+    // may stay), a key every solver rejects (the failure path runs
+    // constantly, with waiters pinning the failed slot), and solvable
+    // keys churning through the single surviving entry. Whatever the
+    // interleaving, the accounting invariants must hold exactly: every
+    // lookup is one hit or one miss (never zero, never two), every
+    // exception was a miss, and an eviction can only follow a successful
+    // insert.
     sm::SolverRegistry registry;
     sm::SolveCache cache(1);
     const sm::DispatchOptions opts;
@@ -283,9 +301,11 @@ TEST(SolveCache, CapacityOneCountersStayConsistentUnderFailuresAndWaiters) {
     // successful inserts (misses that returned) can have evicted.
     EXPECT_GE(stats.misses, threw.load());
     EXPECT_LE(stats.evictions, stats.misses - threw.load());
-    // No husk left behind: the failed key holds no residency, the single
-    // budgeted slot serves the last solvable key.
+    // No husk left behind: the failed key holds no residency, and the
+    // one surviving entry is a solvable key's.
     EXPECT_LE(cache.size(), 1u);
+    EXPECT_LE(stats.bytes_resident,
+              std::max(entry_bytes(good_a), entry_bytes(good_b)));
 
     // The cache is fully functional afterwards: a serial lookup of a
     // solvable key is one more exact hit or miss.
@@ -315,171 +335,64 @@ TEST(SolveCache, IsSafeToShareAcrossWorkers) {
     for (std::size_t i = 8; i < 32; ++i) EXPECT_EQ(gains[i], gains[i % 8]);
 }
 
-TEST(ModelStructureFingerprint, IgnoresRatesAndCostsButNotTopology) {
-    // Rate/cost changes keep the structure key (that is what makes a
-    // budget sweep warm-startable); topology changes break it.
-    const std::string key = sm::model_structure_fingerprint(queue_model(4, 0.8));
-    EXPECT_EQ(sm::model_structure_fingerprint(queue_model(4, 1.6)), key);
-    EXPECT_NE(sm::model_structure_fingerprint(queue_model(5, 0.8)), key);
-
-    // Same states, actions and rates, one transition retargeted.
-    const auto base = queue_model(4, 0.8);
-    sm::CtmdpBuilder b(base.state_count());
-    for (std::size_t s = 0; s < base.state_count(); ++s) {
-        for (std::size_t a = 0; a < base.action_count(s); ++a) {
-            const std::size_t p = base.pair_index(s, a);
-            b.add_action(s, {}, base.costs()[p]);
-            for (std::size_t k = base.transition_offsets()[p];
-                 k < base.transition_offsets()[p + 1]; ++k) {
-                const std::size_t target = base.targets()[k];
-                b.add_transition(s == 0 && target == 1 ? 2 : target,
-                                 base.rates()[k]);
-            }
-        }
-    }
-    const auto rewired = std::move(b).freeze();
-    EXPECT_NE(sm::model_structure_fingerprint(rewired), key);
-}
-
-TEST(SolveCache, WarmStartSeedsStructurallyIdenticalSolves) {
-    sm::SolverRegistry registry;
-    sm::SolveCache cache(0, /*warm_start=*/true);
-    EXPECT_TRUE(cache.warm_start());
-    sm::DispatchOptions opts;
-    opts.choice = sm::SolverChoice::kPolicyIteration;
-
-    // Two different rates, one structure: the second solve is a cache
-    // miss (different fingerprint) but a warm hit (same structure), and
-    // the seeded solve still lands on the reference answer.
-    const auto cold = cache.solve(registry, queue_model(6, 0.8), opts);
-    EXPECT_EQ(cache.stats().warm_hits, 0u);
-    const auto warm = cache.solve(registry, queue_model(6, 0.82), opts);
-    EXPECT_EQ(cache.stats().misses, 2u);
-    EXPECT_EQ(cache.stats().warm_hits, 1u);
-
-    sm::SolverRegistry fresh;
-    const auto direct = fresh.solve(queue_model(6, 0.82), opts);
-    EXPECT_NEAR(warm.gain, direct.gain, 1e-9);
-    EXPECT_EQ(warm.policy.mode().choices(), direct.policy.mode().choices());
-
-    // Neighbouring rates share the optimal policy here, so the seeded PI
-    // run converges with fewer updates than the cold reference run.
-    EXPECT_LE(warm.iterations, direct.iterations);
-    EXPECT_EQ(cache.stats().iterations_saved,
-              direct.iterations - warm.iterations);
-}
-
-TEST(SolveCache, WarmStartOffNeverCountsWarmHits) {
-    sm::SolverRegistry registry;
-    sm::SolveCache cache;  // default: warm starts off
-    EXPECT_FALSE(cache.warm_start());
+TEST(SolveCache, BytesResidentTracksEntriesAcrossEviction) {
+    // A budget that exactly fits the small and the big entry: a third
+    // insert must evict the least recently used one and release exactly
+    // its bytes.
     const sm::DispatchOptions opts;
-    (void)cache.solve(registry, queue_model(6, 0.8), opts);
-    (void)cache.solve(registry, queue_model(6, 0.82), opts);
-    EXPECT_EQ(cache.stats().misses, 2u);
-    EXPECT_EQ(cache.stats().warm_hits, 0u);
-    EXPECT_EQ(cache.stats().iterations_saved, 0u);
-}
-
-TEST(SolveCache, BytesResidentTracksEntriesAcrossEvictionAndClear) {
-    sm::SolverRegistry registry;
-    sm::SolveCache cache(2);
-    const sm::DispatchOptions opts;
-    EXPECT_EQ(cache.stats().bytes_resident, 0u);
-
-    (void)cache.solve(registry, queue_model(3, 0.7), opts);
-    const std::size_t one = cache.stats().bytes_resident;
-    EXPECT_GT(one, 0u);
-
+    const std::size_t small = entry_bytes(queue_model(3, 0.7));
+    const std::size_t big = entry_bytes(queue_model(9, 0.7));
+    const std::size_t mid = entry_bytes(queue_model(4, 0.7));
+    ASSERT_GT(small, 0u);
     // A bigger model's entry costs more bytes.
-    (void)cache.solve(registry, queue_model(9, 0.7), opts);
-    const std::size_t two = cache.stats().bytes_resident;
-    EXPECT_GT(two - one, one);
+    ASSERT_GT(big, mid);
+    ASSERT_GT(mid, small);
 
-    // Hits do not change residency.
+    sm::SolverRegistry registry;
+    sm::SolveCache cache(small + big);
+    EXPECT_EQ(cache.stats().bytes_resident, 0u);
     (void)cache.solve(registry, queue_model(3, 0.7), opts);
-    EXPECT_EQ(cache.stats().bytes_resident, two);
+    EXPECT_EQ(cache.stats().bytes_resident, small);
+    (void)cache.solve(registry, queue_model(9, 0.7), opts);
+    EXPECT_EQ(cache.stats().bytes_resident, small + big);
+    EXPECT_EQ(cache.stats().evictions, 0u);
 
-    // Eviction at capacity releases the victim's bytes.
+    // Hits do not change residency (but refresh recency: small is now
+    // the most recently used).
+    (void)cache.solve(registry, queue_model(3, 0.7), opts);
+    EXPECT_EQ(cache.stats().bytes_resident, small + big);
+
+    // Over budget: the big (least recently used) entry goes, and its
+    // bytes with it.
     (void)cache.solve(registry, queue_model(4, 0.7), opts);
     EXPECT_EQ(cache.stats().evictions, 1u);
-    const std::size_t after_evict = cache.stats().bytes_resident;
-    EXPECT_LT(after_evict, two + (two - one));
-    EXPECT_GT(after_evict, 0u);
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.stats().bytes_resident, small + mid);
 
     // A failed solve leaves no husk bytes behind.
     EXPECT_THROW((void)cache.solve(registry, unsolvable_model(), opts),
                  socbuf::util::ModelError);
-    EXPECT_EQ(cache.stats().bytes_resident, after_evict);
-
-    cache.clear();
-    EXPECT_EQ(cache.stats().bytes_resident, 0u);
-    EXPECT_EQ(cache.stats().warm_hits, 0u);
-    EXPECT_EQ(cache.stats().iterations_saved, 0u);
+    EXPECT_EQ(cache.stats().bytes_resident, small + mid);
 }
 
-TEST(SolveCache, ByteBudgetEvictsLruUntilBackUnderBudget) {
-    // Calibrate: one entry's approximate footprint, from an unbudgeted
-    // cache (the accounting is a pure function of the entry contents).
+TEST(SolveCache, JustSolvedEntryIsNeverTheEvictionVictim) {
+    // A budget too small for even one entry: the freshly completed entry
+    // must stay resident (the LRU victim is taken from the back, never
+    // the front — residency transiently exceeds the budget, the
+    // documented best-effort trade), otherwise every solve would evict
+    // itself and the cache could never serve a hit.
     sm::SolverRegistry registry;
     const sm::DispatchOptions opts;
-    std::size_t one_entry = 0;
-    {
-        sm::SolveCache probe;
-        (void)probe.solve(registry, queue_model(4, 0.7), opts);
-        one_entry = probe.stats().bytes_resident;
-        ASSERT_GT(one_entry, 0u);
-    }
-
-    // A budget that fits one same-sized entry comfortably but never two:
-    // the second insert must push the first (LRU) one out.
-    sm::SolveCache cache(0, false, one_entry + one_entry / 2);
-    EXPECT_EQ(cache.byte_budget(), one_entry + one_entry / 2);
-    EXPECT_EQ(cache.capacity(), 0u);  // entry-count budget stays unlimited
-    (void)cache.solve(registry, queue_model(4, 0.7), opts);
-    EXPECT_EQ(cache.stats().evictions, 0u);
-    (void)cache.solve(registry, queue_model(4, 0.9), opts);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_LE(cache.stats().bytes_resident, cache.byte_budget());
-
-    // The survivor is the recent key (hit, no new registry work); the
-    // victim was the older one (re-miss).
-    const std::size_t solves = registry.stats().total_solves();
-    (void)cache.solve(registry, queue_model(4, 0.9), opts);
-    EXPECT_EQ(registry.stats().total_solves(), solves);
-    (void)cache.solve(registry, queue_model(4, 0.7), opts);
-    EXPECT_EQ(registry.stats().total_solves(), solves + 1);
-}
-
-TEST(SolveCache, ByteBudgetSparesTheJustSolvedEntry) {
-    // A budget too small for even one entry must behave like the
-    // capacity-1 rule: the freshly completed entry stays resident
-    // (residency transiently exceeds the budget — the documented
-    // best-effort trade) so the cache can still serve hits.
-    sm::SolverRegistry registry;
-    const sm::DispatchOptions opts;
-    sm::SolveCache cache(0, false, 1);  // one byte: nothing "fits"
-    (void)cache.solve(registry, queue_model(4, 0.7), opts);
+    sm::SolveCache cache(1);  // one byte: nothing "fits"
+    (void)cache.solve(registry, queue_model(3, 0.7), opts);
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_GT(cache.stats().bytes_resident, cache.byte_budget());
-    const std::size_t solves = registry.stats().total_solves();
-    (void)cache.solve(registry, queue_model(4, 0.7), opts);
-    EXPECT_EQ(registry.stats().total_solves(), solves);
-    EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(SolveCache, ByteBudgetComposesWithEntryCapacity) {
-    // Either budget being over triggers eviction: a roomy byte budget
-    // with capacity 1 still evicts by count, and both accessors report
-    // their own limit.
-    sm::SolverRegistry registry;
-    const sm::DispatchOptions opts;
-    sm::SolveCache cache(1, false, 1 << 30);
-    EXPECT_EQ(cache.capacity(), 1u);
-    EXPECT_EQ(cache.byte_budget(), std::size_t{1} << 30);
-    (void)cache.solve(registry, queue_model(3, 0.7), opts);
-    (void)cache.solve(registry, queue_model(4, 0.7), opts);
+    (void)cache.solve(registry, queue_model(4, 0.7), opts);  // evicts first
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(cache.stats().bytes_resident, entry_bytes(queue_model(4, 0.7)));
+    const std::size_t solves = registry.stats().total_solves();
+    (void)cache.solve(registry, queue_model(4, 0.7), opts);  // resident: hit
+    EXPECT_EQ(registry.stats().total_solves(), solves);
+    EXPECT_EQ(cache.stats().hits, 1u);
 }

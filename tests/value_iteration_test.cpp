@@ -152,23 +152,6 @@ TEST(GaussSeidel, DeterministicAtEveryWidth) {
     }
 }
 
-TEST(GaussSeidel, WarmSeedIsRePinnedAndConverges) {
-    // A warm seed from a Jacobi solve (arbitrary offset) must be re-pinned
-    // to the h(ref) = 0 convention and still reach the same gain.
-    const auto models = figure1_subsystems(3);
-    const auto& model = models.front().model();
-    const auto cold = sm::relative_value_iteration(model);
-    sm::ViOptions warm;
-    warm.sweep = sm::ViSweep::kGaussSeidel;
-    warm.initial_values = cold.bias;
-    for (double& v : warm.initial_values) v += 17.5;  // break the pin
-    const auto seeded = sm::relative_value_iteration(model, warm);
-    ASSERT_TRUE(seeded.converged);
-    EXPECT_NEAR(seeded.gain, cold.gain, 1e-7);
-    EXPECT_EQ(seeded.bias[0], 0.0);
-    EXPECT_LE(seeded.iterations, cold.iterations);
-}
-
 TEST(ParallelStationary, FannedPowerIterationBitIdentical) {
     // The gather-form stationary sweep: fanned and serial runs share the
     // stable-transpose fold order, so the distribution is bit-identical

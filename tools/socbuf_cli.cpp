@@ -36,15 +36,13 @@
 //   --warmup W           override the statistics warmup explicitly (>= 0)
 //   --seed S             override the base RNG seed
 //   --no-cache           disable the batch-wide CTMDP solve cache
-//   --cache-capacity N   bound the solve cache to N entries with LRU
-//                        eviction (0 = unlimited, the default)
 //   --cache-byte-budget B
 //                        bound the solve cache's approximate resident
 //                        bytes (LRU eviction; 0 = unlimited, the default)
-//   --gauss-seidel       run the VI rung with the red-black Gauss-Seidel
-//                        sweep: fewer iterations on large models, gains
-//                        agree with Jacobi to solver tolerance (not bit
-//                        for bit — like warm starts, off by default)
+//   --gauss-seidel       run every selected scenario's VI rung with the
+//                        red-black Gauss-Seidel sweep: fewer iterations
+//                        on large models, gains agree with Jacobi to
+//                        solver tolerance (not bit for bit)
 //   --json FILE          write the full structured report ("-" = stdout)
 //   --csv FILE           write the summary as CSV ("-" = stdout)
 //
@@ -90,8 +88,8 @@ int usage(const char* argv0) {
                  "  %s run <name|--file F> [more names/files]\n"
                  "      [--threads N] [--budgets A,B,...] [--replications R]\n"
                  "      [--iterations I] [--horizon H] [--warmup W]\n"
-                 "      [--seed S] [--no-cache] [--cache-capacity N]\n"
-                 "      [--cache-byte-budget B] [--gauss-seidel]\n"
+                 "      [--seed S] [--no-cache] [--cache-byte-budget B]\n"
+                 "      [--gauss-seidel]\n"
                  "      [--json FILE] [--csv FILE]\n",
                  argv0, argv0, argv0, argv0, argv0);
     return 2;
@@ -286,7 +284,8 @@ int export_scenarios(const std::vector<std::string>& args) {
             if (v == nullptr) return 2;
             dir = *v;
         } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+            std::fprintf(stderr, "invalid option %s: unknown flag\n",
+                         arg.c_str());
             return 2;
         } else if (name.empty()) {
             name = arg;
@@ -360,7 +359,8 @@ int validate_files(const std::vector<std::string>& args) {
             }
             files.push_back(args[++i]);
         } else if (!args[i].empty() && args[i][0] == '-') {
-            std::fprintf(stderr, "unknown option %s\n", args[i].c_str());
+            std::fprintf(stderr, "invalid option %s: unknown flag\n",
+                         args[i].c_str());
             return 2;
         } else {
             files.push_back(args[i]);  // bare paths are accepted too
@@ -414,6 +414,7 @@ int run_scenarios(const std::vector<std::string>& args) {
     double warmup_override = -1.0;
     std::uint64_t seed_override = 0;
     bool has_seed_override = false;
+    bool gauss_seidel_override = false;
     std::size_t threads = 0;
 
     // Registry only — the executing Session (and its worker pool) is
@@ -492,12 +493,6 @@ int run_scenarios(const std::vector<std::string>& args) {
             has_seed_override = true;
         } else if (arg == "--no-cache") {
             session_options.use_solve_cache = false;
-        } else if (arg == "--cache-capacity") {
-            const std::string* v = next_value();
-            if (v == nullptr) return 2;
-            if (!parse_number(*v, session_options.cache_capacity))
-                return bad_value(
-                    arg, *v, "expected a whole number >= 0 (0 = unlimited)");
         } else if (arg == "--cache-byte-budget") {
             const std::string* v = next_value();
             if (v == nullptr) return 2;
@@ -505,7 +500,7 @@ int run_scenarios(const std::vector<std::string>& args) {
                 return bad_value(
                     arg, *v, "expected a whole number >= 0 (0 = unlimited)");
         } else if (arg == "--gauss-seidel") {
-            session_options.gauss_seidel = true;
+            gauss_seidel_override = true;
         } else if (arg == "--json") {
             const std::string* v = next_value();
             if (v == nullptr) return 2;
@@ -515,7 +510,8 @@ int run_scenarios(const std::vector<std::string>& args) {
             if (v == nullptr) return 2;
             csv_path = *v;
         } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+            std::fprintf(stderr, "invalid option %s: unknown flag\n",
+                         arg.c_str());
             return 2;
         } else {
             if (!registry.contains(arg) && !registry.contains_batch(arg)) {
@@ -547,6 +543,7 @@ int run_scenarios(const std::vector<std::string>& args) {
         }
         if (warmup_override >= 0.0) spec.sim.warmup = warmup_override;
         if (has_seed_override) spec.sim.seed = seed_override;
+        if (gauss_seidel_override) spec.gauss_seidel = true;
         // Catch the cross-flag range error here, as a usage error naming
         // the flags, instead of letting the simulator's contract check
         // blow up mid-batch (presets always satisfy warmup < horizon, so
