@@ -2,61 +2,44 @@
 
 #include "util/contracts.hpp"
 
+#include <algorithm>
+
 namespace socbuf::des {
 
-EventId Scheduler::schedule_at(double when, std::function<void()> action) {
+namespace {
+// Heap order for std::push_heap/pop_heap: `a` sinks below `b` when it fires
+// later — earliest time first, schedule order among equal times. A lambda,
+// not a function pointer, so the heap operations inline it.
+constexpr auto fires_later = [](const Event& a, const Event& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+};
+}  // namespace
+
+void Scheduler::schedule_at(double when, EventKind kind, std::size_t index) {
     SOCBUF_REQUIRE_MSG(when >= now_, "cannot schedule into the past");
-    SOCBUF_REQUIRE_MSG(static_cast<bool>(action), "empty event action");
-    const EventId id = actions_.size();
-    actions_.push_back(std::move(action));
-    queue_.push(Entry{when, id});
-    return id;
+    heap_.push_back(Event{when, seq_++, kind, index});
+    std::push_heap(heap_.begin(), heap_.end(), fires_later);
 }
 
-EventId Scheduler::schedule_after(double delay, std::function<void()> action) {
+void Scheduler::schedule_after(double delay, EventKind kind,
+                               std::size_t index) {
     SOCBUF_REQUIRE_MSG(delay >= 0.0, "negative delay");
-    return schedule_at(now_ + delay, std::move(action));
+    schedule_at(now_ + delay, kind, index);
 }
 
-bool Scheduler::cancel(EventId id) {
-    if (id >= actions_.size() || !actions_[id]) return false;
-    return cancelled_.insert(id).second;
-}
-
-bool Scheduler::step() {
-    while (!queue_.empty()) {
-        const Entry e = queue_.top();
-        queue_.pop();
-        if (auto it = cancelled_.find(e.id); it != cancelled_.end()) {
-            cancelled_.erase(it);
-            actions_[e.id] = nullptr;
-            continue;
-        }
-        now_ = e.time;
-        // Move the action out so its storage can be reclaimed even if the
-        // action itself schedules more events (which may grow actions_).
-        auto action = std::move(actions_[e.id]);
-        actions_[e.id] = nullptr;
-        ++fired_;
-        action();
-        return true;
-    }
-    return false;
-}
-
-void Scheduler::run_until(double horizon) {
+bool Scheduler::next(double horizon, Event& out) {
     SOCBUF_REQUIRE_MSG(horizon >= now_, "horizon is in the past");
-    while (!queue_.empty()) {
-        const Entry e = queue_.top();
-        if (e.time > horizon) break;
-        step();
+    if (heap_.empty() || heap_.front().time > horizon) {
+        now_ = horizon;
+        return false;
     }
-    now_ = horizon;
-}
-
-void Scheduler::run_to_exhaustion() {
-    while (step()) {
-    }
+    std::pop_heap(heap_.begin(), heap_.end(), fires_later);
+    out = heap_.back();
+    heap_.pop_back();
+    now_ = out.time;
+    ++fired_;
+    return true;
 }
 
 }  // namespace socbuf::des

@@ -1,71 +1,62 @@
-// Discrete-event simulation kernel: a time-ordered event queue with stable
-// FIFO tie-breaking, cancellation, and bounded runs. The architecture
-// simulator (sim/) is built on top of this.
+// Discrete-event simulation kernel: a binary min-heap of typed POD events
+// with stable FIFO tie-breaking and bounded runs. The architecture
+// simulator (sim/) only ever schedules two kinds of event — a flow's next
+// arrival and a bus's service completion — so an event is plain data
+// {time, seq, kind, index} and the caller dispatches on `kind`. With at
+// most one pending event per flow and per bus, the heap never outgrows
+// what reserve() set aside, whatever the horizon.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 namespace socbuf::des {
 
-using EventId = std::uint64_t;
+enum class EventKind : std::uint8_t {
+    kArrival,            // index = flow id
+    kServiceCompletion,  // index = bus id
+};
 
-/// Event-driven scheduler. Events fire in (time, insertion order).
+struct Event {
+    double time = 0.0;
+    std::uint64_t seq = 0;  // schedule order; breaks ties among equal times
+    EventKind kind = EventKind::kArrival;
+    std::size_t index = 0;
+};
+
+/// Event-driven scheduler. Events fire in (time, schedule order).
 class Scheduler {
 public:
-    /// Schedule `action` at absolute time `when` (>= now). Returns an id
-    /// usable with cancel().
-    EventId schedule_at(double when, std::function<void()> action);
+    /// Set aside room for `events` simultaneously pending events.
+    void reserve(std::size_t events) { heap_.reserve(events); }
 
-    /// Schedule `action` `delay` time units from now (delay >= 0).
-    EventId schedule_after(double delay, std::function<void()> action);
+    /// Schedule an event of `kind` for `index` at absolute time `when`
+    /// (>= now).
+    void schedule_at(double when, EventKind kind, std::size_t index);
 
-    /// Cancel a pending event. Cancelling an already-fired or unknown id is
-    /// a no-op (returns false).
-    bool cancel(EventId id);
+    /// Schedule an event `delay` time units from now (delay >= 0).
+    void schedule_after(double delay, EventKind kind, std::size_t index);
 
     /// Current simulation time.
     [[nodiscard]] double now() const { return now_; }
 
-    /// Number of pending (non-cancelled) events.
-    [[nodiscard]] std::size_t pending() const {
-        return queue_.size() - cancelled_.size();
-    }
+    /// Number of pending events.
+    [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
-    /// Fire the next event; returns false if the queue is empty.
-    bool step();
-
-    /// Run until the queue empties or simulation time would exceed
-    /// `horizon`. Events scheduled exactly at `horizon` still fire.
-    void run_until(double horizon);
-
-    /// Run until the queue is empty (caller must guarantee termination).
-    void run_to_exhaustion();
+    /// Pop the next event into `out` and advance now() to its time, unless
+    /// the queue is empty or that event lies past `horizon`: then set now()
+    /// to `horizon` and return false. Events exactly at `horizon` still
+    /// fire.
+    bool next(double horizon, Event& out);
 
     /// Total number of events fired so far.
     [[nodiscard]] std::uint64_t fired_count() const { return fired_; }
 
 private:
-    struct Entry {
-        double time;
-        EventId id;
-        // Ordered min-heap: earliest time first, FIFO among equal times.
-        bool operator>(const Entry& other) const {
-            if (time != other.time) return time > other.time;
-            return id > other.id;
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-    std::vector<std::function<void()>> actions_;  // indexed by EventId
-    // Membership tests only (count/insert/erase); firing order is decided
-    // by the ordered min-heap above, so hash order stays invisible.
-    // socbuf-lint: allow(unordered-container) — membership set; never iterated, order decided by queue_.
-    std::unordered_set<EventId> cancelled_;
+    std::vector<Event> heap_;  // min-heap on (time, seq)
     double now_ = 0.0;
+    std::uint64_t seq_ = 0;
     std::uint64_t fired_ = 0;
 };
 

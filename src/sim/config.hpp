@@ -68,6 +68,9 @@ struct SimResult {
     // Per bus.
     std::vector<double> bus_utilization;
 
+    /// Events the DES fired over the whole run, warmup included.
+    std::uint64_t events_fired = 0;
+
     [[nodiscard]] std::uint64_t total_offered() const;
     [[nodiscard]] std::uint64_t total_lost() const;
     [[nodiscard]] std::uint64_t total_delivered() const;

@@ -93,9 +93,23 @@ public:
     }
 
     SimResult run() {
+        // At most one pending arrival per flow and one pending completion
+        // per bus, so this is the heap's size for the whole run.
+        sched_.reserve(system_.flows.size() + bus_rt_.size());
         for (std::size_t f = 0; f < system_.flows.size(); ++f)
             schedule_next_arrival(f);
-        sched_.run_until(config_.horizon);
+        des::Event event;
+        while (sched_.next(config_.horizon, event)) {
+            switch (event.kind) {
+                case des::EventKind::kArrival:
+                    on_arrival(event.index);
+                    schedule_next_arrival(event.index);
+                    break;
+                case des::EventKind::kServiceCompletion:
+                    complete_service(event.index);
+                    break;
+            }
+        }
         return collect();
     }
 
@@ -103,10 +117,7 @@ private:
     void schedule_next_arrival(std::size_t flow) {
         const double gap =
             arrivals_[flow]->next_interarrival(flow_engines_[flow]);
-        sched_.schedule_after(gap, [this, flow] {
-            on_arrival(flow);
-            schedule_next_arrival(flow);
-        });
+        sched_.schedule_after(gap, des::EventKind::kArrival, flow);
     }
 
     void on_arrival(std::size_t flow) {
@@ -174,14 +185,13 @@ private:
     /// every queue is empty.
     arch::SiteId arbitrate(arch::BusId bus_id) {
         BusRuntime& bus = bus_rt_[bus_id];
-        std::vector<arch::SiteId> ready;
-        for (const auto site : bus.sites)
-            if (!site_rt_[site].queue.empty()) ready.push_back(site);
-        if (ready.empty()) return sites_.size();
+        const arch::SiteId none = sites_.size();
         switch (config_.arbiter) {
             case ArbiterKind::kFixedPriority:
-                return ready.front();
-            case ArbiterKind::kRoundRobin: {
+                for (const auto site : bus.sites)
+                    if (!site_rt_[site].queue.empty()) return site;
+                return none;
+            case ArbiterKind::kRoundRobin:
                 // Next non-empty site at or after the cursor.
                 for (std::size_t k = 0; k < bus.sites.size(); ++k) {
                     const std::size_t idx =
@@ -192,27 +202,32 @@ private:
                         return site;
                     }
                 }
-                return ready.front();  // unreachable
-            }
+                return none;
             case ArbiterKind::kLongestQueue: {
-                arch::SiteId best = ready.front();
-                for (const auto site : ready)
-                    if (site_rt_[site].queue.size() >
-                        site_rt_[best].queue.size())
+                arch::SiteId best = none;
+                for (const auto site : bus.sites)
+                    if (!site_rt_[site].queue.empty() &&
+                        (best == none || site_rt_[site].queue.size() >
+                                             site_rt_[best].queue.size()))
                         best = site;
                 return best;
             }
             case ArbiterKind::kWeightedRandom: {
-                std::vector<double> w(ready.size(), 1.0);
-                if (!config_.site_weights.empty()) {
-                    for (std::size_t i = 0; i < ready.size(); ++i)
-                        w[i] = std::max(config_.site_weights[ready[i]],
-                                        1e-6);
+                ready_.clear();
+                weights_.clear();
+                for (const auto site : bus.sites) {
+                    if (site_rt_[site].queue.empty()) continue;
+                    ready_.push_back(site);
+                    weights_.push_back(
+                        config_.site_weights.empty()
+                            ? 1.0
+                            : std::max(config_.site_weights[site], 1e-6));
                 }
-                return ready[arbiter_engines_[bus_id].discrete(w)];
+                if (ready_.empty()) return none;
+                return ready_[arbiter_engines_[bus_id].discrete(weights_)];
             }
         }
-        return ready.front();
+        return none;
     }
 
     void begin_service(arch::BusId bus_id) {
@@ -230,8 +245,8 @@ private:
         const double service =
             bus_engines_[bus_id].exponential(
                 system_.architecture.bus(bus_id).service_rate);
-        sched_.schedule_after(service,
-                              [this, bus_id] { complete_service(bus_id); });
+        sched_.schedule_after(service, des::EventKind::kServiceCompletion,
+                              bus_id);
     }
 
     void complete_service(arch::BusId bus_id) {
@@ -262,6 +277,7 @@ private:
     SimResult collect() {
         SimResult out;
         out.measured_time = config_.horizon - config_.warmup;
+        out.events_fired = sched_.fired_count();
         out.offered = offered_;
         out.delivered = delivered_;
         out.lost = lost_;
@@ -308,6 +324,9 @@ private:
     std::vector<SiteRuntime> site_rt_;
     std::vector<BusRuntime> bus_rt_;
     des::Scheduler sched_;
+    // Weighted-random arbitration scratch, reused across service events.
+    std::vector<arch::SiteId> ready_;
+    std::vector<double> weights_;
 
     std::vector<std::uint64_t> offered_ =
         std::vector<std::uint64_t>(system_.architecture.processor_count(), 0);

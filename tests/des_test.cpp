@@ -4,82 +4,141 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace sd = socbuf::des;
 
+namespace {
+
+constexpr double kNever = 1e300;
+
+/// Drain every event up to `horizon`, recording (kind, index) in firing
+/// order.
+std::vector<std::pair<sd::EventKind, std::size_t>> drain(
+    sd::Scheduler& sched, double horizon) {
+    std::vector<std::pair<sd::EventKind, std::size_t>> fired;
+    sd::Event event;
+    while (sched.next(horizon, event))
+        fired.emplace_back(event.kind, event.index);
+    return fired;
+}
+
+std::vector<std::size_t> indices(
+    const std::vector<std::pair<sd::EventKind, std::size_t>>& fired) {
+    std::vector<std::size_t> out;
+    for (const auto& [kind, index] : fired) out.push_back(index);
+    return out;
+}
+
+}  // namespace
+
 TEST(Scheduler, FiresInTimeOrder) {
     sd::Scheduler sched;
-    std::vector<int> order;
-    sched.schedule_at(2.0, [&] { order.push_back(2); });
-    sched.schedule_at(1.0, [&] { order.push_back(1); });
-    sched.schedule_at(3.0, [&] { order.push_back(3); });
-    sched.run_to_exhaustion();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    sched.schedule_at(2.0, sd::EventKind::kArrival, 2);
+    sched.schedule_at(1.0, sd::EventKind::kArrival, 1);
+    sched.schedule_at(3.0, sd::EventKind::kServiceCompletion, 3);
+    sd::Event event;
+    ASSERT_TRUE(sched.next(kNever, event));
+    EXPECT_EQ(event.index, 1u);
+    EXPECT_DOUBLE_EQ(event.time, 1.0);
+    EXPECT_DOUBLE_EQ(sched.now(), 1.0);
+    EXPECT_EQ(indices(drain(sched, 3.0)), (std::vector<std::size_t>{2, 3}));
     EXPECT_DOUBLE_EQ(sched.now(), 3.0);
     EXPECT_EQ(sched.fired_count(), 3u);
+    EXPECT_EQ(sched.pending(), 0u);
 }
 
-TEST(Scheduler, TieBreaksFifo) {
+TEST(Scheduler, TieBreaksFifoAcrossKinds) {
     sd::Scheduler sched;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        sched.schedule_at(1.0, [&order, i] { order.push_back(i); });
-    sched.run_to_exhaustion();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Scheduler, EventsMayScheduleMoreEvents) {
-    sd::Scheduler sched;
-    int fired = 0;
-    std::function<void()> chain = [&] {
-        ++fired;
-        if (fired < 10) sched.schedule_after(1.0, chain);
-    };
-    sched.schedule_at(0.0, chain);
-    sched.run_to_exhaustion();
-    EXPECT_EQ(fired, 10);
-    EXPECT_DOUBLE_EQ(sched.now(), 9.0);
-}
-
-TEST(Scheduler, RunUntilStopsAtHorizon) {
-    sd::Scheduler sched;
-    int fired = 0;
-    sched.schedule_at(1.0, [&] { ++fired; });
-    sched.schedule_at(5.0, [&] { ++fired; });
-    sched.run_until(2.0);
-    EXPECT_EQ(fired, 1);
-    EXPECT_DOUBLE_EQ(sched.now(), 2.0);
+    const std::vector<std::pair<sd::EventKind, std::size_t>> scheduled{
+        {sd::EventKind::kServiceCompletion, 4},
+        {sd::EventKind::kArrival, 0},
+        {sd::EventKind::kArrival, 7},
+        {sd::EventKind::kServiceCompletion, 1},
+        {sd::EventKind::kArrival, 3}};
+    sched.schedule_at(0.5, sd::EventKind::kArrival, 99);
+    sched.schedule_at(2.0, sd::EventKind::kArrival, 98);
+    for (const auto& [kind, index] : scheduled)
+        sched.schedule_at(1.0, kind, index);
+    sd::Event first;
+    ASSERT_TRUE(sched.next(kNever, first));
+    EXPECT_EQ(first.index, 99u);
+    const auto fired = drain(sched, 1.0);
+    EXPECT_EQ(fired, scheduled);
     EXPECT_EQ(sched.pending(), 1u);
-    sched.run_until(5.0);  // boundary event still fires
-    EXPECT_EQ(fired, 2);
 }
 
-TEST(Scheduler, CancelSuppressesEvent) {
+TEST(Scheduler, SeqCountsEverySchedule) {
     sd::Scheduler sched;
+    sched.schedule_at(3.0, sd::EventKind::kArrival, 0);
+    sched.schedule_after(1.0, sd::EventKind::kServiceCompletion, 0);
+    sd::Event event;
+    ASSERT_TRUE(sched.next(kNever, event));
+    EXPECT_EQ(event.seq, 1u);
+    EXPECT_EQ(event.kind, sd::EventKind::kServiceCompletion);
+    ASSERT_TRUE(sched.next(kNever, event));
+    EXPECT_EQ(event.seq, 0u);
+}
+
+TEST(Scheduler, HandlersMayScheduleMoreEvents) {
+    // The simulator's pattern: each fired event schedules its successor,
+    // so the pending set never grows past one event per source.
+    sd::Scheduler sched;
+    sched.reserve(1);
+    sched.schedule_at(0.0, sd::EventKind::kArrival, 0);
+    sd::Event event;
     int fired = 0;
-    const auto id = sched.schedule_at(1.0, [&] { ++fired; });
-    sched.schedule_at(2.0, [&] { ++fired; });
-    EXPECT_TRUE(sched.cancel(id));
-    EXPECT_FALSE(sched.cancel(id));       // double-cancel is a no-op
-    EXPECT_FALSE(sched.cancel(999999u));  // unknown id is a no-op
-    sched.run_to_exhaustion();
-    EXPECT_EQ(fired, 1);
+    while (sched.next(kNever, event)) {
+        ++fired;
+        EXPECT_EQ(sched.pending(), 0u);
+        if (fired < 10) sched.schedule_after(1.0, event.kind, event.index);
+    }
+    EXPECT_EQ(fired, 10);
+    EXPECT_DOUBLE_EQ(sched.now(), kNever);
+}
+
+TEST(Scheduler, EventExactlyAtHorizonFires) {
+    sd::Scheduler sched;
+    sched.schedule_at(1.0, sd::EventKind::kArrival, 0);
+    sched.schedule_at(5.0, sd::EventKind::kArrival, 1);
+    EXPECT_EQ(indices(drain(sched, 5.0)), (std::vector<std::size_t>{0, 1}));
+    EXPECT_DOUBLE_EQ(sched.now(), 5.0);
+}
+
+TEST(Scheduler, EventPastHorizonStaysPending) {
+    sd::Scheduler sched;
+    sched.schedule_at(1.0, sd::EventKind::kArrival, 0);
+    sched.schedule_at(5.0, sd::EventKind::kServiceCompletion, 1);
+    EXPECT_EQ(indices(drain(sched, 2.0)), (std::vector<std::size_t>{0}));
+    EXPECT_DOUBLE_EQ(sched.now(), 2.0);  // time advances to the horizon
+    EXPECT_EQ(sched.pending(), 1u);
+    EXPECT_EQ(sched.fired_count(), 1u);
+    EXPECT_EQ(indices(drain(sched, 5.0)), (std::vector<std::size_t>{1}));
 }
 
 TEST(Scheduler, PastSchedulingRejected) {
     sd::Scheduler sched;
-    sched.schedule_at(5.0, [] {});
-    sched.run_to_exhaustion();
-    EXPECT_THROW(sched.schedule_at(1.0, [] {}),
+    sched.schedule_at(5.0, sd::EventKind::kArrival, 0);
+    EXPECT_THROW(sched.schedule_at(-1.0, sd::EventKind::kArrival, 0),
                  socbuf::util::ContractViolation);
-    EXPECT_THROW(sched.schedule_after(-1.0, [] {}),
+    drain(sched, 5.0);
+    EXPECT_THROW(sched.schedule_at(1.0, sd::EventKind::kArrival, 0),
                  socbuf::util::ContractViolation);
+    EXPECT_THROW(
+        sched.schedule_after(-1.0, sd::EventKind::kServiceCompletion, 0),
+        socbuf::util::ContractViolation);
+    sd::Event event;
+    EXPECT_THROW(sched.next(4.0, event), socbuf::util::ContractViolation);
 }
 
-TEST(Scheduler, StepReturnsFalseWhenEmpty) {
+TEST(Scheduler, EmptyQueueFiresNothing) {
     sd::Scheduler sched;
-    EXPECT_FALSE(sched.step());
+    sd::Event event;
+    EXPECT_FALSE(sched.next(10.0, event));
+    EXPECT_DOUBLE_EQ(sched.now(), 10.0);
+    EXPECT_EQ(sched.pending(), 0u);
+    EXPECT_EQ(sched.fired_count(), 0u);
 }
 
 TEST(Tally, MomentsAndExtrema) {

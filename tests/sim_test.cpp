@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace ss = socbuf::sim;
 namespace sa = socbuf::arch;
 
@@ -31,7 +36,106 @@ ss::SimConfig long_config(std::uint64_t seed = 1) {
     return c;
 }
 
+/// One pinned simulate() outcome: every SimResult vector, recorded from a
+/// known-good simulator (see sim_golden.inc).
+struct GoldenResult {
+    const char* name;
+    double measured_time;
+    std::vector<std::uint64_t> offered;
+    std::vector<std::uint64_t> delivered;
+    std::vector<std::uint64_t> lost;
+    std::vector<std::uint64_t> flow_lost;
+    std::vector<std::uint64_t> site_arrivals;
+    std::vector<std::uint64_t> site_losses;
+    std::vector<std::uint64_t> site_served;
+    std::vector<double> site_mean_wait;
+    std::vector<double> site_mean_occupancy;
+    std::vector<double> site_observed_rate;
+    std::vector<double> bus_utilization;
+};
+
+const std::vector<GoldenResult>& golden_results() {
+    static const std::vector<GoldenResult> results = {
+#include "sim_golden.inc"
+    };
+    return results;
+}
+
+/// The golden cases' configuration: short horizon, uneven capacities,
+/// non-uniform weights for the weighted-random arbiter and per-site
+/// thresholds when the timeout policy is on.
+ss::SimConfig golden_config(std::size_t sites, ss::ArbiterKind arbiter,
+                            bool timeout) {
+    ss::SimConfig cfg;
+    cfg.horizon = 200.0;
+    cfg.warmup = 20.0;
+    cfg.seed = 2005;
+    cfg.arbiter = arbiter;
+    if (arbiter == ss::ArbiterKind::kWeightedRandom)
+        for (std::size_t s = 0; s < sites; ++s)
+            cfg.site_weights.push_back(0.5 + static_cast<double>(s % 3));
+    if (timeout) {
+        cfg.timeout_enabled = true;
+        for (std::size_t s = 0; s < sites; ++s)
+            cfg.site_timeout_thresholds.push_back(
+                0.5 + 0.5 * static_cast<double>(s % 3));
+    }
+    return cfg;
+}
+
+std::vector<long> golden_capacities(std::size_t sites) {
+    std::vector<long> caps(sites);
+    for (std::size_t s = 0; s < sites; ++s)
+        caps[s] = 1 + static_cast<long>(s % 4);
+    return caps;
+}
+
 }  // namespace
+
+TEST(Simulator, GoldenResultsPinned) {
+    // Cross-version oracle: the simulator must reproduce these results bit
+    // for bit, so a rewrite of the event queue or the arbiters cannot
+    // silently change event order or RNG draws.
+    const std::pair<ss::ArbiterKind, const char*> arbiters[] = {
+        {ss::ArbiterKind::kFixedPriority, "fixed-priority"},
+        {ss::ArbiterKind::kRoundRobin, "round-robin"},
+        {ss::ArbiterKind::kLongestQueue, "longest-queue"},
+        {ss::ArbiterKind::kWeightedRandom, "weighted-random"}};
+    const auto& golden = golden_results();
+    std::size_t next = 0;
+    for (const auto& sys :
+         {sa::figure1_system(), sa::network_processor_system()}) {
+        const std::size_t sites =
+            sa::enumerate_buffer_sites(sys.architecture).size();
+        for (const auto& [arbiter, arbiter_name] : arbiters) {
+            for (const bool timeout : {false, true}) {
+                const std::string name = sys.name + "/" + arbiter_name +
+                                         (timeout ? "/timeout" : "/no-timeout");
+                ASSERT_LT(next, golden.size()) << name;
+                const GoldenResult& want = golden[next++];
+                ASSERT_EQ(name, want.name);
+                const auto got =
+                    ss::simulate(sys, golden_capacities(sites),
+                                 golden_config(sites, arbiter, timeout));
+                EXPECT_EQ(got.measured_time, want.measured_time) << name;
+                EXPECT_EQ(got.offered, want.offered) << name;
+                EXPECT_EQ(got.delivered, want.delivered) << name;
+                EXPECT_EQ(got.lost, want.lost) << name;
+                EXPECT_EQ(got.flow_lost, want.flow_lost) << name;
+                EXPECT_EQ(got.site_arrivals, want.site_arrivals) << name;
+                EXPECT_EQ(got.site_losses, want.site_losses) << name;
+                EXPECT_EQ(got.site_served, want.site_served) << name;
+                EXPECT_EQ(got.site_mean_wait, want.site_mean_wait) << name;
+                EXPECT_EQ(got.site_mean_occupancy, want.site_mean_occupancy)
+                    << name;
+                EXPECT_EQ(got.site_observed_rate, want.site_observed_rate)
+                    << name;
+                EXPECT_EQ(got.bus_utilization, want.bus_utilization) << name;
+            }
+        }
+    }
+    EXPECT_EQ(next, golden.size());
+}
 
 TEST(Simulator, Deterministic) {
     const auto sys = sa::figure1_system();
@@ -44,6 +148,23 @@ TEST(Simulator, Deterministic) {
     EXPECT_EQ(a.lost, b.lost);
     EXPECT_EQ(a.offered, b.offered);
     EXPECT_EQ(a.delivered, b.delivered);
+}
+
+TEST(Simulator, EventsFiredIsDeterministicAndGrowsWithHorizon) {
+    const auto sys = sa::figure1_system();
+    const std::vector<long> caps(9, 4);
+    ss::SimConfig cfg;
+    cfg.horizon = 500.0;
+    cfg.warmup = 50.0;
+    cfg.seed = 11;
+    const auto a = ss::simulate(sys, caps, cfg);
+    const auto b = ss::simulate(sys, caps, cfg);
+    EXPECT_EQ(a.events_fired, b.events_fired);
+    // Every counted arrival and every completed hop is one fired event.
+    EXPECT_GE(a.events_fired, a.total_offered() + a.total_delivered());
+    cfg.horizon = 2000.0;
+    const auto longer = ss::simulate(sys, caps, cfg);
+    EXPECT_GT(longer.events_fired, 2 * a.events_fired);
 }
 
 TEST(Simulator, SeedsChangeRealization) {
