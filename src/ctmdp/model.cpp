@@ -3,7 +3,9 @@
 #include "util/contracts.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <string>
+#include <utility>
 
 namespace socbuf::ctmdp {
 
@@ -20,27 +22,34 @@ std::string action_label(std::size_t action) {
 
 }  // namespace
 
+// Every empty model shares one block, so default construction allocates
+// nothing after the first.
+CtmdpModel::CtmdpModel() {
+    static const auto empty = std::make_shared<const Arrays>();
+    arrays_ = empty;
+}
+
 std::size_t CtmdpModel::action_count(std::size_t state) const {
     SOCBUF_REQUIRE_MSG(state < state_count(), "unknown state");
-    return pair_offset_[state + 1] - pair_offset_[state];
+    return arrays_->pair_offset[state + 1] - arrays_->pair_offset[state];
 }
 
 std::size_t CtmdpModel::pair_index(std::size_t state, std::size_t a) const {
     SOCBUF_REQUIRE_MSG(a < action_count(state), "unknown action");
-    return pair_offset_[state] + a;
+    return arrays_->pair_offset[state] + a;
 }
 
 std::size_t CtmdpModel::pair_state(std::size_t pair) const {
     SOCBUF_REQUIRE_MSG(pair < pair_count(), "pair out of range");
     // The last offset <= pair; every state owns at least one pair, so the
     // offsets are strictly increasing and the owner is unique.
-    const auto after =
-        std::upper_bound(pair_offset_.begin(), pair_offset_.end(), pair);
-    return static_cast<std::size_t>(after - pair_offset_.begin()) - 1;
+    const std::vector<std::size_t>& offsets = arrays_->pair_offset;
+    const auto after = std::upper_bound(offsets.begin(), offsets.end(), pair);
+    return static_cast<std::size_t>(after - offsets.begin()) - 1;
 }
 
 std::size_t CtmdpModel::pair_action(std::size_t pair) const {
-    return pair - pair_offset_[pair_state(pair)];
+    return pair - arrays_->pair_offset[pair_state(pair)];
 }
 
 double CtmdpModel::exit_rate(std::size_t state, std::size_t a) const {
@@ -53,12 +62,12 @@ double CtmdpModel::exit_rate(std::size_t state, std::size_t a) const {
 CtmdpBuilder::CtmdpBuilder(std::size_t state_count,
                            std::size_t extra_cost_count)
     : state_count_(state_count) {
-    model_.extra_cost_count_ = extra_cost_count;
+    arrays_.extra_cost_count = extra_cost_count;
 }
 
 void CtmdpBuilder::advance_to(std::size_t state) {
     for (; current_ < state; ++current_)
-        model_.pair_offset_.push_back(model_.pair_count());
+        arrays_.pair_offset.push_back(arrays_.cost.size());
 }
 
 std::size_t CtmdpBuilder::add_action(std::size_t state,
@@ -74,27 +83,27 @@ std::size_t CtmdpBuilder::add_action(std::size_t state,
                                " appended out of order, after state " +
                                state_label(current_));
     advance_to(state);
-    const std::size_t a = model_.pair_count() - model_.pair_offset_[state];
-    if (extra_costs.size() != model_.extra_cost_count_)
+    const std::size_t a = arrays_.cost.size() - arrays_.pair_offset[state];
+    if (extra_costs.size() != arrays_.extra_cost_count)
         throw util::ModelError(
             "action " + action_label(a) + " of state " + state_label(state) +
             " has wrong extra-cost width " +
             std::to_string(extra_costs.size()) + " (model wants " +
-            std::to_string(model_.extra_cost_count_) + ")");
-    model_.cost_.push_back(cost);
-    model_.extra_cost_.insert(model_.extra_cost_.end(), extra_costs.begin(),
+            std::to_string(arrays_.extra_cost_count) + ")");
+    arrays_.cost.push_back(cost);
+    arrays_.extra_cost.insert(arrays_.extra_cost.end(), extra_costs.begin(),
                               extra_costs.end());
-    model_.transition_offset_.push_back(model_.target_.size());
+    arrays_.transition_offset.push_back(arrays_.target.size());
     for (const Transition& t : transitions) add_transition(t.target, t.rate);
     return a;
 }
 
 void CtmdpBuilder::add_transition(std::size_t target, double rate) {
-    SOCBUF_REQUIRE_MSG(model_.pair_count() > 0,
+    SOCBUF_REQUIRE_MSG(!arrays_.cost.empty(),
                        "add_transition before any add_action");
     if (target >= state_count_ || !(rate >= 0.0)) {
         const std::size_t a =
-            model_.pair_count() - 1 - model_.pair_offset_[current_];
+            arrays_.cost.size() - 1 - arrays_.pair_offset[current_];
         const std::string where = "action " + action_label(a) +
                                   " of state " + state_label(current_);
         if (target >= state_count_)
@@ -102,32 +111,37 @@ void CtmdpBuilder::add_transition(std::size_t target, double rate) {
                                    std::to_string(target));
         throw util::ModelError("negative rate in " + where);
     }
-    model_.target_.push_back(target);
-    model_.rate_.push_back(rate);
-    ++model_.transition_offset_.back();
+    arrays_.target.push_back(target);
+    arrays_.rate.push_back(rate);
+    ++arrays_.transition_offset.back();
 }
 
 CtmdpModel CtmdpBuilder::freeze() && {
     if (state_count_ == 0) throw util::ModelError("CTMDP has no states");
     advance_to(state_count_);
-    CtmdpModel& m = model_;
+    // The summary is written through the builder's own pointer before the
+    // model is handed out; no other handle sees the block change.
+    const auto arrays =
+        std::make_shared<CtmdpModel::Arrays>(std::move(arrays_));
+    CtmdpModel model(arrays);
     for (std::size_t s = 0; s < state_count_; ++s) {
-        if (m.pair_offset_[s + 1] == m.pair_offset_[s])
+        if (model.action_count(s) == 0)
             throw util::ModelError("state " + state_label(s) +
                                    " has no actions");
-        for (std::size_t p = m.pair_offset_[s]; p < m.pair_offset_[s + 1];
-             ++p) {
+        for (std::size_t p = arrays->pair_offset[s];
+             p < arrays->pair_offset[s + 1]; ++p) {
             // Zero rates add nothing to the exit rate and self-loops
             // nothing to the band, so the jumps give both exactly.
             double exit = 0.0;
-            m.for_each_jump(s, p, [&](std::size_t t, double rate) {
+            model.for_each_jump(s, p, [&](std::size_t t, double rate) {
                 exit += rate;
-                m.bandwidth_ = std::max(m.bandwidth_, t > s ? t - s : s - t);
+                arrays->bandwidth =
+                    std::max(arrays->bandwidth, t > s ? t - s : s - t);
             });
-            m.max_exit_rate_ = std::max(m.max_exit_rate_, exit);
+            arrays->max_exit_rate = std::max(arrays->max_exit_rate, exit);
         }
     }
-    return std::move(model_);
+    return model;
 }
 
 }  // namespace socbuf::ctmdp

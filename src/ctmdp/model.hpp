@@ -17,9 +17,18 @@
 // Nothing is cached lazily, so a shared model is safe to read from any
 // thread. States and actions carry no names; diagnostics synthesize
 // positional labels ("action a1 of state s3").
+//
+// A CtmdpModel is a handle: freeze() moves the arrays into one immutable
+// block behind a std::shared_ptr<const ...>, and copies share it. Copying
+// a model is a reference-count bump, never an array copy, so the model a
+// subsystem builder froze and the one a SolveCache entry keeps are the
+// same memory (two copies hand out the same rates().data()). The block
+// lives as long as its last handle.
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <utility>
 #include <vector>
 
 namespace socbuf::ctmdp {
@@ -33,15 +42,17 @@ class CtmdpModel {
 public:
     /// The empty model (no states). Solvable models come from
     /// CtmdpBuilder::freeze().
-    CtmdpModel() = default;
+    CtmdpModel();
 
     [[nodiscard]] std::size_t state_count() const {
-        return pair_offset_.size() - 1;
+        return arrays_->pair_offset.size() - 1;
     }
     /// Total number of state-action pairs.
-    [[nodiscard]] std::size_t pair_count() const { return cost_.size(); }
+    [[nodiscard]] std::size_t pair_count() const {
+        return arrays_->cost.size();
+    }
     [[nodiscard]] std::size_t extra_cost_count() const {
-        return extra_cost_count_;
+        return arrays_->extra_cost_count;
     }
     [[nodiscard]] std::size_t action_count(std::size_t state) const;
 
@@ -55,19 +66,23 @@ public:
 
     /// CSR arrays (see the file comment for the layout).
     [[nodiscard]] const std::vector<std::size_t>& pair_offsets() const {
-        return pair_offset_;
+        return arrays_->pair_offset;
     }
     [[nodiscard]] const std::vector<std::size_t>& transition_offsets()
         const {
-        return transition_offset_;
+        return arrays_->transition_offset;
     }
     [[nodiscard]] const std::vector<std::size_t>& targets() const {
-        return target_;
+        return arrays_->target;
     }
-    [[nodiscard]] const std::vector<double>& rates() const { return rate_; }
-    [[nodiscard]] const std::vector<double>& costs() const { return cost_; }
+    [[nodiscard]] const std::vector<double>& rates() const {
+        return arrays_->rate;
+    }
+    [[nodiscard]] const std::vector<double>& costs() const {
+        return arrays_->cost;
+    }
     [[nodiscard]] const std::vector<double>& extra_costs() const {
-        return extra_cost_;
+        return arrays_->extra_cost;
     }
 
     /// Total exit rate of (s,a): the sum of its rates to other states.
@@ -80,40 +95,50 @@ public:
     template <typename Visit>
     void for_each_jump(std::size_t state, std::size_t pair,
                        Visit&& visit) const {
-        for (std::size_t k = transition_offset_[pair];
-             k < transition_offset_[pair + 1]; ++k)
-            if (target_[k] != state && rate_[k] > 0.0)
-                visit(target_[k], rate_[k]);
+        const Arrays& m = *arrays_;
+        for (std::size_t k = m.transition_offset[pair];
+             k < m.transition_offset[pair + 1]; ++k)
+            if (m.target[k] != state && m.rate[k] > 0.0)
+                visit(m.target[k], m.rate[k]);
     }
 
     /// Structural bandwidth: max |target - state| over every transition
     /// with a positive rate, any action (0 for a diagonal-only model).
     /// Subsystem models pack occupancy vectors with strides, so this is
     /// the largest stride — the banded policy-evaluation path keys off it.
-    [[nodiscard]] std::size_t bandwidth() const { return bandwidth_; }
+    [[nodiscard]] std::size_t bandwidth() const { return arrays_->bandwidth; }
 
     /// Total transition entries across every action — the model's
     /// structural non-zero count (sparsity diagnostic for the solvers).
     [[nodiscard]] std::size_t transition_count() const {
-        return target_.size();
+        return arrays_->target.size();
     }
 
     /// Largest exit rate over all pairs (uniformization bound).
-    [[nodiscard]] double max_exit_rate() const { return max_exit_rate_; }
+    [[nodiscard]] double max_exit_rate() const {
+        return arrays_->max_exit_rate;
+    }
 
 private:
     friend class CtmdpBuilder;
 
-    std::vector<std::size_t> pair_offset_{0};
-    std::vector<std::size_t> transition_offset_{0};
-    std::vector<std::size_t> target_;
-    std::vector<double> rate_;
-    std::vector<double> cost_;
-    std::vector<double> extra_cost_;
-    std::size_t extra_cost_count_ = 0;
-    // Structural summary, computed once by CtmdpBuilder::freeze().
-    std::size_t bandwidth_ = 0;
-    double max_exit_rate_ = 0.0;
+    struct Arrays {
+        std::vector<std::size_t> pair_offset{0};
+        std::vector<std::size_t> transition_offset{0};
+        std::vector<std::size_t> target;
+        std::vector<double> rate;
+        std::vector<double> cost;
+        std::vector<double> extra_cost;
+        std::size_t extra_cost_count = 0;
+        // Structural summary, computed once by CtmdpBuilder::freeze().
+        std::size_t bandwidth = 0;
+        double max_exit_rate = 0.0;
+    };
+
+    explicit CtmdpModel(std::shared_ptr<const Arrays> arrays)
+        : arrays_(std::move(arrays)) {}
+
+    std::shared_ptr<const Arrays> arrays_;
 };
 
 /// Appends a model straight into its CSR arrays. Actions arrive in state
@@ -142,15 +167,16 @@ public:
     void add_transition(std::size_t target, double rate);
 
     /// Check that every state has an action, compute the structural
-    /// summary, and hand over the arrays. Throws util::ModelError on a
-    /// model with no states or a state with no actions.
+    /// summary, and move the arrays into the model's shared block. Throws
+    /// util::ModelError on a model with no states or a state with no
+    /// actions.
     [[nodiscard]] CtmdpModel freeze() &&;
 
 private:
     /// Close every state before `state` (they receive no more actions).
     void advance_to(std::size_t state);
 
-    CtmdpModel model_;
+    CtmdpModel::Arrays arrays_;
     std::size_t state_count_;
     std::size_t current_ = 0;  // the state receiving actions
 };

@@ -1,7 +1,9 @@
 #include "ctmdp/solve_cache.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 namespace socbuf::ctmdp {
 
@@ -17,8 +19,8 @@ void append_size(std::string& out, std::size_t v) {
     append_u64(out, static_cast<std::uint64_t>(v));
 }
 
-/// Bit-exact double encoding: two rates that differ in the last ulp are
-/// different models and must not share a cache entry.
+/// Bit-exact double encoding: two tolerances that differ in the last ulp
+/// are different options and must not share a cache entry.
 void append_double(std::string& out, double v) {
     std::uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
@@ -26,91 +28,137 @@ void append_double(std::string& out, double v) {
     append_u64(out, bits);
 }
 
-}  // namespace
+/// The options block: every knob that can change a solve's result bits.
+std::string encode_options(const DispatchOptions& options) {
+    std::string block;
+    block.push_back('D');
+    append_size(block, static_cast<std::size_t>(options.choice));
+    append_size(block, options.lp_pair_limit);
+    append_size(block, options.pi_state_limit);
+    const SolverOptions& so = options.solver;
+    append_double(block, so.lp.unvisited_state_tolerance);
+    append_double(block, so.lp.simplex.pivot_tolerance);
+    append_double(block, so.lp.simplex.cost_tolerance);
+    append_double(block, so.lp.simplex.feasibility_tolerance);
+    append_size(block, so.lp.simplex.max_iterations);
+    append_size(block, so.lp.simplex.stall_before_bland);
+    append_double(block, so.lp.simplex.rhs_perturbation);
+    append_double(block, so.vi.tolerance);
+    append_size(block, so.vi.max_iterations);
+    append_size(block, so.vi.reference_state);
+    append_size(block, so.pi.max_policy_updates);
+    append_size(block, so.pi.reference_state);
+    append_double(block, so.pi.improvement_tolerance);
+    // The banded evaluation is a different elimination order (tolerance-
+    // level different bits), and Gauss-Seidel follows a different VI
+    // trajectory, so both are part of the key. vi.executor and
+    // vi.parallel_min_states are schedule-only — bit-identical results
+    // for any worker count — and deliberately are not encoded.
+    append_size(block, so.pi.banded_evaluation ? 1 : 0);
+    append_size(block, static_cast<std::size_t>(so.vi.sweep));
+    return block;
+}
 
-std::string solve_fingerprint(const CtmdpModel& model,
-                              const DispatchOptions& options) {
-    const std::size_t n = model.state_count();
-    const std::size_t n_extra = model.extra_cost_count();
-    const auto& pair_offset = model.pair_offsets();
-    const auto& trans_offset = model.transition_offsets();
-    const auto& target = model.targets();
-    const auto& rate = model.rates();
-    const auto& extra = model.extra_costs();
-    std::string key;
-    // Reserve the model block's exact size (plus room for the options
-    // block): on a 16384-state model the key is ~5.6 MB, and growing into
-    // it by doubling would hold up to twice that per in-flight solve.
-    key.reserve(1 + 8 * (2 + n + (3 + n_extra) * model.pair_count() +
-                         2 * model.transition_count()) +
-                256);
+/// One-lane 64-bit hash over 64-bit words, with xxHash64's round and
+/// avalanche. It only picks cache candidates, so collisions cost a failed
+/// comparison, not a wrong answer.
+class Hasher {
+public:
+    void word(std::uint64_t w) {
+        h_ += w * kPrime2;
+        h_ = (h_ << 31) | (h_ >> 33);
+        h_ *= kPrime1;
+    }
 
-    key.push_back('M');
-    append_size(key, n);
-    append_size(key, n_extra);
-    for (std::size_t s = 0; s < n; ++s) {
-        append_size(key, pair_offset[s + 1] - pair_offset[s]);
-        for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p) {
-            append_double(key, model.costs()[p]);
-            append_size(key, n_extra);
-            for (std::size_t k = 0; k < n_extra; ++k)
-                append_double(key, extra[p * n_extra + k]);
-            append_size(key, trans_offset[p + 1] - trans_offset[p]);
-            for (std::size_t k = trans_offset[p]; k < trans_offset[p + 1];
-                 ++k) {
-                append_size(key, target[k]);
-                append_double(key, rate[k]);
-            }
+    template <typename T>
+    void array(const std::vector<T>& values) {
+        static_assert(sizeof(T) == sizeof(std::uint64_t),
+                      "model arrays hold 64-bit words");
+        word(values.size());
+        for (const T& v : values) {
+            std::uint64_t bits = 0;
+            std::memcpy(&bits, &v, sizeof(bits));
+            word(bits);
         }
     }
 
-    key.push_back('D');
-    append_size(key, static_cast<std::size_t>(options.choice));
-    append_size(key, options.lp_pair_limit);
-    append_size(key, options.pi_state_limit);
-    const SolverOptions& so = options.solver;
-    append_double(key, so.lp.unvisited_state_tolerance);
-    append_double(key, so.lp.simplex.pivot_tolerance);
-    append_double(key, so.lp.simplex.cost_tolerance);
-    append_double(key, so.lp.simplex.feasibility_tolerance);
-    append_size(key, so.lp.simplex.max_iterations);
-    append_size(key, so.lp.simplex.stall_before_bland);
-    append_double(key, so.lp.simplex.rhs_perturbation);
-    append_double(key, so.vi.tolerance);
-    append_size(key, so.vi.max_iterations);
-    append_size(key, so.vi.reference_state);
-    append_size(key, so.pi.max_policy_updates);
-    append_size(key, so.pi.reference_state);
-    append_double(key, so.pi.improvement_tolerance);
-    // The banded evaluation is a different elimination order (tolerance-
-    // level different bits), so it is part of the key.
-    append_size(key, so.pi.banded_evaluation ? 1 : 0);
-    // The sweep variant changes result bits (Gauss-Seidel follows a
-    // different trajectory), so it is part of the key — but appended only
-    // when non-default, keeping every pre-existing Jacobi key (and the
-    // bytes_resident accounting derived from key sizes) byte-identical.
-    // No collision is possible: untagged keys are 2 + 8k bytes long while
-    // tagged keys are 11 + 8k, distinct residues mod 8. vi.executor and
-    // vi.parallel_min_states are schedule-only — bit-identical results
-    // for any worker count — and deliberately are not fingerprinted.
-    if (so.vi.sweep != ViSweep::kJacobi) {
-        key.push_back('G');
-        append_size(key, static_cast<std::size_t>(so.vi.sweep));
+    void bytes(const std::string& s) {
+        word(s.size());
+        for (std::size_t i = 0; i < s.size(); i += sizeof(std::uint64_t)) {
+            std::uint64_t bits = 0;
+            std::memcpy(&bits, s.data() + i,
+                        std::min(sizeof(bits), s.size() - i));
+            word(bits);
+        }
     }
-    return key;
+
+    [[nodiscard]] std::uint64_t finish() const {
+        std::uint64_t h = h_;
+        h ^= h >> 33;
+        h *= kPrime2;
+        h ^= h >> 29;
+        h *= kPrime3;
+        h ^= h >> 32;
+        return h;
+    }
+
+private:
+    static constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+    static constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+    static constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+    std::uint64_t h_ = kPrime1;
+};
+
+std::uint64_t key_hash(const CtmdpModel& model, const std::string& options) {
+    Hasher h;
+    h.word(model.extra_cost_count());
+    h.array(model.pair_offsets());
+    h.array(model.transition_offsets());
+    h.array(model.targets());
+    h.array(model.rates());
+    h.array(model.costs());
+    h.array(model.extra_costs());
+    h.bytes(options);
+    return h.finish();
 }
 
-namespace {
+/// Bitwise equality: doubles compare by representation, so one ulp or
+/// +0.0 vs -0.0 is a difference.
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
 
-/// Approximate resident footprint of one solved entry: both stored copies
-/// of the key (list node + index), the solution's vectors, and fixed
-/// per-entry bookkeeping. An estimate, not an audit — it ignores
-/// allocator slop — but it is a pure function of the entry's contents,
-/// so the total is deterministic for a given resident set.
-std::size_t approx_entry_bytes(const std::string& key,
+bool same_model(const CtmdpModel& a, const CtmdpModel& b) {
+    return a.extra_cost_count() == b.extra_cost_count() &&
+           same_bits(a.pair_offsets(), b.pair_offsets()) &&
+           same_bits(a.transition_offsets(), b.transition_offsets()) &&
+           same_bits(a.targets(), b.targets()) &&
+           same_bits(a.rates(), b.rates()) &&
+           same_bits(a.costs(), b.costs()) &&
+           same_bits(a.extra_costs(), b.extra_costs());
+}
+
+/// Approximate resident footprint of one solved entry: the model arrays
+/// (once — the entry shares them with every other handle to the model),
+/// the options block, the solution's vectors, and fixed per-entry
+/// bookkeeping. An estimate, not an audit — it ignores allocator slop —
+/// but it is a pure function of the entry's contents, so the total is
+/// deterministic for a given resident set.
+std::size_t approx_entry_bytes(const CtmdpModel& model,
+                               const std::string& options,
                                const SubsystemSolution& solution) {
-    std::size_t bytes = 2 * key.size();
-    bytes += sizeof(std::pair<const std::string, void*>) * 2;  // map nodes
+    std::size_t bytes = (model.pair_offsets().size() +
+                         model.transition_offsets().size() +
+                         model.targets().size()) *
+                        sizeof(std::size_t);
+    bytes += (model.rates().size() + model.costs().size() +
+              model.extra_costs().size()) *
+             sizeof(double);
+    bytes += options.size();
+    bytes += sizeof(std::pair<const std::uint64_t, void*>);  // index node
     bytes += solution.stationary.size() * sizeof(double);
     bytes += solution.occupation.size() * sizeof(double);
     bytes += solution.bias.size() * sizeof(double);
@@ -123,6 +171,14 @@ std::size_t approx_entry_bytes(const std::string& key,
 
 }  // namespace
 
+std::string solve_fingerprint(const CtmdpModel& model,
+                              const DispatchOptions& options) {
+    const std::string block = encode_options(options);
+    std::string key;
+    append_u64(key, key_hash(model, block));
+    return key + block;
+}
+
 SolveCache::SolveCache(std::size_t byte_budget) : byte_budget_(byte_budget) {}
 
 void SolveCache::touch(EntryIter pos) {
@@ -131,7 +187,9 @@ void SolveCache::touch(EntryIter pos) {
 
 SolveCache::EntryIter SolveCache::drop_entry(EntryIter pos) {
     bytes_resident_ -= pos->second.bytes;
-    index_.erase(pos->first);
+    auto mapped = index_.lower_bound(pos->first.hash);
+    while (mapped->second != pos) ++mapped;
+    index_.erase(mapped);
     return entries_.erase(pos);
 }
 
@@ -159,18 +217,27 @@ void SolveCache::evict_over_budget() {
 SubsystemSolution SolveCache::solve(SolverRegistry& registry,
                                     const CtmdpModel& model,
                                     const DispatchOptions& options) {
-    const std::string key = solve_fingerprint(model, options);
+    std::string block = encode_options(options);
+    const std::uint64_t hash = key_hash(model, block);
     std::unique_lock<std::mutex> lock(mutex_);
-    auto mapped = index_.find(key);
-    if (mapped == index_.end()) {
-        entries_.emplace_front(key, Slot{});
-        mapped = index_.emplace(key, entries_.begin()).first;
+    EntryIter pos = entries_.end();
+    const auto [first, last] = index_.equal_range(hash);
+    for (auto mapped = first; mapped != last; ++mapped) {
+        const Key& key = mapped->second->first;
+        if (key.options == block && same_model(key.model, model)) {
+            pos = mapped->second;
+            break;
+        }
+    }
+    if (pos == entries_.end()) {
+        entries_.emplace_front(Key{hash, std::move(block), model}, Slot{});
+        pos = entries_.begin();
+        index_.emplace(hash, pos);
     }
     // The list iterator (and the Slot it points to) stays valid across
     // concurrent inserts and evictions of *other* entries, and this entry
     // is pinned below (kSolving or waiters > 0) whenever the lock is
     // dropped, so it can be held through the waits.
-    const EntryIter pos = mapped->second;
     Slot& slot = pos->second;
     for (;;) {
         if (slot.state == Slot::kReady) {
@@ -206,7 +273,8 @@ SubsystemSolution SolveCache::solve(SolverRegistry& registry,
         SubsystemSolution solution = registry.solve(model, options);
         lock.lock();
         slot.solution = solution;
-        slot.bytes = approx_entry_bytes(pos->first, solution);
+        slot.bytes =
+            approx_entry_bytes(pos->first.model, pos->first.options, solution);
         bytes_resident_ += slot.bytes;
         slot.state = Slot::kReady;
         touch(pos);

@@ -4,13 +4,22 @@
 // subsystem CTMDPs — the engine's fixed point repeats its final round, a
 // replication re-sizes the same (system, budget), and sweep variants share
 // subsystems — and every one of those re-solves an LP / value iteration
-// that was already solved. The cache keys solutions by a canonical
-// fingerprint of (model, dispatch options): an exact byte-level encoding
-// of every state, action, cost and transition rate plus every
-// solve-relevant knob, so two keys collide only when the solves would be
-// bit-identical anyway. That makes a cache hit indistinguishable from a
-// fresh solve, which is what keeps BatchRunner's determinism contract
-// intact when many threads share one cache.
+// that was already solved. The cache keys a solution by (model, dispatch
+// options) and serves it only for an exact match, so a cache hit is
+// indistinguishable from a fresh solve, which is what keeps BatchRunner's
+// determinism contract intact when many threads share one cache.
+//
+// Exactness without a serialized key: an entry holds a copy of the model
+// handle (CtmdpModel copies share their immutable arrays, so this is the
+// memory the caller's builder froze, not a second copy), the encoded
+// options block, and a 64-bit hash of both. A lookup hashes the caller's
+// arrays outside the lock, allocation-free, and on a hash match compares
+// the candidate array by array with memcmp: pair and transition offsets,
+// targets, rates, costs and extra costs, plus the extra-cost width and
+// the options bytes. Doubles therefore compare bit for bit: a one-ulp
+// rate change or a +0.0 vs -0.0 cost is a different model. The hash only
+// picks candidates; a collision costs one failed comparison, never a
+// wrong result.
 //
 // Each key is solved exactly once while it is resident: the first
 // requester claims it and solves *outside* the lock while later
@@ -41,18 +50,20 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <list>
+#include <map>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 namespace socbuf::ctmdp {
 
-/// Canonical byte encoding of everything that determines a solve's result:
-/// the full model (states, actions, costs, transitions, rates — doubles
-/// encoded bit-exactly) and the dispatch/solver options. Equal fingerprints
-/// <=> registry.solve would return identical bits.
+/// The cache's per-entry key for (model, options): the 8-byte hash of the
+/// model arrays and options, followed by the encoded options block (every
+/// solve-relevant dispatch/solver knob, doubles bit-exact). Different
+/// fingerprints mean different entries; equal ones are confirmed against
+/// the entry's model array by array before a hit is served.
 [[nodiscard]] std::string solve_fingerprint(const CtmdpModel& model,
                                             const DispatchOptions& options);
 
@@ -60,9 +71,10 @@ struct SolveCacheStats {
     std::size_t hits = 0;
     std::size_t misses = 0;
     std::size_t evictions = 0;  // 0 unless a byte budget is set
-    /// Approximate bytes held by resident (solved) entries: keys, result
-    /// vectors, and per-entry bookkeeping. Deterministic given the set of
-    /// resident entries (exact with no budget).
+    /// Approximate bytes held by resident (solved) entries: model arrays
+    /// (once each), options blocks, result vectors, and per-entry
+    /// bookkeeping. Deterministic given the set of resident entries
+    /// (exact with no budget).
     std::size_t bytes_resident = 0;
     [[nodiscard]] std::size_t lookups() const { return hits + misses; }
     [[nodiscard]] double hit_rate() const {
@@ -115,7 +127,13 @@ private:
         std::size_t bytes = 0;
         SubsystemSolution solution;
     };
-    using Entry = std::pair<std::string, Slot>;
+    /// What an entry matches on. `model` shares the caller's arrays.
+    struct Key {
+        std::uint64_t hash = 0;
+        std::string options;  // the encoded options block
+        CtmdpModel model;
+    };
+    using Entry = std::pair<Key, Slot>;
     using EntryIter = std::list<Entry>::iterator;
 
     /// Move `pos` to the front of the recency list. Caller holds mutex_.
@@ -130,11 +148,9 @@ private:
     mutable std::mutex mutex_;
     std::condition_variable slot_ready_;
     std::list<Entry> entries_;  // front = most recently used
-    // Lookup-only indexes: find/emplace/erase by exact fingerprint, never
-    // iterated — recency (and therefore eviction order) lives in the
-    // entries_ list, so hash order cannot reach results or reports.
-    // socbuf-lint: allow(unordered-container) — keyed lookups only; eviction order comes from entries_.
-    std::unordered_map<std::string, EntryIter> index_;
+    // Hash -> entries with that hash (more than one only on a collision).
+    // Recency, and so eviction order, lives in entries_.
+    std::multimap<std::uint64_t, EntryIter> index_;
     std::size_t byte_budget_ = 0;
     std::size_t hits_ = 0;
     std::size_t misses_ = 0;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -19,8 +20,13 @@ namespace sm = socbuf::ctmdp;
 namespace {
 
 /// Small controlled queue: serve fast (cost 3) or slow (cost 1); the
-/// optimum is size-dependent enough that solvers do real work.
-sm::CtmdpModel queue_model(std::size_t cap, double lambda) {
+/// optimum is size-dependent enough that solvers do real work. State 0's
+/// slow action costs exactly `idle_cost` (so a test can set -0.0), and
+/// `zero_rate_pads` zero-rate transitions are appended to the last action:
+/// they grow the model's arrays without changing any solve.
+sm::CtmdpModel queue_model(std::size_t cap, double lambda,
+                           double idle_cost = 0.0,
+                           std::size_t zero_rate_pads = 0) {
     sm::CtmdpBuilder b(cap + 1);
     for (std::size_t i = 0; i <= cap; ++i) {
         for (const double mu : {1.0, 3.0}) {  // slow, then fast
@@ -29,50 +35,119 @@ sm::CtmdpModel queue_model(std::size_t cap, double lambda) {
             if (i > 0) moves.push_back({i - 1, mu});
             const double speed_cost = mu > 1.0 ? 2.0 : 0.0;
             b.add_action(i, moves,
-                         static_cast<double>(i) + speed_cost +
-                             (i == cap ? lambda : 0.0));
+                         i == 0 && mu == 1.0
+                             ? idle_cost
+                             : static_cast<double>(i) + speed_cost +
+                                   (i == cap ? lambda : 0.0));
         }
     }
+    for (std::size_t k = 0; k < zero_rate_pads; ++k) b.add_transition(0, 0.0);
     return std::move(b).freeze();
 }
 
 }  // namespace
 
-TEST(SolveFingerprint, IdenticalModelsShareAKey) {
+TEST(SolveFingerprint, IdenticalModelsShareAKeyAndAnEntry) {
     const auto a = queue_model(4, 0.8);
     const auto b = queue_model(4, 0.8);
+    // Two builds, two blocks: the match is by contents, not identity.
+    ASSERT_NE(a.rates().data(), b.rates().data());
     const sm::DispatchOptions opts;
     EXPECT_EQ(sm::solve_fingerprint(a, opts), sm::solve_fingerprint(b, opts));
+
+    sm::SolverRegistry registry;
+    sm::SolveCache cache;
+    (void)cache.solve(registry, a, opts);
+    (void)cache.solve(registry, b, opts);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(SolveFingerprint, RateAndOptionChangesChangeTheKey) {
+TEST(SolveFingerprint, EveryResultChangingMutationIsAMissWithItsOwnEntry) {
     const auto base = queue_model(4, 0.8);
     const sm::DispatchOptions opts;
-    const std::string key = sm::solve_fingerprint(base, opts);
-
-    // A one-ulp rate change is a different model.
-    const auto nudged = queue_model(4, 0.8 + 1e-16);
-    EXPECT_NE(sm::solve_fingerprint(nudged, opts), key);
-
-    // A different size is a different model.
-    EXPECT_NE(sm::solve_fingerprint(queue_model(5, 0.8), opts), key);
-
-    // Solve-relevant options are part of the key...
-    sm::DispatchOptions forced = opts;
-    forced.choice = sm::SolverChoice::kValueIteration;
-    EXPECT_NE(sm::solve_fingerprint(base, forced), key);
-    sm::DispatchOptions tighter = opts;
-    tighter.solver.vi.tolerance = 1e-8;
-    EXPECT_NE(sm::solve_fingerprint(base, tighter), key);
+    struct Variant {
+        const char* what;
+        sm::CtmdpModel model;
+        sm::DispatchOptions options;
+    };
+    std::vector<Variant> variants;
+    // Model mutations. Doubles compare bit for bit: one ulp, or the sign
+    // of a zero, is a different model.
+    variants.push_back(
+        {"one-ulp rate", queue_model(4, std::nextafter(0.8, 1.0)), opts});
+    variants.push_back({"-0.0 cost", queue_model(4, 0.8, -0.0), opts});
+    variants.push_back({"size", queue_model(5, 0.8), opts});
+    // Solve-relevant options...
+    variants.push_back({"solver choice", base, opts});
+    variants.back().options.choice = sm::SolverChoice::kValueIteration;
+    variants.push_back({"VI tolerance", base, opts});
+    variants.back().options.solver.vi.tolerance = 1e-8;
     // ...including the iteration limits: a run that raises them after an
-    // unconverged solve gets a fresh key and re-solves instead of being
+    // unconverged solve gets a fresh entry and re-solves instead of being
     // served the cached unconverged solution.
-    sm::DispatchOptions more_sweeps = opts;
-    more_sweeps.solver.vi.max_iterations *= 2;
-    EXPECT_NE(sm::solve_fingerprint(base, more_sweeps), key);
-    sm::DispatchOptions more_updates = opts;
-    more_updates.solver.pi.max_policy_updates *= 2;
-    EXPECT_NE(sm::solve_fingerprint(base, more_updates), key);
+    variants.push_back({"VI iteration limit", base, opts});
+    variants.back().options.solver.vi.max_iterations *= 2;
+    variants.push_back({"PI update limit", base, opts});
+    variants.back().options.solver.pi.max_policy_updates *= 2;
+    // Gauss-Seidel follows a different VI trajectory (forced onto the VI
+    // rung, where the sweep applies).
+    variants.push_back({"Gauss-Seidel sweep", base, opts});
+    variants.back().options.choice = sm::SolverChoice::kValueIteration;
+    variants.back().options.solver.vi.sweep = sm::ViSweep::kGaussSeidel;
+
+    sm::SolverRegistry registry;
+    sm::SolveCache cache;
+    (void)cache.solve(registry, base, opts);
+    std::vector<std::string> keys{sm::solve_fingerprint(base, opts)};
+    for (const Variant& v : variants) {
+        const std::string key = sm::solve_fingerprint(v.model, v.options);
+        EXPECT_EQ(std::find(keys.begin(), keys.end(), key), keys.end())
+            << v.what;
+        keys.push_back(key);
+        (void)cache.solve(registry, v.model, v.options);
+        EXPECT_EQ(cache.stats().misses, keys.size()) << v.what;
+        EXPECT_EQ(cache.size(), keys.size()) << v.what;
+    }
+    EXPECT_EQ(cache.stats().hits, 0u);
+
+    // Every entry stays resident and serves its own key on a second pass.
+    (void)cache.solve(registry, base, opts);
+    for (const Variant& v : variants)
+        (void)cache.solve(registry, v.model, v.options);
+    EXPECT_EQ(cache.stats().hits, keys.size());
+    EXPECT_EQ(cache.stats().misses, keys.size());
+}
+
+TEST(SharedModel, CopiesShareTheFrozenArrays) {
+    const auto model = queue_model(4, 0.8);
+    const sm::CtmdpModel copy = model;
+    EXPECT_EQ(copy.rates().data(), model.rates().data());
+    EXPECT_EQ(copy.pair_offsets().data(), model.pair_offsets().data());
+    sm::CtmdpModel assigned;
+    EXPECT_EQ(assigned.state_count(), 0u);
+    assigned = model;
+    EXPECT_EQ(assigned.targets().data(), model.targets().data());
+}
+
+TEST(SharedModel, EntryOutlivesTheCallersModel) {
+    // The cache keeps its own handle to the solved model: once the
+    // caller's model is gone, an identical rebuild (new storage) is
+    // compared against the entry's still-live arrays and hits.
+    sm::SolverRegistry registry;
+    sm::SolveCache cache;
+    const sm::DispatchOptions opts;
+    double gain = 0.0;
+    {
+        const auto model = queue_model(6, 0.9);
+        gain = cache.solve(registry, model, opts).gain;
+    }
+    const auto rebuilt = queue_model(6, 0.9);
+    EXPECT_EQ(cache.solve(registry, rebuilt, opts).gain, gain);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(registry.stats().total_solves(), 1u);
 }
 
 TEST(SolveCache, CountsHitsAndMissesAndReturnsIdenticalBits) {
@@ -373,6 +448,30 @@ TEST(SolveCache, BytesResidentTracksEntriesAcrossEviction) {
     EXPECT_THROW((void)cache.solve(registry, unsolvable_model(), opts),
                  socbuf::util::ModelError);
     EXPECT_EQ(cache.stats().bytes_resident, small + mid);
+}
+
+TEST(SolveCache, BytesResidentCountsAnEntrysModelArraysOnce) {
+    // Zero-rate pads change no solve, so a padded entry differs from the
+    // plain one only in its model arrays: one target and one rate per
+    // pad, counted once.
+    constexpr std::size_t kPads = 5;
+    constexpr std::size_t kPadBytes = sizeof(std::size_t) + sizeof(double);
+    const sm::DispatchOptions opts;
+    const auto plain = queue_model(4, 0.7);
+    const auto padded = queue_model(4, 0.7, 0.0, kPads);
+    ASSERT_EQ(padded.transition_count(), plain.transition_count() + kPads);
+    const std::size_t one = entry_bytes(plain);
+    EXPECT_EQ(entry_bytes(padded), one + kPads * kPadBytes);
+
+    sm::SolverRegistry registry;
+    sm::SolveCache cache;
+    (void)cache.solve(registry, plain, opts);
+    (void)cache.solve(registry, padded, opts);
+    EXPECT_EQ(cache.stats().bytes_resident, 2 * one + kPads * kPadBytes);
+    // A hit from another build of the same model adds nothing.
+    (void)cache.solve(registry, queue_model(4, 0.7), opts);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().bytes_resident, 2 * one + kPads * kPadBytes);
 }
 
 TEST(SolveCache, JustSolvedEntryIsNeverTheEvictionVictim) {
