@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace socbuf::core {
 
@@ -121,6 +122,9 @@ struct RoundEval {
     double weighted_loss = 0.0;
     std::vector<double> site_observed_rate;
     std::vector<double> site_mean_occupancy;
+    /// Replication 0 in full (seed options.sim.seed): what the report
+    /// stores as `before` / `after` for this allocation.
+    sim::SimResult first;
 };
 
 /// Evaluate `alloc` for one round: fan all eval_replications independent
@@ -129,19 +133,15 @@ struct RoundEval {
 /// statistics in replication order, so the result is bit-identical for
 /// any worker count (one replication runs inline and reproduces the
 /// legacy single-sim round bit for bit: every fold divides by 1.0, which
-/// is exact). A caller that needs replication 0's full SimResult (the
-/// uniform baseline stores it as `report.before`) passes `first_out`;
-/// fanning it with the rest instead of simulating it up front keeps all
-/// replications inside one parallel region.
+/// is exact). Replication 0 is kept whole in RoundEval::first.
 RoundEval evaluate_round(const arch::TestSystem& system,
                          const Allocation& alloc,
                          const SizingOptions& options,
                          const std::vector<double>& flow_weights,
-                         exec::Executor& executor,
-                         sim::SimResult* first_out = nullptr) {
+                         exec::Executor& executor) {
     RoundEval out;
     const std::size_t reps = options.eval_replications;
-    const auto evals = executor.map(reps, [&](std::size_t r) {
+    auto evals = executor.map(reps, [&](std::size_t r) {
         sim::SimConfig config = options.sim;
         config.seed = options.sim.seed + r;
         return sim::simulate(system, alloc, config);
@@ -161,7 +161,7 @@ RoundEval evaluate_round(const arch::TestSystem& system,
     out.weighted_loss /= n;
     for (double& v : out.site_observed_rate) v /= n;
     for (double& v : out.site_mean_occupancy) v /= n;
-    if (first_out != nullptr) *first_out = evals[0];
+    out.first = std::move(evals[0]);
     return out;
 }
 
@@ -190,18 +190,34 @@ SizingReport BufferSizingEngine::run(const arch::TestSystem& system,
 
     report.initial = uniform_allocation(split, options_.total_budget);
 
+    // Every allocation this run has evaluated, with its evaluation.
+    // simulate() is deterministic for fixed inputs, so an allocation seen
+    // before — the fixed-point round, or a repeat with early_stop off —
+    // reuses its RoundEval instead of simulating the same bits again. At
+    // most iterations + 1 entries: a linear scan finds them, and the
+    // reserve keeps the references handed out below valid.
+    std::vector<std::pair<Allocation, RoundEval>> evaluated;
+    evaluated.reserve(static_cast<std::size_t>(options_.iterations) + 1);
+    const auto evaluate = [&](const Allocation& candidate)
+        -> const RoundEval& {
+        for (const auto& [seen, eval] : evaluated)
+            if (seen == candidate) return eval;
+        evaluated.emplace_back(candidate,
+                               evaluate_round(system, candidate, options_,
+                                              flow_weights, executor));
+        return evaluated.back().second;
+    };
+
     Allocation alloc = report.initial;
     report.best = report.initial;
     // The baseline must be scored at the same fidelity as the rounds it
     // competes with: replicated rounds against a single-sim baseline
     // would let one lucky (or unlucky) baseline seed bias which
     // allocation wins. `before` IS replication 0 at the base seed —
-    // evaluate_round fans every replication (including 0) in one map and
-    // hands the first back, so no simulation runs outside the parallel
-    // region and the single-replication path keeps the legacy bits.
-    const RoundEval baseline =
-        evaluate_round(system, report.initial, options_, flow_weights,
-                       executor, &report.before);
+    // evaluate_round fans every replication (including 0) in one map, so
+    // no simulation runs outside the parallel region and the
+    // single-replication path keeps the legacy bits.
+    const RoundEval& baseline = evaluate(report.initial);
     double best_weighted = baseline.weighted_loss;
     std::vector<double> rates;
     if (options_.use_measured_rates) rates = baseline.site_observed_rate;
@@ -247,9 +263,9 @@ SizingReport BufferSizingEngine::run(const arch::TestSystem& system,
             next[active[i]] = shares[i];
 
         // Resimulate with the new buffer lengths and compare losses
-        // (replicated and fanned when eval_replications > 1).
-        const RoundEval eval =
-            evaluate_round(system, next, options_, flow_weights, executor);
+        // (replicated and fanned when eval_replications > 1), unless this
+        // run has already evaluated `next`.
+        const RoundEval& eval = evaluate(next);
         IterationRecord rec;
         rec.allocation = next;
         rec.total_lost = eval.total_lost;
@@ -277,7 +293,9 @@ SizingReport BufferSizingEngine::run(const arch::TestSystem& system,
     }
 
     report.best_weighted_loss = best_weighted;
-    report.after = sim::simulate(system, report.best, options_.sim);
+    // Replication 0 of `initial` and `best`, both already on the list.
+    report.before = evaluate(report.initial).first;
+    report.after = evaluate(report.best).first;
     return report;
 }
 

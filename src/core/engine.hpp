@@ -136,6 +136,13 @@ public:
     /// Run the full pipeline on `system` with a private execution context
     /// sized by SizingOptions::threads (workers are spawned and joined
     /// inside this call).
+    ///
+    /// Each distinct allocation is evaluated once per run: the baseline
+    /// and every round go through one list of (allocation, evaluation)
+    /// pairs, so a fixed-point round or a repeated allocation reuses the
+    /// sims it already ran, and `before` / `after` are the stored
+    /// replication-0 results of `initial` and `best` (the same bits a
+    /// direct sim::simulate at options().sim returns).
     [[nodiscard]] SizingReport run(const arch::TestSystem& system) const;
 
     /// Run the full pipeline on a *shared* execution context: the

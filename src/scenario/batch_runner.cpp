@@ -29,11 +29,25 @@ struct SizingJob {
     long budget = 0;
 };
 
+/// Stage-2 result: one replication's loss counts under each policy.
+struct EvalSample {
+    std::vector<std::uint64_t> pre_lost;
+    std::vector<std::uint64_t> post_lost;
+    std::vector<std::uint64_t> timeout_lost;
+    std::uint64_t pre_total = 0;
+    std::uint64_t post_total = 0;
+    std::uint64_t timeout_total = 0;
+};
+
 /// Stage-1 result: the sized system plus everything stage 2 needs.
 struct SizingOutcome {
     arch::TestSystem system;
     core::Allocation initial;
     core::Allocation best;
+    // Evaluation replication 0's pre/post losses: the final engine run's
+    // `before` / `after`, which simulated `initial` / `best` at spec.sim
+    // exactly as run_eval's replication 0 would.
+    EvalSample first_eval;
     std::size_t engine_rounds = 0;
     std::size_t lp_solves = 0;
     std::size_t vi_solves = 0;
@@ -86,16 +100,10 @@ std::vector<arch::SiteId> resolve_candidates(
     return resolved;
 }
 
-/// Stage-2 result: one replication's loss counts under each policy.
-struct EvalSample {
-    std::vector<std::uint64_t> pre_lost;
-    std::vector<std::uint64_t> post_lost;
-    std::vector<std::uint64_t> timeout_lost;
-    std::uint64_t pre_total = 0;
-    std::uint64_t post_total = 0;
-    std::uint64_t timeout_total = 0;
-};
-
+/// Stage 1 of one job: the placement search (when the spec asks for it),
+/// the final sizing run under the chosen placement — whose `before` /
+/// `after` losses are kept as evaluation replication 0 — and the timeout
+/// calibration.
 SizingOutcome run_sizing(const ScenarioSpec& spec, const SizingJob& job,
                          exec::Executor& executor,
                          ctmdp::SolveCache* cache) {
@@ -151,6 +159,10 @@ SizingOutcome run_sizing(const ScenarioSpec& spec, const SizingJob& job,
     const core::SizingReport report = engine.run(out.system, executor, cache);
     out.initial = report.initial;
     out.best = report.best;
+    out.first_eval.pre_lost = report.before.lost;
+    out.first_eval.pre_total = report.before.total_lost();
+    out.first_eval.post_lost = report.after.lost;
+    out.first_eval.post_total = report.after.total_lost();
     out.engine_rounds = report.history.size();
     out.lp_solves = report.lp_solves;
     out.vi_solves = report.vi_solves;
@@ -179,17 +191,26 @@ SizingOutcome run_sizing(const ScenarioSpec& spec, const SizingJob& job,
     return out;
 }
 
+/// One evaluation replication: `initial` and `best` at seed
+/// spec.sim.seed + replication, plus the timeout policy when evaluated.
+/// Replication 0 is the seed the sizing run's `before` / `after` already
+/// simulated — sizing_options() copies spec.sim verbatim — so it reuses
+/// those losses; only the timeout-policy sim runs for it.
 EvalSample run_eval(const ScenarioSpec& spec, const SizingOutcome& sized,
                     std::size_t replication) {
     sim::SimConfig config = spec.sim;
     config.seed = spec.sim.seed + replication;
     EvalSample sample;
-    const auto pre = sim::simulate(sized.system, sized.initial, config);
-    sample.pre_lost = pre.lost;
-    sample.pre_total = pre.total_lost();
-    const auto post = sim::simulate(sized.system, sized.best, config);
-    sample.post_lost = post.lost;
-    sample.post_total = post.total_lost();
+    if (replication == 0) {
+        sample = sized.first_eval;
+    } else {
+        const auto pre = sim::simulate(sized.system, sized.initial, config);
+        sample.pre_lost = pre.lost;
+        sample.pre_total = pre.total_lost();
+        const auto post = sim::simulate(sized.system, sized.best, config);
+        sample.post_lost = post.lost;
+        sample.post_total = post.total_lost();
+    }
     if (sized.timeout_evaluated) {
         sim::SimConfig timeout_config = sized.timeout_config;
         timeout_config.seed = config.seed;

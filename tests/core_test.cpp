@@ -6,6 +6,7 @@
 #include "ctmdp/lp_solver.hpp"
 #include "ctmdp/occupation.hpp"
 #include "ctmdp/solver.hpp"
+#include "sim/simulator.hpp"
 #include "split/splitter.hpp"
 #include "util/contracts.hpp"
 
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 namespace sc = socbuf::core;
 namespace sa = socbuf::arch;
@@ -472,4 +474,135 @@ TEST(Engine, ImprovementIsZeroWhenBaselineLossIsZero) {
     sc::SizingReport report;
     EXPECT_EQ(report.improvement(), 0.0);
     EXPECT_FALSE(std::isnan(report.improvement()));
+}
+
+namespace {
+
+const sa::TestSystem& network_processor() {
+    static const auto sys = sa::network_processor_system();
+    return sys;
+}
+
+/// Exact, field-for-field SimResult equality (doubles bit for bit).
+void expect_same_sim(const socbuf::sim::SimResult& got,
+                     const socbuf::sim::SimResult& want,
+                     const std::string& what) {
+    EXPECT_EQ(got.measured_time, want.measured_time) << what;
+    EXPECT_EQ(got.offered, want.offered) << what;
+    EXPECT_EQ(got.delivered, want.delivered) << what;
+    EXPECT_EQ(got.lost, want.lost) << what;
+    EXPECT_EQ(got.flow_lost, want.flow_lost) << what;
+    EXPECT_EQ(got.site_arrivals, want.site_arrivals) << what;
+    EXPECT_EQ(got.site_losses, want.site_losses) << what;
+    EXPECT_EQ(got.site_mean_wait, want.site_mean_wait) << what;
+    EXPECT_EQ(got.site_mean_occupancy, want.site_mean_occupancy) << what;
+    EXPECT_EQ(got.site_observed_rate, want.site_observed_rate) << what;
+    EXPECT_EQ(got.bus_utilization, want.bus_utilization) << what;
+    EXPECT_EQ(got.events_fired, want.events_fired) << what;
+    EXPECT_EQ(got.site_served, want.site_served) << what;
+}
+
+/// Run the engine and check it against an oracle that simulates every
+/// allocation from scratch: `before` / `after` must equal a direct
+/// sim::simulate of `initial` / `best` at opts.sim, and every history
+/// record must equal a fresh evaluation of its allocation — the
+/// replication means of direct sims at seed + r, folded in replication
+/// order. Whatever the engine reuses, the report must not tell.
+sc::SizingReport run_against_direct_sims(const sa::TestSystem& system,
+                                         const sc::SizingOptions& opts) {
+    const auto report = sc::BufferSizingEngine(opts).run(system);
+    expect_same_sim(report.before,
+                    socbuf::sim::simulate(system, report.initial, opts.sim),
+                    "before");
+    expect_same_sim(report.after,
+                    socbuf::sim::simulate(system, report.best, opts.sim),
+                    "after");
+    std::vector<double> weights;
+    for (const auto& f : system.flows) weights.push_back(f.weight);
+    for (std::size_t i = 0; i < report.history.size(); ++i) {
+        const auto& rec = report.history[i];
+        double total = 0.0;
+        double weighted = 0.0;
+        for (std::size_t r = 0; r < opts.eval_replications; ++r) {
+            socbuf::sim::SimConfig config = opts.sim;
+            config.seed = opts.sim.seed + r;
+            const auto sim =
+                socbuf::sim::simulate(system, rec.allocation, config);
+            total += static_cast<double>(sim.total_lost());
+            weighted += sim.weighted_loss(weights);
+        }
+        const double n = static_cast<double>(opts.eval_replications);
+        EXPECT_EQ(rec.total_lost, total / n) << "round " << i;
+        EXPECT_EQ(rec.weighted_loss, weighted / n) << "round " << i;
+    }
+    return report;
+}
+
+sc::SizingOptions short_run(std::size_t eval_replications) {
+    sc::SizingOptions opts;
+    opts.total_budget = 36;
+    opts.iterations = 6;
+    opts.eval_replications = eval_replications;
+    opts.sim.horizon = 800.0;
+    opts.sim.warmup = 80.0;
+    opts.sim.seed = 5;
+    return opts;
+}
+
+/// Whether some allocation occurs twice among `initial` and the rounds.
+bool allocations_repeat(const sc::SizingReport& report) {
+    std::vector<sc::Allocation> seen{report.initial};
+    for (const auto& rec : report.history) {
+        if (std::find(seen.begin(), seen.end(), rec.allocation) != seen.end())
+            return true;
+        seen.push_back(rec.allocation);
+    }
+    return false;
+}
+
+}  // namespace
+
+TEST(Engine, ReusedEvaluationsMatchDirectSimsOnFigure1) {
+    for (const std::size_t reps : {1UL, 2UL}) {
+        SCOPED_TRACE("eval_replications " + std::to_string(reps));
+        const auto opts = short_run(reps);
+        const auto report = run_against_direct_sims(figure1(), opts);
+        ASSERT_FALSE(report.history.empty());
+        if (reps != 1) continue;
+        // This run stops early at a fixed point: its last round repeats
+        // the allocation before it, so that round's evaluation is the
+        // reused one.
+        ASSERT_LT(report.history.size(),
+                  static_cast<std::size_t>(opts.iterations));
+        const sc::Allocation& previous =
+            report.history.size() >= 2
+                ? report.history[report.history.size() - 2].allocation
+                : report.initial;
+        EXPECT_EQ(report.history.back().allocation, previous);
+    }
+}
+
+TEST(Engine, ReusedEvaluationsMatchDirectSimsWithoutEarlyStop) {
+    for (const std::size_t reps : {1UL, 2UL}) {
+        SCOPED_TRACE("eval_replications " + std::to_string(reps));
+        auto opts = short_run(reps);
+        opts.early_stop = false;
+        const auto report = run_against_direct_sims(figure1(), opts);
+        EXPECT_EQ(report.history.size(),
+                  static_cast<std::size_t>(opts.iterations));
+        EXPECT_TRUE(allocations_repeat(report));
+    }
+}
+
+TEST(Engine, ReusedEvaluationsMatchDirectSimsOnTheNetworkProcessor) {
+    for (const std::size_t reps : {1UL, 2UL}) {
+        SCOPED_TRACE("eval_replications " + std::to_string(reps));
+        sc::SizingOptions opts = short_run(reps);
+        opts.total_budget = 160;
+        opts.iterations = 3;
+        opts.sim.horizon = 300.0;
+        opts.sim.warmup = 30.0;
+        const auto report = run_against_direct_sims(network_processor(), opts);
+        ASSERT_FALSE(report.history.empty());
+    }
 }

@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 namespace ss = socbuf::scenario;
@@ -52,7 +53,39 @@ ss::ScenarioSpec vi_rung_np(const std::string& name = "np-vi-rung") {
         .build();
 }
 
+std::string read_file(const std::string& path) {
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
+/// A small spec that reaches every batch stage: placement search, the
+/// timeout policy, two evaluation replications and two sizing
+/// replications, at a horizon where sizing improves on the constant
+/// allocation. Its report was recorded before the engine reused its own
+/// evaluations, in tests/data/golden_search_timeout.report.json.
+ss::ScenarioSpec golden_search_timeout() {
+    return ss::spec_from_json(JsonValue::parse(read_file(
+        std::string(SOCBUF_TEST_DATA_DIR) + "/golden_search_timeout.json")));
+}
+
 }  // namespace
+
+TEST(Session, GoldenSearchTimeoutReportIsUnchanged) {
+    // A cross-version golden: the batch report must reproduce the
+    // recorded bytes exactly. Never regenerate the file to make a change
+    // pass — a difference means the change altered results.
+    Session session({1});
+    const auto report = session.run(golden_search_timeout());
+    ASSERT_EQ(report.runs.size(), 2u);
+    EXPECT_TRUE(report.runs[0].insertion.searched);
+    EXPECT_FALSE(report.runs[0].timeout_loss.empty());
+    EXPECT_NE(report.runs[1].improvement(), 0.0);
+    EXPECT_EQ(report.to_json() + "\n",
+              read_file(std::string(SOCBUF_TEST_DATA_DIR) +
+                        "/golden_search_timeout.report.json"));
+}
 
 TEST(Session, RunByNameEqualsRunBySpec) {
     const ss::ScenarioSpec spec = small_figure1();
@@ -88,18 +121,20 @@ TEST(Session, FileLoadedSpecReproducesTheCompiledReport) {
 }
 
 TEST(Session, ReportsBitIdenticalForAnyThreadCount) {
-    const ss::ScenarioSpec spec = small_figure1();
-    Session serial({1});
-    const auto reference = serial.run(spec);
-    ASSERT_EQ(reference.runs.size(), 2u);
-    for (const std::size_t threads : {2UL, 4UL}) {
-        Session parallel({threads});
-        auto got = parallel.run(spec);
-        EXPECT_EQ(got.workers, threads);
-        got.workers = reference.workers;  // the one width-reflecting field
-        got.eval_overlap = reference.eval_overlap;  // diagnostic
-        EXPECT_EQ(got.to_json(), reference.to_json())
-            << "threads=" << threads;
+    for (const ss::ScenarioSpec& spec :
+         {small_figure1(), golden_search_timeout()}) {
+        Session serial({1});
+        const auto reference = serial.run(spec);
+        ASSERT_EQ(reference.runs.size(), 2u) << spec.name;
+        for (const std::size_t threads : {2UL, 4UL}) {
+            Session parallel({threads});
+            auto got = parallel.run(spec);
+            EXPECT_EQ(got.workers, threads);
+            got.workers = reference.workers;  // the one width-reflecting field
+            got.eval_overlap = reference.eval_overlap;  // diagnostic
+            EXPECT_EQ(got.to_json(), reference.to_json())
+                << spec.name << " threads=" << threads;
+        }
     }
 }
 
