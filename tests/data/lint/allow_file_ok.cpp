@@ -1,4 +1,4 @@
-// Fixture: analyzed as src/core/allow_file_ok.cpp — a file-level
+// Fixture: linted as src/core/allow_file_ok.cpp — a file-level
 // opt-out within the first 10 lines suppresses its rule everywhere in
 // the file.
 // socbuf-lint: allow-file(wall-clock) — fixture: progress logging only,

@@ -1,5 +1,5 @@
-// Fixture: analyzed as src/scenario/nonreentrant_call_bad.cpp — strtok
-// keeps a hidden cursor between calls; any worker-context call races
+// Fixture: linted as src/scenario/nonreentrant_call_bad.cpp — strtok
+// keeps a hidden cursor between calls; a call from a worker body races
 // with every other parse in flight.
 #include <cstddef>
 #include <cstring>

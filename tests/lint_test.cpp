@@ -11,30 +11,21 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "callgraph.hpp"
-#include "text_views.hpp"
-#include "util/json.hpp"
-
 namespace {
 
-using socbuf::lint::analyze_text;
 using socbuf::lint::Diagnostic;
 using socbuf::lint::layer_rank;
 using socbuf::lint::lint_text;
 using socbuf::lint::nearest_rule;
 using socbuf::lint::rule_ids;
-using socbuf::lint::rule_scope;
-using socbuf::lint::RuleScope;
 
 std::string fixture_path(const std::string& name) {
     return std::string(SOCBUF_LINT_FIXTURES) + "/" + name;
@@ -97,6 +88,12 @@ const std::vector<FixtureCase>& fixture_cases() {
         {"pointer_key_bad.cpp", "src/split/pointer_key_bad.cpp",
          {"pointer-key"}},
         {"pointer_key_allowed.cpp", "src/split/pointer_key_allowed.cpp", {}},
+        {"nonreentrant_call_bad.cpp",
+         "src/scenario/nonreentrant_call_bad.cpp",
+         {"nonreentrant-call", "nonreentrant-call"}},
+        {"nonreentrant_call_allowed.cpp",
+         "src/scenario/nonreentrant_call_allowed.cpp",
+         {}},
         {"pragma_once_bad.hpp", "src/util/pragma_once_bad.hpp",
          {"pragma-once"}},
         {"pragma_once_good.hpp", "src/util/pragma_once_good.hpp", {}},
@@ -111,6 +108,14 @@ const std::vector<FixtureCase>& fixture_cases() {
         {"suppression_unknown_rule.cpp",
          "src/util/suppression_unknown_rule.cpp",
          {"suppression"}},
+        {"allow_file_ok.cpp", "src/core/allow_file_ok.cpp", {}},
+        {"allow_file_unknown.cpp", "src/core/allow_file_unknown.cpp",
+         {"suppression", "wall-clock"}},
+        {"allow_file_unjustified.cpp",
+         "src/core/allow_file_unjustified.cpp",
+         {"suppression", "wall-clock"}},
+        {"allow_file_late.cpp", "src/core/allow_file_late.cpp",
+         {"suppression", "wall-clock"}},
     };
     return cases;
 }
@@ -136,10 +141,14 @@ TEST(LintFixtures, BadFixturesReportTheExpectedLines) {
         {"wall_clock_bad.cpp", {6}},
         {"raw_thread_bad.cpp", {7, 10}},
         {"pointer_key_bad.cpp", {8}},
+        {"nonreentrant_call_bad.cpp", {11, 12}},
         {"pragma_once_bad.hpp", {1}},
         {"using_namespace_bad.hpp", {7}},
         {"suppression_unjustified.cpp", {6, 7}},
         {"suppression_unknown_rule.cpp", {4}},
+        {"allow_file_unknown.cpp", {3, 10}},
+        {"allow_file_unjustified.cpp", {3, 10}},
+        {"allow_file_late.cpp", {11, 13}},
     };
     for (const FixtureCase& fixture : fixture_cases()) {
         const auto lines = expected.find(fixture.file);
@@ -313,103 +322,40 @@ TEST(LintRules, EveryRuleHasADescription) {
     EXPECT_TRUE(socbuf::lint::rule_description("no-such-rule").empty());
 }
 
-// ----------------------------------------------------- call-graph rules
-//
-// The worker-context families need the whole-set entry point
-// (analyze_text runs the call-graph pass on top of the per-file rules);
-// each bad fixture pins exact rules and lines, each allowed twin — the
-// same shape made safe with slots, atomics or argued suppressions —
-// must come back clean.
-
-std::vector<Diagnostic> analyze_fixture(const std::string& name,
-                                        const std::string& virtual_path) {
-    return analyze_text(name, virtual_path, read_fixture(name));
-}
-
-const std::vector<FixtureCase>& callgraph_fixture_cases() {
-    static const std::vector<FixtureCase> cases = {
-        {"static_mutable_bad.cpp", "src/core/static_mutable_bad.cpp",
-         {"static-mutable", "static-mutable"}},
-        {"static_mutable_allowed.cpp",
-         "src/core/static_mutable_allowed.cpp",
-         {}},
-        {"nonreentrant_call_bad.cpp",
-         "src/scenario/nonreentrant_call_bad.cpp",
-         {"nonreentrant-call", "nonreentrant-call"}},
-        {"nonreentrant_call_allowed.cpp",
-         "src/scenario/nonreentrant_call_allowed.cpp",
-         {}},
-        {"shared_capture_bad.cpp", "src/core/shared_capture_bad.cpp",
-         {"shared-capture", "shared-capture"}},
-        {"shared_capture_allowed.cpp",
-         "src/core/shared_capture_allowed.cpp",
-         {}},
-        {"fold_order_bad.cpp", "src/ctmc/fold_order_bad.cpp",
-         {"fold-order"}},
-        {"fold_order_allowed.cpp", "src/ctmc/fold_order_allowed.cpp", {}},
-        {"callgraph_reach.cpp", "src/core/callgraph_reach.cpp",
-         {"static-mutable"}},
-        {"allow_file_ok.cpp", "src/core/allow_file_ok.cpp", {}},
-        {"allow_file_unknown.cpp", "src/core/allow_file_unknown.cpp",
-         {"suppression", "wall-clock"}},
-        {"allow_file_unjustified.cpp",
-         "src/core/allow_file_unjustified.cpp",
-         {"suppression", "wall-clock"}},
-        {"allow_file_late.cpp", "src/core/allow_file_late.cpp",
-         {"suppression", "wall-clock"}},
-    };
-    return cases;
-}
-
-TEST(LintCallGraphFixtures, EachFixtureTriggersExactlyItsRules) {
-    for (const FixtureCase& fixture : callgraph_fixture_cases()) {
-        const std::vector<Diagnostic> found =
-            analyze_fixture(fixture.file, fixture.virtual_path);
-        EXPECT_EQ(fired_rules(found), fixture.rules)
-            << "fixture " << fixture.file << " analyzed as "
-            << fixture.virtual_path;
-    }
-}
-
-TEST(LintCallGraphFixtures, BadFixturesReportTheExpectedLines) {
-    const std::map<std::string, std::vector<std::size_t>> expected = {
-        {"static_mutable_bad.cpp", {11, 13}},
-        {"nonreentrant_call_bad.cpp", {11, 12}},
-        {"shared_capture_bad.cpp", {13, 14}},
-        {"fold_order_bad.cpp", {14}},
-        {"callgraph_reach.cpp", {10}},
-        {"allow_file_unknown.cpp", {3, 10}},
-        {"allow_file_unjustified.cpp", {3, 10}},
-        {"allow_file_late.cpp", {11, 13}},
-    };
-    for (const FixtureCase& fixture : callgraph_fixture_cases()) {
-        const auto lines = expected.find(fixture.file);
-        if (lines == expected.end()) continue;
-        const std::vector<Diagnostic> found =
-            analyze_fixture(fixture.file, fixture.virtual_path);
-        std::vector<std::size_t> got;
-        got.reserve(found.size());
-        for (const Diagnostic& diagnostic : found)
-            got.push_back(diagnostic.line);
-        EXPECT_EQ(got, lines->second) << "fixture " << fixture.file;
-    }
-}
-
-TEST(LintCallGraphFixtures, WorkerRulesCoverOnlySrc) {
-    // bench/ fans work out too, but its output is not part of the
-    // bit-identical report contract; tests/ is outside every scope. The
-    // same known-bad bodies analyzed there must come back clean.
-    const std::string text = read_fixture("fold_order_bad.cpp");
-    EXPECT_TRUE(analyze_text("fold_order_bad.cpp",
-                             "bench/fold_order_bad.cpp", text)
-                    .empty());
-    EXPECT_TRUE(analyze_text("fold_order_bad.cpp",
-                             "tests/fold_order_bad.cpp", text)
+TEST(LintNonreentrant, CoversAllOfSrcAndFreeCallsOnly) {
+    // The rule is per-file: a strtok call anywhere under src/ fires,
+    // whether or not the file hands work to a worker, and src/exec/ is
+    // in scope too.
+    const std::vector<Diagnostic> plain =
+        lint_snippet("src/util/x.cpp",
+                     "#include <cstring>\n"
+                     "char* first(char* s) { return std::strtok(s, \",\"); }\n");
+    ASSERT_EQ(plain.size(), 1u);
+    EXPECT_EQ(plain[0].rule, "nonreentrant-call");
+    EXPECT_EQ(plain[0].line, 2u);
+    EXPECT_NE(plain[0].message.find("'strtok'"), std::string::npos);
+    const std::string text = read_fixture("nonreentrant_call_bad.cpp");
+    EXPECT_EQ(fired_rules(lint_text("f.cpp", "src/exec/f.cpp", text,
+                                    nullptr)),
+              std::vector<std::string>(2, "nonreentrant-call"));
+    // bench/, tests/ and tools/ are measurement or launcher code whose
+    // output is not part of the bit-identical report contract; the same
+    // known-bad body linted there comes back clean.
+    for (const char* path : {"bench/f.cpp", "tests/f.cpp", "tools/f.cpp"})
+        EXPECT_TRUE(lint_text("f.cpp", path, text, nullptr).empty())
+            << path;
+    // A member function that happens to share a libc name is not the
+    // libc function.
+    EXPECT_TRUE(lint_snippet("src/util/x.cpp",
+                             "int f(T obj, T* p) {\n"
+                             "    return obj.strtok(1) + p->strtok(2) +\n"
+                             "           obj . localtime(3);\n"
+                             "}\n")
                     .empty());
 }
 
 TEST(LintSuppressions, UnknownRuleNamesTheNearestValidRule) {
-    const std::vector<Diagnostic> found = analyze_fixture(
+    const std::vector<Diagnostic> found = lint_fixture(
         "allow_file_unknown.cpp", "src/core/allow_file_unknown.cpp");
     ASSERT_FALSE(found.empty());
     EXPECT_EQ(found[0].rule, "suppression");
@@ -420,178 +366,18 @@ TEST(LintSuppressions, UnknownRuleNamesTheNearestValidRule) {
 }
 
 TEST(LintSuppressions, LateAllowFileSaysWhyItWasRejected) {
-    const std::vector<Diagnostic> found = analyze_fixture(
+    const std::vector<Diagnostic> found = lint_fixture(
         "allow_file_late.cpp", "src/core/allow_file_late.cpp");
     ASSERT_FALSE(found.empty());
     EXPECT_EQ(found[0].rule, "suppression");
     EXPECT_NE(found[0].message.find("first 10 lines"), std::string::npos);
 }
 
-TEST(LintRules, ScopesSplitPerFileFromCallGraph) {
-    EXPECT_EQ(rule_scope("layering"), RuleScope::kPerFile);
-    EXPECT_EQ(rule_scope("wall-clock"), RuleScope::kPerFile);
-    EXPECT_EQ(rule_scope("static-mutable"), RuleScope::kCallGraph);
-    EXPECT_EQ(rule_scope("nonreentrant-call"), RuleScope::kCallGraph);
-    EXPECT_EQ(rule_scope("shared-capture"), RuleScope::kCallGraph);
-    EXPECT_EQ(rule_scope("fold-order"), RuleScope::kCallGraph);
-}
-
 TEST(LintRules, NearestRuleSuggestsPlausibleTyposOnly) {
     EXPECT_EQ(nearest_rule("wall-clok"), "wall-clock");
-    EXPECT_EQ(nearest_rule("shared-captur"), "shared-capture");
-    EXPECT_EQ(nearest_rule("fold_order"), "fold-order");
+    EXPECT_EQ(nearest_rule("nonreentrant-cal"), "nonreentrant-call");
+    EXPECT_EQ(nearest_rule("pointer_key"), "pointer-key");
     EXPECT_EQ(nearest_rule("zzzzzz"), "");
-}
-
-// ------------------------------------------------- real-tree reachability
-//
-// The acceptance pin: on the real tree, the call-graph pass reaches the
-// BufferSizingEngine and BatchRunner bodies from the exec entry points.
-
-TEST(LintCallGraph, RealTreeReachesEngineAndBatchRunnerBodies) {
-    namespace fs = std::filesystem;
-    namespace cg = socbuf::lint::callgraph;
-    const fs::path src = fs::path(SOCBUF_REPO_ROOT) / "src";
-    std::vector<cg::SourceInput> inputs;
-    for (fs::recursive_directory_iterator it(src), done; it != done; ++it) {
-        if (!it->is_regular_file()) continue;
-        const std::string ext = it->path().extension().string();
-        if (ext != ".cpp" && ext != ".hpp") continue;
-        std::ifstream in(it->path(), std::ios::binary);
-        ASSERT_TRUE(in) << it->path();
-        std::ostringstream text;
-        text << in.rdbuf();
-        const std::string virtual_path =
-            it->path().lexically_relative(fs::path(SOCBUF_REPO_ROOT))
-                .generic_string();
-        inputs.push_back({virtual_path, virtual_path,
-                          socbuf::lint::split_views(text.str()).code});
-    }
-    ASSERT_GT(inputs.size(), 50u);
-    const cg::Graph graph = cg::build(inputs);
-    const std::vector<bool> reachable = cg::worker_reachable(graph);
-
-    const auto is_reachable = [&](const std::string& name) {
-        for (std::size_t i = 0; i < graph.functions.size(); ++i)
-            if (graph.functions[i].name == name && reachable[i])
-                return true;
-        return false;
-    };
-    // The sizing engine's solve bodies fan out through Executor::map.
-    EXPECT_TRUE(is_reachable("BufferSizingEngine::run"));
-    EXPECT_TRUE(is_reachable("score_subsystems"));
-    EXPECT_TRUE(is_reachable("solve_one"));
-    // The batch runner's jobs flow through TaskGraph::submit.
-    EXPECT_TRUE(is_reachable("BatchRunner::run"));
-    EXPECT_TRUE(is_reachable("run_sizing"));
-    EXPECT_TRUE(is_reachable("run_eval"));
-    // Nothing in the launcher-only surface should be worker context.
-    EXPECT_FALSE(is_reachable("main"));
-}
-
-// ----------------------------------------------------------- output forms
-
-std::vector<std::string> nonempty_lines(const std::string& text) {
-    std::vector<std::string> out;
-    std::istringstream stream(text);
-    std::string line;
-    while (std::getline(stream, line))
-        if (!line.empty()) out.push_back(line);
-    return out;
-}
-
-TEST(LintFormats, JsonRoundTripsAndMatchesTextOneToOne) {
-    socbuf::lint::RunOptions options;
-    options.as = "src/core/shared_capture_bad.cpp";
-    options.paths = {fixture_path("shared_capture_bad.cpp")};
-
-    std::ostringstream text_out, text_err;
-    options.format = socbuf::lint::Format::kText;
-    EXPECT_EQ(socbuf::lint::run(options, text_out, text_err), 1);
-
-    std::ostringstream json_out, json_err;
-    options.format = socbuf::lint::Format::kJson;
-    EXPECT_EQ(socbuf::lint::run(options, json_out, json_err), 1);
-
-    const socbuf::util::JsonValue report =
-        socbuf::util::JsonValue::parse(json_out.str());
-    const socbuf::util::JsonValue& list = report.at("diagnostics");
-    EXPECT_EQ(report.at("tool").as_string(), "socbuf_lint");
-    EXPECT_EQ(static_cast<std::size_t>(report.at("count").as_number()),
-              list.size());
-
-    // Every text line reconstructs from its JSON entry, 1:1 and in
-    // order.
-    const std::vector<std::string> lines = nonempty_lines(text_out.str());
-    ASSERT_EQ(lines.size(), list.size());
-    for (std::size_t i = 0; i < list.size(); ++i) {
-        const socbuf::util::JsonValue& entry = list.at(i);
-        std::ostringstream rebuilt;
-        rebuilt << entry.at("file").as_string() << ":"
-                << static_cast<std::size_t>(entry.at("line").as_number())
-                << ": [" << entry.at("rule").as_string() << "] "
-                << entry.at("message").as_string();
-        EXPECT_EQ(lines[i], rebuilt.str());
-    }
-}
-
-TEST(LintFormats, SarifShapeParsesWithTheExpectedSkeleton) {
-    socbuf::lint::RunOptions options;
-    options.as = "src/ctmc/fold_order_bad.cpp";
-    options.paths = {fixture_path("fold_order_bad.cpp")};
-    options.format = socbuf::lint::Format::kSarif;
-    std::ostringstream out, err;
-    EXPECT_EQ(socbuf::lint::run(options, out, err), 1);
-
-    const socbuf::util::JsonValue log =
-        socbuf::util::JsonValue::parse(out.str());
-    EXPECT_EQ(log.at("version").as_string(), "2.1.0");
-    const socbuf::util::JsonValue& run = log.at("runs").at(0);
-    EXPECT_EQ(run.at("tool").at("driver").at("name").as_string(),
-              "socbuf_lint");
-    ASSERT_EQ(run.at("results").size(), 1u);
-    const socbuf::util::JsonValue& result = run.at("results").at(0);
-    EXPECT_EQ(result.at("ruleId").as_string(), "fold-order");
-    EXPECT_EQ(static_cast<std::size_t>(
-                  result.at("locations")
-                      .at(0)
-                      .at("physicalLocation")
-                      .at("region")
-                      .at("startLine")
-                      .as_number()),
-              14u);
-}
-
-// ------------------------------------------------------------- baseline
-
-TEST(LintBaseline, WriteThenGateDropsKnownFindingsOnly) {
-    namespace fs = std::filesystem;
-    const fs::path baseline =
-        fs::temp_directory_path() / "socbuf_lint_baseline_test.txt";
-    socbuf::lint::RunOptions options;
-    options.as = "src/core/shared_capture_bad.cpp";
-    options.paths = {fixture_path("shared_capture_bad.cpp")};
-
-    // Writing the baseline swallows the findings and exits 0.
-    options.write_baseline = baseline.string();
-    std::ostringstream write_out, write_err;
-    EXPECT_EQ(socbuf::lint::run(options, write_out, write_err), 0);
-
-    // Gating against it: the same findings are tolerated, exit 0.
-    options.write_baseline.clear();
-    options.baseline = baseline.string();
-    std::ostringstream gate_out, gate_err;
-    EXPECT_EQ(socbuf::lint::run(options, gate_out, gate_err), 0);
-    EXPECT_TRUE(nonempty_lines(gate_out.str()).empty());
-
-    // A different file's findings are new: the gate fails.
-    options.as = "src/ctmc/fold_order_bad.cpp";
-    options.paths = {fixture_path("fold_order_bad.cpp")};
-    std::ostringstream fresh_out, fresh_err;
-    EXPECT_EQ(socbuf::lint::run(options, fresh_out, fresh_err), 1);
-    EXPECT_FALSE(nonempty_lines(fresh_out.str()).empty());
-
-    fs::remove(baseline);
 }
 
 int run_binary(const std::string& arguments) {
@@ -610,12 +396,15 @@ TEST(LintBinary, ExitCodesFollowTheContract) {
     EXPECT_EQ(run_binary("--as src/arch/x.cpp " +
                          fixture_path("layering_bad.cpp")),
               1);
-    // 2: usage errors (no inputs; unreadable path; clashing baselines).
+    // 2: usage errors (no inputs; unreadable path; unknown flags). The
+    // removed baseline and output-format flags are rejected, not
+    // silently ignored on an otherwise clean input.
     EXPECT_EQ(run_binary(""), 2);
     EXPECT_EQ(run_binary(fixture_path("no_such_fixture.cpp")), 2);
-    EXPECT_EQ(run_binary("--baseline a --write-baseline b " +
-                         fixture_path("pragma_once_good.hpp")),
-              2);
+    const std::string clean = " " + fixture_path("pragma_once_good.hpp");
+    EXPECT_EQ(run_binary("--baseline x" + clean), 2);
+    EXPECT_EQ(run_binary("--write-baseline x" + clean), 2);
+    EXPECT_EQ(run_binary("--format=json" + clean), 2);
 }
 
 std::string run_binary_stdout(const std::string& arguments) {
@@ -633,23 +422,17 @@ std::string run_binary_stdout(const std::string& arguments) {
     return out;
 }
 
-TEST(LintBinary, ListRulesShowsScopeAndDescription) {
+TEST(LintBinary, ListRulesShowsIdAndDescription) {
     const std::string out = run_binary_stdout("--list-rules");
-    EXPECT_NE(out.find("wall-clock [per-file]"), std::string::npos);
-    EXPECT_NE(out.find("shared-capture [call-graph]"), std::string::npos);
-    // Every documented rule id appears.
+    std::size_t lines = 0;
+    for (const char c : out) lines += c == '\n' ? 1 : 0;
+    EXPECT_EQ(lines, rule_ids().size());
+    // Every documented rule id appears with its description.
     for (const std::string& rule : rule_ids())
-        EXPECT_NE(out.find(rule + " ["), std::string::npos) << rule;
-}
-
-TEST(LintBinary, WholeTreeJsonRunIsCleanAgainstTheBaseline) {
-    // The acceptance pin: the real tree lints clean in JSON mode. Run
-    // from the repo root so display paths match the committed baseline.
-    const std::string root = SOCBUF_REPO_ROOT;
-    EXPECT_EQ(run_binary("--format=json --baseline " + root +
-                         "/tools/lint/baseline.txt --root " + root + " " +
-                         root + "/src " + root + "/tools"),
-              0);
+        EXPECT_NE(out.find(rule + " — " +
+                           socbuf::lint::rule_description(rule) + "\n"),
+                  std::string::npos)
+            << rule;
 }
 
 }  // namespace

@@ -9,12 +9,10 @@
 #include <regex>
 #include <set>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
-#include "callgraph.hpp"
-#include "rules_parallel.hpp"
 #include "text_views.hpp"
-#include "util/json.hpp"
 
 namespace socbuf::lint {
 
@@ -269,6 +267,18 @@ const std::regex& random_re() {
     return re;
 }
 
+/// Free calls to non-reentrant libc functions: hidden static state
+/// (strtok's cursor, localtime's tm, random's seed word) or
+/// process-global tables (environ, locale) that turn a call from any
+/// worker body into a race. rand/srand are random-source's, so one call
+/// fires one rule. A name reached through `.` or `->` is a member call
+/// and does not match.
+const std::regex& nonreentrant_re() {
+    static const std::regex re(
+        R"re((?:^|[^\w.>\s])\s*(strtok|strerror|asctime|ctime|gmtime|localtime|random|srandom|drand48|lrand48|mrand48|setenv|putenv|unsetenv|tmpnam|setlocale|readdir|gethostbyname)\s*\()re");
+    return re;
+}
+
 const std::regex& wall_clock_re() {
     static const std::regex re(
         R"re(_clock\s*::\s*now\b|\bgettimeofday\b|\bclock_gettime\b|\bclock\s*\(|\btime\s*\()re");
@@ -395,66 +405,41 @@ std::string range_expression(const std::string& capture) {
 struct RuleInfo {
     const char* id;
     const char* description;
-    RuleScope scope;
 };
 
 constexpr RuleInfo kRules[] = {
     {"layering",
      "an upward or sideways #include between source layers (each layer "
-     "only reaches downward; see tools/README.md for the rank table)",
-     RuleScope::kPerFile},
+     "only reaches downward; see tools/README.md for the rank table)"},
     {"unordered-container",
      "std::unordered_map/set declared in determinism-scoped code; "
      "iteration order is unspecified, so justify order-safety with a "
-     "suppression or use an ordered container",
-     RuleScope::kPerFile},
+     "suppression or use an ordered container"},
     {"unordered-iteration",
      "iteration over an unordered container in determinism-scoped code "
      "(range-for or begin()); the visit order may differ across runs "
-     "and library versions",
-     RuleScope::kPerFile},
+     "and library versions"},
     {"random-source",
      "ambient randomness (rand, srand, std::random_device) — all "
-     "stochastic behavior must flow from the seeded rng layer",
-     RuleScope::kPerFile},
+     "stochastic behavior must flow from the seeded rng layer"},
     {"wall-clock",
      "wall-clock read (chrono ::now, time, clock_gettime, ...) outside "
-     "bench/; timing diagnostics need an explicit justification",
-     RuleScope::kPerFile},
+     "bench/; timing diagnostics need an explicit justification"},
     {"raw-thread",
      "raw threading primitive (std::thread/async/mutex/...) outside "
-     "src/exec/ and the solve cache; fan out through exec::Executor",
-     RuleScope::kPerFile},
+     "src/exec/ and the solve cache; fan out through exec::Executor"},
     {"pointer-key",
      "ordered container keyed by a pointer; address order changes from "
-     "run to run, so iteration feeds nondeterminism into folds",
-     RuleScope::kPerFile},
-    {"static-mutable",
-     "function-local static non-const, or use of a mutable "
-     "namespace-scope global, in code reachable from a sanctioned "
-     "fan-out entry point; shared writes race across workers",
-     RuleScope::kCallGraph},
+     "run to run, so iteration feeds nondeterminism into folds"},
     {"nonreentrant-call",
      "call to a non-reentrant libc function (strtok, setenv, localtime, "
-     "rand, ...) from code reachable from a sanctioned fan-out entry "
-     "point; hidden process-global state races",
-     RuleScope::kCallGraph},
-    {"shared-capture",
-     "by-reference lambda capture mutated inside a worker-submitted "
-     "body without an index-addressed slot or atomic",
-     RuleScope::kCallGraph},
-    {"fold-order",
-     "accumulation into shared state inside a worker-submitted body; "
-     "the fold happens in schedule order — reduce worker results in "
-     "index order on the submitting thread",
-     RuleScope::kCallGraph},
-    {"pragma-once", "header without #pragma once", RuleScope::kPerFile},
-    {"using-namespace-header", "using namespace at header scope",
-     RuleScope::kPerFile},
+     "...) anywhere in src/; hidden process-global state races in any "
+     "worker body"},
+    {"pragma-once", "header without #pragma once"},
+    {"using-namespace-header", "using namespace at header scope"},
     {"suppression",
      "malformed or unjustified suppression annotation (not itself "
-     "suppressible)",
-     RuleScope::kPerFile},
+     "suppressible)"},
 };
 
 // ------------------------------------------------------------ file linting
@@ -505,6 +490,7 @@ void check_layering(FileLint& file) {
 void check_patterns(FileLint& file) {
     const bool determinism = determinism_scope(file.virtual_path);
     const bool header = is_header(file.virtual_path);
+    const bool src = starts_with(file.virtual_path, "src/");
     const bool thread_ok = !determinism ||
                            raw_thread_exempt(file.virtual_path);
     for (std::size_t index = 0; index < file.code_lines.size(); ++index) {
@@ -514,6 +500,12 @@ void check_patterns(FileLint& file) {
             file.emit("using-namespace-header", number,
                       "using namespace at header scope leaks into every "
                       "includer");
+        std::smatch call;
+        if (src && std::regex_search(line, call, nonreentrant_re()))
+            file.emit("nonreentrant-call", number,
+                      "call to non-reentrant '" + call[1].str() +
+                          "'; it reads or writes hidden process-global "
+                          "state, which races in any worker body");
         if (!determinism) continue;
         if (std::regex_search(line, random_re()))
             file.emit("random-source", number,
@@ -578,58 +570,6 @@ void check_pragma_once(FileLint& file) {
     file.emit("pragma-once", 1, "header is missing #pragma once");
 }
 
-// ------------------------------------------------------- whole-set driver
-
-/// One file, split and scanned once, shared by the per-file checks and
-/// the call-graph pass.
-struct PreparedFile {
-    std::string display_path;
-    std::string virtual_path;
-    Views views;
-    std::vector<std::string> raw_lines;
-    std::vector<std::string> code_lines;
-    SuppressionScan suppressions;
-};
-
-PreparedFile prepare_file(const std::string& display_path,
-                          const std::string& virtual_path,
-                          const std::string& text) {
-    PreparedFile prepared;
-    prepared.display_path = display_path;
-    prepared.virtual_path = virtual_path;
-    prepared.views = split_views(text);
-    prepared.raw_lines = split_lines(text);
-    prepared.code_lines = split_lines(prepared.views.code);
-    scan_suppressions(split_lines(prepared.views.comments),
-                      prepared.code_lines, prepared.suppressions);
-    return prepared;
-}
-
-/// All per-file rules over one prepared file, malformed-suppression
-/// diagnostics included, unsorted.
-std::vector<Diagnostic> per_file_pass(const PreparedFile& prepared,
-                                      const std::string* paired_header) {
-    FileLint file{prepared.display_path, prepared.virtual_path,
-                  prepared.raw_lines,    prepared.code_lines,
-                  prepared.suppressions, {}};
-    check_layering(file);
-    check_patterns(file);
-    std::set<std::string> names = unordered_names(prepared.views.code);
-    if (paired_header != nullptr) {
-        const std::set<std::string> header_names =
-            unordered_names(split_views(*paired_header).code);
-        names.insert(header_names.begin(), header_names.end());
-    }
-    check_unordered_iteration(file, names);
-    check_pragma_once(file);
-    for (const Diagnostic& diagnostic : prepared.suppressions.malformed) {
-        Diagnostic copy = diagnostic;
-        copy.file = prepared.display_path;
-        file.output.push_back(std::move(copy));
-    }
-    return file.output;
-}
-
 void sort_diagnostics(std::vector<Diagnostic>& diagnostics) {
     std::sort(diagnostics.begin(), diagnostics.end(),
               [](const Diagnostic& a, const Diagnostic& b) {
@@ -643,6 +583,21 @@ void sort_diagnostics(std::vector<Diagnostic>& diagnostics) {
                                std::tie(b.file, b.line, b.rule, b.message);
                     }),
         diagnostics.end());
+}
+
+bool lintable_extension(const fs::path& path) {
+    const std::string ext = path.extension().string();
+    return ext == ".hpp" || ext == ".cpp" || ext == ".h" || ext == ".cc";
+}
+
+bool read_file(const fs::path& path, std::string& out) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) return false;
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    if (in.bad()) return false;
+    out = buffer.str();
+    return true;
 }
 
 }  // namespace
@@ -660,12 +615,6 @@ std::string rule_description(const std::string& rule) {
     for (const RuleInfo& info : kRules)
         if (rule == info.id) return info.description;
     return "";
-}
-
-RuleScope rule_scope(const std::string& rule) {
-    for (const RuleInfo& info : kRules)
-        if (rule == info.id) return info.scope;
-    return RuleScope::kPerFile;
 }
 
 std::string nearest_rule(const std::string& rule) {
@@ -710,194 +659,31 @@ std::vector<Diagnostic> lint_text(const std::string& display_path,
                                   const std::string& virtual_path,
                                   const std::string& text,
                                   const std::string* paired_header) {
-    const PreparedFile prepared =
-        prepare_file(display_path, virtual_path, text);
-    std::vector<Diagnostic> output = per_file_pass(prepared, paired_header);
-    sort_diagnostics(output);
-    return output;
-}
+    const Views views = split_views(text);
+    const std::vector<std::string> raw_lines = split_lines(text);
+    const std::vector<std::string> code_lines = split_lines(views.code);
+    SuppressionScan suppressions;
+    scan_suppressions(split_lines(views.comments), code_lines, suppressions);
 
-std::vector<Diagnostic> analyze_files(const std::vector<SourceFile>& files) {
-    std::vector<PreparedFile> prepared;
-    prepared.reserve(files.size());
-    std::vector<Diagnostic> all;
-    for (const SourceFile& file : files) {
-        prepared.push_back(prepare_file(file.display_path,
-                                        file.virtual_path, file.text));
-        const std::string* paired =
-            file.has_paired_header ? &file.paired_header : nullptr;
-        std::vector<Diagnostic> output =
-            per_file_pass(prepared.back(), paired);
-        all.insert(all.end(), std::make_move_iterator(output.begin()),
-                   std::make_move_iterator(output.end()));
+    FileLint file{display_path, virtual_path, raw_lines,
+                  code_lines,   suppressions, {}};
+    check_layering(file);
+    check_patterns(file);
+    std::set<std::string> names = unordered_names(views.code);
+    if (paired_header != nullptr) {
+        const std::set<std::string> header_names =
+            unordered_names(split_views(*paired_header).code);
+        names.insert(header_names.begin(), header_names.end());
     }
-
-    std::vector<callgraph::SourceInput> inputs;
-    inputs.reserve(prepared.size());
-    for (const PreparedFile& file : prepared)
-        inputs.push_back(
-            {file.display_path, file.virtual_path, file.views.code});
-    const callgraph::Graph graph = callgraph::build(inputs);
-
-    std::map<std::string, const SuppressionScan*> scans;
-    for (const PreparedFile& file : prepared)
-        scans[file.display_path] = &file.suppressions;
-    for (Diagnostic& diagnostic : check_worker_rules(graph)) {
-        const auto found = scans.find(diagnostic.file);
-        if (found != scans.end() &&
-            suppressed(*found->second, diagnostic.rule, diagnostic.line))
-            continue;
-        all.push_back(std::move(diagnostic));
+    check_unordered_iteration(file, names);
+    check_pragma_once(file);
+    for (Diagnostic diagnostic : suppressions.malformed) {
+        diagnostic.file = display_path;
+        file.output.push_back(std::move(diagnostic));
     }
-    sort_diagnostics(all);
-    return all;
+    sort_diagnostics(file.output);
+    return file.output;
 }
-
-std::vector<Diagnostic> analyze_text(const std::string& display_path,
-                                     const std::string& virtual_path,
-                                     const std::string& text) {
-    SourceFile file;
-    file.display_path = display_path;
-    file.virtual_path = virtual_path;
-    file.text = text;
-    return analyze_files({file});
-}
-
-namespace {
-
-// ---------------------------------------------------------------- formats
-
-util::JsonValue json_report(const std::vector<Diagnostic>& diagnostics) {
-    util::JsonValue report = util::JsonValue::object();
-    report.set("tool", "socbuf_lint");
-    report.set("count", diagnostics.size());
-    util::JsonValue list = util::JsonValue::array();
-    for (const Diagnostic& diagnostic : diagnostics) {
-        util::JsonValue entry = util::JsonValue::object();
-        entry.set("file", diagnostic.file);
-        entry.set("line", diagnostic.line);
-        entry.set("rule", diagnostic.rule);
-        entry.set("message", diagnostic.message);
-        list.push_back(std::move(entry));
-    }
-    report.set("diagnostics", std::move(list));
-    return report;
-}
-
-util::JsonValue sarif_report(const std::vector<Diagnostic>& diagnostics) {
-    util::JsonValue rules = util::JsonValue::array();
-    for (const std::string& id : rule_ids()) {
-        util::JsonValue rule = util::JsonValue::object();
-        rule.set("id", id);
-        util::JsonValue text = util::JsonValue::object();
-        text.set("text", rule_description(id));
-        rule.set("shortDescription", std::move(text));
-        rules.push_back(std::move(rule));
-    }
-    util::JsonValue driver = util::JsonValue::object();
-    driver.set("name", "socbuf_lint");
-    driver.set("rules", std::move(rules));
-    util::JsonValue tool = util::JsonValue::object();
-    tool.set("driver", std::move(driver));
-
-    util::JsonValue results = util::JsonValue::array();
-    for (const Diagnostic& diagnostic : diagnostics) {
-        util::JsonValue message = util::JsonValue::object();
-        message.set("text", diagnostic.message);
-        util::JsonValue artifact = util::JsonValue::object();
-        artifact.set("uri", diagnostic.file);
-        util::JsonValue region = util::JsonValue::object();
-        region.set("startLine", diagnostic.line);
-        util::JsonValue physical = util::JsonValue::object();
-        physical.set("artifactLocation", std::move(artifact));
-        physical.set("region", std::move(region));
-        util::JsonValue location = util::JsonValue::object();
-        location.set("physicalLocation", std::move(physical));
-        util::JsonValue locations = util::JsonValue::array();
-        locations.push_back(std::move(location));
-        util::JsonValue result = util::JsonValue::object();
-        result.set("ruleId", diagnostic.rule);
-        result.set("level", "error");
-        result.set("message", std::move(message));
-        result.set("locations", std::move(locations));
-        results.push_back(std::move(result));
-    }
-    util::JsonValue run = util::JsonValue::object();
-    run.set("tool", std::move(tool));
-    run.set("results", std::move(results));
-    util::JsonValue runs = util::JsonValue::array();
-    runs.push_back(std::move(run));
-    util::JsonValue log = util::JsonValue::object();
-    log.set("version", "2.1.0");
-    log.set("$schema", "https://json.schemastore.org/sarif-2.1.0.json");
-    log.set("runs", std::move(runs));
-    return log;
-}
-
-// --------------------------------------------------------------- baseline
-//
-// One tolerated finding per line, tab-separated: file, rule, message.
-// Line numbers are deliberately absent so unrelated edits above a
-// finding do not invalidate the whole baseline; '#' lines are comments.
-
-std::string baseline_key(const Diagnostic& diagnostic) {
-    return diagnostic.file + "\t" + diagnostic.rule + "\t" +
-           diagnostic.message;
-}
-
-bool load_baseline(const std::string& path,
-                   std::multiset<std::string>& entries, std::ostream& err) {
-    std::ifstream in(path);
-    if (!in) {
-        err << "socbuf_lint: cannot read baseline '" << path << "'\n";
-        return false;
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        if (blank_line(line) || line[0] == '#') continue;
-        entries.insert(line);
-    }
-    return true;
-}
-
-bool write_baseline_file(const std::string& path,
-                         const std::vector<Diagnostic>& diagnostics,
-                         std::ostream& err) {
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-        err << "socbuf_lint: cannot write baseline '" << path << "'\n";
-        return false;
-    }
-    out << "# socbuf_lint baseline — tolerated findings, one per line:\n"
-           "#   file<TAB>rule<TAB>message\n"
-           "# Regenerate with: socbuf_lint --write-baseline <this file> "
-           "<paths>\n";
-    std::vector<std::string> keys;
-    keys.reserve(diagnostics.size());
-    for (const Diagnostic& diagnostic : diagnostics)
-        keys.push_back(baseline_key(diagnostic));
-    std::sort(keys.begin(), keys.end());
-    for (const std::string& key : keys) out << key << "\n";
-    return out.good();
-}
-
-bool lintable_extension(const fs::path& path) {
-    const std::string ext = path.extension().string();
-    return ext == ".hpp" || ext == ".cpp" || ext == ".h" || ext == ".cc";
-}
-
-bool read_file(const fs::path& path, std::string& out) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return false;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) return false;
-    out = buffer.str();
-    return true;
-}
-
-}  // namespace
 
 int run(const RunOptions& options, std::ostream& out, std::ostream& err) {
     const fs::path root =
@@ -938,80 +724,42 @@ int run(const RunOptions& options, std::ostream& out, std::ostream& err) {
                   return a.generic_string() < b.generic_string();
               });
 
-    std::vector<SourceFile> sources;
-    sources.reserve(files.size());
+    std::vector<Diagnostic> diagnostics;
     for (const fs::path& path : files) {
-        SourceFile source;
-        if (!read_file(path, source.text)) {
+        std::string text;
+        if (!read_file(path, text)) {
             err << "socbuf_lint: cannot read '" << path.generic_string()
                 << "'\n";
             return 2;
         }
-        source.virtual_path = options.as;
-        if (source.virtual_path.empty()) {
+        std::string virtual_path = options.as;
+        if (virtual_path.empty()) {
             const fs::path relative =
                 fs::absolute(path).lexically_normal().lexically_relative(
                     fs::absolute(root).lexically_normal());
-            source.virtual_path = relative.generic_string();
-            if (source.virtual_path.empty() ||
-                starts_with(source.virtual_path, "../"))
-                source.virtual_path = path.generic_string();
+            virtual_path = relative.generic_string();
+            if (virtual_path.empty() || starts_with(virtual_path, "../"))
+                virtual_path = path.generic_string();
         }
+        std::string paired_header;
+        bool has_paired_header = false;
         if (path.extension() == ".cpp") {
             fs::path header = path;
             header.replace_extension(".hpp");
-            if (fs::exists(header) &&
-                read_file(header, source.paired_header))
-                source.has_paired_header = true;
+            has_paired_header =
+                fs::exists(header) && read_file(header, paired_header);
         }
-        source.display_path = path.generic_string();
-        sources.push_back(std::move(source));
+        std::vector<Diagnostic> found =
+            lint_text(path.generic_string(), virtual_path, text,
+                      has_paired_header ? &paired_header : nullptr);
+        diagnostics.insert(diagnostics.end(),
+                           std::make_move_iterator(found.begin()),
+                           std::make_move_iterator(found.end()));
     }
 
-    std::vector<Diagnostic> diagnostics = analyze_files(sources);
-
-    if (!options.write_baseline.empty()) {
-        if (!write_baseline_file(options.write_baseline, diagnostics, err))
-            return 2;
-        err << "socbuf_lint: wrote " << diagnostics.size()
-            << " baseline entr" << (diagnostics.size() == 1 ? "y" : "ies")
-            << " to '" << options.write_baseline << "'\n";
-        return 0;
-    }
-
-    if (!options.baseline.empty()) {
-        std::multiset<std::string> baseline;
-        if (!load_baseline(options.baseline, baseline, err)) return 2;
-        std::size_t matched = 0;
-        std::vector<Diagnostic> fresh;
-        for (Diagnostic& diagnostic : diagnostics) {
-            const auto found = baseline.find(baseline_key(diagnostic));
-            if (found != baseline.end()) {
-                baseline.erase(found);
-                ++matched;
-                continue;
-            }
-            fresh.push_back(std::move(diagnostic));
-        }
-        diagnostics = std::move(fresh);
-        if (matched != 0)
-            err << "socbuf_lint: " << matched << " finding"
-                << (matched == 1 ? "" : "s") << " matched the baseline\n";
-    }
-
-    switch (options.format) {
-        case Format::kText:
-            for (const Diagnostic& diagnostic : diagnostics)
-                out << diagnostic.file << ":" << diagnostic.line << ": ["
-                    << diagnostic.rule << "] " << diagnostic.message << "\n";
-            break;
-        case Format::kJson:
-            out << json_report(diagnostics).dump(2) << "\n";
-            break;
-        case Format::kSarif:
-            out << sarif_report(diagnostics).dump(2) << "\n";
-            break;
-    }
+    for (const Diagnostic& diagnostic : diagnostics)
+        out << diagnostic.file << ":" << diagnostic.line << ": ["
+            << diagnostic.rule << "] " << diagnostic.message << "\n";
     if (!diagnostics.empty()) {
         err << "socbuf_lint: " << diagnostics.size() << " diagnostic"
             << (diagnostics.size() == 1 ? "" : "s") << "\n";

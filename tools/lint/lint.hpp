@@ -7,30 +7,28 @@
 ///     against a rank table of the source modules; an upward or
 ///     sideways include is a diagnostic, not a review comment.
 ///   * **Determinism** — "reports are bit-identical for any thread
-///     count and schedule". Per file: unordered-container iteration,
-///     ambient randomness, wall-clock reads and raw threading
-///     primitives are banned outside the layers whose job they are.
-///     Across files: a call-graph pass (callgraph.hpp) computes the
-///     functions reachable from the sanctioned exec fan-out entry
-///     points and enforces the worker-context rule families
-///     (static-mutable, nonreentrant-call, shared-capture, fold-order;
-///     rules_parallel.hpp).
+///     count and schedule". Unordered-container iteration, ambient
+///     randomness, wall-clock reads and raw threading primitives are
+///     banned outside the layers whose job they are, and src/ calls no
+///     non-reentrant libc function (strtok, localtime, setenv, ...):
+///     their hidden process-global state races in any worker body, and
+///     ThreadSanitizer does not see every such race.
 ///   * **Hygiene** — `#pragma once` in every header, no
 ///     `using namespace` at header scope.
 ///
-/// Rules are suppressible inline, one line at a time, with a comment of
-/// the form `socbuf-lint: allow(<rule-id>) — <why this use is safe>` on
-/// the offending line, or alone on the line above it; a whole file opts
-/// out of one rule with `socbuf-lint: allow-file(<rule-id>) — <why>`
-/// within its first 10 lines. A suppression with no justification text
-/// after the rule list is itself a diagnostic — the analyzer enforces
-/// that every exception is argued. (Rule lists spelled with
-/// angle-bracket placeholders, as here, are documentation and ignored.)
+/// Every rule looks at one file at a time. Rules are suppressible
+/// inline, one line at a time, with a comment of the form
+/// `socbuf-lint: allow(<rule-id>) — <why this use is safe>` on the
+/// offending line, or alone on the line above it; a whole file opts out
+/// of one rule with `socbuf-lint: allow-file(<rule-id>) — <why>` within
+/// its first 10 lines. A suppression with no justification text after
+/// the rule list is itself a diagnostic — the analyzer enforces that
+/// every exception is argued. (Rule lists spelled with angle-bracket
+/// placeholders, as here, are documentation and ignored.)
 ///
 /// The engine is a library so `lint_test` can assert exact rule
 /// firings; `tools/lint/main.cpp` wraps it as the `socbuf_lint`
-/// binary. See `tools/README.md` for the full rule and layer tables,
-/// the worker-context reachability model and the baseline workflow.
+/// binary. See `tools/README.md` for the full rule and layer tables.
 
 #include <cstddef>
 #include <iosfwd>
@@ -46,19 +44,11 @@ struct Diagnostic {
     std::string message;
 };
 
-/// Where a rule's evidence lives: one file at a time, or the whole-tree
-/// call graph.
-enum class RuleScope { kPerFile, kCallGraph };
-
 /// Every rule identifier, in documentation order.
 const std::vector<std::string>& rule_ids();
 
 /// One-line description of a rule ("" for an unknown id).
 std::string rule_description(const std::string& rule);
-
-/// Scope of a known rule (kPerFile for an unknown id — callers check
-/// rule_description first).
-RuleScope rule_scope(const std::string& rule);
 
 /// The known rule id nearest to `rule` by edit distance, or "" when
 /// nothing is plausibly close. Powers the unknown-rule diagnostics.
@@ -69,40 +59,17 @@ std::string nearest_rule(const std::string& rule);
 /// tests/ sit above every layer and may include anything).
 int layer_rank(const std::string& virtual_path);
 
-/// Lint one file's text with the per-file rules only (no call-graph
-/// pass). `display_path` is what diagnostics report; `virtual_path` is
-/// the repo-relative location that layer and scope decisions use (they
-/// differ only under the fixture-testing `--as` flag). `paired_header`,
-/// when non-null, is the text of the sibling .hpp whose member
-/// declarations extend the .cpp's set of known unordered containers.
+/// Lint one file's text with every rule, suppressions applied, sorted by
+/// (line, rule). `display_path` is what diagnostics report;
+/// `virtual_path` is the repo-relative location that layer and scope
+/// decisions use (they differ only under the fixture-testing `--as`
+/// flag). `paired_header`, when non-null, is the text of the sibling
+/// .hpp whose member declarations extend the .cpp's set of known
+/// unordered containers.
 std::vector<Diagnostic> lint_text(const std::string& display_path,
                                   const std::string& virtual_path,
                                   const std::string& text,
                                   const std::string* paired_header);
-
-/// One file of a whole-tree analysis set.
-struct SourceFile {
-    std::string display_path;
-    std::string virtual_path;
-    std::string text;
-    std::string paired_header;  ///< sibling .hpp text (see lint_text)
-    bool has_paired_header = false;
-};
-
-/// The full analysis: per-file rules on every file plus the cross-file
-/// call-graph pass over all of them together, with line- and file-level
-/// suppressions applied and the result sorted by (file, line, rule).
-std::vector<Diagnostic> analyze_files(const std::vector<SourceFile>& files);
-
-/// analyze_files over a single in-memory file — the fixture-test entry
-/// point for the call-graph rule families.
-std::vector<Diagnostic> analyze_text(const std::string& display_path,
-                                     const std::string& virtual_path,
-                                     const std::string& text);
-
-/// Diagnostic output shape: plain `file:line: [rule] message` lines, a
-/// socbuf JSON report, or a SARIF 2.1.0-shaped log.
-enum class Format { kText, kJson, kSarif };
 
 struct RunOptions {
     /// Base directory that repo-relative virtual paths are computed
@@ -114,20 +81,12 @@ struct RunOptions {
     std::string as;
     /// Files or directories (scanned recursively for .hpp/.cpp).
     std::vector<std::string> paths;
-    Format format = Format::kText;
-    /// Baseline file of tolerated findings (see tools/README.md): a
-    /// finding whose (file, rule, message) matches an unconsumed
-    /// baseline entry is dropped, so CI fails only on *new* findings.
-    std::string baseline;
-    /// Instead of reporting, rewrite this baseline file from the run's
-    /// findings and exit 0.
-    std::string write_baseline;
 };
 
-/// Scan, lint (per-file and call-graph passes), and print diagnostics
-/// to `out` in the requested format. Returns the process exit code:
-/// 0 clean, 1 when any non-baselined diagnostic fired, 2 on usage or
-/// I/O errors (reported on `err`).
+/// Scan, lint each file, and print one `file:line: [rule] message` line
+/// per diagnostic to `out`. Returns the process exit code: 0 clean, 1
+/// when any diagnostic fired, 2 on usage or I/O errors (reported on
+/// `err`).
 int run(const RunOptions& options, std::ostream& out, std::ostream& err);
 
 }  // namespace socbuf::lint

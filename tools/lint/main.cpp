@@ -1,34 +1,24 @@
 // socbuf_lint — project-specific static analysis for the socbuf tree:
 // layering (each layer only reaches downward), determinism (no unordered
 // iteration, ambient randomness, wall clocks or raw threads where results
-// are folded, and — via a whole-tree call-graph pass — no shared-state
-// mutation, non-reentrant calls or schedule-ordered folds in code
-// reachable from the exec fan-out entry points) and header hygiene, with
-// argued inline suppressions.
+// are folded, and no non-reentrant libc calls anywhere in src/) and
+// header hygiene, with argued inline suppressions. Every rule looks at
+// one file at a time.
 //
 //   socbuf_lint [--root DIR] src tools bench examples
 //       Scan directories (or single files) and print one
 //       `file:line: [rule] message` diagnostic per finding. Exit 0 when
 //       clean, 1 when anything fired, 2 on usage errors.
-//   socbuf_lint --format=json src            (also: --format=sarif)
-//       Machine-readable diagnostics: a socbuf JSON report or a SARIF
-//       2.1.0-shaped log, on stdout.
-//   socbuf_lint --baseline tools/lint/baseline.txt src
-//       Drop findings matching the committed baseline; only *new*
-//       findings fail the run. --write-baseline PATH regenerates it.
 //   socbuf_lint --as src/arch/x.cpp tests/data/lint/fixture.cpp
 //       Lint one file as if it lived at the given repo-relative path —
 //       how the fixture suite places known-bad snippets inside
 //       determinism-scoped layers.
 //   socbuf_lint --list-rules
-//       Print every rule id with its scope ([per-file] or [call-graph])
-//       and one-line description.
+//       Print every rule id with its one-line description.
 //
-// The rule and layer tables, the worker-context reachability model and
-// the baseline workflow are documented in tools/README.md.
+// The rule and layer tables are documented in tools/README.md.
 #include "lint.hpp"
 
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -36,10 +26,7 @@ namespace {
 
 int usage() {
     std::cerr << "usage:\n"
-                 "  socbuf_lint [--root DIR] [--as VPATH] "
-                 "[--format=text|json|sarif]\n"
-                 "              [--baseline FILE | --write-baseline FILE] "
-                 "<path>...\n"
+                 "  socbuf_lint [--root DIR] [--as VPATH] <path>...\n"
                  "  socbuf_lint --list-rules\n";
     return 2;
 }
@@ -51,37 +38,14 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--list-rules") {
-            for (const std::string& rule : socbuf::lint::rule_ids()) {
-                const char* scope =
-                    socbuf::lint::rule_scope(rule) ==
-                            socbuf::lint::RuleScope::kCallGraph
-                        ? "[call-graph]"
-                        : "[per-file]";
-                std::cout << rule << " " << scope << " — "
+            for (const std::string& rule : socbuf::lint::rule_ids())
+                std::cout << rule << " — "
                           << socbuf::lint::rule_description(rule) << "\n";
-            }
             return 0;
         }
-        if (arg == "--root" || arg == "--as" || arg == "--baseline" ||
-            arg == "--write-baseline") {
+        if (arg == "--root" || arg == "--as") {
             if (i + 1 >= argc) return usage();
-            const char* value = argv[++i];
-            if (arg == "--root") options.root = value;
-            else if (arg == "--as") options.as = value;
-            else if (arg == "--baseline") options.baseline = value;
-            else options.write_baseline = value;
-            continue;
-        }
-        if (arg.rfind("--format=", 0) == 0) {
-            const std::string format = arg.substr(std::strlen("--format="));
-            if (format == "text")
-                options.format = socbuf::lint::Format::kText;
-            else if (format == "json")
-                options.format = socbuf::lint::Format::kJson;
-            else if (format == "sarif")
-                options.format = socbuf::lint::Format::kSarif;
-            else
-                return usage();
+            (arg == "--root" ? options.root : options.as) = argv[++i];
             continue;
         }
         if (arg == "-h" || arg == "--help") return usage();
@@ -89,7 +53,5 @@ int main(int argc, char** argv) {
         options.paths.push_back(arg);
     }
     if (options.paths.empty()) return usage();
-    if (!options.baseline.empty() && !options.write_baseline.empty())
-        return usage();
     return socbuf::lint::run(options, std::cout, std::cerr);
 }

@@ -1,13 +1,13 @@
 #pragma once
-/// Shared text-shape utilities for socbuf_lint's passes.
+/// Text-shape utilities for socbuf_lint's rules.
 ///
-/// Pattern rules (lint.cpp) and the call-graph extractor (callgraph.cpp)
-/// both need to see *code* without comment or string-literal text — the
-/// linter's own sources spell every banned token inside string literals —
-/// while the suppression scanner needs the *comments* alone. split_views
-/// produces both as same-shape strings (newlines survive, everything else
-/// is blanked out of the view it does not belong to), so byte offsets and
-/// line numbers stay aligned across views.
+/// Pattern rules (lint.cpp) need to see *code* without comment or
+/// string-literal text — the linter's own sources spell every banned
+/// token inside string literals — while the suppression scanner needs the
+/// *comments* alone. split_views produces both as same-shape strings
+/// (newlines survive, everything else is blanked out of the view it does
+/// not belong to), so byte offsets and line numbers stay aligned across
+/// views.
 
 #include <string>
 #include <vector>
