@@ -13,6 +13,7 @@
 #include "core/allocation.hpp"
 #include "core/subsystem_model.hpp"
 #include "ctmdp/solver.hpp"
+#include "ctmdp/value_iteration.hpp"
 #include "exec/executor.hpp"
 #include "split/splitter.hpp"
 #include "util/json.hpp"
@@ -116,6 +117,22 @@ double best_solve_seconds(const socbuf::ctmdp::CtmdpModel& model,
     return best;
 }
 
+/// Best-of-k wall-clock of relative_value_iteration alone: the sweeps,
+/// without the registry's post-solve stationary/occupation pass.
+double best_vi_seconds(const socbuf::ctmdp::CtmdpModel& model,
+                       const socbuf::ctmdp::ViOptions& options, int reps) {
+    double best = 0.0;
+    for (int r = 0; r < reps; ++r) {
+        const auto start = std::chrono::steady_clock::now();
+        auto result = socbuf::ctmdp::relative_value_iteration(model, options);
+        const auto stop = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(result);
+        const double s = std::chrono::duration<double>(stop - start).count();
+        if (r == 0 || s < best) best = s;
+    }
+    return best;
+}
+
 /// The --json measurement: dense vs banded PI evaluation per cap (the
 /// structural speedup behind kAuto's widened pi_state_limit), then VI at
 /// scale.
@@ -152,7 +169,10 @@ void write_json_report(const std::string& path) {
     // VI at scale: serial Jacobi vs the executor-fanned sweep at four
     // workers (bit-identical by contract — the `identical` flag verifies
     // it) vs the opt-in Gauss–Seidel sweep, at the engine's VI-rung
-    // tolerance. Models: the figure-1 bus-b family (narrow band) and the
+    // tolerance. The *_s columns time a whole registry solve (VI plus the
+    // post-solve stationary pass); jacobi_vi_s times the serial Jacobi
+    // sweeps alone, and vi_ns_per_state_sweep divides it by states x
+    // iterations. Models: the figure-1 bus-b family (narrow band) and the
     // np-cluster-scaling ingress buses at pe 6 and 8 (wide band). The
     // pe-8 cap-3 model (262144 states, ~45 s serial) and pe >= 10 are
     // beyond the CI budget and deliberately not measured here — the cap
@@ -189,6 +209,13 @@ void write_json_report(const std::string& path) {
             const bool identical = serial_sol.gain == fanned_sol.gain &&
                                    serial_sol.bias == fanned_sol.bias;
             const double serial_s = best_solve_seconds(model, jacobi, reps);
+            const double vi_s = best_vi_seconds(model, jacobi.solver.vi, reps);
+            const double vi_ns_per_state_sweep =
+                serial_sol.iterations > 0
+                    ? vi_s * 1e9 /
+                          (static_cast<double>(model.state_count()) *
+                           static_cast<double>(serial_sol.iterations))
+                    : 0.0;
             const double fanned_s = best_solve_seconds(model, fanned, reps);
             const double gs_s = best_solve_seconds(model, gs, reps);
 
@@ -198,6 +225,8 @@ void write_json_report(const std::string& path) {
             row.set("bandwidth", model.bandwidth());
             row.set("jacobi_s", serial_s);
             row.set("jacobi_iterations", serial_sol.iterations);
+            row.set("jacobi_vi_s", vi_s);
+            row.set("vi_ns_per_state_sweep", vi_ns_per_state_sweep);
             row.set("parallel4_s", fanned_s);
             row.set("parallel4_speedup",
                     fanned_s > 0.0 ? serial_s / fanned_s : 0.0);
@@ -213,10 +242,12 @@ void write_json_report(const std::string& path) {
             row.set("gs_gain_delta", gs_sol.gain - serial_sol.gain);
             vi_scaling.push_back(std::move(row));
             std::printf(
-                "%s (%zu states): jacobi %.3fs/%zu it, parallel4 %.3fs "
-                "(identical %s), gs %.3fs/%zu it (%.2fx fewer sweeps)\n",
+                "%s (%zu states): jacobi %.3fs/%zu it (sweeps %.3fs, "
+                "%.1f ns/state-sweep), parallel4 %.3fs (identical %s), gs "
+                "%.3fs/%zu it (%.2fx fewer sweeps)\n",
                 c.label, model.state_count(), serial_s,
-                serial_sol.iterations, fanned_s, identical ? "yes" : "NO",
+                serial_sol.iterations, vi_s, vi_ns_per_state_sweep, fanned_s,
+                identical ? "yes" : "NO",
                 gs_s, gs_sol.iterations,
                 gs_sol.iterations > 0
                     ? static_cast<double>(serial_sol.iterations) /

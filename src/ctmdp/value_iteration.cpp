@@ -8,83 +8,159 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 namespace socbuf::ctmdp {
 
 namespace {
 
-/// Precomputed uniformized model: per pair, per-step cost, stay
-/// probability, and the jump probabilities in compressed-row (CSR) form —
-/// one flat target/probability array indexed by per-pair offsets, in the
-/// model's transition order, so every sweep visits identical values in
-/// identical order (bit-identical results) while streaming contiguous
-/// arrays. The state -> pair offsets are the model's own; the jump
-/// indices are 32-bit, which cuts the sweep's index traffic by half.
+/// One run of a state's actions that share a head: consecutive actions
+/// (in the model's pair order) whose per-step cost and stay probability
+/// are bitwise equal. The head is the longest (target, prob) jump prefix
+/// all of them share; each action keeps only its tail. The jump entries
+/// are laid out group by group, head first, then each pair's tail in
+/// pair order, so one index walks them front to back.
+struct Group {
+    double step_cost = 0.0;
+    double stay = 0.0;
+    std::uint32_t head_begin = 0;  // head jumps [head_begin, head_end)
+    std::uint32_t head_end = 0;
+    std::uint32_t pair_begin = 0;  // the group's pairs [pair_begin, pair_end)
+    std::uint32_t pair_end = 0;
+};
+
+/// Precomputed uniformized model around per-state shared heads. A
+/// subsystem state's actions all carry the same arrival jumps and cost
+/// and differ only in the buffer they serve, so most states are one
+/// group whose head holds the arrivals. The Bellman value
+///     step_cost + stay * h[s] + sum_k prob_k * h[target_k]
+/// is a left-to-right fold in the model's transition order, and a shared
+/// head is the same leading run of operations for every action of its
+/// group: folding it once and each tail onto a copy gives every action's
+/// value bit for bit. The indices are 32-bit, which halves the sweep's
+/// index traffic.
 struct Uniformized {
     double lambda = 1.0;
-    const std::size_t* pair_offset = nullptr;  // model.pair_offsets()
-    std::vector<double> step_cost;
-    std::vector<double> stay;
-    // CSR over pairs: entries [jump_offset[p], jump_offset[p + 1]).
-    std::vector<std::uint32_t> jump_offset;
+    // State s owns groups [state_group[s], state_group[s + 1]).
+    std::vector<std::uint32_t> state_group;
+    std::vector<Group> groups;
+    // Per pair p: its tail ends at tail_end[p] and starts where the
+    // previous pair's tail ended, or at head_end for a group's first pair.
+    std::vector<std::uint32_t> tail_end;
     std::vector<std::uint32_t> jump_target;
     std::vector<double> jump_prob;
 };
 
+/// Bitwise equality: +0.0 and -0.0 differ, so a merge never changes a bit.
+bool same_bits(double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
 Uniformized uniformize(const CtmdpModel& model) {
     SOCBUF_REQUIRE_MSG(
-        std::max(model.state_count(), model.transition_count()) <=
+        std::max({model.state_count(), model.pair_count(),
+                  model.transition_count()}) <=
             std::numeric_limits<std::uint32_t>::max(),
         "model too large for 32-bit jump indices");
     Uniformized u;
-    u.pair_offset = model.pair_offsets().data();
     // A margin keeps every self-loop probability strictly positive, which
     // makes the uniformized chain aperiodic (required for RVI convergence).
     u.lambda = std::max(model.max_exit_rate(), 1e-12) * 1.05 + 1e-9;
-    const std::size_t n_pairs = model.pair_count();
+    const std::size_t n = model.state_count();
     const std::vector<std::size_t>& pair_offset = model.pair_offsets();
-    u.step_cost.resize(n_pairs);
-    u.stay.resize(n_pairs);
-    u.jump_offset.assign(n_pairs + 1, 0);
+    u.state_group.reserve(n + 1);
+    u.tail_end.reserve(model.pair_count());
     u.jump_target.reserve(model.transition_count());
     u.jump_prob.reserve(model.transition_count());
-    for (std::size_t s = 0; s < model.state_count(); ++s) {
+    // One state's pairs, uniformized: cost, stay and jumps per action.
+    std::vector<double> cost, stay, prob;
+    std::vector<std::uint32_t> target;
+    std::vector<std::size_t> first;  // action a: [first[a], first[a + 1])
+    const auto same_jump = [&](std::size_t i, std::size_t j) {
+        return target[i] == target[j] && same_bits(prob[i], prob[j]);
+    };
+    // Appends this state's jumps [lo, hi); returns the new end offset.
+    const auto append = [&](std::size_t lo, std::size_t hi) {
+        u.jump_target.insert(u.jump_target.end(), target.begin() + lo,
+                             target.begin() + hi);
+        u.jump_prob.insert(u.jump_prob.end(), prob.begin() + lo,
+                           prob.begin() + hi);
+        return static_cast<std::uint32_t>(u.jump_target.size());
+    };
+    for (std::size_t s = 0; s < n; ++s) {
+        cost.clear();
+        stay.clear();
+        prob.clear();
+        target.clear();
+        first.assign(1, 0);
         for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p) {
-            u.step_cost[p] = model.costs()[p] / u.lambda;
+            cost.push_back(model.costs()[p] / u.lambda);
             double move = 0.0;
-            model.for_each_jump(s, p, [&](std::size_t target, double rate) {
-                u.jump_target.push_back(static_cast<std::uint32_t>(target));
-                u.jump_prob.push_back(rate / u.lambda);
+            model.for_each_jump(s, p, [&](std::size_t t, double rate) {
+                target.push_back(static_cast<std::uint32_t>(t));
+                prob.push_back(rate / u.lambda);
                 move += rate / u.lambda;
             });
-            u.jump_offset[p + 1] =
-                static_cast<std::uint32_t>(u.jump_target.size());
-            u.stay[p] = 1.0 - move;
-            SOCBUF_ASSERT(u.stay[p] > 0.0);
+            first.push_back(target.size());
+            stay.push_back(1.0 - move);
+            SOCBUF_ASSERT(stay.back() > 0.0);
+        }
+        u.state_group.push_back(static_cast<std::uint32_t>(u.groups.size()));
+        const std::size_t na = cost.size();
+        for (std::size_t a = 0, b = 0; a < na; a = b) {
+            // The run [a, b) and the jump prefix length its actions share.
+            std::size_t head = first[a + 1] - first[a];
+            for (b = a + 1; b < na && same_bits(cost[b], cost[a]) &&
+                            same_bits(stay[b], stay[a]);
+                 ++b) {
+                std::size_t k = 0;
+                while (k < head && first[b] + k < first[b + 1] &&
+                       same_jump(first[a] + k, first[b] + k))
+                    ++k;
+                head = k;
+            }
+            Group g;
+            g.step_cost = cost[a];
+            g.stay = stay[a];
+            g.head_begin = static_cast<std::uint32_t>(u.jump_target.size());
+            g.head_end = append(first[a], first[a] + head);
+            g.pair_begin = static_cast<std::uint32_t>(pair_offset[s] + a);
+            g.pair_end = static_cast<std::uint32_t>(pair_offset[s] + b);
+            for (std::size_t c = a; c < b; ++c)
+                u.tail_end.push_back(append(first[c] + head, first[c + 1]));
+            u.groups.push_back(g);
         }
     }
+    u.state_group.push_back(static_cast<std::uint32_t>(u.groups.size()));
     return u;
 }
 
-/// One state's Bellman minimization over the values in `h`. The action
-/// scan and jump fold run in the model's pair order — the fold order every
-/// sweep variant and thread count shares.
+/// One state's Bellman minimization over the values in `h`. Each group
+/// folds its head once; each action folds its tail onto a copy. The
+/// action scan and every fold run in the model's pair and transition
+/// order — the fold order every sweep variant and thread count shares.
 inline void bellman_min(const Uniformized& u, const linalg::Vector& h,
                         std::size_t s, double& best_out,
                         std::size_t& action_out) {
     double best = std::numeric_limits<double>::infinity();
     std::size_t best_a = 0;
-    const std::size_t p0 = u.pair_offset[s];
-    const std::size_t na = u.pair_offset[s + 1] - p0;
-    for (std::size_t a = 0; a < na; ++a) {
-        const std::size_t p = p0 + a;
-        double value = u.step_cost[p] + u.stay[p] * h[s];
-        for (std::size_t k = u.jump_offset[p]; k < u.jump_offset[p + 1]; ++k)
-            value += u.jump_prob[k] * h[u.jump_target[k]];
-        if (value < best) {
-            best = value;
-            best_a = a;
+    const Group* g = u.groups.data() + u.state_group[s];
+    const Group* const g_end = u.groups.data() + u.state_group[s + 1];
+    const std::uint32_t p0 = g->pair_begin;
+    for (; g != g_end; ++g) {
+        double head = g->step_cost + g->stay * h[s];
+        std::uint32_t k = g->head_begin;
+        for (; k < g->head_end; ++k)
+            head += u.jump_prob[k] * h[u.jump_target[k]];
+        for (std::uint32_t p = g->pair_begin; p < g->pair_end; ++p) {
+            double value = head;
+            for (; k < u.tail_end[p]; ++k)
+                value += u.jump_prob[k] * h[u.jump_target[k]];
+            if (value < best) {
+                best = value;
+                best_a = p - p0;
+            }
         }
     }
     best_out = best;
@@ -104,26 +180,33 @@ inline void bellman_min(const Uniformized& u, const linalg::Vector& h,
 /// point are unchanged; only the approach is faster. The uniformization
 /// margin makes `stay` large exactly for low-exit states, which is where
 /// the acceleration pays. Degenerate all-self-loop actions (stay == 1)
-/// fall back to the explicit update. Returns h_a, not th_a.
+/// fall back to the explicit update. The numerator folds the group's
+/// head once, as bellman_min does. Returns h_a, not th_a.
 inline void bellman_min_implicit(const Uniformized& u,
                                  const linalg::Vector& h, std::size_t s,
-                                 double g, double& best_out,
+                                 double gain, double& best_out,
                                  std::size_t& action_out) {
     double best = std::numeric_limits<double>::infinity();
     std::size_t best_a = 0;
-    const std::size_t p0 = u.pair_offset[s];
-    const std::size_t na = u.pair_offset[s + 1] - p0;
-    for (std::size_t a = 0; a < na; ++a) {
-        const std::size_t p = p0 + a;
-        double value = u.step_cost[p];
-        for (std::size_t k = u.jump_offset[p]; k < u.jump_offset[p + 1]; ++k)
-            value += u.jump_prob[k] * h[u.jump_target[k]];
-        const double move = 1.0 - u.stay[p];
-        value = move > 1e-12 ? (value - g) / move
-                             : value + u.stay[p] * h[s] - g;
-        if (value < best) {
-            best = value;
-            best_a = a;
+    const Group* g = u.groups.data() + u.state_group[s];
+    const Group* const g_end = u.groups.data() + u.state_group[s + 1];
+    const std::uint32_t p0 = g->pair_begin;
+    for (; g != g_end; ++g) {
+        double head = g->step_cost;
+        std::uint32_t k = g->head_begin;
+        for (; k < g->head_end; ++k)
+            head += u.jump_prob[k] * h[u.jump_target[k]];
+        const double move = 1.0 - g->stay;
+        for (std::uint32_t p = g->pair_begin; p < g->pair_end; ++p) {
+            double value = head;
+            for (; k < u.tail_end[p]; ++k)
+                value += u.jump_prob[k] * h[u.jump_target[k]];
+            value = move > 1e-12 ? (value - gain) / move
+                                 : value + g->stay * h[s] - gain;
+            if (value < best) {
+                best = value;
+                best_a = p - p0;
+            }
         }
     }
     best_out = best;
@@ -161,6 +244,9 @@ ViResult jacobi_rvi(const CtmdpModel& model, const Uniformized& u,
     };
 
     ViResult out;
+    // The last sweep's bounds on the update delta th - h.
+    double span_lo = 0.0;
+    double span_hi = 0.0;
     for (std::size_t it = 0; it < options.max_iterations; ++it) {
         std::fill(chunk_lo.begin(), chunk_lo.end(),
                   std::numeric_limits<double>::infinity());
@@ -171,40 +257,29 @@ ViResult jacobi_rvi(const CtmdpModel& model, const Uniformized& u,
         else
             sweep(0, n);
         // Span of the update delta bounds the gain error (Puterman 8.5.5).
-        double lo = std::numeric_limits<double>::infinity();
-        double hi = -lo;
+        span_lo = std::numeric_limits<double>::infinity();
+        span_hi = -span_lo;
         for (std::size_t c = 0; c < chunks; ++c) {
-            lo = std::min(lo, chunk_lo[c]);
-            hi = std::max(hi, chunk_hi[c]);
+            span_lo = std::min(span_lo, chunk_lo[c]);
+            span_hi = std::max(span_hi, chunk_hi[c]);
         }
-        out.span_residual = hi - lo;
+        out.span_residual = span_hi - span_lo;
         out.iterations = it + 1;
         if (out.span_residual < options.tolerance) {
-            out.gain = 0.5 * (hi + lo) * u.lambda;
             out.converged = true;
             break;
         }
-        // Relative normalization keeps h bounded.
+        // Relative normalization keeps h bounded. It stays serial even
+        // when the sweep fans out: one subtraction per state costs less
+        // than a second fan-out per sweep.
         const double ref = th[options.reference_state];
-        const auto normalize = [&](std::size_t lo_s, std::size_t hi_s) {
-            for (std::size_t s = lo_s; s < hi_s; ++s) h[s] = th[s] - ref;
-        };
-        if (executor != nullptr)
-            executor->for_ranges(n, normalize, kSweepChunk);
-        else
-            normalize(0, n);
+        for (std::size_t s = 0; s < n; ++s) h[s] = th[s] - ref;
     }
-    if (!out.converged) {
-        // Best estimate anyway; the caller can inspect `converged`.
-        double lo = std::numeric_limits<double>::infinity();
-        double hi = -lo;
-        for (std::size_t s = 0; s < n; ++s) {
-            const double d = th[s] - h[s];
-            lo = std::min(lo, d);
-            hi = std::max(hi, d);
-        }
-        out.gain = 0.5 * (hi + lo) * u.lambda;
-    }
+    // The midpoint of the last sweep's span: the converged gain, or the
+    // best estimate anyway (the caller can inspect `converged`). An
+    // unconverged run has already normalized h = th - th[ref], so the
+    // bounds must come from the sweep, not from th - h afterwards.
+    out.gain = 0.5 * (span_hi + span_lo) * u.lambda;
     out.bias = h;
     out.policy = DeterministicPolicy(std::move(greedy));
     return out;

@@ -3,8 +3,10 @@
 // report pins against), the opt-in Gauss–Seidel sweep must agree with
 // Jacobi to tolerance while cutting the sweep count, and the SolveCache
 // fingerprint must key on the sweep variant but never on the
-// schedule-only knobs (executor, parallel_min_states).
+// schedule-only knobs (executor, parallel_min_states). The golden pin
+// holds VI's output bits fixed across versions of the Bellman kernel.
 #include "arch/presets.hpp"
+#include "core/modulated_model.hpp"
 #include "core/subsystem_model.hpp"
 #include "ctmc/stationary.hpp"
 #include "ctmdp/occupation.hpp"
@@ -16,7 +18,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <ios>
+#include <iterator>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace sm = socbuf::ctmdp;
@@ -55,6 +65,59 @@ sm::CtmdpModel np_ingress_model(std::size_t pe, long cap) {
     return socbuf::core::SubsystemCtmdp(*bus, caps, rates).model();
 }
 
+/// Figure 1's bus b: the bus with a bursty flow.
+const socbuf::split::Subsystem& figure1_bus_b() {
+    static const auto sys = socbuf::arch::figure1_system();
+    static const auto split = socbuf::split::split_architecture(sys);
+    for (const auto& sub : split.subsystems)
+        if (sub.bus_name == "b") return sub;
+    throw std::logic_error("bus b missing");
+}
+
+/// A six-state model with one Bellman-kernel layout case per state:
+///   s0 — every action has the same cost and stay and a common jump
+///        prefix, so all three share one head;
+///   s1 — per-action costs differ;
+///   s2 — same cost and stay, but the first jumps differ (empty head);
+///   s3 — one action's jumps are a strict prefix of the other's (their
+///        stays differ, so each keeps its own head);
+///   s4 — a single action;
+///   s5 — costs +0.0 and -0.0, which must not count as equal.
+sm::CtmdpModel head_cases_model() {
+    sm::CtmdpBuilder b(6);
+    b.add_action(0, {{1, 1.0}, {2, 0.5}, {3, 0.25}}, 1.0);
+    b.add_action(0, {{1, 1.0}, {2, 0.5}, {4, 0.25}}, 1.0);
+    b.add_action(0, {{1, 1.0}, {2, 0.5}, {5, 0.25}}, 1.0);
+    b.add_action(1, {{0, 1.0}, {2, 1.0}}, 2.0);
+    b.add_action(1, {{0, 1.0}, {3, 1.0}}, 0.5);
+    b.add_action(2, {{0, 0.75}, {3, 1.25}}, 1.5);
+    b.add_action(2, {{4, 0.75}, {3, 1.25}}, 1.5);
+    b.add_action(3, {{0, 1.0}, {1, 0.5}}, 0.25);
+    b.add_action(3, {{0, 1.0}, {1, 0.5}, {5, 2.0}}, 0.25);
+    b.add_action(4, {{5, 1.5}, {0, 0.5}}, 3.0);
+    b.add_action(5, {{0, 2.0}, {4, 1.0}}, 0.0);
+    b.add_action(5, {{0, 2.0}, {4, 1.0}}, -0.0);
+    return std::move(b).freeze();
+}
+
+/// 64-bit FNV-1a over raw bytes, continuing from `hash`.
+std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+        hash ^= p[i];
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/// FNV-1a over the bias bytes, then the policy's choice bytes.
+std::uint64_t bias_policy_digest(const sm::ViResult& r) {
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    hash = fnv1a(hash, r.bias.data(), r.bias.size() * sizeof(double));
+    const auto& choices = r.policy.choices();
+    return fnv1a(hash, choices.data(), choices.size() * sizeof(std::size_t));
+}
+
 void expect_bit_identical(const sm::ViResult& a, const sm::ViResult& b) {
     EXPECT_EQ(a.gain, b.gain);
     EXPECT_EQ(a.iterations, b.iterations);
@@ -64,6 +127,101 @@ void expect_bit_identical(const sm::ViResult& a, const sm::ViResult& b) {
 }
 
 }  // namespace
+
+TEST(ValueIteration, GoldenBitsPinned) {
+    // Cross-version oracle: VI must reproduce these results bit for bit,
+    // so a rewrite of the Bellman kernel or the uniformized layout cannot
+    // silently change the fold order. Serial and 4-worker runs must both
+    // hit the same pin. Recorded with the per-pair full-fold kernel; do
+    // not regenerate them to make a kernel change pass.
+    struct Golden {
+        const char* name;
+        double gain;
+        double span_residual;
+        std::size_t iterations;
+        std::uint64_t digest;  // bias_policy_digest
+    };
+    static const Golden golden[] = {
+#include "vi_golden.inc"
+    };
+    const auto& bus_b = figure1_bus_b();
+    std::vector<double> bus_b_rates;
+    for (const auto& f : bus_b.flows) bus_b_rates.push_back(f.arrival_rate);
+    const std::pair<const char*, sm::CtmdpModel> models[] = {
+        {"np_ingress(6,2)", np_ingress_model(6, 2)},
+        {"np_ingress(4,3)", np_ingress_model(4, 3)},
+        {"figure1 bus b cap 4",
+         socbuf::core::SubsystemCtmdp(
+             bus_b, std::vector<long>(bus_b.flows.size(), 4), bus_b_rates)
+             .model()},
+        {"figure1 bus b modulated cap 3",
+         socbuf::core::ModulatedSubsystemCtmdp(
+             bus_b, std::vector<long>(bus_b.flows.size(), 3), bus_b_rates)
+             .model()},
+        {"head cases", head_cases_model()},
+    };
+    socbuf::exec::Executor executor(4);
+    std::size_t next = 0;
+    for (const auto& [model_name, model] : models) {
+        for (const auto sweep :
+             {sm::ViSweep::kJacobi, sm::ViSweep::kGaussSeidel}) {
+            const std::string name =
+                std::string(model_name) +
+                (sweep == sm::ViSweep::kJacobi ? "/jacobi" : "/gauss-seidel");
+            ASSERT_LT(next, std::size(golden)) << name;
+            const Golden& want = golden[next++];
+            ASSERT_EQ(name, want.name);
+            sm::ViOptions options;
+            options.sweep = sweep;
+            options.tolerance = 1e-8;
+            options.max_iterations = 50000;
+            for (const bool fanned : {false, true}) {
+                auto run_options = options;
+                if (fanned) {
+                    run_options.executor = &executor;
+                    run_options.parallel_min_states = 1;
+                }
+                const auto got =
+                    sm::relative_value_iteration(model, run_options);
+                const std::uint64_t digest = bias_policy_digest(got);
+                std::ostringstream record;
+                record << std::hexfloat << "{\"" << name << "\", "
+                       << got.gain << ", " << got.span_residual << ", "
+                       << std::dec << got.iterations << ", 0x" << std::hex
+                       << digest << "ULL},";
+                const std::string context =
+                    name + (fanned ? " fanned x4" : " serial") +
+                    "; got " + record.str();
+                ASSERT_TRUE(got.converged) << context;
+                EXPECT_EQ(got.gain, want.gain) << context;
+                EXPECT_EQ(got.span_residual, want.span_residual) << context;
+                EXPECT_EQ(got.iterations, want.iterations) << context;
+                EXPECT_EQ(digest, want.digest) << context;
+            }
+        }
+    }
+    EXPECT_EQ(next, std::size(golden));
+}
+
+TEST(ValueIteration, UnconvergedGainIsTheSpanMidpoint) {
+    // A Jacobi run cut short still reports the midpoint of its last
+    // sweep's span bounds, so the gain error stays within half the
+    // reported span (Puterman 8.5.5) at every cut-off.
+    const auto model = np_ingress_model(6, 2);
+    const auto converged = sm::relative_value_iteration(model);
+    ASSERT_TRUE(converged.converged);
+    const double lambda = model.max_exit_rate() * 1.05 + 1e-9;
+    for (const std::size_t k : {2UL, 5UL, 10UL, 20UL, 50UL, 100UL, 200UL}) {
+        sm::ViOptions options;
+        options.max_iterations = k;
+        const auto cut = sm::relative_value_iteration(model, options);
+        ASSERT_FALSE(cut.converged) << k;
+        EXPECT_EQ(cut.iterations, k);
+        EXPECT_LE(std::fabs(cut.gain - converged.gain),
+                  0.5 * cut.span_residual * lambda)
+            << "max_iterations " << k;
+    }
+}
 
 TEST(ParallelVi, FannedJacobiBitIdenticalAtEveryWidth) {
     // The chunk boundaries of the fanned sweep depend only on the state
