@@ -22,6 +22,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -100,38 +101,56 @@ void print_agreement() {
                 stats.switching_states);
 }
 
-/// Best-of-k wall-clock of one registry solve.
-double best_solve_seconds(const socbuf::ctmdp::CtmdpModel& model,
-                          const socbuf::ctmdp::DispatchOptions& dispatch,
-                          int reps) {
-    socbuf::ctmdp::SolverRegistry registry;
-    double best = 0.0;
+/// Wall-clock spread of k repetitions of one measurement.
+struct Timing {
+    double median = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+};
+
+/// Time `run` `reps` times; `reps` is odd, so the median is a sample.
+template <typename Fn>
+Timing time_reps(int reps, Fn&& run) {
+    std::vector<double> samples;
     for (int r = 0; r < reps; ++r) {
         const auto start = std::chrono::steady_clock::now();
-        auto solution = registry.solve(model, dispatch);
+        run();
         const auto stop = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(solution);
-        const double s = std::chrono::duration<double>(stop - start).count();
-        if (r == 0 || s < best) best = s;
+        samples.push_back(std::chrono::duration<double>(stop - start).count());
     }
-    return best;
+    std::sort(samples.begin(), samples.end());
+    return {samples[samples.size() / 2], samples.front(), samples.back()};
 }
 
-/// Best-of-k wall-clock of relative_value_iteration alone: the sweeps,
-/// without the registry's post-solve stationary/occupation pass.
-double best_vi_seconds(const socbuf::ctmdp::CtmdpModel& model,
-                       const socbuf::ctmdp::ViOptions& options, int reps) {
-    double best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-        const auto start = std::chrono::steady_clock::now();
-        auto result = socbuf::ctmdp::relative_value_iteration(model, options);
-        const auto stop = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(result);
-        const double s = std::chrono::duration<double>(stop - start).count();
-        if (r == 0 || s < best) best = s;
-    }
-    return best;
+/// Wall-clock of one registry solve.
+Timing time_solve(const socbuf::ctmdp::CtmdpModel& model,
+                  const socbuf::ctmdp::DispatchOptions& dispatch, int reps) {
+    socbuf::ctmdp::SolverRegistry registry;
+    return time_reps(reps, [&] {
+        auto solution = registry.solve(model, dispatch);
+        benchmark::DoNotOptimize(solution);
+    });
 }
+
+/// Wall-clock of relative_value_iteration alone: the sweeps, without the
+/// registry's post-solve stationary/occupation pass.
+Timing time_vi(const socbuf::ctmdp::CtmdpModel& model,
+               const socbuf::ctmdp::ViOptions& options, int reps) {
+    return time_reps(reps, [&] {
+        auto result = socbuf::ctmdp::relative_value_iteration(model, options);
+        benchmark::DoNotOptimize(result);
+    });
+}
+
+/// Record a Timing as `<key>` (the median) plus `<key>_min` / `<key>_max`.
+void set_timing(socbuf::util::JsonValue& row, const std::string& key,
+                const Timing& t) {
+    row.set(key, t.median);
+    row.set(key + "_min", t.min);
+    row.set(key + "_max", t.max);
+}
+
+double ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
 /// The --json measurement: dense vs banded PI evaluation per cap (the
 /// structural speedup behind kAuto's widened pi_state_limit), then VI at
@@ -140,43 +159,49 @@ void write_json_report(const std::string& path) {
     using socbuf::ctmdp::SolverChoice;
     namespace sj = socbuf::util;
 
+    // Every timed cell is the median of kReps runs, with the min and
+    // max beside it: one sample of a sub-second solve on a shared
+    // machine is noise, not a measurement.
+    constexpr int kReps = 5;
+
     auto dense_vs_banded = sj::JsonValue::array();
     for (const long cap : {2L, 3L, 4L, 6L}) {
         const auto model = make_model(cap);
-        const int reps = model.model().state_count() > 200 ? 3 : 5;
         auto dense = forced(SolverChoice::kPolicyIteration);
         dense.solver.pi.banded_evaluation = false;
         auto banded = forced(SolverChoice::kPolicyIteration);
         banded.solver.pi.banded_evaluation = true;
-        const double dense_s = best_solve_seconds(model.model(), dense, reps);
-        const double banded_s =
-            best_solve_seconds(model.model(), banded, reps);
+        const Timing dense_t = time_solve(model.model(), dense, kReps);
+        const Timing banded_t = time_solve(model.model(), banded, kReps);
         auto row = sj::JsonValue::object();
         row.set("cap", cap);
         row.set("states", model.model().state_count());
         row.set("bandwidth", model.model().bandwidth());
-        row.set("dense_pi_s", dense_s);
-        row.set("banded_pi_s", banded_s);
-        row.set("speedup", banded_s > 0.0 ? dense_s / banded_s : 0.0);
+        set_timing(row, "dense_pi_s", dense_t);
+        set_timing(row, "banded_pi_s", banded_t);
+        row.set("speedup", ratio(dense_t.median, banded_t.median));
         dense_vs_banded.push_back(std::move(row));
         std::printf("cap %ld (%zu states, bw %zu): dense PI %.6fs, banded "
                     "PI %.6fs (%.2fx)\n",
                     cap, model.model().state_count(),
-                    model.model().bandwidth(), dense_s, banded_s,
-                    banded_s > 0.0 ? dense_s / banded_s : 0.0);
+                    model.model().bandwidth(), dense_t.median,
+                    banded_t.median, ratio(dense_t.median, banded_t.median));
     }
 
-    // VI at scale: serial Jacobi vs the executor-fanned sweep at four
-    // workers (bit-identical by contract — the `identical` flag verifies
-    // it) vs the opt-in Gauss–Seidel sweep, at the engine's VI-rung
-    // tolerance. The *_s columns time a whole registry solve (VI plus the
-    // post-solve stationary pass); jacobi_vi_s times the serial Jacobi
-    // sweeps alone, and vi_ns_per_state_sweep divides it by states x
-    // iterations. Models: the figure-1 bus-b family (narrow band) and the
-    // np-cluster-scaling ingress buses at pe 6 and 8 (wide band). The
-    // pe-8 cap-3 model (262144 states, ~45 s serial) and pe >= 10 are
-    // beyond the CI budget and deliberately not measured here — the cap
-    // is the pe-8 cap-2 model at 19683 states (see bench/README.md).
+    // VI at scale: the Jacobi and the opt-in Gauss–Seidel sweeps, each
+    // serial and executor-fanned at four workers (bit-identical to
+    // serial by contract — the *_identical flags verify it), at the
+    // engine's VI-rung tolerance. The *_s columns time a whole registry
+    // solve (VI plus the post-solve stationary pass); jacobi_vi_s times
+    // the serial Jacobi sweeps alone, and vi_ns_per_state_sweep divides
+    // it by states x iterations. gs_speedup compares serial solves and
+    // gs_parallel4_speedup the four-worker ones, so a value below 1 means
+    // Gauss–Seidel loses at that width. Models: the figure-1 bus-b family
+    // (narrow band) and the np-cluster-scaling ingress buses at pe 6 and
+    // 8 (wide band). The pe-8 cap-3 model (262144 states, ~45 s serial)
+    // and pe >= 10 are beyond the CI budget and deliberately not measured
+    // here — the cap is the pe-8 cap-2 model at 19683 states (see
+    // bench/README.md).
     auto vi_scaling = sj::JsonValue::array();
     {
         struct ViCase {
@@ -192,7 +217,6 @@ void write_json_report(const std::string& path) {
         socbuf::exec::Executor four(4);
         for (auto& c : cases) {
             const auto& model = c.model;
-            const int reps = model.state_count() > 4096 ? 1 : 3;
             auto jacobi = forced(SolverChoice::kValueIteration);
             jacobi.solver.vi.tolerance = 1e-7;       // the engine's VI rung
             jacobi.solver.vi.max_iterations = 50000;
@@ -201,58 +225,64 @@ void write_json_report(const std::string& path) {
             fanned.solver.vi.parallel_min_states = 1;  // fan even small rows
             auto gs = jacobi;
             gs.solver.vi.sweep = socbuf::ctmdp::ViSweep::kGaussSeidel;
+            auto gs_fanned = fanned;
+            gs_fanned.solver.vi.sweep = gs.solver.vi.sweep;
 
             socbuf::ctmdp::SolverRegistry registry;
             const auto serial_sol = registry.solve(model, jacobi);
             const auto fanned_sol = registry.solve(model, fanned);
             const auto gs_sol = registry.solve(model, gs);
+            const auto gs_fanned_sol = registry.solve(model, gs_fanned);
             const bool identical = serial_sol.gain == fanned_sol.gain &&
                                    serial_sol.bias == fanned_sol.bias;
-            const double serial_s = best_solve_seconds(model, jacobi, reps);
-            const double vi_s = best_vi_seconds(model, jacobi.solver.vi, reps);
+            const bool gs_identical = gs_sol.gain == gs_fanned_sol.gain &&
+                                      gs_sol.bias == gs_fanned_sol.bias;
+            const Timing serial_t = time_solve(model, jacobi, kReps);
+            const Timing vi_t = time_vi(model, jacobi.solver.vi, kReps);
             const double vi_ns_per_state_sweep =
-                serial_sol.iterations > 0
-                    ? vi_s * 1e9 /
-                          (static_cast<double>(model.state_count()) *
-                           static_cast<double>(serial_sol.iterations))
-                    : 0.0;
-            const double fanned_s = best_solve_seconds(model, fanned, reps);
-            const double gs_s = best_solve_seconds(model, gs, reps);
+                ratio(vi_t.median * 1e9,
+                      static_cast<double>(model.state_count()) *
+                          static_cast<double>(serial_sol.iterations));
+            const Timing fanned_t = time_solve(model, fanned, kReps);
+            const Timing gs_t = time_solve(model, gs, kReps);
+            const Timing gs_fanned_t = time_solve(model, gs_fanned, kReps);
+            const double iteration_ratio =
+                ratio(static_cast<double>(serial_sol.iterations),
+                      static_cast<double>(gs_sol.iterations));
 
             auto row = sj::JsonValue::object();
             row.set("label", std::string(c.label));
             row.set("states", model.state_count());
             row.set("bandwidth", model.bandwidth());
-            row.set("jacobi_s", serial_s);
+            row.set("reps", kReps);
+            set_timing(row, "jacobi_s", serial_t);
             row.set("jacobi_iterations", serial_sol.iterations);
-            row.set("jacobi_vi_s", vi_s);
+            set_timing(row, "jacobi_vi_s", vi_t);
             row.set("vi_ns_per_state_sweep", vi_ns_per_state_sweep);
-            row.set("parallel4_s", fanned_s);
+            set_timing(row, "parallel4_s", fanned_t);
             row.set("parallel4_speedup",
-                    fanned_s > 0.0 ? serial_s / fanned_s : 0.0);
+                    ratio(serial_t.median, fanned_t.median));
             row.set("parallel4_identical", identical);
-            row.set("gs_s", gs_s);
+            set_timing(row, "gs_s", gs_t);
             row.set("gs_iterations", gs_sol.iterations);
-            row.set("gs_speedup", gs_s > 0.0 ? serial_s / gs_s : 0.0);
-            row.set("gs_iteration_ratio",
-                    gs_sol.iterations > 0
-                        ? static_cast<double>(serial_sol.iterations) /
-                              static_cast<double>(gs_sol.iterations)
-                        : 0.0);
+            row.set("gs_speedup", ratio(serial_t.median, gs_t.median));
+            set_timing(row, "gs_parallel4_s", gs_fanned_t);
+            row.set("gs_parallel4_speedup",
+                    ratio(fanned_t.median, gs_fanned_t.median));
+            row.set("gs_parallel4_identical", gs_identical);
+            row.set("gs_iteration_ratio", iteration_ratio);
             row.set("gs_gain_delta", gs_sol.gain - serial_sol.gain);
             vi_scaling.push_back(std::move(row));
             std::printf(
                 "%s (%zu states): jacobi %.3fs/%zu it (sweeps %.3fs, "
                 "%.1f ns/state-sweep), parallel4 %.3fs (identical %s), gs "
-                "%.3fs/%zu it (%.2fx fewer sweeps)\n",
-                c.label, model.state_count(), serial_s,
-                serial_sol.iterations, vi_s, vi_ns_per_state_sweep, fanned_s,
-                identical ? "yes" : "NO",
-                gs_s, gs_sol.iterations,
-                gs_sol.iterations > 0
-                    ? static_cast<double>(serial_sol.iterations) /
-                          static_cast<double>(gs_sol.iterations)
-                    : 0.0);
+                "%.3fs/%zu it (%.2fx fewer sweeps), gs parallel4 %.3fs "
+                "(identical %s)\n",
+                c.label, model.state_count(), serial_t.median,
+                serial_sol.iterations, vi_t.median, vi_ns_per_state_sweep,
+                fanned_t.median, identical ? "yes" : "NO", gs_t.median,
+                gs_sol.iterations, iteration_ratio, gs_fanned_t.median,
+                gs_identical ? "yes" : "NO");
         }
     }
 

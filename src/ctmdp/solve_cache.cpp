@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 namespace socbuf::ctmdp {
@@ -158,7 +159,7 @@ std::size_t approx_entry_bytes(const CtmdpModel& model,
               model.extra_costs().size()) *
              sizeof(double);
     bytes += options.size();
-    bytes += sizeof(std::pair<const std::uint64_t, void*>);  // index node
+    bytes += sizeof(std::pair<const std::uint64_t, void*>);  // map node
     bytes += solution.stationary.size() * sizeof(double);
     bytes += solution.occupation.size() * sizeof(double);
     bytes += solution.bias.size() * sizeof(double);
@@ -179,122 +180,68 @@ std::string solve_fingerprint(const CtmdpModel& model,
     return key + block;
 }
 
-SolveCache::SolveCache(std::size_t byte_budget) : byte_budget_(byte_budget) {}
-
-void SolveCache::touch(EntryIter pos) {
-    entries_.splice(entries_.begin(), entries_, pos);
-}
-
-SolveCache::EntryIter SolveCache::drop_entry(EntryIter pos) {
-    bytes_resident_ -= pos->second.bytes;
-    auto mapped = index_.lower_bound(pos->first.hash);
-    while (mapped->second != pos) ++mapped;
-    index_.erase(mapped);
-    return entries_.erase(pos);
-}
-
-void SolveCache::evict_over_budget() {
-    if (byte_budget_ == 0) return;
-    auto candidate = entries_.end();
-    while (bytes_resident_ > byte_budget_) {
-        if (candidate == entries_.begin()) break;
-        --candidate;
-        // The front entry is the one the completing solve just touched;
-        // when pinned entries crowd the back the scan could otherwise
-        // reach it, and every solve would self-evict at tight
-        // budgets. Sparing it means residency can transiently exceed
-        // the budget instead — the documented best-effort trade.
-        if (candidate == entries_.begin()) break;
-        const Slot& slot = candidate->second;
-        // Only settled, unwatched entries may go; in-flight solves and
-        // slots other threads hold references into are pinned.
-        if (slot.state != Slot::kReady || slot.waiters != 0) continue;
-        candidate = drop_entry(candidate);
-        ++evictions_;
-    }
-}
-
 SubsystemSolution SolveCache::solve(SolverRegistry& registry,
                                     const CtmdpModel& model,
                                     const DispatchOptions& options) {
     std::string block = encode_options(options);
     const std::uint64_t hash = key_hash(model, block);
     std::unique_lock<std::mutex> lock(mutex_);
-    EntryIter pos = entries_.end();
-    const auto [first, last] = index_.equal_range(hash);
-    for (auto mapped = first; mapped != last; ++mapped) {
-        const Key& key = mapped->second->first;
-        if (key.options == block && same_model(key.model, model)) {
-            pos = mapped->second;
+    auto pos = entries_.end();
+    const auto [first, last] = entries_.equal_range(hash);
+    for (auto candidate = first; candidate != last; ++candidate) {
+        const Entry& entry = candidate->second;
+        if (entry.options == block && same_model(entry.model, model)) {
+            pos = candidate;
             break;
         }
     }
     if (pos == entries_.end()) {
-        entries_.emplace_front(Key{hash, std::move(block), model}, Slot{});
-        pos = entries_.begin();
-        index_.emplace(hash, pos);
+        pos = entries_.emplace(hash, Entry{});
+        pos->second.options = std::move(block);
+        pos->second.model = model;
     }
-    // The list iterator (and the Slot it points to) stays valid across
-    // concurrent inserts and evictions of *other* entries, and this entry
-    // is pinned below (kSolving or waiters > 0) whenever the lock is
-    // dropped, so it can be held through the waits.
-    Slot& slot = pos->second;
+    // The map node stays put across concurrent inserts of other keys, and
+    // nobody erases it while this lookup holds it (kSolving or
+    // waiters > 0 whenever the lock is dropped), so the reference survives
+    // the waits.
+    Entry& entry = pos->second;
     for (;;) {
-        if (slot.state == Slot::kReady) {
+        if (entry.state == Entry::kReady) {
             ++hits_;
-            touch(pos);
-            // Reclaim over-budget residue here too: when an eviction was
-            // blocked by a slot that was pinned at the time (in-flight
-            // solve, parked waiter, failed-slot husk), the residency
-            // stays over budget until *some* bookkeeping event retries —
-            // with eviction only on the insert path, a hit-only tail
-            // would keep the stale entry resident forever.
-            evict_over_budget();
-            return slot.solution;
+            return entry.solution;
         }
-        if (slot.state == Slot::kUnsolved) break;  // ours to claim
+        if (entry.state == Entry::kUnsolved) break;  // ours to claim
         // Another thread is solving this key: wait and share its result
         // instead of duplicating the work. Every lookup counts exactly
         // one hit (served a solution) or one miss (claimed the solve), so
-        // with an unlimited budget the totals are independent of the
-        // thread interleaving.
-        ++slot.waiters;
-        slot_ready_.wait(lock, [&] { return slot.state != Slot::kSolving; });
-        --slot.waiters;
+        // the totals are independent of the thread interleaving.
+        ++entry.waiters;
+        slot_ready_.wait(lock, [&] { return entry.state != Entry::kSolving; });
+        --entry.waiters;
         // kReady: the loop returns it as a hit. kUnsolved: the solving
         // thread failed, so claim the key ourselves (failures propagate
         // from some requester either way).
     }
-    slot.state = Slot::kSolving;
+    entry.state = Entry::kSolving;
     ++misses_;
 
     lock.unlock();
     try {
         SubsystemSolution solution = registry.solve(model, options);
         lock.lock();
-        slot.solution = solution;
-        slot.bytes =
-            approx_entry_bytes(pos->first.model, pos->first.options, solution);
-        bytes_resident_ += slot.bytes;
-        slot.state = Slot::kReady;
-        touch(pos);
-        evict_over_budget();
+        entry.solution = solution;
+        bytes_resident_ +=
+            approx_entry_bytes(entry.model, entry.options, solution);
+        entry.state = Entry::kReady;
         slot_ready_.notify_all();
         return solution;
     } catch (...) {
         lock.lock();
-        slot.state = Slot::kUnsolved;
-        if (slot.waiters == 0) {
-            // Nobody is watching the failed slot: drop the husk so a
-            // failed key costs no residency. Waiters, if any, re-claim
-            // it instead (the slot must stay alive for them).
-            drop_entry(pos);
-        }
-        // Same reclamation as the hit path: this failure may be the last
-        // bookkeeping event of the batch, and entries an earlier
-        // eviction had to skip (pinned then, settled now) must not
-        // outlive the budget because of it.
-        evict_over_budget();
+        entry.state = Entry::kUnsolved;
+        // Nobody is watching the failed entry: drop the husk so a failed
+        // key costs no residency. Waiters, if any, re-claim it instead
+        // (the entry must stay alive for them).
+        if (entry.waiters == 0) entries_.erase(pos);
         slot_ready_.notify_all();
         throw;
     }
@@ -305,7 +252,6 @@ SolveCacheStats SolveCache::stats() const {
     SolveCacheStats out;
     out.hits = hits_;
     out.misses = misses_;
-    out.evictions = evictions_;
     out.bytes_resident = bytes_resident_;
     return out;
 }
@@ -313,8 +259,8 @@ SolveCacheStats SolveCache::stats() const {
 std::size_t SolveCache::size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     std::size_t ready = 0;
-    for (const auto& entry : entries_)
-        if (entry.second.state == Slot::kReady) ++ready;
+    for (const auto& [hash, entry] : entries_)
+        if (entry.state == Entry::kReady) ++ready;
     return ready;
 }
 

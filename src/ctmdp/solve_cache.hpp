@@ -21,29 +21,17 @@
 // picks candidates; a collision costs one failed comparison, never a
 // wrong result.
 //
-// Each key is solved exactly once while it is resident: the first
-// requester claims it and solves *outside* the lock while later
-// requesters wait on the in-flight solve and share its result. No work is
-// duplicated, and with an unlimited budget the counters are
+// Each key is solved exactly once: the first requester claims it and
+// solves *outside* the lock while later requesters wait on the in-flight
+// solve and share its result. No work is duplicated, and the counters are
 // scheduling-independent — for a fixed set of lookups, misses always
 // equal the number of distinct keys and hits the remainder, whatever the
 // thread interleaving (which is why batch reports can include them and
 // stay bit-identical across worker counts).
 //
-// Size budget: construct with a positive `byte_budget` to bound the
-// approximate resident bytes; least-recently-used unpinned entries are
-// evicted whenever a lookup's bookkeeping settles over budget — on solve
-// completion, on a hit, and on the failure path alike (entries another
-// thread is solving or waiting on are pinned, and the most-recently-used
-// entry — the one the finishing lookup just touched — is never the
-// victim, so residency can exceed the budget transiently rather than
-// thrash; retrying on every settling event is what keeps the excess
-// transient even when an eviction scan had to skip a then-pinned entry).
-// Eviction never changes *results* — a re-solve of an evicted key
-// returns identical bits — but under concurrency it makes the
-// hit/miss/eviction split depend on which entry completed first, so
-// counter determinism is only guaranteed when the budget is 0
-// (unlimited) or covers every distinct key.
+// The cache is insert-only and unbounded: a solved entry stays for the
+// cache's lifetime (a batch). A run that cannot afford the residency
+// turns the cache off instead (BatchOptions::use_solve_cache).
 #pragma once
 
 #include "ctmdp/solver.hpp"
@@ -51,11 +39,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <mutex>
 #include <string>
-#include <utility>
 
 namespace socbuf::ctmdp {
 
@@ -70,11 +56,9 @@ namespace socbuf::ctmdp {
 struct SolveCacheStats {
     std::size_t hits = 0;
     std::size_t misses = 0;
-    std::size_t evictions = 0;  // 0 unless a byte budget is set
     /// Approximate bytes held by resident (solved) entries: model arrays
     /// (once each), options blocks, result vectors, and per-entry
-    /// bookkeeping. Deterministic given the set of resident entries
-    /// (exact with no budget).
+    /// bookkeeping. Deterministic given the set of distinct keys solved.
     std::size_t bytes_resident = 0;
     [[nodiscard]] std::size_t lookups() const { return hits + misses; }
     [[nodiscard]] double hit_rate() const {
@@ -88,15 +72,6 @@ struct SolveCacheStats {
 /// live as long as a batch and be shared by every engine run in it.
 class SolveCache {
 public:
-    /// `byte_budget` bounds the *approximate* resident bytes
-    /// (stats().bytes_resident): least-recently-used unpinned entries are
-    /// evicted until the residency is back under budget (see the header
-    /// comment for the pinning rules and the best-effort transients).
-    /// 0 means unlimited, the default and the only setting under which
-    /// the hit/miss counters are scheduling-independent for every
-    /// workload.
-    explicit SolveCache(std::size_t byte_budget = 0);
-
     /// Return the cached solution for (model, options) or solve through
     /// `registry` and remember the result. Registry counters only advance
     /// on misses, so a SizingReport's lp/vi/pi counts reflect actual work.
@@ -111,50 +86,30 @@ public:
     [[nodiscard]] SolveCacheStats stats() const;
     /// Number of solved entries held.
     [[nodiscard]] std::size_t size() const;
-    /// The byte budget this cache was constructed with (0 = unlimited).
-    [[nodiscard]] std::size_t byte_budget() const { return byte_budget_; }
 
 private:
-    struct Slot {
+    /// One (model, options) key and its solve. `model` shares the
+    /// caller's arrays.
+    struct Entry {
         enum State { kUnsolved, kSolving, kReady };
-        State state = kUnsolved;
-        /// Threads blocked on this slot's in-flight solve; a slot with
-        /// waiters (or in kSolving) is pinned against eviction, so every
-        /// held reference stays valid — std::list storage keeps it
-        /// stable across unrelated inserts and evictions.
-        std::size_t waiters = 0;
-        /// Approximate resident footprint, set when the slot turns kReady.
-        std::size_t bytes = 0;
-        SubsystemSolution solution;
-    };
-    /// What an entry matches on. `model` shares the caller's arrays.
-    struct Key {
-        std::uint64_t hash = 0;
         std::string options;  // the encoded options block
         CtmdpModel model;
+        State state = kUnsolved;
+        /// Threads blocked on this entry's in-flight solve. A failed
+        /// entry with waiters stays for them to re-claim; without, it is
+        /// the one entry the cache ever erases.
+        std::size_t waiters = 0;
+        SubsystemSolution solution;
     };
-    using Entry = std::pair<Key, Slot>;
-    using EntryIter = std::list<Entry>::iterator;
-
-    /// Move `pos` to the front of the recency list. Caller holds mutex_.
-    void touch(EntryIter pos);
-    /// Evict LRU unpinned entries until within the byte budget (best
-    /// effort — pinned entries are skipped). Caller holds mutex_.
-    void evict_over_budget();
-    /// Drop one entry: index and byte accounting. Caller holds mutex_.
-    /// Returns the iterator past the erased entry.
-    EntryIter drop_entry(EntryIter pos);
 
     mutable std::mutex mutex_;
     std::condition_variable slot_ready_;
-    std::list<Entry> entries_;  // front = most recently used
     // Hash -> entries with that hash (more than one only on a collision).
-    // Recency, and so eviction order, lives in entries_.
-    std::multimap<std::uint64_t, EntryIter> index_;
-    std::size_t byte_budget_ = 0;
+    // Map nodes never move, so a reference into an entry stays valid
+    // across every other insert and erase while the lock is dropped.
+    std::multimap<std::uint64_t, Entry> entries_;
     std::size_t hits_ = 0;
     std::size_t misses_ = 0;
-    std::size_t evictions_ = 0;
     std::size_t bytes_resident_ = 0;
 };
 

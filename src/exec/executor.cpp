@@ -7,15 +7,6 @@ Executor::Executor(std::size_t threads)
     if (workers_ > 1) pool_ = std::make_unique<ThreadPool>(workers_);
 }
 
-void Executor::for_each(std::size_t n,
-                        const std::function<void(std::size_t)>& body) {
-    if (pool_ == nullptr) {
-        for (std::size_t i = 0; i < n; ++i) body(i);
-        return;
-    }
-    parallel_for_index(*pool_, n, body);
-}
-
 void Executor::for_ranges(
     std::size_t n,
     const std::function<void(std::size_t, std::size_t)>& body,

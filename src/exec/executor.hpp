@@ -58,9 +58,6 @@ public:
         return parallel_map(*pool_, n, std::forward<Fn>(fn), priority);
     }
 
-    /// Run body(i) for every i in [0, n); no result collection.
-    void for_each(std::size_t n, const std::function<void(std::size_t)>& body);
-
     /// Chunked fan-out for tight per-index loops (a Bellman sweep, a CSR
     /// row gather): run body(lo, hi) over contiguous chunks of
     /// `min_chunk` indices, inline (one body(0, n) call, no locking) when

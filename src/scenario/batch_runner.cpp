@@ -289,7 +289,7 @@ BatchReport BatchRunner::run(const std::vector<ScenarioSpec>& specs) {
         eval_offset[j + 1] =
             eval_offset[j] + specs[jobs[j].spec].replications;
 
-    ctmdp::SolveCache cache(options_.cache_byte_budget);
+    ctmdp::SolveCache cache;
     ctmdp::SolveCache* cache_ptr = options_.use_solve_cache ? &cache : nullptr;
 
     // Longest-first submission: order same-priority sizing jobs by
@@ -434,7 +434,6 @@ BatchReport BatchRunner::run(const std::vector<ScenarioSpec>& specs) {
     }
     report.cache = cache.stats();
     report.cache_enabled = options_.use_solve_cache;
-    report.cache_byte_budget = cache.byte_budget();
     return report;
 }
 
@@ -510,13 +509,8 @@ std::string BatchReport::to_json(int indent) const {
     util::JsonValue cache_node = util::JsonValue::object();
     cache_node.set("enabled", cache_enabled);
     if (cache_enabled) {
-        // Only when set: a default (unlimited) budget keeps pre-existing
-        // report bytes unchanged, like the optional keys below.
-        if (cache_byte_budget != 0)
-            cache_node.set("byte_budget", cache_byte_budget);
         cache_node.set("hits", cache.hits);
         cache_node.set("misses", cache.misses);
-        cache_node.set("evictions", cache.evictions);
         cache_node.set("hit_rate", cache.hit_rate());
         cache_node.set("bytes_resident", cache.bytes_resident);
     }

@@ -38,11 +38,7 @@
 // consumed, so neither depends on scheduling). Two fields reflect the
 // execution rather than the workload by design: `workers` records the
 // width, and `eval_overlap` is a scheduling-dependent pipelining
-// diagnostic; neither is serialized into the run data. A finite
-// `cache_byte_budget` too small for the batch's distinct models can
-// additionally make the cache *counters* (never the results) depend on
-// eviction order under concurrency — leave it 0 where counter
-// determinism matters.
+// diagnostic; neither is serialized into the run data.
 #pragma once
 
 #include "core/allocation.hpp"
@@ -62,12 +58,6 @@ struct BatchOptions {
     /// are identical either way; this is purely a work-avoidance knob
     /// (and the thing bench_batch_scenarios measures).
     bool use_solve_cache = true;
-    /// Approximate byte budget for the batch's solve cache: 0 =
-    /// unlimited (every entry lives for the batch), otherwise LRU entries
-    /// are evicted until stats().bytes_resident is back under budget.
-    /// Results are bit-identical for any value; see the header comment
-    /// for what a tight budget does to the cache *counters*.
-    std::size_t cache_byte_budget = 0;
 };
 
 /// Outcome of one run's buffer-insertion placement search. Only present
@@ -133,8 +123,6 @@ struct BatchReport {
     /// Whether the batch ran with the solve cache at all — lets report
     /// consumers tell "disabled" apart from "enabled but cold".
     bool cache_enabled = true;
-    /// The cache's byte budget (0 = unlimited), echoed for the report.
-    std::size_t cache_byte_budget = 0;
     std::size_t workers = 1;
     /// Pipelining diagnostic: evaluation jobs that *started* while some
     /// other job's sizing run was still in flight — 0 under a serial

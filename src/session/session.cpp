@@ -19,7 +19,6 @@ scenario::BatchReport Session::run(
     const std::vector<scenario::ScenarioSpec>& specs) {
     scenario::BatchOptions batch;
     batch.use_solve_cache = options_.use_solve_cache;
-    batch.cache_byte_budget = options_.cache_byte_budget;
     scenario::BatchRunner runner(executor_, batch);
     return runner.run(specs);
 }

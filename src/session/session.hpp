@@ -40,10 +40,6 @@ struct SessionOptions {
     std::size_t threads = 0;
     /// Memoize subsystem CTMDP solves across every engine run of a batch.
     bool use_solve_cache = true;
-    /// Approximate byte budget of each batch's solve cache (0 =
-    /// unlimited); LRU eviction until back under budget. See
-    /// ctmdp::SolveCache.
-    std::size_t cache_byte_budget = 0;
 };
 
 class Session {

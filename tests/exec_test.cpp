@@ -186,14 +186,6 @@ TEST(Executor, IsReusableAcrossManyMaps) {
     EXPECT_EQ(total, 10u * (31u * 32u / 2u));
 }
 
-TEST(Executor, ForEachVisitsEveryIndex) {
-    se::Executor exec(3);
-    std::vector<std::atomic<int>> visits(200);
-    exec.for_each(visits.size(), [&](std::size_t i) { ++visits[i]; });
-    for (std::size_t i = 0; i < visits.size(); ++i)
-        EXPECT_EQ(visits[i].load(), 1) << "index " << i;
-}
-
 TEST(ParallelForIndex, VisitsEveryIndexOnce) {
     se::ThreadPool pool(4);
     std::vector<std::atomic<int>> visits(500);

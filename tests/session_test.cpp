@@ -198,26 +198,6 @@ TEST(Session, DisabledCacheIsHonored) {
     EXPECT_EQ(report.cache.lookups(), 0u);
 }
 
-TEST(Session, CacheByteBudgetReachesTheBatch) {
-    const ss::ScenarioSpec spec = small_figure1();
-    Session unlimited({1});
-    const auto reference = unlimited.run(spec);
-
-    SessionOptions options;
-    options.threads = 1;
-    options.cache_byte_budget = 1;  // only the just-touched entry stays
-    Session bounded(options);
-    const auto got = bounded.run(spec);
-    EXPECT_EQ(got.cache_byte_budget, 1u);
-    EXPECT_GT(got.cache.evictions, 0u);
-    // Eviction costs extra solves, never different answers.
-    ASSERT_EQ(got.runs.size(), reference.runs.size());
-    for (std::size_t i = 0; i < got.runs.size(); ++i) {
-        EXPECT_EQ(got.runs[i].resized_alloc, reference.runs[i].resized_alloc);
-        EXPECT_EQ(got.runs[i].post_loss, reference.runs[i].post_loss);
-    }
-}
-
 TEST(Session, MixedBatchWithViRungModelsIsThreadInvariant) {
     // The batch determinism contract must survive the scaled VI rung: a
     // mixed batch — a tiny figure-1 spec plus an np spec whose 1024-state

@@ -3,7 +3,6 @@
 #include "ctmdp/solver.hpp"
 #include "exec/executor.hpp"
 #include "exec/thread_pool.hpp"
-#include "util/contracts.hpp"
 
 #include <gtest/gtest.h>
 
@@ -197,9 +196,9 @@ namespace {
 /// precondition) — the cache's view of a "solver that throws".
 sm::CtmdpModel unsolvable_model() { return sm::CtmdpModel{}; }
 
-/// Approximate resident bytes of one model's entry, measured in an
-/// unbudgeted cache (the accounting is a pure function of the entry's
-/// contents, so it is the same in every cache).
+/// Approximate resident bytes of one model's entry, measured in a fresh
+/// cache (the accounting is a pure function of the entry's contents, so
+/// it is the same in every cache).
 std::size_t entry_bytes(const sm::CtmdpModel& model,
                         const sm::DispatchOptions& opts = {}) {
     sm::SolverRegistry registry;
@@ -210,72 +209,30 @@ std::size_t entry_bytes(const sm::CtmdpModel& model,
 
 }  // namespace
 
-TEST(SolveCache, EvictsLeastRecentlyUsedBeyondByteBudget) {
-    // Three same-shaped models (one structure, three arrival rates) have
-    // equal footprints; a budget of two and a half entries holds any two
-    // of them but never all three.
-    const sm::DispatchOptions opts;
-    const auto model_a = queue_model(4, 0.7);
-    const auto model_b = queue_model(4, 0.8);
-    const auto model_c = queue_model(4, 0.9);
-    const std::size_t one = entry_bytes(model_a);
-    ASSERT_GT(one, 0u);
-    ASSERT_EQ(entry_bytes(model_b), one);
-    ASSERT_EQ(entry_bytes(model_c), one);
-
-    sm::SolverRegistry registry;
-    sm::SolveCache cache(2 * one + one / 2);
-    EXPECT_EQ(cache.byte_budget(), 2 * one + one / 2);
-
-    (void)cache.solve(registry, model_a, opts);  // A
-    (void)cache.solve(registry, model_b, opts);  // B A — two fit
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 0u);
-
-    (void)cache.solve(registry, model_a, opts);  // touch: A B
-    (void)cache.solve(registry, model_c, opts);  // C A — evicts B
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(cache.stats().bytes_resident, 2 * one);
-
-    // A survived (hit, no new registry work); B was the victim (re-miss).
-    const std::size_t solves_before = registry.stats().total_solves();
-    (void)cache.solve(registry, model_a, opts);  // A C
-    EXPECT_EQ(registry.stats().total_solves(), solves_before);
-    (void)cache.solve(registry, model_b, opts);  // B A — evicts C
-    EXPECT_EQ(registry.stats().total_solves(), solves_before + 1);
-    // Serial access keeps the counters exact: 3 compulsory misses + 1
-    // eviction re-miss, hits for the touch and the surviving-A lookup.
-    EXPECT_EQ(cache.stats().misses, 4u);
-    EXPECT_EQ(cache.stats().hits, 2u);
-    EXPECT_EQ(cache.stats().evictions, 2u);
-    // C (the least recently used) went, A stayed.
-    const std::size_t solves_after = registry.stats().total_solves();
-    (void)cache.solve(registry, model_a, opts);
-    EXPECT_EQ(registry.stats().total_solves(), solves_after);
-}
-
-TEST(SolveCache, ByteBudgetCoveringAllKeysKeepsCountersSchedulingIndependent) {
-    // With a budget that holds every distinct key nothing is ever
-    // evicted, so the unlimited-cache counter contract holds unchanged
-    // under concurrency.
+TEST(SolveCache, CountersAndResidencyAreSchedulingIndependent) {
+    // 32 lookups over 8 distinct keys: whatever the interleaving, every
+    // key is solved once, so the counters and the residency are those of
+    // a serial run.
     const sm::DispatchOptions opts;
     std::size_t all_keys = 0;
     for (std::size_t k = 0; k < 8; ++k)
         all_keys += entry_bytes(queue_model(3 + k, 0.8));
-    sm::SolverRegistry registry;
-    sm::SolveCache cache(all_keys);
-    socbuf::exec::Executor exec(4);
-    const auto gains = exec.map(32, [&](std::size_t i) {
-        const auto model = queue_model(3 + i % 8, 0.8);
-        return cache.solve(registry, model, opts).gain;
-    });
-    EXPECT_EQ(cache.size(), 8u);
-    EXPECT_EQ(cache.stats().misses, 8u);
-    EXPECT_EQ(cache.stats().hits, 24u);
-    EXPECT_EQ(cache.stats().evictions, 0u);
-    EXPECT_EQ(cache.stats().bytes_resident, all_keys);
-    for (std::size_t i = 8; i < 32; ++i) EXPECT_EQ(gains[i], gains[i % 8]);
+    for (const std::size_t threads : {1u, 4u}) {
+        sm::SolverRegistry registry;
+        sm::SolveCache cache;
+        socbuf::exec::Executor exec(threads);
+        const auto gains = exec.map(32, [&](std::size_t i) {
+            const auto model = queue_model(3 + i % 8, 0.8);
+            return cache.solve(registry, model, opts).gain;
+        });
+        EXPECT_EQ(cache.size(), 8u) << "threads=" << threads;
+        EXPECT_EQ(cache.stats().misses, 8u) << "threads=" << threads;
+        EXPECT_EQ(cache.stats().hits, 24u) << "threads=" << threads;
+        EXPECT_EQ(cache.stats().bytes_resident, all_keys)
+            << "threads=" << threads;
+        for (std::size_t i = 8; i < 32; ++i)
+            EXPECT_EQ(gains[i], gains[i % 8]) << "threads=" << threads;
+    }
 }
 
 TEST(SolveCache, FailedSolveLeavesTheSlotReclaimable) {
@@ -289,6 +246,7 @@ TEST(SolveCache, FailedSolveLeavesTheSlotReclaimable) {
     // requester re-claims (a fresh miss) instead of hanging or reading a
     // stale solution.
     EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.stats().bytes_resident, 0u);
     EXPECT_THROW((void)cache.solve(registry, bad, opts), std::exception);
     EXPECT_EQ(cache.stats().misses, 2u);
     EXPECT_EQ(cache.stats().hits, 0u);
@@ -329,18 +287,14 @@ TEST(SolveCache, ConcurrentFailuresAllPropagateWithoutHangingWaiters) {
     EXPECT_EQ(cache.stats().hits, 0u);
 }
 
-TEST(SolveCache, TightestByteBudgetCountersStayConsistentUnderFailuresAndWaiters) {
-    // The nastiest corner the counters have: a one-byte budget (every
-    // settling lookup tries to evict, and only the just-touched entry
-    // may stay), a key every solver rejects (the failure path runs
-    // constantly, with waiters pinning the failed slot), and solvable
-    // keys churning through the single surviving entry. Whatever the
-    // interleaving, the accounting invariants must hold exactly: every
-    // lookup is one hit or one miss (never zero, never two), every
-    // exception was a miss, and an eviction can only follow a successful
-    // insert.
+TEST(SolveCache, CountersStayExactUnderFailuresAndWaiters) {
+    // A key every solver rejects (the failure path runs constantly, with
+    // waiters holding the failed slot) races two solvable keys. Whatever
+    // the interleaving, the accounting is exact: every lookup is one hit
+    // or one miss (never zero, never two), every bad lookup is a miss
+    // that threw, and each good key is solved exactly once.
     sm::SolverRegistry registry;
-    sm::SolveCache cache(1);
+    sm::SolveCache cache;
     const sm::DispatchOptions opts;
     const auto bad = unsolvable_model();
     const auto good_a = queue_model(3, 0.8);
@@ -368,25 +322,20 @@ TEST(SolveCache, TightestByteBudgetCountersStayConsistentUnderFailuresAndWaiters
 
     constexpr std::size_t kLookups = 3 * kPerKind;
     const sm::SolveCacheStats stats = cache.stats();
-    EXPECT_EQ(threw.load() + returned.load(), kLookups);
-    EXPECT_EQ(returned.load(), 2 * kPerKind);  // every good lookup returned
+    EXPECT_EQ(threw.load(), kPerKind);
+    EXPECT_EQ(returned.load(), 2 * kPerKind);
     EXPECT_EQ(stats.lookups(), kLookups);
-    EXPECT_EQ(stats.hits + stats.misses, kLookups);
-    // Every exception was counted as exactly one miss, and only
-    // successful inserts (misses that returned) can have evicted.
-    EXPECT_GE(stats.misses, threw.load());
-    EXPECT_LE(stats.evictions, stats.misses - threw.load());
-    // No husk left behind: the failed key holds no residency, and the
-    // one surviving entry is a solvable key's.
-    EXPECT_LE(cache.size(), 1u);
-    EXPECT_LE(stats.bytes_resident,
-              std::max(entry_bytes(good_a), entry_bytes(good_b)));
+    EXPECT_EQ(stats.misses, kPerKind + 2);
+    EXPECT_EQ(stats.hits, 2 * kPerKind - 2);
+    // No husk left behind: the failed key holds no entry and no
+    // residency; both solvable keys stay.
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(stats.bytes_resident, entry_bytes(good_a) + entry_bytes(good_b));
 
     // The cache is fully functional afterwards: a serial lookup of a
-    // solvable key is one more exact hit or miss.
-    const std::size_t before = stats.lookups();
+    // solvable key is one more hit.
     (void)cache.solve(registry, good_a, opts);
-    EXPECT_EQ(cache.stats().lookups(), before + 1);
+    EXPECT_EQ(cache.stats().hits, stats.hits + 1);
 }
 
 TEST(SolveCache, IsSafeToShareAcrossWorkers) {
@@ -408,46 +357,6 @@ TEST(SolveCache, IsSafeToShareAcrossWorkers) {
     EXPECT_EQ(cache.stats().hits, 24u);
     EXPECT_EQ(registry.stats().total_solves(), 8u);
     for (std::size_t i = 8; i < 32; ++i) EXPECT_EQ(gains[i], gains[i % 8]);
-}
-
-TEST(SolveCache, BytesResidentTracksEntriesAcrossEviction) {
-    // A budget that exactly fits the small and the big entry: a third
-    // insert must evict the least recently used one and release exactly
-    // its bytes.
-    const sm::DispatchOptions opts;
-    const std::size_t small = entry_bytes(queue_model(3, 0.7));
-    const std::size_t big = entry_bytes(queue_model(9, 0.7));
-    const std::size_t mid = entry_bytes(queue_model(4, 0.7));
-    ASSERT_GT(small, 0u);
-    // A bigger model's entry costs more bytes.
-    ASSERT_GT(big, mid);
-    ASSERT_GT(mid, small);
-
-    sm::SolverRegistry registry;
-    sm::SolveCache cache(small + big);
-    EXPECT_EQ(cache.stats().bytes_resident, 0u);
-    (void)cache.solve(registry, queue_model(3, 0.7), opts);
-    EXPECT_EQ(cache.stats().bytes_resident, small);
-    (void)cache.solve(registry, queue_model(9, 0.7), opts);
-    EXPECT_EQ(cache.stats().bytes_resident, small + big);
-    EXPECT_EQ(cache.stats().evictions, 0u);
-
-    // Hits do not change residency (but refresh recency: small is now
-    // the most recently used).
-    (void)cache.solve(registry, queue_model(3, 0.7), opts);
-    EXPECT_EQ(cache.stats().bytes_resident, small + big);
-
-    // Over budget: the big (least recently used) entry goes, and its
-    // bytes with it.
-    (void)cache.solve(registry, queue_model(4, 0.7), opts);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().bytes_resident, small + mid);
-
-    // A failed solve leaves no husk bytes behind.
-    EXPECT_THROW((void)cache.solve(registry, unsolvable_model(), opts),
-                 socbuf::util::ModelError);
-    EXPECT_EQ(cache.stats().bytes_resident, small + mid);
 }
 
 TEST(SolveCache, BytesResidentCountsAnEntrysModelArraysOnce) {
@@ -472,26 +381,4 @@ TEST(SolveCache, BytesResidentCountsAnEntrysModelArraysOnce) {
     (void)cache.solve(registry, queue_model(4, 0.7), opts);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().bytes_resident, 2 * one + kPads * kPadBytes);
-}
-
-TEST(SolveCache, JustSolvedEntryIsNeverTheEvictionVictim) {
-    // A budget too small for even one entry: the freshly completed entry
-    // must stay resident (the LRU victim is taken from the back, never
-    // the front — residency transiently exceeds the budget, the
-    // documented best-effort trade), otherwise every solve would evict
-    // itself and the cache could never serve a hit.
-    sm::SolverRegistry registry;
-    const sm::DispatchOptions opts;
-    sm::SolveCache cache(1);  // one byte: nothing "fits"
-    (void)cache.solve(registry, queue_model(3, 0.7), opts);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_GT(cache.stats().bytes_resident, cache.byte_budget());
-    (void)cache.solve(registry, queue_model(4, 0.7), opts);  // evicts first
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(cache.stats().bytes_resident, entry_bytes(queue_model(4, 0.7)));
-    const std::size_t solves = registry.stats().total_solves();
-    (void)cache.solve(registry, queue_model(4, 0.7), opts);  // resident: hit
-    EXPECT_EQ(registry.stats().total_solves(), solves);
-    EXPECT_EQ(cache.stats().hits, 1u);
 }

@@ -36,9 +36,6 @@
 //   --warmup W           override the statistics warmup explicitly (>= 0)
 //   --seed S             override the base RNG seed
 //   --no-cache           disable the batch-wide CTMDP solve cache
-//   --cache-byte-budget B
-//                        bound the solve cache's approximate resident
-//                        bytes (LRU eviction; 0 = unlimited, the default)
 //   --gauss-seidel       run every selected scenario's VI rung with the
 //                        red-black Gauss-Seidel sweep: fewer iterations
 //                        on large models, gains agree with Jacobi to
@@ -88,7 +85,7 @@ int usage(const char* argv0) {
                  "  %s run <name|--file F> [more names/files]\n"
                  "      [--threads N] [--budgets A,B,...] [--replications R]\n"
                  "      [--iterations I] [--horizon H] [--warmup W]\n"
-                 "      [--seed S] [--no-cache] [--cache-byte-budget B]\n"
+                 "      [--seed S] [--no-cache]\n"
                  "      [--gauss-seidel]\n"
                  "      [--json FILE] [--csv FILE]\n",
                  argv0, argv0, argv0, argv0, argv0);
@@ -493,12 +490,6 @@ int run_scenarios(const std::vector<std::string>& args) {
             has_seed_override = true;
         } else if (arg == "--no-cache") {
             session_options.use_solve_cache = false;
-        } else if (arg == "--cache-byte-budget") {
-            const std::string* v = next_value();
-            if (v == nullptr) return 2;
-            if (!parse_number(*v, session_options.cache_byte_budget))
-                return bad_value(
-                    arg, *v, "expected a whole number >= 0 (0 = unlimited)");
         } else if (arg == "--gauss-seidel") {
             gauss_seidel_override = true;
         } else if (arg == "--json") {
@@ -566,10 +557,10 @@ int run_scenarios(const std::vector<std::string>& args) {
     std::printf("%s", report.summary_table().to_string().c_str());
     if (report.cache_enabled) {
         std::printf(
-            "workers: %zu · solve cache: %zu hits / %zu misses / %zu "
-            "evictions (%.0f%% hit rate)\n",
+            "workers: %zu · solve cache: %zu hits / %zu misses (%.0f%% hit "
+            "rate)\n",
             report.workers, report.cache.hits, report.cache.misses,
-            report.cache.evictions, 100.0 * report.cache.hit_rate());
+            100.0 * report.cache.hit_rate());
     } else {
         std::printf("workers: %zu · solve cache: disabled\n", report.workers);
     }
