@@ -51,14 +51,29 @@ ctmdp::DispatchOptions make_dispatch(const SizingOptions& options) {
     return dispatch;
 }
 
-/// Solve every subsystem model (in parallel — the solves are independent)
-/// and fold each solution, in subsystem order, into the K-switching scores
-/// and service weights; the ordered fold keeps the report bit-identical
-/// for any executor width. Generic over the model family (Poisson
-/// SubsystemCtmdp or burst-aware ModulatedSubsystemCtmdp), which share the
-/// same surface.
-template <typename ModelVector>
-void score_subsystems(const ModelVector& models,
+/// What the fold keeps of one solved subsystem: the rung behind its
+/// solution, its switching-state count, and per local flow the
+/// K-switching score and service share.
+struct SubsystemScore {
+    ctmdp::SolverKind solved_by = ctmdp::SolverKind::kLp;
+    std::size_t switching_states = 0;
+    std::vector<double> scores;
+    std::vector<double> shares;
+};
+
+/// Score every subsystem (in parallel — the solves are independent) and
+/// fold the scores, in subsystem order, into the report's K-switching
+/// scores and service weights; the ordered fold keeps the report
+/// bit-identical for any executor width. Each task builds its subsystem's
+/// model (`Model`: the Poisson SubsystemCtmdp or the burst-aware
+/// ModulatedSubsystemCtmdp), solves it and reduces it to its
+/// SubsystemScore before the model and its solution are dropped, so at
+/// most one model per running task is alive — a batch's largest buses
+/// never sit in memory side by side waiting for the fold.
+template <typename Model>
+void score_subsystems(const split::SplitResult& split,
+                      const Allocation& alloc,
+                      const std::vector<double>& rates,
                       const SizingOptions& options,
                       ctmdp::SolverRegistry& registry,
                       exec::Executor& executor,
@@ -71,30 +86,17 @@ void score_subsystems(const ModelVector& models,
     // nested fan-outs; the executor's caller-participation rule makes
     // that deadlock-free). Schedule-only: bit-identical for any width.
     dispatch.solver.vi.executor = &executor;
-    const auto solve_one = [&](std::size_t i) {
-        if (cache != nullptr)
-            return cache->solve(registry, models[i].model(), dispatch);
-        return registry.solve(models[i].model(), dispatch);
-    };
-    const auto solutions = executor.map(models.size(), solve_one);
-    for (std::size_t m = 0; m < models.size(); ++m) {
-        const auto& sub_model = models[m];
-        const ctmdp::SubsystemSolution& sol = solutions[m];
-        // Tally the algorithm behind every solution this run consumed —
-        // whether it was solved here or served by a shared cache — so the
-        // report's counts are deterministic for any executor width and
-        // batch composition.
-        switch (sol.solved_by) {
-            case ctmdp::SolverKind::kLp: ++report.lp_solves; break;
-            case ctmdp::SolverKind::kValueIteration:
-                ++report.vi_solves;
-                break;
-            case ctmdp::SolverKind::kPolicyIteration:
-                ++report.pi_solves;
-                break;
-        }
-        report.switching_states += sol.switching_states;
-        const auto shares = sub_model.service_shares(sol.occupation);
+    const auto score_one = [&](std::size_t i) {
+        const Model sub_model = build_subsystem_model<Model>(
+            split, i, alloc, options.model_cap, rates);
+        const ctmdp::SubsystemSolution sol =
+            cache != nullptr
+                ? cache->solve(registry, sub_model.model(), dispatch)
+                : registry.solve(sub_model.model(), dispatch);
+        SubsystemScore out;
+        out.solved_by = sol.solved_by;
+        out.switching_states = sol.switching_states;
+        out.shares = sub_model.service_shares(sol.occupation);
         const auto& flows = sub_model.subsystem().flows;
         for (std::size_t f = 0; f < flows.size(); ++f) {
             const auto marginal = sub_model.flow_marginal(sol.stationary, f);
@@ -104,14 +106,36 @@ void score_subsystems(const ModelVector& models,
             // Saturation correction: occupancy pinned at the modeled cap
             // means the true requirement exceeds the model.
             const double at_cap = marginal.back();
-            const double score =
+            out.scores.push_back(
                 q + mean +
                 options.saturation_boost * at_cap *
                     static_cast<double>(sub_model.caps()[f]) +
                 options.measured_occupancy_weight *
-                    measured_occ[flows[f].site];
-            report.site_scores[flows[f].site] = std::max(score, 1e-6);
-            report.site_service_weights[flows[f].site] = shares[f];
+                    measured_occ[flows[f].site]);
+        }
+        return out;
+    };
+    const auto scored = executor.map(split.subsystems.size(), score_one);
+    for (std::size_t m = 0; m < scored.size(); ++m) {
+        const SubsystemScore& sub = scored[m];
+        // Tally the algorithm behind every solution this run consumed —
+        // whether it was solved here or served by a shared cache — so the
+        // report's counts are deterministic for any executor width and
+        // batch composition.
+        switch (sub.solved_by) {
+            case ctmdp::SolverKind::kLp: ++report.lp_solves; break;
+            case ctmdp::SolverKind::kValueIteration:
+                ++report.vi_solves;
+                break;
+            case ctmdp::SolverKind::kPolicyIteration:
+                ++report.pi_solves;
+                break;
+        }
+        report.switching_states += sub.switching_states;
+        const auto& flows = split.subsystems[m].flows;
+        for (std::size_t f = 0; f < flows.size(); ++f) {
+            report.site_scores[flows[f].site] = std::max(sub.scores[f], 1e-6);
+            report.site_service_weights[flows[f].site] = sub.shares[f];
         }
     }
 }
@@ -239,17 +263,14 @@ SizingReport BufferSizingEngine::run(const arch::TestSystem& system,
     for (int iter = 0; iter < options_.iterations; ++iter) {
         // Solve every subsystem and translate occupancies into
         // K-switching scores.
-        if (options_.use_modulated_models) {
-            const auto models = build_modulated_models(
-                split, alloc, options_.model_cap, rates);
-            score_subsystems(models, options_, registry, executor, cache,
-                             measured_occ, report);
-        } else {
-            const auto models = build_subsystem_models(
-                split, alloc, options_.model_cap, rates);
-            score_subsystems(models, options_, registry, executor, cache,
-                             measured_occ, report);
-        }
+        if (options_.use_modulated_models)
+            score_subsystems<ModulatedSubsystemCtmdp>(
+                split, alloc, rates, options_, registry, executor, cache,
+                measured_occ, report);
+        else
+            score_subsystems<SubsystemCtmdp>(split, alloc, rates, options_,
+                                             registry, executor, cache,
+                                             measured_occ, report);
 
         // Apportion the budget by score (each active site keeps >= 1).
         std::vector<double> weights;

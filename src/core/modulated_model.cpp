@@ -1,5 +1,6 @@
 #include "core/modulated_model.hpp"
 
+#include "core/subsystem_model.hpp"
 #include "util/contracts.hpp"
 
 #include <algorithm>
@@ -166,28 +167,11 @@ std::vector<double> ModulatedSubsystemCtmdp::service_shares(
 std::vector<ModulatedSubsystemCtmdp> build_modulated_models(
     const split::SplitResult& split, const std::vector<long>& allocation,
     long model_cap, const std::vector<double>& measured_site_rates) {
-    SOCBUF_REQUIRE_MSG(allocation.size() == split.sites.size(),
-                       "allocation must cover every site");
-    SOCBUF_REQUIRE_MSG(model_cap >= 1, "model cap must be >= 1");
     std::vector<ModulatedSubsystemCtmdp> out;
     out.reserve(split.subsystems.size());
-    for (const auto& sub : split.subsystems) {
-        std::vector<long> caps;
-        std::vector<double> rates;
-        for (const auto& f : sub.flows) {
-            caps.push_back(std::clamp(allocation[f.site], 1L, model_cap));
-            double rate = f.arrival_rate;
-            if (!measured_site_rates.empty()) {
-                SOCBUF_REQUIRE_MSG(
-                    measured_site_rates.size() == split.sites.size(),
-                    "measured rate vector must cover every site");
-                rate = std::max(measured_site_rates[f.site],
-                                0.25 * f.arrival_rate);
-            }
-            rates.push_back(rate);
-        }
-        out.emplace_back(sub, std::move(caps), std::move(rates));
-    }
+    for (std::size_t i = 0; i < split.subsystems.size(); ++i)
+        out.push_back(build_subsystem_model<ModulatedSubsystemCtmdp>(
+            split, i, allocation, model_cap, measured_site_rates));
     return out;
 }
 

@@ -106,33 +106,38 @@ std::vector<double> SubsystemCtmdp::service_shares(
     return shares;
 }
 
-std::vector<SubsystemCtmdp> build_subsystem_models(
-    const split::SplitResult& split, const std::vector<long>& allocation,
-    long model_cap, const std::vector<double>& measured_site_rates) {
+SubsystemRecipe subsystem_recipe(
+    const split::SplitResult& split, std::size_t index,
+    const std::vector<long>& allocation, long model_cap,
+    const std::vector<double>& measured_site_rates) {
     SOCBUF_REQUIRE_MSG(allocation.size() == split.sites.size(),
                        "allocation must cover every site");
     SOCBUF_REQUIRE_MSG(model_cap >= 1, "model cap must be >= 1");
+    SOCBUF_REQUIRE_MSG(measured_site_rates.empty() ||
+                           measured_site_rates.size() == split.sites.size(),
+                       "measured rate vector must cover every site");
+    SOCBUF_REQUIRE(index < split.subsystems.size());
+    SubsystemRecipe recipe;
+    for (const auto& f : split.subsystems[index].flows) {
+        recipe.caps.push_back(std::clamp(allocation[f.site], 1L, model_cap));
+        double rate = f.arrival_rate;
+        // Blend: measured rates can be zero early in short warmup runs;
+        // never let a live flow vanish from the model.
+        if (!measured_site_rates.empty())
+            rate = std::max(measured_site_rates[f.site], 0.25 * f.arrival_rate);
+        recipe.rates.push_back(rate);
+    }
+    return recipe;
+}
+
+std::vector<SubsystemCtmdp> build_subsystem_models(
+    const split::SplitResult& split, const std::vector<long>& allocation,
+    long model_cap, const std::vector<double>& measured_site_rates) {
     std::vector<SubsystemCtmdp> out;
     out.reserve(split.subsystems.size());
-    for (const auto& sub : split.subsystems) {
-        std::vector<long> caps;
-        std::vector<double> rates;
-        for (const auto& f : sub.flows) {
-            caps.push_back(std::clamp(allocation[f.site], 1L, model_cap));
-            double rate = f.arrival_rate;
-            if (!measured_site_rates.empty()) {
-                SOCBUF_REQUIRE_MSG(
-                    measured_site_rates.size() == split.sites.size(),
-                    "measured rate vector must cover every site");
-                // Blend: measured rates can be zero early in short warmup
-                // runs; never let a live flow vanish from the model.
-                rate = std::max(measured_site_rates[f.site],
-                                0.25 * f.arrival_rate);
-            }
-            rates.push_back(rate);
-        }
-        out.emplace_back(sub, std::move(caps), std::move(rates));
-    }
+    for (std::size_t i = 0; i < split.subsystems.size(); ++i)
+        out.push_back(build_subsystem_model<SubsystemCtmdp>(
+            split, i, allocation, model_cap, measured_site_rates));
     return out;
 }
 

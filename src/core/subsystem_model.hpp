@@ -14,6 +14,7 @@
 #include "split/splitter.hpp"
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace socbuf::core {
@@ -64,9 +65,34 @@ private:
     std::vector<std::size_t> pair_serves_;
 };
 
-/// Build one SubsystemCtmdp per subsystem with per-site caps taken from an
-/// allocation (clamped to [1, model_cap]) and rates optionally overridden
-/// by measured site rates (empty vector = use the split's rates).
+/// The per-flow inputs of one subsystem's model: caps taken from an
+/// allocation (clamped to [1, model_cap]) and arrival rates, optionally
+/// overridden by measured site rates (empty vector = the split's rates).
+struct SubsystemRecipe {
+    std::vector<long> caps;
+    std::vector<double> rates;
+};
+
+[[nodiscard]] SubsystemRecipe subsystem_recipe(
+    const split::SplitResult& split, std::size_t index,
+    const std::vector<long>& allocation, long model_cap,
+    const std::vector<double>& measured_site_rates);
+
+/// Build subsystem `index`'s model of family `Model` (SubsystemCtmdp or
+/// ModulatedSubsystemCtmdp) from its recipe. The model refers to `split`,
+/// which must outlive it.
+template <typename Model>
+[[nodiscard]] Model build_subsystem_model(
+    const split::SplitResult& split, std::size_t index,
+    const std::vector<long>& allocation, long model_cap,
+    const std::vector<double>& measured_site_rates = {}) {
+    SubsystemRecipe recipe = subsystem_recipe(split, index, allocation,
+                                              model_cap, measured_site_rates);
+    return Model(split.subsystems[index], std::move(recipe.caps),
+                 std::move(recipe.rates));
+}
+
+/// Build one SubsystemCtmdp per subsystem (see subsystem_recipe).
 [[nodiscard]] std::vector<SubsystemCtmdp> build_subsystem_models(
     const split::SplitResult& split, const std::vector<long>& allocation,
     long model_cap, const std::vector<double>& measured_site_rates = {});

@@ -20,10 +20,10 @@
 //
 // A CtmdpModel is a handle: freeze() moves the arrays into one immutable
 // block behind a std::shared_ptr<const ...>, and copies share it. Copying
-// a model is a reference-count bump, never an array copy, so the model a
-// subsystem builder froze and the one a SolveCache entry keeps are the
-// same memory (two copies hand out the same rates().data()). The block
-// lives as long as its last handle.
+// a model is a reference-count bump, never an array copy (two copies
+// hand out the same rates().data()). The block lives as long as its last
+// handle; a SolveCache keeps a packed key, not a handle, so a solved
+// model is freed with its builder's last copy.
 #pragma once
 
 #include <cstddef>

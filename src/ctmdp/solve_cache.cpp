@@ -60,6 +60,18 @@ std::string encode_options(const DispatchOptions& options) {
     return block;
 }
 
+/// Calls emit(word) for every element of `values`, as raw bits.
+template <typename T, typename Emit>
+void each_raw(const std::vector<T>& values, Emit&& emit) {
+    static_assert(sizeof(T) == sizeof(std::uint64_t),
+                  "model arrays hold 64-bit words");
+    for (const T& v : values) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(bits));
+        emit(bits);
+    }
+}
+
 /// One-lane 64-bit hash over 64-bit words, with xxHash64's round and
 /// avalanche. It only picks cache candidates, so collisions cost a failed
 /// comparison, not a wrong answer.
@@ -73,14 +85,8 @@ public:
 
     template <typename T>
     void array(const std::vector<T>& values) {
-        static_assert(sizeof(T) == sizeof(std::uint64_t),
-                      "model arrays hold 64-bit words");
         word(values.size());
-        for (const T& v : values) {
-            std::uint64_t bits = 0;
-            std::memcpy(&bits, &v, sizeof(bits));
-            word(bits);
-        }
+        each_raw(values, [this](std::uint64_t w) { word(w); });
     }
 
     void bytes(const std::string& s) {
@@ -123,42 +129,180 @@ std::uint64_t key_hash(const CtmdpModel& model, const std::string& options) {
     return h.finish();
 }
 
-/// Bitwise equality: doubles compare by representation, so one ulp or
-/// +0.0 vs -0.0 is a difference.
-template <typename T>
-bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
-    return a.size() == b.size() &&
-           (a.empty() ||
-            std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+// ---- Packed model keys ---------------------------------------------------
+//
+// A key is the extra-cost width, then each array streamed as 64-bit words
+// in a form that repeats a lot in subsystem models (offset deltas are
+// action and transition counts, relative targets are ± the occupancy
+// strides, rates and costs are a handful of values), stored as
+//   [u64 n][u8 d][n one-byte codes][d dictionary words]   1 <= d <= 255
+//   [u64 n][u8 0][n raw words]                             otherwise
+// Every field decodes back to the arrays, so equal keys mean bit-equal
+// models.
+
+constexpr std::size_t kMaxDictionary = 255;
+
+/// Calls emit(offsets[i] - offsets[i - 1]) for every i, offsets[-1] = 0.
+template <typename Emit>
+void each_delta(const std::vector<std::size_t>& offsets, Emit&& emit) {
+    std::size_t previous = 0;
+    for (const std::size_t offset : offsets) {
+        emit(static_cast<std::uint64_t>(offset - previous));
+        previous = offset;
+    }
 }
 
-bool same_model(const CtmdpModel& a, const CtmdpModel& b) {
-    return a.extra_cost_count() == b.extra_cost_count() &&
-           same_bits(a.pair_offsets(), b.pair_offsets()) &&
-           same_bits(a.transition_offsets(), b.transition_offsets()) &&
-           same_bits(a.targets(), b.targets()) &&
-           same_bits(a.rates(), b.rates()) &&
-           same_bits(a.costs(), b.costs()) &&
-           same_bits(a.extra_costs(), b.extra_costs());
+/// Calls emit(target - source state) for every transition, wrapping.
+/// The offsets must be the model's own (a frozen model's always are).
+template <typename Emit>
+void each_relative_target(const CtmdpModel& model, Emit&& emit) {
+    const auto& pairs = model.pair_offsets();
+    const auto& transitions = model.transition_offsets();
+    const auto& targets = model.targets();
+    for (std::size_t s = 0; s + 1 < pairs.size(); ++s)
+        for (std::size_t t = transitions[pairs[s]];
+             t < transitions[pairs[s + 1]]; ++t)
+            emit(static_cast<std::uint64_t>(targets[t] - s));
 }
 
-/// Approximate resident footprint of one solved entry: the model arrays
-/// (once — the entry shares them with every other handle to the model),
-/// the options block, the solution's vectors, and fixed per-entry
+/// Calls visit(n, each) for every array of a model's key, in key order:
+/// `n` is the array's length and each(emit) streams its words. The
+/// offsets come before the targets they make relative.
+template <typename Visit>
+void for_each_key_array(const CtmdpModel& model, Visit&& visit) {
+    visit(model.pair_offsets().size(),
+          [&](auto&& emit) { each_delta(model.pair_offsets(), emit); });
+    visit(model.transition_offsets().size(), [&](auto&& emit) {
+        each_delta(model.transition_offsets(), emit);
+    });
+    visit(model.targets().size(),
+          [&](auto&& emit) { each_relative_target(model, emit); });
+    visit(model.rates().size(),
+          [&](auto&& emit) { each_raw(model.rates(), emit); });
+    visit(model.costs().size(),
+          [&](auto&& emit) { each_raw(model.costs(), emit); });
+    visit(model.extra_costs().size(),
+          [&](auto&& emit) { each_raw(model.extra_costs(), emit); });
+}
+
+/// Flat open-addressed word -> code table with 256 slots: at most 255
+/// codes, so a probe always ends on a free slot.
+class Dictionary {
+public:
+    /// The code of `word`, adding it if new; false once the dictionary
+    /// would exceed kMaxDictionary words.
+    bool code(std::uint64_t word, std::uint8_t& out) {
+        std::size_t slot = (word * 0x9E3779B97F4A7C15ULL) >> 56;
+        for (;; slot = (slot + 1) & 0xFF) {
+            Slot& entry = slots_[slot];
+            if (entry.code_plus_one == 0) break;
+            if (entry.word == word) {
+                out = static_cast<std::uint8_t>(entry.code_plus_one - 1);
+                return true;
+            }
+        }
+        if (size_ == kMaxDictionary) return false;
+        out = static_cast<std::uint8_t>(size_);
+        words_[size_++] = word;
+        slots_[slot] = {word, size_};
+        return true;
+    }
+
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] const std::uint64_t* words() const { return words_; }
+
+private:
+    struct Slot {
+        std::uint64_t word = 0;
+        std::size_t code_plus_one = 0;  // 0: a free slot
+    };
+    Slot slots_[256] = {};
+    std::uint64_t words_[kMaxDictionary] = {};  // in code order
+    std::size_t size_ = 0;
+};
+
+/// Appends one array of `n` words (as streamed by `each`) to `out`.
+template <typename Each>
+void pack_array(std::string& out, std::size_t n, Each&& each) {
+    append_size(out, n);
+    const std::size_t header = out.size();
+    out.push_back('\0');
+    Dictionary dictionary;
+    bool fits = true;
+    out.resize(header + 1 + n);
+    char* code = out.data() + header + 1;
+    each([&](std::uint64_t word) {
+        std::uint8_t c = 0;
+        if (fits && (fits = dictionary.code(word, c)))
+            *code++ = static_cast<char>(c);
+    });
+    if (fits && n > 0) {
+        out[header] = static_cast<char>(dictionary.size());
+        for (std::size_t k = 0; k < dictionary.size(); ++k)
+            append_u64(out, dictionary.words()[k]);
+        return;
+    }
+    // Too many distinct words (or none at all): raw words, marked d = 0.
+    out.resize(header + 1);
+    out.reserve(header + 1 + n * sizeof(std::uint64_t));
+    each([&](std::uint64_t word) { append_u64(out, word); });
+}
+
+/// Sequential reader over a packed key.
+class KeyReader {
+public:
+    explicit KeyReader(const std::string& key) : key_(key) {}
+
+    std::uint64_t word() {
+        std::uint64_t w = 0;
+        std::memcpy(&w, key_.data() + pos_, sizeof(w));
+        pos_ += sizeof(w);
+        return w;
+    }
+
+    /// Whether the next packed array holds exactly the `n` words `each`
+    /// streams. Streams the stored codes (or raw words) against them; no
+    /// array is decoded.
+    template <typename Each>
+    bool same_array(std::size_t n, Each&& each) {
+        if (word() != n) return false;
+        const auto d = static_cast<unsigned char>(key_[pos_++]);
+        bool same = true;
+        std::size_t i = 0;
+        if (d == 0) {
+            const char* raw = key_.data() + pos_;
+            each([&](std::uint64_t w) {
+                std::uint64_t stored = 0;
+                std::memcpy(&stored, raw + i++ * sizeof(w), sizeof(w));
+                same &= stored == w;
+            });
+            pos_ += n * sizeof(std::uint64_t);
+            return same;
+        }
+        const auto* codes =
+            reinterpret_cast<const unsigned char*>(key_.data() + pos_);
+        std::uint64_t dictionary[kMaxDictionary] = {};
+        std::memcpy(dictionary, key_.data() + pos_ + n,
+                    d * sizeof(std::uint64_t));
+        each([&](std::uint64_t w) { same &= dictionary[codes[i++]] == w; });
+        pos_ += n + d * sizeof(std::uint64_t);
+        return same;
+    }
+
+private:
+    const std::string& key_;
+    std::size_t pos_ = 0;
+};
+
+/// Approximate resident footprint of one solved entry: the packed model
+/// key, the options block, the solution's vectors, and fixed per-entry
 /// bookkeeping. An estimate, not an audit — it ignores allocator slop —
 /// but it is a pure function of the entry's contents, so the total is
 /// deterministic for a given resident set.
-std::size_t approx_entry_bytes(const CtmdpModel& model,
+std::size_t approx_entry_bytes(const std::string& packed_model,
                                const std::string& options,
                                const SubsystemSolution& solution) {
-    std::size_t bytes = (model.pair_offsets().size() +
-                         model.transition_offsets().size() +
-                         model.targets().size()) *
-                        sizeof(std::size_t);
-    bytes += (model.rates().size() + model.costs().size() +
-              model.extra_costs().size()) *
-             sizeof(double);
-    bytes += options.size();
+    std::size_t bytes = packed_model.size() + options.size();
     bytes += sizeof(std::pair<const std::uint64_t, void*>);  // map node
     bytes += solution.stationary.size() * sizeof(double);
     bytes += solution.occupation.size() * sizeof(double);
@@ -171,6 +315,24 @@ std::size_t approx_entry_bytes(const CtmdpModel& model,
 }
 
 }  // namespace
+
+std::string packed_model_key(const CtmdpModel& model) {
+    std::string key;
+    append_size(key, model.extra_cost_count());
+    for_each_key_array(model, [&](std::size_t n, auto&& each) {
+        pack_array(key, n, each);
+    });
+    return key;
+}
+
+bool matches_packed_key(const std::string& key, const CtmdpModel& model) {
+    KeyReader reader(key);
+    bool same = reader.word() == model.extra_cost_count();
+    for_each_key_array(model, [&](std::size_t n, auto&& each) {
+        same = same && reader.same_array(n, each);
+    });
+    return same;
+}
 
 std::string solve_fingerprint(const CtmdpModel& model,
                               const DispatchOptions& options) {
@@ -185,20 +347,30 @@ SubsystemSolution SolveCache::solve(SolverRegistry& registry,
                                     const DispatchOptions& options) {
     std::string block = encode_options(options);
     const std::uint64_t hash = key_hash(model, block);
-    std::unique_lock<std::mutex> lock(mutex_);
-    auto pos = entries_.end();
-    const auto [first, last] = entries_.equal_range(hash);
-    for (auto candidate = first; candidate != last; ++candidate) {
-        const Entry& entry = candidate->second;
-        if (entry.options == block && same_model(entry.model, model)) {
-            pos = candidate;
-            break;
+    const auto find = [&] {
+        const auto [first, last] = entries_.equal_range(hash);
+        for (auto candidate = first; candidate != last; ++candidate) {
+            const Entry& entry = candidate->second;
+            if (entry.options == block &&
+                matches_packed_key(entry.model, model))
+                return candidate;
         }
-    }
+        return entries_.end();
+    };
+    std::unique_lock<std::mutex> lock(mutex_);
+    auto pos = find();
     if (pos == entries_.end()) {
-        pos = entries_.emplace(hash, Entry{});
-        pos->second.options = std::move(block);
-        pos->second.model = model;
+        // A new key: pack it outside the lock, then look again — another
+        // requester of the same key may have inserted it meanwhile.
+        lock.unlock();
+        std::string packed = packed_model_key(model);
+        lock.lock();
+        pos = find();
+        if (pos == entries_.end()) {
+            pos = entries_.emplace(hash, Entry{});
+            pos->second.options = std::move(block);
+            pos->second.model = std::move(packed);
+        }
     }
     // The map node stays put across concurrent inserts of other keys, and
     // nobody erases it while this lookup holds it (kSolving or

@@ -9,17 +9,21 @@
 // indistinguishable from a fresh solve, which is what keeps BatchRunner's
 // determinism contract intact when many threads share one cache.
 //
-// Exactness without a serialized key: an entry holds a copy of the model
-// handle (CtmdpModel copies share their immutable arrays, so this is the
-// memory the caller's builder froze, not a second copy), the encoded
-// options block, and a 64-bit hash of both. A lookup hashes the caller's
-// arrays outside the lock, allocation-free, and on a hash match compares
-// the candidate array by array with memcmp: pair and transition offsets,
-// targets, rates, costs and extra costs, plus the extra-cost width and
-// the options bytes. Doubles therefore compare bit for bit: a one-ulp
-// rate change or a +0.0 vs -0.0 cost is a different model. The hash only
-// picks candidates; a collision costs one failed comparison, never a
-// wrong result.
+// Exactness without holding the model: an entry keeps a packed copy of
+// the model's arrays, the encoded options block, and a 64-bit hash of the
+// raw arrays and options. The packed copy is lossless and self-delimiting
+// — offsets as deltas, targets relative to their source state, rates and
+// costs as raw bits, each array then dictionary-coded to one byte per
+// element when it has at most 255 distinct words (raw words otherwise) —
+// so a subsystem model's key is a fraction of its arrays (a 16384-state
+// cluster bus: about 1.3 MB against 10.2 MB) and the caller's model is
+// freed once its solve returns. A lookup hashes the caller's arrays
+// outside the lock, allocation-free, and on a hash match streams the
+// stored codes against the live arrays, word for word. Doubles therefore
+// compare bit for bit: a one-ulp rate change or a +0.0 vs -0.0 cost is a
+// different model. The hash only picks candidates; a collision costs one
+// failed comparison, never a wrong result. A key is packed only on a miss,
+// outside the lock.
 //
 // Each key is solved exactly once: the first requester claims it and
 // solves *outside* the lock while later requesters wait on the in-flight
@@ -49,16 +53,27 @@ namespace socbuf::ctmdp {
 /// model arrays and options, followed by the encoded options block (every
 /// solve-relevant dispatch/solver knob, doubles bit-exact). Different
 /// fingerprints mean different entries; equal ones are confirmed against
-/// the entry's model array by array before a hit is served.
+/// the entry's packed model, array by array, before a hit is served.
 [[nodiscard]] std::string solve_fingerprint(const CtmdpModel& model,
                                             const DispatchOptions& options);
+
+/// The packed key a cache entry keeps for `model` (see the file comment).
+/// Lossless: two models share a key exactly when their arrays and
+/// extra-cost widths are bit-equal.
+[[nodiscard]] std::string packed_model_key(const CtmdpModel& model);
+
+/// Whether `key` (a packed_model_key result) is packed_model_key(model),
+/// checked by streaming the stored codes against the model's arrays
+/// (nothing is decoded); the first differing array ends the check.
+[[nodiscard]] bool matches_packed_key(const std::string& key,
+                                      const CtmdpModel& model);
 
 struct SolveCacheStats {
     std::size_t hits = 0;
     std::size_t misses = 0;
-    /// Approximate bytes held by resident (solved) entries: model arrays
-    /// (once each), options blocks, result vectors, and per-entry
-    /// bookkeeping. Deterministic given the set of distinct keys solved.
+    /// Approximate bytes held by resident (solved) entries: packed model
+    /// keys, options blocks, result vectors, and per-entry bookkeeping.
+    /// Deterministic given the set of distinct keys solved.
     std::size_t bytes_resident = 0;
     [[nodiscard]] std::size_t lookups() const { return hits + misses; }
     [[nodiscard]] double hit_rate() const {
@@ -88,12 +103,11 @@ public:
     [[nodiscard]] std::size_t size() const;
 
 private:
-    /// One (model, options) key and its solve. `model` shares the
-    /// caller's arrays.
+    /// One (model, options) key and its solve.
     struct Entry {
         enum State { kUnsolved, kSolving, kReady };
         std::string options;  // the encoded options block
-        CtmdpModel model;
+        std::string model;    // the packed model arrays
         State state = kUnsolved;
         /// Threads blocked on this entry's in-flight solve. A failed
         /// entry with waiters stays for them to re-claim; without, it is

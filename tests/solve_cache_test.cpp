@@ -1,8 +1,10 @@
+#include "core/subsystem_model.hpp"
 #include "ctmdp/model.hpp"
 #include "ctmdp/solve_cache.hpp"
 #include "ctmdp/solver.hpp"
 #include "exec/executor.hpp"
 #include "exec/thread_pool.hpp"
+#include "split/splitter.hpp"
 
 #include <gtest/gtest.h>
 
@@ -131,9 +133,9 @@ TEST(SharedModel, CopiesShareTheFrozenArrays) {
 }
 
 TEST(SharedModel, EntryOutlivesTheCallersModel) {
-    // The cache keeps its own handle to the solved model: once the
+    // The cache keeps a packed key, not the caller's model: once the
     // caller's model is gone, an identical rebuild (new storage) is
-    // compared against the entry's still-live arrays and hits.
+    // streamed against the entry's stored codes and hits.
     sm::SolverRegistry registry;
     sm::SolveCache cache;
     const sm::DispatchOptions opts;
@@ -359,26 +361,209 @@ TEST(SolveCache, IsSafeToShareAcrossWorkers) {
     for (std::size_t i = 8; i < 32; ++i) EXPECT_EQ(gains[i], gains[i % 8]);
 }
 
-TEST(SolveCache, BytesResidentCountsAnEntrysModelArraysOnce) {
-    // Zero-rate pads change no solve, so a padded entry differs from the
-    // plain one only in its model arrays: one target and one rate per
-    // pad, counted once.
+TEST(SolveCache, BytesResidentCountsAnEntrysPackedKey) {
+    // Zero-rate pads change no solve, so two padded entries differ only in
+    // their packed keys. Both key the same dictionary words (the pads'
+    // relative target and zero rate, and one longer last pair), so each
+    // further pad adds exactly two code bytes: its target's and its rate's.
     constexpr std::size_t kPads = 5;
-    constexpr std::size_t kPadBytes = sizeof(std::size_t) + sizeof(double);
     const sm::DispatchOptions opts;
-    const auto plain = queue_model(4, 0.7);
     const auto padded = queue_model(4, 0.7, 0.0, kPads);
-    ASSERT_EQ(padded.transition_count(), plain.transition_count() + kPads);
-    const std::size_t one = entry_bytes(plain);
-    EXPECT_EQ(entry_bytes(padded), one + kPads * kPadBytes);
+    const auto more_padded = queue_model(4, 0.7, 0.0, 2 * kPads);
+    ASSERT_EQ(more_padded.transition_count(),
+              padded.transition_count() + kPads);
+    const std::size_t one = entry_bytes(padded);
+    EXPECT_EQ(entry_bytes(more_padded), one + 2 * kPads);
 
     sm::SolverRegistry registry;
     sm::SolveCache cache;
-    (void)cache.solve(registry, plain, opts);
     (void)cache.solve(registry, padded, opts);
-    EXPECT_EQ(cache.stats().bytes_resident, 2 * one + kPads * kPadBytes);
+    (void)cache.solve(registry, more_padded, opts);
+    EXPECT_EQ(cache.stats().bytes_resident, 2 * one + 2 * kPads);
     // A hit from another build of the same model adds nothing.
-    (void)cache.solve(registry, queue_model(4, 0.7), opts);
+    (void)cache.solve(registry, queue_model(4, 0.7, 0.0, kPads), opts);
     EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().bytes_resident, 2 * one + kPads * kPadBytes);
+    EXPECT_EQ(cache.stats().bytes_resident, 2 * one + 2 * kPads);
+}
+
+namespace {
+
+/// One state-action pair of a hand-written model.
+struct PairSpec {
+    std::size_t state = 0;
+    std::vector<sm::Transition> moves;
+    double cost = 0.0;
+    std::vector<double> extra;
+};
+
+sm::CtmdpModel from_pairs(std::size_t states, std::size_t width,
+                          const std::vector<PairSpec>& pairs) {
+    sm::CtmdpBuilder b(states, width);
+    for (const PairSpec& p : pairs)
+        b.add_action(p.state, p.moves, p.cost, p.extra);
+    return std::move(b).freeze();
+}
+
+/// Three states, two actions each (slow and fast service), one extra cost.
+std::vector<PairSpec> three_state_pairs() {
+    return {
+        {0, {{1, 0.5}}, 0.0, {0.0}},
+        {0, {{1, 0.5}, {2, 0.1}}, 1.0, {0.0}},
+        {1, {{2, 0.5}, {0, 1.0}}, 1.0, {1.0}},
+        {1, {{2, 0.5}, {0, 3.0}}, 3.0, {1.0}},
+        {2, {{1, 1.0}}, 2.5, {2.0}},
+        {2, {{1, 3.0}}, 4.5, {2.0}},
+    };
+}
+
+/// A dense chain whose rates are all distinct: each of 20 states jumps to
+/// every other state at its own rate, so the rate array has 380 distinct
+/// words (more than 255) and is keyed raw. `bump` moves one rate up by
+/// one ulp.
+sm::CtmdpModel dense_model(bool bump = false) {
+    constexpr std::size_t kStates = 20;
+    sm::CtmdpBuilder b(kStates);
+    double rate = 1.0;
+    for (std::size_t i = 0; i < kStates; ++i) {
+        std::vector<sm::Transition> moves;
+        for (std::size_t j = 0; j < kStates; ++j) {
+            if (j == i) continue;
+            rate += 1e-3;
+            moves.push_back({j, bump && i == 7 && j == 3
+                                    ? std::nextafter(rate, 2.0)
+                                    : rate});
+        }
+        b.add_action(i, moves, static_cast<double>(i));
+    }
+    return std::move(b).freeze();
+}
+
+}  // namespace
+
+TEST(PackedKey, EveryArrayChangeIsAMissWithItsOwnEntry) {
+    const auto base_pairs = three_state_pairs();
+    struct Variant {
+        const char* what;
+        sm::CtmdpModel model;
+    };
+    std::vector<Variant> variants;
+    {
+        auto pairs = base_pairs;
+        pairs[2].moves[0].rate = std::nextafter(0.5, 1.0);
+        variants.push_back({"one-ulp rate", from_pairs(3, 1, pairs)});
+    }
+    {
+        auto pairs = base_pairs;
+        pairs[0].cost = -0.0;
+        variants.push_back({"-0.0 cost", from_pairs(3, 1, pairs)});
+    }
+    {
+        auto pairs = base_pairs;
+        pairs[3].moves[1].target = 2;  // fast service of state 1 -> state 2
+        variants.push_back({"one retargeted transition",
+                            from_pairs(3, 1, pairs)});
+    }
+    {
+        // State 0's second action hands its first transition to the first
+        // action: the flat targets and rates and the state's transition
+        // total are unchanged; only the pair boundary moves.
+        auto pairs = base_pairs;
+        pairs[0].moves.push_back(pairs[1].moves.front());
+        pairs[1].moves.erase(pairs[1].moves.begin());
+        variants.push_back({"transition moved between pairs",
+                            from_pairs(3, 1, pairs)});
+    }
+    {
+        auto pairs = base_pairs;
+        for (PairSpec& p : pairs) p.extra.push_back(0.0);
+        variants.push_back({"extra-cost width", from_pairs(3, 2, pairs)});
+    }
+    const auto base = from_pairs(3, 1, base_pairs);
+    ASSERT_EQ(variants[3].model.targets(), base.targets());
+    ASSERT_EQ(variants[3].model.rates(), base.rates());
+    // The raw path: more than 255 distinct rates, and its one-ulp twin.
+    variants.push_back({"raw-keyed rates", dense_model()});
+    variants.push_back({"raw-keyed rates, one ulp", dense_model(true)});
+
+    // Each variant's packed key differs from the base's and does not
+    // match the base's arrays, so even a hash collision could not serve
+    // one for the other; a rebuilt copy (new storage) matches.
+    const std::string base_key = sm::packed_model_key(base);
+    EXPECT_TRUE(
+        sm::matches_packed_key(base_key, from_pairs(3, 1, base_pairs)));
+    for (const Variant& v : variants) {
+        const std::string key = sm::packed_model_key(v.model);
+        EXPECT_NE(key, base_key) << v.what;
+        EXPECT_FALSE(sm::matches_packed_key(base_key, v.model)) << v.what;
+        EXPECT_FALSE(sm::matches_packed_key(key, base)) << v.what;
+        EXPECT_TRUE(sm::matches_packed_key(key, v.model)) << v.what;
+    }
+    const std::string raw_key = sm::packed_model_key(dense_model());
+    EXPECT_TRUE(sm::matches_packed_key(raw_key, dense_model()));
+    EXPECT_FALSE(sm::matches_packed_key(raw_key, dense_model(true)));
+
+    sm::SolverRegistry registry;
+    sm::SolveCache cache;
+    const sm::DispatchOptions opts;
+    (void)cache.solve(registry, base, opts);
+    std::size_t keys = 1;
+    for (const Variant& v : variants) {
+        (void)cache.solve(registry, v.model, opts);
+        ++keys;
+        EXPECT_EQ(cache.stats().misses, keys) << v.what;
+        EXPECT_EQ(cache.size(), keys) << v.what;
+    }
+    EXPECT_EQ(cache.stats().hits, 0u);
+
+    // Rebuilt copies (new storage) of the base and raw-keyed models, and a
+    // second lookup of every variant, hit their own entries.
+    (void)cache.solve(registry, from_pairs(3, 1, base_pairs), opts);
+    (void)cache.solve(registry, dense_model(), opts);
+    (void)cache.solve(registry, dense_model(true), opts);
+    for (const Variant& v : variants)
+        (void)cache.solve(registry, v.model, opts);
+    EXPECT_EQ(cache.stats().hits, 3u + variants.size());
+    EXPECT_EQ(cache.stats().misses, keys);
+}
+
+TEST(PackedKey, RawKeyedRatesKeepEightBytesEach) {
+    // Over 255 distinct rates overflow the one-byte codes: the rate array
+    // is stored word for word.
+    const auto dense = dense_model();
+    ASSERT_GT(dense.rates().size(), 255u);
+    EXPECT_GT(sm::packed_model_key(dense).size(),
+              dense.rates().size() * sizeof(double));
+}
+
+TEST(PackedKey, ClusterBusKeyIsUnderAQuarterOfItsArrays) {
+    // A cluster-bus-shaped subsystem: five flows at cap 3, 4^5 = 1024
+    // states. Its offsets, relative targets, rates and costs take a few
+    // distinct values each, so the packed key is about a byte per element.
+    socbuf::split::Subsystem bus;
+    bus.service_rate = 2.0;
+    std::vector<double> rates;
+    for (std::size_t f = 0; f < 5; ++f) {
+        socbuf::split::SubsystemFlow flow;
+        flow.site = f;
+        flow.arrival_rate = 0.2 + 0.05 * static_cast<double>(f);
+        flow.weight = 1.0 + static_cast<double>(f % 2);
+        bus.flows.push_back(flow);
+        rates.push_back(flow.arrival_rate);
+    }
+    const socbuf::core::SubsystemCtmdp sub(bus, std::vector<long>(5, 3),
+                                           rates);
+    const sm::CtmdpModel& model = sub.model();
+    ASSERT_EQ(model.state_count(), 1024u);
+    const std::size_t raw_bytes =
+        (model.pair_offsets().size() + model.transition_offsets().size() +
+         model.targets().size()) *
+            sizeof(std::size_t) +
+        (model.rates().size() + model.costs().size() +
+         model.extra_costs().size()) *
+            sizeof(double);
+
+    EXPECT_LT(sm::packed_model_key(model).size(), raw_bytes / 4);
+    // The entry adds the solution's vectors to the key; together they
+    // still stay under half the arrays.
+    EXPECT_LT(entry_bytes(model), raw_bytes / 2);
 }

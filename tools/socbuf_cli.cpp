@@ -558,9 +558,11 @@ int run_scenarios(const std::vector<std::string>& args) {
     if (report.cache_enabled) {
         std::printf(
             "workers: %zu · solve cache: %zu hits / %zu misses (%.0f%% hit "
-            "rate)\n",
+            "rate, %.2f MB resident)\n",
             report.workers, report.cache.hits, report.cache.misses,
-            100.0 * report.cache.hit_rate());
+            100.0 * report.cache.hit_rate(),
+            static_cast<double>(report.cache.bytes_resident) /
+                (1024.0 * 1024.0));
     } else {
         std::printf("workers: %zu · solve cache: disabled\n", report.workers);
     }
