@@ -333,6 +333,68 @@ TEST(ParallelStationary, FannedPowerIterationBitIdentical) {
     }
 }
 
+TEST(Occupation, GoldenBitsPinned) {
+    // Cross-version oracle for the post-solve stationary pass: the
+    // occupation measure and policy cost of two fixed policies must come
+    // out bit for bit as recorded, serially and at 2 and 4 workers, so a
+    // rewrite of the chain's layout cannot silently change its fold
+    // order. Recorded with the triplet -> row CSR -> stable transpose
+    // path; do not regenerate them to make a layout change pass.
+    struct Golden {
+        const char* name;
+        std::uint64_t occupation_digest;  // FNV-1a of the x(s,a) bytes
+        double cost;                      // average_cost_of_policy
+    };
+    static const Golden golden[] = {
+        {"figure1 bus b cap 4/lp", 0x4e093ef9f512cf24ULL, 0x1.83883c9bae63p-4},
+        {"np_ingress(4,3)/vi", 0x41dbf496fa0e6540ULL, 0x1.6fbe1a27ed934p-3},
+    };
+    const auto& bus_b = figure1_bus_b();
+    std::vector<double> bus_b_rates;
+    for (const auto& f : bus_b.flows) bus_b_rates.push_back(f.arrival_rate);
+    sm::DispatchOptions lp;
+    lp.choice = sm::SolverChoice::kLp;
+    sm::DispatchOptions vi;
+    vi.choice = sm::SolverChoice::kValueIteration;
+    vi.solver.vi.tolerance = 1e-7;
+    vi.solver.vi.max_iterations = 50000;
+    const struct {
+        sm::CtmdpModel model;
+        sm::DispatchOptions dispatch;
+    } cases[] = {
+        {socbuf::core::SubsystemCtmdp(
+             bus_b, std::vector<long>(bus_b.flows.size(), 4), bus_b_rates)
+             .model(),
+         lp},
+        {np_ingress_model(4, 3), vi},
+    };
+    static_assert(std::size(cases) == std::size(golden));
+    sm::SolverRegistry registry;
+    socbuf::exec::Executor two(2);
+    socbuf::exec::Executor four(4);
+    for (std::size_t c = 0; c < std::size(cases); ++c) {
+        const auto& model = cases[c].model;
+        const auto policy = registry.solve(model, cases[c].dispatch).policy;
+        for (socbuf::exec::Executor* executor :
+             {static_cast<socbuf::exec::Executor*>(nullptr), &two, &four}) {
+            const auto x = sm::occupation_of_policy(model, policy, executor);
+            const double cost =
+                sm::average_cost_of_policy(model, policy, executor);
+            const std::uint64_t digest = fnv1a(
+                0xcbf29ce484222325ULL, x.data(), x.size() * sizeof(double));
+            std::ostringstream record;
+            record << "{\"" << golden[c].name << "\", 0x" << std::hex
+                   << digest << "ULL, " << std::hexfloat << cost << "},";
+            const std::string context =
+                std::string(golden[c].name) + " at " +
+                std::to_string(executor == nullptr ? 1 : executor->workers()) +
+                " workers; got " + record.str();
+            EXPECT_EQ(digest, golden[c].occupation_digest) << context;
+            EXPECT_EQ(cost, golden[c].cost) << context;
+        }
+    }
+}
+
 TEST(ParallelVi, OccupationAndPolicyCostMatchSerialOnTheViRung) {
     // End-to-end through the solver layer on a model past the fan gate
     // (1024 states >= parallel_min_states): occupation measure, policy
