@@ -12,6 +12,8 @@
 #include "arch/presets.hpp"
 #include "core/allocation.hpp"
 #include "core/subsystem_model.hpp"
+#include "ctmc/stationary.hpp"
+#include "ctmdp/occupation.hpp"
 #include "ctmdp/solver.hpp"
 #include "ctmdp/value_iteration.hpp"
 #include "exec/executor.hpp"
@@ -201,7 +203,11 @@ void write_json_report(const std::string& path) {
     // 8 (wide band). The pe-8 cap-3 model (262144 states, ~45 s serial)
     // and pe >= 10 are beyond the CI budget and deliberately not measured
     // here — the cap is the pe-8 cap-2 model at 19683 states (see
-    // bench/README.md).
+    // bench/README.md). stationary_s times the serial post-solve pass
+    // alone (occupation_of_policy on the Jacobi policy: the gather build
+    // and its power iteration), and stationary_identical checks that the
+    // pass's power iteration fanned at four workers, fanning even small
+    // chains, is bit-equal to serial.
     auto vi_scaling = sj::JsonValue::array();
     {
         struct ViCase {
@@ -246,6 +252,17 @@ void write_json_report(const std::string& path) {
             const Timing fanned_t = time_solve(model, fanned, kReps);
             const Timing gs_t = time_solve(model, gs, kReps);
             const Timing gs_fanned_t = time_solve(model, gs_fanned, kReps);
+            const Timing stationary_t = time_reps(kReps, [&] {
+                auto x = socbuf::ctmdp::occupation_of_policy(
+                    model, serial_sol.policy);
+                benchmark::DoNotOptimize(x);
+            });
+            const auto chain =
+                socbuf::ctmdp::policy_gather_chain(model, serial_sol.policy);
+            const bool stationary_identical =
+                socbuf::ctmc::stationary_power_gather(chain, 1e-11, 500000) ==
+                socbuf::ctmc::stationary_power_gather(
+                    chain, 1e-11, 500000, &four, /*parallel_min_states=*/1);
             const double iteration_ratio =
                 ratio(static_cast<double>(serial_sol.iterations),
                       static_cast<double>(gs_sol.iterations));
@@ -263,6 +280,8 @@ void write_json_report(const std::string& path) {
             row.set("parallel4_speedup",
                     ratio(serial_t.median, fanned_t.median));
             row.set("parallel4_identical", identical);
+            set_timing(row, "stationary_s", stationary_t);
+            row.set("stationary_identical", stationary_identical);
             set_timing(row, "gs_s", gs_t);
             row.set("gs_iterations", gs_sol.iterations);
             row.set("gs_speedup", ratio(serial_t.median, gs_t.median));
@@ -275,12 +294,14 @@ void write_json_report(const std::string& path) {
             vi_scaling.push_back(std::move(row));
             std::printf(
                 "%s (%zu states): jacobi %.3fs/%zu it (sweeps %.3fs, "
-                "%.1f ns/state-sweep), parallel4 %.3fs (identical %s), gs "
-                "%.3fs/%zu it (%.2fx fewer sweeps), gs parallel4 %.3fs "
-                "(identical %s)\n",
+                "%.1f ns/state-sweep), parallel4 %.3fs (identical %s), "
+                "stationary %.3fs (identical %s), gs %.3fs/%zu it (%.2fx "
+                "fewer sweeps), gs parallel4 %.3fs (identical %s)\n",
                 c.label, model.state_count(), serial_t.median,
                 serial_sol.iterations, vi_t.median, vi_ns_per_state_sweep,
-                fanned_t.median, identical ? "yes" : "NO", gs_t.median,
+                fanned_t.median, identical ? "yes" : "NO",
+                stationary_t.median, stationary_identical ? "yes" : "NO",
+                gs_t.median,
                 gs_sol.iterations, iteration_ratio, gs_fanned_t.median,
                 gs_identical ? "yes" : "NO");
         }

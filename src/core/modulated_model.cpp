@@ -96,7 +96,26 @@ double ModulatedSubsystemCtmdp::arrival_rate_in_state(std::size_t state,
 void ModulatedSubsystemCtmdp::build() {
     const std::size_t n_states = state_count();
     const double mu = subsystem_->service_rate;
+    // Count the model first (one action per busy flow, or idle; each
+    // action carries the state's arrivals and phase flips plus its
+    // service), so every array is allocated once, at its exact size.
+    std::size_t pairs = 0;
+    std::size_t transitions = 0;
+    for (std::size_t s = 0; s < n_states; ++s) {
+        std::size_t common = 0;
+        std::size_t busy = 0;
+        for (std::size_t f = 0; f < caps_.size(); ++f) {
+            const long k = occupancy(s, f);
+            if (k < caps_[f] && arrival_rate_in_state(s, f) > 0.0) ++common;
+            if (phase_stride_[f] != 0) ++common;
+            if (k != 0) ++busy;
+        }
+        pairs += std::max<std::size_t>(busy, 1);
+        transitions += busy == 0 ? common : busy * (common + 1);
+    }
     ctmdp::CtmdpBuilder builder(n_states, 1);
+    builder.reserve(pairs, transitions);
+    pair_serves_.reserve(pairs);
     std::vector<ctmdp::Transition> env;
     for (std::size_t s = 0; s < n_states; ++s) {
         // Environment transitions (phase flips) and arrivals are common to

@@ -50,7 +50,25 @@ double SubsystemCtmdp::loss_rate(std::size_t state) const {
 void SubsystemCtmdp::build() {
     const std::size_t n = state_count();
     const double mu = subsystem_->service_rate;
+    // Count the model first (one action per busy flow, or idle; each
+    // action carries the state's arrivals plus its service), so every
+    // array is allocated once, at its exact size.
+    std::size_t pairs = 0;
+    std::size_t transitions = 0;
+    for (std::size_t s = 0; s < n; ++s) {
+        std::size_t arriving = 0;
+        std::size_t busy = 0;
+        for (std::size_t f = 0; f < caps_.size(); ++f) {
+            const long k = occupancy(s, f);
+            if (k < caps_[f] && rates_[f] > 0.0) ++arriving;
+            if (k != 0) ++busy;
+        }
+        pairs += std::max<std::size_t>(busy, 1);
+        transitions += busy == 0 ? arriving : busy * (arriving + 1);
+    }
     ctmdp::CtmdpBuilder builder(n, 1);
+    builder.reserve(pairs, transitions);
+    pair_serves_.reserve(pairs);
     std::vector<ctmdp::Transition> arrivals;
     for (std::size_t s = 0; s < n; ++s) {
         const double cost = loss_rate(s);

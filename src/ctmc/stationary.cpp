@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 namespace socbuf::ctmc {
 
@@ -55,21 +57,21 @@ linalg::Vector stationary_power(const Generator& q, double tolerance,
                                " iterations");
 }
 
-linalg::Vector stationary_power_sparse(const linalg::SparseMatrix& jumps,
-                                       const linalg::Vector& stay,
+linalg::Vector stationary_power_gather(const GatherChain& chain,
                                        double tolerance,
                                        std::size_t max_iterations,
                                        exec::Executor* executor,
                                        std::size_t parallel_min_states) {
-    const std::size_t n = stay.size();
+    const std::size_t n = chain.stay.size();
     SOCBUF_REQUIRE_MSG(n > 0, "empty chain");
-    SOCBUF_REQUIRE_MSG(jumps.rows() == n && jumps.cols() == n,
-                       "jump matrix / stay vector size mismatch");
-    // Gather form: row s of the stable transpose lists every incoming
-    // transition of s in the scatter's op order (see
-    // SparseMatrix::transposed), so next[s] is writable independently per
-    // state — the property that makes the sweep chunkable.
-    const linalg::SparseMatrix gather = jumps.transposed();
+    SOCBUF_REQUIRE_MSG(chain.offset.size() == n + 1 &&
+                           chain.offset.back() == chain.source.size() &&
+                           chain.source.size() == chain.probability.size(),
+                       "gather chain shape mismatch");
+    const std::uint32_t* offset = chain.offset.data();
+    const std::uint32_t* source = chain.source.data();
+    const double* probability = chain.probability.data();
+    const double* stay = chain.stay.data();
     const bool fan = executor != nullptr && !executor->serial() &&
                      n >= parallel_min_states;
     constexpr std::size_t kChunk = 256;
@@ -81,9 +83,8 @@ linalg::Vector stationary_power_sparse(const linalg::SparseMatrix& jumps,
         double local = 0.0;
         for (std::size_t s = lo; s < hi; ++s) {
             double acc = stay[s] * pi[s];
-            for (std::size_t k = gather.row_begin(s); k < gather.row_end(s);
-                 ++k)
-                acc += gather.value(k) * pi[gather.col_index(k)];
+            for (std::uint32_t k = offset[s]; k < offset[s + 1]; ++k)
+                acc += probability[k] * pi[source[k]];
             next[s] = acc;
             local = std::max(local, std::fabs(acc - pi[s]));
         }
@@ -101,7 +102,7 @@ linalg::Vector stationary_power_sparse(const linalg::SparseMatrix& jumps,
         if (delta < tolerance) return pi;
     }
     throw util::NumericalError(
-        "stationary_power_sparse: no convergence after " +
+        "stationary_power_gather: no convergence after " +
         std::to_string(max_iterations) + " iterations");
 }
 

@@ -5,9 +5,10 @@
 
 #include "ctmc/generator.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/sparse.hpp"
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 namespace socbuf::exec {
 class Executor;
@@ -26,21 +27,25 @@ namespace socbuf::ctmc {
                                               std::size_t max_iterations =
                                                   200000);
 
-/// Power iteration on an already-uniformized chain given in sparse form:
-/// `jumps` holds the off-diagonal transition probabilities (CSR, source-
-/// row-major), `stay` the strictly positive self-loop probabilities, so
-/// one step is next = P^T pi = stay .* pi + jumps^T pi. The step runs in
-/// *gather* form over a stable transpose of `jumps`: per target state the
-/// additions happen in exactly the order the scatter
-/// (add_transposed_into) would have produced them, and pi stays strictly
-/// positive throughout (uniform start, stay > 0), so the result is
-/// bit-identical to the scatter loop — and, chunked over `executor` when
-/// n >= parallel_min_states, bit-identical for any worker count (each
-/// next[s] lands in its own slot; the convergence delta is a max fold,
-/// which is order-exact). Throws NumericalError on non-convergence.
-[[nodiscard]] linalg::Vector stationary_power_sparse(
-    const linalg::SparseMatrix& jumps, const linalg::Vector& stay,
-    double tolerance, std::size_t max_iterations,
+/// An already-uniformized chain in gather form: row t of the incoming
+/// CSR holds every jump into t, entries [offset[t], offset[t + 1]) of
+/// source/probability, and stay[t] is t's strictly positive self-loop
+/// probability. 32-bit indices: a chain holds at most 2^32 - 1 jumps.
+struct GatherChain {
+    std::vector<std::uint32_t> offset;  // n + 1 row offsets
+    std::vector<std::uint32_t> source;
+    std::vector<double> probability;
+    linalg::Vector stay;
+};
+
+/// Power iteration next = P^T pi, in gather form: next[t] = stay[t] *
+/// pi[t] + the row's probability * pi[source] terms, left to right. Each
+/// next[t] lands in its own slot and the convergence delta is a max fold
+/// (order-exact), so the sweep is chunked over `executor` when n >=
+/// parallel_min_states and the result is bit-identical for any worker
+/// count. Throws NumericalError on non-convergence.
+[[nodiscard]] linalg::Vector stationary_power_gather(
+    const GatherChain& chain, double tolerance, std::size_t max_iterations,
     exec::Executor* executor = nullptr,
     std::size_t parallel_min_states = 1024);
 

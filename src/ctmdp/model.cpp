@@ -65,6 +65,16 @@ CtmdpBuilder::CtmdpBuilder(std::size_t state_count,
     arrays_.extra_cost_count = extra_cost_count;
 }
 
+void CtmdpBuilder::reserve(std::size_t pair_count,
+                           std::size_t transition_count) {
+    arrays_.pair_offset.reserve(state_count_ + 1);
+    arrays_.transition_offset.reserve(pair_count + 1);
+    arrays_.cost.reserve(pair_count);
+    arrays_.extra_cost.reserve(pair_count * arrays_.extra_cost_count);
+    arrays_.target.reserve(transition_count);
+    arrays_.rate.reserve(transition_count);
+}
+
 void CtmdpBuilder::advance_to(std::size_t state) {
     for (; current_ < state; ++current_)
         arrays_.pair_offset.push_back(arrays_.cost.size());

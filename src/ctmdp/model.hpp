@@ -153,6 +153,13 @@ public:
     explicit CtmdpBuilder(std::size_t state_count,
                           std::size_t extra_cost_count = 0);
 
+    /// Reserve exact room for a model of `pair_count` actions holding
+    /// `transition_count` transitions in all. A caller that counts its
+    /// model first builds it with no regrowth, and the frozen arrays'
+    /// capacity equals their size. Optional: appends past the reservation
+    /// still work.
+    void reserve(std::size_t pair_count, std::size_t transition_count);
+
     /// Append an action to `state` and return its index within the state.
     /// `state` may not precede the state of the previous append.
     /// Transitions to the same target are allowed and are summed by

@@ -1,54 +1,71 @@
 #include "ctmdp/occupation.hpp"
 
 #include "ctmc/stationary.hpp"
-#include "linalg/sparse.hpp"
 #include "util/contracts.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 namespace socbuf::ctmdp {
 
-InducedUniformizedChain induced_uniformized_chain(
-    const CtmdpModel& model, const RandomizedPolicy& policy) {
+ctmc::GatherChain policy_gather_chain(const CtmdpModel& model,
+                                      const RandomizedPolicy& policy) {
     const std::size_t n = model.state_count();
+    constexpr std::size_t kMaxIndex = std::numeric_limits<std::uint32_t>::max();
+    SOCBUF_REQUIRE_MSG(n <= kMaxIndex && model.transition_count() <= kMaxIndex,
+                       "chain too large for 32-bit gather indices");
     const auto& pair_offset = model.pair_offsets();
-    InducedUniformizedChain chain;
-    std::vector<linalg::SparseEntry> entries;
-    entries.reserve(model.transition_count());
-    chain.stay.assign(n, 1.0);
     double max_exit = 0.0;
     for (std::size_t s = 0; s < n; ++s)
         for (std::size_t a = 0; a < model.action_count(s); ++a)
             if (policy.probability(s, a) > 0.0)
                 max_exit = std::max(max_exit, model.exit_rate(s, a));
-    chain.lambda = std::max(max_exit, 1e-12) * 1.05 + 1e-9;
-    for (std::size_t s = 0; s < n; ++s) {
-        for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p) {
-            const double pa = policy.probability(s, p - pair_offset[s]);
-            if (pa <= 0.0) continue;
-            model.for_each_jump(s, p, [&](std::size_t target, double rate) {
-                const double prob = pa * rate / chain.lambda;
-                entries.push_back({s, target, prob});
-                chain.stay[s] -= prob;
-            });
-        }
-    }
-    // CSR keeps the (state, action, transition) append order within each
-    // row, so the stationary iteration's transposed accumulation applies
-    // the same additions in the same order as the old explicit jump list —
-    // bit-identical — while streaming three flat arrays.
-    chain.jumps = linalg::SparseMatrix::from_triplets(n, n, entries);
+    const double lambda = std::max(max_exit, 1e-12) * 1.05 + 1e-9;
+    // Calls visit(source, target, probability) for every policy-positive
+    // jump, by source state, then action, then transition.
+    const auto each_jump = [&](auto&& visit) {
+        for (std::size_t s = 0; s < n; ++s)
+            for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1];
+                 ++p) {
+                const double pa = policy.probability(s, p - pair_offset[s]);
+                if (pa <= 0.0) continue;
+                model.for_each_jump(s, p, [&](std::size_t target,
+                                              double rate) {
+                    visit(s, target, pa * rate / lambda);
+                });
+            }
+    };
+    // A stable counting sort on the target: count, prefix-sum, then fill
+    // each row front to back in jump order, so row t gathers its terms in
+    // the order a source-major scatter would have added them.
+    ctmc::GatherChain chain;
+    chain.offset.assign(n + 1, 0);
+    each_jump([&](std::size_t, std::size_t target, double) {
+        ++chain.offset[target + 1];
+    });
+    for (std::size_t t = 0; t < n; ++t) chain.offset[t + 1] += chain.offset[t];
+    chain.source.resize(chain.offset[n]);
+    chain.probability.resize(chain.offset[n]);
+    chain.stay.assign(n, 1.0);
+    std::vector<std::uint32_t> cursor(chain.offset.begin(),
+                                      chain.offset.end() - 1);
+    each_jump([&](std::size_t s, std::size_t target, double prob) {
+        const std::uint32_t slot = cursor[target]++;
+        chain.source[slot] = static_cast<std::uint32_t>(s);
+        chain.probability[slot] = prob;
+        chain.stay[s] -= prob;
+    });
     return chain;
 }
 
 std::vector<double> occupation_of_policy(const CtmdpModel& model,
                                          const RandomizedPolicy& policy,
                                          exec::Executor* executor) {
-    const InducedUniformizedChain chain =
-        induced_uniformized_chain(model, policy);
-    const linalg::Vector pi = ctmc::stationary_power_sparse(
-        chain.jumps, chain.stay, 1e-11, 500000, executor);
+    const linalg::Vector pi = ctmc::stationary_power_gather(
+        policy_gather_chain(model, policy), 1e-11, 500000, executor);
     const auto& pair_offset = model.pair_offsets();
     std::vector<double> x(model.pair_count(), 0.0);
     for (std::size_t s = 0; s < model.state_count(); ++s)

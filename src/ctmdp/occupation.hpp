@@ -3,10 +3,10 @@
 // sizing engine's K-switching translation is built on these marginals.
 #pragma once
 
+#include "ctmc/stationary.hpp"
 #include "ctmdp/model.hpp"
 #include "ctmdp/policy.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/sparse.hpp"
 
 #include <cstddef>
 #include <functional>
@@ -18,28 +18,22 @@ class Executor;
 
 namespace socbuf::ctmdp {
 
-/// The uniformized chain a stationary policy induces, in the sparse form
-/// ctmc::stationary_power_sparse consumes: `jumps` holds the off-diagonal
-/// transition probabilities (CSR, source-row-major, per-row entries in
-/// (action, transition) append order), `stay` the strictly positive
-/// self-loop probabilities, `lambda` the uniformization rate.
-struct InducedUniformizedChain {
-    linalg::SparseMatrix jumps;
-    linalg::Vector stay;
-    double lambda = 1.0;
-};
-
-/// Build the uniformized chain induced by `policy` (only policy-positive
-/// actions contribute; lambda = 1.05 * max policy-positive exit rate plus
-/// a margin, keeping every self-loop strictly positive / aperiodic).
-[[nodiscard]] InducedUniformizedChain induced_uniformized_chain(
+/// The uniformized chain `policy` induces on `model`, built straight into
+/// the gather form ctmc::stationary_power_gather sweeps. Only
+/// policy-positive actions contribute, with probability phi(a|s) *
+/// rate / lambda, where lambda = 1.05 * the max policy-positive exit rate
+/// plus a margin (every self-loop stays strictly positive, so the chain
+/// is aperiodic). Row t lists its incoming jumps by source state, then
+/// action, then transition (append order), and stay[s] subtracts s's
+/// outgoing jumps in that same order.
+[[nodiscard]] ctmc::GatherChain policy_gather_chain(
     const CtmdpModel& model, const RandomizedPolicy& policy);
 
 /// Occupation measure x(s,a) = pi(s) * phi(a|s) of a stationary policy,
 /// flat-indexed by the model's pair index. pi is computed from the induced
 /// CTMC (power method; works for any finite unichain model). The sweep
 /// fans over `executor` on large chains — schedule-only, bit-identical
-/// for any worker count (see ctmc::stationary_power_sparse).
+/// for any worker count (see ctmc::stationary_power_gather).
 [[nodiscard]] std::vector<double> occupation_of_policy(
     const CtmdpModel& model, const RandomizedPolicy& policy,
     exec::Executor* executor = nullptr);

@@ -295,7 +295,7 @@ private:
 };
 
 /// Approximate resident footprint of one solved entry: the packed model
-/// key, the options block, the solution's vectors, and fixed per-entry
+/// key, the options block, the kept result vectors, and fixed per-entry
 /// bookkeeping. An estimate, not an audit — it ignores allocator slop —
 /// but it is a pure function of the entry's contents, so the total is
 /// deterministic for a given resident set.
@@ -306,10 +306,6 @@ std::size_t approx_entry_bytes(const std::string& packed_model,
     bytes += sizeof(std::pair<const std::uint64_t, void*>);  // map node
     bytes += solution.stationary.size() * sizeof(double);
     bytes += solution.occupation.size() * sizeof(double);
-    bytes += solution.bias.size() * sizeof(double);
-    for (std::size_t s = 0; s < solution.policy.state_count(); ++s)
-        bytes += solution.policy.distribution(s).size() * sizeof(double) +
-                 sizeof(std::vector<double>);
     bytes += sizeof(SubsystemSolution);
     return bytes;
 }
@@ -400,6 +396,11 @@ SubsystemSolution SolveCache::solve(SolverRegistry& registry,
     lock.unlock();
     try {
         SubsystemSolution solution = registry.solve(model, options);
+        // Keep only what consumers read. The miss drops the value
+        // function and the per-state policy vectors too, so it returns
+        // exactly what every later hit on this entry will.
+        solution.bias = linalg::Vector();
+        solution.policy = RandomizedPolicy();
         lock.lock();
         entry.solution = solution;
         bytes_resident_ +=

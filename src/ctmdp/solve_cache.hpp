@@ -33,6 +33,12 @@
 // thread interleaving (which is why batch reports can include them and
 // stay bit-identical across worker counts).
 //
+// An entry keeps only what the pipeline reads of a solution: gain,
+// stationary distribution, occupation measure, iterations, switching
+// states, solved_by and converged. The bias and the per-state policy
+// vectors are dropped on the miss as well as served empty on every hit,
+// so a hit stays bit-identical to the miss that filled it.
+//
 // The cache is insert-only and unbounded: a solved entry stays for the
 // cache's lifetime (a batch). A run that cannot afford the residency
 // turns the cache off instead (BatchOptions::use_solve_cache).
@@ -72,7 +78,8 @@ struct SolveCacheStats {
     std::size_t hits = 0;
     std::size_t misses = 0;
     /// Approximate bytes held by resident (solved) entries: packed model
-    /// keys, options blocks, result vectors, and per-entry bookkeeping.
+    /// keys, options blocks, the stationary and occupation vectors, and
+    /// per-entry bookkeeping.
     /// Deterministic given the set of distinct keys solved.
     std::size_t bytes_resident = 0;
     [[nodiscard]] std::size_t lookups() const { return hits + misses; }
@@ -88,7 +95,8 @@ struct SolveCacheStats {
 class SolveCache {
 public:
     /// Return the cached solution for (model, options) or solve through
-    /// `registry` and remember the result. Registry counters only advance
+    /// `registry` and remember the result, with `bias` and `policy` empty
+    /// either way (see the file comment). Registry counters only advance
     /// on misses, so a SizingReport's lp/vi/pi counts reflect actual work.
     /// A solver failure propagates to the claiming requester and leaves
     /// the slot reclaimable: concurrent waiters retry the solve instead

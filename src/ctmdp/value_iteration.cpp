@@ -439,10 +439,8 @@ ViResult relative_value_iteration(const CtmdpModel& model,
 double average_cost_of_policy(const CtmdpModel& model,
                               const RandomizedPolicy& policy,
                               exec::Executor* executor) {
-    const InducedUniformizedChain chain =
-        induced_uniformized_chain(model, policy);
-    const linalg::Vector pi = ctmc::stationary_power_sparse(
-        chain.jumps, chain.stay, 1e-12, 500000, executor);
+    const linalg::Vector pi = ctmc::stationary_power_gather(
+        policy_gather_chain(model, policy), 1e-12, 500000, executor);
     double cost = 0.0;
     for (std::size_t s = 0; s < model.state_count(); ++s) {
         const auto& dist = policy.distribution(s);

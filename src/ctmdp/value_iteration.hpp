@@ -66,7 +66,7 @@ struct ViOptions {
                                                 const ViOptions& options = {});
 
 /// Long-run average cost of a fixed randomized policy (policy evaluation
-/// via the induced CTMC's stationary distribution, sparse power
+/// via the induced CTMC's stationary distribution, gather-form power
 /// iteration). The sweep fans over `executor` on large chains —
 /// schedule-only, bit-identical for any worker count.
 [[nodiscard]] double average_cost_of_policy(const CtmdpModel& model,

@@ -1,4 +1,5 @@
 #include "arch/presets.hpp"
+#include "core/modulated_model.hpp"
 #include "core/subsystem_model.hpp"
 #include "ctmc/birth_death.hpp"
 #include "ctmdp/lp_solver.hpp"
@@ -412,6 +413,49 @@ TEST(Model, BandwidthAndTransitionCountTrackStructure) {
     const auto n = std::move(narrow).freeze();
     EXPECT_EQ(n.bandwidth(), 1u);
     EXPECT_EQ(n.transition_count(), 3u);
+}
+
+namespace {
+
+/// Whether every array of `m` holds exactly its elements.
+void expect_exact_capacity(const sm::CtmdpModel& m, const std::string& what) {
+    EXPECT_EQ(m.pair_offsets().capacity(), m.pair_offsets().size()) << what;
+    EXPECT_EQ(m.transition_offsets().capacity(),
+              m.transition_offsets().size())
+        << what;
+    EXPECT_EQ(m.targets().capacity(), m.targets().size()) << what;
+    EXPECT_EQ(m.rates().capacity(), m.rates().size()) << what;
+    EXPECT_EQ(m.costs().capacity(), m.costs().size()) << what;
+    EXPECT_EQ(m.extra_costs().capacity(), m.extra_costs().size()) << what;
+}
+
+}  // namespace
+
+TEST(Model, SubsystemBuildsAreExactCapacity) {
+    // Both model families count their model before building it, so the
+    // builder allocates every array once, at its final size. Figure 1 has
+    // a bursty flow, so the modulated family's phase flips are counted
+    // too.
+    const auto sys = socbuf::arch::figure1_system();
+    const auto split = socbuf::split::split_architecture(sys);
+    for (const long cap : {1L, 3L}) {
+        for (std::size_t i = 0; i < split.subsystems.size(); ++i) {
+            const std::vector<long> alloc(split.sites.size(), cap);
+            const std::string what = split.subsystems[i].bus_name +
+                                     " cap " + std::to_string(cap);
+            expect_exact_capacity(
+                socbuf::core::build_subsystem_model<
+                    socbuf::core::SubsystemCtmdp>(split, i, alloc, cap)
+                    .model(),
+                what);
+            expect_exact_capacity(
+                socbuf::core::build_subsystem_model<
+                    socbuf::core::ModulatedSubsystemCtmdp>(split, i, alloc,
+                                                           cap)
+                    .model(),
+                what + " modulated");
+        }
+    }
 }
 
 namespace {

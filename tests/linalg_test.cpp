@@ -1,7 +1,6 @@
 #include "linalg/banded.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/sparse.hpp"
 #include "util/contracts.hpp"
 
 #include <gtest/gtest.h>
@@ -154,52 +153,6 @@ sl::Matrix random_banded(int n, int bw, unsigned salt) {
 }
 
 }  // namespace
-
-TEST(Sparse, FromTripletsKeepsOrderAndDuplicates) {
-    // Duplicates stay as repeated terms; within-row order is preserved.
-    const std::vector<sl::SparseEntry> entries{
-        {0, 1, 2.0}, {0, 1, 3.0}, {1, 0, -1.0}, {2, 2, 4.0}};
-    const auto m = sl::SparseMatrix::from_triplets(3, 3, entries);
-    EXPECT_EQ(m.nnz(), 4u);
-    EXPECT_EQ(m.row_begin(0), 0u);
-    EXPECT_EQ(m.row_end(0), 2u);
-    EXPECT_DOUBLE_EQ(m.value(0), 2.0);
-    EXPECT_DOUBLE_EQ(m.value(1), 3.0);
-    const auto y = m.multiply({1.0, 1.0, 1.0});
-    EXPECT_DOUBLE_EQ(y[0], 5.0);  // 2 + 3 accumulate
-    EXPECT_DOUBLE_EQ(y[1], -1.0);
-    EXPECT_DOUBLE_EQ(y[2], 4.0);
-    EXPECT_THROW(sl::SparseMatrix::from_triplets(
-                     2, 2, {{1, 0, 1.0}, {0, 0, 1.0}}),  // rows decrease
-                 socbuf::util::ContractViolation);
-}
-
-TEST(Sparse, RoundTripThroughDense) {
-    const auto dense = random_banded(12, 3, 1u);
-    const auto sparse = sl::SparseMatrix::from_dense(dense);
-    const auto back = sparse.to_dense();
-    for (std::size_t r = 0; r < 12; ++r)
-        for (std::size_t c = 0; c < 12; ++c)
-            EXPECT_EQ(back(r, c), dense(r, c));
-    EXPECT_LT(sparse.density(), 1.0);
-}
-
-TEST(Sparse, MultiplyBitIdenticalToDenseOnBandedSystems) {
-    // The CSR fold visits the same non-zeros in the same order the dense
-    // row walk does; skipped entries are exact zeros, so the sums carry
-    // identical intermediate values: bitwise equality, not just closeness.
-    for (const int n : {5, 23, 60}) {
-        const auto dense = random_banded(n, 4, static_cast<unsigned>(n));
-        const auto sparse = sl::SparseMatrix::from_dense(dense);
-        std::mt19937_64 gen(9000u + static_cast<unsigned>(n));
-        std::uniform_real_distribution<double> dist(-1.0, 1.0);
-        sl::Vector x(n);
-        for (int i = 0; i < n; ++i) x[i] = dist(gen);
-        EXPECT_EQ(sparse.multiply(x), dense.multiply(x));
-        EXPECT_EQ(sparse.multiply_transposed(x),
-                  dense.multiply_transposed(x));
-    }
-}
 
 TEST(Banded, BandwidthsOfDetectsBands) {
     const auto a = sl::Matrix::from_rows(

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -374,6 +375,10 @@ TEST(SolveCache, BytesResidentCountsAnEntrysPackedKey) {
               padded.transition_count() + kPads);
     const std::size_t one = entry_bytes(padded);
     EXPECT_EQ(entry_bytes(more_padded), one + 2 * kPads);
+    // Everything but the key is the same kept solution.
+    EXPECT_EQ(one - sm::packed_model_key(padded).size(),
+              entry_bytes(more_padded) -
+                  sm::packed_model_key(more_padded).size());
 
     sm::SolverRegistry registry;
     sm::SolveCache cache;
@@ -384,6 +389,51 @@ TEST(SolveCache, BytesResidentCountsAnEntrysPackedKey) {
     (void)cache.solve(registry, queue_model(4, 0.7, 0.0, kPads), opts);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().bytes_resident, 2 * one + 2 * kPads);
+}
+
+TEST(SolveCache, EntriesKeepOnlyWhatConsumersRead) {
+    // The pipeline reads gain, stationary, occupation and the solve's
+    // bookkeeping; the bias and the per-state policy vectors are dropped
+    // on the miss and absent on the hit, and the residency counts exactly
+    // what an entry keeps. The VI solve has a bias to drop.
+    sm::DispatchOptions vi;
+    vi.choice = sm::SolverChoice::kValueIteration;
+    const std::pair<sm::CtmdpModel, sm::DispatchOptions> cases[] = {
+        {queue_model(5, 0.9), sm::DispatchOptions{}},
+        {queue_model(6, 0.8), vi},
+    };
+    sm::SolverRegistry registry;
+    sm::SolveCache cache;
+    std::size_t kept = 0;
+    for (const auto& [model, opts] : cases) {
+        const auto direct = registry.solve(model, opts);
+        ASSERT_EQ(direct.policy.state_count(), model.state_count());
+        if (opts.choice == sm::SolverChoice::kValueIteration) {
+            ASSERT_FALSE(direct.bias.empty());
+        }
+        const auto miss = cache.solve(registry, model, opts);
+        const auto hit = cache.solve(registry, model, opts);
+        for (const sm::SubsystemSolution* got : {&miss, &hit}) {
+            EXPECT_TRUE(got->bias.empty());
+            EXPECT_EQ(got->policy.state_count(), 0u);
+            EXPECT_EQ(got->gain, direct.gain);
+            EXPECT_EQ(got->stationary, direct.stationary);
+            EXPECT_EQ(got->occupation, direct.occupation);
+            EXPECT_EQ(got->iterations, direct.iterations);
+            EXPECT_EQ(got->switching_states, direct.switching_states);
+            EXPECT_EQ(got->solved_by, direct.solved_by);
+            EXPECT_EQ(got->converged, direct.converged);
+        }
+        const std::size_t options_block =
+            sm::solve_fingerprint(model, opts).size() - sizeof(std::uint64_t);
+        kept += sm::packed_model_key(model).size() + options_block +
+                (direct.stationary.size() + direct.occupation.size()) *
+                    sizeof(double) +
+                sizeof(std::pair<const std::uint64_t, void*>) +
+                sizeof(sm::SubsystemSolution);
+    }
+    EXPECT_EQ(cache.stats().hits, 2u);
+    EXPECT_EQ(cache.stats().bytes_resident, kept);
 }
 
 namespace {

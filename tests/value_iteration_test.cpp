@@ -311,24 +311,22 @@ TEST(GaussSeidel, DeterministicAtEveryWidth) {
 }
 
 TEST(ParallelStationary, FannedPowerIterationBitIdentical) {
-    // The gather-form stationary sweep: fanned and serial runs share the
-    // stable-transpose fold order, so the distribution is bit-identical
-    // at every width.
+    // The gather-form stationary sweep: every next[t] folds its row in
+    // one fixed order, so fanned and serial runs produce the same
+    // distribution, bit for bit, at every width.
     const auto models = figure1_subsystems(4);
     const auto& model = models.front().model();
     sm::DispatchOptions lp;
     lp.choice = sm::SolverChoice::kLp;
     sm::SolverRegistry registry;
     const auto solution = registry.solve(model, lp);
-    const auto chain =
-        sm::induced_uniformized_chain(model, solution.policy);
-    const auto serial = socbuf::ctmc::stationary_power_sparse(
-        chain.jumps, chain.stay, 1e-11, 500000);
+    const auto chain = sm::policy_gather_chain(model, solution.policy);
+    const auto serial =
+        socbuf::ctmc::stationary_power_gather(chain, 1e-11, 500000);
     for (const std::size_t threads : {2UL, 4UL}) {
         socbuf::exec::Executor executor(threads);
-        const auto fanned = socbuf::ctmc::stationary_power_sparse(
-            chain.jumps, chain.stay, 1e-11, 500000, &executor,
-            /*parallel_min_states=*/1);
+        const auto fanned = socbuf::ctmc::stationary_power_gather(
+            chain, 1e-11, 500000, &executor, /*parallel_min_states=*/1);
         EXPECT_EQ(serial, fanned);
     }
 }
