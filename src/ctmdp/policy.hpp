@@ -9,6 +9,8 @@
 #include "rng/engine.hpp"
 
 #include <cstddef>
+#include <memory>
+#include <utility>
 #include <vector>
 
 namespace socbuf::ctmdp {
@@ -37,19 +39,22 @@ private:
     std::vector<std::size_t> choice_;
 };
 
-/// A stationary randomized policy: per-state distribution over actions.
+/// A stationary randomized policy: per-state distribution over actions,
+/// stored flat. State s's probabilities are probs[offset[s], offset[s + 1]),
+/// one per action, so a policy lifted onto a model lines up with the
+/// model's pairs. The arrays are immutable once built and copies share
+/// them, as CtmdpModel's do.
 class RandomizedPolicy {
 public:
     RandomizedPolicy() = default;
-    explicit RandomizedPolicy(std::vector<std::vector<double>> probs);
+    explicit RandomizedPolicy(const std::vector<std::vector<double>>& probs);
 
     /// Degenerate (deterministic) policy lifting.
     static RandomizedPolicy from_deterministic(const DeterministicPolicy& d,
                                                const CtmdpModel& model);
 
-    [[nodiscard]] std::size_t state_count() const { return probs_.size(); }
-    [[nodiscard]] const std::vector<double>& distribution(
-        std::size_t state) const;
+    [[nodiscard]] std::size_t state_count() const { return states_; }
+    [[nodiscard]] std::size_t action_count(std::size_t state) const;
     [[nodiscard]] double probability(std::size_t state,
                                      std::size_t action) const;
 
@@ -70,7 +75,15 @@ public:
     [[nodiscard]] DeterministicPolicy mode() const;
 
 private:
-    std::vector<std::vector<double>> probs_;
+    struct Flat {
+        std::vector<double> probs;
+        std::vector<std::size_t> offset{0};
+    };
+    explicit RandomizedPolicy(std::shared_ptr<const Flat> flat)
+        : flat_(std::move(flat)), states_(flat_->offset.size() - 1) {}
+
+    std::shared_ptr<const Flat> flat_;  // null for the empty policy
+    std::size_t states_ = 0;
 };
 
 /// The CTMC induced on `model` by following `policy`.

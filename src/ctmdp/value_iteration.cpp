@@ -136,35 +136,65 @@ Uniformized uniformize(const CtmdpModel& model) {
     return u;
 }
 
-/// One state's Bellman minimization over the values in `h`. Each group
-/// folds its head once; each action folds its tail onto a copy. The
+/// The walk both Bellman kernels share: one state's minimization over
+/// the values in `h`. Each group folds its head once onto
+/// `start(group)`; each action folds its tail onto a copy, and
+/// `finish(group, value)` turns the sum into the action's value. The
 /// action scan and every fold run in the model's pair and transition
-/// order — the fold order every sweep variant and thread count shares.
-inline void bellman_min(const Uniformized& u, const linalg::Vector& h,
-                        std::size_t s, double& best_out,
-                        std::size_t& action_out) {
-    double best = std::numeric_limits<double>::infinity();
-    std::size_t best_a = 0;
+/// order — the fold order every sweep variant and thread count shares —
+/// and the first action with the strictly smallest value wins.
+///
+/// The kernel is bound by branches, not bytes: a cluster-bus state is
+/// one group of up to seven actions whose tails are one jump each, so
+/// the argmin is a select rather than a data-dependent jump, and a
+/// one-jump tail takes a straight-line step.
+template <class Start, class Finish>
+inline void bellman_fold(const Uniformized& u, const linalg::Vector& hv,
+                         std::size_t s, Start start, Finish finish,
+                         double& best_out, std::size_t& action_out) {
+    const double* const h = hv.data();
+    const std::uint32_t* const target = u.jump_target.data();
+    const double* const prob = u.jump_prob.data();
+    const std::uint32_t* const tail_end = u.tail_end.data();
     const Group* g = u.groups.data() + u.state_group[s];
     const Group* const g_end = u.groups.data() + u.state_group[s + 1];
     const std::uint32_t p0 = g->pair_begin;
+    double best = std::numeric_limits<double>::infinity();
+    std::uint32_t best_p = p0;
     for (; g != g_end; ++g) {
-        double head = g->step_cost + g->stay * h[s];
+        double head = start(*g);
         std::uint32_t k = g->head_begin;
-        for (; k < g->head_end; ++k)
-            head += u.jump_prob[k] * h[u.jump_target[k]];
+        for (; k < g->head_end; ++k) head += prob[k] * h[target[k]];
         for (std::uint32_t p = g->pair_begin; p < g->pair_end; ++p) {
             double value = head;
-            for (; k < u.tail_end[p]; ++k)
-                value += u.jump_prob[k] * h[u.jump_target[k]];
-            if (value < best) {
-                best = value;
-                best_a = p - p0;
+            const std::uint32_t end = tail_end[p];
+            if (end == k + 1) {
+                value += prob[k] * h[target[k]];
+                k = end;
+            } else {
+                for (; k < end; ++k) value += prob[k] * h[target[k]];
             }
+            value = finish(*g, value);
+            const bool better = value < best;
+            best = better ? value : best;
+            best_p = better ? p : best_p;
         }
     }
     best_out = best;
-    action_out = best_a;
+    action_out = best_p - p0;
+}
+
+/// One state's explicit Bellman minimization:
+///     min_a  c/L + stay * h[s] + sum_k prob_k * h[target_k]
+inline void bellman_min(const Uniformized& u, const linalg::Vector& h,
+                        std::size_t s, double& best_out,
+                        std::size_t& action_out) {
+    const double hs = h[s];
+    bellman_fold(
+        u, h, s,
+        [hs](const Group& g) { return g.step_cost + g.stay * hs; },
+        [](const Group&, double value) { return value; }, best_out,
+        action_out);
 }
 
 /// Bellman minimization with the action's self-loop solved out — the
@@ -186,31 +216,15 @@ inline void bellman_min_implicit(const Uniformized& u,
                                  const linalg::Vector& h, std::size_t s,
                                  double gain, double& best_out,
                                  std::size_t& action_out) {
-    double best = std::numeric_limits<double>::infinity();
-    std::size_t best_a = 0;
-    const Group* g = u.groups.data() + u.state_group[s];
-    const Group* const g_end = u.groups.data() + u.state_group[s + 1];
-    const std::uint32_t p0 = g->pair_begin;
-    for (; g != g_end; ++g) {
-        double head = g->step_cost;
-        std::uint32_t k = g->head_begin;
-        for (; k < g->head_end; ++k)
-            head += u.jump_prob[k] * h[u.jump_target[k]];
-        const double move = 1.0 - g->stay;
-        for (std::uint32_t p = g->pair_begin; p < g->pair_end; ++p) {
-            double value = head;
-            for (; k < u.tail_end[p]; ++k)
-                value += u.jump_prob[k] * h[u.jump_target[k]];
-            value = move > 1e-12 ? (value - gain) / move
-                                 : value + g->stay * h[s] - gain;
-            if (value < best) {
-                best = value;
-                best_a = p - p0;
-            }
-        }
-    }
-    best_out = best;
-    action_out = best_a;
+    const double hs = h[s];
+    bellman_fold(
+        u, h, s, [](const Group& g) { return g.step_cost; },
+        [hs, gain](const Group& g, double value) {
+            const double move = 1.0 - g.stay;
+            return move > 1e-12 ? (value - gain) / move
+                                : value + g.stay * hs - gain;
+        },
+        best_out, action_out);
 }
 
 /// Fixed chunk width of every fan-out below. Chunk boundaries depend only
@@ -443,9 +457,9 @@ double average_cost_of_policy(const CtmdpModel& model,
         policy_gather_chain(model, policy), 1e-12, 500000, executor);
     double cost = 0.0;
     for (std::size_t s = 0; s < model.state_count(); ++s) {
-        const auto& dist = policy.distribution(s);
-        for (std::size_t a = 0; a < dist.size(); ++a)
-            cost += pi[s] * dist[a] * model.costs()[model.pair_index(s, a)];
+        for (std::size_t a = 0; a < policy.action_count(s); ++a)
+            cost += pi[s] * policy.probability(s, a) *
+                    model.costs()[model.pair_index(s, a)];
     }
     return cost;
 }

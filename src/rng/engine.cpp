@@ -61,20 +61,20 @@ bool RandomEngine::bernoulli(double p) {
     return uniform() < p;
 }
 
-std::size_t RandomEngine::discrete(const std::vector<double>& weights) {
-    SOCBUF_REQUIRE_MSG(!weights.empty(), "discrete: no weights");
+std::size_t RandomEngine::discrete(const double* weights, std::size_t count) {
+    SOCBUF_REQUIRE_MSG(count > 0, "discrete: no weights");
     double total = 0.0;
-    for (double w : weights) {
-        SOCBUF_REQUIRE_MSG(w >= 0.0, "discrete: negative weight");
-        total += w;
+    for (std::size_t i = 0; i < count; ++i) {
+        SOCBUF_REQUIRE_MSG(weights[i] >= 0.0, "discrete: negative weight");
+        total += weights[i];
     }
     SOCBUF_REQUIRE_MSG(total > 0.0, "discrete: all weights zero");
     double x = uniform() * total;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
         x -= weights[i];
         if (x <= 0.0) return i;
     }
-    return weights.size() - 1;  // round-off fallback
+    return count - 1;  // round-off fallback
 }
 
 }  // namespace socbuf::rng

@@ -38,7 +38,10 @@ public:
 
     /// Index drawn proportionally to non-negative `weights`
     /// (at least one must be positive).
-    std::size_t discrete(const std::vector<double>& weights);
+    std::size_t discrete(const double* weights, std::size_t count);
+    std::size_t discrete(const std::vector<double>& weights) {
+        return discrete(weights.data(), weights.size());
+    }
 
     /// Underlying engine, for std distributions not wrapped here.
     std::mt19937_64& raw() { return gen_; }

@@ -18,11 +18,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <ios>
 #include <iterator>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -126,6 +130,254 @@ void expect_bit_identical(const sm::ViResult& a, const sm::ViResult& b) {
     EXPECT_EQ(a.policy.choices(), b.policy.choices());
 }
 
+/// Bitwise equality: +0.0 and -0.0 differ.
+bool same_bits(double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// A random model whose Bellman layout is irregular on purpose. Every
+/// state has one to three runs of actions that share a cost and a stay
+/// probability (the kernel's groups), each with a head of one to four
+/// jumps, and one of two tail kinds:
+///   * exact tails: one, two or three jumps whose probabilities sum to
+///     the same power of two, so the stay probabilities remain bit-equal;
+///   * absorbed tails: zero to three jumps of probability 2^-60, below
+///     half an ulp of the head's exit probability, so the stay does not
+///     move and the values mostly tie.
+/// Some groups repeat their last action (a tie within the group), and
+/// some states end with a repeat of their first action under the same
+/// cost or the other signed zero (a tie across groups). Every jump
+/// probability is a power of two: a pin action in state 0 fixes the
+/// uniformization rate, and each rate is a power of two times it.
+sm::CtmdpModel irregular_model(std::uint64_t seed, std::size_t n) {
+    std::mt19937_64 rng(seed);
+    const auto pick = [&](std::size_t k) {
+        return std::uniform_int_distribution<std::size_t>(0, k - 1)(rng);
+    };
+    constexpr double kPinRate = 8.0;  // above every other exit rate
+    const double lambda = kPinRate * 1.05 + 1e-9;
+    const auto jump = [&](std::size_t s, int log2_prob) {
+        const std::size_t t = (s + 1 + pick(n - 1)) % n;  // never s
+        return sm::Transition{t, std::ldexp(lambda, log2_prob)};
+    };
+    const double costs[] = {0.0, -0.0, 0.5, 1.0, 2.0};
+    using Jumps = std::vector<sm::Transition>;
+    sm::CtmdpBuilder b(n);
+    b.add_action(0, {{1, kPinRate}}, 1.0);
+    for (std::size_t s = 0; s < n; ++s) {
+        double cost = costs[pick(5)];
+        Jumps first;
+        double first_cost = 0.0;
+        const std::size_t groups = 1 + pick(3);
+        for (std::size_t g = 0; g < groups; ++g) {
+            double next = cost;
+            while (same_bits(next, cost)) next = costs[pick(5)];
+            cost = next;
+            Jumps head;
+            for (std::size_t k = 1 + pick(4); k > 0; --k)
+                head.push_back(jump(s, -3 - static_cast<int>(pick(4))));
+            const bool exact = pick(2) == 0;
+            Jumps action;
+            for (std::size_t a = 2 + pick(3); a > 0; --a) {
+                action = head;
+                if (exact) {
+                    // Three ways to spend 2^-4.
+                    static const std::vector<int> splits[] = {
+                        {-4}, {-5, -5}, {-5, -6, -6}};
+                    for (const int e : splits[pick(3)])
+                        action.push_back(jump(s, e));
+                } else {
+                    for (std::size_t k = pick(4); k > 0; --k)
+                        action.push_back(jump(s, -60));
+                }
+                b.add_action(s, action, cost);
+                if (first.empty()) {
+                    first = action;
+                    first_cost = cost;
+                }
+            }
+            if (pick(2) == 0) b.add_action(s, action, cost);
+        }
+        if (pick(2) == 0)
+            b.add_action(s, first,
+                         first_cost == 0.0 ? -first_cost : first_cost);
+    }
+    return std::move(b).freeze();
+}
+
+/// The uniformized per-pair quantities, recomputed the naive way: the
+/// cost and stay of every pair, and its jumps in transition order.
+struct NaivePair {
+    double cost = 0.0;
+    double stay = 1.0;
+    std::vector<std::pair<std::size_t, double>> jumps;  // (target, prob)
+};
+
+std::vector<std::vector<NaivePair>> naive_pairs(const sm::CtmdpModel& m,
+                                                double lambda) {
+    std::vector<std::vector<NaivePair>> out(m.state_count());
+    for (std::size_t s = 0; s < m.state_count(); ++s) {
+        for (std::size_t a = 0; a < m.action_count(s); ++a) {
+            const std::size_t p = m.pair_index(s, a);
+            NaivePair pair;
+            pair.cost = m.costs()[p] / lambda;
+            double move = 0.0;
+            m.for_each_jump(s, p, [&](std::size_t t, double rate) {
+                pair.jumps.emplace_back(t, rate / lambda);
+                move += rate / lambda;
+            });
+            pair.stay = 1.0 - move;
+            out[s].push_back(std::move(pair));
+        }
+    }
+    return out;
+}
+
+/// Layout shapes the irregular models must reach: states with several
+/// groups, groups mixing tails of 0, 1 and 2+ jumps, and bit-equal
+/// action values at the running minimum, within a group and across
+/// groups (counted by the reference sweep).
+struct Shapes {
+    std::size_t multi_group_states = 0;
+    std::size_t mixed_tail_groups = 0;
+    std::size_t ties_within_group = 0;
+    std::size_t ties_across_groups = 0;
+};
+
+/// The group of every action of state s, by the kernel's rule: a run of
+/// consecutive actions with bit-equal cost and stay. Counts the shapes.
+std::vector<std::size_t> group_of_actions(const std::vector<NaivePair>& acts,
+                                          Shapes& shapes) {
+    std::vector<std::size_t> group(acts.size(), 0);
+    std::size_t groups = 0;
+    for (std::size_t a = 0, b = 0; a < acts.size(); a = b, ++groups) {
+        std::size_t head = acts[a].jumps.size();
+        for (b = a; b < acts.size() && same_bits(acts[b].cost, acts[a].cost) &&
+                    same_bits(acts[b].stay, acts[a].stay);
+             ++b) {
+            std::size_t k = 0;
+            while (k < head && k < acts[b].jumps.size() &&
+                   acts[b].jumps[k].first == acts[a].jumps[k].first &&
+                   same_bits(acts[b].jumps[k].second, acts[a].jumps[k].second))
+                ++k;
+            head = k;
+            group[b] = groups;
+        }
+        bool tail_len[3] = {false, false, false};
+        for (std::size_t c = a; c < b; ++c)
+            tail_len[std::min<std::size_t>(acts[c].jumps.size() - head, 2)] =
+                true;
+        if (tail_len[0] && tail_len[1] && tail_len[2])
+            ++shapes.mixed_tail_groups;
+    }
+    if (groups > 1) ++shapes.multi_group_states;
+    return group;
+}
+
+/// Reference relative value iteration with no shared heads: every
+/// action folds its whole value, c/L + stay * h[s] + sum prob * h[t]
+/// (or the implicit numerator for Gauss–Seidel) in transition order, and
+/// a branchy scan keeps the first action with the smallest value. Runs
+/// exactly `sweeps` sweeps; mirrors relative_value_iteration's Jacobi
+/// and red-black Gauss–Seidel loops with reference state 0.
+struct ReferenceVi {
+    const sm::CtmdpModel& model;
+    double lambda;
+    std::vector<std::vector<NaivePair>> pairs;
+    std::vector<std::vector<std::size_t>> groups;
+    Shapes shapes;
+
+    explicit ReferenceVi(const sm::CtmdpModel& m)
+        : model(m),
+          lambda(std::max(m.max_exit_rate(), 1e-12) * 1.05 + 1e-9),
+          pairs(naive_pairs(m, lambda)) {
+        for (const auto& acts : pairs)
+            groups.push_back(group_of_actions(acts, shapes));
+    }
+
+    /// min over actions of the explicit value, or, when `implicit`, of
+    /// the candidate bias with the self-loop solved out at gain `gain`.
+    void bellman(const socbuf::linalg::Vector& h, std::size_t s, bool implicit,
+                 double gain, double& best_out, std::size_t& action_out) {
+        double best = std::numeric_limits<double>::infinity();
+        std::size_t best_a = 0;
+        for (std::size_t a = 0; a < pairs[s].size(); ++a) {
+            const NaivePair& pair = pairs[s][a];
+            double value = implicit ? pair.cost : pair.cost + pair.stay * h[s];
+            for (const auto& [t, prob] : pair.jumps) value += prob * h[t];
+            if (implicit) {
+                const double move = 1.0 - pair.stay;
+                value = move > 1e-12 ? (value - gain) / move
+                                     : value + pair.stay * h[s] - gain;
+            }
+            if (value == best)
+                ++(groups[s][a] == groups[s][best_a]
+                       ? shapes.ties_within_group
+                       : shapes.ties_across_groups);
+            if (value < best) {
+                best = value;
+                best_a = a;
+            }
+        }
+        best_out = best;
+        action_out = best_a;
+    }
+
+    sm::ViResult jacobi(std::size_t sweeps) {
+        const std::size_t n = model.state_count();
+        socbuf::linalg::Vector h(n, 0.0), th(n, 0.0);
+        std::vector<std::size_t> policy(n, 0);
+        sm::ViResult out;
+        double lo = 0.0, hi = 0.0;
+        for (std::size_t it = 0; it < sweeps; ++it) {
+            lo = std::numeric_limits<double>::infinity();
+            hi = -lo;
+            for (std::size_t s = 0; s < n; ++s) {
+                bellman(h, s, false, 0.0, th[s], policy[s]);
+                lo = std::min(lo, th[s] - h[s]);
+                hi = std::max(hi, th[s] - h[s]);
+            }
+            const double ref = th[0];
+            for (std::size_t s = 0; s < n; ++s) h[s] = th[s] - ref;
+        }
+        out.gain = 0.5 * (hi + lo) * lambda;
+        out.span_residual = hi - lo;
+        out.iterations = sweeps;
+        out.bias = h;
+        out.policy = sm::DeterministicPolicy(std::move(policy));
+        return out;
+    }
+
+    sm::ViResult gauss_seidel(std::size_t sweeps) {
+        const std::size_t n = model.state_count();
+        socbuf::linalg::Vector h(n, 0.0), th(n, 0.0);
+        std::vector<std::size_t> policy(n, 0);
+        sm::ViResult out;
+        double g = 0.0;
+        double g_prev = std::numeric_limits<double>::infinity();
+        for (std::size_t it = 0; it < sweeps; ++it) {
+            std::size_t ref_action = 0;
+            bellman(h, 0, false, 0.0, g, ref_action);
+            double delta = 0.0;
+            for (const std::size_t parity : {0UL, 1UL}) {
+                for (std::size_t s = parity; s < n; s += 2)
+                    bellman(h, s, true, g, th[s], policy[s]);
+                for (std::size_t s = parity; s < n; s += 2) {
+                    delta = std::max(delta, std::fabs(th[s] - h[s]));
+                    h[s] = th[s];
+                }
+            }
+            out.span_residual = std::max(delta, std::fabs(g - g_prev));
+            g_prev = g;
+        }
+        out.gain = g * lambda;
+        out.iterations = sweeps;
+        out.bias = h;
+        out.policy = sm::DeterministicPolicy(std::move(policy));
+        return out;
+    }
+};
+
 }  // namespace
 
 TEST(ValueIteration, GoldenBitsPinned) {
@@ -201,6 +453,60 @@ TEST(ValueIteration, GoldenBitsPinned) {
         }
     }
     EXPECT_EQ(next, std::size(golden));
+}
+
+TEST(ValueIteration, MatchesTheNaiveReferenceOnIrregularLayouts) {
+    // An independent kernel oracle: on random models whose groups, heads
+    // and tails take every shape the shared-head layout knows, a fixed
+    // number of Jacobi and Gauss–Seidel sweeps must reproduce the naive
+    // per-action reference bit for bit, serially and fanned at four
+    // workers (600 states: three 256-state chunks).
+    constexpr std::size_t kStates = 600;
+    constexpr std::size_t kSweeps = 40;
+    socbuf::exec::Executor executor(4);
+    Shapes reached;
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL, 6ULL}) {
+        const auto model = irregular_model(seed, kStates);
+        ReferenceVi reference(model);
+        ASSERT_EQ(model.max_exit_rate(), 8.0) << "seed " << seed;
+        for (const auto sweep :
+             {sm::ViSweep::kJacobi, sm::ViSweep::kGaussSeidel}) {
+            const auto want = sweep == sm::ViSweep::kJacobi
+                                  ? reference.jacobi(kSweeps)
+                                  : reference.gauss_seidel(kSweeps);
+            sm::ViOptions options;
+            options.sweep = sweep;
+            options.tolerance = 0.0;  // never converges: exactly kSweeps
+            options.max_iterations = kSweeps;
+            for (const bool fanned : {false, true}) {
+                auto run_options = options;
+                if (fanned) {
+                    run_options.executor = &executor;
+                    run_options.parallel_min_states = 1;
+                }
+                const auto got =
+                    sm::relative_value_iteration(model, run_options);
+                SCOPED_TRACE(testing::Message()
+                             << "seed " << seed
+                             << (sweep == sm::ViSweep::kJacobi
+                                     ? " jacobi"
+                                     : " gauss-seidel")
+                             << (fanned ? " fanned x4" : " serial"));
+                EXPECT_FALSE(got.converged);
+                expect_bit_identical(got, want);
+            }
+        }
+        const Shapes& s = reference.shapes;
+        reached.multi_group_states += s.multi_group_states;
+        reached.mixed_tail_groups += s.mixed_tail_groups;
+        reached.ties_within_group += s.ties_within_group;
+        reached.ties_across_groups += s.ties_across_groups;
+    }
+    // The generator really reaches the shapes it is for.
+    EXPECT_GT(reached.multi_group_states, 0u);
+    EXPECT_GT(reached.mixed_tail_groups, 0u);
+    EXPECT_GT(reached.ties_within_group, 0u);
+    EXPECT_GT(reached.ties_across_groups, 0u);
 }
 
 TEST(ValueIteration, UnconvergedGainIsTheSpanMidpoint) {
