@@ -14,7 +14,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <numeric>
+#include <sstream>
 #include <string>
 
 namespace sc = socbuf::core;
@@ -31,6 +35,18 @@ const sa::TestSystem& figure1() {
 const sp::SplitResult& figure1_split() {
     static const auto split = sp::split_architecture(figure1());
     return split;
+}
+
+/// A budget on summed E[occupancy] that binds but stays feasible: halfway
+/// between the free optimum's occupancy and the heavily priced one's.
+double binding_occupancy_budget(const std::vector<sc::SubsystemCtmdp>& models,
+                                const sc::JointSolveResult& free_run) {
+    const auto squeezed = sc::solve_price_decomposed(
+        models, 1e-6, /*rho_max=*/64.0, /*bisection_steps=*/0);
+    EXPECT_TRUE(squeezed.solved);
+    const double min_occ = squeezed.total_expected_occupancy;
+    EXPECT_LT(min_occ, free_run.total_expected_occupancy);
+    return 0.5 * (min_occ + free_run.total_expected_occupancy);
 }
 
 }  // namespace
@@ -152,13 +168,7 @@ TEST(Joint, JointLpMatchesPriceDecomposition) {
     // policy can influence is bounded below by the heavily-priced solve.
     const auto free_run = sc::solve_unconstrained(models);
     ASSERT_TRUE(free_run.solved);
-    const auto squeezed = sc::solve_price_decomposed(
-        models, 1e-6, /*rho_max=*/64.0, /*bisection_steps=*/0);
-    ASSERT_TRUE(squeezed.solved);
-    const double min_occ = squeezed.total_expected_occupancy;
-    ASSERT_LT(min_occ, free_run.total_expected_occupancy);
-    const double budget =
-        0.5 * (min_occ + free_run.total_expected_occupancy);
+    const double budget = binding_occupancy_budget(models, free_run);
 
     const auto joint = sc::solve_joint_lp(models, budget);
     ASSERT_TRUE(joint.solved);
@@ -172,6 +182,73 @@ TEST(Joint, JointLpMatchesPriceDecomposition) {
                 0.05 * std::max(1e-3, joint.total_loss_rate));
     // Constraining occupancy can only increase the optimal loss.
     EXPECT_GE(joint.total_loss_rate, free_run.total_loss_rate - 1e-9);
+}
+
+TEST(Joint, GoldenBitsPinned) {
+    // Cross-version oracle for core/joint: on figure 1 (uniform 27, cap 3)
+    // the free solve, the joint LP and the price decomposition at the
+    // binding budget must report these bits exactly, policies included.
+    // Do not regenerate the values to make a change pass.
+    struct Golden {
+        const char* name;
+        double total_loss_rate;
+        double total_expected_occupancy;
+        double occupancy_price;
+        std::size_t simplex_iterations;
+        std::uint64_t policy_digest;  // FNV-1a of every phi(a|s), in order
+    };
+    static const Golden golden[] = {
+        {"unconstrained", 0x1.6c8a89b3c3672p-2, 0x1.87b55652b831ep+2, 0x0p+0,
+         158, 0x28b57eea7df8bd45ULL},
+        {"joint_lp", 0x1.b07a9c6df48e9p-2, 0x1.6c64cda33298cp+2, 0x0p+0, 174,
+         0xd9abdcbf7b3dd534ULL},
+        {"price_decomposed", 0x1.b133cfff1134cp-2, 0x1.6c2cc7021e80fp+2,
+         0x1.a71f92ep-3, 162, 0xd86968e81d800ce5ULL},
+    };
+    const auto& split = figure1_split();
+    const auto alloc = sc::uniform_allocation(split, 27);
+    const auto models = sc::build_subsystem_models(split, alloc, 3);
+    const auto free_run = sc::solve_unconstrained(models);
+    ASSERT_TRUE(free_run.solved);
+    const double budget = binding_occupancy_budget(models, free_run);
+    const sc::JointSolveResult results[] = {
+        free_run,
+        sc::solve_joint_lp(models, budget),
+        sc::solve_price_decomposed(models, budget),
+    };
+    static_assert(std::size(results) == std::size(golden));
+    for (std::size_t c = 0; c < std::size(results); ++c) {
+        const auto& r = results[c];
+        ASSERT_TRUE(r.solved) << golden[c].name;
+        std::uint64_t digest = 0xcbf29ce484222325ULL;
+        for (const auto& part : r.per_subsystem) {
+            const auto& policy = part.policy;
+            for (std::size_t s = 0; s < policy.state_count(); ++s) {
+                for (std::size_t a = 0; a < policy.action_count(s); ++a) {
+                    const double p = policy.probability(s, a);
+                    unsigned char bytes[sizeof(p)];
+                    std::memcpy(bytes, &p, sizeof(p));
+                    for (const unsigned char b : bytes)
+                        digest = (digest ^ b) * 0x100000001b3ULL;
+                }
+            }
+        }
+        std::ostringstream record;
+        record << "{\"" << golden[c].name << "\", " << std::hexfloat
+               << r.total_loss_rate << ", " << r.total_expected_occupancy
+               << ", " << r.occupancy_price << ", " << std::dec
+               << r.simplex_iterations << ", 0x" << std::hex << digest
+               << "ULL},";
+        const std::string context = "got " + record.str();
+        EXPECT_EQ(r.total_loss_rate, golden[c].total_loss_rate) << context;
+        EXPECT_EQ(r.total_expected_occupancy,
+                  golden[c].total_expected_occupancy)
+            << context;
+        EXPECT_EQ(r.occupancy_price, golden[c].occupancy_price) << context;
+        EXPECT_EQ(r.simplex_iterations, golden[c].simplex_iterations)
+            << context;
+        EXPECT_EQ(digest, golden[c].policy_digest) << context;
+    }
 }
 
 TEST(Joint, SlackBudgetReducesToUnconstrained) {
