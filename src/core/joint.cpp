@@ -4,52 +4,77 @@
 #include "util/contracts.hpp"
 #include "util/log.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 namespace socbuf::core {
 
 namespace {
 
-/// Solve one subsystem for objective loss + rho * occupancy and return the
-/// standard LpSolveResult (average_cost reported as the *loss* part).
+/// Total occupancy sum_f k_f of `state`, summed in flow order.
+double state_occupancy(const SubsystemCtmdp& sub, std::size_t state) {
+    double occ = 0.0;
+    for (std::size_t f = 0; f < sub.flow_count(); ++f)
+        occ += static_cast<double>(sub.occupancy(state, f));
+    return occ;
+}
+
+/// E[occupancy] under occupation measure `x`:
+/// sum_p occ(state(p)) * max(x_p, 0), in pair order.
+double expected_occupancy(const SubsystemCtmdp& sub,
+                          const std::vector<double>& x) {
+    const auto& pair_offset = sub.model().pair_offsets();
+    double total = 0.0;
+    for (std::size_t s = 0; s + 1 < pair_offset.size(); ++s) {
+        const double occ = state_occupancy(sub, s);
+        for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p)
+            total += occ * std::max(x[p], 0.0);
+    }
+    return total;
+}
+
+/// Solve one subsystem for objective loss + rho * occupancy.
 ctmdp::LpSolveResult solve_priced(const SubsystemCtmdp& sub, double rho) {
     const auto& base = sub.model();
     if (rho == 0.0) return ctmdp::solve_average_cost_lp(base);
-    // Rebuild the model with the priced cost.
-    ctmdp::CtmdpBuilder priced(base.state_count(), 1);
+    // Rebuild the model with the priced cost; the pairs line up.
+    ctmdp::CtmdpBuilder priced(base.state_count());
     const auto& pair_offset = base.pair_offsets();
     const auto& trans_offset = base.transition_offsets();
     for (std::size_t s = 0; s < base.state_count(); ++s) {
+        const double occ = state_occupancy(sub, s);
         for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p) {
-            const double occ = base.extra_costs()[p];
-            priced.add_action(s, {}, base.costs()[p] + rho * occ, {occ});
+            priced.add_action(s, {}, base.costs()[p] + rho * occ);
             for (std::size_t k = trans_offset[p]; k < trans_offset[p + 1];
                  ++k)
                 priced.add_transition(base.targets()[k], base.rates()[k]);
         }
     }
-    auto result = ctmdp::solve_average_cost_lp(std::move(priced).freeze());
-    if (result.status == lp::SolveStatus::kOptimal) {
-        // Report the pure loss component, not the priced objective.
-        result.average_cost -= rho * result.extra_cost_values[0];
-    }
-    return result;
+    return ctmdp::solve_average_cost_lp(std::move(priced).freeze());
 }
 
-JointSolveResult collect(std::vector<ctmdp::LpSolveResult> parts) {
+/// Every subsystem solved at price `rho` and summed; each part reports
+/// the pure loss component as its average cost, not the priced objective.
+JointSolveResult solve_all_priced(const std::vector<SubsystemCtmdp>& models,
+                                  double rho) {
     JointSolveResult out;
-    out.solved = true;
-    for (auto& r : parts) {
+    out.occupancy_price = rho;
+    for (const auto& sub : models) {
+        ctmdp::LpSolveResult r = solve_priced(sub, rho);
         if (r.status != lp::SolveStatus::kOptimal) {
-            out.solved = false;
-            return out;
+            JointSolveResult failed;
+            failed.occupancy_price = rho;
+            return failed;
         }
+        const double occupancy = expected_occupancy(sub, r.occupation);
+        if (rho != 0.0) r.average_cost -= rho * occupancy;
         out.total_loss_rate += r.average_cost;
-        out.total_expected_occupancy += r.extra_cost_values[0];
+        out.total_expected_occupancy += occupancy;
         out.simplex_iterations += r.simplex_iterations;
         out.per_subsystem.push_back(std::move(r));
     }
+    out.solved = true;
     return out;
 }
 
@@ -58,10 +83,7 @@ JointSolveResult collect(std::vector<ctmdp::LpSolveResult> parts) {
 JointSolveResult solve_unconstrained(
     const std::vector<SubsystemCtmdp>& models) {
     SOCBUF_REQUIRE_MSG(!models.empty(), "no subsystems to solve");
-    std::vector<ctmdp::LpSolveResult> parts;
-    parts.reserve(models.size());
-    for (const auto& m : models) parts.push_back(solve_priced(m, 0.0));
-    return collect(std::move(parts));
+    return solve_all_priced(models, 0.0);
 }
 
 JointSolveResult solve_joint_lp(const std::vector<SubsystemCtmdp>& models,
@@ -124,9 +146,12 @@ JointSolveResult solve_joint_lp(const std::vector<SubsystemCtmdp>& models,
         budget.name = "occupancy_budget";
         for (std::size_t k = 0; k < models.size(); ++k) {
             const auto& m = models[k].model();
-            for (std::size_t p = 0; p < m.pair_count(); ++p) {
-                const double occ = m.extra_costs()[p];
-                if (occ != 0.0)
+            const auto& pair_offset = m.pair_offsets();
+            for (std::size_t s = 0; s < m.state_count(); ++s) {
+                const double occ = state_occupancy(models[k], s);
+                if (occ == 0.0) continue;
+                for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1];
+                     ++p)
                     budget.terms.emplace_back(var_offset[k] + p, occ);
             }
         }
@@ -151,7 +176,6 @@ JointSolveResult solve_joint_lp(const std::vector<SubsystemCtmdp>& models,
         r.occupation.assign(sol.x.begin() + var_offset[k],
                             sol.x.begin() + var_offset[k] + m.pair_count());
         r.state_probability.assign(m.state_count(), 0.0);
-        r.extra_cost_values.assign(1, 0.0);
         const auto& pair_offset = m.pair_offsets();
         for (std::size_t s = 0; s < m.state_count(); ++s) {
             for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1];
@@ -159,29 +183,13 @@ JointSolveResult solve_joint_lp(const std::vector<SubsystemCtmdp>& models,
                 const double x = std::max(r.occupation[p], 0.0);
                 r.state_probability[s] += x;
                 r.average_cost += m.costs()[p] * x;
-                r.extra_cost_values[0] += m.extra_costs()[p] * x;
             }
         }
-        std::vector<std::vector<double>> probs(m.state_count());
-        for (std::size_t s = 0; s < m.state_count(); ++s) {
-            probs[s].assign(m.action_count(s), 0.0);
-            if (r.state_probability[s] > 1e-12) {
-                for (std::size_t a = 0; a < m.action_count(s); ++a)
-                    probs[s][a] = std::max(
-                        r.occupation[m.pair_index(s, a)], 0.0) /
-                        r.state_probability[s];
-            } else {
-                for (std::size_t a = 0; a < m.action_count(s); ++a)
-                    probs[s][a] = 1.0 / static_cast<double>(
-                                      m.action_count(s));
-            }
-            double total = 0.0;
-            for (double p : probs[s]) total += p;
-            for (double& p : probs[s]) p /= total;
-        }
-        r.policy = ctmdp::RandomizedPolicy(std::move(probs));
+        r.policy = ctmdp::policy_of_occupation(m, r.occupation,
+                                               r.state_probability);
         out.total_loss_rate += r.average_cost;
-        out.total_expected_occupancy += r.extra_cost_values[0];
+        out.total_expected_occupancy +=
+            expected_occupancy(models[k], r.occupation);
         out.per_subsystem.push_back(std::move(r));
     }
     return out;
@@ -194,17 +202,8 @@ JointSolveResult solve_price_decomposed(
     SOCBUF_REQUIRE_MSG(occupancy_budget > 0.0,
                        "occupancy budget must be positive");
 
-    auto solve_all = [&](double rho) {
-        std::vector<ctmdp::LpSolveResult> parts;
-        parts.reserve(models.size());
-        for (const auto& m : models) parts.push_back(solve_priced(m, rho));
-        JointSolveResult r = collect(std::move(parts));
-        r.occupancy_price = rho;
-        return r;
-    };
-
     // Free solution first: if the budget is slack at rho = 0, we are done.
-    JointSolveResult best = solve_all(0.0);
+    JointSolveResult best = solve_all_priced(models, 0.0);
     if (!best.solved ||
         best.total_expected_occupancy <= occupancy_budget + 1e-9)
         return best;
@@ -212,18 +211,18 @@ JointSolveResult solve_price_decomposed(
     // E[occupancy](rho) is non-increasing; bisect for the budget.
     double lo = 0.0;
     double hi = rho_max;
-    JointSolveResult at_hi = solve_all(hi);
+    JointSolveResult at_hi = solve_all_priced(models, hi);
     for (std::size_t i = 0;
          i < bisection_steps && at_hi.solved &&
          at_hi.total_expected_occupancy > occupancy_budget;
          ++i) {
         hi *= 2.0;
-        at_hi = solve_all(hi);
+        at_hi = solve_all_priced(models, hi);
     }
     best = at_hi;
     for (std::size_t i = 0; i < bisection_steps; ++i) {
         const double mid = 0.5 * (lo + hi);
-        const JointSolveResult r = solve_all(mid);
+        const JointSolveResult r = solve_all_priced(models, mid);
         if (!r.solved) break;
         if (r.total_expected_occupancy <= occupancy_budget) {
             best = r;

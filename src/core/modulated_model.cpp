@@ -113,7 +113,7 @@ void ModulatedSubsystemCtmdp::build() {
         pairs += std::max<std::size_t>(busy, 1);
         transitions += busy == 0 ? common : busy * (common + 1);
     }
-    ctmdp::CtmdpBuilder builder(n_states, 1);
+    ctmdp::CtmdpBuilder builder(n_states);
     builder.reserve(pairs, transitions);
     pair_serves_.reserve(pairs);
     std::vector<ctmdp::Transition> env;
@@ -122,10 +122,8 @@ void ModulatedSubsystemCtmdp::build() {
         // every action of the state.
         env.clear();
         double loss_cost = 0.0;
-        double total_occ = 0.0;
         for (std::size_t f = 0; f < caps_.size(); ++f) {
             const long k = occupancy(s, f);
-            total_occ += static_cast<double>(k);
             const double lam = arrival_rate_in_state(s, f);
             if (k < caps_[f] && lam > 0.0)
                 env.push_back({s + occ_stride_[f], lam});
@@ -138,17 +136,16 @@ void ModulatedSubsystemCtmdp::build() {
                     env.push_back({s + phase_stride_[f], off_rate_[f]});
             }
         }
-        const std::vector<double> extra{total_occ};
         bool any_action = false;
         for (std::size_t f = 0; f < caps_.size(); ++f) {
             if (occupancy(s, f) == 0) continue;
-            builder.add_action(s, env, loss_cost, extra);
+            builder.add_action(s, env, loss_cost);
             builder.add_transition(s - occ_stride_[f], mu);
             pair_serves_.push_back(f);
             any_action = true;
         }
         if (!any_action) {
-            builder.add_action(s, env, loss_cost, extra);
+            builder.add_action(s, env, loss_cost);
             pair_serves_.push_back(caps_.size());  // sentinel: idle
         }
     }

@@ -7,8 +7,7 @@
 //   state  = (k_1..k_n, phase_1..phase_m)   phase only for bursty flows
 //   rates  = phase flips at 1/on_time, 1/off_time; arrivals at the burst
 //            peak while ON plus the flow's Poisson background; exponential
-//            bus service; same loss cost and occupancy extra-cost as the
-//            Poisson model.
+//            bus service; same loss cost as the Poisson model.
 //
 // The engine can be switched between the two model families
 // (SizingOptions::use_modulated_models); bench_modulated_models measures
@@ -78,7 +77,7 @@ private:
     std::vector<std::size_t> occ_stride_;
     std::vector<std::size_t> phase_stride_;  // 0 for unmodulated flows
     std::size_t phase_index_of_flow_count_ = 0;
-    ctmdp::CtmdpModel model_;  // one extra cost: total occupancy
+    ctmdp::CtmdpModel model_;
     /// pair index -> served local flow (flow_count() means idle).
     std::vector<std::size_t> pair_serves_;
 };

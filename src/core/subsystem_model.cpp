@@ -66,31 +66,28 @@ void SubsystemCtmdp::build() {
         pairs += std::max<std::size_t>(busy, 1);
         transitions += busy == 0 ? arriving : busy * (arriving + 1);
     }
-    ctmdp::CtmdpBuilder builder(n, 1);
+    ctmdp::CtmdpBuilder builder(n);
     builder.reserve(pairs, transitions);
     pair_serves_.reserve(pairs);
     std::vector<ctmdp::Transition> arrivals;
     for (std::size_t s = 0; s < n; ++s) {
         const double cost = loss_rate(s);
-        double total_occ = 0.0;
         arrivals.clear();
         for (std::size_t f = 0; f < caps_.size(); ++f) {
             const long k = occupancy(s, f);
-            total_occ += static_cast<double>(k);
             if (k < caps_[f] && rates_[f] > 0.0)
                 arrivals.push_back({s + strides_[f], rates_[f]});
         }
-        const std::vector<double> extra{total_occ};
         bool any_action = false;
         for (std::size_t f = 0; f < caps_.size(); ++f) {
             if (occupancy(s, f) == 0) continue;
-            builder.add_action(s, arrivals, cost, extra);
+            builder.add_action(s, arrivals, cost);
             builder.add_transition(s - strides_[f], mu);
             pair_serves_.push_back(f);
             any_action = true;
         }
         if (!any_action) {
-            builder.add_action(s, arrivals, cost, extra);
+            builder.add_action(s, arrivals, cost);
             pair_serves_.push_back(caps_.size());  // sentinel: idle
         }
     }

@@ -3,7 +3,6 @@
 //   action = which non-empty queue the bus serves (or idle)
 //   rates  = Poisson arrivals per flow, exponential bus service
 //   cost   = weighted loss rate  sum_f w_f * lambda_f * [k_f == cap_f]
-//   extra cost 0 = total occupancy sum_f k_f (the budget-coupling signal)
 //
 // This is the per-subsystem model whose average-cost LP (Feinberg) the
 // paper solves after the split.
@@ -60,7 +59,7 @@ private:
     std::vector<long> caps_;
     std::vector<double> rates_;
     std::vector<std::size_t> strides_;
-    ctmdp::CtmdpModel model_;  // one extra cost: total occupancy
+    ctmdp::CtmdpModel model_;
     /// pair index -> served local flow (flow_count() means idle).
     std::vector<std::size_t> pair_serves_;
 };

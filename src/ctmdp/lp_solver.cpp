@@ -3,23 +3,49 @@
 #include "util/contracts.hpp"
 #include "util/log.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 namespace socbuf::ctmdp {
 
-LpSolveResult solve_average_cost_lp(const CtmdpModel& model,
-                                    const std::vector<CostBound>& bounds,
-                                    const LpSolverOptions& options) {
+namespace {
+
+/// States with at most this mass pi(s) count as unvisited.
+constexpr double kUnvisitedStateMass = 1e-12;
+
+}  // namespace
+
+RandomizedPolicy policy_of_occupation(
+    const CtmdpModel& model, const std::vector<double>& occupation,
+    const std::vector<double>& state_probability) {
+    const auto& pair_offset = model.pair_offsets();
+    std::vector<std::vector<double>> probs(model.state_count());
+    for (std::size_t s = 0; s < probs.size(); ++s) {
+        const std::size_t p0 = pair_offset[s];
+        const std::size_t n_a = pair_offset[s + 1] - p0;
+        probs[s].assign(n_a, 0.0);
+        const double mass = state_probability[s];
+        if (mass > kUnvisitedStateMass) {
+            for (std::size_t a = 0; a < n_a; ++a)
+                probs[s][a] = std::max(occupation[p0 + a], 0.0) / mass;
+        } else {
+            // Unvisited: pick uniform for determinism.
+            for (std::size_t a = 0; a < n_a; ++a)
+                probs[s][a] = 1.0 / static_cast<double>(n_a);
+        }
+        // Renormalize against round-off.
+        double total = 0.0;
+        for (double p : probs[s]) total += p;
+        for (double& p : probs[s]) p /= total;
+    }
+    return RandomizedPolicy(probs);
+}
+
+LpSolveResult solve_average_cost_lp(const CtmdpModel& model) {
     if (model.state_count() == 0) throw util::ModelError("CTMDP has no states");
-    for (const auto& b : bounds)
-        SOCBUF_REQUIRE_MSG(b.cost_index < model.extra_cost_count(),
-                           "cost bound references unknown extra cost");
 
     const std::size_t n_states = model.state_count();
     const std::size_t n_pairs = model.pair_count();
-    const std::size_t n_extra = model.extra_cost_count();
     const auto& pair_offset = model.pair_offsets();
-    const auto& extra = model.extra_costs();
 
     lp::LinearProgram program;
     program.set_sense(lp::Sense::kMinimize);
@@ -59,20 +85,7 @@ LpSolveResult solve_average_cost_lp(const CtmdpModel& model,
         program.add_constraint(std::move(norm));
     }
 
-    // Side constraints on extra cost averages.
-    for (const auto& b : bounds) {
-        lp::Constraint c;
-        c.relation = lp::Relation::kLessEqual;
-        c.rhs = b.bound;
-        c.name = "cost_bound(" + std::to_string(b.cost_index) + ")";
-        for (std::size_t p = 0; p < n_pairs; ++p) {
-            const double coeff = extra[p * n_extra + b.cost_index];
-            if (coeff != 0.0) c.terms.emplace_back(p, coeff);
-        }
-        program.add_constraint(std::move(c));
-    }
-
-    const lp::Solution sol = lp::solve(program, options.simplex);
+    const lp::Solution sol = lp::solve(program);
 
     LpSolveResult out;
     out.status = sol.status;
@@ -90,34 +103,8 @@ LpSolveResult solve_average_cost_lp(const CtmdpModel& model,
         for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p)
             out.state_probability[s] += std::max(sol.x[p], 0.0);
 
-    out.extra_cost_values.assign(n_extra, 0.0);
-    for (std::size_t p = 0; p < n_pairs; ++p)
-        for (std::size_t k = 0; k < n_extra; ++k)
-            out.extra_cost_values[k] +=
-                extra[p * n_extra + k] * std::max(sol.x[p], 0.0);
-
-    // Policy extraction.
-    std::vector<std::vector<double>> probs(n_states);
-    for (std::size_t s = 0; s < n_states; ++s) {
-        const std::size_t p0 = pair_offset[s];
-        const std::size_t n_a = pair_offset[s + 1] - p0;
-        probs[s].assign(n_a, 0.0);
-        const double mass = out.state_probability[s];
-        if (mass > options.unvisited_state_tolerance) {
-            for (std::size_t a = 0; a < n_a; ++a)
-                probs[s][a] = std::max(sol.x[p0 + a], 0.0) / mass;
-        } else {
-            // Unvisited under the optimal measure: any choice is
-            // gain-optimal; pick uniform for determinism.
-            for (std::size_t a = 0; a < n_a; ++a)
-                probs[s][a] = 1.0 / static_cast<double>(n_a);
-        }
-        // Renormalize against round-off.
-        double total = 0.0;
-        for (double p : probs[s]) total += p;
-        for (double& p : probs[s]) p /= total;
-    }
-    out.policy = RandomizedPolicy(std::move(probs));
+    out.policy = policy_of_occupation(model, out.occupation,
+                                      out.state_probability);
     return out;
 }
 

@@ -1,16 +1,14 @@
-// The LP formulation of constrained average-cost CTMDPs over occupation
-// measures — the solution method of Feinberg (2002) that the paper applies
-// to each (linear) bus subsystem.
+// The LP formulation of average-cost CTMDPs over occupation measures — the
+// solution method of Feinberg (2002) that the paper applies to each
+// (linear) bus subsystem.
 //
 //   minimize    sum_{s,a} c(s,a) x(s,a)
 //   subject to  sum_{s,a} q(s'|s,a) x(s,a) = 0           for every s'
 //               sum_{s,a} x(s,a) = 1
-//               sum_{s,a} c_k(s,a) x(s,a) <= b_k         for every side
-//                                                         constraint k
 //               x >= 0
 //
 // x(s,a) is the long-run fraction of time spent in state s while action a
-// is in force; the optimal stationary (possibly randomized) policy is
+// is in force; the optimal stationary policy is
 // phi(a|s) = x(s,a) / sum_a' x(s,a').
 #pragma once
 
@@ -23,13 +21,6 @@
 
 namespace socbuf::ctmdp {
 
-/// One side constraint: long-run average of extra cost `cost_index`
-/// must not exceed `bound`.
-struct CostBound {
-    std::size_t cost_index = 0;
-    double bound = 0.0;
-};
-
 struct LpSolveResult {
     lp::SolveStatus status = lp::SolveStatus::kIterationLimit;
     double average_cost = 0.0;
@@ -39,22 +30,20 @@ struct LpSolveResult {
     std::vector<double> state_probability;
     RandomizedPolicy policy;
     std::size_t simplex_iterations = 0;
-    /// Long-run averages of each extra cost under the returned measure.
-    std::vector<double> extra_cost_values;
 };
 
-struct LpSolverOptions {
-    lp::SimplexOptions simplex;
-    /// States with pi(s) below this are given a uniform action
-    /// distribution (they are never visited under the optimal measure).
-    double unvisited_state_tolerance = 1e-12;
-};
+/// The stationary policy an occupation measure induces on `model`:
+/// phi(a|s) = max(x(s,a), 0) / pi(s), uniform in unvisited states
+/// (pi(s) <= 1e-12; any choice there is gain-optimal), each state
+/// renormalized against round-off. `state_probability[s]` must be the sum over s's pairs of
+/// max(x(s,a), 0), in pair order.
+[[nodiscard]] RandomizedPolicy policy_of_occupation(
+    const CtmdpModel& model, const std::vector<double>& occupation,
+    const std::vector<double>& state_probability);
 
-/// Solve the constrained average-cost problem. The model must have states
-/// and should be unichain under every stationary policy (true for the
-/// queueing models socbuf builds, which always allow draining to empty).
-[[nodiscard]] LpSolveResult solve_average_cost_lp(
-    const CtmdpModel& model, const std::vector<CostBound>& bounds = {},
-    const LpSolverOptions& options = {});
+/// Solve the average-cost problem. The model must have states and should
+/// be unichain under every stationary policy (true for the queueing models
+/// socbuf builds, which always allow draining to empty).
+[[nodiscard]] LpSolveResult solve_average_cost_lp(const CtmdpModel& model);
 
 }  // namespace socbuf::ctmdp

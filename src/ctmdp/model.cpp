@@ -3,6 +3,7 @@
 #include "util/contracts.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -59,18 +60,14 @@ double CtmdpModel::exit_rate(std::size_t state, std::size_t a) const {
     return total;
 }
 
-CtmdpBuilder::CtmdpBuilder(std::size_t state_count,
-                           std::size_t extra_cost_count)
-    : state_count_(state_count) {
-    arrays_.extra_cost_count = extra_cost_count;
-}
+CtmdpBuilder::CtmdpBuilder(std::size_t state_count)
+    : state_count_(state_count) {}
 
 void CtmdpBuilder::reserve(std::size_t pair_count,
                            std::size_t transition_count) {
     arrays_.pair_offset.reserve(state_count_ + 1);
     arrays_.transition_offset.reserve(pair_count + 1);
     arrays_.cost.reserve(pair_count);
-    arrays_.extra_cost.reserve(pair_count * arrays_.extra_cost_count);
     arrays_.target.reserve(transition_count);
     arrays_.rate.reserve(transition_count);
 }
@@ -82,8 +79,7 @@ void CtmdpBuilder::advance_to(std::size_t state) {
 
 std::size_t CtmdpBuilder::add_action(std::size_t state,
                                      const std::vector<Transition>& transitions,
-                                     double cost,
-                                     const std::vector<double>& extra_costs) {
+                                     double cost) {
     if (state >= state_count_)
         throw util::ModelError("action appended to unknown state " +
                                state_label(state) + " (model has " +
@@ -94,15 +90,11 @@ std::size_t CtmdpBuilder::add_action(std::size_t state,
                                state_label(current_));
     advance_to(state);
     const std::size_t a = arrays_.cost.size() - arrays_.pair_offset[state];
-    if (extra_costs.size() != arrays_.extra_cost_count)
-        throw util::ModelError(
-            "action " + action_label(a) + " of state " + state_label(state) +
-            " has wrong extra-cost width " +
-            std::to_string(extra_costs.size()) + " (model wants " +
-            std::to_string(arrays_.extra_cost_count) + ")");
+    if (!std::isfinite(cost))
+        throw util::ModelError("non-finite cost in action " +
+                               action_label(a) + " of state " +
+                               state_label(state));
     arrays_.cost.push_back(cost);
-    arrays_.extra_cost.insert(arrays_.extra_cost.end(), extra_costs.begin(),
-                              extra_costs.end());
     arrays_.transition_offset.push_back(arrays_.target.size());
     for (const Transition& t : transitions) add_transition(t.target, t.rate);
     return a;
@@ -111,7 +103,7 @@ std::size_t CtmdpBuilder::add_action(std::size_t state,
 void CtmdpBuilder::add_transition(std::size_t target, double rate) {
     SOCBUF_REQUIRE_MSG(!arrays_.cost.empty(),
                        "add_transition before any add_action");
-    if (target >= state_count_ || !(rate >= 0.0)) {
+    if (target >= state_count_ || !std::isfinite(rate) || rate < 0.0) {
         const std::size_t a =
             arrays_.cost.size() - 1 - arrays_.pair_offset[current_];
         const std::string where = "action " + action_label(a) +
@@ -119,6 +111,8 @@ void CtmdpBuilder::add_transition(std::size_t target, double rate) {
         if (target >= state_count_)
             throw util::ModelError(where + " targets unknown state " +
                                    std::to_string(target));
+        if (!std::isfinite(rate))
+            throw util::ModelError("non-finite rate in " + where);
         throw util::ModelError("negative rate in " + where);
     }
     arrays_.target.push_back(target);

@@ -1,10 +1,9 @@
 // Finite continuous-time Markov decision processes.
 //
 // A CTMDP here is: finite states, per-state finite action sets, exponential
-// transition rates q(s'|s,a), a primary cost *rate* c(s,a) to be minimized
-// in long-run average, and optional extra cost rates used as side
-// constraints (Feinberg's constrained average-cost setting, which the paper
-// builds on).
+// transition rates q(s'|s,a), and a cost *rate* c(s,a) to be minimized in
+// long-run average (Feinberg's average-cost setting, which the paper builds
+// on).
 //
 // A model is built once by a CtmdpBuilder and then frozen: an immutable,
 // flat compressed-row (CSR) layout every solver reads directly.
@@ -13,7 +12,7 @@
 //     pair_offsets()[s] + a;
 //   * transitions — pair p owns entries [transition_offsets()[p],
 //     transition_offsets()[p + 1]) of targets()/rates(), in append order;
-//   * costs()[p] and extra_costs()[p * extra_cost_count() + k].
+//   * costs()[p], one per pair.
 // Nothing is cached lazily, so a shared model is safe to read from any
 // thread. States and actions carry no names; diagnostics synthesize
 // positional labels ("action a1 of state s3").
@@ -51,9 +50,6 @@ public:
     [[nodiscard]] std::size_t pair_count() const {
         return arrays_->cost.size();
     }
-    [[nodiscard]] std::size_t extra_cost_count() const {
-        return arrays_->extra_cost_count;
-    }
     [[nodiscard]] std::size_t action_count(std::size_t state) const;
 
     /// Flat index of (state, action) in [0, pair_count()); the inverse of
@@ -80,9 +76,6 @@ public:
     }
     [[nodiscard]] const std::vector<double>& costs() const {
         return arrays_->cost;
-    }
-    [[nodiscard]] const std::vector<double>& extra_costs() const {
-        return arrays_->extra_cost;
     }
 
     /// Total exit rate of (s,a): the sum of its rates to other states.
@@ -128,8 +121,6 @@ private:
         std::vector<std::size_t> target;
         std::vector<double> rate;
         std::vector<double> cost;
-        std::vector<double> extra_cost;
-        std::size_t extra_cost_count = 0;
         // Structural summary, computed once by CtmdpBuilder::freeze().
         std::size_t bandwidth = 0;
         double max_exit_rate = 0.0;
@@ -144,14 +135,13 @@ private:
 /// Appends a model straight into its CSR arrays. Actions arrive in state
 /// order — every action of state s before any action of a later state —
 /// so the arrays are never rebuilt. Each append is checked against the
-/// model's shape; errors throw util::ModelError naming the offending
-/// action and state by their positional labels.
+/// model's shape and every rate and cost must be finite; errors throw
+/// util::ModelError naming the offending action and state by their
+/// positional labels.
 class CtmdpBuilder {
 public:
-    /// A model over `state_count` states whose actions each carry
-    /// `extra_cost_count` extra cost rates.
-    explicit CtmdpBuilder(std::size_t state_count,
-                          std::size_t extra_cost_count = 0);
+    /// A model over `state_count` states.
+    explicit CtmdpBuilder(std::size_t state_count);
 
     /// Reserve exact room for a model of `pair_count` actions holding
     /// `transition_count` transitions in all. A caller that counts its
@@ -163,12 +153,10 @@ public:
     /// Append an action to `state` and return its index within the state.
     /// `state` may not precede the state of the previous append.
     /// Transitions to the same target are allowed and are summed by
-    /// consumers; `extra_costs` must have the builder's extra_cost_count
-    /// entries.
+    /// consumers.
     std::size_t add_action(std::size_t state,
                            const std::vector<Transition>& transitions = {},
-                           double cost = 0.0,
-                           const std::vector<double>& extra_costs = {});
+                           double cost = 0.0);
 
     /// Append one more transition to the most recently added action.
     void add_transition(std::size_t target, double rate);

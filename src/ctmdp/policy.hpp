@@ -1,7 +1,8 @@
-// Stationary policies for CTMDPs. The constrained LP produces randomized
-// policies; Feinberg's theory says they randomize ("switch") in at most as
-// many states as there are side constraints — switching_state_count() makes
-// that checkable.
+// Stationary policies for CTMDPs: deterministic (one action per state, as
+// value and policy iteration return) and randomized (a distribution per
+// state, as the occupation-measure LP's phi(a|s) = x(s,a) / pi(s) gives).
+// switching_state_count() counts the states where a randomized policy
+// actually mixes ("switches").
 #pragma once
 
 #include "ctmc/generator.hpp"

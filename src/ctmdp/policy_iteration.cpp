@@ -12,6 +12,12 @@ namespace socbuf::ctmdp {
 
 namespace {
 
+/// The state whose bias is pinned to 0, h(kReferenceState) = 0.
+constexpr std::size_t kReferenceState = 0;
+/// An action replaces the incumbent only when it improves the greedy
+/// value by more than this, so ties keep the lowest action index.
+constexpr double kImprovementTolerance = 1e-10;
+
 /// Evaluate a deterministic policy on the uniformized chain: solve
 ///   g + h(s) = c(s) + sum_{s'} P(s'|s) h(s'),  h(ref) = 0
 /// for (g, h). Unknown vector z = [g, h(0..n-1) except ref].
@@ -162,8 +168,6 @@ Evaluation evaluate(const CtmdpModel& model, const DeterministicPolicy& pol,
 
 PiResult policy_iteration(const CtmdpModel& model, const PiOptions& options) {
     if (model.state_count() == 0) throw util::ModelError("CTMDP has no states");
-    SOCBUF_REQUIRE_MSG(options.reference_state < model.state_count(),
-                       "reference state out of range");
     const double lambda =
         std::max(model.max_exit_rate(), 1e-12) * 1.05 + 1e-9;
     const std::size_t n = model.state_count();
@@ -177,7 +181,7 @@ PiResult policy_iteration(const CtmdpModel& model, const PiOptions& options) {
     for (std::size_t update = 0; update < options.max_policy_updates;
          ++update) {
         const Evaluation ev = evaluate(model, policy, lambda,
-                                       options.reference_state, banded, bw);
+                                       kReferenceState, banded, bw);
         // Greedy improvement against the evaluated bias.
         std::vector<std::size_t> next(n, 0);
         for (std::size_t s = 0; s < n; ++s) {
@@ -192,7 +196,7 @@ PiResult policy_iteration(const CtmdpModel& model, const PiOptions& options) {
                         value += p * ev.bias[target];
                     });
                 value += stay * ev.bias[s];
-                if (value < best - options.improvement_tolerance) {
+                if (value < best - kImprovementTolerance) {
                     best = value;
                     best_a = a;
                 }
@@ -211,7 +215,7 @@ PiResult policy_iteration(const CtmdpModel& model, const PiOptions& options) {
         policy = std::move(next_policy);
     }
     const Evaluation ev = evaluate(model, policy, lambda,
-                                   options.reference_state, banded, bw);
+                                   kReferenceState, banded, bw);
     out.gain = ev.step_gain * lambda;
     out.bias = ev.bias;
     out.policy = policy;

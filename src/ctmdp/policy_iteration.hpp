@@ -22,8 +22,6 @@ struct PiResult {
 
 struct PiOptions {
     std::size_t max_policy_updates = 1000;
-    std::size_t reference_state = 0;
-    double improvement_tolerance = 1e-10;
     /// Exploit the model's banded structure in policy evaluation: the
     /// gain column is eliminated by a bordered block solve and the
     /// remaining bias system is factorized with a banded LU — O(n·bw²)

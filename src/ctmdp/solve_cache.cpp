@@ -37,19 +37,9 @@ std::string encode_options(const DispatchOptions& options) {
     append_size(block, options.lp_pair_limit);
     append_size(block, options.pi_state_limit);
     const SolverOptions& so = options.solver;
-    append_double(block, so.lp.unvisited_state_tolerance);
-    append_double(block, so.lp.simplex.pivot_tolerance);
-    append_double(block, so.lp.simplex.cost_tolerance);
-    append_double(block, so.lp.simplex.feasibility_tolerance);
-    append_size(block, so.lp.simplex.max_iterations);
-    append_size(block, so.lp.simplex.stall_before_bland);
-    append_double(block, so.lp.simplex.rhs_perturbation);
     append_double(block, so.vi.tolerance);
     append_size(block, so.vi.max_iterations);
-    append_size(block, so.vi.reference_state);
     append_size(block, so.pi.max_policy_updates);
-    append_size(block, so.pi.reference_state);
-    append_double(block, so.pi.improvement_tolerance);
     // The banded evaluation is a different elimination order (tolerance-
     // level different bits), and Gauss-Seidel follows a different VI
     // trajectory, so both are part of the key. vi.executor and
@@ -118,21 +108,19 @@ private:
 
 std::uint64_t key_hash(const CtmdpModel& model, const std::string& options) {
     Hasher h;
-    h.word(model.extra_cost_count());
     h.array(model.pair_offsets());
     h.array(model.transition_offsets());
     h.array(model.targets());
     h.array(model.rates());
     h.array(model.costs());
-    h.array(model.extra_costs());
     h.bytes(options);
     return h.finish();
 }
 
 // ---- Packed model keys ---------------------------------------------------
 //
-// A key is the extra-cost width, then each array streamed as 64-bit words
-// in a form that repeats a lot in subsystem models (offset deltas are
+// A key is the model's five arrays, each streamed as 64-bit words in a
+// form that repeats a lot in subsystem models (offset deltas are
 // action and transition counts, relative targets are ± the occupancy
 // strides, rates and costs are a handful of values), stored as
 //   [u64 n][u8 d][n one-byte codes][d dictionary words]   1 <= d <= 255
@@ -181,8 +169,6 @@ void for_each_key_array(const CtmdpModel& model, Visit&& visit) {
           [&](auto&& emit) { each_raw(model.rates(), emit); });
     visit(model.costs().size(),
           [&](auto&& emit) { each_raw(model.costs(), emit); });
-    visit(model.extra_costs().size(),
-          [&](auto&& emit) { each_raw(model.extra_costs(), emit); });
 }
 
 /// Flat open-addressed word -> code table with 256 slots: at most 255
@@ -314,7 +300,6 @@ std::size_t approx_entry_bytes(const std::string& packed_model,
 
 std::string packed_model_key(const CtmdpModel& model) {
     std::string key;
-    append_size(key, model.extra_cost_count());
     for_each_key_array(model, [&](std::size_t n, auto&& each) {
         pack_array(key, n, each);
     });
@@ -323,7 +308,7 @@ std::string packed_model_key(const CtmdpModel& model) {
 
 bool matches_packed_key(const std::string& key, const CtmdpModel& model) {
     KeyReader reader(key);
-    bool same = reader.word() == model.extra_cost_count();
+    bool same = true;
     for_each_key_array(model, [&](std::size_t n, auto&& each) {
         same = same && reader.same_array(n, each);
     });

@@ -64,8 +64,8 @@ namespace socbuf::ctmdp {
                                             const DispatchOptions& options);
 
 /// The packed key a cache entry keeps for `model` (see the file comment).
-/// Lossless: two models share a key exactly when their arrays and
-/// extra-cost widths are bit-equal.
+/// Lossless: two models share a key exactly when their arrays are
+/// bit-equal.
 [[nodiscard]] std::string packed_model_key(const CtmdpModel& model);
 
 /// Whether `key` (a packed_model_key result) is packed_model_key(model),

@@ -58,8 +58,8 @@ public:
     }
     [[nodiscard]] SubsystemSolution solve(
         const CtmdpModel& model,
-        const SolverOptions& options) const override {
-        const auto r = solve_average_cost_lp(model, {}, options.lp);
+        const SolverOptions& /*options*/) const override {
+        const auto r = solve_average_cost_lp(model);
         if (r.status != lp::SolveStatus::kOptimal)
             throw util::NumericalError(
                 "subsystem LP did not reach optimality: " +

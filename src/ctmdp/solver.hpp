@@ -3,10 +3,10 @@
 // Three algorithms can solve a subsystem's average-cost problem — the
 // Feinberg occupation-measure LP (lp_solver.hpp), relative value iteration
 // (value_iteration.hpp) and Howard policy iteration (policy_iteration.hpp).
-// They trade off very differently: the LP is exact and handles side
-// constraints but its tableau grows with the pair count; policy iteration
-// converges in a handful of updates but each one solves a dense linear
-// system (O(states^3)); value iteration is matrix-free and scales furthest.
+// They trade off very differently: the LP is exact but its tableau grows
+// with the pair count; policy iteration converges in a handful of updates
+// but each one solves a dense linear system (O(states^3)); value iteration
+// is matrix-free and scales furthest.
 //
 // This header erases that choice behind one interface:
 //
@@ -68,7 +68,6 @@ struct SubsystemSolution {
 
 /// Per-algorithm tuning knobs, shared by every dispatch path.
 struct SolverOptions {
-    LpSolverOptions lp;
     ViOptions vi;
     PiOptions pi;
 };

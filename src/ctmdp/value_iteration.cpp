@@ -15,6 +15,9 @@ namespace socbuf::ctmdp {
 
 namespace {
 
+/// The state whose relative value stays 0: h(kReferenceState) = 0.
+constexpr std::size_t kReferenceState = 0;
+
 /// One run of a state's actions that share a head: consecutive actions
 /// (in the model's pair order) whose per-step cost and stay probability
 /// are bitwise equal. The head is the longest (target, prob) jump prefix
@@ -286,7 +289,7 @@ ViResult jacobi_rvi(const CtmdpModel& model, const Uniformized& u,
         // Relative normalization keeps h bounded. It stays serial even
         // when the sweep fans out: one subtraction per state costs less
         // than a second fan-out per sweep.
-        const double ref = th[options.reference_state];
+        const double ref = th[kReferenceState];
         for (std::size_t s = 0; s < n; ++s) h[s] = th[s] - ref;
     }
     // The midpoint of the last sweep's span: the converged gain, or the
@@ -334,8 +337,7 @@ ViResult gauss_seidel_rvi(const CtmdpModel& model, const Uniformized& u,
                           const ViOptions& options,
                           exec::Executor* executor) {
     const std::size_t n = model.state_count();
-    const std::size_t ref = options.reference_state;
-    const std::size_t ref_parity = ref % 2;
+    const std::size_t ref_parity = kReferenceState % 2;
 
     std::vector<std::size_t> phase1;
     std::vector<std::size_t> phase2;
@@ -368,7 +370,7 @@ ViResult gauss_seidel_rvi(const CtmdpModel& model, const Uniformized& u,
         // The sweep's gain estimate: the explicit Bellman value at the
         // pinned reference state, from the pre-sweep h alone.
         std::size_t ref_action = 0;
-        bellman_min(u, h, ref, g, ref_action);
+        bellman_min(u, h, kReferenceState, g, ref_action);
         // Phase 1 Bellman: reads only the pre-sweep h and g; th holds
         // the candidate bias (bellman_min_implicit returns h_a directly).
         fan(phase1.size(), [&](std::size_t lo, std::size_t hi) {
@@ -434,8 +436,6 @@ ViResult gauss_seidel_rvi(const CtmdpModel& model, const Uniformized& u,
 ViResult relative_value_iteration(const CtmdpModel& model,
                                   const ViOptions& options) {
     if (model.state_count() == 0) throw util::ModelError("CTMDP has no states");
-    SOCBUF_REQUIRE_MSG(options.reference_state < model.state_count(),
-                       "reference state out of range");
     const Uniformized u = uniformize(model);
     // The fan gate: a serial executor or a small model runs the exact
     // serial loop (one chunk), so "no executor" and "executor with one

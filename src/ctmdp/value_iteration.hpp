@@ -44,7 +44,6 @@ enum class ViSweep { kJacobi = 0, kGaussSeidel = 1 };
 struct ViOptions {
     double tolerance = 1e-10;        // on the per-step gain bounds
     std::size_t max_iterations = 500000;
-    std::size_t reference_state = 0;
     /// Sweep variant. kGaussSeidel changes result bits (within
     /// tolerance); everything below is schedule-only and never does.
     ViSweep sweep = ViSweep::kJacobi;

@@ -11,6 +11,19 @@ namespace socbuf::lp {
 
 namespace {
 
+// Tolerances, fixed for the occupation-measure LPs socbuf feeds in.
+constexpr double kPivotTolerance = 1e-9;  // smaller entries can't pivot
+constexpr double kCostTolerance = 1e-9;   // reduced costs above -tol: optimal
+constexpr double kFeasibilityTolerance = 1e-7;  // phase-1 optimum cut-off
+constexpr std::size_t kStallBeforeBland = 64;  // degenerate pivots
+/// Wolfe-style anti-degeneracy: row i's rhs is nudged by
+/// kRhsPerturbation * (i+1)/m. The CTMC balance systems are *totally*
+/// degenerate (every rhs is 0 except normalization), where even
+/// lexicographic/Bland pivoting wanders for millions of iterations under
+/// floating point; the perturbation removes the ties outright at a
+/// solution error far below kFeasibilityTolerance.
+constexpr double kRhsPerturbation = 1e-10;
+
 // Column-major tableau:
 //   rows 0..m-1: constraint rows, column layout [structural | slack/surplus |
 //                artificial | rhs]
@@ -26,8 +39,8 @@ namespace {
 // update did (factor * (pivot_entry * inv)), so results are bit-identical.
 class Tableau {
 public:
-    Tableau(const LinearProgram& lp, const SimplexOptions& options)
-        : opts_(options), n_struct_(lp.variable_count()) {
+    explicit Tableau(const LinearProgram& lp)
+        : n_struct_(lp.variable_count()) {
         build(lp);
     }
 
@@ -36,7 +49,7 @@ public:
             load_phase1_objective();
             const SolveStatus s1 = iterate(/*phase1=*/true);
             if (s1 != SolveStatus::kOptimal) return s1;
-            if (current_objective() > opts_.feasibility_tolerance)
+            if (current_objective() > kFeasibilityTolerance)
                 return SolveStatus::kInfeasible;
             expel_basic_artificials();
         }
@@ -106,7 +119,7 @@ private:
                 cell(i, var) += sign * coeff;
             cell(i, n_total_) =
                 sign * c.rhs +
-                opts_.rhs_perturbation * static_cast<double>(i + 1) /
+                kRhsPerturbation * static_cast<double>(i + 1) /
                     static_cast<double>(m_);
             Relation rel = c.relation;
             if (flip) {
@@ -180,7 +193,7 @@ private:
             if (!is_artificial_[basis_[r]]) continue;
             std::size_t col = n_total_;  // sentinel: none found
             for (std::size_t c = 0; c < art_begin_; ++c) {
-                if (std::fabs(cell(r, c)) > opts_.pivot_tolerance) {
+                if (std::fabs(cell(r, c)) > kPivotTolerance) {
                     col = c;
                     break;
                 }
@@ -198,7 +211,7 @@ private:
     /// Entering column under Dantzig pricing; n_total_ if optimal.
     [[nodiscard]] std::size_t price_dantzig() const {
         std::size_t best = n_total_;
-        double best_cost = -opts_.cost_tolerance;
+        double best_cost = -kCostTolerance;
         for (std::size_t c = 0; c < n_total_; ++c) {
             if (!column_eligible(c)) continue;
             const double rc = cell(m_, c);
@@ -214,7 +227,7 @@ private:
     [[nodiscard]] std::size_t price_bland() const {
         for (std::size_t c = 0; c < n_total_; ++c) {
             if (!column_eligible(c)) continue;
-            if (cell(m_, c) < -opts_.cost_tolerance) return c;
+            if (cell(m_, c) < -kCostTolerance) return c;
         }
         return n_total_;
     }
@@ -241,7 +254,7 @@ private:
         double best_ratio = std::numeric_limits<double>::infinity();
         for (std::size_t r = 0; r < m_; ++r) {
             const double a = cell(r, col);
-            if (a <= opts_.pivot_tolerance) continue;
+            if (a <= kPivotTolerance) continue;
             // Round-off can push a basic value a hair below zero; a
             // negative ratio would pivot the basis into infeasibility and
             // the iteration can whipsaw forever. Clamp at zero.
@@ -291,10 +304,7 @@ private:
     }
 
     SolveStatus iterate(bool phase1) {
-        const std::size_t max_iter =
-            opts_.max_iterations > 0
-                ? opts_.max_iterations
-                : 200 * (m_ + n_total_) + 5000;
+        const std::size_t max_iter = 200 * (m_ + n_total_) + 5000;
         bool bland = false;
         std::size_t degenerate_streak = 0;
         double last_obj = current_objective();
@@ -317,7 +327,7 @@ private:
                           iterations_, " phase1=", phase1, " bland=", bland,
                           " obj=", obj, " col=", col, " row=", row);
             if (obj > last_obj - 1e-12) {
-                if (++degenerate_streak >= opts_.stall_before_bland &&
+                if (++degenerate_streak >= kStallBeforeBland &&
                     !bland) {
                     bland = true;
                     util::log(util::LogLevel::kDebug,
@@ -338,7 +348,6 @@ public:
     }
 
 private:
-    SimplexOptions opts_;
     std::vector<double> tab_;
     std::vector<double> factor_buf_;  // scratch for pivot()
     std::vector<std::size_t> basis_;
@@ -367,10 +376,10 @@ const char* to_string(SolveStatus status) {
     return "?";
 }
 
-Solution solve(const LinearProgram& lp, const SimplexOptions& options) {
+Solution solve(const LinearProgram& lp) {
     SOCBUF_REQUIRE_MSG(lp.variable_count() > 0,
                        "cannot solve an LP with no variables");
-    Tableau tableau(lp, options);
+    Tableau tableau(lp);
     Solution sol;
     sol.status = tableau.run_two_phase(lp);
     sol.iterations = tableau.iterations();

@@ -7,7 +7,8 @@
 //     detected and neutralized rather than crashing a basis factorization;
 //   * Dantzig pricing with an automatic switch to Bland's rule after a
 //     stall, so degenerate occupation-measure polytopes cannot cycle;
-//   * all tolerances are explicit and adjustable.
+//   * a tiny rhs perturbation that breaks the balance rows' ties;
+//   * fixed, named tolerances (see simplex.cpp).
 #pragma once
 
 #include "lp/problem.hpp"
@@ -29,24 +30,7 @@ struct Solution {
     double max_violation = 0.0;   // feasibility check of the returned point
 };
 
-struct SimplexOptions {
-    double pivot_tolerance = 1e-9;    // entries smaller than this can't pivot
-    double cost_tolerance = 1e-9;     // reduced costs above -tol are optimal
-    double feasibility_tolerance = 1e-7;
-    std::size_t max_iterations = 0;   // 0 = automatic: 200 * (m + n) + 5000
-    std::size_t stall_before_bland = 64;  // degenerate pivots before Bland
-    /// Wolfe-style anti-degeneracy: row i's rhs is nudged by
-    /// rhs_perturbation * (i+1)/m. The CTMC balance systems socbuf feeds
-    /// in are *totally* degenerate (every rhs is 0 except normalization),
-    /// where even lexicographic/Bland pivoting wanders for millions of
-    /// iterations under floating point; the perturbation removes the ties
-    /// outright at a solution error far below feasibility_tolerance.
-    /// Set to 0 to disable.
-    double rhs_perturbation = 1e-10;
-};
-
 /// Solve `lp` with the two-phase primal simplex method.
-[[nodiscard]] Solution solve(const LinearProgram& lp,
-                             const SimplexOptions& options = {});
+[[nodiscard]] Solution solve(const LinearProgram& lp);
 
 }  // namespace socbuf::lp

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <string>
 #include <utility>
@@ -31,12 +32,11 @@ namespace {
 /// Two-state toy with a hand-computable optimum.
 /// State 0 offers: A (rate 1 -> state 1, cost 2) giving average cost 4/3,
 /// or B (rate 4 -> state 1, cost 3) giving average cost 1. B is optimal.
-sm::CtmdpModel two_state_toy(std::size_t extra_costs = 0) {
-    sm::CtmdpBuilder b(2, extra_costs);
-    b.add_action(0, {{1, 1.0}}, 2.0, std::vector<double>(extra_costs, 0.0));
-    b.add_action(0, {{1, 4.0}}, 3.0,
-                 std::vector<double>(extra_costs, extra_costs > 0 ? 1.0 : 0.0));
-    b.add_action(1, {{0, 2.0}}, 0.0, std::vector<double>(extra_costs, 0.0));
+sm::CtmdpModel two_state_toy() {
+    sm::CtmdpBuilder b(2);
+    b.add_action(0, {{1, 1.0}}, 2.0);
+    b.add_action(0, {{1, 4.0}}, 3.0);
+    b.add_action(1, {{0, 2.0}}, 0.0);
     return std::move(b).freeze();
 }
 
@@ -134,33 +134,6 @@ TEST(LpSolver, OccupationSumsToOne) {
     double total = 0.0;
     for (double x : r.occupation) total += x;
     EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(LpSolver, ConstraintForcesRandomization) {
-    // Bound the extra cost (incurred only by action B in state 0) to half
-    // of its unconstrained value: the policy must mix A and B — and per
-    // Feinberg's K-switching bound, randomize in at most 1 state.
-    const auto m = two_state_toy(/*extra_costs=*/1);
-    const auto unconstrained = sm::solve_average_cost_lp(m);
-    ASSERT_EQ(unconstrained.status, socbuf::lp::SolveStatus::kOptimal);
-    const double full_extra = unconstrained.extra_cost_values[0];
-    ASSERT_GT(full_extra, 0.0);
-
-    const auto r = sm::solve_average_cost_lp(
-        m, {sm::CostBound{0, full_extra / 2.0}});
-    ASSERT_EQ(r.status, socbuf::lp::SolveStatus::kOptimal);
-    EXPECT_LE(r.extra_cost_values[0], full_extra / 2.0 + 1e-9);
-    EXPECT_EQ(r.policy.switching_state_count(1e-6), 1u);
-    // Cost sits between the optimal and the all-A policy.
-    EXPECT_GT(r.average_cost, 1.0 - 1e-9);
-    EXPECT_LT(r.average_cost, 4.0 / 3.0 + 1e-9);
-}
-
-TEST(LpSolver, InfeasibleConstraintReported) {
-    const auto m = two_state_toy(/*extra_costs=*/1);
-    // Demanding negative extra cost is impossible.
-    const auto r = sm::solve_average_cost_lp(m, {sm::CostBound{0, -1.0}});
-    EXPECT_EQ(r.status, socbuf::lp::SolveStatus::kInfeasible);
 }
 
 TEST(LpSolver, SingleActionChainReproducesMm1k) {
@@ -426,7 +399,6 @@ void expect_exact_capacity(const sm::CtmdpModel& m, const std::string& what) {
     EXPECT_EQ(m.targets().capacity(), m.targets().size()) << what;
     EXPECT_EQ(m.rates().capacity(), m.rates().size()) << what;
     EXPECT_EQ(m.costs().capacity(), m.costs().size()) << what;
-    EXPECT_EQ(m.extra_costs().capacity(), m.extra_costs().size()) << what;
 }
 
 }  // namespace
@@ -466,13 +438,11 @@ struct NestedModel {
     struct Act {
         std::vector<sm::Transition> moves;
         double cost = 0.0;
-        std::vector<double> extra;
     };
     std::vector<std::vector<Act>> states;
 };
 
-NestedModel random_nested(unsigned seed, std::size_t n_states,
-                          std::size_t extra_costs) {
+NestedModel random_nested(unsigned seed, std::size_t n_states) {
     std::mt19937_64 gen(seed);
     std::uniform_real_distribution<double> rate(0.0, 2.0);
     NestedModel nested;
@@ -486,20 +456,17 @@ NestedModel random_nested(unsigned seed, std::size_t n_states,
                 act.moves.push_back({gen() % n_states,
                                      k == 2 ? 0.0 : rate(gen)});
             act.cost = rate(gen);
-            for (std::size_t e = 0; e < extra_costs; ++e)
-                act.extra.push_back(rate(gen));
             nested.states[s].push_back(act);
         }
     }
     return nested;
 }
 
-sm::CtmdpModel freeze_nested(const NestedModel& nested,
-                             std::size_t extra_costs) {
-    sm::CtmdpBuilder b(nested.states.size(), extra_costs);
+sm::CtmdpModel freeze_nested(const NestedModel& nested) {
+    sm::CtmdpBuilder b(nested.states.size());
     for (std::size_t s = 0; s < nested.states.size(); ++s)
         for (const auto& act : nested.states[s])
-            b.add_action(s, act.moves, act.cost, act.extra);
+            b.add_action(s, act.moves, act.cost);
     return std::move(b).freeze();
 }
 
@@ -517,11 +484,9 @@ std::string model_error_of(Fn&& fn) {
 
 TEST(FrozenModel, CsrLayoutMatchesBruteForceRecount) {
     for (const unsigned seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
-        const std::size_t extras = seed % 3;
-        const auto nested = random_nested(seed, 5 + 7 * seed, extras);
-        const auto m = freeze_nested(nested, extras);
+        const auto nested = random_nested(seed, 5 + 7 * seed);
+        const auto m = freeze_nested(nested);
         ASSERT_EQ(m.state_count(), nested.states.size());
-        ASSERT_EQ(m.extra_cost_count(), extras);
 
         // Offsets are monotone, start at 0 and end at the array sizes.
         const auto& po = m.pair_offsets();
@@ -537,7 +502,6 @@ TEST(FrozenModel, CsrLayoutMatchesBruteForceRecount) {
         EXPECT_EQ(m.targets().size(), m.transition_count());
         EXPECT_EQ(m.rates().size(), m.transition_count());
         EXPECT_EQ(m.costs().size(), m.pair_count());
-        EXPECT_EQ(m.extra_costs().size(), m.pair_count() * extras);
 
         std::size_t transitions = 0;
         std::size_t band = 0;
@@ -550,8 +514,6 @@ TEST(FrozenModel, CsrLayoutMatchesBruteForceRecount) {
                 EXPECT_EQ(m.pair_state(p), s);
                 EXPECT_EQ(m.pair_action(p), a);
                 EXPECT_EQ(m.costs()[p], act.cost);
-                for (std::size_t e = 0; e < extras; ++e)
-                    EXPECT_EQ(m.extra_costs()[p * extras + e], act.extra[e]);
                 ASSERT_EQ(to[p + 1] - to[p], act.moves.size());
                 double exit = 0.0;
                 for (std::size_t k = 0; k < act.moves.size(); ++k) {
@@ -616,15 +578,42 @@ TEST(CtmdpBuilder, RejectsMalformedAppendsNamingTheLabels) {
     EXPECT_NE(appended.find("action a0 of state s1"), std::string::npos)
         << appended;
 
-    // Extra-cost width must match the model's.
-    const std::string width = model_error_of([] {
-        sm::CtmdpBuilder b(2, 2);
-        b.add_action(0, {{1, 1.0}}, 0.0, {1.0, 2.0});
-        b.add_action(1, {{0, 1.0}}, 0.0, {1.0});
-    });
-    EXPECT_NE(width.find("action a0 of state s1 has wrong extra-cost width"),
-              std::string::npos)
-        << width;
+    // Non-finite rates: +inf would make max_exit_rate infinite, NaN
+    // would poison every fold; both are named as non-finite.
+    for (const double bad : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+        const std::string listed = model_error_of([bad] {
+            sm::CtmdpBuilder b(3);
+            b.add_action(1, {{0, 1.0}});
+            b.add_action(1, {{2, bad}});
+        });
+        EXPECT_NE(listed.find("non-finite rate in action a1 of state s1"),
+                  std::string::npos)
+            << listed;
+        const std::string alone = model_error_of([bad] {
+            sm::CtmdpBuilder b(2);
+            b.add_action(0);
+            b.add_transition(1, bad);
+        });
+        EXPECT_NE(alone.find("non-finite rate in action a0 of state s0"),
+                  std::string::npos)
+            << alone;
+    }
+
+    // Non-finite costs: NaN and both infinities.
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        const std::string cost = model_error_of([bad] {
+            sm::CtmdpBuilder b(2);
+            b.add_action(0, {{1, 1.0}});
+            b.add_action(1, {{0, 1.0}}, 1.0);
+            b.add_action(1, {{0, 2.0}}, bad);
+        });
+        EXPECT_NE(cost.find("non-finite cost in action a1 of state s1"),
+                  std::string::npos)
+            << cost;
+    }
 
     // A target outside the model and a state outside the model.
     const std::string target = model_error_of([] {
@@ -653,9 +642,9 @@ TEST(CtmdpBuilder, SkippedStatesAreCaughtAtFreeze) {
 
 TEST(FrozenModel, SolveFingerprintIsExactOnTheFlatArrays) {
     const sm::DispatchOptions opts;
-    const auto nested = random_nested(11, 40, 1);
-    const auto a = freeze_nested(nested, 1);
-    const auto b = freeze_nested(nested, 1);
+    const auto nested = random_nested(11, 40);
+    const auto a = freeze_nested(nested);
+    const auto b = freeze_nested(nested);
     EXPECT_EQ(sm::solve_fingerprint(a, opts), sm::solve_fingerprint(b, opts));
 
     // Nudge one positive rate by a single ulp: a different model.
@@ -669,15 +658,16 @@ TEST(FrozenModel, SolveFingerprintIsExactOnTheFlatArrays) {
                     done = true;
                 }
     ASSERT_TRUE(done);
-    const auto c = freeze_nested(nudged, 1);
+    const auto c = freeze_nested(nudged);
     EXPECT_NE(sm::solve_fingerprint(c, opts), sm::solve_fingerprint(a, opts));
 
     // The key is an 8-byte hash of the flat arrays and options, then the
-    // options block: its size does not grow with the model.
+    // 65-byte options block ('D' and eight 8-byte words): its size does
+    // not grow with the model.
     const std::string key = sm::solve_fingerprint(a, opts);
-    ASSERT_GT(key.size(), 8u);
+    ASSERT_EQ(key.size(), 73u);
     EXPECT_EQ(key[8], 'D');
-    const auto bigger = freeze_nested(random_nested(11, 80, 1), 1);
+    const auto bigger = freeze_nested(random_nested(11, 80));
     ASSERT_GT(bigger.transition_count(), a.transition_count());
     EXPECT_EQ(sm::solve_fingerprint(bigger, opts).size(), key.size());
 }

@@ -256,11 +256,3 @@ TEST(Simplex, PerturbationErrorStaysBelowFeasibilityTolerance) {
     EXPECT_NEAR(sol.x[0], 1.0, 1e-8);
     EXPECT_NEAR(sol.objective, 1.0, 1e-8);
 }
-
-TEST(Simplex, PerturbationCanBeDisabled) {
-    slp::SimplexOptions opts;
-    opts.rhs_perturbation = 0.0;
-    const auto sol = slp::solve(textbook_max(), opts);
-    ASSERT_EQ(sol.status, slp::SolveStatus::kOptimal);
-    EXPECT_NEAR(sol.objective, 12.0, 1e-9);
-}

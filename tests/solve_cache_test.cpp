@@ -443,26 +443,24 @@ struct PairSpec {
     std::size_t state = 0;
     std::vector<sm::Transition> moves;
     double cost = 0.0;
-    std::vector<double> extra;
 };
 
-sm::CtmdpModel from_pairs(std::size_t states, std::size_t width,
+sm::CtmdpModel from_pairs(std::size_t states,
                           const std::vector<PairSpec>& pairs) {
-    sm::CtmdpBuilder b(states, width);
-    for (const PairSpec& p : pairs)
-        b.add_action(p.state, p.moves, p.cost, p.extra);
+    sm::CtmdpBuilder b(states);
+    for (const PairSpec& p : pairs) b.add_action(p.state, p.moves, p.cost);
     return std::move(b).freeze();
 }
 
-/// Three states, two actions each (slow and fast service), one extra cost.
+/// Three states, two actions each (slow and fast service).
 std::vector<PairSpec> three_state_pairs() {
     return {
-        {0, {{1, 0.5}}, 0.0, {0.0}},
-        {0, {{1, 0.5}, {2, 0.1}}, 1.0, {0.0}},
-        {1, {{2, 0.5}, {0, 1.0}}, 1.0, {1.0}},
-        {1, {{2, 0.5}, {0, 3.0}}, 3.0, {1.0}},
-        {2, {{1, 1.0}}, 2.5, {2.0}},
-        {2, {{1, 3.0}}, 4.5, {2.0}},
+        {0, {{1, 0.5}}, 0.0},
+        {0, {{1, 0.5}, {2, 0.1}}, 1.0},
+        {1, {{2, 0.5}, {0, 1.0}}, 1.0},
+        {1, {{2, 0.5}, {0, 3.0}}, 3.0},
+        {2, {{1, 1.0}}, 2.5},
+        {2, {{1, 3.0}}, 4.5},
     };
 }
 
@@ -500,18 +498,18 @@ TEST(PackedKey, EveryArrayChangeIsAMissWithItsOwnEntry) {
     {
         auto pairs = base_pairs;
         pairs[2].moves[0].rate = std::nextafter(0.5, 1.0);
-        variants.push_back({"one-ulp rate", from_pairs(3, 1, pairs)});
+        variants.push_back({"one-ulp rate", from_pairs(3, pairs)});
     }
     {
         auto pairs = base_pairs;
         pairs[0].cost = -0.0;
-        variants.push_back({"-0.0 cost", from_pairs(3, 1, pairs)});
+        variants.push_back({"-0.0 cost", from_pairs(3, pairs)});
     }
     {
         auto pairs = base_pairs;
         pairs[3].moves[1].target = 2;  // fast service of state 1 -> state 2
         variants.push_back({"one retargeted transition",
-                            from_pairs(3, 1, pairs)});
+                            from_pairs(3, pairs)});
     }
     {
         // State 0's second action hands its first transition to the first
@@ -521,14 +519,9 @@ TEST(PackedKey, EveryArrayChangeIsAMissWithItsOwnEntry) {
         pairs[0].moves.push_back(pairs[1].moves.front());
         pairs[1].moves.erase(pairs[1].moves.begin());
         variants.push_back({"transition moved between pairs",
-                            from_pairs(3, 1, pairs)});
+                            from_pairs(3, pairs)});
     }
-    {
-        auto pairs = base_pairs;
-        for (PairSpec& p : pairs) p.extra.push_back(0.0);
-        variants.push_back({"extra-cost width", from_pairs(3, 2, pairs)});
-    }
-    const auto base = from_pairs(3, 1, base_pairs);
+    const auto base = from_pairs(3, base_pairs);
     ASSERT_EQ(variants[3].model.targets(), base.targets());
     ASSERT_EQ(variants[3].model.rates(), base.rates());
     // The raw path: more than 255 distinct rates, and its one-ulp twin.
@@ -540,7 +533,7 @@ TEST(PackedKey, EveryArrayChangeIsAMissWithItsOwnEntry) {
     // one for the other; a rebuilt copy (new storage) matches.
     const std::string base_key = sm::packed_model_key(base);
     EXPECT_TRUE(
-        sm::matches_packed_key(base_key, from_pairs(3, 1, base_pairs)));
+        sm::matches_packed_key(base_key, from_pairs(3, base_pairs)));
     for (const Variant& v : variants) {
         const std::string key = sm::packed_model_key(v.model);
         EXPECT_NE(key, base_key) << v.what;
@@ -567,7 +560,7 @@ TEST(PackedKey, EveryArrayChangeIsAMissWithItsOwnEntry) {
 
     // Rebuilt copies (new storage) of the base and raw-keyed models, and a
     // second lookup of every variant, hit their own entries.
-    (void)cache.solve(registry, from_pairs(3, 1, base_pairs), opts);
+    (void)cache.solve(registry, from_pairs(3, base_pairs), opts);
     (void)cache.solve(registry, dense_model(), opts);
     (void)cache.solve(registry, dense_model(true), opts);
     for (const Variant& v : variants)
@@ -608,9 +601,7 @@ TEST(PackedKey, ClusterBusKeyIsUnderAQuarterOfItsArrays) {
         (model.pair_offsets().size() + model.transition_offsets().size() +
          model.targets().size()) *
             sizeof(std::size_t) +
-        (model.rates().size() + model.costs().size() +
-         model.extra_costs().size()) *
-            sizeof(double);
+        (model.rates().size() + model.costs().size()) * sizeof(double);
 
     EXPECT_LT(sm::packed_model_key(model).size(), raw_bytes / 4);
     // The entry adds the solution's vectors to the key; together they
