@@ -190,24 +190,22 @@ void write_json_report(const std::string& path) {
                     banded_t.median, ratio(dense_t.median, banded_t.median));
     }
 
-    // VI at scale: the Jacobi and the opt-in Gauss–Seidel sweeps, each
-    // serial and executor-fanned at four workers (bit-identical to
-    // serial by contract — the *_identical flags verify it), at the
-    // engine's VI-rung tolerance. The *_s columns time a whole registry
-    // solve (VI plus the post-solve stationary pass); jacobi_vi_s times
-    // the serial Jacobi sweeps alone, and vi_ns_per_state_sweep divides
-    // it by states x iterations. gs_speedup compares serial solves and
-    // gs_parallel4_speedup the four-worker ones, so a value below 1 means
-    // Gauss–Seidel loses at that width. Models: the figure-1 bus-b family
-    // (narrow band) and the np-cluster-scaling ingress buses at pe 6 and
-    // 8 (wide band). The pe-8 cap-3 model (262144 states, ~45 s serial)
-    // and pe >= 10 are beyond the CI budget and deliberately not measured
-    // here — the cap is the pe-8 cap-2 model at 19683 states (see
-    // bench/README.md). stationary_s times the serial post-solve pass
-    // alone (occupation_of_policy on the Jacobi policy: the gather build
-    // and its power iteration), and stationary_identical checks that the
-    // pass's power iteration fanned at four workers, fanning even small
-    // chains, is bit-equal to serial.
+    // VI at scale: the fanned Jacobi sweep, serial and executor-fanned
+    // at four workers (bit-identical to serial by contract — the
+    // parallel4_identical flag verifies it), against the default
+    // in-place Gauss–Seidel sweep (serial), at the engine's VI-rung
+    // tolerance. The *_s columns time a whole registry solve (VI plus the
+    // post-solve stationary pass); jacobi_vi_s times the serial Jacobi
+    // sweeps alone, and vi_ns_per_state_sweep divides it by states x
+    // iterations. gs_speedup compares serial solves. Models: the
+    // figure-1 bus-b family (narrow band) and the np-cluster-scaling
+    // ingress buses at pe 6 and 8 (wide band). The pe-8 cap-3 model
+    // (262144 states, ~45 s serial) and pe >= 10 are beyond the CI
+    // budget and deliberately not measured here — the cap is the pe-8
+    // cap-2 model at 19683 states (see bench/README.md). stationary_s
+    // times the post-solve pass alone (occupation_of_policy on the
+    // Jacobi policy: the gather build and its Gauss–Seidel sweeps), and
+    // stationary_sweeps counts those sweeps.
     auto vi_scaling = sj::JsonValue::array();
     {
         struct ViCase {
@@ -224,6 +222,7 @@ void write_json_report(const std::string& path) {
         for (auto& c : cases) {
             const auto& model = c.model;
             auto jacobi = forced(SolverChoice::kValueIteration);
+            jacobi.solver.vi.sweep = socbuf::ctmdp::ViSweep::kJacobi;
             jacobi.solver.vi.tolerance = 1e-7;       // the engine's VI rung
             jacobi.solver.vi.max_iterations = 50000;
             auto fanned = jacobi;
@@ -231,18 +230,13 @@ void write_json_report(const std::string& path) {
             fanned.solver.vi.parallel_min_states = 1;  // fan even small rows
             auto gs = jacobi;
             gs.solver.vi.sweep = socbuf::ctmdp::ViSweep::kGaussSeidel;
-            auto gs_fanned = fanned;
-            gs_fanned.solver.vi.sweep = gs.solver.vi.sweep;
 
             socbuf::ctmdp::SolverRegistry registry;
             const auto serial_sol = registry.solve(model, jacobi);
             const auto fanned_sol = registry.solve(model, fanned);
             const auto gs_sol = registry.solve(model, gs);
-            const auto gs_fanned_sol = registry.solve(model, gs_fanned);
             const bool identical = serial_sol.gain == fanned_sol.gain &&
                                    serial_sol.bias == fanned_sol.bias;
-            const bool gs_identical = gs_sol.gain == gs_fanned_sol.gain &&
-                                      gs_sol.bias == gs_fanned_sol.bias;
             const Timing serial_t = time_solve(model, jacobi, kReps);
             const Timing vi_t = time_vi(model, jacobi.solver.vi, kReps);
             const double vi_ns_per_state_sweep =
@@ -251,18 +245,18 @@ void write_json_report(const std::string& path) {
                           static_cast<double>(serial_sol.iterations));
             const Timing fanned_t = time_solve(model, fanned, kReps);
             const Timing gs_t = time_solve(model, gs, kReps);
-            const Timing gs_fanned_t = time_solve(model, gs_fanned, kReps);
             const Timing stationary_t = time_reps(kReps, [&] {
                 auto x = socbuf::ctmdp::occupation_of_policy(
                     model, serial_sol.policy);
                 benchmark::DoNotOptimize(x);
             });
-            const auto chain =
-                socbuf::ctmdp::policy_gather_chain(model, serial_sol.policy);
-            const bool stationary_identical =
-                socbuf::ctmc::stationary_power_gather(chain, 1e-11, 500000) ==
-                socbuf::ctmc::stationary_power_gather(
-                    chain, 1e-11, 500000, &four, /*parallel_min_states=*/1);
+            // occupation_of_policy's tolerance and sweep cap.
+            const std::size_t stationary_sweeps =
+                socbuf::ctmc::stationary_gauss_seidel(
+                    socbuf::ctmdp::policy_gather_chain(model,
+                                                       serial_sol.policy),
+                    1e-11, 500000)
+                    .sweeps;
             const double iteration_ratio =
                 ratio(static_cast<double>(serial_sol.iterations),
                       static_cast<double>(gs_sol.iterations));
@@ -281,29 +275,23 @@ void write_json_report(const std::string& path) {
                     ratio(serial_t.median, fanned_t.median));
             row.set("parallel4_identical", identical);
             set_timing(row, "stationary_s", stationary_t);
-            row.set("stationary_identical", stationary_identical);
+            row.set("stationary_sweeps", stationary_sweeps);
             set_timing(row, "gs_s", gs_t);
             row.set("gs_iterations", gs_sol.iterations);
             row.set("gs_speedup", ratio(serial_t.median, gs_t.median));
-            set_timing(row, "gs_parallel4_s", gs_fanned_t);
-            row.set("gs_parallel4_speedup",
-                    ratio(fanned_t.median, gs_fanned_t.median));
-            row.set("gs_parallel4_identical", gs_identical);
             row.set("gs_iteration_ratio", iteration_ratio);
             row.set("gs_gain_delta", gs_sol.gain - serial_sol.gain);
             vi_scaling.push_back(std::move(row));
             std::printf(
                 "%s (%zu states): jacobi %.3fs/%zu it (sweeps %.3fs, "
                 "%.1f ns/state-sweep), parallel4 %.3fs (identical %s), "
-                "stationary %.3fs (identical %s), gs %.3fs/%zu it (%.2fx "
-                "fewer sweeps), gs parallel4 %.3fs (identical %s)\n",
+                "stationary %.3fs/%zu sweeps, gs %.3fs/%zu it (%.2fx "
+                "fewer sweeps)\n",
                 c.label, model.state_count(), serial_t.median,
                 serial_sol.iterations, vi_t.median, vi_ns_per_state_sweep,
                 fanned_t.median, identical ? "yes" : "NO",
-                stationary_t.median, stationary_identical ? "yes" : "NO",
-                gs_t.median,
-                gs_sol.iterations, iteration_ratio, gs_fanned_t.median,
-                gs_identical ? "yes" : "NO");
+                stationary_t.median, stationary_sweeps, gs_t.median,
+                gs_sol.iterations, iteration_ratio);
         }
     }
 

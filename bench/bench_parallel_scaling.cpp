@@ -162,6 +162,7 @@ socbuf::util::JsonValue vi_sweep_scaling() {
         socbuf::exec::Executor executor(threads);
         socbuf::ctmdp::DispatchOptions d;
         d.choice = socbuf::ctmdp::SolverChoice::kValueIteration;
+        d.solver.vi.sweep = socbuf::ctmdp::ViSweep::kJacobi;  // fans out
         d.solver.vi.tolerance = 1e-7;  // the engine's VI rung
         d.solver.vi.max_iterations = 50000;
         d.solver.vi.executor = &executor;

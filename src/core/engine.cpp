@@ -81,10 +81,11 @@ void score_subsystems(const split::SplitResult& split,
                       const std::vector<double>& measured_occ,
                       SizingReport& report) {
     ctmdp::DispatchOptions dispatch = make_dispatch(options);
-    // Large models additionally fan their Bellman/stationary sweeps over
-    // the same executor the per-subsystem solves run on (the sweeps are
-    // nested fan-outs; the executor's caller-participation rule makes
-    // that deadlock-free). Schedule-only: bit-identical for any width.
+    // With gauss_seidel off, large models fan their Jacobi sweeps over
+    // the same executor the per-subsystem solves run on (nested fan-outs;
+    // the executor's caller-participation rule makes that
+    // deadlock-free). Schedule-only: bit-identical for any width. The
+    // Gauss–Seidel sweep and the stationary pass run serially.
     dispatch.solver.vi.executor = &executor;
     const auto score_one = [&](std::size_t i) {
         const Model sub_model = build_subsystem_model<Model>(

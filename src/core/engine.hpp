@@ -54,13 +54,12 @@ struct SizingOptions {
     std::size_t lp_pair_limit = ctmdp::kDefaultLpPairLimit;
     std::size_t pi_state_limit = ctmdp::kDefaultPiStateLimit;
     SolverChoice solver = SolverChoice::kAuto;
-    /// Run the VI rung with the red-black Gauss-Seidel sweep instead of
-    /// Jacobi: roughly halves the iteration count on large models, but
-    /// follows a different trajectory to the fixed point — gains agree
-    /// with Jacobi to the stopping tolerance, not bit for bit. Opt-in
-    /// and default off: the bit-identical-report contract holds
-    /// whenever this is off.
-    bool gauss_seidel = false;
+    /// Run the VI rung with the in-place Gauss–Seidel sweep (the
+    /// default) rather than the fanned Jacobi sweep. The two follow
+    /// different trajectories to the same fixed point, and every shipped
+    /// scenario gives the same report with either; false is kept for
+    /// the benchmark's replay and the sweep-invariance test.
+    bool gauss_seidel = true;
     /// Worker threads for the per-subsystem CTMDP solves and per-round
     /// evaluation sims (0 = hardware concurrency). Results are
     /// bit-identical for any value — the fanned units are independent and

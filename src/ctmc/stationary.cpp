@@ -1,12 +1,13 @@
 #include "ctmc/stationary.hpp"
 
-#include "exec/executor.hpp"
 #include "linalg/lu.hpp"
 #include "util/contracts.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace socbuf::ctmc {
@@ -57,11 +58,9 @@ linalg::Vector stationary_power(const Generator& q, double tolerance,
                                " iterations");
 }
 
-linalg::Vector stationary_power_gather(const GatherChain& chain,
-                                       double tolerance,
-                                       std::size_t max_iterations,
-                                       exec::Executor* executor,
-                                       std::size_t parallel_min_states) {
+GatherStationary stationary_gauss_seidel(const GatherChain& chain,
+                                        double tolerance,
+                                        std::size_t max_iterations) {
     const std::size_t n = chain.stay.size();
     SOCBUF_REQUIRE_MSG(n > 0, "empty chain");
     SOCBUF_REQUIRE_MSG(chain.offset.size() == n + 1 &&
@@ -71,38 +70,42 @@ linalg::Vector stationary_power_gather(const GatherChain& chain,
     const std::uint32_t* offset = chain.offset.data();
     const std::uint32_t* source = chain.source.data();
     const double* probability = chain.probability.data();
-    const double* stay = chain.stay.data();
-    const bool fan = executor != nullptr && !executor->serial() &&
-                     n >= parallel_min_states;
-    constexpr std::size_t kChunk = 256;
-    std::vector<double> chunk_delta((n + kChunk - 1) / kChunk, 0.0);
+    // Per state: the weight of its own mass in the numerator and the
+    // reciprocal of its divisor, once per chain (a multiply is off the
+    // sweep's critical path where a divide is not). A leaving state
+    // solves its balance equation pi[t] * (1 - stay[t]) = inflow; a state
+    // that never leaves (stay 1) has no equation for pi[t], so it keeps
+    // its mass and adds the inflow, as a power step would. 0 * pi[t] adds
+    // exactly nothing to the fold.
+    std::vector<double> keep(n, 0.0);
+    std::vector<double> scale(n, 1.0);
+    for (std::size_t t = 0; t < n; ++t) {
+        const double move = 1.0 - chain.stay[t];
+        if (move > 0.0)
+            scale[t] = 1.0 / move;
+        else
+            keep[t] = 1.0;
+    }
 
     linalg::Vector pi(n, 1.0 / static_cast<double>(n));
-    linalg::Vector next(n, 0.0);
-    const auto sweep = [&](std::size_t lo, std::size_t hi) {
-        double local = 0.0;
-        for (std::size_t s = lo; s < hi; ++s) {
-            double acc = stay[s] * pi[s];
-            for (std::uint32_t k = offset[s]; k < offset[s + 1]; ++k)
-                acc += probability[k] * pi[source[k]];
-            next[s] = acc;
-            local = std::max(local, std::fabs(acc - pi[s]));
-        }
-        chunk_delta[lo / kChunk] = local;
-    };
     for (std::size_t it = 0; it < max_iterations; ++it) {
-        std::fill(chunk_delta.begin(), chunk_delta.end(), 0.0);
-        if (fan)
-            executor->for_ranges(n, sweep, kChunk);
-        else
-            sweep(0, n);
         double delta = 0.0;
-        for (const double d : chunk_delta) delta = std::max(delta, d);
-        std::swap(pi, next);
-        if (delta < tolerance) return pi;
+        double total = 0.0;
+        for (std::size_t t = 0; t < n; ++t) {
+            double acc = keep[t] * pi[t];
+            for (std::uint32_t k = offset[t]; k < offset[t + 1]; ++k)
+                acc += probability[k] * pi[source[k]];
+            const double next = acc * scale[t];
+            delta = std::max(delta, std::fabs(next - pi[t]));
+            pi[t] = next;
+            total += next;
+        }
+        const double norm = 1.0 / total;
+        for (double& v : pi) v *= norm;
+        if (delta < tolerance) return {std::move(pi), it + 1};
     }
     throw util::NumericalError(
-        "stationary_power_gather: no convergence after " +
+        "stationary_gauss_seidel: no convergence after " +
         std::to_string(max_iterations) + " iterations");
 }
 

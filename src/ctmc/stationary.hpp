@@ -1,6 +1,7 @@
 // Stationary distributions of finite CTMCs: a direct solver (LU on the
-// normalized balance system) and a power-iteration fallback for
-// cross-checking.
+// normalized balance system), a power-iteration fallback for
+// cross-checking, and the gather-form Gauss–Seidel sweep the CTMDP
+// layer's post-solve pass runs on large sparse chains.
 #pragma once
 
 #include "ctmc/generator.hpp"
@@ -9,10 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
-
-namespace socbuf::exec {
-class Executor;
-}  // namespace socbuf::exec
 
 namespace socbuf::ctmc {
 
@@ -38,16 +35,23 @@ struct GatherChain {
     linalg::Vector stay;
 };
 
-/// Power iteration next = P^T pi, in gather form: next[t] = stay[t] *
-/// pi[t] + the row's probability * pi[source] terms, left to right. Each
-/// next[t] lands in its own slot and the convergence delta is a max fold
-/// (order-exact), so the sweep is chunked over `executor` when n >=
-/// parallel_min_states and the result is bit-identical for any worker
-/// count. Throws NumericalError on non-convergence.
-[[nodiscard]] linalg::Vector stationary_power_gather(
-    const GatherChain& chain, double tolerance, std::size_t max_iterations,
-    exec::Executor* executor = nullptr,
-    std::size_t parallel_min_states = 1024);
+/// A stationary distribution and the sweeps that found it.
+struct GatherStationary {
+    linalg::Vector pi;
+    std::size_t sweeps = 0;
+};
+
+/// Gauss–Seidel on the balance equations, in gather form: each sweep
+/// walks t = 0..n-1 and sets, in place,
+///     pi[t] = (row's probability * pi[source] terms, left to right)
+///             * (1 / (1 - stay[t]))
+/// so every state reads the values already updated in the same sweep,
+/// then renormalizes pi to sum 1. A state that never leaves (stay 1)
+/// keeps its own mass in the numerator and a divisor of 1. Stops when
+/// the sweep's max-norm change drops below `tolerance`; throws
+/// NumericalError on non-convergence. One serial pass per sweep.
+[[nodiscard]] GatherStationary stationary_gauss_seidel(
+    const GatherChain& chain, double tolerance, std::size_t max_iterations);
 
 /// Max-norm of pi Q — how stationary a candidate distribution is.
 [[nodiscard]] double stationarity_residual(const Generator& q,

@@ -11,6 +11,19 @@
 
 namespace socbuf::ctmdp {
 
+namespace {
+
+/// Stationary-pass stopping rules: the max-norm change of one sweep
+/// below which pi counts as converged. The occupation measure feeds the
+/// engine's quantile scores; the policy cost is a cross-check against
+/// solver gains, so it runs tighter.
+constexpr double kOccupationTolerance = 1e-11;
+constexpr double kPolicyCostTolerance = 1e-12;
+/// Sweep cap of either pass; hitting it throws util::NumericalError.
+constexpr std::size_t kStationaryMaxSweeps = 500000;
+
+}  // namespace
+
 ctmc::GatherChain policy_gather_chain(const CtmdpModel& model,
                                       const RandomizedPolicy& policy) {
     const std::size_t n = model.state_count();
@@ -62,16 +75,34 @@ ctmc::GatherChain policy_gather_chain(const CtmdpModel& model,
 }
 
 std::vector<double> occupation_of_policy(const CtmdpModel& model,
-                                         const RandomizedPolicy& policy,
-                                         exec::Executor* executor) {
-    const linalg::Vector pi = ctmc::stationary_power_gather(
-        policy_gather_chain(model, policy), 1e-11, 500000, executor);
+                                         const RandomizedPolicy& policy) {
+    const linalg::Vector pi =
+        ctmc::stationary_gauss_seidel(policy_gather_chain(model, policy),
+                                      kOccupationTolerance,
+                                      kStationaryMaxSweeps)
+            .pi;
     const auto& pair_offset = model.pair_offsets();
     std::vector<double> x(model.pair_count(), 0.0);
     for (std::size_t s = 0; s < model.state_count(); ++s)
         for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p)
             x[p] = pi[s] * policy.probability(s, p - pair_offset[s]);
     return x;
+}
+
+double average_cost_of_policy(const CtmdpModel& model,
+                              const RandomizedPolicy& policy) {
+    const linalg::Vector pi =
+        ctmc::stationary_gauss_seidel(policy_gather_chain(model, policy),
+                                      kPolicyCostTolerance,
+                                      kStationaryMaxSweeps)
+            .pi;
+    double cost = 0.0;
+    for (std::size_t s = 0; s < model.state_count(); ++s) {
+        for (std::size_t a = 0; a < policy.action_count(s); ++a)
+            cost += pi[s] * policy.probability(s, a) *
+                    model.costs()[model.pair_index(s, a)];
+    }
+    return cost;
 }
 
 std::vector<double> state_marginal(

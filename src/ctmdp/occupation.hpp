@@ -12,14 +12,10 @@
 #include <functional>
 #include <vector>
 
-namespace socbuf::exec {
-class Executor;
-}  // namespace socbuf::exec
-
 namespace socbuf::ctmdp {
 
 /// The uniformized chain `policy` induces on `model`, built straight into
-/// the gather form ctmc::stationary_power_gather sweeps. Only
+/// the gather form ctmc::stationary_gauss_seidel sweeps. Only
 /// policy-positive actions contribute, with probability phi(a|s) *
 /// rate / lambda, where lambda = 1.05 * the max policy-positive exit rate
 /// plus a margin (every self-loop stays strictly positive, so the chain
@@ -31,12 +27,15 @@ namespace socbuf::ctmdp {
 
 /// Occupation measure x(s,a) = pi(s) * phi(a|s) of a stationary policy,
 /// flat-indexed by the model's pair index. pi is computed from the induced
-/// CTMC (power method; works for any finite unichain model). The sweep
-/// fans over `executor` on large chains — schedule-only, bit-identical
-/// for any worker count (see ctmc::stationary_power_gather).
+/// CTMC (gather-form Gauss–Seidel; works for any finite unichain model).
 [[nodiscard]] std::vector<double> occupation_of_policy(
-    const CtmdpModel& model, const RandomizedPolicy& policy,
-    exec::Executor* executor = nullptr);
+    const CtmdpModel& model, const RandomizedPolicy& policy);
+
+/// Long-run average cost of a fixed randomized policy (policy evaluation
+/// via the induced CTMC's stationary distribution, to a tighter
+/// tolerance than occupation_of_policy).
+[[nodiscard]] double average_cost_of_policy(const CtmdpModel& model,
+                                            const RandomizedPolicy& policy);
 
 /// Marginal distribution of an integer feature of the state (e.g. "queue f
 /// occupancy") under the state distribution pi. `feature(s)` must return a

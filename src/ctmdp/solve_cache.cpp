@@ -41,8 +41,8 @@ std::string encode_options(const DispatchOptions& options) {
     append_size(block, so.vi.max_iterations);
     append_size(block, so.pi.max_policy_updates);
     // The banded evaluation is a different elimination order (tolerance-
-    // level different bits), and Gauss-Seidel follows a different VI
-    // trajectory, so both are part of the key. vi.executor and
+    // level different bits), and the Jacobi and Gauss-Seidel sweeps
+    // follow different VI trajectories, so both are part of the key. vi.executor and
     // vi.parallel_min_states are schedule-only — bit-identical results
     // for any worker count — and deliberately are not encoded.
     append_size(block, so.pi.banded_evaluation ? 1 : 0);

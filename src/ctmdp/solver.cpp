@@ -24,21 +24,18 @@ constexpr double kSwitchingTolerance = 1e-9;
 
 /// Shared tail of the two deterministic-policy solvers: lift the policy,
 /// recover the occupation measure and the stationary distribution it
-/// implies. The occupation recovery's stationary sweep fans over
-/// `executor` (the shared context ViOptions carries) on large chains —
-/// schedule-only, bit-identical for any worker count.
+/// implies.
 SubsystemSolution from_deterministic(const CtmdpModel& model,
                                      const DeterministicPolicy& policy,
                                      double gain, linalg::Vector bias,
                                      std::size_t iterations, bool converged,
-                                     SolverKind kind,
-                                     exec::Executor* executor) {
+                                     SolverKind kind) {
     SubsystemSolution out;
     out.gain = gain;
     out.bias = std::move(bias);
     out.iterations = iterations;
     out.policy = RandomizedPolicy::from_deterministic(policy, model);
-    out.occupation = occupation_of_policy(model, out.policy, executor);
+    out.occupation = occupation_of_policy(model, out.policy);
     const auto& pair_offset = model.pair_offsets();
     out.stationary.assign(model.state_count(), 0.0);
     for (std::size_t s = 0; s < model.state_count(); ++s)
@@ -97,8 +94,7 @@ public:
                       vi.span_residual, "); using the last policy");
         return from_deterministic(model, vi.policy, vi.gain, vi.bias,
                                   vi.iterations, vi.converged,
-                                  SolverKind::kValueIteration,
-                                  options.vi.executor);
+                                  SolverKind::kValueIteration);
     }
 };
 
@@ -120,8 +116,7 @@ public:
                       "last policy");
         return from_deterministic(model, pi.policy, pi.gain, pi.bias,
                                   pi.policy_updates, pi.converged,
-                                  SolverKind::kPolicyIteration,
-                                  options.vi.executor);
+                                  SolverKind::kPolicyIteration);
     }
 };
 

@@ -92,7 +92,8 @@ public:
 /// a retune lands everywhere at once. The LP rung is unchanged from the
 /// banded-PI retune: banded PI beats the LP ~13x already at ~300 pairs.
 /// The PI/VI boundary was re-measured with the scaled VI rung in place
-/// (executor-fanned Jacobi sweeps plus the opt-in Gauss–Seidel sweep; see
+/// (executor-fanned Jacobi sweeps plus the then opt-in red-black
+/// Gauss–Seidel sweep, since replaced by the in-place one; see
 /// the vi_scaling block of BENCH_ctmdp_solvers.json), on the figure-1
 /// bus-b family (narrow band, bw ~ n^(2/3)) and the np-cluster-scaling
 /// ingress buses at pe >= 6 (wide band, bw = n/4): PI still wins at 729

@@ -1,7 +1,5 @@
 #include "ctmdp/value_iteration.hpp"
 
-#include "ctmc/stationary.hpp"
-#include "ctmdp/occupation.hpp"
 #include "exec/executor.hpp"
 #include "util/contracts.hpp"
 
@@ -139,22 +137,21 @@ Uniformized uniformize(const CtmdpModel& model) {
     return u;
 }
 
-/// The walk both Bellman kernels share: one state's minimization over
-/// the values in `h`. Each group folds its head once onto
-/// `start(group)`; each action folds its tail onto a copy, and
-/// `finish(group, value)` turns the sum into the action's value. The
-/// action scan and every fold run in the model's pair and transition
-/// order — the fold order every sweep variant and thread count shares —
-/// and the first action with the strictly smallest value wins.
+/// One state's explicit Bellman minimization over the values in `h`:
+///     min_a  c/L + stay * h[s] + sum_k prob_k * h[target_k]
+/// Each group folds its head once onto c/L + stay * h[s]; each action
+/// folds its tail onto a copy. The action scan and every fold run in the
+/// model's pair and transition order — the fold order every sweep
+/// variant and thread count shares — and the first action with the
+/// strictly smallest value wins.
 ///
 /// The kernel is bound by branches, not bytes: a cluster-bus state is
 /// one group of up to seven actions whose tails are one jump each, so
 /// the argmin is a select rather than a data-dependent jump, and a
 /// one-jump tail takes a straight-line step.
-template <class Start, class Finish>
-inline void bellman_fold(const Uniformized& u, const linalg::Vector& hv,
-                         std::size_t s, Start start, Finish finish,
-                         double& best_out, std::size_t& action_out) {
+inline void bellman_min(const Uniformized& u, const linalg::Vector& hv,
+                        std::size_t s, double& best_out,
+                        std::size_t& action_out) {
     const double* const h = hv.data();
     const std::uint32_t* const target = u.jump_target.data();
     const double* const prob = u.jump_prob.data();
@@ -162,10 +159,11 @@ inline void bellman_fold(const Uniformized& u, const linalg::Vector& hv,
     const Group* g = u.groups.data() + u.state_group[s];
     const Group* const g_end = u.groups.data() + u.state_group[s + 1];
     const std::uint32_t p0 = g->pair_begin;
+    const double hs = h[s];
     double best = std::numeric_limits<double>::infinity();
     std::uint32_t best_p = p0;
     for (; g != g_end; ++g) {
-        double head = start(*g);
+        double head = g->step_cost + g->stay * hs;
         std::uint32_t k = g->head_begin;
         for (; k < g->head_end; ++k) head += prob[k] * h[target[k]];
         for (std::uint32_t p = g->pair_begin; p < g->pair_end; ++p) {
@@ -177,7 +175,6 @@ inline void bellman_fold(const Uniformized& u, const linalg::Vector& hv,
             } else {
                 for (; k < end; ++k) value += prob[k] * h[target[k]];
             }
-            value = finish(*g, value);
             const bool better = value < best;
             best = better ? value : best;
             best_p = better ? p : best_p;
@@ -187,47 +184,12 @@ inline void bellman_fold(const Uniformized& u, const linalg::Vector& hv,
     action_out = best_p - p0;
 }
 
-/// One state's explicit Bellman minimization:
-///     min_a  c/L + stay * h[s] + sum_k prob_k * h[target_k]
-inline void bellman_min(const Uniformized& u, const linalg::Vector& h,
-                        std::size_t s, double& best_out,
-                        std::size_t& action_out) {
-    const double hs = h[s];
-    bellman_fold(
-        u, h, s,
-        [hs](const Group& g) { return g.step_cost + g.stay * hs; },
-        [](const Group&, double value) { return value; }, best_out,
-        action_out);
-}
-
-/// Bellman minimization with the action's self-loop solved out — the
-/// Gauss–Seidel step of Puterman §8.5.4, in candidate-bias form. For a
-/// gain estimate g, each action's optimality equation
-///     g + h(s) = c/L + stay * h(s) + sum_{t != s} P(t|s,a) v(t)
-/// is solved exactly for h(s):
-///     h_a = (c/L + sum_{t != s} P(t|s,a) v(t) - g) / (1 - stay)
-/// — the value a plain sweep only reaches in the stay-probability limit.
-/// Since th_a = h_a + g, the minimization is over the same ordering as
-/// the explicit update's around the fixed point: h_a is the explicit
-/// residual scaled by 1/(1 - stay) > 0, so the argmin set and the fixed
-/// point are unchanged; only the approach is faster. The uniformization
-/// margin makes `stay` large exactly for low-exit states, which is where
-/// the acceleration pays. Degenerate all-self-loop actions (stay == 1)
-/// fall back to the explicit update. The numerator folds the group's
-/// head once, as bellman_min does. Returns h_a, not th_a.
-inline void bellman_min_implicit(const Uniformized& u,
-                                 const linalg::Vector& h, std::size_t s,
-                                 double gain, double& best_out,
-                                 std::size_t& action_out) {
-    const double hs = h[s];
-    bellman_fold(
-        u, h, s, [](const Group& g) { return g.step_cost; },
-        [hs, gain](const Group& g, double value) {
-            const double move = 1.0 - g.stay;
-            return move > 1e-12 ? (value - gain) / move
-                                : value + g.stay * hs - gain;
-        },
-        best_out, action_out);
+/// Whether every entry of `v` is finite. A sweep's min/max folds drop a
+/// NaN operand, so a residual below the tolerance proves convergence
+/// only once the iterate it came from is finite (and the gain too).
+bool all_finite(const linalg::Vector& v) {
+    return std::all_of(v.begin(), v.end(),
+                       [](double x) { return std::isfinite(x); });
 }
 
 /// Fixed chunk width of every fan-out below. Chunk boundaries depend only
@@ -283,7 +245,8 @@ ViResult jacobi_rvi(const CtmdpModel& model, const Uniformized& u,
         out.span_residual = span_hi - span_lo;
         out.iterations = it + 1;
         if (out.span_residual < options.tolerance) {
-            out.converged = true;
+            // stay > 0 carries a non-finite h[s] into th[s].
+            out.converged = all_finite(th);
             break;
         }
         // Relative normalization keeps h bounded. It stays serial even
@@ -297,136 +260,66 @@ ViResult jacobi_rvi(const CtmdpModel& model, const Uniformized& u,
     // unconverged run has already normalized h = th - th[ref], so the
     // bounds must come from the sweep, not from th - h afterwards.
     out.gain = 0.5 * (span_hi + span_lo) * u.lambda;
+    out.converged = out.converged && std::isfinite(out.gain);
     out.bias = h;
     out.policy = DeterministicPolicy(std::move(greedy));
     return out;
 }
 
-/// Red-black Gauss–Seidel relative value iteration, reference-pinned.
+/// In-place Gauss–Seidel relative value iteration, reference-pinned
+/// (White's relative method).
 ///
-/// Naively normalizing a Gauss–Seidel sweep the way the Jacobi loop does
-/// (subtract th[ref] at the end) converges to a fixed point whose gain is
-/// NOT the optimal average cost — mixing old and new values shifts the
-/// invariant. The correct scheme pins h(ref) = 0 and subtracts the gain
-/// estimate inside the sweep (White's relative method):
+/// Each sweep first fixes the gain estimate
+///   g = min_a [ c(ref,a)/L + stay * h(ref) + sum_t P(t|ref,a) h(t) ]
+/// — the explicit Bellman value at the reference state on the pre-sweep
+/// h — and then walks the states in natural order, writing
+///   h(s) <- min_a [explicit value at s] - g
+/// in place, so each state reads the values already updated in the same
+/// sweep. The reference state is state 0, the first one walked, so its
+/// value is g itself and h(ref) = g - g = 0 exactly, every sweep. At a
+/// fixed point T(h) = h + g — the average-cost optimality equation — so
+/// g * lambda is the optimal gain and h the bias with h(ref) = 0.
 ///
-///   g = min_a [ c(ref,a)/L + sum_t P(t|ref,a) h_old(t) ]
-///       — the explicit Bellman value at the pinned reference state
-///       (h_old(ref) = 0), fixed for the whole sweep *before* any state
-///       updates: feeding g through ref's own implicit update would
-///       amplify the gain error by stay/(1 - stay) > 1 and oscillate
-///   phase 1 (states with the reference state's parity, ref included):
-///       h_new(s) = min_a implicit(s, a, h_old, g)   — see
-///               bellman_min_implicit: the self-loop is solved out; at
-///               ref the minimizing numerator is g - g = 0 bit-exactly,
-///               so h_new(ref) = 0 exactly, every sweep
-///   phase 2 (the other parity):
-///       h_new(s) = min_a implicit(s, a, v, g),
-///           v(t) = phase-1 parity ? h_new(t) : h_old(t)
-///
-/// At a fixed point h = h_new, both phases reduce to T(h) = h + g — the
-/// average-cost optimality equation — so g * lambda is the optimal gain
-/// and h the bias with h(ref) = 0.
-///
-/// Parity is *not* a two-coloring of these models (same-parity jumps
-/// exist), so each phase is Jacobi within itself: compute every th from a
-/// pre-phase snapshot, then write. That makes the sweep deterministic for
-/// any worker count — the in-place speedup comes only from phase 2
-/// reading phase 1's results.
+/// The explicit form matters: solving each action's self-loop out (the
+/// implicit update) cuts sweeps further but diverges on small chains, and
+/// so does over-relaxation. The sweep is one serial pass, so its result
+/// is the same at every width.
 ViResult gauss_seidel_rvi(const CtmdpModel& model, const Uniformized& u,
-                          const ViOptions& options,
-                          exec::Executor* executor) {
+                          const ViOptions& options) {
+    static_assert(kReferenceState == 0,
+                  "the reference state must be walked first");
     const std::size_t n = model.state_count();
-    const std::size_t ref_parity = kReferenceState % 2;
-
-    std::vector<std::size_t> phase1;
-    std::vector<std::size_t> phase2;
-    phase1.reserve((n + 1) / 2);
-    phase2.reserve(n / 2);
-    for (std::size_t s = 0; s < n; ++s)
-        (s % 2 == ref_parity ? phase1 : phase2).push_back(s);
-
     linalg::Vector h(n, 0.0);
-    linalg::Vector th(n, 0.0);
     std::vector<std::size_t> greedy(n, 0);
-
-    const std::size_t max_phase = std::max(phase1.size(), phase2.size());
-    const std::size_t chunks =
-        max_phase == 0 ? 1 : (max_phase + kSweepChunk - 1) / kSweepChunk;
-    std::vector<double> chunk_delta(chunks, 0.0);
-    const auto fan = [&](std::size_t count,
-                         const std::function<void(std::size_t, std::size_t)>&
-                             body) {
-        if (executor != nullptr)
-            executor->for_ranges(count, body, kSweepChunk);
-        else if (count > 0)
-            body(0, count);
-    };
 
     ViResult out;
     double g = 0.0;
     double g_prev = std::numeric_limits<double>::infinity();
     for (std::size_t it = 0; it < options.max_iterations; ++it) {
-        // The sweep's gain estimate: the explicit Bellman value at the
-        // pinned reference state, from the pre-sweep h alone.
-        std::size_t ref_action = 0;
-        bellman_min(u, h, kReferenceState, g, ref_action);
-        // Phase 1 Bellman: reads only the pre-sweep h and g; th holds
-        // the candidate bias (bellman_min_implicit returns h_a directly).
-        fan(phase1.size(), [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-                const std::size_t s = phase1[i];
-                bellman_min_implicit(u, h, s, g, th[s], greedy[s]);
-            }
-        });
-        // Phase 1 write-back: h(s) <- candidate, tracking the sup-norm
-        // step per chunk (max folds are order-exact).
-        std::fill(chunk_delta.begin(), chunk_delta.end(), 0.0);
-        fan(phase1.size(), [&](std::size_t lo, std::size_t hi) {
-            double local = 0.0;
-            for (std::size_t i = lo; i < hi; ++i) {
-                const std::size_t s = phase1[i];
-                local = std::max(local, std::fabs(th[s] - h[s]));
-                h[s] = th[s];
-            }
-            chunk_delta[lo / kSweepChunk] =
-                std::max(chunk_delta[lo / kSweepChunk], local);
-        });
+        // The reference state's step is the gain estimate; h(ref) stays 0.
+        bellman_min(u, h, kReferenceState, g, greedy[kReferenceState]);
         double delta = 0.0;
-        for (const double d : chunk_delta) delta = std::max(delta, d);
-        // Phase 2 Bellman: h now mixes updated phase-1 and old phase-2
-        // values — the Gauss–Seidel read — and is constant through the
-        // phase (phase 2 writes only after its own barrier).
-        fan(phase2.size(), [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-                const std::size_t s = phase2[i];
-                bellman_min_implicit(u, h, s, g, th[s], greedy[s]);
-            }
-        });
-        std::fill(chunk_delta.begin(), chunk_delta.end(), 0.0);
-        fan(phase2.size(), [&](std::size_t lo, std::size_t hi) {
-            double local = 0.0;
-            for (std::size_t i = lo; i < hi; ++i) {
-                const std::size_t s = phase2[i];
-                local = std::max(local, std::fabs(th[s] - h[s]));
-                h[s] = th[s];
-            }
-            chunk_delta[lo / kSweepChunk] =
-                std::max(chunk_delta[lo / kSweepChunk], local);
-        });
-        for (const double d : chunk_delta) delta = std::max(delta, d);
-
+        for (std::size_t s = kReferenceState + 1; s < n; ++s) {
+            double value = 0.0;
+            bellman_min(u, h, s, value, greedy[s]);
+            const double next = value - g;
+            delta = std::max(delta, std::fabs(next - h[s]));
+            h[s] = next;
+        }
         delta = std::max(delta, std::fabs(g - g_prev));
         g_prev = g;
         out.span_residual = delta;
         out.iterations = it + 1;
+        // A non-finite gain never settles: stop, unconverged.
+        if (!std::isfinite(g)) break;
         if (delta < options.tolerance) {
-            out.converged = true;
+            out.converged = all_finite(h);
             break;
         }
     }
     out.gain = g * u.lambda;
-    out.bias = h;  // h(ref) = 0 exactly: th(ref) - g == 0 by construction
+    out.converged = out.converged && std::isfinite(out.gain);
+    out.bias = h;
     out.policy = DeterministicPolicy(std::move(greedy));
     return out;
 }
@@ -437,6 +330,8 @@ ViResult relative_value_iteration(const CtmdpModel& model,
                                   const ViOptions& options) {
     if (model.state_count() == 0) throw util::ModelError("CTMDP has no states");
     const Uniformized u = uniformize(model);
+    if (options.sweep == ViSweep::kGaussSeidel)
+        return gauss_seidel_rvi(model, u, options);
     // The fan gate: a serial executor or a small model runs the exact
     // serial loop (one chunk), so "no executor" and "executor with one
     // worker" share the code path with any-width runs byte for byte.
@@ -445,23 +340,7 @@ ViResult relative_value_iteration(const CtmdpModel& model,
          model.state_count() >= options.parallel_min_states)
             ? options.executor
             : nullptr;
-    if (options.sweep == ViSweep::kGaussSeidel)
-        return gauss_seidel_rvi(model, u, options, executor);
     return jacobi_rvi(model, u, options, executor);
-}
-
-double average_cost_of_policy(const CtmdpModel& model,
-                              const RandomizedPolicy& policy,
-                              exec::Executor* executor) {
-    const linalg::Vector pi = ctmc::stationary_power_gather(
-        policy_gather_chain(model, policy), 1e-12, 500000, executor);
-    double cost = 0.0;
-    for (std::size_t s = 0; s < model.state_count(); ++s) {
-        for (std::size_t a = 0; a < policy.action_count(s); ++a)
-            cost += pi[s] * policy.probability(s, a) *
-                    model.costs()[model.pair_index(s, a)];
-    }
-    return cost;
 }
 
 }  // namespace socbuf::ctmdp

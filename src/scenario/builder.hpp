@@ -74,12 +74,6 @@ public:
         spec_.use_modulated_models = on;
         return *this;
     }
-    /// Opt the sizing runs into the Gauss–Seidel VI sweep
-    /// (core::SizingOptions::gauss_seidel).
-    ScenarioBuilder& gauss_seidel(bool on = true) {
-        spec_.gauss_seidel = on;
-        return *this;
-    }
     /// Evaluate the paper's timeout-drop policy alongside (Figure 3's
     /// third bar), thresholded at `scale` times the mean buffer wait.
     ScenarioBuilder& timeout_policy(double scale = 4.0) {

@@ -40,7 +40,7 @@ bool operator==(const ScenarioSpec& a, const ScenarioSpec& b) {
            a.budgets == b.budgets && a.replications == b.replications &&
            a.sizing_iterations == b.sizing_iterations &&
            a.sizing_eval_replications == b.sizing_eval_replications &&
-           a.solver == b.solver && a.gauss_seidel == b.gauss_seidel &&
+           a.solver == b.solver &&
            a.use_modulated_models == b.use_modulated_models &&
            a.evaluate_timeout_policy == b.evaluate_timeout_policy &&
            a.timeout_threshold_scale == b.timeout_threshold_scale &&
@@ -65,7 +65,6 @@ core::SizingOptions ScenarioSpec::sizing_options(long budget) const {
     options.iterations = sizing_iterations;
     options.eval_replications = sizing_eval_replications;
     options.solver = solver;
-    options.gauss_seidel = gauss_seidel;
     options.use_modulated_models = use_modulated_models;
     options.sim = sim;
     return options;

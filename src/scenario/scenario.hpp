@@ -99,11 +99,6 @@ struct ScenarioSpec {
     /// executor; 1 keeps the classic single-sim rounds.
     std::size_t sizing_eval_replications = 1;
     core::SolverChoice solver = core::SolverChoice::kAuto;
-    /// Run the VI rung with the red-black Gauss-Seidel sweep
-    /// (SizingOptions::gauss_seidel): fewer iterations on large models,
-    /// tolerance-level (not bit-identical) gains. Default off — the
-    /// bit-identical-report contract holds whenever this is off.
-    bool gauss_seidel = false;
     /// Burst-aware (MMPP) subsystem CTMDPs instead of Poisson models.
     bool use_modulated_models = false;
     /// Also evaluate the paper's timeout-drop policy on the constant

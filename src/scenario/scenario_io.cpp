@@ -378,7 +378,6 @@ util::JsonValue to_json(const ScenarioSpec& spec) {
     root.set("sizing_iterations", spec.sizing_iterations);
     root.set("sizing_eval_replications", spec.sizing_eval_replications);
     root.set("solver", to_string(spec.solver));
-    root.set("gauss_seidel", spec.gauss_seidel);
     root.set("modulated_models", spec.use_modulated_models);
     root.set("evaluate_timeout_policy", spec.evaluate_timeout_policy);
     root.set("timeout_threshold_scale", spec.timeout_threshold_scale);
@@ -462,8 +461,10 @@ ScenarioSpec spec_from_json(const util::JsonValue& value,
                      "' (expected auto, lp, value-iteration or "
                      "policy-iteration)");
     }
+    // Legacy key: the VI sweep is no longer a scenario setting. Older
+    // files still load; either boolean is accepted and changes nothing.
     if (const auto* gs = reader.find("gauss_seidel"))
-        spec.gauss_seidel = read_bool(*gs, path + ".gauss_seidel");
+        static_cast<void>(read_bool(*gs, path + ".gauss_seidel"));
     if (const auto* modulated = reader.find("modulated_models"))
         spec.use_modulated_models =
             read_bool(*modulated, path + ".modulated_models");

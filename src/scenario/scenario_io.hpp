@@ -34,6 +34,9 @@
 //     "sizing_eval_replications": 1,      >= 1
 //     "solver": "auto",                   auto|lp|value-iteration|
 //                                         policy-iteration
+//     "gauss_seidel": false,              legacy, optional boolean;
+//                                         either value is accepted and
+//                                         ignored, never written
 //     "modulated_models": false,
 //     "evaluate_timeout_policy": false,
 //     "timeout_threshold_scale": 4.0,     > 0

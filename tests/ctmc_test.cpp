@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 namespace sc = socbuf::ctmc;
 
@@ -83,6 +84,52 @@ TEST(Stationary, DirectAndPowerAgree) {
     const auto power = sc::stationary_power(g);
     for (std::size_t i = 0; i < 4; ++i)
         EXPECT_NEAR(direct[i], power[i], 1e-8);
+}
+
+/// The uniformized gather form of `g` at rate `lambda`: row t lists the
+/// jumps into t by source state.
+sc::GatherChain gather_chain(const sc::Generator& g, double lambda) {
+    const std::size_t n = g.size();
+    sc::GatherChain chain;
+    chain.offset.push_back(0);
+    for (std::size_t t = 0; t < n; ++t) {
+        for (std::size_t s = 0; s < n; ++s)
+            if (s != t && g.rate(s, t) > 0.0) {
+                chain.source.push_back(static_cast<std::uint32_t>(s));
+                chain.probability.push_back(g.rate(s, t) / lambda);
+            }
+        chain.offset.push_back(
+            static_cast<std::uint32_t>(chain.source.size()));
+        chain.stay.push_back(1.0 - g.exit_rate(t) / lambda);
+    }
+    return chain;
+}
+
+TEST(Stationary, GatherGaussSeidelMatchesDirect) {
+    sc::Generator g(4);
+    g.set_rate(0, 1, 1.0);
+    g.set_rate(1, 2, 2.0);
+    g.set_rate(2, 3, 1.5);
+    g.set_rate(3, 0, 0.5);
+    g.set_rate(2, 0, 0.7);
+    g.set_rate(1, 3, 0.2);
+    const auto direct = sc::stationary_direct(g);
+    const auto gs = sc::stationary_gauss_seidel(
+        gather_chain(g, g.max_exit_rate() * 1.05), 1e-13, 10000);
+    EXPECT_GT(gs.sweeps, 0u);
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_NEAR(gs.pi[i], direct[i], 1e-11);
+}
+
+TEST(Stationary, GatherGaussSeidelKeepsANeverLeavingState) {
+    // State 1 has no exit (stay 1), so its balance equation says nothing
+    // about pi[1]; the sweep must keep its mass rather than divide by 0.
+    sc::Generator g(2);
+    g.set_rate(0, 1, 1.0);
+    const auto gs = sc::stationary_gauss_seidel(gather_chain(g, 2.0), 1e-12,
+                                                100);
+    EXPECT_EQ(gs.pi[0], 0.0);
+    EXPECT_EQ(gs.pi[1], 1.0);
 }
 
 TEST(Stationary, NormalizationHolds) {

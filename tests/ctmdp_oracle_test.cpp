@@ -1,9 +1,10 @@
 // Cross-solver oracle: the three average-cost algorithms share no code
 // past the frozen model, so on seeded random unichain CTMDPs their gains
-// must agree — each one checks the other two. The fanned VI sweep is
-// checked against itself across worker counts, bit for bit.
+// must agree — each one checks the other two. The fanned Jacobi VI sweep
+// is checked against itself across worker counts, bit for bit.
 #include "ctmdp/lp_solver.hpp"
 #include "ctmdp/model.hpp"
+#include "ctmdp/occupation.hpp"
 #include "ctmdp/policy_iteration.hpp"
 #include "ctmdp/value_iteration.hpp"
 #include "exec/executor.hpp"
@@ -157,6 +158,7 @@ TEST(CtmdpOracle, FannedViIsBitIdenticalAtOneTwoAndFourWorkers) {
     const auto m = random_unichain(big);
     ASSERT_GE(m.state_count(), 1024u);
     sm::ViOptions serial_options;
+    serial_options.sweep = sm::ViSweep::kJacobi;
     serial_options.tolerance = 1e-9;
     const auto serial = sm::relative_value_iteration(m, serial_options);
     ASSERT_TRUE(serial.converged);

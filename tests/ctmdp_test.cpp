@@ -157,6 +157,60 @@ TEST(ValueIteration, MatchesKnownOptimum) {
     EXPECT_EQ(r.policy.action(0), 1u);  // B
 }
 
+TEST(GaussSeidel, ConvergesToJacobisGainOnSmallModels) {
+    // The in-place sweep must settle at Jacobi's fixed point on small
+    // chains too: the red-black sweep it replaced diverged on most of
+    // these, and on some reported an infinite gain as converged.
+    std::vector<std::pair<std::string, sm::CtmdpModel>> models;
+    models.emplace_back("two_state_toy", two_state_toy());
+    for (unsigned seed = 1; seed <= 5; ++seed)
+        models.emplace_back("random_model seed " + std::to_string(seed),
+                            random_model(seed, 3 + seed % 4, 2 + seed % 2));
+    for (unsigned seed = 11; seed <= 14; ++seed)
+        models.emplace_back("40-state seed " + std::to_string(seed),
+                            random_model(seed, 40, 2));
+    sm::ViOptions jacobi;
+    jacobi.sweep = sm::ViSweep::kJacobi;
+    jacobi.tolerance = 1e-9;
+    sm::ViOptions gs = jacobi;
+    gs.sweep = sm::ViSweep::kGaussSeidel;
+    for (const auto& [name, m] : models) {
+        const auto rj = sm::relative_value_iteration(m, jacobi);
+        const auto rg = sm::relative_value_iteration(m, gs);
+        ASSERT_TRUE(rj.converged) << name;
+        ASSERT_TRUE(rg.converged) << name;
+        EXPECT_NEAR(rg.gain, rj.gain, 1e-6) << name;
+        EXPECT_EQ(rg.bias[0], 0.0) << name;
+    }
+}
+
+TEST(ValueIteration, NonFiniteValuesNeverCountAsConverged) {
+    // A sweep's min/max folds drop NaN operands, so an overflowed
+    // iterate can show a residual below the tolerance. Neither sweep may
+    // call that converged, nor report a non-finite gain as converged.
+    const auto ring = [](double cost, double rate) {
+        sm::CtmdpBuilder b(3);
+        for (std::size_t s = 0; s < 3; ++s)
+            b.add_action(s, {{(s + 1) % 3, rate}}, cost);
+        return std::move(b).freeze();
+    };
+    // cost / lambda overflows: every value is inf, then inf - inf = NaN.
+    const auto overflow = ring(1e300, 1e-9);
+    // Finite values, but Jacobi's span midpoint overflows.
+    const auto huge_gain = ring(1e308, 1.0);
+    for (const auto sweep : {sm::ViSweep::kJacobi, sm::ViSweep::kGaussSeidel}) {
+        sm::ViOptions options;
+        options.sweep = sweep;
+        options.tolerance = 1e-9;
+        const char* name =
+            sweep == sm::ViSweep::kJacobi ? "jacobi" : "gauss-seidel";
+        EXPECT_FALSE(sm::relative_value_iteration(overflow, options).converged)
+            << name;
+        const auto r = sm::relative_value_iteration(huge_gain, options);
+        EXPECT_TRUE(!r.converged || std::isfinite(r.gain)) << name;
+    }
+}
+
 TEST(PolicyIteration, MatchesKnownOptimum) {
     const auto m = two_state_toy();
     const auto r = sm::policy_iteration(m);

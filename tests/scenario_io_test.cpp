@@ -67,7 +67,6 @@ TEST(ScenarioIo, RoundTripCoversEveryKnob) {
             .sizing_iterations(5)
             .sizing_eval_replications(2)
             .solver(socbuf::core::SolverChoice::kValueIteration)
-            .gauss_seidel()
             .modulated_models()
             .timeout_policy(2.5)
             .calibration_replications(4)
@@ -117,6 +116,23 @@ TEST(ScenarioIo, AbsentKeysKeepDefaults) {
         return s;
     }();
     EXPECT_TRUE(spec == defaults);
+}
+
+TEST(ScenarioIo, LegacyGaussSeidelKeyLoadsAndIsNeverWritten) {
+    // The VI sweep is no longer a scenario setting: older files carrying
+    // the key still load, with either value and no effect, and to_json
+    // no longer writes it. A non-boolean is still a schema error.
+    const auto plain =
+        ss::spec_from_json(JsonValue::parse("{\"name\": \"legacy\"}"));
+    for (const char* value : {"true", "false"}) {
+        const auto spec = ss::spec_from_json(JsonValue::parse(
+            std::string("{\"name\": \"legacy\", \"gauss_seidel\": ") +
+            value + "}"));
+        EXPECT_TRUE(spec == plain) << "gauss_seidel " << value;
+    }
+    EXPECT_FALSE(ss::to_json(plain).contains("gauss_seidel"));
+    expect_io_error("{\"name\": \"x\", \"gauss_seidel\": 1}",
+                    "$.gauss_seidel");
 }
 
 TEST(ScenarioIo, SchemaVersionIsStampedAndEnforced) {

@@ -199,10 +199,10 @@ TEST(Session, DisabledCacheIsHonored) {
 }
 
 TEST(Session, MixedBatchWithViRungModelsIsThreadInvariant) {
-    // The batch determinism contract must survive the scaled VI rung: a
-    // mixed batch — a tiny figure-1 spec plus an np spec whose 1024-state
-    // ingress-bus CTMDP takes the executor-fanned Jacobi path on
-    // multi-thread sessions — reports bit-identically at every width.
+    // The batch determinism contract must survive the VI rung: a mixed
+    // batch — a tiny figure-1 spec plus an np spec whose 1024-state
+    // ingress-bus CTMDP takes the VI rung — reports bit-identically at
+    // every width.
     Session serial({1});
     serial.registry().add(small_figure1("mixed-fig1"));
     serial.registry().add(vi_rung_np("mixed-np"));
@@ -222,24 +222,25 @@ TEST(Session, MixedBatchWithViRungModelsIsThreadInvariant) {
     }
 }
 
-TEST(Session, GaussSeidelSpecIsThreadInvariant) {
-    // The spec-level Gauss–Seidel opt-in: a different sweep (and a
-    // different report trajectory is allowed vs the default), but the
-    // red-black phases keep the determinism contract, so the GS report
-    // too must be bit-identical at every thread count.
-    ss::ScenarioSpec spec = vi_rung_np();
-    spec.gauss_seidel = true;
+TEST(Session, LegacyGaussSeidelKeyChangesNoReport) {
+    // Files written before the in-place sweep became the default may
+    // carry "gauss_seidel" of either value: both load, and the VI-rung
+    // spec reports exactly as without the key, serially and at 4 threads.
+    const ss::ScenarioSpec plain = vi_rung_np();
     Session serial({1});
-    const auto reference = serial.run(spec);
+    const auto reference = serial.run(plain);
     ASSERT_EQ(reference.runs.size(), 1u);
     EXPECT_GT(reference.runs[0].vi_solves, 0u);
-    for (const std::size_t threads : {2UL, 4UL}) {
-        Session parallel({threads});
+    for (const bool legacy : {true, false}) {
+        JsonValue doc = ss::to_json(plain);
+        doc.set("gauss_seidel", legacy);
+        const ss::ScenarioSpec spec = ss::spec_from_json(doc);
+        Session parallel({4});
         auto got = parallel.run(spec);
         got.workers = reference.workers;
         got.eval_overlap = reference.eval_overlap;
         got.first_eval_latency_s = reference.first_eval_latency_s;
         EXPECT_EQ(got.to_json(), reference.to_json())
-            << "threads=" << threads;
+            << "gauss_seidel " << legacy;
     }
 }

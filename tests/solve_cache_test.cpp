@@ -93,11 +93,12 @@ TEST(SolveFingerprint, EveryResultChangingMutationIsAMissWithItsOwnEntry) {
     variants.back().options.solver.vi.max_iterations *= 2;
     variants.push_back({"PI update limit", base, opts});
     variants.back().options.solver.pi.max_policy_updates *= 2;
-    // Gauss-Seidel follows a different VI trajectory (forced onto the VI
-    // rung, where the sweep applies).
-    variants.push_back({"Gauss-Seidel sweep", base, opts});
+    // Jacobi follows a different VI trajectory than the default
+    // Gauss–Seidel sweep (forced onto the VI rung, where the sweep
+    // applies).
+    variants.push_back({"Jacobi sweep", base, opts});
     variants.back().options.choice = sm::SolverChoice::kValueIteration;
-    variants.back().options.solver.vi.sweep = sm::ViSweep::kGaussSeidel;
+    variants.back().options.solver.vi.sweep = sm::ViSweep::kJacobi;
 
     sm::SolverRegistry registry;
     sm::SolveCache cache;

