@@ -197,7 +197,11 @@ void write_json_report(const std::string& path) {
     // tolerance. The *_s columns time a whole registry solve (VI plus the
     // post-solve stationary pass); jacobi_vi_s times the serial Jacobi
     // sweeps alone, and vi_ns_per_state_sweep divides it by states x
-    // iterations. gs_speedup compares serial solves. Models: the
+    // iterations. gs_vi_s and gs_ns_per_state_sweep do the same for the
+    // Gauss–Seidel sweeps, Bellman and evaluation alike, and
+    // gs_bellman_sweeps counts the Bellman ones; gs_policy_matches_jacobi
+    // compares the two sweeps' tie-robust policies state by state.
+    // gs_speedup compares serial solves. Models: the
     // figure-1 bus-b family (narrow band) and the np-cluster-scaling
     // ingress buses at pe 6 and 8 (wide band). The pe-8 cap-3 model
     // (262144 states, ~45 s serial) and pe >= 10 are beyond the CI
@@ -245,6 +249,17 @@ void write_json_report(const std::string& path) {
                           static_cast<double>(serial_sol.iterations));
             const Timing fanned_t = time_solve(model, fanned, kReps);
             const Timing gs_t = time_solve(model, gs, kReps);
+            const Timing gs_vi_t = time_vi(model, gs.solver.vi, kReps);
+            using socbuf::ctmdp::relative_value_iteration;
+            const auto jacobi_vi =
+                relative_value_iteration(model, jacobi.solver.vi);
+            const auto gs_vi = relative_value_iteration(model, gs.solver.vi);
+            const bool policy_matches =
+                gs_vi.policy.choices() == jacobi_vi.policy.choices();
+            const double gs_ns_per_state_sweep =
+                ratio(gs_vi_t.median * 1e9,
+                      static_cast<double>(model.state_count()) *
+                          static_cast<double>(gs_vi.iterations));
             const Timing stationary_t = time_reps(kReps, [&] {
                 auto x = socbuf::ctmdp::occupation_of_policy(
                     model, serial_sol.policy);
@@ -278,6 +293,10 @@ void write_json_report(const std::string& path) {
             row.set("stationary_sweeps", stationary_sweeps);
             set_timing(row, "gs_s", gs_t);
             row.set("gs_iterations", gs_sol.iterations);
+            row.set("gs_bellman_sweeps", gs_vi.bellman_sweeps);
+            set_timing(row, "gs_vi_s", gs_vi_t);
+            row.set("gs_ns_per_state_sweep", gs_ns_per_state_sweep);
+            row.set("gs_policy_matches_jacobi", policy_matches);
             row.set("gs_speedup", ratio(serial_t.median, gs_t.median));
             row.set("gs_iteration_ratio", iteration_ratio);
             row.set("gs_gain_delta", gs_sol.gain - serial_sol.gain);
@@ -286,12 +305,15 @@ void write_json_report(const std::string& path) {
                 "%s (%zu states): jacobi %.3fs/%zu it (sweeps %.3fs, "
                 "%.1f ns/state-sweep), parallel4 %.3fs (identical %s), "
                 "stationary %.3fs/%zu sweeps, gs %.3fs/%zu it (%.2fx "
-                "fewer sweeps)\n",
+                "fewer sweeps, %zu Bellman; sweeps %.3fs, %.1f "
+                "ns/state-sweep; policy matches jacobi %s)\n",
                 c.label, model.state_count(), serial_t.median,
                 serial_sol.iterations, vi_t.median, vi_ns_per_state_sweep,
                 fanned_t.median, identical ? "yes" : "NO",
                 stationary_t.median, stationary_sweeps, gs_t.median,
-                gs_sol.iterations, iteration_ratio);
+                gs_sol.iterations, iteration_ratio, gs_vi.bellman_sweeps,
+                gs_vi_t.median, gs_ns_per_state_sweep,
+                policy_matches ? "yes" : "NO");
         }
     }
 

@@ -100,6 +100,11 @@ GatherStationary stationary_gauss_seidel(const GatherChain& chain,
             pi[t] = next;
             total += next;
         }
+        // std::max drops a NaN change, and a NaN or infinite total would
+        // normalize every entry to NaN: neither may pass as converged.
+        if (!std::isfinite(total) || !std::isfinite(delta))
+            throw util::NumericalError(
+                "stationary_gauss_seidel: non-finite distribution");
         const double norm = 1.0 / total;
         for (double& v : pi) v *= norm;
         if (delta < tolerance) return {std::move(pi), it + 1};

@@ -49,7 +49,8 @@ struct GatherStationary {
 /// then renormalizes pi to sum 1. A state that never leaves (stay 1)
 /// keeps its own mass in the numerator and a divisor of 1. Stops when
 /// the sweep's max-norm change drops below `tolerance`; throws
-/// NumericalError on non-convergence. One serial pass per sweep.
+/// NumericalError on non-convergence, and when a sweep's total or change
+/// is not finite. One serial pass per sweep.
 [[nodiscard]] GatherStationary stationary_gauss_seidel(
     const GatherChain& chain, double tolerance, std::size_t max_iterations);
 

@@ -137,31 +137,25 @@ Uniformized uniformize(const CtmdpModel& model) {
     return u;
 }
 
-/// One state's explicit Bellman minimization over the values in `h`:
-///     min_a  c/L + stay * h[s] + sum_k prob_k * h[target_k]
-/// Each group folds its head once onto c/L + stay * h[s]; each action
-/// folds its tail onto a copy. The action scan and every fold run in the
-/// model's pair and transition order — the fold order every sweep
-/// variant and thread count shares — and the first action with the
-/// strictly smallest value wins.
+/// Every action's explicit Bellman value at state s over `h`:
+///     c/L + stay * h[s] + sum_k prob_k * h[target_k]
+/// passed to visit(p, value) in the model's pair order. Each group folds
+/// its head once onto c/L + stay * h[s]; each action folds its tail onto
+/// a copy. Every fold runs in the model's transition order — the fold
+/// order every sweep variant and thread count shares.
 ///
 /// The kernel is bound by branches, not bytes: a cluster-bus state is
-/// one group of up to seven actions whose tails are one jump each, so
-/// the argmin is a select rather than a data-dependent jump, and a
+/// one group of up to seven actions whose tails are one jump each, so a
 /// one-jump tail takes a straight-line step.
-inline void bellman_min(const Uniformized& u, const linalg::Vector& hv,
-                        std::size_t s, double& best_out,
-                        std::size_t& action_out) {
-    const double* const h = hv.data();
+template <typename Visit>
+inline void fold_values(const Uniformized& u, const double* const h,
+                        std::size_t s, Visit&& visit) {
     const std::uint32_t* const target = u.jump_target.data();
     const double* const prob = u.jump_prob.data();
     const std::uint32_t* const tail_end = u.tail_end.data();
     const Group* g = u.groups.data() + u.state_group[s];
     const Group* const g_end = u.groups.data() + u.state_group[s + 1];
-    const std::uint32_t p0 = g->pair_begin;
     const double hs = h[s];
-    double best = std::numeric_limits<double>::infinity();
-    std::uint32_t best_p = p0;
     for (; g != g_end; ++g) {
         double head = g->step_cost + g->stay * hs;
         std::uint32_t k = g->head_begin;
@@ -175,13 +169,96 @@ inline void bellman_min(const Uniformized& u, const linalg::Vector& hv,
             } else {
                 for (; k < end; ++k) value += prob[k] * h[target[k]];
             }
-            const bool better = value < best;
-            best = better ? value : best;
-            best_p = better ? p : best_p;
+            visit(p, value);
         }
     }
+}
+
+/// One state's explicit Bellman minimization over the values in `h`: the
+/// smallest value and its pair. The first action with the strictly
+/// smallest value wins. The argmin is a select rather than a
+/// data-dependent jump.
+inline void bellman_min(const Uniformized& u, const linalg::Vector& hv,
+                        std::size_t s, double& best_out,
+                        std::uint32_t& pair_out) {
+    double best = std::numeric_limits<double>::infinity();
+    std::uint32_t best_p = u.groups[u.state_group[s]].pair_begin;
+    fold_values(u, hv.data(), s, [&](std::uint32_t p, double value) {
+        const bool better = value < best;
+        best = better ? value : best;
+        best_p = better ? p : best_p;
+    });
     best_out = best;
-    action_out = best_p - p0;
+    pair_out = best_p;
+}
+
+/// How far above a state's minimum Bellman value an action may sit and
+/// still count as tied with it, in uniformized per-step cost units.
+/// Symmetric service actions tie in exact arithmetic, and rounding noise
+/// in a converged h separates them by far less; real gaps between the
+/// shipped models' actions are far larger (bench/README.md, "Modified
+/// policy iteration and the tie rule", records the window).
+constexpr double kTieTolerance = 1e-7;
+
+/// The tie-robust policy on `h`: per state, the first action in model
+/// order whose explicit Bellman value is within kTieTolerance of the
+/// state's minimum. It does not depend on which sweep produced h, only
+/// on h to well below the tolerance, so both sweeps return the same
+/// policy wherever actions tie. A state whose values are not finite
+/// keeps its strict argmin.
+DeterministicPolicy tie_robust_policy(const Uniformized& u,
+                                      const linalg::Vector& h) {
+    const std::size_t n = h.size();
+    std::vector<std::size_t> choice(n, 0);
+    for (std::size_t s = 0; s < n; ++s) {
+        double best = 0.0;
+        std::uint32_t chosen = 0;
+        bellman_min(u, h, s, best, chosen);
+        const double bound = best + kTieTolerance;
+        fold_values(u, h.data(), s, [&](std::uint32_t p, double value) {
+            if (p < chosen && value <= bound) chosen = p;
+        });
+        choice[s] = chosen - u.groups[u.state_group[s]].pair_begin;
+    }
+    return DeterministicPolicy(std::move(choice));
+}
+
+/// One state's action under a fixed policy, located in the uniformized
+/// layout: its pair (for where its tail ends), its group (for the cost,
+/// stay and head) and where its tail starts.
+struct PolicyRow {
+    std::uint32_t pair = 0;
+    std::uint32_t group = 0;
+    std::uint32_t tail_begin = 0;
+};
+
+/// Locates every state's chosen pair, already in `rows[s].pair`.
+void index_policy(const Uniformized& u, std::vector<PolicyRow>& rows) {
+    for (std::size_t s = 0; s < rows.size(); ++s) {
+        PolicyRow& row = rows[s];
+        row.group = u.state_group[s];
+        while (row.pair >= u.groups[row.group].pair_end) ++row.group;
+        const Group& g = u.groups[row.group];
+        row.tail_begin =
+            row.pair == g.pair_begin ? g.head_end : u.tail_end[row.pair - 1];
+    }
+}
+
+/// The explicit value of state s's action in `row` over `h`, folded as
+/// fold_values folds it (cost and stay, the head, then the tail), so it
+/// equals that action's Bellman value bit for bit.
+inline double policy_value(const Uniformized& u, const double* const h,
+                           std::size_t s, const PolicyRow& row) {
+    const std::uint32_t* const target = u.jump_target.data();
+    const double* const prob = u.jump_prob.data();
+    const Group& g = u.groups[row.group];
+    double value = g.step_cost + g.stay * h[s];
+    for (std::uint32_t k = g.head_begin; k < g.head_end; ++k)
+        value += prob[k] * h[target[k]];
+    const std::uint32_t end = u.tail_end[row.pair];
+    for (std::uint32_t k = row.tail_begin; k < end; ++k)
+        value += prob[k] * h[target[k]];
+    return value;
 }
 
 /// Whether every entry of `v` is finite. A sweep's min/max folds drop a
@@ -205,15 +282,15 @@ ViResult jacobi_rvi(const CtmdpModel& model, const Uniformized& u,
 
     linalg::Vector h(n, 0.0);
     linalg::Vector th(n, 0.0);
-    std::vector<std::size_t> greedy(n, 0);
 
     const std::size_t chunks = (n + kSweepChunk - 1) / kSweepChunk;
     std::vector<double> chunk_lo(chunks), chunk_hi(chunks);
     const auto sweep = [&](std::size_t lo_s, std::size_t hi_s) {
         double lo = std::numeric_limits<double>::infinity();
         double hi = -lo;
+        std::uint32_t pair = 0;  // unused: the policy is extracted at the end
         for (std::size_t s = lo_s; s < hi_s; ++s) {
-            bellman_min(u, h, s, th[s], greedy[s]);
+            bellman_min(u, h, s, th[s], pair);
             const double d = th[s] - h[s];
             lo = std::min(lo, d);
             hi = std::max(hi, d);
@@ -261,15 +338,22 @@ ViResult jacobi_rvi(const CtmdpModel& model, const Uniformized& u,
     // bounds must come from the sweep, not from th - h afterwards.
     out.gain = 0.5 * (span_hi + span_lo) * u.lambda;
     out.converged = out.converged && std::isfinite(out.gain);
-    out.bias = h;
-    out.policy = DeterministicPolicy(std::move(greedy));
+    out.bellman_sweeps = out.iterations;
+    out.policy = tie_robust_policy(u, h);
+    out.bias = std::move(h);
     return out;
 }
 
+/// Evaluation sweeps after each unconverged Bellman sweep. Each costs a
+/// third to a half of a Bellman sweep on the cluster buses; 32 measured
+/// the same as 16 (bench/README.md).
+constexpr std::size_t kEvaluationSweeps = 16;
+
 /// In-place Gauss–Seidel relative value iteration, reference-pinned
-/// (White's relative method).
+/// (White's relative method), accelerated as modified policy iteration
+/// (Puterman & Shin).
 ///
-/// Each sweep first fixes the gain estimate
+/// Each Bellman sweep first fixes the gain estimate
 ///   g = min_a [ c(ref,a)/L + stay * h(ref) + sum_t P(t|ref,a) h(t) ]
 /// — the explicit Bellman value at the reference state on the pre-sweep
 /// h — and then walks the states in natural order, writing
@@ -279,6 +363,14 @@ ViResult jacobi_rvi(const CtmdpModel& model, const Uniformized& u,
 /// value is g itself and h(ref) = g - g = 0 exactly, every sweep. At a
 /// fixed point T(h) = h + g — the average-cost optimality equation — so
 /// g * lambda is the optimal gain and h the bias with h(ref) = 0.
+///
+/// A Bellman sweep that has not converged is followed by
+/// kEvaluationSweeps sweeps of the same in-place form for its greedy
+/// policy alone: the reference state's policy value is the gain
+/// estimate, and each state folds its head and its one chosen tail
+/// instead of every action's. Convergence is tested on Bellman sweeps
+/// only, with max|dh| and |dg| measured against the iterate and gain
+/// estimate of the sweep before, whichever kind it was.
 ///
 /// The explicit form matters: solving each action's self-loop out (the
 /// implicit update) cuts sweeps further but diverges on small chains, and
@@ -290,18 +382,20 @@ ViResult gauss_seidel_rvi(const CtmdpModel& model, const Uniformized& u,
                   "the reference state must be walked first");
     const std::size_t n = model.state_count();
     linalg::Vector h(n, 0.0);
-    std::vector<std::size_t> greedy(n, 0);
+    // The last Bellman sweep's greedy policy; freed before the extraction
+    // allocates the returned one.
+    std::vector<PolicyRow> rows(n);
 
     ViResult out;
     double g = 0.0;
     double g_prev = std::numeric_limits<double>::infinity();
-    for (std::size_t it = 0; it < options.max_iterations; ++it) {
+    while (out.iterations < options.max_iterations) {
         // The reference state's step is the gain estimate; h(ref) stays 0.
-        bellman_min(u, h, kReferenceState, g, greedy[kReferenceState]);
+        bellman_min(u, h, kReferenceState, g, rows[kReferenceState].pair);
         double delta = 0.0;
         for (std::size_t s = kReferenceState + 1; s < n; ++s) {
             double value = 0.0;
-            bellman_min(u, h, s, value, greedy[s]);
+            bellman_min(u, h, s, value, rows[s].pair);
             const double next = value - g;
             delta = std::max(delta, std::fabs(next - h[s]));
             h[s] = next;
@@ -309,18 +403,30 @@ ViResult gauss_seidel_rvi(const CtmdpModel& model, const Uniformized& u,
         delta = std::max(delta, std::fabs(g - g_prev));
         g_prev = g;
         out.span_residual = delta;
-        out.iterations = it + 1;
+        ++out.iterations;
+        ++out.bellman_sweeps;
         // A non-finite gain never settles: stop, unconverged.
         if (!std::isfinite(g)) break;
         if (delta < options.tolerance) {
             out.converged = all_finite(h);
             break;
         }
+        index_policy(u, rows);
+        for (std::size_t e = 0; e < kEvaluationSweeps &&
+                                out.iterations < options.max_iterations;
+             ++e, ++out.iterations) {
+            const double ge = policy_value(u, h.data(), kReferenceState,
+                                           rows[kReferenceState]);
+            for (std::size_t s = kReferenceState + 1; s < n; ++s)
+                h[s] = policy_value(u, h.data(), s, rows[s]) - ge;
+            g_prev = ge;
+        }
     }
+    std::vector<PolicyRow>().swap(rows);
     out.gain = g * u.lambda;
     out.converged = out.converged && std::isfinite(out.gain);
-    out.bias = h;
-    out.policy = DeterministicPolicy(std::move(greedy));
+    out.policy = tie_robust_policy(u, h);
+    out.bias = std::move(h);
     return out;
 }
 

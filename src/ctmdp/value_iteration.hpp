@@ -19,8 +19,15 @@ namespace socbuf::ctmdp {
 struct ViResult {
     double gain = 0.0;            // optimal long-run average cost (per time)
     linalg::Vector bias;          // relative value function (h(ref) = 0)
-    DeterministicPolicy policy;   // greedy optimal policy
+    /// Per state, the first action in model order whose Bellman value on
+    /// `bias` is within a fixed tie tolerance of the state's minimum, so
+    /// actions that tie in exact arithmetic resolve the same way
+    /// whichever sweep produced the bias.
+    DeterministicPolicy policy;
+    /// Every sweep run, Bellman and evaluation; `max_iterations` caps it.
     std::size_t iterations = 0;
+    /// The full Bellman sweeps among them (all of them for Jacobi).
+    std::size_t bellman_sweeps = 0;
     /// The last sweep's residual: the span of the Bellman update delta
     /// (Jacobi), or max(max|dh|, |dg|) (Gauss–Seidel).
     double span_residual = 0.0;
@@ -37,15 +44,20 @@ struct ViResult {
 ///     pre-sweep h, then walks the states 0..n-1 and writes
 ///     h(s) = min_a [explicit value] - g in place, so every state reads
 ///     the values already updated in the same sweep. It stops when
-///     max|dh| and |dg| both drop below the tolerance. It runs serially,
-///     so it is bit-identical at every width, and needs ~40% fewer
-///     sweeps than Jacobi on the cluster buses.
+///     max|dh| and |dg| both drop below the tolerance. Every Bellman
+///     sweep that has not converged is followed by a fixed number of
+///     in-place evaluation sweeps of its greedy policy (modified policy
+///     iteration), each a third to a half of a Bellman sweep's cost. It
+///     runs serially, so it is bit-identical at every width; on the
+///     16384-state cluster bus it takes 39 Bellman sweeps where Jacobi
+///     takes 1078.
 ///   * kJacobi — the classic relative value iteration: th = T(h) reads
 ///     only the previous iterate, gain from the span bounds
 ///     (Puterman 8.5.5). Its sweep fans over `executor`.
 ///
 /// The two follow different trajectories to the same fixed point: their
-/// gains agree to the stopping tolerance, not bit for bit.
+/// gains agree to the stopping tolerance, not bit for bit. Both return
+/// the tie-robust policy of their final bias (see ViResult::policy).
 enum class ViSweep { kJacobi = 0, kGaussSeidel = 1 };
 
 struct ViOptions {

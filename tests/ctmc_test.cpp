@@ -132,6 +132,26 @@ TEST(Stationary, GatherGaussSeidelKeepsANeverLeavingState) {
     EXPECT_EQ(gs.pi[1], 1.0);
 }
 
+TEST(Stationary, GatherGaussSeidelRejectsANonFiniteDistribution) {
+    // A NaN probability makes every entry NaN in the first sweep, and a
+    // huge one overflows the total within a few; std::max drops a NaN
+    // change, so neither may come back as a converged distribution.
+    const auto two_state_chain = [](double p01, double p10) {
+        sc::GatherChain chain;
+        chain.offset = {0, 1, 2};
+        chain.source = {1, 0};
+        chain.probability = {p10, p01};
+        chain.stay = {0.5, 0.5};
+        return chain;
+    };
+    EXPECT_THROW((void)sc::stationary_gauss_seidel(
+                     two_state_chain(0.5, std::nan("")), 1e-12, 100),
+                 socbuf::util::NumericalError);
+    EXPECT_THROW((void)sc::stationary_gauss_seidel(two_state_chain(0.5, 1e308),
+                                                   1e-12, 100),
+                 socbuf::util::NumericalError);
+}
+
 TEST(Stationary, NormalizationHolds) {
     sc::Generator g = two_state(0.1, 0.9);
     const auto pi = sc::stationary_direct(g);

@@ -1,7 +1,8 @@
 // The scaled VI rung: executor-fanned Jacobi sweeps must be bit-identical
 // to the serial loop at every worker count (the determinism contract each
 // report pins against), the default in-place Gauss–Seidel sweep must
-// agree with Jacobi to tolerance while cutting the sweep count, and the
+// agree with Jacobi to tolerance while cutting the sweep count, both
+// sweeps must resolve exact ties to the same policy, and the
 // SolveCache fingerprint must key on the sweep variant but never on the
 // schedule-only knobs (executor, parallel_min_states). The golden pins
 // hold VI's and the stationary pass's output bits fixed across versions.
@@ -113,17 +114,23 @@ std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t bytes) {
     return hash;
 }
 
-/// FNV-1a over the bias bytes, then the policy's choice bytes.
-std::uint64_t bias_policy_digest(const sm::ViResult& r) {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    hash = fnv1a(hash, r.bias.data(), r.bias.size() * sizeof(double));
+/// FNV-1a over the bias bytes.
+std::uint64_t bias_digest(const sm::ViResult& r) {
+    return fnv1a(0xcbf29ce484222325ULL, r.bias.data(),
+                 r.bias.size() * sizeof(double));
+}
+
+/// FNV-1a over the policy's choice bytes.
+std::uint64_t policy_digest(const sm::ViResult& r) {
     const auto& choices = r.policy.choices();
-    return fnv1a(hash, choices.data(), choices.size() * sizeof(std::size_t));
+    return fnv1a(0xcbf29ce484222325ULL, choices.data(),
+                 choices.size() * sizeof(std::size_t));
 }
 
 void expect_bit_identical(const sm::ViResult& a, const sm::ViResult& b) {
     EXPECT_EQ(a.gain, b.gain);
     EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.bellman_sweeps, b.bellman_sweeps);
     EXPECT_EQ(a.span_residual, b.span_residual);
     EXPECT_EQ(a.bias, b.bias);
     EXPECT_EQ(a.policy.choices(), b.policy.choices());
@@ -273,12 +280,18 @@ std::vector<std::size_t> group_of_actions(const std::vector<NaivePair>& acts,
     return group;
 }
 
+/// value_iteration.cpp's tie tolerance and evaluation sweeps per Bellman
+/// sweep, mirrored: the reference below must make the same choices.
+constexpr double kTieTolerance = 1e-7;
+constexpr std::size_t kEvaluationSweeps = 16;
+
 /// Reference relative value iteration with no shared heads: every
 /// action folds its whole value, c/L + stay * h[s] + sum prob * h[t], in
 /// transition order, and a branchy scan keeps the first action with the
 /// smallest value. Runs exactly `sweeps` sweeps; mirrors
-/// relative_value_iteration's Jacobi and in-place Gauss–Seidel loops with
-/// reference state 0.
+/// relative_value_iteration's Jacobi and in-place Gauss–Seidel loops
+/// (with its evaluation sweeps) and the tie-robust policy extraction,
+/// with reference state 0.
 struct ReferenceVi {
     const sm::CtmdpModel& model;
     double lambda;
@@ -294,26 +307,46 @@ struct ReferenceVi {
             groups.push_back(group_of_actions(acts, shapes));
     }
 
+    /// The explicit value of action a at state s.
+    double value(const socbuf::linalg::Vector& h, std::size_t s,
+                 std::size_t a) const {
+        const NaivePair& pair = pairs[s][a];
+        double v = pair.cost + pair.stay * h[s];
+        for (const auto& [t, prob] : pair.jumps) v += prob * h[t];
+        return v;
+    }
+
     /// min over actions of the explicit value.
     void bellman(const socbuf::linalg::Vector& h, std::size_t s,
                  double& best_out, std::size_t& action_out) {
         double best = std::numeric_limits<double>::infinity();
         std::size_t best_a = 0;
         for (std::size_t a = 0; a < pairs[s].size(); ++a) {
-            const NaivePair& pair = pairs[s][a];
-            double value = pair.cost + pair.stay * h[s];
-            for (const auto& [t, prob] : pair.jumps) value += prob * h[t];
-            if (value == best)
+            const double v = value(h, s, a);
+            if (v == best)
                 ++(groups[s][a] == groups[s][best_a]
                        ? shapes.ties_within_group
                        : shapes.ties_across_groups);
-            if (value < best) {
-                best = value;
+            if (v < best) {
+                best = v;
                 best_a = a;
             }
         }
         best_out = best;
         action_out = best_a;
+    }
+
+    /// Per state, the first action within kTieTolerance of the minimum.
+    sm::DeterministicPolicy extract(const socbuf::linalg::Vector& h) const {
+        std::vector<std::size_t> policy(h.size(), 0);
+        for (std::size_t s = 0; s < h.size(); ++s) {
+            double best = std::numeric_limits<double>::infinity();
+            for (std::size_t a = 0; a < pairs[s].size(); ++a)
+                best = std::min(best, value(h, s, a));
+            while (!(value(h, s, policy[s]) <= best + kTieTolerance))
+                ++policy[s];
+        }
+        return sm::DeterministicPolicy(std::move(policy));
     }
 
     sm::ViResult jacobi(std::size_t sweeps) {
@@ -336,14 +369,16 @@ struct ReferenceVi {
         out.gain = 0.5 * (hi + lo) * lambda;
         out.span_residual = hi - lo;
         out.iterations = sweeps;
+        out.bellman_sweeps = sweeps;
         out.bias = h;
-        out.policy = sm::DeterministicPolicy(std::move(policy));
+        out.policy = extract(h);
         return out;
     }
 
     /// In place, natural order: the gain estimate is state 0's explicit
     /// value on the pre-sweep h, and every state then stores its value
-    /// minus that estimate straight into h.
+    /// minus that estimate straight into h. After every Bellman sweep,
+    /// kEvaluationSweeps sweeps of the same form for its greedy policy.
     sm::ViResult gauss_seidel(std::size_t sweeps) {
         const std::size_t n = model.state_count();
         socbuf::linalg::Vector h(n, 0.0);
@@ -351,22 +386,31 @@ struct ReferenceVi {
         sm::ViResult out;
         double g = 0.0;
         double g_prev = std::numeric_limits<double>::infinity();
-        for (std::size_t it = 0; it < sweeps; ++it) {
+        while (out.iterations < sweeps) {
             bellman(h, 0, g, policy[0]);
             double delta = 0.0;
             for (std::size_t s = 0; s < n; ++s) {
-                double value = 0.0;
-                bellman(h, s, value, policy[s]);
-                delta = std::max(delta, std::fabs(value - g - h[s]));
-                h[s] = value - g;
+                double v = 0.0;
+                bellman(h, s, v, policy[s]);
+                delta = std::max(delta, std::fabs(v - g - h[s]));
+                h[s] = v - g;
             }
             out.span_residual = std::max(delta, std::fabs(g - g_prev));
             g_prev = g;
+            ++out.iterations;
+            ++out.bellman_sweeps;
+            for (std::size_t e = 0;
+                 e < kEvaluationSweeps && out.iterations < sweeps;
+                 ++e, ++out.iterations) {
+                const double ge = value(h, 0, policy[0]);
+                for (std::size_t s = 0; s < n; ++s)
+                    h[s] = value(h, s, policy[s]) - ge;
+                g_prev = ge;
+            }
         }
         out.gain = g * lambda;
-        out.iterations = sweeps;
         out.bias = h;
-        out.policy = sm::DeterministicPolicy(std::move(policy));
+        out.policy = extract(h);
         return out;
     }
 };
@@ -377,15 +421,19 @@ TEST(ValueIteration, GoldenBitsPinned) {
     // Cross-version oracle: VI must reproduce these results bit for bit,
     // so a rewrite of the Bellman kernel or the uniformized layout cannot
     // silently change the fold order. Serial and 4-worker runs must both
-    // hit the same pin. The Jacobi rows were recorded with the per-pair
-    // full-fold kernel, the Gauss–Seidel rows with the in-place sweep; do
-    // not regenerate them to make a kernel change pass.
+    // hit the same pin. The Jacobi rows' gain, residual, sweeps and bias
+    // were recorded with the per-pair full-fold kernel, their policies
+    // and the Gauss–Seidel rows with the tie-robust extraction and the
+    // in-place sweep with evaluation sweeps; do not regenerate them to
+    // make a kernel change pass.
     struct Golden {
         const char* name;
         double gain;
         double span_residual;
         std::size_t iterations;
-        std::uint64_t digest;  // bias_policy_digest
+        std::size_t bellman_sweeps;
+        std::uint64_t bias;    // bias_digest
+        std::uint64_t policy;  // policy_digest
     };
     static const Golden golden[] = {
 #include "vi_golden.inc"
@@ -429,12 +477,14 @@ TEST(ValueIteration, GoldenBitsPinned) {
                 }
                 const auto got =
                     sm::relative_value_iteration(model, run_options);
-                const std::uint64_t digest = bias_policy_digest(got);
+                const std::uint64_t bias = bias_digest(got);
+                const std::uint64_t policy = policy_digest(got);
                 std::ostringstream record;
                 record << std::hexfloat << "{\"" << name << "\", "
                        << got.gain << ", " << got.span_residual << ", "
-                       << std::dec << got.iterations << ", 0x" << std::hex
-                       << digest << "ULL},";
+                       << std::dec << got.iterations << ", "
+                       << got.bellman_sweeps << ", 0x" << std::hex << bias
+                       << "ULL, 0x" << policy << "ULL},";
                 const std::string context =
                     name + (fanned ? " fanned x4" : " serial") +
                     "; got " + record.str();
@@ -442,7 +492,9 @@ TEST(ValueIteration, GoldenBitsPinned) {
                 EXPECT_EQ(got.gain, want.gain) << context;
                 EXPECT_EQ(got.span_residual, want.span_residual) << context;
                 EXPECT_EQ(got.iterations, want.iterations) << context;
-                EXPECT_EQ(digest, want.digest) << context;
+                EXPECT_EQ(got.bellman_sweeps, want.bellman_sweeps) << context;
+                EXPECT_EQ(bias, want.bias) << context;
+                EXPECT_EQ(policy, want.policy) << context;
             }
         }
     }
@@ -501,6 +553,35 @@ TEST(ValueIteration, MatchesTheNaiveReferenceOnIrregularLayouts) {
     EXPECT_GT(reached.mixed_tail_groups, 0u);
     EXPECT_GT(reached.ties_within_group, 0u);
     EXPECT_GT(reached.ties_across_groups, 0u);
+}
+
+TEST(ValueIteration, AnExactTieResolvesToTheFirstActionInEitherSweep) {
+    // State 0 serves one of two mirrored queues, 1 and 2, whose jumps are
+    // listed in opposite orders: the two actions tie in exact arithmetic,
+    // but the in-place sweep's asymmetric trajectory leaves the computed
+    // h(1) and h(2) about 2e-8 apart (the strict argmin picked action 1
+    // under Gauss–Seidel). The tie-robust policy takes the first
+    // action in model order under both sweeps.
+    sm::CtmdpBuilder b(3);
+    b.add_action(0, {{1, 1.0}}, 1.0);
+    b.add_action(0, {{2, 1.0}}, 1.0);
+    b.add_action(1, {{0, 0.3}, {2, 0.7}}, 0.5);
+    b.add_action(2, {{1, 0.7}, {0, 0.3}}, 0.5);
+    const auto model = std::move(b).freeze();
+    for (const auto sweep : {sm::ViSweep::kJacobi, sm::ViSweep::kGaussSeidel}) {
+        sm::ViOptions options;
+        options.sweep = sweep;
+        options.tolerance = 1e-7;
+        const auto r = sm::relative_value_iteration(model, options);
+        const char* name =
+            sweep == sm::ViSweep::kJacobi ? "jacobi" : "gauss-seidel";
+        ASSERT_TRUE(r.converged) << name;
+        // Under Gauss–Seidel the tie is not bitwise.
+        if (sweep == sm::ViSweep::kGaussSeidel) {
+            EXPECT_NE(r.bias[1], r.bias[2]) << name;
+        }
+        EXPECT_EQ(r.policy.action(0), 0u) << name;
+    }
 }
 
 TEST(ValueIteration, UnconvergedGainIsTheSpanMidpoint) {
@@ -577,8 +658,9 @@ TEST(GaussSeidel, MatchesJacobiGainOnPresetSubsystems) {
 TEST(GaussSeidel, CutsSweepsByAThirdOnTheClusterBus) {
     // The acceleration claim on the wide-band np family (2187 states):
     // the in-place sweep needs at most two thirds of Jacobi's sweep count
-    // at the engine's VI-rung tolerance (412 against 673). Both solvers
-    // are deterministic, so the pin cannot flake.
+    // at the engine's VI-rung tolerance, counting its evaluation sweeps
+    // (426, 26 of them Bellman sweeps, against 673). Both solvers are
+    // deterministic, so the pin cannot flake.
     const auto model = np_ingress_model(6, 2);
     ASSERT_EQ(model.state_count(), 2187u);
     sm::ViOptions jacobi;
@@ -593,6 +675,30 @@ TEST(GaussSeidel, CutsSweepsByAThirdOnTheClusterBus) {
     ASSERT_TRUE(rg.converged);
     EXPECT_NEAR(rg.gain, rj.gain, 1e-5);
     EXPECT_LE(3 * rg.iterations, 2 * rj.iterations);
+}
+
+TEST(GaussSeidel, EvaluationSweepsCarryTheClusterBus) {
+    // On the 16384-state cluster bus (vi-cluster's) at the engine's
+    // tolerance, most sweeps are evaluation sweeps of a fixed policy:
+    // at most one in eight is a full Bellman sweep. The gain still meets
+    // Jacobi's, and both return the same tie-robust policy.
+    const auto model = np_ingress_model(6, 3);
+    ASSERT_EQ(model.state_count(), 16384u);
+    sm::ViOptions jacobi;
+    jacobi.sweep = sm::ViSweep::kJacobi;
+    jacobi.tolerance = 1e-7;
+    jacobi.max_iterations = 50000;
+    auto gs = jacobi;
+    gs.sweep = sm::ViSweep::kGaussSeidel;
+    const auto rj = sm::relative_value_iteration(model, jacobi);
+    const auto rg = sm::relative_value_iteration(model, gs);
+    ASSERT_TRUE(rj.converged);
+    ASSERT_TRUE(rg.converged);
+    EXPECT_EQ(rj.bellman_sweeps, rj.iterations);
+    EXPECT_LE(rg.bellman_sweeps * 8, rg.iterations)
+        << rg.bellman_sweeps << " Bellman sweeps of " << rg.iterations;
+    EXPECT_NEAR(rg.gain, rj.gain, 1e-6);
+    EXPECT_EQ(rg.policy.choices(), rj.policy.choices());
 }
 
 TEST(GaussSeidel, DeterministicAtEveryWidth) {
@@ -632,15 +738,17 @@ TEST(Occupation, GoldenBitsPinned) {
     };
     static const Golden golden[] = {
         {"figure1 bus b cap 4/lp", 0xaf5fc102b2d6b7d3ULL, 0x1.83883c9a12954p-4},
-        {"np_ingress(4,3)/vi", 0xe36971ac2349aa12ULL, 0x1.6fbe1a265e4e6p-3},
+        {"np_ingress(4,3)/vi", 0xb63031860610086ULL, 0x1.6fbe1a265e4e2p-3},
     };
     const auto& bus_b = figure1_bus_b();
     std::vector<double> bus_b_rates;
     for (const auto& f : bus_b.flows) bus_b_rates.push_back(f.arrival_rate);
     sm::DispatchOptions lp;
     lp.choice = sm::SolverChoice::kLp;
-    // The Jacobi policy: the golden isolates the stationary pass from
-    // the VI sweep, whose near-tied argmins may pick another policy.
+    // The Jacobi policy, whose bias bits are pinned above; its
+    // tie-robust policy is the Gauss–Seidel one too. The "/vi" row was
+    // re-recorded when VI policies became tie-robust: one state's action
+    // moved between near-tied actions.
     sm::DispatchOptions vi;
     vi.choice = sm::SolverChoice::kValueIteration;
     vi.solver.vi.sweep = sm::ViSweep::kJacobi;
