@@ -20,12 +20,11 @@
 //
 // Everything runs through the socbuf::Session facade (one object owning
 // the executor and the registry) — the same entry point socbuf_cli and
-// the experiment drivers use. `--json <file>` writes the same rows —
-// cached vs uncached, threads 1/2/4 — as one JSON document (the
+// the Figure 3 / Table 1 benches use. `--json <file>` writes the same
+// rows — cached vs uncached, threads 1/2/4 — as one JSON document (the
 // perf-trajectory format under BENCH_*.json); the google-benchmark loop
 // is skipped in that mode.
 #include "exec/executor.hpp"
-#include "scenario/builder.hpp"
 #include "scenario/scenario.hpp"
 #include "session/session.hpp"
 #include "util/json.hpp"
@@ -47,19 +46,18 @@ namespace {
 using socbuf::Session;
 using socbuf::SessionOptions;
 using socbuf::scenario::BatchReport;
-using socbuf::scenario::ScenarioBuilder;
 using socbuf::scenario::ScenarioSpec;
 
 /// The np-baseline budget sweep (Table 1's rows) at a bench-friendly
 /// horizon: 3 sizing jobs + 3 x reps evaluation jobs per run.
 ScenarioSpec sweep_spec() {
-    return ScenarioBuilder("np-budget-sweep")
-        .budgets({160, 320, 640})
-        .replications(5)
-        .sizing_iterations(6)
-        .horizon(2000.0, 200.0)
-        .seed(2005)
-        .build();
+    ScenarioSpec spec =
+        socbuf::scenario::ScenarioRegistry().get("np-baseline");
+    spec.replications = 5;
+    spec.sizing_iterations = 6;
+    spec.sim.horizon = 2000.0;
+    spec.sim.warmup = 200.0;
+    return spec;
 }
 
 double seconds_of(const std::function<void()>& body) {

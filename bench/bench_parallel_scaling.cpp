@@ -1,13 +1,14 @@
 // A9 — parallel execution backbone: wall-clock scaling and determinism of
 // the exec layer on the Figure 3 workload. Two claims are measured:
 //
-//   1. determinism — run_figure3 with threads = 1, 2, 4 produces
-//      bit-identical totals (each replication owns its RNG substream and
-//      results are folded in index order), and the fanned timeout
-//      calibration produces bit-identical thresholds at every width,
+//   1. determinism — the `figure3` preset (scaled down) run at
+//      threads = 1, 2, 4 produces bit-identical totals (each replication
+//      owns its RNG substream and results are folded in index order),
+//      and the fanned timeout calibration produces bit-identical
+//      thresholds at every width,
 //   2. speedup — the replication sweep, the timeout-calibration fan-out
 //      (calibrate x8: eight independent no-timeout sims averaged into
-//      the per-site thresholds) and the full driver get faster with more
+//      the per-site thresholds) and the full run get faster with more
 //      workers (on multi-core hardware; a 1-core container shows ~1x,
 //      which the table makes obvious rather than hiding).
 //
@@ -17,11 +18,11 @@
 // threads 1/2/4, with a per-row bit-identity flag against the one-thread
 // solve. The google-benchmark loop is skipped in that mode.
 #include "arch/presets.hpp"
-#include "core/experiments.hpp"
 #include "core/subsystem_model.hpp"
 #include "ctmdp/solver.hpp"
 #include "exec/executor.hpp"
 #include "exec/thread_pool.hpp"
+#include "session/session.hpp"
 #include "sim/simulator.hpp"
 #include "split/splitter.hpp"
 #include "util/json.hpp"
@@ -38,14 +39,13 @@
 
 namespace {
 
-socbuf::core::Figure3Params scaled_params(std::size_t threads) {
-    socbuf::core::Figure3Params p;
-    p.horizon = 2000.0;
-    p.warmup = 200.0;
-    p.replications = 10;  // the paper's 10 repetitions
-    p.sizing_iterations = 6;
-    p.threads = threads;
-    return p;
+/// The Figure 3 preset at half the paper's horizon.
+socbuf::scenario::ScenarioSpec scaled_figure3(const socbuf::Session& session) {
+    auto spec = session.registry().get("figure3");
+    spec.sim.horizon = 2000.0;
+    spec.sim.warmup = 200.0;
+    spec.sizing_iterations = 6;
+    return spec;
 }
 
 double seconds_of(const std::function<void()>& body) {
@@ -73,7 +73,7 @@ void print_scaling(socbuf::util::JsonValue* json_rows) {
         10);
 
     socbuf::util::Table t({"threads", "replicate_losses [s]",
-                           "calibrate x8 [s]", "run_figure3 [s]",
+                           "calibrate x8 [s]", "figure3 [s]",
                            "resized total", "identical"});
     double rep_base = 0.0;
     double cal_base = 0.0;
@@ -96,19 +96,22 @@ void print_scaling(socbuf::util::JsonValue* json_rows) {
             calibration = socbuf::sim::calibrate_timeout(system, alloc, cfg,
                                                          4.0, executor, 8);
         });
-        socbuf::core::Figure3Result fig;
-        const double fig_s = seconds_of(
-            [&] { fig = socbuf::core::run_figure3(scaled_params(threads)); });
+        double resized_total = 0.0;
+        const double fig_s = seconds_of([&] {
+            socbuf::Session session({threads});
+            resized_total =
+                session.run(scaled_figure3(session)).runs.front().post_total;
+        });
         if (first) {
             rep_base = rep_s;
             cal_base = cal_s;
             fig_base = fig_s;
-            reference_total = fig.resized_total;
+            reference_total = resized_total;
             reference_calibration = calibration;
             first = false;
         }
         const bool identical =
-            fig.resized_total == reference_total &&
+            resized_total == reference_total &&
             calibration.global_threshold ==
                 reference_calibration.global_threshold &&
             calibration.site_thresholds ==
@@ -120,7 +123,7 @@ void print_scaling(socbuf::util::JsonValue* json_rows) {
                        socbuf::util::format_fixed(cal_base / cal_s, 2) + "x)",
                    socbuf::util::format_fixed(fig_s, 3) + " (" +
                        socbuf::util::format_fixed(fig_base / fig_s, 2) + "x)",
-                   socbuf::util::format_fixed(fig.resized_total, 6),
+                   socbuf::util::format_fixed(resized_total, 6),
                    identical ? "yes" : "NO"});
         if (json_rows != nullptr) {
             auto row = socbuf::util::JsonValue::object();
@@ -128,7 +131,7 @@ void print_scaling(socbuf::util::JsonValue* json_rows) {
             row.set("replicate_losses_s", rep_s);
             row.set("calibrate_s", cal_s);
             row.set("run_figure3_s", fig_s);
-            row.set("resized_total", fig.resized_total);
+            row.set("resized_total", resized_total);
             row.set("identical", identical);
             json_rows->push_back(std::move(row));
         }

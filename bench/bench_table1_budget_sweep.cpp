@@ -1,8 +1,8 @@
 // E4 — Table 1: loss before/after CTMDP resizing under total buffer
-// budgets 160, 320 and 640. The paper highlights processors 1, 4, 15 and
-// 16; we print those rows in the paper's layout plus the full per-budget
-// totals.
-#include "core/experiments.hpp"
+// budgets 160, 320 and 640 — the `np-baseline` catalog preset. The paper
+// highlights processors 1, 4, 15 and 16; we print those rows in the
+// paper's layout plus the full per-budget totals.
+#include "session/session.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -13,33 +13,36 @@
 namespace {
 
 void print_table1() {
-    socbuf::core::Table1Params params;  // paper-scale defaults
-    const auto r = socbuf::core::run_table1(params);
+    socbuf::Session session({1});
+    const auto spec = session.registry().get("np-baseline");
+    const auto report = session.run(spec);
 
     std::printf("\n=== Table 1: loss under varying total buffer size "
                 "(%zu replications) ===\n",
-                params.replications);
+                spec.replications);
     std::vector<std::string> headers{"PROCESSOR"};
-    for (const auto& row : r.rows) {
-        headers.push_back("Buf" + std::to_string(row.budget) + " pre");
-        headers.push_back("Buf" + std::to_string(row.budget) + " post");
+    for (const auto& run : report.runs) {
+        headers.push_back("Buf" + std::to_string(run.budget) + " pre");
+        headers.push_back("Buf" + std::to_string(run.budget) + " post");
     }
     socbuf::util::Table t(headers);
-    for (const std::size_t display : r.highlighted) {
+    // The processors the paper's Table 1 highlights (display ids).
+    constexpr std::size_t kHighlighted[] = {1, 4, 15, 16};
+    for (const std::size_t display : kHighlighted) {
         std::vector<std::string> cells{std::to_string(display)};
-        for (const auto& row : r.rows) {
+        for (const auto& run : report.runs) {
             cells.push_back(
-                socbuf::util::format_fixed(row.pre[display - 1], 0));
+                socbuf::util::format_fixed(run.pre_loss[display - 1], 0));
             cells.push_back(
-                socbuf::util::format_fixed(row.post[display - 1], 0));
+                socbuf::util::format_fixed(run.post_loss[display - 1], 0));
         }
         t.add_row(std::move(cells));
     }
     {
         std::vector<std::string> cells{"TOTAL(all)"};
-        for (const auto& row : r.rows) {
-            cells.push_back(socbuf::util::format_fixed(row.pre_total, 0));
-            cells.push_back(socbuf::util::format_fixed(row.post_total, 0));
+        for (const auto& run : report.runs) {
+            cells.push_back(socbuf::util::format_fixed(run.pre_total, 0));
+            cells.push_back(socbuf::util::format_fixed(run.post_total, 0));
         }
         t.add_row(std::move(cells));
     }
@@ -50,14 +53,15 @@ void print_table1() {
 }
 
 void BM_Table1SingleBudget(benchmark::State& state) {
-    socbuf::core::Table1Params params;
-    params.budgets = {state.range(0)};
-    params.horizon = 1200.0;
-    params.warmup = 120.0;
-    params.replications = 2;
-    params.sizing_iterations = 3;
+    socbuf::Session session({1});
+    auto spec = session.registry().get("np-baseline");
+    spec.budgets = {state.range(0)};
+    spec.sim.horizon = 1200.0;
+    spec.sim.warmup = 120.0;
+    spec.replications = 2;
+    spec.sizing_iterations = 3;
     for (auto _ : state) {
-        auto r = socbuf::core::run_table1(params);
+        auto r = session.run(spec);
         benchmark::DoNotOptimize(r);
     }
 }

@@ -1,10 +1,8 @@
-// Scenarios as data, end to end: build a spec with the fluent
-// ScenarioBuilder, serialize it to JSON, load it back through a
-// registry, and run both through one socbuf::Session — proving the file
-// trip changes nothing.
+// Scenarios as data, end to end: define a spec as a plain struct,
+// serialize it to JSON, load it back through a registry, and run both
+// through one socbuf::Session — proving the file trip changes nothing.
 //
 //   $ ./scenario_catalog
-#include "scenario/builder.hpp"
 #include "scenario/scenario_io.hpp"
 #include "session/session.hpp"
 
@@ -13,24 +11,24 @@
 int main() {
     using namespace socbuf;
 
-    // 1. Define a small load sweep fluently — build() validates, so a
-    //    malformed chain fails here, not mid-batch.
+    // 1. Define a small load sweep field by field; validate() checks it
+    //    here, so a malformed spec fails now, not mid-batch.
     arch::NetworkProcessorParams light;
     light.load_scale = 0.8;
     arch::NetworkProcessorParams heavy;
     heavy.load_scale = 1.15;
-    scenario::ScenarioSpec sweep =
-        scenario::ScenarioBuilder("example-load-sweep")
-            .description("80%/115% offered load on the network processor")
-            .testbench(scenario::Testbench::kNetworkProcessor)
-            .variant("load=0.80", light)
-            .variant("load=1.15", heavy)
-            .budgets({160})
-            .replications(2)
-            .sizing_iterations(3)
-            .horizon(600.0, 60.0)
-            .seed(7)
-            .build();
+    scenario::ScenarioSpec sweep;
+    sweep.name = "example-load-sweep";
+    sweep.description = "80%/115% offered load on the network processor";
+    sweep.testbench = scenario::Testbench::kNetworkProcessor;
+    sweep.variants = {{"load=0.80", light}, {"load=1.15", heavy}};
+    sweep.budgets = {160};
+    sweep.replications = 2;
+    sweep.sizing_iterations = 3;
+    sweep.sim.horizon = 600.0;
+    sweep.sim.warmup = 60.0;
+    sweep.sim.seed = 7;
+    sweep.validate();
 
     // 2. The spec is data: dump it, parse it back, and verify the round
     //    trip is exact (the scenario_io contract).
@@ -54,7 +52,7 @@ int main() {
 
     // 4. The whole built-in catalog is exportable the same way
     //    (socbuf_cli export --all writes scenarios/*.json from this).
-    const auto catalog = session.export_catalog();
+    const auto catalog = scenario::catalog_to_json(session.registry().specs());
     std::printf("\nexportable catalog: %zu presets, %zu bytes of JSON\n",
                 catalog.at("scenarios").size(), catalog.dump(2).size());
     return 0;

@@ -1,6 +1,5 @@
 #include "core/modulated_model.hpp"
 
-#include "core/subsystem_model.hpp"
 #include "util/contracts.hpp"
 
 #include <algorithm>
@@ -178,17 +177,6 @@ std::vector<double> ModulatedSubsystemCtmdp::service_shares(
     if (total > 0.0)
         for (double& v : shares) v /= total;
     return shares;
-}
-
-std::vector<ModulatedSubsystemCtmdp> build_modulated_models(
-    const split::SplitResult& split, const std::vector<long>& allocation,
-    long model_cap, const std::vector<double>& measured_site_rates) {
-    std::vector<ModulatedSubsystemCtmdp> out;
-    out.reserve(split.subsystems.size());
-    for (std::size_t i = 0; i < split.subsystems.size(); ++i)
-        out.push_back(build_subsystem_model<ModulatedSubsystemCtmdp>(
-            split, i, allocation, model_cap, measured_site_rates));
-    return out;
 }
 
 }  // namespace socbuf::core

@@ -82,9 +82,4 @@ private:
     std::vector<std::size_t> pair_serves_;
 };
 
-/// Build one modulated model per subsystem (see core::subsystem_recipe).
-[[nodiscard]] std::vector<ModulatedSubsystemCtmdp> build_modulated_models(
-    const split::SplitResult& split, const std::vector<long>& allocation,
-    long model_cap, const std::vector<double>& measured_site_rates = {});
-
 }  // namespace socbuf::core

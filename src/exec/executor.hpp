@@ -1,8 +1,8 @@
-// The shared execution context of a batch or experiment.
+// The shared execution context of a batch.
 //
 // An Executor owns exactly one ThreadPool (spawned lazily: a serial
 // executor owns none) and is passed *down by reference* through the
-// layers — BatchRunner -> experiment drivers -> BufferSizingEngine — so
+// layers — Session -> BatchRunner -> BufferSizingEngine — so
 // one set of workers serves an entire batch instead of every engine run
 // constructing and tearing down its own pool. map() is the deterministic
 // entry point: like exec::parallel_map it returns results in index order,

@@ -5,8 +5,8 @@
 // other index; under that contract the returned vector is **bit-identical
 // for any pool size, including 1**, because results are addressed by index
 // and the caller folds them in order. This is the backbone the sizing
-// engine uses for per-subsystem CTMDP solves and the experiment drivers
-// use for per-replication simulations (each replication already owns its
+// engine uses for per-subsystem CTMDP solves and sim::replicate_losses
+// uses for per-replication simulations (each replication already owns its
 // own RNG substream: seed = base seed + replication index).
 #pragma once
 

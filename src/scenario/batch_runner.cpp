@@ -168,13 +168,12 @@ SizingOutcome run_sizing(const ScenarioSpec& spec, const SizingJob& job,
     out.vi_solves = report.vi_solves;
     out.pi_solves = report.pi_solves;
     if (spec.evaluate_timeout_policy) {
-        // Same calibration as core::run_figure3 — the scaled mean buffer
-        // wait of the constant allocation, globally and per site — but
-        // both thresholds now come from ONE set of calibration sims
-        // fanned across the shared executor (the old path simulated the
-        // identical no-timeout run twice, once per threshold), and
-        // spec.calibration_replications averages independent substreams;
-        // one replication keeps the classic calibration bit for bit.
+        // Figure 3's calibration: the scaled mean buffer wait of the
+        // constant allocation, globally and per site. Both thresholds
+        // come from ONE set of calibration sims fanned across the shared
+        // executor, and spec.calibration_replications averages
+        // independent substreams; one replication keeps the classic
+        // calibration bit for bit.
         const sim::TimeoutCalibration calibration = sim::calibrate_timeout(
             out.system, out.initial, options.sim,
             spec.timeout_threshold_scale, executor,
@@ -246,7 +245,7 @@ double estimated_sizing_cost(const ScenarioSpec& spec, std::size_t variant) {
 }
 
 /// Replication-mean fold, op-for-op the same as sim::replicate_losses so a
-/// batch row equals the legacy experiment drivers bit for bit.
+/// batch row equals a replicate_losses call bit for bit.
 void fold_replications(
     const std::vector<const std::vector<std::uint64_t>*>& per_rep_lost,
     const std::vector<std::uint64_t>& totals, std::vector<double>& mean_out,

@@ -32,7 +32,7 @@
 // Every job writes an index-addressed slot and the runner folds the slots
 // in expansion order, so a BatchReport is **bit-identical for any worker
 // count, including 1** — the same contract the exec layer gives
-// parallel_map, lifted to whole experiment batches. That covers the runs
+// parallel_map, lifted to whole batches. That covers the runs
 // *and* the solve-cache counters (each resident key is solved exactly
 // once, and every run tallies the algorithm behind each solution it
 // consumed, so neither depends on scheduling). Two fields reflect the
@@ -95,7 +95,7 @@ struct ScenarioRunResult {
     core::Allocation constant_alloc;  // uniform baseline
     core::Allocation resized_alloc;   // engine's best
 
-    // Replication means, exactly as the experiment drivers compute them.
+    // Replication means, op for op as sim::replicate_losses computes them.
     std::vector<double> pre_loss;      // per processor, constant sizing
     std::vector<double> post_loss;     // per processor, after resizing
     std::vector<double> timeout_loss;  // per processor, timeout policy

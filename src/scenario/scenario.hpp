@@ -10,9 +10,10 @@
 // (variants x budgets x replications) evaluation jobs — the unit of work
 // scenario::BatchRunner fans across a shared exec::Executor.
 //
-// ScenarioRegistry is the named-preset catalog (figure1, np-baseline, the
-// np-* sweeps); tools (socbuf_cli) and benches look scenarios up by name
-// instead of hard-coding parameters.
+// ScenarioRegistry is the named-preset catalog (figure1; np-baseline, the
+// paper's Table 1; figure3, its Figure 3; the np-* sweeps); tools
+// (socbuf_cli) and benches look scenarios up by name instead of
+// hard-coding parameters.
 #pragma once
 
 #include "arch/presets.hpp"
@@ -89,8 +90,8 @@ struct ScenarioSpec {
     /// Total buffer budgets to size under (one sizing run per budget).
     std::vector<long> budgets{320};
     /// Evaluation replications per (variant, budget); replication r
-    /// simulates with seed sim.seed + r, exactly like the experiment
-    /// drivers, so means are comparable across scenarios.
+    /// simulates with seed sim.seed + r, so means are comparable across
+    /// scenarios.
     std::size_t replications = 1;
     int sizing_iterations = 10;
     /// Replications of each sizing round's evaluation sim inside the

@@ -133,8 +133,8 @@ struct ScenarioDocument {
 
 /// One registered name as a loadable document: a scenario as its spec
 /// object, a batch preset as a catalog of its members. The single source
-/// behind Session::export_scenario and `socbuf_cli export`. Throws
-/// util::ContractViolation for unknown names.
+/// behind `socbuf_cli export`. Throws util::ContractViolation for unknown
+/// names.
 [[nodiscard]] util::JsonValue export_json(const ScenarioRegistry& registry,
                                           const std::string& name);
 

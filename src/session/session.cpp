@@ -1,7 +1,5 @@
 #include "session/session.hpp"
 
-#include "scenario/scenario_io.hpp"
-
 namespace socbuf {
 
 Session::Session(SessionOptions options)
@@ -23,29 +21,12 @@ scenario::BatchReport Session::run(
     return runner.run(specs);
 }
 
-scenario::BatchReport Session::run_batch(
-    const std::vector<std::string>& names) {
-    std::vector<scenario::ScenarioSpec> specs;
-    for (const auto& name : names)
-        for (auto& spec : registry_.expand(name))
-            specs.push_back(std::move(spec));
-    return run(specs);
-}
-
 std::size_t Session::load_file(const std::string& path) {
     return registry_.load_file(path);
 }
 
 std::size_t Session::load_text(const std::string& text) {
     return registry_.load_text(text);
-}
-
-util::JsonValue Session::export_scenario(const std::string& name) const {
-    return scenario::export_json(registry_, name);
-}
-
-util::JsonValue Session::export_catalog() const {
-    return scenario::catalog_to_json(registry_.specs());
 }
 
 }  // namespace socbuf

@@ -9,15 +9,18 @@
 // ctmdp::SolveCache, so two runs of the same workload produce
 // bit-identical reports.
 //
-// The experiment drivers (core::run_figure3 / run_table1), the benches and
-// socbuf_cli are thin clients of this facade:
+// The paper's experiments are catalog presets ("figure3", and
+// "np-baseline" for Table 1); the benches, examples and socbuf_cli are thin
+// clients of this facade:
 //
 //     socbuf::Session session;
 //     auto report = session.run("np-baseline");          // preset by name
 //     auto suite  = session.run("paper-suite");          // batch preset
-//     session.load_file("my_sweep.json");                // scenarios as data
+//     auto spec = session.registry().get("figure3");     // scenarios are
+//     spec.replications = 2;                             // plain data
+//     auto small = session.run(spec);
+//     session.load_file("my_sweep.json");                // ... and files
 //     auto custom = session.run("my-sweep");
-//     auto catalog = session.export_catalog();           // everything, JSON
 //
 // Reports are bit-identical for any SessionOptions::threads value — the
 // BatchRunner determinism contract, surfaced at the facade.
@@ -26,7 +29,6 @@
 #include "exec/executor.hpp"
 #include "scenario/batch_runner.hpp"
 #include "scenario/scenario.hpp"
-#include "util/json.hpp"
 
 #include <cstddef>
 #include <string>
@@ -61,13 +63,9 @@ public:
     [[nodiscard]] scenario::BatchReport run(const std::string& name);
     /// Run an ad-hoc spec (validated by the runner).
     [[nodiscard]] scenario::BatchReport run(const scenario::ScenarioSpec& spec);
-    /// Run ad-hoc specs as one batch.
+    /// Run ad-hoc specs as one batch (registry().expand resolves names).
     [[nodiscard]] scenario::BatchReport run(
         const std::vector<scenario::ScenarioSpec>& specs);
-    /// Run several registered names (scenarios and/or batch presets) as
-    /// one batch, expanded in argument order.
-    [[nodiscard]] scenario::BatchReport run_batch(
-        const std::vector<std::string>& names);
 
     /// Register every scenario in a scenario_io JSON file; returns how
     /// many were added. Throws scenario::ScenarioIoError (naming the JSON
@@ -75,14 +73,6 @@ public:
     std::size_t load_file(const std::string& path);
     /// As load_file, on raw JSON text.
     std::size_t load_text(const std::string& text);
-
-    /// One scenario (or batch preset, as a catalog document) as JSON —
-    /// loadable back via load_file/load_text.
-    [[nodiscard]] util::JsonValue export_scenario(
-        const std::string& name) const;
-    /// Every registered scenario as one catalog document
-    /// {"scenarios": [...]}.
-    [[nodiscard]] util::JsonValue export_catalog() const;
 
 private:
     SessionOptions options_;

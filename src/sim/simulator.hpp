@@ -72,12 +72,12 @@ struct TimeoutCalibration {
     std::size_t replications);
 
 /// Average `runs` independent replications (seeds seed, seed+1, ...) and
-/// return per-processor mean loss counts; used by the experiment drivers
-/// for smoother Figure 3 / Table 1 rows. Replications are independent —
-/// each owns its RNG substream (seed = base seed + replication index) —
-/// so they run on `threads` workers (0 = hardware concurrency) and are
-/// folded in replication order: the result is bit-identical for any
-/// thread count, including 1.
+/// return per-processor mean loss counts (the batch runner folds its
+/// evaluation replications op for op the same way). Replications are
+/// independent — each owns its RNG substream (seed = base seed +
+/// replication index) — so they run on `threads` workers (0 = hardware
+/// concurrency) and are folded in replication order: the result is
+/// bit-identical for any thread count, including 1.
 struct ReplicatedLosses {
     std::vector<double> mean_lost_per_processor;
     std::vector<double> stddev_lost_per_processor;

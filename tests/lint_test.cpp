@@ -171,11 +171,6 @@ TEST(LintLayering, RankTableMatchesTheRoadmapDag) {
     EXPECT_EQ(layer_rank("src/core/engine.hpp"), 5);
     EXPECT_EQ(layer_rank("src/scenario/scenario.hpp"), 6);
     EXPECT_EQ(layer_rank("src/session/session.hpp"), 7);
-    // The experiments drivers are the ROADMAP's topmost layer even
-    // though they live under src/core/.
-    EXPECT_EQ(layer_rank("src/core/experiments.cpp"), 8);
-    EXPECT_GT(layer_rank("src/core/experiments.cpp"),
-              layer_rank("src/session/session.hpp"));
     // tools/bench/examples sit above every layer.
     EXPECT_EQ(layer_rank("tools/socbuf_cli.cpp"), -1);
     EXPECT_EQ(layer_rank("bench/bench_batch_scenarios.cpp"), -1);
@@ -225,12 +220,6 @@ TEST(LintLayering, UpwardAndSidewaysIncludesFire) {
     ASSERT_EQ(sideways.size(), 1u);
     EXPECT_EQ(sideways[0].rule, "layering");
     EXPECT_NE(sideways[0].message.find("same-rank"), std::string::npos);
-
-    // Nothing below the scenario stack may reach the experiments layer.
-    const std::vector<Diagnostic> experiments = lint_snippet(
-        "src/core/x.cpp", "#include \"core/experiments.hpp\"\n");
-    ASSERT_EQ(experiments.size(), 1u);
-    EXPECT_EQ(experiments[0].rule, "layering");
 }
 
 TEST(LintDeterminism, ScopeExemptionsHold) {

@@ -153,11 +153,13 @@ TEST(ModulatedModel, MarginalsAndSharesAreDistributions) {
 TEST(ModulatedModel, BuilderClampsAndValidates) {
     const auto& split = figure1_split();
     const auto alloc = sc::uniform_allocation(split, 36);
-    const auto models = sc::build_modulated_models(split, alloc, 2);
-    EXPECT_EQ(models.size(), split.subsystems.size());
-    for (const auto& m : models)
+    for (std::size_t i = 0; i < split.subsystems.size(); ++i) {
+        const auto m = sc::build_subsystem_model<sc::ModulatedSubsystemCtmdp>(
+            split, i, alloc, 2);
         for (const long c : m.caps()) EXPECT_LE(c, 2);
-    EXPECT_THROW(sc::build_modulated_models(split, {1, 2}, 2),
+    }
+    EXPECT_THROW((void)sc::build_subsystem_model<sc::ModulatedSubsystemCtmdp>(
+                     split, 0, {1, 2}, 2),
                  socbuf::util::ContractViolation);
 }
 

@@ -1,13 +1,10 @@
 #include "ctmc/birth_death.hpp"
-#include "queueing/erlang.hpp"
 #include "queueing/mm1k.hpp"
-#include "queueing/multiclass.hpp"
 #include "util/contracts.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numeric>
 
 namespace sq = socbuf::queueing;
 
@@ -61,62 +58,10 @@ TEST(Mm1k, RejectsBadArguments) {
                  socbuf::util::ContractViolation);
 }
 
-TEST(ErlangB, KnownValues) {
-    // Classic table entries: B(1, 1) = 0.5; B(2, 2) = 0.4.
-    EXPECT_NEAR(sq::erlang_b(1, 1.0), 0.5, 1e-12);
-    EXPECT_NEAR(sq::erlang_b(2, 2.0), 0.4, 1e-12);
-    EXPECT_NEAR(sq::erlang_b(0, 3.0), 1.0, 1e-12);
-}
-
-TEST(ErlangB, MatchesMm1BlockingWhenSingleServerNoWaiting) {
-    // M/M/1/1 blocking = rho/(1+rho) = Erlang-B with 1 server.
+TEST(Mm1k, SingleSlotBlockingIsRhoOverOnePlusRho) {
+    // M/M/1/1 (no waiting room) blocks with probability rho/(1+rho),
+    // the one-server Erlang-B value.
     const double rho = 0.7;
     const auto m = sq::analyze_mm1k(rho, 1.0, 1);
-    EXPECT_NEAR(m.blocking_probability, sq::erlang_b(1, rho), 1e-12);
-}
-
-TEST(ErlangB, ServerSearchIsMinimal) {
-    const std::size_t c = sq::erlang_b_servers_for(10.0, 0.01);
-    EXPECT_LE(sq::erlang_b(c, 10.0), 0.01);
-    EXPECT_GT(sq::erlang_b(c - 1, 10.0), 0.01);
-}
-
-TEST(Multiclass, SingleClassReducesToMm1k) {
-    const sq::FlowLoad f{0.8, 6, 1.0};
-    const auto out = sq::approximate_shared_server({f}, 1.0);
-    const auto exact = sq::analyze_mm1k(0.8, 1.0, 6);
-    EXPECT_NEAR(out.loss_rate[0], exact.loss_rate, 1e-12);
-    EXPECT_NEAR(out.blocking[0], exact.blocking_probability, 1e-12);
-    EXPECT_NEAR(out.total_loss_rate, exact.loss_rate, 1e-12);
-}
-
-TEST(Multiclass, ZeroRateFlowHasNoLoss) {
-    const auto out = sq::approximate_shared_server(
-        {{0.0, 4, 1.0}, {0.9, 4, 1.0}}, 1.0);
-    EXPECT_DOUBLE_EQ(out.loss_rate[0], 0.0);
-    EXPECT_GT(out.loss_rate[1], 0.0);
-}
-
-TEST(Multiclass, WeightsScaleWeightedLoss) {
-    const auto flows = std::vector<sq::FlowLoad>{{0.9, 3, 2.0}, {0.9, 3, 1.0}};
-    const auto out = sq::approximate_shared_server(flows, 1.5);
-    EXPECT_NEAR(out.weighted_loss_rate,
-                2.0 * out.loss_rate[0] + 1.0 * out.loss_rate[1], 1e-12);
-}
-
-TEST(Multiclass, DemandAllocationExhaustsBudgetAndFavorsLoad) {
-    const std::vector<sq::FlowLoad> flows{{0.2, 1, 1.0}, {1.4, 1, 1.0},
-                                          {0.7, 1, 1.0}};
-    const auto alloc = sq::demand_proportional_allocation(flows, 2.5, 24);
-    EXPECT_EQ(std::accumulate(alloc.begin(), alloc.end(), 0L), 24);
-    for (long a : alloc) EXPECT_GE(a, 1);
-    // The heaviest flow needs the deepest buffer.
-    EXPECT_GT(alloc[1], alloc[0]);
-    EXPECT_GT(alloc[1], alloc[2]);
-}
-
-TEST(Multiclass, AllocationRequiresRoomForFloors) {
-    const std::vector<sq::FlowLoad> flows{{0.5, 1, 1.0}, {0.5, 1, 1.0}};
-    EXPECT_THROW(sq::demand_proportional_allocation(flows, 1.0, 1),
-                 socbuf::util::ContractViolation);
+    EXPECT_NEAR(m.blocking_probability, rho / (1.0 + rho), 1e-12);
 }

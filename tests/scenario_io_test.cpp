@@ -1,7 +1,5 @@
 // The scenario JSON schema: round-trip fidelity for every built-in
-// preset, strict validation with path-naming diagnostics, and the
-// builder that replaces aggregate-initialization sprawl.
-#include "scenario/builder.hpp"
+// preset and strict validation with path-naming diagnostics.
 #include "scenario/scenario.hpp"
 #include "scenario/scenario_io.hpp"
 #include "util/contracts.hpp"
@@ -56,25 +54,27 @@ TEST(ScenarioIo, EveryPresetRoundTripsBitIdentically) {
 TEST(ScenarioIo, RoundTripCoversEveryKnob) {
     // A spec with every field off its default — catches a to_json that
     // forgets a field (the round trip would silently reseat the default).
-    ss::ScenarioSpec spec =
-        ss::ScenarioBuilder("everything")
-            .description("all knobs off-default")
-            .testbench(ss::Testbench::kNetworkProcessor)
-            .variant("a", {3, 1.5, 0.75, {}, true})
-            .variant("b", {4, 1.0, 1.0, {2, 3, 4, 5}, false})
-            .budgets({17, 40})
-            .replications(3)
-            .sizing_iterations(5)
-            .sizing_eval_replications(2)
-            .solver(socbuf::core::SolverChoice::kValueIteration)
-            .modulated_models()
-            .timeout_policy(2.5)
-            .calibration_replications(4)
-            .insertion({true, {"bf:b>f", "bg:b>g"}, 2.0, 3.0, 6})
-            .horizon(900.0, 90.0)
-            .seed(123456789)
-            .arbiter(socbuf::sim::ArbiterKind::kLongestQueue)
-            .build();
+    ss::ScenarioSpec spec;
+    spec.name = "everything";
+    spec.description = "all knobs off-default";
+    spec.testbench = ss::Testbench::kNetworkProcessor;
+    spec.variants = {{"a", {3, 1.5, 0.75, {}, true}},
+                     {"b", {4, 1.0, 1.0, {2, 3, 4, 5}, false}}};
+    spec.budgets = {17, 40};
+    spec.replications = 3;
+    spec.sizing_iterations = 5;
+    spec.sizing_eval_replications = 2;
+    spec.solver = socbuf::core::SolverChoice::kValueIteration;
+    spec.use_modulated_models = true;
+    spec.evaluate_timeout_policy = true;
+    spec.timeout_threshold_scale = 2.5;
+    spec.calibration_replications = 4;
+    spec.insertion = {true, {"bf:b>f", "bg:b>g"}, 2.0, 3.0, 6};
+    spec.sim.horizon = 900.0;
+    spec.sim.warmup = 90.0;
+    spec.sim.seed = 123456789;
+    spec.sim.arbiter = socbuf::sim::ArbiterKind::kLongestQueue;
+    spec.validate();
     EXPECT_TRUE(round_trip(spec) == spec);
 }
 
@@ -387,37 +387,6 @@ TEST(ScenarioIo, RegistryLoadsTextFilesAndMerges) {
 
     EXPECT_THROW((void)from_file.load_file("definitely_not_here.json"),
                  ss::ScenarioIoError);
-}
-
-TEST(ScenarioBuilder, BuildsValidatedSpecs) {
-    const ss::ScenarioSpec spec = ss::ScenarioBuilder("built")
-                                      .description("builder walk")
-                                      .testbench(ss::Testbench::kFigure1)
-                                      .budgets({12, 18})
-                                      .replications(2)
-                                      .sizing_iterations(3)
-                                      .horizon(600.0, 60.0)
-                                      .seed(7)
-                                      .build();
-    EXPECT_EQ(spec.name, "built");
-    EXPECT_EQ(spec.budgets.size(), 2u);
-    EXPECT_EQ(spec.sim.warmup, 60.0);
-    EXPECT_EQ(spec.sim.seed, 7u);
-    // Default warmup is 10% of the horizon.
-    EXPECT_EQ(ss::ScenarioBuilder("w").horizon(500.0).build().sim.warmup,
-              50.0);
-    // The first variant() replaces the default entry; later ones append.
-    const auto sweep = ss::ScenarioBuilder("sweep")
-                           .variant("a")
-                           .variant("b")
-                           .build();
-    ASSERT_EQ(sweep.variants.size(), 2u);
-    EXPECT_EQ(sweep.variants[0].label, "a");
-    // build() validates: a malformed chain throws, naming the contract.
-    EXPECT_THROW((void)ss::ScenarioBuilder("bad").budgets({}).build(),
-                 socbuf::util::ContractViolation);
-    EXPECT_THROW((void)ss::ScenarioBuilder("bad").replications(0).build(),
-                 socbuf::util::ContractViolation);
 }
 
 TEST(ScenarioIo, NamesRoundTripThroughEnumHelpers) {

@@ -1,4 +1,3 @@
-#include "core/experiments.hpp"
 #include "exec/executor.hpp"
 #include "scenario/batch_runner.hpp"
 #include "scenario/scenario.hpp"
@@ -10,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 namespace ss = socbuf::scenario;
 
@@ -56,16 +56,16 @@ void expect_identical(const ss::BatchReport& a, const ss::BatchReport& b) {
 TEST(ScenarioRegistry, OffersTheNamedPresets) {
     const ss::ScenarioRegistry registry;
     for (const char* name :
-         {"figure1", "np-baseline", "np-load-sweep", "np-bus-speed-sweep",
-          "np-cluster-scaling", "np-cluster-asymmetry", "np-bursty-heavy",
-          "insertion-figure1", "insertion-np-search"}) {
+         {"figure1", "np-baseline", "figure3", "np-load-sweep",
+          "np-bus-speed-sweep", "np-cluster-scaling", "np-cluster-asymmetry",
+          "np-bursty-heavy", "insertion-figure1", "insertion-np-search"}) {
         EXPECT_TRUE(registry.contains(name)) << name;
         const auto& spec = registry.get(name);
         EXPECT_EQ(spec.name, name);
         EXPECT_FALSE(spec.description.empty()) << name;
         EXPECT_NO_THROW(spec.validate()) << name;
     }
-    EXPECT_EQ(registry.size(), 9u);
+    EXPECT_EQ(registry.size(), 10u);
     // The insertion presets are the only ones with the search enabled.
     EXPECT_TRUE(registry.get("insertion-figure1").insertion.search);
     EXPECT_TRUE(registry.get("insertion-np-search").insertion.search);
@@ -73,6 +73,36 @@ TEST(ScenarioRegistry, OffersTheNamedPresets) {
     EXPECT_FALSE(registry.contains("no-such-scenario"));
     EXPECT_THROW((void)registry.get("no-such-scenario"),
                  socbuf::util::ContractViolation);
+}
+
+TEST(ScenarioRegistry, PresetsAreThePapersExperiments) {
+    // Figure 3 and Table 1 are catalog presets; these are the paper's
+    // settings, and the benches print them as they are.
+    const ss::ScenarioRegistry registry;
+    const auto expect_paper_run = [](const ss::ScenarioSpec& spec) {
+        EXPECT_EQ(spec.testbench, ss::Testbench::kNetworkProcessor)
+            << spec.name;
+        ASSERT_EQ(spec.variants.size(), 1u) << spec.name;
+        EXPECT_TRUE(spec.variants[0] == ss::ScenarioVariant{})
+            << spec.name;
+        EXPECT_EQ(spec.replications, 10u) << spec.name;
+        EXPECT_EQ(spec.sizing_iterations, 10) << spec.name;
+        EXPECT_EQ(spec.sim.horizon, 4000.0) << spec.name;
+        EXPECT_EQ(spec.sim.warmup, 400.0) << spec.name;
+        EXPECT_EQ(spec.sim.seed, 2005u) << spec.name;
+        EXPECT_FALSE(spec.insertion.search) << spec.name;
+    };
+
+    const ss::ScenarioSpec& figure3 = registry.get("figure3");
+    expect_paper_run(figure3);
+    EXPECT_EQ(figure3.budgets, std::vector<long>{320});
+    EXPECT_TRUE(figure3.evaluate_timeout_policy);
+    EXPECT_EQ(figure3.timeout_threshold_scale, 4.0);
+
+    const ss::ScenarioSpec& table1 = registry.get("np-baseline");
+    expect_paper_run(table1);
+    EXPECT_EQ(table1.budgets, (std::vector<long>{160, 320, 640}));
+    EXPECT_FALSE(table1.evaluate_timeout_policy);
 }
 
 TEST(ScenarioRegistry, SweepPresetsExpandToTheRightJobCounts) {

@@ -1,10 +1,8 @@
 // socbuf::Session — the facade contract: one object behind run /
-// run_batch / load_file / export_catalog, reports bit-identical for any
-// thread count, and a file-loaded spec indistinguishable from the
-// compiled preset.
+// load_file / registry, reports bit-identical for any thread count, and a
+// file-loaded spec indistinguishable from the compiled preset.
 #include "session/session.hpp"
 
-#include "scenario/builder.hpp"
 #include "scenario/scenario_io.hpp"
 #include "util/contracts.hpp"
 #include "util/json.hpp"
@@ -15,6 +13,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace ss = socbuf::scenario;
 using socbuf::Session;
@@ -26,31 +26,39 @@ namespace {
 /// A fast two-run scenario on the Figure 1 sample (tiny system, short
 /// horizon), as in scenario_test.
 ss::ScenarioSpec small_figure1(const std::string& name = "figure1-small") {
-    return ss::ScenarioBuilder(name)
-        .testbench(ss::Testbench::kFigure1)
-        .budgets({12, 18})
-        .replications(2)
-        .sizing_iterations(3)
-        .horizon(600.0, 60.0)
-        .seed(7)
-        .build();
+    ss::ScenarioSpec spec;
+    spec.name = name;
+    spec.testbench = ss::Testbench::kFigure1;
+    spec.budgets = {12, 18};
+    spec.replications = 2;
+    spec.sizing_iterations = 3;
+    spec.sim.horizon = 600.0;
+    spec.sim.warmup = 60.0;
+    spec.sim.seed = 7;
+    spec.validate();
+    return spec;
 }
 
 /// A network-processor scenario whose ingress-bus CTMDP lands on the VI
-/// rung past the fan gate: the default pe_per_cluster = 4 and
-/// model_cap = 3 give (3 + 1)^(4 + 1) = 1024 states, which is past
-/// kDefaultPiStateLimit (768) *and* meets the default
-/// parallel_min_states (1024) — so a multi-thread session actually runs
-/// the executor-fanned Jacobi sweep on it.
+/// rung: the default pe_per_cluster = 4 and model_cap = 3 give
+/// (3 + 1)^(4 + 1) = 1024 states, past kDefaultPiStateLimit (768). The
+/// engine runs the serial Gauss–Seidel sweep there, so what
+/// Session.MixedBatchWithViRungModelsIsThreadInvariant pins is that a
+/// batch holding a VI-rung model is width-identical; the fanned Jacobi
+/// sweep is covered by ParallelVi.* and
+/// CtmdpOracle.FannedViIsBitIdenticalAtOneTwoAndFourWorkers.
 ss::ScenarioSpec vi_rung_np(const std::string& name = "np-vi-rung") {
-    return ss::ScenarioBuilder(name)
-        .testbench(ss::Testbench::kNetworkProcessor)
-        .budgets({160})
-        .replications(2)
-        .sizing_iterations(2)
-        .horizon(400.0, 40.0)
-        .seed(11)
-        .build();
+    ss::ScenarioSpec spec;
+    spec.name = name;
+    spec.testbench = ss::Testbench::kNetworkProcessor;
+    spec.budgets = {160};
+    spec.replications = 2;
+    spec.sizing_iterations = 2;
+    spec.sim.horizon = 400.0;
+    spec.sim.warmup = 40.0;
+    spec.sim.seed = 11;
+    spec.validate();
+    return spec;
 }
 
 std::string read_file(const std::string& path) {
@@ -150,9 +158,12 @@ TEST(Session, RunBatchExpandsBatchPresetsInOrder) {
     EXPECT_EQ(suite.runs[0].scenario, "batch-a");
     EXPECT_EQ(suite.runs[2].scenario, "batch-b");
 
-    // run_batch with explicit names matches the batch preset.
-    const auto by_names = session.run_batch({"batch-a", "batch-b"});
-    EXPECT_EQ(by_names.to_json(), suite.to_json());
+    // The members expanded by name and run as one batch match the preset.
+    std::vector<ss::ScenarioSpec> specs;
+    for (const char* name : {"batch-a", "batch-b"})
+        for (auto& spec : session.registry().expand(name))
+            specs.push_back(std::move(spec));
+    EXPECT_EQ(session.run(specs).to_json(), suite.to_json());
 }
 
 TEST(Session, FreshCachePerRunKeepsReportsReproducible) {
@@ -168,7 +179,7 @@ TEST(Session, FreshCachePerRunKeepsReportsReproducible) {
 
 TEST(Session, ExportCatalogRoundTripsEveryPreset) {
     const Session session;
-    const auto catalog = session.export_catalog();
+    const auto catalog = ss::catalog_to_json(session.registry().specs());
     const auto specs = ss::specs_from_json(catalog);
     ASSERT_EQ(specs.size(), session.registry().size());
     for (std::size_t i = 0; i < specs.size(); ++i)
@@ -176,7 +187,7 @@ TEST(Session, ExportCatalogRoundTripsEveryPreset) {
             << specs[i].name;
 
     // A batch preset exports as a catalog document of its members.
-    const auto suite = session.export_scenario("paper-suite");
+    const auto suite = ss::export_json(session.registry(), "paper-suite");
     const auto members = ss::specs_from_json(suite);
     ASSERT_EQ(members.size(), 2u);
     EXPECT_EQ(members[0].name, "figure1");
@@ -203,17 +214,15 @@ TEST(Session, MixedBatchWithViRungModelsIsThreadInvariant) {
     // batch — a tiny figure-1 spec plus an np spec whose 1024-state
     // ingress-bus CTMDP takes the VI rung — reports bit-identically at
     // every width.
+    const std::vector<ss::ScenarioSpec> mixed{small_figure1("mixed-fig1"),
+                                              vi_rung_np("mixed-np")};
     Session serial({1});
-    serial.registry().add(small_figure1("mixed-fig1"));
-    serial.registry().add(vi_rung_np("mixed-np"));
-    const auto reference = serial.run_batch({"mixed-fig1", "mixed-np"});
+    const auto reference = serial.run(mixed);
     ASSERT_EQ(reference.runs.size(), 3u);  // two budgets + one
     EXPECT_GT(reference.runs[2].vi_solves, 0u);  // np spec hit the VI rung
     for (const std::size_t threads : {2UL, 4UL}) {
         Session parallel({threads});
-        parallel.registry().add(small_figure1("mixed-fig1"));
-        parallel.registry().add(vi_rung_np("mixed-np"));
-        auto got = parallel.run_batch({"mixed-fig1", "mixed-np"});
+        auto got = parallel.run(mixed);
         got.workers = reference.workers;  // the one width-reflecting field
         got.eval_overlap = reference.eval_overlap;  // diagnostics
         got.first_eval_latency_s = reference.first_eval_latency_s;

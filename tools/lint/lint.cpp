@@ -54,19 +54,7 @@ constexpr LayerEntry kLayerTable[] = {
     {"core", 5},
     {"scenario", 6},
     {"session", 7},
-    {"experiments", 8},
 };
-
-/// src/core/experiments.* is the ROADMAP's topmost layer (thin presets
-/// over scenario/session) living in the core directory; mapping it above
-/// session keeps its downward reach legal and bans everything below the
-/// scenario stack from including it.
-const char* file_module_override(const std::string& virtual_path) {
-    if (virtual_path == "src/core/experiments.hpp" ||
-        virtual_path == "src/core/experiments.cpp")
-        return "experiments";
-    return nullptr;
-}
 
 int module_rank(const std::string& module) {
     for (const LayerEntry& entry : kLayerTable)
@@ -77,8 +65,6 @@ int module_rank(const std::string& module) {
 /// Module a repo-relative path belongs to ("" when outside src/ or in an
 /// unknown src/ subdirectory).
 std::string module_of(const std::string& virtual_path) {
-    if (const char* override_module = file_module_override(virtual_path))
-        return override_module;
     if (!starts_with(virtual_path, "src/")) return "";
     const std::size_t begin = 4;
     const std::size_t end = virtual_path.find('/', begin);

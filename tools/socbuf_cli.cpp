@@ -45,7 +45,6 @@
 // error: exit code 2 with a diagnostic naming the flag or the JSON path
 // (never an uncaught parse exception).
 #include "exec/thread_pool.hpp"
-#include "scenario/builder.hpp"
 #include "scenario/scenario_io.hpp"
 #include "session/session.hpp"
 #include "util/strings.hpp"
