@@ -6,6 +6,7 @@
 #include "arch/presets.hpp"
 #include "core/allocation.hpp"
 #include "core/engine.hpp"
+#include "exec/executor.hpp"
 #include "sim/simulator.hpp"
 #include "split/splitter.hpp"
 #include "util/strings.hpp"
@@ -28,7 +29,9 @@ double total_loss(const socbuf::arch::TestSystem& system,
     cfg.horizon = kHorizon;
     cfg.warmup = kWarmup;
     cfg.seed = 2005;
-    const auto r = socbuf::sim::replicate_losses(system, alloc, cfg, reps);
+    socbuf::exec::Executor serial(1);
+    const auto r =
+        socbuf::sim::replicate_losses(system, alloc, cfg, reps, serial);
     return r.mean_total_lost;
 }
 
@@ -70,14 +73,16 @@ void print_policy_comparison() {
     // reading, buries every other effect).
     std::printf("\n=== Ablation: timeout threshold scale ===\n");
     socbuf::util::Table ts({"scale x mean wait", "total loss"});
+    socbuf::exec::Executor serial(1);
     for (const double scale : {1.0, 2.0, 4.0, 8.0}) {
         socbuf::sim::SimConfig cfg;
         cfg.horizon = kHorizon;
         cfg.warmup = kWarmup;
         cfg.seed = 2005;
         cfg.site_timeout_thresholds =
-            socbuf::sim::calibrate_site_timeout_thresholds(system, uniform,
-                                                           cfg, scale);
+            socbuf::sim::calibrate_timeout(system, uniform, cfg, scale,
+                                           serial)
+                .site_thresholds;
         cfg.timeout_enabled = true;
         const auto r = socbuf::sim::simulate(system, uniform, cfg);
         ts.add_row({socbuf::util::format_fixed(scale, 1),

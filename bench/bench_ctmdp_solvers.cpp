@@ -75,9 +75,13 @@ void print_agreement() {
     using socbuf::ctmdp::SolverChoice;
     std::printf("\n=== A1: LP vs value iteration vs policy iteration"
                 " (via SolverRegistry) ===\n");
-    socbuf::ctmdp::SolverRegistry registry;
+    const socbuf::ctmdp::SolverRegistry registry;
     socbuf::util::Table t({"cap", "states", "pairs", "LP gain", "VI gain",
                            "PI gain", "auto picks"});
+    // Per-algorithm tallies of the solutions' solved_by, indexed by
+    // SolverKind, and their switching states.
+    std::size_t solves[3] = {0, 0, 0};
+    std::size_t switching_states = 0;
     for (const long cap : {1L, 2L, 3L, 4L}) {
         const auto model = make_model(cap);
         const auto lp =
@@ -87,6 +91,10 @@ void print_agreement() {
         const auto pi = registry.solve(
             model.model(), forced(SolverChoice::kPolicyIteration));
         const auto picked = registry.select(model.model(), {});
+        for (const auto* sol : {&lp, &vi, &pi}) {
+            ++solves[static_cast<std::size_t>(sol->solved_by)];
+            switching_states += sol->switching_states;
+        }
         t.add_row({std::to_string(cap),
                    std::to_string(model.model().state_count()),
                    std::to_string(model.model().pair_count()),
@@ -96,11 +104,15 @@ void print_agreement() {
                    socbuf::ctmdp::to_string(picked)});
     }
     std::printf("%s", t.to_string().c_str());
-    const auto stats = registry.stats();
+    const auto tally = [&](socbuf::ctmdp::SolverKind kind) {
+        return solves[static_cast<std::size_t>(kind)];
+    };
     std::printf("registry stats: %zu lp / %zu vi / %zu pi solves, "
                 "%zu switching states\n",
-                stats.lp_solves, stats.vi_solves, stats.pi_solves,
-                stats.switching_states);
+                tally(socbuf::ctmdp::SolverKind::kLp),
+                tally(socbuf::ctmdp::SolverKind::kValueIteration),
+                tally(socbuf::ctmdp::SolverKind::kPolicyIteration),
+                switching_states);
 }
 
 /// Wall-clock spread of k repetitions of one measurement.

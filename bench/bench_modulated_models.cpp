@@ -7,6 +7,7 @@
 #include "core/modulated_model.hpp"
 #include "core/subsystem_model.hpp"
 #include "ctmdp/lp_solver.hpp"
+#include "exec/executor.hpp"
 #include "sim/simulator.hpp"
 #include "split/splitter.hpp"
 #include "util/strings.hpp"
@@ -65,8 +66,9 @@ void print_sizing_comparison() {
             const auto report =
                 socbuf::core::BufferSizingEngine(opts).run(sys);
             socbuf::sim::SimConfig cfg = opts.sim;
+            socbuf::exec::Executor serial(1);
             const auto eval = socbuf::sim::replicate_losses(
-                sys, report.best, cfg, 5);
+                sys, report.best, cfg, 5, serial);
             t.add_row({modulated ? "MMPP" : "Poisson",
                        occ_weight > 0.0 ? "on" : "off",
                        socbuf::util::format_fixed(eval.mean_total_lost, 1)});

@@ -4,8 +4,9 @@
 //   1. determinism — the `figure3` preset (scaled down) run at
 //      threads = 1, 2, 4 produces bit-identical totals (each replication
 //      owns its RNG substream and results are folded in index order),
-//      and the fanned timeout calibration produces bit-identical
-//      thresholds at every width,
+//      and the replication sweep's per-processor means and mean total
+//      loss and the fanned timeout calibration's thresholds are
+//      bit-identical at every width,
 //   2. speedup — the replication sweep, the timeout-calibration fan-out
 //      (calibrate x8: eight independent no-timeout sims averaged into
 //      the per-site thresholds) and the full run get faster with more
@@ -79,18 +80,19 @@ void print_scaling(socbuf::util::JsonValue* json_rows) {
     double cal_base = 0.0;
     double fig_base = 0.0;
     double reference_total = 0.0;
+    socbuf::sim::ReplicatedLosses reference_rep;
     socbuf::sim::TimeoutCalibration reference_calibration;
     bool first = true;
     for (const std::size_t threads : {1UL, 2UL, 4UL}) {
+        socbuf::exec::Executor executor(threads);
         socbuf::sim::ReplicatedLosses rep;
         const double rep_s = seconds_of([&] {
             rep = socbuf::sim::replicate_losses(system, alloc, cfg, 10,
-                                                threads);
+                                                executor);
         });
         // The in-job timeout-calibration fan-out: eight independent
         // no-timeout sims averaged into the per-site thresholds, fanned
         // on the executor exactly as a sizing job does it.
-        socbuf::exec::Executor executor(threads);
         socbuf::sim::TimeoutCalibration calibration;
         const double cal_s = seconds_of([&] {
             calibration = socbuf::sim::calibrate_timeout(system, alloc, cfg,
@@ -107,11 +109,15 @@ void print_scaling(socbuf::util::JsonValue* json_rows) {
             cal_base = cal_s;
             fig_base = fig_s;
             reference_total = resized_total;
+            reference_rep = rep;
             reference_calibration = calibration;
             first = false;
         }
         const bool identical =
             resized_total == reference_total &&
+            rep.mean_lost_per_processor ==
+                reference_rep.mean_lost_per_processor &&
+            rep.mean_total_lost == reference_rep.mean_total_lost &&
             calibration.global_threshold ==
                 reference_calibration.global_threshold &&
             calibration.site_thresholds ==
@@ -217,10 +223,10 @@ void BM_ReplicateLosses(benchmark::State& state) {
     const std::vector<long> alloc(
         socbuf::arch::enumerate_buffer_sites(system.architecture).size(),
         10);
-    const auto threads = static_cast<std::size_t>(state.range(0));
+    socbuf::exec::Executor executor(static_cast<std::size_t>(state.range(0)));
     for (auto _ : state) {
         auto r = socbuf::sim::replicate_losses(system, alloc, cfg, 10,
-                                               threads);
+                                               executor);
         benchmark::DoNotOptimize(r);
     }
 }

@@ -75,7 +75,7 @@ void score_subsystems(const split::SplitResult& split,
                       const Allocation& alloc,
                       const std::vector<double>& rates,
                       const SizingOptions& options,
-                      ctmdp::SolverRegistry& registry,
+                      const ctmdp::SolverRegistry& registry,
                       exec::Executor& executor,
                       ctmdp::SolveCache* cache,
                       const std::vector<double>& measured_occ,
@@ -193,16 +193,15 @@ RoundEval evaluate_round(const arch::TestSystem& system,
 }  // namespace
 
 SizingReport BufferSizingEngine::run(const arch::TestSystem& system) const {
-    // A private execution context for this run; a serial executor spawns
-    // no thread at all, so the legacy single-run path stays cheap.
-    exec::Executor executor(options_.threads);
-    return run(system, executor, nullptr);
+    // A one-worker executor spawns no thread.
+    exec::Executor serial(1);
+    return run(system, serial, nullptr);
 }
 
 SizingReport BufferSizingEngine::run(const arch::TestSystem& system,
                                      exec::Executor& executor,
                                      ctmdp::SolveCache* cache) const {
-    ctmdp::SolverRegistry registry;
+    const ctmdp::SolverRegistry registry;
 
     SizingReport report;
     report.split = split::split_architecture(system, options_.placement);

@@ -60,12 +60,6 @@ struct SizingOptions {
     /// scenario gives the same report with either; false is kept for
     /// the benchmark's replay and the sweep-invariance test.
     bool gauss_seidel = true;
-    /// Worker threads for the per-subsystem CTMDP solves and per-round
-    /// evaluation sims (0 = hardware concurrency). Results are
-    /// bit-identical for any value — the fanned units are independent and
-    /// folded in index order. Only consulted by run(system); the executor
-    /// overload uses the workers of the executor it is handed.
-    std::size_t threads = 1;
     /// Replications of each round's evaluation simulation (seeds
     /// sim.seed, sim.seed + 1, ...), fanned across the executor and
     /// folded in replication order: every round — and the uniform
@@ -132,9 +126,9 @@ class BufferSizingEngine {
 public:
     explicit BufferSizingEngine(SizingOptions options);
 
-    /// Run the full pipeline on `system` with a private execution context
-    /// sized by SizingOptions::threads (workers are spawned and joined
-    /// inside this call).
+    /// Run the full pipeline on `system` serially: the same as
+    /// run(system, executor) on a one-worker executor, which spawns no
+    /// thread.
     ///
     /// Each distinct allocation is evaluated once per run: the baseline
     /// and every round go through one list of (allocation, evaluation)
@@ -144,13 +138,14 @@ public:
     /// direct sim::simulate at options().sim returns).
     [[nodiscard]] SizingReport run(const arch::TestSystem& system) const;
 
-    /// Run the full pipeline on a *shared* execution context: the
-    /// subsystem solves of every round fan out on `executor`'s workers,
-    /// and — when `cache` is non-null — go through the batch-wide solve
-    /// cache, so identical CTMDPs (fixed-point rounds, sweep repeats) are
-    /// solved once. Results are bit-identical to run(system) for any
-    /// executor width; the report's lp/vi/pi counts reflect actual solver
-    /// work (cache hits do not advance them).
+    /// Run the full pipeline on the caller's execution context: the
+    /// subsystem solves and evaluation sims of every round fan out on
+    /// `executor`'s workers, and — when `cache` is non-null — the solves
+    /// go through the batch-wide solve cache, so identical CTMDPs
+    /// (fixed-point rounds, sweep repeats) are solved once. Results are
+    /// bit-identical to run(system) for any executor width; the report's
+    /// lp/vi/pi counts tally each consumed solution's solved_by, so a
+    /// cache hit counts like the solve that filled it.
     [[nodiscard]] SizingReport run(const arch::TestSystem& system,
                                    exec::Executor& executor,
                                    ctmdp::SolveCache* cache = nullptr) const;

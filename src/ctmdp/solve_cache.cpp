@@ -323,7 +323,7 @@ std::string solve_fingerprint(const CtmdpModel& model,
     return key + block;
 }
 
-SubsystemSolution SolveCache::solve(SolverRegistry& registry,
+SubsystemSolution SolveCache::solve(const SolverRegistry& registry,
                                     const CtmdpModel& model,
                                     const DispatchOptions& options) {
     std::string block = encode_options(options);

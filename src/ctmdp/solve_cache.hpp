@@ -96,13 +96,12 @@ class SolveCache {
 public:
     /// Return the cached solution for (model, options) or solve through
     /// `registry` and remember the result, with `bias` and `policy` empty
-    /// either way (see the file comment). Registry counters only advance
-    /// on misses, so a SizingReport's lp/vi/pi counts reflect actual work.
-    /// A solver failure propagates to the claiming requester and leaves
-    /// the slot reclaimable: concurrent waiters retry the solve instead
-    /// of hanging, and the counters stay consistent (every lookup is
-    /// exactly one hit or one miss).
-    [[nodiscard]] SubsystemSolution solve(SolverRegistry& registry,
+    /// either way (see the file comment). The registry runs only on
+    /// misses. A solver failure propagates to the claiming requester and
+    /// leaves the slot reclaimable: concurrent waiters retry the solve
+    /// instead of hanging, and the counters stay consistent (every lookup
+    /// is exactly one hit or one miss).
+    [[nodiscard]] SubsystemSolution solve(const SolverRegistry& registry,
                                           const CtmdpModel& model,
                                           const DispatchOptions& options);
 

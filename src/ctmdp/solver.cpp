@@ -166,13 +166,11 @@ SolverKind SolverRegistry::select(const CtmdpModel& model,
 }
 
 SubsystemSolution SolverRegistry::solve(const CtmdpModel& model,
-                                        const DispatchOptions& options) {
+                                        const DispatchOptions& options) const {
     const SolverKind first = select(model, options);
     if (options.choice != SolverChoice::kAuto) {
         // Forced choice: no fallback, errors propagate to the caller.
-        SubsystemSolution out = get(first).solve(model, options.solver);
-        record(out);
-        return out;
+        return get(first).solve(model, options.solver);
     }
     // kAuto: walk the LP -> PI -> VI chain starting at the selected rung;
     // a failed or unconverged rung escalates to the next one.
@@ -184,10 +182,7 @@ SubsystemSolution SolverRegistry::solve(const CtmdpModel& model,
         const AverageCostSolver& solver = get(kEscalation[rung]);
         try {
             SubsystemSolution out = solver.solve(model, options.solver);
-            if (out.converged || rung == kLast) {
-                record(out);
-                return out;
-            }
+            if (out.converged || rung == kLast) return out;
             util::log(util::LogLevel::kWarn, solver.name(),
                       " did not converge; escalating to ",
                       get(kEscalation[rung + 1]).name());
@@ -198,31 +193,6 @@ SubsystemSolution SolverRegistry::solve(const CtmdpModel& model,
                       get(kEscalation[rung + 1]).name());
         }
     }
-}
-
-SolverStatsSnapshot SolverRegistry::stats() const {
-    SolverStatsSnapshot out;
-    out.lp_solves = lp_solves_.load();
-    out.vi_solves = vi_solves_.load();
-    out.pi_solves = pi_solves_.load();
-    out.switching_states = switching_states_.load();
-    return out;
-}
-
-void SolverRegistry::reset_stats() {
-    lp_solves_.store(0);
-    vi_solves_.store(0);
-    pi_solves_.store(0);
-    switching_states_.store(0);
-}
-
-void SolverRegistry::record(const SubsystemSolution& solution) {
-    switch (solution.solved_by) {
-        case SolverKind::kLp: ++lp_solves_; break;
-        case SolverKind::kValueIteration: ++vi_solves_; break;
-        case SolverKind::kPolicyIteration: ++pi_solves_; break;
-    }
-    switching_states_ += solution.switching_states;
 }
 
 }  // namespace socbuf::ctmdp

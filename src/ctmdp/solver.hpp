@@ -13,11 +13,11 @@
 //   * AverageCostSolver — strategy interface; solve() returns a
 //     SubsystemSolution (gain + stationary distribution + occupation
 //     measure + policy) whatever the algorithm,
-//   * SolverRegistry — owns one instance of each algorithm, dispatches a
-//     SolverChoice (kAuto escalates LP -> PI -> VI by model size), and
-//     keeps thread-safe per-algorithm solve counts so callers running
-//     solves in parallel (core::BufferSizingEngine via exec::parallel_map)
-//     can report lp_solves/pi_solves/vi_solves without hand-kept counters.
+//   * SolverRegistry — owns one instance of each algorithm and dispatches
+//     a SolverChoice (kAuto escalates LP -> PI -> VI by model size). It
+//     holds no mutable state, so concurrent solves need no
+//     synchronisation; callers that count solves per algorithm tally each
+//     solution's solved_by (core::BufferSizingEngine does).
 #pragma once
 
 #include "ctmdp/lp_solver.hpp"
@@ -27,7 +27,6 @@
 #include "ctmdp/value_iteration.hpp"
 #include "linalg/matrix.hpp"
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -118,19 +117,9 @@ struct DispatchOptions {
     SolverOptions solver;
 };
 
-/// Snapshot of a registry's counters (plain values, safe to copy around).
-struct SolverStatsSnapshot {
-    std::size_t lp_solves = 0;
-    std::size_t vi_solves = 0;
-    std::size_t pi_solves = 0;
-    std::size_t switching_states = 0;  // summed over all solutions
-    [[nodiscard]] std::size_t total_solves() const {
-        return lp_solves + vi_solves + pi_solves;
-    }
-};
-
-/// Owns the three algorithms, dispatches choices, and counts solves.
-/// solve() is safe to call from multiple threads concurrently.
+/// Owns the three algorithms and dispatches choices. Immutable after
+/// construction: solve() is const and safe to call from multiple threads
+/// concurrently.
 class SolverRegistry {
 public:
     SolverRegistry();
@@ -142,24 +131,15 @@ public:
     [[nodiscard]] SolverKind select(const CtmdpModel& model,
                                     const DispatchOptions& options) const;
 
-    /// Solve `model` per `options`, recording stats. kAuto escalates by
-    /// size and falls through to the next algorithm in the LP -> PI -> VI
-    /// chain if the chosen one fails or does not converge; a forced choice
-    /// that fails propagates its error instead.
-    [[nodiscard]] SubsystemSolution solve(const CtmdpModel& model,
-                                          const DispatchOptions& options);
-
-    [[nodiscard]] SolverStatsSnapshot stats() const;
-    void reset_stats();
+    /// Solve `model` per `options`. kAuto escalates by size and falls
+    /// through to the next algorithm in the LP -> PI -> VI chain if the
+    /// chosen one fails or does not converge; a forced choice that fails
+    /// propagates its error instead.
+    [[nodiscard]] SubsystemSolution solve(
+        const CtmdpModel& model, const DispatchOptions& options) const;
 
 private:
-    void record(const SubsystemSolution& solution);
-
     std::unique_ptr<AverageCostSolver> solvers_[3];
-    std::atomic<std::size_t> lp_solves_{0};
-    std::atomic<std::size_t> vi_solves_{0};
-    std::atomic<std::size_t> pi_solves_{0};
-    std::atomic<std::size_t> switching_states_{0};
 };
 
 }  // namespace socbuf::ctmdp

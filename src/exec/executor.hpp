@@ -4,9 +4,11 @@
 // executor owns none) and is passed *down by reference* through the
 // layers — Session -> BatchRunner -> BufferSizingEngine — so
 // one set of workers serves an entire batch instead of every engine run
-// constructing and tearing down its own pool. map() is the deterministic
-// entry point: like exec::parallel_map it returns results in index order,
-// bit-identical for any worker count, including 1.
+// constructing and tearing down its own pool. It is the only way a socbuf
+// layer fans out: no library function takes a thread count and builds a
+// pool of its own. map() is the deterministic entry point: like
+// exec::parallel_map it returns results in index order, bit-identical for
+// any worker count, including 1.
 //
 // Nesting rule: map() may be called from *inside* a job that is itself
 // running on this executor's workers. parallel_for_index makes its caller
@@ -26,7 +28,9 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 namespace socbuf::exec {
 
@@ -53,9 +57,11 @@ public:
     template <typename Fn>
     [[nodiscard]] auto map(std::size_t n, Fn&& fn,
                            Priority priority = Priority::kDefault) {
-        if (pool_ == nullptr)
-            return parallel_map(std::size_t{1}, n, std::forward<Fn>(fn));
-        return parallel_map(*pool_, n, std::forward<Fn>(fn), priority);
+        if (pool_ != nullptr)
+            return parallel_map(*pool_, n, std::forward<Fn>(fn), priority);
+        std::vector<std::decay_t<decltype(fn(std::size_t{}))>> out(n);
+        for (std::size_t i = 0; i < n; ++i) out[i] = fn(i);
+        return out;
     }
 
     /// Chunked fan-out for tight per-index loops (a Bellman sweep, a CSR

@@ -4,15 +4,17 @@
 // the results in index order. Each fn(i) must be independent of every
 // other index; under that contract the returned vector is **bit-identical
 // for any pool size, including 1**, because results are addressed by index
-// and the caller folds them in order. This is the backbone the sizing
-// engine uses for per-subsystem CTMDP solves and sim::replicate_losses
-// uses for per-replication simulations (each replication already owns its
-// own RNG substream: seed = base seed + replication index).
+// and the caller folds them in order. Library code outside exec/ does not
+// call these helpers directly: it fans out through a caller-owned
+// exec::Executor (executor.hpp), whose map() runs parallel_map on the
+// executor's one pool, or a plain index loop when the executor is serial.
+// That covers the sizing engine's per-subsystem CTMDP solves and every
+// per-replication simulation (each replication owns its own RNG
+// substream: seed = base seed + replication index).
 #pragma once
 
 #include "exec/thread_pool.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <type_traits>
@@ -69,23 +71,6 @@ template <typename Fn>
     parallel_for_index(pool, n, [&](std::size_t i) { out[i] = fn(i); },
                        priority);
     return out;
-}
-
-/// Convenience overload: spin up a transient pool of `threads` workers
-/// (0 = hardware concurrency) for one map. Prefer the pool overload when
-/// mapping repeatedly.
-template <typename Fn>
-[[nodiscard]] auto parallel_map(std::size_t threads, std::size_t n, Fn&& fn)
-    -> std::vector<std::decay_t<decltype(fn(std::size_t{}))>> {
-    const std::size_t resolved = resolve_thread_count(threads);
-    if (resolved <= 1 || n <= 1) {
-        using Result = std::decay_t<decltype(fn(std::size_t{}))>;
-        std::vector<Result> out(n);
-        for (std::size_t i = 0; i < n; ++i) out[i] = fn(i);
-        return out;
-    }
-    ThreadPool pool(std::min(resolved, n));  // never spawn idle workers
-    return parallel_map(pool, n, std::forward<Fn>(fn));
 }
 
 }  // namespace socbuf::exec

@@ -8,7 +8,6 @@
 #include "split/splitter.hpp"
 #include "util/contracts.hpp"
 #include "util/json.hpp"
-#include "util/numeric.hpp"
 #include "util/strings.hpp"
 
 #include <algorithm>
@@ -29,14 +28,11 @@ struct SizingJob {
     long budget = 0;
 };
 
-/// Stage-2 result: one replication's loss counts under each policy.
+/// Stage-2 result: one replication's simulation under each policy.
 struct EvalSample {
-    std::vector<std::uint64_t> pre_lost;
-    std::vector<std::uint64_t> post_lost;
-    std::vector<std::uint64_t> timeout_lost;
-    std::uint64_t pre_total = 0;
-    std::uint64_t post_total = 0;
-    std::uint64_t timeout_total = 0;
+    sim::SimResult pre;
+    sim::SimResult post;
+    sim::SimResult timeout;
 };
 
 /// Stage-1 result: the sized system plus everything stage 2 needs.
@@ -44,9 +40,9 @@ struct SizingOutcome {
     arch::TestSystem system;
     core::Allocation initial;
     core::Allocation best;
-    // Evaluation replication 0's pre/post losses: the final engine run's
-    // `before` / `after`, which simulated `initial` / `best` at spec.sim
-    // exactly as run_eval's replication 0 would.
+    // Evaluation replication 0's pre/post simulations: the final engine
+    // run's `before` / `after`, which simulated `initial` / `best` at
+    // spec.sim exactly as run_eval's replication 0 would.
     EvalSample first_eval;
     std::size_t engine_rounds = 0;
     std::size_t lp_solves = 0;
@@ -159,10 +155,8 @@ SizingOutcome run_sizing(const ScenarioSpec& spec, const SizingJob& job,
     const core::SizingReport report = engine.run(out.system, executor, cache);
     out.initial = report.initial;
     out.best = report.best;
-    out.first_eval.pre_lost = report.before.lost;
-    out.first_eval.pre_total = report.before.total_lost();
-    out.first_eval.post_lost = report.after.lost;
-    out.first_eval.post_total = report.after.total_lost();
+    out.first_eval.pre = report.before;
+    out.first_eval.post = report.after;
     out.engine_rounds = report.history.size();
     out.lp_solves = report.lp_solves;
     out.vi_solves = report.vi_solves;
@@ -194,7 +188,7 @@ SizingOutcome run_sizing(const ScenarioSpec& spec, const SizingJob& job,
 /// spec.sim.seed + replication, plus the timeout policy when evaluated.
 /// Replication 0 is the seed the sizing run's `before` / `after` already
 /// simulated — sizing_options() copies spec.sim verbatim — so it reuses
-/// those losses; only the timeout-policy sim runs for it.
+/// those simulations; only the timeout-policy sim runs for it.
 EvalSample run_eval(const ScenarioSpec& spec, const SizingOutcome& sized,
                     std::size_t replication) {
     sim::SimConfig config = spec.sim;
@@ -203,20 +197,14 @@ EvalSample run_eval(const ScenarioSpec& spec, const SizingOutcome& sized,
     if (replication == 0) {
         sample = sized.first_eval;
     } else {
-        const auto pre = sim::simulate(sized.system, sized.initial, config);
-        sample.pre_lost = pre.lost;
-        sample.pre_total = pre.total_lost();
-        const auto post = sim::simulate(sized.system, sized.best, config);
-        sample.post_lost = post.lost;
-        sample.post_total = post.total_lost();
+        sample.pre = sim::simulate(sized.system, sized.initial, config);
+        sample.post = sim::simulate(sized.system, sized.best, config);
     }
     if (sized.timeout_evaluated) {
         sim::SimConfig timeout_config = sized.timeout_config;
         timeout_config.seed = config.seed;
-        const auto timeout =
+        sample.timeout =
             sim::simulate(sized.system, sized.initial, timeout_config);
-        sample.timeout_lost = timeout.lost;
-        sample.timeout_total = timeout.total_lost();
     }
     return sample;
 }
@@ -244,24 +232,14 @@ double estimated_sizing_cost(const ScenarioSpec& spec, std::size_t variant) {
     return cost;
 }
 
-/// Replication-mean fold, op-for-op the same as sim::replicate_losses so a
-/// batch row equals a replicate_losses call bit for bit.
-void fold_replications(
-    const std::vector<const std::vector<std::uint64_t>*>& per_rep_lost,
-    const std::vector<std::uint64_t>& totals, std::vector<double>& mean_out,
-    double& total_out) {
-    const std::size_t reps = per_rep_lost.size();
-    const std::size_t n = per_rep_lost.empty() ? 0 : per_rep_lost[0]->size();
-    std::vector<std::vector<double>> samples(n);
-    total_out = 0.0;
-    for (std::size_t r = 0; r < reps; ++r) {
-        for (std::size_t p = 0; p < n; ++p)
-            samples[p].push_back(static_cast<double>((*per_rep_lost[r])[p]));
-        total_out += static_cast<double>(totals[r]);
-    }
-    total_out /= static_cast<double>(reps);
-    mean_out.resize(n);
-    for (std::size_t p = 0; p < n; ++p) mean_out[p] = util::mean(samples[p]);
+/// Replication means of one policy's evaluation sims, through the
+/// library's one fold (sim::fold_replications), so a batch row equals a
+/// sim::replicate_losses call bit for bit.
+void fold_replications(const std::vector<sim::SimResult>& results,
+                       std::vector<double>& mean_out, double& total_out) {
+    sim::ReplicatedLosses means = sim::fold_replications(results);
+    mean_out = std::move(means.mean_lost_per_processor);
+    total_out = means.mean_total_lost;
 }
 
 }  // namespace
@@ -412,23 +390,17 @@ BatchReport BatchRunner::run(const std::vector<ScenarioSpec>& specs) {
         run.timeout_threshold = outcome.timeout_threshold;
         run.insertion = outcome.insertion;
 
-        std::vector<const std::vector<std::uint64_t>*> pre, post, timeout;
-        std::vector<std::uint64_t> pre_totals, post_totals, timeout_totals;
+        std::vector<sim::SimResult> pre, post, timeout;
         for (std::size_t e = eval_offset[j]; e < eval_offset[j + 1]; ++e) {
-            pre.push_back(&samples[e].pre_lost);
-            post.push_back(&samples[e].post_lost);
-            pre_totals.push_back(samples[e].pre_total);
-            post_totals.push_back(samples[e].post_total);
-            if (outcome.timeout_evaluated) {
-                timeout.push_back(&samples[e].timeout_lost);
-                timeout_totals.push_back(samples[e].timeout_total);
-            }
+            pre.push_back(std::move(samples[e].pre));
+            post.push_back(std::move(samples[e].post));
+            if (outcome.timeout_evaluated)
+                timeout.push_back(std::move(samples[e].timeout));
         }
-        fold_replications(pre, pre_totals, run.pre_loss, run.pre_total);
-        fold_replications(post, post_totals, run.post_loss, run.post_total);
+        fold_replications(pre, run.pre_loss, run.pre_total);
+        fold_replications(post, run.post_loss, run.post_total);
         if (outcome.timeout_evaluated)
-            fold_replications(timeout, timeout_totals, run.timeout_loss,
-                              run.timeout_total);
+            fold_replications(timeout, run.timeout_loss, run.timeout_total);
         report.runs.push_back(std::move(run));
     }
     report.cache = cache.stats();

@@ -95,7 +95,8 @@ struct ScenarioRunResult {
     core::Allocation constant_alloc;  // uniform baseline
     core::Allocation resized_alloc;   // engine's best
 
-    // Replication means, op for op as sim::replicate_losses computes them.
+    // Replication means, from sim::fold_replications: a row equals a
+    // sim::replicate_losses call on the same system, allocation and seeds.
     std::vector<double> pre_loss;      // per processor, constant sizing
     std::vector<double> post_loss;     // per processor, after resizing
     std::vector<double> timeout_loss;  // per processor, timeout policy

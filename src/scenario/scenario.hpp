@@ -122,8 +122,8 @@ struct ScenarioSpec {
     /// Build the testbench system for `variant` (index into variants).
     [[nodiscard]] arch::TestSystem build_system(std::size_t variant) const;
 
-    /// Engine options for one budget. threads is left at 1: inside a batch
-    /// the fan-out happens *across* jobs, on the shared executor.
+    /// Engine options for one budget. They name no worker count: the
+    /// batch runs every engine on its shared executor.
     [[nodiscard]] core::SizingOptions sizing_options(long budget) const;
 
     /// variants x budgets — the number of sizing runs the spec expands to.

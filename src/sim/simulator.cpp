@@ -3,7 +3,6 @@
 #include "des/scheduler.hpp"
 #include "des/stats.hpp"
 #include "exec/executor.hpp"
-#include "exec/parallel.hpp"
 #include "traffic/arrivals.hpp"
 #include "traffic/routing.hpp"
 #include "util/contracts.hpp"
@@ -347,32 +346,6 @@ SimResult simulate(const arch::TestSystem& system,
     return impl.run();
 }
 
-double calibrate_timeout_threshold(const arch::TestSystem& system,
-                                   const std::vector<long>& capacities,
-                                   const SimConfig& config) {
-    SimConfig calib = config;
-    calib.timeout_enabled = false;
-    const SimResult r = simulate(system, capacities, calib);
-    return r.overall_mean_wait();
-}
-
-std::vector<double> calibrate_site_timeout_thresholds(
-    const arch::TestSystem& system, const std::vector<long>& capacities,
-    const SimConfig& config, double scale) {
-    SOCBUF_REQUIRE_MSG(scale > 0.0, "threshold scale must be positive");
-    SimConfig calib = config;
-    calib.timeout_enabled = false;
-    const SimResult r = simulate(system, capacities, calib);
-    const double global = r.overall_mean_wait();
-    std::vector<double> thresholds(r.site_mean_wait.size(), 0.0);
-    for (std::size_t s = 0; s < thresholds.size(); ++s) {
-        const double base =
-            r.site_served[s] > 0 ? r.site_mean_wait[s] : global;
-        thresholds[s] = std::max(base, 1e-9) * scale;
-    }
-    return thresholds;
-}
-
 TimeoutCalibration calibrate_timeout(const arch::TestSystem& system,
                                      const std::vector<long>& capacities,
                                      const SimConfig& config, double scale,
@@ -400,8 +373,8 @@ TimeoutCalibration calibrate_timeout(const arch::TestSystem& system,
     out.global_threshold = scale * (global_sum / n);
 
     // Per site: apply the no-traffic fallback within each replication
-    // (one replication must reproduce the serial calibration bit for
-    // bit), then average the per-replication bases.
+    // (so one replication gives exactly that simulation's per-site
+    // means), then average the per-replication bases.
     out.site_thresholds.assign(results[0].site_mean_wait.size(), 0.0);
     for (const SimResult& r : results) {
         const double global = r.overall_mean_wait();
@@ -414,30 +387,9 @@ TimeoutCalibration calibrate_timeout(const arch::TestSystem& system,
     return out;
 }
 
-std::vector<double> calibrate_site_timeout_thresholds(
-    const arch::TestSystem& system, const std::vector<long>& capacities,
-    const SimConfig& config, double scale, exec::Executor& executor,
-    std::size_t replications) {
-    return calibrate_timeout(system, capacities, config, scale, executor,
-                             replications)
-        .site_thresholds;
-}
-
-ReplicatedLosses replicate_losses(const arch::TestSystem& system,
-                                  const std::vector<long>& capacities,
-                                  const SimConfig& config, std::size_t runs,
-                                  std::size_t threads) {
-    SOCBUF_REQUIRE_MSG(runs > 0, "need at least one replication");
-    const std::size_t n = system.architecture.processor_count();
-    // Each replication owns its RNG substream, so the runs are independent
-    // and can execute on any number of workers; the ordered fold below
-    // keeps the aggregate bit-identical for every thread count.
-    const std::vector<SimResult> results =
-        exec::parallel_map(threads, runs, [&](std::size_t r) {
-            SimConfig c = config;
-            c.seed = config.seed + r;
-            return simulate(system, capacities, c);
-        });
+ReplicatedLosses fold_replications(const std::vector<SimResult>& results) {
+    SOCBUF_REQUIRE_MSG(!results.empty(), "need at least one replication");
+    const std::size_t n = results.front().lost.size();
     std::vector<std::vector<double>> samples(n);
     ReplicatedLosses out;
     for (const SimResult& res : results) {
@@ -446,8 +398,9 @@ ReplicatedLosses replicate_losses(const arch::TestSystem& system,
         out.mean_total_lost += static_cast<double>(res.total_lost());
         out.mean_total_offered += static_cast<double>(res.total_offered());
     }
-    out.mean_total_lost /= static_cast<double>(runs);
-    out.mean_total_offered /= static_cast<double>(runs);
+    const auto runs = static_cast<double>(results.size());
+    out.mean_total_lost /= runs;
+    out.mean_total_offered /= runs;
     out.mean_lost_per_processor.resize(n);
     out.stddev_lost_per_processor.resize(n);
     for (std::size_t p = 0; p < n; ++p) {
@@ -455,6 +408,20 @@ ReplicatedLosses replicate_losses(const arch::TestSystem& system,
         out.stddev_lost_per_processor[p] = util::sample_stddev(samples[p]);
     }
     return out;
+}
+
+ReplicatedLosses replicate_losses(const arch::TestSystem& system,
+                                  const std::vector<long>& capacities,
+                                  const SimConfig& config, std::size_t runs,
+                                  exec::Executor& executor) {
+    // Each replication owns its RNG substream, so the runs are independent
+    // and can execute on any number of workers; the ordered fold keeps the
+    // aggregate bit-identical for every worker count.
+    return fold_replications(executor.map(runs, [&](std::size_t r) {
+        SimConfig c = config;
+        c.seed = config.seed + r;
+        return simulate(system, capacities, c);
+    }));
 }
 
 }  // namespace socbuf::sim

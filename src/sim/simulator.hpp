@@ -25,25 +25,11 @@ namespace socbuf::sim {
                                  const std::vector<long>& capacities,
                                  const SimConfig& config);
 
-/// Run once without the timeout policy and return the mean buffer waiting
-/// time — the threshold the paper's timeout policy uses ("the average time
-/// spent by a request in a buffer").
-[[nodiscard]] double calibrate_timeout_threshold(
-    const arch::TestSystem& system, const std::vector<long>& capacities,
-    const SimConfig& config);
-
-/// Per-buffer calibration of the same quantity: mean waiting time at each
-/// site, scaled by `scale`; sites with no served packets fall back to the
-/// scaled global mean. Feed the result to
-/// SimConfig::site_timeout_thresholds.
-[[nodiscard]] std::vector<double> calibrate_site_timeout_thresholds(
-    const arch::TestSystem& system, const std::vector<long>& capacities,
-    const SimConfig& config, double scale);
-
 /// Both timeout-policy thresholds the paper's calibration produces, from
 /// one set of no-timeout simulations: the scaled global mean buffer wait
-/// and the scaled per-site means (same fallback rule as
-/// calibrate_site_timeout_thresholds).
+/// ("the average time spent by a request in a buffer") and the scaled
+/// per-site means, where a site with no served packets falls back to the
+/// global mean. Feed site_thresholds to SimConfig::site_timeout_thresholds.
 struct TimeoutCalibration {
     double global_threshold = 0.0;
     std::vector<double> site_thresholds;
@@ -54,38 +40,38 @@ struct TimeoutCalibration {
 /// fanned across `executor` and folded in replication order — safe from
 /// inside a job already running on the executor (nested fan-outs make
 /// progress on the calling worker; see exec/executor.hpp). Per-site
-/// means apply the global fallback per replication, then average, so one
-/// replication reproduces the serial calibrate_timeout_threshold /
-/// calibrate_site_timeout_thresholds pair bit for bit — from a single
-/// simulation instead of two — and any replication count is
-/// bit-identical for any worker count.
+/// means apply the global fallback per replication, then average. With
+/// one replication the thresholds are `scale` times the no-timeout
+/// simulation's overall_mean_wait() and per-site means; any replication
+/// count is bit-identical for any worker count.
 [[nodiscard]] TimeoutCalibration calibrate_timeout(
     const arch::TestSystem& system, const std::vector<long>& capacities,
     const SimConfig& config, double scale, exec::Executor& executor,
     std::size_t replications = 1);
 
-/// The per-site half of calibrate_timeout, fanned the same way: with one
-/// replication the result equals the serial overload bit for bit.
-[[nodiscard]] std::vector<double> calibrate_site_timeout_thresholds(
-    const arch::TestSystem& system, const std::vector<long>& capacities,
-    const SimConfig& config, double scale, exec::Executor& executor,
-    std::size_t replications);
-
-/// Average `runs` independent replications (seeds seed, seed+1, ...) and
-/// return per-processor mean loss counts (the batch runner folds its
-/// evaluation replications op for op the same way). Replications are
-/// independent — each owns its RNG substream (seed = base seed +
-/// replication index) — so they run on `threads` workers (0 = hardware
-/// concurrency) and are folded in replication order: the result is
-/// bit-identical for any thread count, including 1.
+/// Per-processor loss statistics over independent replications.
 struct ReplicatedLosses {
     std::vector<double> mean_lost_per_processor;
     std::vector<double> stddev_lost_per_processor;
     double mean_total_lost = 0.0;
     double mean_total_offered = 0.0;
 };
+
+/// The replication-mean fold: per-processor mean and sample stddev of
+/// the loss counts, and the mean total lost and offered, folded in the
+/// order of `results` (one entry per replication, at least one).
+/// replicate_losses and the batch runner's evaluation rows both fold
+/// through it, so a batch row equals a replicate_losses call bit for bit.
+[[nodiscard]] ReplicatedLosses fold_replications(
+    const std::vector<SimResult>& results);
+
+/// Simulate `runs` independent replications (seeds seed, seed+1, ...)
+/// and fold them with fold_replications. Each replication owns its RNG
+/// substream (seed = base seed + replication index), so they fan across
+/// `executor` and are folded in replication order: the result is
+/// bit-identical for any worker count, including 1.
 [[nodiscard]] ReplicatedLosses replicate_losses(
     const arch::TestSystem& system, const std::vector<long>& capacities,
-    const SimConfig& config, std::size_t runs, std::size_t threads = 1);
+    const SimConfig& config, std::size_t runs, exec::Executor& executor);
 
 }  // namespace socbuf::sim

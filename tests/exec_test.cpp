@@ -101,9 +101,8 @@ TEST(ThreadPool, ClaimsHigherPrioritiesFirstAndKeepsFifoWithinALevel) {
 TEST(ParallelMap, OrderedResultsForAnyThreadCount) {
     const std::size_t n = 257;
     auto square = [](std::size_t i) { return i * i; };
-    const auto serial = se::parallel_map(std::size_t{1}, n, square);
-    ASSERT_EQ(serial.size(), n);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(serial[i], i * i);
+    std::vector<std::size_t> serial(n);
+    for (std::size_t i = 0; i < n; ++i) serial[i] = square(i);
 
     for (const std::size_t threads : {2UL, 4UL, 8UL}) {
         se::ThreadPool pool(threads);

@@ -390,9 +390,9 @@ TEST(BatchRunner, PriorityScheduledBatchesAreBitIdenticalAtAnyWidth) {
 
 TEST(BatchRunner, FannedCalibrationMatchesTheSerialCalibrationPath) {
     // One calibration replication (the default) must keep the timeout
-    // columns bit-identical to the pre-fan-out path: the thresholds the
-    // runner stores are exactly scale * calibrate_timeout_threshold and
-    // calibrate_site_timeout_thresholds of the constant allocation.
+    // column bit-identical to the pre-fan-out path: the threshold the
+    // runner stores is exactly scale times the overall mean wait of one
+    // no-timeout simulation of the constant allocation.
     ss::ScenarioSpec spec = small_figure1();
     spec.name = "calib-serial";
     spec.budgets = {14};
@@ -405,12 +405,51 @@ TEST(BatchRunner, FannedCalibrationMatchesTheSerialCalibrationPath) {
     ASSERT_EQ(report.runs.size(), 1u);
 
     const auto system = spec.build_system(0);
-    const auto options = spec.sizing_options(spec.budgets[0]);
+    socbuf::sim::SimConfig no_timeout =
+        spec.sizing_options(spec.budgets[0]).sim;
+    no_timeout.timeout_enabled = false;
     const double expected =
         spec.timeout_threshold_scale *
-        socbuf::sim::calibrate_timeout_threshold(
-            system, report.runs[0].constant_alloc, options.sim);
+        socbuf::sim::simulate(system, report.runs[0].constant_alloc,
+                              no_timeout)
+            .overall_mean_wait();
     EXPECT_EQ(report.runs[0].timeout_threshold, expected);
+}
+
+TEST(BatchRunner, RowsFoldReplicationsLikeReplicateLosses) {
+    // A row's replication means come from the one replication-mean fold:
+    // pre_loss / pre_total and post_loss / post_total must equal
+    // sim::replicate_losses on the same system, allocation and seeds, bit
+    // for bit, whatever the width of either executor. Replication 0 of
+    // the row reuses the engine's own `before` / `after` simulations, so
+    // this also pins that they ran at the spec's SimConfig.
+    ss::ScenarioSpec spec = small_figure1();
+    spec.name = "fold-pin";
+    spec.budgets = {14};
+    spec.replications = 3;
+    const auto system = spec.build_system(0);
+
+    for (const std::size_t workers : {1UL, 4UL}) {
+        socbuf::exec::Executor exec(workers);
+        ss::BatchRunner runner(exec);
+        const ss::BatchReport report = runner.run(spec);
+        ASSERT_EQ(report.runs.size(), 1u);
+        const ss::ScenarioRunResult& row = report.runs[0];
+
+        const auto pre = socbuf::sim::replicate_losses(
+            system, row.constant_alloc, spec.sim, spec.replications, exec);
+        EXPECT_EQ(row.pre_loss, pre.mean_lost_per_processor)
+            << "workers=" << workers;
+        EXPECT_EQ(row.pre_total, pre.mean_total_lost)
+            << "workers=" << workers;
+
+        const auto post = socbuf::sim::replicate_losses(
+            system, row.resized_alloc, spec.sim, spec.replications, exec);
+        EXPECT_EQ(row.post_loss, post.mean_lost_per_processor)
+            << "workers=" << workers;
+        EXPECT_EQ(row.post_total, post.mean_total_lost)
+            << "workers=" << workers;
+    }
 }
 
 TEST(BatchReport, CacheDisabledIsMarkedInJson) {

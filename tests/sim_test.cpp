@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -290,13 +291,16 @@ TEST(Simulator, TimeoutPolicyDropsSlowPackets) {
 
 TEST(Simulator, TimeoutThresholdCalibration) {
     const auto sys = single_queue_system(0.9, 1.0);
+    socbuf::exec::Executor serial(1);
     const double thr =
-        ss::calibrate_timeout_threshold(sys, {6, 1}, long_config(9));
+        ss::calibrate_timeout(sys, {6, 1}, long_config(9), 1.0, serial)
+            .global_threshold;
     // Mean wait of an M/M/1/6 at rho=0.9 is around a few service times.
     EXPECT_GT(thr, 0.5);
     EXPECT_LT(thr, 10.0);
-    const auto per_site = ss::calibrate_site_timeout_thresholds(
-        sys, {6, 1}, long_config(9), 2.0);
+    const auto per_site =
+        ss::calibrate_timeout(sys, {6, 1}, long_config(9), 2.0, serial)
+            .site_thresholds;
     ASSERT_EQ(per_site.size(), 2u);
     EXPECT_NEAR(per_site[0], 2.0 * thr, 0.7 * thr);
     EXPECT_GT(per_site[1], 0.0);  // fallback for the silent site
@@ -304,27 +308,36 @@ TEST(Simulator, TimeoutThresholdCalibration) {
 
 TEST(Simulator, FannedCalibrationWithOneReplicationMatchesSerialBitForBit) {
     // The executor-fanned calibration at one replication must reproduce
-    // the classic serial pair — global calibrate_timeout_threshold and
-    // per-site calibrate_site_timeout_thresholds — exactly, from a
-    // single simulation instead of two.
+    // the paper's calibration exactly: one no-timeout simulation, its
+    // overall mean wait and its per-site mean waits (a site with no
+    // served packets falling back to the overall mean), each scaled.
     const auto sys = single_queue_system(0.9, 1.0);
     const std::vector<long> caps{6, 1};
     const ss::SimConfig cfg = long_config(9);
     const double scale = 2.0;
 
-    const double serial_global =
-        scale * ss::calibrate_timeout_threshold(sys, caps, cfg);
-    const auto serial_site =
-        ss::calibrate_site_timeout_thresholds(sys, caps, cfg, scale);
+    ss::SimConfig no_timeout = cfg;
+    no_timeout.timeout_enabled = false;
+    const ss::SimResult run = ss::simulate(sys, caps, no_timeout);
+    const double mean_wait = run.overall_mean_wait();
+    std::vector<double> expected_site(run.site_mean_wait.size());
+    for (std::size_t s = 0; s < expected_site.size(); ++s)
+        expected_site[s] =
+            std::max(run.site_served[s] > 0 ? run.site_mean_wait[s]
+                                            : mean_wait,
+                     1e-9) *
+            scale;
+    ASSERT_EQ(run.site_served[1], 0u);  // the fallback is exercised
 
-    socbuf::exec::Executor executor(1);
-    const ss::TimeoutCalibration fanned =
-        ss::calibrate_timeout(sys, caps, cfg, scale, executor, 1);
-    EXPECT_EQ(fanned.global_threshold, serial_global);
-    EXPECT_EQ(fanned.site_thresholds, serial_site);
-    EXPECT_EQ(ss::calibrate_site_timeout_thresholds(sys, caps, cfg, scale,
-                                                    executor, 1),
-              serial_site);
+    for (const std::size_t workers : {1UL, 4UL}) {
+        socbuf::exec::Executor executor(workers);
+        const ss::TimeoutCalibration fanned =
+            ss::calibrate_timeout(sys, caps, cfg, scale, executor, 1);
+        EXPECT_EQ(fanned.global_threshold, scale * mean_wait)
+            << "workers=" << workers;
+        EXPECT_EQ(fanned.site_thresholds, expected_site)
+            << "workers=" << workers;
+    }
 }
 
 TEST(Simulator, FannedCalibrationIsBitIdenticalForAnyWorkerCount) {
@@ -412,7 +425,8 @@ TEST(Simulator, ReplicationAveragesAreStable) {
     ss::SimConfig cfg;
     cfg.horizon = 3000.0;
     cfg.warmup = 200.0;
-    const auto reps = ss::replicate_losses(sys, {4, 1}, cfg, 5);
+    socbuf::exec::Executor serial(1);
+    const auto reps = ss::replicate_losses(sys, {4, 1}, cfg, 5, serial);
     ASSERT_EQ(reps.mean_lost_per_processor.size(), 2u);
     EXPECT_GT(reps.mean_lost_per_processor[0], 0.0);
     EXPECT_GT(reps.stddev_lost_per_processor[0], 0.0);
