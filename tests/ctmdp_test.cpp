@@ -19,8 +19,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -486,6 +488,128 @@ TEST(Model, SubsystemBuildsAreExactCapacity) {
                 what + " modulated");
         }
     }
+}
+
+namespace {
+
+std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+        hash ^= p[i];
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/// FNV-1a digests of one subsystem model's bytes: its solve fingerprint
+/// (a hash of the five flat arrays plus the default options block) and
+/// its service shares under a fixed, pair-indexed occupation vector.
+template <typename Model>
+std::pair<std::uint64_t, std::uint64_t> model_digests(const Model& sub) {
+    const std::string key = sm::solve_fingerprint(sub.model(), {});
+    std::vector<double> occupation(sub.model().pair_count());
+    for (std::size_t p = 0; p < occupation.size(); ++p)
+        occupation[p] = static_cast<double>(p % 7 + 1);
+    const auto shares = sub.service_shares(occupation);
+    return {fnv1a(0xcbf29ce484222325ULL, key.data(), key.size()),
+            fnv1a(0xcbf29ce484222325ULL, shares.data(),
+                  shares.size() * sizeof(double))};
+}
+
+}  // namespace
+
+TEST(Model, SubsystemModelBytesPinned) {
+    // Cross-version oracle for the subsystem model builder: every Figure 1
+    // bus at caps 1-3, Poisson and modulated, and one np ingress bus must
+    // build the same arrays and the same pair -> served-flow map, bit for
+    // bit. Do not regenerate the digests to make a builder change pass.
+    struct Golden {
+        const char* name;
+        std::uint64_t fingerprint;  // FNV-1a of solve_fingerprint(model, {})
+        std::uint64_t shares;       // FNV-1a of the service_shares bytes
+    };
+    static const Golden golden[] = {
+        {"figure1 bus a cap 1", 0x92f8495846582e7cULL, 0x8604ee88547fe27eULL},
+        {"figure1 bus a cap 1 modulated",
+         0x92f8495846582e7cULL, 0x8604ee88547fe27eULL},
+        {"figure1 bus b cap 1", 0x561ff8549926999dULL, 0xdc2071f7ab72fdacULL},
+        {"figure1 bus b cap 1 modulated",
+         0x188af577127b0c56ULL, 0x9c2322e29e287e39ULL},
+        {"figure1 bus g cap 1", 0x6719ba56f6c36731ULL, 0x8604ee88547fe27eULL},
+        {"figure1 bus g cap 1 modulated",
+         0x1911599372927eeULL, 0xcc18eddd8e161f99ULL},
+        {"figure1 bus f cap 1", 0x75d0d34df472fd32ULL, 0x8604ee88547fe27eULL},
+        {"figure1 bus f cap 1 modulated",
+         0x500e8a5ab2ccee2bULL, 0xcc18eddd8e161f99ULL},
+        {"figure1 bus a cap 2", 0x8906b40802ac735bULL, 0x9262333e74b2a947ULL},
+        {"figure1 bus a cap 2 modulated",
+         0x8906b40802ac735bULL, 0x9262333e74b2a947ULL},
+        {"figure1 bus b cap 2", 0xaaf8cebe9b037294ULL, 0xda1e58b6e3eb50cULL},
+        {"figure1 bus b cap 2 modulated",
+         0x6a5095e48c2a3aa6ULL, 0x60671cbe1c9195a5ULL},
+        {"figure1 bus g cap 2", 0xb4615f9cd322a797ULL, 0x9262333e74b2a947ULL},
+        {"figure1 bus g cap 2 modulated",
+         0x7bbd622c870c739dULL, 0xcdbac849a6eb2565ULL},
+        {"figure1 bus f cap 2", 0xa386120faaeb6f64ULL, 0x9262333e74b2a947ULL},
+        {"figure1 bus f cap 2 modulated",
+         0xaec73d13765b115aULL, 0xcdbac849a6eb2565ULL},
+        {"figure1 bus a cap 3", 0xef6281538a77a977ULL, 0xc4c06fe4150e4600ULL},
+        {"figure1 bus a cap 3 modulated",
+         0xef6281538a77a977ULL, 0xc4c06fe4150e4600ULL},
+        {"figure1 bus b cap 3", 0xcf245f5e3e54b4a9ULL, 0x918e212daa08798cULL},
+        {"figure1 bus b cap 3 modulated",
+         0x64d91ea16c55fbdcULL, 0x9806497af025dba7ULL},
+        {"figure1 bus g cap 3", 0xfe06fcdf0deba26cULL, 0xc4c06fe4150e4600ULL},
+        {"figure1 bus g cap 3 modulated",
+         0xece6a2452687c595ULL, 0xb1b8a95cfbae6a81ULL},
+        {"figure1 bus f cap 3", 0x6d850ba955729ab1ULL, 0xc4c06fe4150e4600ULL},
+        {"figure1 bus f cap 3 modulated",
+         0x8b30713e72618dd5ULL, 0xb1b8a95cfbae6a81ULL},
+        {"np ingress cap 2", 0x2fd6744c9cad3d9dULL, 0x361ec155482e6632ULL},
+    };
+    const auto sys = socbuf::arch::figure1_system();
+    const auto split = socbuf::split::split_architecture(sys);
+    socbuf::arch::NetworkProcessorParams np_params;
+    const auto np = socbuf::arch::network_processor_system(np_params);
+    const auto np_split = socbuf::split::split_architecture(np);
+    struct Case {
+        std::string name;
+        const socbuf::split::Subsystem* sub;
+        long cap;
+        bool modulated;
+    };
+    std::vector<Case> cases;
+    for (const long cap : {1L, 2L, 3L})
+        for (const auto& sub : split.subsystems)
+            for (const bool modulated : {false, true})
+                cases.push_back({"figure1 bus " + sub.bus_name + " cap " +
+                                     std::to_string(cap) +
+                                     (modulated ? " modulated" : ""),
+                                 &sub, cap, modulated});
+    for (const auto& sub : np_split.subsystems)
+        if (sub.bus_name == "ingress")
+            cases.push_back({"np ingress cap 2", &sub, 2, false});
+    std::ostringstream record;
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        const Case& tc = cases[c];
+        const std::vector<long> caps(tc.sub->flows.size(), tc.cap);
+        std::vector<double> rates;
+        for (const auto& f : tc.sub->flows) rates.push_back(f.arrival_rate);
+        const auto [fingerprint, shares] =
+            tc.modulated
+                ? model_digests(socbuf::core::ModulatedSubsystemCtmdp(
+                      *tc.sub, caps, rates))
+                : model_digests(
+                      socbuf::core::SubsystemCtmdp(*tc.sub, caps, rates));
+        record << "        {\"" << tc.name << "\", 0x" << std::hex
+               << fingerprint << "ULL, 0x" << shares << "ULL},\n"
+               << std::dec;
+        if (c >= std::size(golden)) continue;
+        EXPECT_EQ(tc.name, golden[c].name);
+        EXPECT_EQ(fingerprint, golden[c].fingerprint) << tc.name;
+        EXPECT_EQ(shares, golden[c].shares) << tc.name;
+    }
+    EXPECT_EQ(cases.size(), std::size(golden)) << "got\n" << record.str();
 }
 
 namespace {
