@@ -4,7 +4,6 @@
 // the network processor, and the state-space cost of the richer model.
 #include "arch/presets.hpp"
 #include "core/engine.hpp"
-#include "core/modulated_model.hpp"
 #include "core/subsystem_model.hpp"
 #include "ctmdp/lp_solver.hpp"
 #include "exec/executor.hpp"
@@ -31,8 +30,8 @@ void print_model_comparison() {
         std::vector<double> rates;
         for (const auto& f : sub.flows) rates.push_back(f.arrival_rate);
         const socbuf::core::SubsystemCtmdp poisson(sub, caps, rates);
-        const socbuf::core::ModulatedSubsystemCtmdp modulated(sub, caps,
-                                                              rates);
+        const socbuf::core::SubsystemCtmdp modulated(sub, caps, rates,
+                                                     /*modulated=*/true);
         const auto lp_p =
             socbuf::ctmdp::solve_average_cost_lp(poisson.model());
         const auto lp_m =
@@ -86,7 +85,8 @@ void BM_ModulatedLp(benchmark::State& state) {
     std::vector<long> caps(bus_b->flows.size(), state.range(0));
     std::vector<double> rates;
     for (const auto& f : bus_b->flows) rates.push_back(f.arrival_rate);
-    const socbuf::core::ModulatedSubsystemCtmdp m(*bus_b, caps, rates);
+    const socbuf::core::SubsystemCtmdp m(*bus_b, caps, rates,
+                                         /*modulated=*/true);
     for (auto _ : state) {
         auto r = socbuf::ctmdp::solve_average_cost_lp(m.model());
         benchmark::DoNotOptimize(r);

@@ -73,6 +73,18 @@ void print_scaling(socbuf::util::JsonValue* json_rows) {
         socbuf::arch::enumerate_buffer_sites(system.architecture).size(),
         10);
 
+    // One untimed pass of all three workloads first: the one-worker row
+    // is every speedup's base, and timed cold (first-touch page faults,
+    // allocator growth) it read up to 10% slower than warm.
+    {
+        socbuf::exec::Executor warm(1);
+        (void)socbuf::sim::replicate_losses(system, alloc, cfg, 10, warm);
+        (void)socbuf::sim::calibrate_timeout(system, alloc, cfg, 4.0, warm,
+                                             8);
+        socbuf::Session session({1});
+        (void)session.run(scaled_figure3(session));
+    }
+
     socbuf::util::Table t({"threads", "replicate_losses [s]",
                            "calibrate x8 [s]", "figure3 [s]",
                            "resized total", "identical"});

@@ -1,6 +1,5 @@
 #include "core/engine.hpp"
 
-#include "core/modulated_model.hpp"
 #include "core/subsystem_model.hpp"
 #include "ctmdp/occupation.hpp"
 #include "ctmdp/solve_cache.hpp"
@@ -65,12 +64,11 @@ struct SubsystemScore {
 /// fold the scores, in subsystem order, into the report's K-switching
 /// scores and service weights; the ordered fold keeps the report
 /// bit-identical for any executor width. Each task builds its subsystem's
-/// model (`Model`: the Poisson SubsystemCtmdp or the burst-aware
-/// ModulatedSubsystemCtmdp), solves it and reduces it to its
-/// SubsystemScore before the model and its solution are dropped, so at
-/// most one model per running task is alive — a batch's largest buses
-/// never sit in memory side by side waiting for the fold.
-template <typename Model>
+/// model (with phase digits when options.use_modulated_models), solves it
+/// and reduces it to its SubsystemScore before the model and its solution
+/// are dropped, so at most one model per running task is alive — a
+/// batch's largest buses never sit in memory side by side waiting for the
+/// fold.
 void score_subsystems(const split::SplitResult& split,
                       const Allocation& alloc,
                       const std::vector<double>& rates,
@@ -88,8 +86,9 @@ void score_subsystems(const split::SplitResult& split,
     // Gauss–Seidel sweep and the stationary pass run serially.
     dispatch.solver.vi.executor = &executor;
     const auto score_one = [&](std::size_t i) {
-        const Model sub_model = build_subsystem_model<Model>(
-            split, i, alloc, options.model_cap, rates);
+        const SubsystemCtmdp sub_model =
+            build_subsystem_model(split, i, alloc, options.model_cap, rates,
+                                  options.use_modulated_models);
         const ctmdp::SubsystemSolution sol =
             cache != nullptr
                 ? cache->solve(registry, sub_model.model(), dispatch)
@@ -263,14 +262,8 @@ SizingReport BufferSizingEngine::run(const arch::TestSystem& system,
     for (int iter = 0; iter < options_.iterations; ++iter) {
         // Solve every subsystem and translate occupancies into
         // K-switching scores.
-        if (options_.use_modulated_models)
-            score_subsystems<ModulatedSubsystemCtmdp>(
-                split, alloc, rates, options_, registry, executor, cache,
-                measured_occ, report);
-        else
-            score_subsystems<SubsystemCtmdp>(split, alloc, rates, options_,
-                                             registry, executor, cache,
-                                             measured_occ, report);
+        score_subsystems(split, alloc, rates, options_, registry, executor,
+                         cache, measured_occ, report);
 
         // Apportion the budget by score (each active site keeps >= 1).
         std::vector<double> weights;

@@ -74,13 +74,14 @@ struct SizingOptions {
     /// extrapolated by boost * P(k = cap) * cap.
     double saturation_boost = 4.0;
     /// Weight of the *measured* mean occupancy in the K-switching score.
-    /// The CTMDP is a Poisson model; bursty flows build far deeper queues
+    /// By default the CTMDP is Poisson; bursty flows build far deeper queues
     /// than it predicts, and the measured occupancy is exactly the
     /// "better profiling" signal the paper suggests adding.
     double measured_occupancy_weight = 2.5;
-    /// Model bursty flows as 2-state MMPPs *inside* the CTMDP (state space
-    /// grows 2x per bursty flow) instead of Poisson-with-profiling. See
-    /// bench_modulated_models for what this buys.
+    /// Build each subsystem model with one ON/OFF phase digit per bursty
+    /// flow (a 2-state MMPP inside the CTMDP; the state space grows 2x per
+    /// bursty flow) instead of as a Poisson model corrected by the measured
+    /// occupancy. See bench_modulated_models for what this buys.
     bool use_modulated_models = false;
     bool use_measured_rates = true;  // refresh rates from each simulation
     /// Stop early once the allocation is a fixed point (two identical

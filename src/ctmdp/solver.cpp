@@ -47,78 +47,59 @@ SubsystemSolution from_deterministic(const CtmdpModel& model,
     return out;
 }
 
-class LpSolver final : public AverageCostSolver {
-public:
-    [[nodiscard]] SolverKind kind() const override { return SolverKind::kLp; }
-    [[nodiscard]] const char* name() const override {
-        return "occupation-measure LP (Feinberg)";
-    }
-    [[nodiscard]] SubsystemSolution solve(
-        const CtmdpModel& model,
-        const SolverOptions& /*options*/) const override {
-        const auto r = solve_average_cost_lp(model);
-        if (r.status != lp::SolveStatus::kOptimal)
-            throw util::NumericalError(
-                "subsystem LP did not reach optimality: " +
-                std::string(lp::to_string(r.status)));
-        SubsystemSolution out;
-        out.gain = r.average_cost;
-        out.stationary.assign(r.state_probability.begin(),
-                              r.state_probability.end());
-        out.occupation = r.occupation;
-        out.policy = r.policy;
-        out.switching_states =
-            r.policy.switching_state_count(kSwitchingTolerance);
-        out.iterations = r.simplex_iterations;
-        out.solved_by = SolverKind::kLp;
-        out.converged = true;
-        return out;
-    }
-};
+SubsystemSolution solve_lp(const CtmdpModel& model) {
+    const auto r = solve_average_cost_lp(model);
+    if (r.status != lp::SolveStatus::kOptimal)
+        throw util::NumericalError("subsystem LP did not reach optimality: " +
+                                   std::string(lp::to_string(r.status)));
+    SubsystemSolution out;
+    out.gain = r.average_cost;
+    out.stationary.assign(r.state_probability.begin(),
+                          r.state_probability.end());
+    out.occupation = r.occupation;
+    out.policy = r.policy;
+    out.switching_states = r.policy.switching_state_count(kSwitchingTolerance);
+    out.iterations = r.simplex_iterations;
+    out.solved_by = SolverKind::kLp;
+    out.converged = true;
+    return out;
+}
 
-class ValueIterationSolver final : public AverageCostSolver {
-public:
-    [[nodiscard]] SolverKind kind() const override {
-        return SolverKind::kValueIteration;
-    }
-    [[nodiscard]] const char* name() const override {
-        return "relative value iteration";
-    }
-    [[nodiscard]] SubsystemSolution solve(
-        const CtmdpModel& model,
-        const SolverOptions& options) const override {
-        const auto vi = relative_value_iteration(model, options.vi);
-        if (!vi.converged)
-            util::log(util::LogLevel::kWarn,
-                      "value iteration hit the iteration limit (span ",
-                      vi.span_residual, "); using the last policy");
-        return from_deterministic(model, vi.policy, vi.gain, vi.bias,
-                                  vi.iterations, vi.converged,
-                                  SolverKind::kValueIteration);
-    }
-};
+SubsystemSolution solve_vi(const CtmdpModel& model,
+                           const SolverOptions& options) {
+    const auto vi = relative_value_iteration(model, options.vi);
+    if (!vi.converged)
+        util::log(util::LogLevel::kWarn,
+                  "value iteration hit the iteration limit (span ",
+                  vi.span_residual, "); using the last policy");
+    return from_deterministic(model, vi.policy, vi.gain, vi.bias,
+                              vi.iterations, vi.converged,
+                              SolverKind::kValueIteration);
+}
 
-class PolicyIterationSolver final : public AverageCostSolver {
-public:
-    [[nodiscard]] SolverKind kind() const override {
-        return SolverKind::kPolicyIteration;
+SubsystemSolution solve_pi(const CtmdpModel& model,
+                           const SolverOptions& options) {
+    const auto pi = policy_iteration(model, options.pi);
+    if (!pi.converged)
+        util::log(util::LogLevel::kWarn,
+                  "policy iteration hit the update limit; using the ",
+                  "last policy");
+    return from_deterministic(model, pi.policy, pi.gain, pi.bias,
+                              pi.policy_updates, pi.converged,
+                              SolverKind::kPolicyIteration);
+}
+
+/// Run one algorithm on `model`; throws util::NumericalError when it
+/// fails outright.
+SubsystemSolution solve_with(SolverKind kind, const CtmdpModel& model,
+                             const SolverOptions& options) {
+    switch (kind) {
+        case SolverKind::kLp: return solve_lp(model);
+        case SolverKind::kValueIteration: return solve_vi(model, options);
+        case SolverKind::kPolicyIteration: return solve_pi(model, options);
     }
-    [[nodiscard]] const char* name() const override {
-        return "Howard policy iteration";
-    }
-    [[nodiscard]] SubsystemSolution solve(
-        const CtmdpModel& model,
-        const SolverOptions& options) const override {
-        const auto pi = policy_iteration(model, options.pi);
-        if (!pi.converged)
-            util::log(util::LogLevel::kWarn,
-                      "policy iteration hit the update limit; using the ",
-                      "last policy");
-        return from_deterministic(model, pi.policy, pi.gain, pi.bias,
-                                  pi.policy_updates, pi.converged,
-                                  SolverKind::kPolicyIteration);
-    }
-};
+    throw util::ContractViolation("unknown solver kind");
+}
 
 /// The kAuto escalation order; also the failure-fallback chain.
 constexpr SolverKind kEscalation[] = {SolverKind::kLp,
@@ -126,28 +107,6 @@ constexpr SolverKind kEscalation[] = {SolverKind::kLp,
                                       SolverKind::kValueIteration};
 
 }  // namespace
-
-std::unique_ptr<AverageCostSolver> make_solver(SolverKind kind) {
-    switch (kind) {
-        case SolverKind::kLp: return std::make_unique<LpSolver>();
-        case SolverKind::kValueIteration:
-            return std::make_unique<ValueIterationSolver>();
-        case SolverKind::kPolicyIteration:
-            return std::make_unique<PolicyIterationSolver>();
-    }
-    throw util::ContractViolation("unknown solver kind");
-}
-
-SolverRegistry::SolverRegistry() {
-    for (const auto kind :
-         {SolverKind::kLp, SolverKind::kValueIteration,
-          SolverKind::kPolicyIteration})
-        solvers_[static_cast<std::size_t>(kind)] = make_solver(kind);
-}
-
-const AverageCostSolver& SolverRegistry::get(SolverKind kind) const {
-    return *solvers_[static_cast<std::size_t>(kind)];
-}
 
 SolverKind SolverRegistry::select(const CtmdpModel& model,
                                   const DispatchOptions& options) const {
@@ -170,7 +129,7 @@ SubsystemSolution SolverRegistry::solve(const CtmdpModel& model,
     const SolverKind first = select(model, options);
     if (options.choice != SolverChoice::kAuto) {
         // Forced choice: no fallback, errors propagate to the caller.
-        return get(first).solve(model, options.solver);
+        return solve_with(first, model, options.solver);
     }
     // kAuto: walk the LP -> PI -> VI chain starting at the selected rung;
     // a failed or unconverged rung escalates to the next one.
@@ -179,18 +138,18 @@ SubsystemSolution SolverRegistry::solve(const CtmdpModel& model,
     constexpr std::size_t kLast =
         sizeof(kEscalation) / sizeof(kEscalation[0]) - 1;
     for (;; ++rung) {
-        const AverageCostSolver& solver = get(kEscalation[rung]);
+        const SolverKind kind = kEscalation[rung];
         try {
-            SubsystemSolution out = solver.solve(model, options.solver);
+            SubsystemSolution out = solve_with(kind, model, options.solver);
             if (out.converged || rung == kLast) return out;
-            util::log(util::LogLevel::kWarn, solver.name(),
+            util::log(util::LogLevel::kWarn, to_string(kind),
                       " did not converge; escalating to ",
-                      get(kEscalation[rung + 1]).name());
+                      to_string(kEscalation[rung + 1]));
         } catch (const util::NumericalError& error) {
             if (rung == kLast) throw;
-            util::log(util::LogLevel::kWarn, solver.name(), " failed (",
+            util::log(util::LogLevel::kWarn, to_string(kind), " failed (",
                       error.what(), "); escalating to ",
-                      get(kEscalation[rung + 1]).name());
+                      to_string(kEscalation[rung + 1]));
         }
     }
 }

@@ -8,16 +8,13 @@
 // but each one solves a dense linear system (O(states^3)); value iteration
 // is matrix-free and scales furthest.
 //
-// This header erases that choice behind one interface:
-//
-//   * AverageCostSolver — strategy interface; solve() returns a
-//     SubsystemSolution (gain + stationary distribution + occupation
-//     measure + policy) whatever the algorithm,
-//   * SolverRegistry — owns one instance of each algorithm and dispatches
-//     a SolverChoice (kAuto escalates LP -> PI -> VI by model size). It
-//     holds no mutable state, so concurrent solves need no
-//     synchronisation; callers that count solves per algorithm tally each
-//     solution's solved_by (core::BufferSizingEngine does).
+// This header erases that choice behind one dispatcher: SolverRegistry
+// runs a SolverChoice (kAuto escalates LP -> PI -> VI by model size) and
+// returns a SubsystemSolution (gain + stationary distribution + occupation
+// measure + policy) whatever the algorithm. It holds no state, so
+// concurrent solves need no synchronisation; callers that count solves per
+// algorithm tally each solution's solved_by (core::BufferSizingEngine
+// does).
 #pragma once
 
 #include "ctmdp/lp_solver.hpp"
@@ -28,7 +25,6 @@
 #include "linalg/matrix.hpp"
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 namespace socbuf::ctmdp {
@@ -71,21 +67,6 @@ struct SolverOptions {
     PiOptions pi;
 };
 
-/// Strategy interface: one average-cost algorithm.
-class AverageCostSolver {
-public:
-    virtual ~AverageCostSolver() = default;
-    [[nodiscard]] virtual SolverKind kind() const = 0;
-    [[nodiscard]] virtual const char* name() const = 0;
-    /// Solve `model` (non-empty, unichain). Throws util::NumericalError
-    /// when the algorithm fails outright (e.g. an infeasible LP).
-    [[nodiscard]] virtual SubsystemSolution solve(
-        const CtmdpModel& model, const SolverOptions& options) const = 0;
-};
-
-/// Build a standalone solver of the given kind (no registry needed).
-[[nodiscard]] std::unique_ptr<AverageCostSolver> make_solver(SolverKind kind);
-
 /// Canonical kAuto escalation thresholds. One definition shared by every
 /// consumer (DispatchOptions below, core::SizingOptions, CLI help text) so
 /// a retune lands everywhere at once. The LP rung is unchanged from the
@@ -117,15 +98,10 @@ struct DispatchOptions {
     SolverOptions solver;
 };
 
-/// Owns the three algorithms and dispatches choices. Immutable after
-/// construction: solve() is const and safe to call from multiple threads
-/// concurrently.
+/// Dispatches choices to the three algorithms. Stateless: solve() is
+/// const and safe to call from multiple threads concurrently.
 class SolverRegistry {
 public:
-    SolverRegistry();
-
-    [[nodiscard]] const AverageCostSolver& get(SolverKind kind) const;
-
     /// The algorithm dispatch() would run for `model` under `options`
     /// before any failure fallback.
     [[nodiscard]] SolverKind select(const CtmdpModel& model,
@@ -134,12 +110,10 @@ public:
     /// Solve `model` per `options`. kAuto escalates by size and falls
     /// through to the next algorithm in the LP -> PI -> VI chain if the
     /// chosen one fails or does not converge; a forced choice that fails
-    /// propagates its error instead.
+    /// propagates its error instead. An algorithm that fails outright
+    /// (e.g. an infeasible LP) throws util::NumericalError.
     [[nodiscard]] SubsystemSolution solve(
         const CtmdpModel& model, const DispatchOptions& options) const;
-
-private:
-    std::unique_ptr<AverageCostSolver> solvers_[3];
 };
 
 }  // namespace socbuf::ctmdp

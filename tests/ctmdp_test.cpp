@@ -1,5 +1,4 @@
 #include "arch/presets.hpp"
-#include "core/modulated_model.hpp"
 #include "core/subsystem_model.hpp"
 #include "ctmc/birth_death.hpp"
 #include "ctmdp/lp_solver.hpp"
@@ -418,19 +417,6 @@ TEST(SolverRegistry, ConcurrentSolvesOnOneSharedRegistry) {
     }
 }
 
-TEST(MakeSolver, StandaloneSolversCarryTheirIdentity) {
-    for (const auto kind :
-         {sm::SolverKind::kLp, sm::SolverKind::kValueIteration,
-          sm::SolverKind::kPolicyIteration}) {
-        const auto solver = sm::make_solver(kind);
-        ASSERT_NE(solver, nullptr);
-        EXPECT_EQ(solver->kind(), kind);
-        const auto sol = solver->solve(two_state_toy(), {});
-        EXPECT_NEAR(sol.gain, 1.0, 1e-8);
-        EXPECT_EQ(sol.solved_by, kind);
-    }
-}
-
 TEST(Model, BandwidthAndTransitionCountTrackStructure) {
     sm::CtmdpBuilder b(5);
     b.add_action(0, {{1, 1.0}, {0, 0.0}});  // zero-rate edge: count, no band
@@ -464,28 +450,21 @@ void expect_exact_capacity(const sm::CtmdpModel& m, const std::string& what) {
 }  // namespace
 
 TEST(Model, SubsystemBuildsAreExactCapacity) {
-    // Both model families count their model before building it, so the
+    // The subsystem model counts itself before it is built, so the
     // builder allocates every array once, at its final size. Figure 1 has
-    // a bursty flow, so the modulated family's phase flips are counted
-    // too.
+    // a bursty flow, so modulated builds count phase flips too.
     const auto sys = socbuf::arch::figure1_system();
     const auto split = socbuf::split::split_architecture(sys);
     for (const long cap : {1L, 3L}) {
         for (std::size_t i = 0; i < split.subsystems.size(); ++i) {
             const std::vector<long> alloc(split.sites.size(), cap);
-            const std::string what = split.subsystems[i].bus_name +
-                                     " cap " + std::to_string(cap);
-            expect_exact_capacity(
-                socbuf::core::build_subsystem_model<
-                    socbuf::core::SubsystemCtmdp>(split, i, alloc, cap)
-                    .model(),
-                what);
-            expect_exact_capacity(
-                socbuf::core::build_subsystem_model<
-                    socbuf::core::ModulatedSubsystemCtmdp>(split, i, alloc,
-                                                           cap)
-                    .model(),
-                what + " modulated");
+            for (const bool modulated : {false, true})
+                expect_exact_capacity(
+                    socbuf::core::build_subsystem_model(split, i, alloc, cap,
+                                                        {}, modulated)
+                        .model(),
+                    split.subsystems[i].bus_name + " cap " +
+                        std::to_string(cap) + (modulated ? " modulated" : ""));
         }
     }
 }
@@ -504,8 +483,8 @@ std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t bytes) {
 /// FNV-1a digests of one subsystem model's bytes: its solve fingerprint
 /// (a hash of the five flat arrays plus the default options block) and
 /// its service shares under a fixed, pair-indexed occupation vector.
-template <typename Model>
-std::pair<std::uint64_t, std::uint64_t> model_digests(const Model& sub) {
+std::pair<std::uint64_t, std::uint64_t> model_digests(
+    const socbuf::core::SubsystemCtmdp& sub) {
     const std::string key = sm::solve_fingerprint(sub.model(), {});
     std::vector<double> occupation(sub.model().pair_count());
     for (std::size_t p = 0; p < occupation.size(); ++p)
@@ -569,8 +548,7 @@ TEST(Model, SubsystemModelBytesPinned) {
     };
     const auto sys = socbuf::arch::figure1_system();
     const auto split = socbuf::split::split_architecture(sys);
-    socbuf::arch::NetworkProcessorParams np_params;
-    const auto np = socbuf::arch::network_processor_system(np_params);
+    const auto np = socbuf::arch::network_processor_system();
     const auto np_split = socbuf::split::split_architecture(np);
     struct Case {
         std::string name;
@@ -595,12 +573,8 @@ TEST(Model, SubsystemModelBytesPinned) {
         const std::vector<long> caps(tc.sub->flows.size(), tc.cap);
         std::vector<double> rates;
         for (const auto& f : tc.sub->flows) rates.push_back(f.arrival_rate);
-        const auto [fingerprint, shares] =
-            tc.modulated
-                ? model_digests(socbuf::core::ModulatedSubsystemCtmdp(
-                      *tc.sub, caps, rates))
-                : model_digests(
-                      socbuf::core::SubsystemCtmdp(*tc.sub, caps, rates));
+        const auto [fingerprint, shares] = model_digests(
+            socbuf::core::SubsystemCtmdp(*tc.sub, caps, rates, tc.modulated));
         record << "        {\"" << tc.name << "\", 0x" << std::hex
                << fingerprint << "ULL, 0x" << shares << "ULL},\n"
                << std::dec;

@@ -1,7 +1,6 @@
 #include "arch/presets.hpp"
 #include "core/allocation.hpp"
 #include "core/engine.hpp"
-#include "core/modulated_model.hpp"
 #include "core/subsystem_model.hpp"
 #include "ctmdp/lp_solver.hpp"
 #include "ctmdp/occupation.hpp"
@@ -59,7 +58,7 @@ TEST(ModulatedModel, StateSpaceDoublesPerBurstyFlow) {
     for (const auto& f : sub.flows) rates.push_back(f.arrival_rate);
 
     const sc::SubsystemCtmdp poisson(sub, caps, rates);
-    const sc::ModulatedSubsystemCtmdp modulated(sub, caps, rates);
+    const sc::SubsystemCtmdp modulated(sub, caps, rates, true);
     ASSERT_GE(modulated.modulated_flow_count(), 1u);
     EXPECT_EQ(modulated.model().state_count(),
               poisson.model().state_count()
@@ -71,7 +70,7 @@ TEST(ModulatedModel, PhaseAndOccupancyDecodeRoundTrip) {
     std::vector<long> caps(sub.flows.size(), 2);
     std::vector<double> rates;
     for (const auto& f : sub.flows) rates.push_back(f.arrival_rate);
-    const sc::ModulatedSubsystemCtmdp m(sub, caps, rates);
+    const sc::SubsystemCtmdp m(sub, caps, rates, true);
     // Every state must be uniquely identified by (occupancies, phases).
     std::set<std::vector<long>> seen;
     for (std::size_t s = 0; s < m.model().state_count(); ++s) {
@@ -96,7 +95,7 @@ TEST(ModulatedModel, SmoothFlowsReduceToThePoissonModel) {
     for (const auto& f : bus_a->flows) rates.push_back(f.arrival_rate);
 
     const sc::SubsystemCtmdp poisson(*bus_a, caps, rates);
-    const sc::ModulatedSubsystemCtmdp modulated(*bus_a, caps, rates);
+    const sc::SubsystemCtmdp modulated(*bus_a, caps, rates, true);
     EXPECT_EQ(modulated.modulated_flow_count(), 0u);
     EXPECT_EQ(socbuf::ctmdp::solve_fingerprint(modulated.model(), {}),
               socbuf::ctmdp::solve_fingerprint(poisson.model(), {}));
@@ -113,7 +112,7 @@ TEST(ModulatedModel, PredictsMoreLossThanPoissonForBurstyTraffic) {
     std::vector<double> rates;
     for (const auto& f : sub.flows) rates.push_back(f.arrival_rate);
     const sc::SubsystemCtmdp poisson(sub, caps, rates);
-    const sc::ModulatedSubsystemCtmdp modulated(sub, caps, rates);
+    const sc::SubsystemCtmdp modulated(sub, caps, rates, true);
     const auto lp_p = socbuf::ctmdp::solve_average_cost_lp(poisson.model());
     const auto lp_m =
         socbuf::ctmdp::solve_average_cost_lp(modulated.model());
@@ -127,7 +126,7 @@ TEST(ModulatedModel, MarginalsAndSharesAreDistributions) {
     std::vector<long> caps(sub.flows.size(), 2);
     std::vector<double> rates;
     for (const auto& f : sub.flows) rates.push_back(f.arrival_rate);
-    const sc::ModulatedSubsystemCtmdp m(sub, caps, rates);
+    const sc::SubsystemCtmdp m(sub, caps, rates, true);
     const auto lp = socbuf::ctmdp::solve_average_cost_lp(m.model());
     ASSERT_EQ(lp.status, socbuf::lp::SolveStatus::kOptimal);
     socbuf::linalg::Vector pi(lp.state_probability.begin(),
@@ -151,13 +150,12 @@ TEST(ModulatedModel, BuilderClampsAndValidates) {
     const auto& split = figure1_split();
     const auto alloc = sc::uniform_allocation(split, 36);
     for (std::size_t i = 0; i < split.subsystems.size(); ++i) {
-        const auto m = sc::build_subsystem_model<sc::ModulatedSubsystemCtmdp>(
-            split, i, alloc, 2);
+        const auto m = sc::build_subsystem_model(split, i, alloc, 2, {}, true);
         for (const long c : m.caps()) EXPECT_LE(c, 2);
     }
-    EXPECT_THROW((void)sc::build_subsystem_model<sc::ModulatedSubsystemCtmdp>(
-                     split, 0, {1, 2}, 2),
-                 socbuf::util::ContractViolation);
+    EXPECT_THROW(
+        (void)sc::build_subsystem_model(split, 0, {1, 2}, 2, {}, true),
+        socbuf::util::ContractViolation);
 }
 
 TEST(Engine, ModulatedModeRunsEndToEnd) {

@@ -7,7 +7,6 @@
 // schedule-only knobs (executor, parallel_min_states). The golden pins
 // hold VI's and the stationary pass's output bits fixed across versions.
 #include "arch/presets.hpp"
-#include "core/modulated_model.hpp"
 #include "core/subsystem_model.hpp"
 #include "ctmdp/occupation.hpp"
 #include "ctmdp/solve_cache.hpp"
@@ -449,8 +448,9 @@ TEST(ValueIteration, GoldenBitsPinned) {
              bus_b, std::vector<long>(bus_b.flows.size(), 4), bus_b_rates)
              .model()},
         {"figure1 bus b modulated cap 3",
-         socbuf::core::ModulatedSubsystemCtmdp(
-             bus_b, std::vector<long>(bus_b.flows.size(), 3), bus_b_rates)
+         socbuf::core::SubsystemCtmdp(
+             bus_b, std::vector<long>(bus_b.flows.size(), 3), bus_b_rates,
+             /*modulated=*/true)
              .model()},
         {"head cases", head_cases_model()},
     };

@@ -6,8 +6,9 @@
 //   socbuf_cli list
 //       One line per registered scenario (name, testbench, job counts),
 //       then the batch presets.
-//   socbuf_cli show <scenario>
-//       Full parameterization of one scenario.
+//   socbuf_cli show <name>
+//       Full parameterization of one scenario, or a batch preset's
+//       members.
 //   socbuf_cli export <name> [--out FILE]
 //       One scenario — or batch preset, as a {"scenarios": [...]}
 //       catalog — as JSON ("-" = stdout, the default). The output is
@@ -41,9 +42,10 @@
 //
 // Results are bit-identical for any --threads value, and a file-loaded
 // scenario reproduces its compiled preset's report exactly. Malformed or
-// out-of-range option values — and malformed scenario files — are a usage
-// error: exit code 2 with a diagnostic naming the flag or the JSON path
-// (never an uncaught parse exception).
+// out-of-range option values, unknown scenario names, stray arguments and
+// malformed scenario files are a usage error: exit code 2 with a
+// diagnostic naming the flag, the name or the JSON path (never an
+// uncaught parse exception).
 #include "exec/thread_pool.hpp"
 #include "scenario/scenario_io.hpp"
 #include "session/session.hpp"
@@ -74,7 +76,7 @@ int usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage:\n"
                  "  %s list\n"
-                 "  %s show <scenario>\n"
+                 "  %s show <name>\n"
                  "  %s export <name> [--out FILE] | export --all [--dir DIR]\n"
                  "  %s validate --file F [--file F ...]\n"
                  "  %s run <name|--file F> [more names/files]\n"
@@ -83,6 +85,15 @@ int usage(const char* argv0) {
                  "      [--seed S] [--no-cache]\n"
                  "      [--json FILE] [--csv FILE]\n",
                  argv0, argv0, argv0, argv0, argv0);
+    return 2;
+}
+
+/// A name that is neither a registered scenario nor a batch preset is
+/// malformed input, like a bad flag value.
+int unknown_name(const std::string& name) {
+    std::fprintf(stderr,
+                 "invalid name '%s': no such scenario or batch (try: list)\n",
+                 name.c_str());
     return 2;
 }
 
@@ -193,11 +204,15 @@ int list_scenarios() {
 
 int show_scenario(const std::string& name) {
     const ScenarioRegistry registry;
-    if (!registry.contains(name)) {
-        std::fprintf(stderr, "unknown scenario '%s' (try: list)\n",
-                     name.c_str());
-        return 1;
+    if (registry.contains_batch(name)) {
+        const auto& batch = registry.get_batch(name);
+        std::printf("%s — %s\n", batch.name.c_str(),
+                    batch.description.c_str());
+        std::printf("  batch of:     %s\n",
+                    socbuf::util::join(batch.scenarios, ", ").c_str());
+        return 0;
     }
+    if (!registry.contains(name)) return unknown_name(name);
     const ScenarioSpec& spec = registry.get(name);
     std::printf("%s — %s\n", spec.name.c_str(), spec.description.c_str());
     std::printf("  testbench:    %s\n",
@@ -309,11 +324,8 @@ int export_scenarios(const std::vector<std::string>& args) {
         return 2;
     }
     if (!all) {
-        if (!registry.contains(name) && !registry.contains_batch(name)) {
-            std::fprintf(stderr, "unknown scenario '%s' (try: list)\n",
-                         name.c_str());
-            return 1;
-        }
+        if (!registry.contains(name) && !registry.contains_batch(name))
+            return unknown_name(name);
         return write_output(out_path.empty() ? "-" : out_path,
                             export_json(registry, name).dump(2) + "\n",
                             "scenario")
@@ -496,11 +508,8 @@ int run_scenarios(const std::vector<std::string>& args) {
                          arg.c_str());
             return 2;
         } else {
-            if (!registry.contains(arg) && !registry.contains_batch(arg)) {
-                std::fprintf(stderr, "unknown scenario '%s' (try: list)\n",
-                             arg.c_str());
-                return 1;
-            }
+            if (!registry.contains(arg) && !registry.contains_batch(arg))
+                return unknown_name(arg);
             for (auto& spec : registry.expand(arg))
                 specs.push_back(std::move(spec));
         }
@@ -573,7 +582,12 @@ int main(int argc, char** argv) {
     const std::string command = argv[1];
     std::vector<std::string> rest(argv + 2, argv + argc);
     try {
-        if (command == "list") return list_scenarios();
+        if (command == "list") {
+            if (rest.empty()) return list_scenarios();
+            std::fprintf(stderr, "invalid argument '%s': list takes none\n",
+                         rest[0].c_str());
+            return 2;
+        }
         if (command == "show")
             return rest.size() == 1 ? show_scenario(rest[0]) : usage(argv[0]);
         if (command == "export") return export_scenarios(rest);
