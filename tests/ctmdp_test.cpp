@@ -586,6 +586,64 @@ TEST(Model, SubsystemModelBytesPinned) {
     EXPECT_EQ(cases.size(), std::size(golden)) << "got\n" << record.str();
 }
 
+TEST(LpSolver, GoldenBitsPinned) {
+    // Cross-version oracle for the LP rung: every Figure 1 bus at caps
+    // 1-3 must give the same gain bits, the same simplex pivot count and
+    // the same occupation-vector bytes. Do not regenerate the values to
+    // make a simplex or LP-builder change pass.
+    struct Golden {
+        const char* name;
+        double gain;                      // hex float, exact
+        std::size_t pivots;
+        std::uint64_t occupation_digest;  // FNV-1a of the x(s,a) bytes
+    };
+    static const Golden golden[] = {
+        {"figure1 bus a cap 1", 0x1.d6a3703cc3b1ap-2, 5, 0xaff6b40169b0a35eULL},
+        {"figure1 bus b cap 1", 0x1.84a0335d3c998p-1, 9, 0xe2af3ef150f8f18eULL},
+        {"figure1 bus g cap 1", 0x1.0410cc711b46p-1, 5, 0xd991e1e7a7147dbfULL},
+        {"figure1 bus f cap 1", 0x1.0410cc711d45ap-1, 5, 0x3205b22c83e7b2dcULL},
+        {"figure1 bus a cap 2", 0x1.0f0e8273b5872p-3, 11, 0x75f6ea74d01b7e19ULL},
+        {"figure1 bus b cap 2", 0x1.554972061ba44p-2, 40, 0x794470c19ff9ea34ULL},
+        {"figure1 bus g cap 2", 0x1.7a9e17b755a15p-3, 10, 0xe7a6d18a02ad0105ULL},
+        {"figure1 bus f cap 2", 0x1.7a9e17b77a862p-3, 11, 0x29872190683feeb7ULL},
+        {"figure1 bus a cap 3", 0x1.439f7d8a0e904p-5, 20, 0x2a52e90458be5ba0ULL},
+        {"figure1 bus b cap 3", 0x1.5e0274fb67f4ep-3, 100, 0xb3fd76cb05c94508ULL},
+        {"figure1 bus g cap 3", 0x1.2a2abf0940484p-4, 18, 0xbca9709653321addULL},
+        {"figure1 bus f cap 3", 0x1.2a2abf09f6227p-4, 20, 0x65e5aed141d17160ULL},
+    };
+    const auto sys = socbuf::arch::figure1_system();
+    const auto split = socbuf::split::split_architecture(sys);
+    std::ostringstream record;
+    std::size_t c = 0;
+    for (const long cap : {1L, 2L, 3L}) {
+        for (const auto& sub : split.subsystems) {
+            const std::string name =
+                "figure1 bus " + sub.bus_name + " cap " + std::to_string(cap);
+            const std::vector<long> caps(sub.flows.size(), cap);
+            std::vector<double> rates;
+            for (const auto& f : sub.flows) rates.push_back(f.arrival_rate);
+            const socbuf::core::SubsystemCtmdp model(sub, caps, rates);
+            const auto r = sm::solve_average_cost_lp(model.model());
+            ASSERT_EQ(r.status, socbuf::lp::SolveStatus::kOptimal) << name;
+            const std::uint64_t digest =
+                fnv1a(0xcbf29ce484222325ULL, r.occupation.data(),
+                      r.occupation.size() * sizeof(double));
+            record << "        {\"" << name << "\", " << std::hexfloat
+                   << r.average_cost << std::defaultfloat << ", "
+                   << r.simplex_iterations << ", 0x" << std::hex << digest
+                   << "ULL},\n" << std::dec;
+            if (c < std::size(golden)) {
+                EXPECT_EQ(name, golden[c].name);
+                EXPECT_EQ(r.average_cost, golden[c].gain) << name;
+                EXPECT_EQ(r.simplex_iterations, golden[c].pivots) << name;
+                EXPECT_EQ(digest, golden[c].occupation_digest) << name;
+            }
+            ++c;
+        }
+    }
+    EXPECT_EQ(c, std::size(golden)) << "got\n" << record.str();
+}
+
 namespace {
 
 /// A random model kept in nested form next to its frozen CSR twin, so
