@@ -1,6 +1,6 @@
 // E6 / ablation — sizing-policy comparison on the network processor:
 // uniform (constant), traffic-ratio proportional (the strawman the paper's
-// introduction dismisses), analytic demand-based, and the CTMDP engine.
+// introduction dismisses) and the CTMDP engine.
 // Also sweeps the timeout policy's threshold scale, documenting why a
 // mean-level threshold is catastrophic.
 #include "arch/presets.hpp"
@@ -42,7 +42,6 @@ void print_policy_comparison() {
     const auto uniform = socbuf::core::uniform_allocation(split, kBudget);
     const auto proportional =
         socbuf::core::proportional_allocation(split, kBudget);
-    const auto demand = socbuf::core::demand_allocation(split, kBudget);
 
     socbuf::core::SizingOptions opts;
     opts.total_budget = kBudget;
@@ -63,7 +62,6 @@ void print_policy_comparison() {
     };
     row("uniform (constant)", base);
     row("proportional (traffic ratios)", total_loss(system, proportional));
-    row("demand-based (analytic)", total_loss(system, demand));
     row("CTMDP sizing (this paper)", total_loss(system, report.best));
     std::printf("%s", t.to_string().c_str());
     std::printf("the CTMDP allocation differs from the traffic-ratio "

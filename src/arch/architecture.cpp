@@ -44,14 +44,6 @@ const Bridge& Architecture::bridge(BridgeId id) const {
     return bridges_[id];
 }
 
-std::vector<ProcessorId> Architecture::processors_on_bus(BusId bus) const {
-    SOCBUF_REQUIRE_MSG(bus < buses_.size(), "unknown bus");
-    std::vector<ProcessorId> out;
-    for (ProcessorId p = 0; p < processors_.size(); ++p)
-        if (processors_[p].bus == bus) out.push_back(p);
-    return out;
-}
-
 std::vector<BridgeId> Architecture::bridges_of_bus(BusId bus) const {
     SOCBUF_REQUIRE_MSG(bus < buses_.size(), "unknown bus");
     std::vector<BridgeId> out;
@@ -66,16 +58,6 @@ BusId Architecture::bridge_peer(BridgeId bridge_id, BusId bus) const {
     SOCBUF_REQUIRE_MSG(b.bus_a == bus || b.bus_b == bus,
                        "bus is not an endpoint of the bridge");
     return b.bus_a == bus ? b.bus_b : b.bus_a;
-}
-
-std::optional<BridgeId> Architecture::bridge_between(BusId a, BusId b) const {
-    for (BridgeId id = 0; id < bridges_.size(); ++id) {
-        const Bridge& br = bridges_[id];
-        if ((br.bus_a == a && br.bus_b == b) ||
-            (br.bus_a == b && br.bus_b == a))
-            return id;
-    }
-    return std::nullopt;
 }
 
 std::vector<BridgeId> Architecture::route(BusId from, BusId to) const {
@@ -110,27 +92,6 @@ std::vector<BridgeId> Architecture::route(BusId from, BusId to) const {
     for (BusId cursor = to; cursor != from; cursor = via_bus[cursor])
         path.push_back(via_bridge[cursor]);
     return {path.rbegin(), path.rend()};
-}
-
-bool Architecture::bus_graph_connected() const {
-    if (buses_.empty()) return true;
-    std::vector<bool> seen(buses_.size(), false);
-    std::deque<BusId> frontier{0};
-    seen[0] = true;
-    std::size_t visited = 1;
-    while (!frontier.empty()) {
-        const BusId current = frontier.front();
-        frontier.pop_front();
-        for (BridgeId br : bridges_of_bus(current)) {
-            const BusId next = bridge_peer(br, current);
-            if (!seen[next]) {
-                seen[next] = true;
-                ++visited;
-                frontier.push_back(next);
-            }
-        }
-    }
-    return visited == buses_.size();
 }
 
 void Architecture::validate() const {

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,23 +49,15 @@ public:
     [[nodiscard]] const Processor& processor(ProcessorId id) const;
     [[nodiscard]] const Bridge& bridge(BridgeId id) const;
 
-    [[nodiscard]] std::vector<ProcessorId> processors_on_bus(BusId bus) const;
     [[nodiscard]] std::vector<BridgeId> bridges_of_bus(BusId bus) const;
 
     /// The bus on the other side of `bridge` from `bus`.
     [[nodiscard]] BusId bridge_peer(BridgeId bridge, BusId bus) const;
 
-    /// Bridge joining the two buses directly, if any.
-    [[nodiscard]] std::optional<BridgeId> bridge_between(BusId a,
-                                                         BusId b) const;
-
     /// Shortest bus-level route from `from` to `to` as the sequence of
     /// bridges to traverse (empty when from == to). Throws ModelError when
     /// the buses are not connected.
     [[nodiscard]] std::vector<BridgeId> route(BusId from, BusId to) const;
-
-    /// True when every bus can reach every other bus over bridges.
-    [[nodiscard]] bool bus_graph_connected() const;
 
     /// Structural validation (ids in range, positive service rates, bridges
     /// join distinct buses, no empty architecture). Throws ModelError.

@@ -4,12 +4,6 @@
 
 namespace socbuf::arch {
 
-std::vector<double> offered_rate_per_processor(const TestSystem& system) {
-    std::vector<double> rates(system.architecture.processor_count(), 0.0);
-    for (const auto& f : system.flows) rates[f.source] += f.rate;
-    return rates;
-}
-
 TestSystem figure1_system() {
     TestSystem sys;
     sys.name = "figure1";

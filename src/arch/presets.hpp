@@ -41,10 +41,6 @@ struct TestSystem {
     std::vector<FlowSpec> flows;
 };
 
-/// Total offered rate originating at each processor.
-[[nodiscard]] std::vector<double> offered_rate_per_processor(
-    const TestSystem& system);
-
 /// The Figure 1 sample architecture: buses a, b, f, g; five processors
 /// (1, 4 on a; 2, 3 on b; 5 on g); bridges b<->f and f<->g, so b, f and g
 /// talk to each other while bus a is processor-only. Splitting inserts

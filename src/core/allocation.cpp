@@ -1,6 +1,5 @@
 #include "core/allocation.hpp"
 
-#include "queueing/mm1k.hpp"
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
 
@@ -70,29 +69,6 @@ Allocation proportional_allocation(const split::SplitResult& split,
     std::vector<double> weights;
     weights.reserve(active.size());
     for (const auto s : active) weights.push_back(rate_of_site[s]);
-    return scatter(split, active,
-                   util::apportion_largest_remainder(
-                       total_budget - pinned_site_budget(split), weights,
-                       /*floor=*/1));
-}
-
-Allocation demand_allocation(const split::SplitResult& split,
-                             long total_budget, double target_blocking) {
-    const auto active = active_sites(split);
-    SOCBUF_REQUIRE_MSG(!active.empty(), "no traffic-carrying sites");
-    std::vector<double> demand_of_site(split.sites.size(), 1.0);
-    for (const auto& sub : split.subsystems) {
-        const double mu_share =
-            sub.service_rate / static_cast<double>(sub.flows.size());
-        for (const auto& f : sub.flows)
-            demand_of_site[f.site] =
-                static_cast<double>(queueing::min_capacity_for_blocking(
-                    f.arrival_rate, std::max(mu_share, 1e-12),
-                    target_blocking, 512));
-    }
-    std::vector<double> weights;
-    weights.reserve(active.size());
-    for (const auto s : active) weights.push_back(demand_of_site[s]);
     return scatter(split, active,
                    util::apportion_largest_remainder(
                        total_budget - pinned_site_budget(split), weights,

@@ -1,6 +1,6 @@
 // Buffer allocations and the baseline sizing policies the paper compares
 // against: constant (uniform) sizing and traffic-ratio (proportional)
-// sizing, plus a demand-based refinement. All allocations are per buffer
+// sizing. All allocations are per buffer
 // site (arch::enumerate_buffer_sites order) and exactly exhaust the budget
 // over the traffic-carrying sites.
 #pragma once
@@ -39,12 +39,5 @@ using Allocation = std::vector<long>;
 /// rate.
 [[nodiscard]] Allocation proportional_allocation(
     const split::SplitResult& split, long total_budget);
-
-/// Analytic demand-based allocation: each site's share is the M/M/1/K
-/// capacity it would need under an equal service share to keep blocking
-/// below `target_blocking`.
-[[nodiscard]] Allocation demand_allocation(const split::SplitResult& split,
-                                           long total_budget,
-                                           double target_blocking = 0.02);
 
 }  // namespace socbuf::core

@@ -48,7 +48,6 @@ LpSolveResult solve_average_cost_lp(const CtmdpModel& model) {
     const auto& pair_offset = model.pair_offsets();
 
     lp::LinearProgram program;
-    program.set_sense(lp::Sense::kMinimize);
     for (std::size_t p = 0; p < n_pairs; ++p)
         program.add_variable(model.costs()[p]);
 
@@ -57,10 +56,6 @@ LpSolveResult solve_average_cost_lp(const CtmdpModel& model) {
     // dropped; phase 1 of the simplex would otherwise carry a permanently
     // degenerate artificial for it.
     std::vector<lp::Constraint> balance(n_states);
-    for (std::size_t sprime = 0; sprime < n_states; ++sprime) {
-        balance[sprime].relation = lp::Relation::kEqual;
-        balance[sprime].rhs = 0.0;
-    }
     for (std::size_t s = 0; s < n_states; ++s) {
         for (std::size_t p = pair_offset[s]; p < pair_offset[s + 1]; ++p) {
             double exit = 0.0;
@@ -77,9 +72,7 @@ LpSolveResult solve_average_cost_lp(const CtmdpModel& model) {
     // Normalization.
     {
         lp::Constraint norm;
-        norm.relation = lp::Relation::kEqual;
         norm.rhs = 1.0;
-        norm.name = "normalization";
         for (std::size_t p = 0; p < n_pairs; ++p)
             norm.terms.emplace_back(p, 1.0);
         program.add_constraint(std::move(norm));

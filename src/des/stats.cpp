@@ -3,26 +3,16 @@
 #include "util/contracts.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace socbuf::des {
 
 void Tally::observe(double value) {
     ++n_;
     total_ += value;
-    const double delta = value - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (value - mean_);
+    mean_ += (value - mean_) / static_cast<double>(n_);
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
 }
-
-double Tally::variance() const {
-    if (n_ < 2) return 0.0;
-    return m2_ / static_cast<double>(n_ - 1);
-}
-
-double Tally::stddev() const { return std::sqrt(variance()); }
 
 void TimeWeighted::update(double now, double value) {
     if (!started_) {

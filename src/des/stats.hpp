@@ -7,16 +7,14 @@
 
 namespace socbuf::des {
 
-/// Running mean / variance / extrema over discrete observations
-/// (Welford's algorithm).
+/// Running mean and extrema over discrete observations (Welford's
+/// mean update).
 class Tally {
 public:
     void observe(double value);
 
     [[nodiscard]] std::uint64_t count() const { return n_; }
     [[nodiscard]] double mean() const { return n_ > 0 ? mean_ : 0.0; }
-    [[nodiscard]] double variance() const;  // sample variance, n-1
-    [[nodiscard]] double stddev() const;
     [[nodiscard]] double min() const { return n_ > 0 ? min_ : 0.0; }
     [[nodiscard]] double max() const { return n_ > 0 ? max_ : 0.0; }
     [[nodiscard]] double total() const { return total_; }
@@ -24,7 +22,6 @@ public:
 private:
     std::uint64_t n_ = 0;
     double mean_ = 0.0;
-    double m2_ = 0.0;
     double total_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();

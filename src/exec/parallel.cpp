@@ -66,10 +66,12 @@ void parallel_for_index(ThreadPool& pool, std::size_t n,
     // Helpers let idle workers join in; the caller drives its own loop
     // below, so completion never depends on a worker being free — which
     // is what makes this safe to call *from* one of the pool's workers
-    // (the nested fan-out case). A straggler helper that only gets
+    // (the nested fan-out case). The caller counts as one of the
+    // min(size, n) drivers, so a call from outside the pool never runs
+    // more than size() bodies at once. A straggler helper that only gets
     // dequeued after the call returned sees an exhausted cursor and
     // exits immediately.
-    const std::size_t helpers = std::min(pool.size(), n);
+    const std::size_t helpers = std::min(pool.size(), n) - 1;
     for (std::size_t w = 0; w < helpers; ++w)
         pool.submit([state] { drive(*state); }, priority);
 

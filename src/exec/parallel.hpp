@@ -31,7 +31,9 @@ namespace socbuf::exec {
 /// pool's workers, so the call always makes progress even when every
 /// worker is busy — which makes it safe to call from *inside* a job that
 /// is itself running on the pool (a nested fan-out never deadlocks; at
-/// worst the inner indices all run on the calling worker).
+/// worst the inner indices all run on the calling worker). The caller is
+/// one of the drivers, so a call from outside the pool runs at most
+/// pool.size() bodies at once.
 ///
 /// `priority` labels the helper jobs the fan-out submits (kDefault keeps
 /// the classic claim order). Schedule-only, like every priority in the

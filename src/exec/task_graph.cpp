@@ -20,7 +20,6 @@ void TaskGraph::submit(std::function<void()> task, Priority priority) {
         // serial order is the reference order parallel runs must match.
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            ++submitted_;
             if (cancelled_) return;
         }
         try {
@@ -34,7 +33,6 @@ void TaskGraph::submit(std::function<void()> task, Priority priority) {
     }
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        ++submitted_;
         ++pending_;
     }
     executor_.pool()->submit(
@@ -74,11 +72,6 @@ void TaskGraph::wait() {
         cancelled_ = false;  // reusable after the error is delivered
         std::rethrow_exception(error);
     }
-}
-
-std::size_t TaskGraph::submitted() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return submitted_;
 }
 
 }  // namespace socbuf::exec

@@ -68,18 +68,14 @@ public:
     /// exception, if any. The graph is reusable afterwards.
     void wait();
 
-    /// Total tasks ever submitted to this graph (including skipped ones).
-    [[nodiscard]] std::size_t submitted() const;
-
 private:
     void run_one(const std::function<void()>& task);
     void finish_one();
 
     Executor& executor_;
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable all_done_;
     std::size_t pending_ = 0;
-    std::size_t submitted_ = 0;
     bool cancelled_ = false;  // a task threw; skip tasks not yet started
     std::exception_ptr error_;
 };

@@ -9,18 +9,6 @@
 
 namespace socbuf::linalg {
 
-Bandwidths bandwidths_of(const Matrix& dense) {
-    SOCBUF_REQUIRE_MSG(dense.square(), "bandwidths of a non-square matrix");
-    Bandwidths bw;
-    for (std::size_t r = 0; r < dense.rows(); ++r)
-        for (std::size_t c = 0; c < dense.cols(); ++c) {
-            if (dense(r, c) == 0.0) continue;
-            if (r > c) bw.lower = std::max(bw.lower, r - c);
-            if (c > r) bw.upper = std::max(bw.upper, c - r);
-        }
-    return bw;
-}
-
 BandedMatrix::BandedMatrix(std::size_t n, std::size_t lower,
                            std::size_t upper)
     : n_(n),

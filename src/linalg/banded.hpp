@@ -26,15 +26,6 @@
 
 namespace socbuf::linalg {
 
-/// Lower/upper bandwidth of a matrix: max (r - c) / (c - r) over nonzero
-/// entries.
-struct Bandwidths {
-    std::size_t lower = 0;
-    std::size_t upper = 0;
-};
-
-[[nodiscard]] Bandwidths bandwidths_of(const Matrix& dense);
-
 /// An n x n matrix with entries confined to c in [r - lower, r + upper].
 /// Writes outside the band throw; reads outside return 0.
 class BandedMatrix {

@@ -37,7 +37,6 @@ LuDecomposition::LuDecomposition(Matrix a, double pivot_tolerance)
             for (std::size_t c = 0; c < n; ++c)
                 std::swap(lu_(k, c), lu_(pivot_row, c));
             std::swap(perm_[k], perm_[pivot_row]);
-            perm_sign_ = -perm_sign_;
         }
         min_pivot_ = std::min(min_pivot_, pivot_mag);
         const double inv_pivot = 1.0 / lu_(k, k);
@@ -91,12 +90,6 @@ Vector LuDecomposition::solve_transposed(const Vector& b) const {
     Vector x(n);
     for (std::size_t i = 0; i < n; ++i) x[perm_[i]] = y[i];
     return x;
-}
-
-double LuDecomposition::determinant() const {
-    double det = static_cast<double>(perm_sign_);
-    for (std::size_t i = 0; i < lu_.rows(); ++i) det *= lu_(i, i);
-    return det;
 }
 
 Vector solve_linear_system(const Matrix& a, const Vector& b) {

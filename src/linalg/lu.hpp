@@ -21,9 +21,6 @@ public:
     /// Solve A^T x = b for x.
     [[nodiscard]] Vector solve_transposed(const Vector& b) const;
 
-    /// det(A), from the product of pivots and the permutation sign.
-    [[nodiscard]] double determinant() const;
-
     /// Smallest absolute pivot encountered — a cheap conditioning signal.
     [[nodiscard]] double min_pivot() const { return min_pivot_; }
 
@@ -32,7 +29,6 @@ public:
 private:
     Matrix lu_;                      // packed L (unit diag) and U
     std::vector<std::size_t> perm_;  // row permutation
-    int perm_sign_ = 1;
     double min_pivot_ = 0.0;
 };
 

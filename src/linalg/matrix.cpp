@@ -1,7 +1,6 @@
 #include "linalg/matrix.hpp"
 
 #include "util/contracts.hpp"
-#include "util/strings.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -20,12 +19,6 @@ Matrix Matrix::from_rows(const std::vector<Vector>& rows) {
                            "all rows must have equal length");
         for (std::size_t c = 0; c < cols; ++c) m(r, c) = rows[r][c];
     }
-    return m;
-}
-
-Matrix Matrix::identity(std::size_t n) {
-    Matrix m(n, n);
-    for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
     return m;
 }
 
@@ -70,79 +63,10 @@ Vector Matrix::multiply_transposed(const Vector& x) const {
     return y;
 }
 
-Matrix Matrix::multiply(const Matrix& other) const {
-    SOCBUF_REQUIRE_MSG(cols_ == other.rows_, "A*B shape mismatch");
-    Matrix out(rows_, other.cols_);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        for (std::size_t k = 0; k < cols_; ++k) {
-            const double a = (*this)(r, k);
-            if (a == 0.0) continue;
-            const double* brow = other.data_.data() + k * other.cols_;
-            double* orow = out.data_.data() + r * other.cols_;
-            for (std::size_t c = 0; c < other.cols_; ++c)
-                orow[c] += a * brow[c];
-        }
-    }
-    return out;
-}
-
-Matrix Matrix::add(const Matrix& other) const {
-    SOCBUF_REQUIRE_MSG(rows_ == other.rows_ && cols_ == other.cols_,
-                       "A+B shape mismatch");
-    Matrix out = *this;
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        out.data_[i] += other.data_[i];
-    return out;
-}
-
-Matrix Matrix::scaled(double s) const {
-    Matrix out = *this;
-    for (double& v : out.data_) v *= s;
-    return out;
-}
-
-double Matrix::infinity_norm() const {
-    double best = 0.0;
-    for (std::size_t r = 0; r < rows_; ++r) {
-        double acc = 0.0;
-        for (std::size_t c = 0; c < cols_; ++c)
-            acc += std::fabs((*this)(r, c));
-        best = std::max(best, acc);
-    }
-    return best;
-}
-
 double Matrix::max_abs() const {
     double best = 0.0;
     for (double v : data_) best = std::max(best, std::fabs(v));
     return best;
-}
-
-std::string Matrix::to_string(int precision) const {
-    std::string out;
-    for (std::size_t r = 0; r < rows_; ++r) {
-        out += "[ ";
-        for (std::size_t c = 0; c < cols_; ++c) {
-            out += util::format_fixed((*this)(r, c), precision);
-            out += ' ';
-        }
-        out += "]\n";
-    }
-    return out;
-}
-
-Vector add(const Vector& a, const Vector& b) {
-    SOCBUF_REQUIRE(a.size() == b.size());
-    Vector out(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-    return out;
-}
-
-Vector subtract(const Vector& a, const Vector& b) {
-    SOCBUF_REQUIRE(a.size() == b.size());
-    Vector out(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-    return out;
 }
 
 Vector scale(const Vector& a, double s) {
@@ -150,15 +74,6 @@ Vector scale(const Vector& a, double s) {
     for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] * s;
     return out;
 }
-
-double dot(const Vector& a, const Vector& b) {
-    SOCBUF_REQUIRE(a.size() == b.size());
-    double acc = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-    return acc;
-}
-
-double norm2(const Vector& a) { return std::sqrt(dot(a, a)); }
 
 double norm_inf(const Vector& a) {
     double best = 0.0;

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace socbuf::linalg {
@@ -22,9 +21,6 @@ public:
     /// Build from nested initializer-style data; all rows must be equal
     /// length.
     static Matrix from_rows(const std::vector<Vector>& rows);
-
-    /// n x n identity.
-    static Matrix identity(std::size_t n);
 
     [[nodiscard]] std::size_t rows() const { return rows_; }
     [[nodiscard]] std::size_t cols() const { return cols_; }
@@ -54,23 +50,8 @@ public:
     /// y = A^T x ; x.size() must equal rows().
     [[nodiscard]] Vector multiply_transposed(const Vector& x) const;
 
-    /// Matrix-matrix product; other.rows() must equal cols().
-    [[nodiscard]] Matrix multiply(const Matrix& other) const;
-
-    /// Element-wise addition of same-shape matrices.
-    [[nodiscard]] Matrix add(const Matrix& other) const;
-
-    /// this * s, element-wise.
-    [[nodiscard]] Matrix scaled(double s) const;
-
-    /// Maximum absolute row sum (induced infinity norm).
-    [[nodiscard]] double infinity_norm() const;
-
     /// Maximum absolute element.
     [[nodiscard]] double max_abs() const;
-
-    /// Human-readable rendering for diagnostics.
-    [[nodiscard]] std::string to_string(int precision = 4) const;
 
 private:
     std::size_t rows_ = 0;
@@ -80,20 +61,8 @@ private:
 
 // ---- free vector helpers ---------------------------------------------------
 
-/// Element-wise a + b (sizes must match).
-[[nodiscard]] Vector add(const Vector& a, const Vector& b);
-
-/// Element-wise a - b (sizes must match).
-[[nodiscard]] Vector subtract(const Vector& a, const Vector& b);
-
 /// s * a.
 [[nodiscard]] Vector scale(const Vector& a, double s);
-
-/// Dot product (sizes must match).
-[[nodiscard]] double dot(const Vector& a, const Vector& b);
-
-/// Euclidean norm.
-[[nodiscard]] double norm2(const Vector& a);
 
 /// Maximum absolute entry; 0 for an empty vector.
 [[nodiscard]] double norm_inf(const Vector& a);

@@ -8,17 +8,9 @@
 
 namespace socbuf::lp {
 
-std::size_t LinearProgram::add_variable(double objective_coeff,
-                                        std::string name) {
+std::size_t LinearProgram::add_variable(double objective_coeff) {
     obj_.push_back(objective_coeff);
-    if (name.empty()) name = "x" + std::to_string(obj_.size() - 1);
-    names_.push_back(std::move(name));
     return obj_.size() - 1;
-}
-
-void LinearProgram::set_objective_coeff(std::size_t var, double coeff) {
-    SOCBUF_REQUIRE_MSG(var < obj_.size(), "unknown variable id");
-    obj_[var] = coeff;
 }
 
 std::size_t LinearProgram::add_constraint(Constraint c) {
@@ -30,23 +22,8 @@ std::size_t LinearProgram::add_constraint(Constraint c) {
         merged[var] += coeff;
     }
     c.terms.assign(merged.begin(), merged.end());
-    if (c.name.empty()) c.name = "c" + std::to_string(constraints_.size());
     constraints_.push_back(std::move(c));
     return constraints_.size() - 1;
-}
-
-std::size_t LinearProgram::add_dense_constraint(
-    const std::vector<double>& coeffs, Relation relation, double rhs,
-    std::string name) {
-    SOCBUF_REQUIRE_MSG(coeffs.size() == obj_.size(),
-                       "dense constraint width must equal variable count");
-    Constraint c;
-    c.relation = relation;
-    c.rhs = rhs;
-    c.name = std::move(name);
-    for (std::size_t v = 0; v < coeffs.size(); ++v)
-        if (coeffs[v] != 0.0) c.terms.emplace_back(v, coeffs[v]);
-    return add_constraint(std::move(c));
 }
 
 double LinearProgram::objective_coeff(std::size_t var) const {
@@ -57,11 +34,6 @@ double LinearProgram::objective_coeff(std::size_t var) const {
 const Constraint& LinearProgram::constraint(std::size_t i) const {
     SOCBUF_REQUIRE_MSG(i < constraints_.size(), "unknown constraint id");
     return constraints_[i];
-}
-
-const std::string& LinearProgram::variable_name(std::size_t var) const {
-    SOCBUF_REQUIRE_MSG(var < names_.size(), "unknown variable id");
-    return names_[var];
 }
 
 double LinearProgram::objective_value(const std::vector<double>& x) const {
@@ -78,17 +50,7 @@ double LinearProgram::max_violation(const std::vector<double>& x) const {
     for (const auto& c : constraints_) {
         double lhs = 0.0;
         for (const auto& [var, coeff] : c.terms) lhs += coeff * x[var];
-        switch (c.relation) {
-            case Relation::kLessEqual:
-                worst = std::max(worst, lhs - c.rhs);
-                break;
-            case Relation::kGreaterEqual:
-                worst = std::max(worst, c.rhs - lhs);
-                break;
-            case Relation::kEqual:
-                worst = std::max(worst, std::fabs(lhs - c.rhs));
-                break;
-        }
+        worst = std::max(worst, std::fabs(lhs - c.rhs));
     }
     return worst;
 }

@@ -1,64 +1,46 @@
-// Linear program description. Variables are non-negative reals (occupation
-// measures are probabilities, so x >= 0 is the natural domain); general
-// bounds can be expressed as explicit constraints.
+// Linear program in equality form: minimise c.x subject to Ax = b, x >= 0.
+// The occupation-measure LPs socbuf builds have exactly this shape (balance
+// rows and one normalization row over non-negative occupation measures);
+// an inequality is written with an explicit slack variable.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <utility>
 #include <vector>
 
 namespace socbuf::lp {
 
-enum class Sense { kMinimize, kMaximize };
-enum class Relation { kLessEqual, kGreaterEqual, kEqual };
-
-/// One linear constraint: sum(coeff_i * x_{var_i}) REL rhs.
+/// One equality row: sum(coeff_i * x_{var_i}) = rhs.
 struct Constraint {
     std::vector<std::pair<std::size_t, double>> terms;
-    Relation relation = Relation::kEqual;
     double rhs = 0.0;
-    std::string name;
 };
 
-/// Builder for an LP over non-negative variables.
+/// Builder for an equality-form LP over non-negative variables.
 class LinearProgram {
 public:
     /// Add a variable with the given objective coefficient; returns its id.
-    std::size_t add_variable(double objective_coeff = 0.0,
-                             std::string name = {});
+    std::size_t add_variable(double objective_coeff = 0.0);
 
-    void set_objective_coeff(std::size_t var, double coeff);
-    void set_sense(Sense sense) { sense_ = sense; }
-
-    /// Add a constraint; term variable ids must already exist.
-    /// Duplicate variable ids inside one constraint are summed.
+    /// Add an equality row; term variable ids must already exist.
+    /// Duplicate variable ids inside one row are summed.
     std::size_t add_constraint(Constraint c);
-
-    /// Convenience for dense rows (coeffs.size() == variable_count()).
-    std::size_t add_dense_constraint(const std::vector<double>& coeffs,
-                                     Relation relation, double rhs,
-                                     std::string name = {});
 
     [[nodiscard]] std::size_t variable_count() const { return obj_.size(); }
     [[nodiscard]] std::size_t constraint_count() const {
         return constraints_.size();
     }
-    [[nodiscard]] Sense sense() const { return sense_; }
     [[nodiscard]] double objective_coeff(std::size_t var) const;
     [[nodiscard]] const Constraint& constraint(std::size_t i) const;
-    [[nodiscard]] const std::string& variable_name(std::size_t var) const;
 
     /// Objective value of a candidate point (no feasibility check).
     [[nodiscard]] double objective_value(const std::vector<double>& x) const;
 
-    /// Largest violation of any constraint or the x >= 0 domain by `x`.
+    /// Largest violation of any row or of the x >= 0 domain by `x`.
     [[nodiscard]] double max_violation(const std::vector<double>& x) const;
 
 private:
-    Sense sense_ = Sense::kMinimize;
     std::vector<double> obj_;
-    std::vector<std::string> names_;
     std::vector<Constraint> constraints_;
 };
 

@@ -25,8 +25,8 @@ constexpr std::size_t kStallBeforeBland = 64;  // degenerate pivots
 constexpr double kRhsPerturbation = 1e-10;
 
 // Column-major tableau:
-//   rows 0..m-1: constraint rows, column layout [structural | slack/surplus |
-//                artificial | rhs]
+//   rows 0..m-1: constraint rows, column layout [structural | artificial |
+//                rhs], one artificial per (equality) row
 //   row m      : reduced-cost row for the active phase; its rhs cell holds
 //                minus the current objective value.
 // Columns are stored contiguously (tab_[c * col_stride_ + r]) because the
@@ -45,7 +45,7 @@ public:
     }
 
     SolveStatus run_two_phase(const LinearProgram& lp) {
-        if (needs_phase1_) {
+        if (m_ > 0) {
             load_phase1_objective();
             const SolveStatus s1 = iterate(/*phase1=*/true);
             if (s1 != SolveStatus::kOptimal) return s1;
@@ -84,95 +84,48 @@ private:
 
     void build(const LinearProgram& lp) {
         m_ = lp.constraint_count();
-        // Count auxiliary columns.
-        std::size_t n_slack = 0;
-        std::size_t n_art = 0;
-        for (std::size_t i = 0; i < m_; ++i) {
-            const auto& c = lp.constraint(i);
-            const bool flip = c.rhs < 0.0;
-            const Relation rel =
-                !flip ? c.relation
-                      : (c.relation == Relation::kLessEqual
-                             ? Relation::kGreaterEqual
-                             : (c.relation == Relation::kGreaterEqual
-                                    ? Relation::kLessEqual
-                                    : Relation::kEqual));
-            if (rel != Relation::kEqual) ++n_slack;
-            if (rel != Relation::kLessEqual) ++n_art;
-        }
-        slack_begin_ = n_struct_;
-        art_begin_ = n_struct_ + n_slack;
-        n_total_ = n_struct_ + n_slack + n_art;
+        art_begin_ = n_struct_;
+        n_total_ = n_struct_ + m_;
         col_stride_ = m_ + 1;
         tab_.assign((n_total_ + 1) * col_stride_, 0.0);
         basis_.assign(m_, 0);
-        is_artificial_.assign(n_total_, false);
-        needs_phase1_ = n_art > 0;
 
-        std::size_t next_slack = slack_begin_;
-        std::size_t next_art = art_begin_;
         for (std::size_t i = 0; i < m_; ++i) {
             const auto& c = lp.constraint(i);
-            const bool flip = c.rhs < 0.0;
-            const double sign = flip ? -1.0 : 1.0;
+            // A negative-rhs row is negated, so every artificial starts
+            // basic at a non-negative value.
+            const double sign = c.rhs < 0.0 ? -1.0 : 1.0;
             for (const auto& [var, coeff] : c.terms)
                 cell(i, var) += sign * coeff;
             cell(i, n_total_) =
                 sign * c.rhs +
                 kRhsPerturbation * static_cast<double>(i + 1) /
                     static_cast<double>(m_);
-            Relation rel = c.relation;
-            if (flip) {
-                if (rel == Relation::kLessEqual)
-                    rel = Relation::kGreaterEqual;
-                else if (rel == Relation::kGreaterEqual)
-                    rel = Relation::kLessEqual;
-            }
-            switch (rel) {
-                case Relation::kLessEqual:
-                    cell(i, next_slack) = 1.0;
-                    basis_[i] = next_slack;
-                    ++next_slack;
-                    break;
-                case Relation::kGreaterEqual: {
-                    cell(i, next_slack) = -1.0;  // surplus
-                    ++next_slack;
-                    cell(i, next_art) = 1.0;
-                    is_artificial_[next_art] = true;
-                    basis_[i] = next_art;
-                    ++next_art;
-                    break;
-                }
-                case Relation::kEqual:
-                    cell(i, next_art) = 1.0;
-                    is_artificial_[next_art] = true;
-                    basis_[i] = next_art;
-                    ++next_art;
-                    break;
-            }
+            cell(i, art_begin_ + i) = 1.0;
+            basis_[i] = art_begin_ + i;
         }
+    }
+
+    [[nodiscard]] bool is_artificial(std::size_t c) const {
+        return c >= art_begin_;
     }
 
     void load_phase1_objective() {
         // Minimize the sum of artificials: cost row starts as e_artificials,
-        // then gets reduced against the (artificial) basis, which amounts to
-        // subtracting every artificial-basic row.
+        // then gets reduced against the all-artificial starting basis, which
+        // amounts to subtracting every row.
         for (std::size_t c = 0; c <= n_total_; ++c) cell(m_, c) = 0.0;
         for (std::size_t c = art_begin_; c < n_total_; ++c) cell(m_, c) = 1.0;
-        for (std::size_t r = 0; r < m_; ++r) {
-            if (!is_artificial_[basis_[r]]) continue;
+        for (std::size_t r = 0; r < m_; ++r)
             for (std::size_t c = 0; c <= n_total_; ++c)
                 cell(m_, c) -= cell(r, c);
-        }
         phase1_ = true;
     }
 
     void load_phase2_objective(const LinearProgram& lp) {
-        const double sense =
-            lp.sense() == Sense::kMinimize ? 1.0 : -1.0;  // run min internally
         for (std::size_t c = 0; c <= n_total_; ++c) cell(m_, c) = 0.0;
         for (std::size_t v = 0; v < n_struct_; ++v)
-            cell(m_, v) = sense * lp.objective_coeff(v);
+            cell(m_, v) = lp.objective_coeff(v);
         // Reduce against the current basis.
         for (std::size_t r = 0; r < m_; ++r) {
             const std::size_t b = basis_[r];
@@ -182,7 +135,6 @@ private:
                 cell(m_, c) -= cb * cell(r, c);
         }
         phase1_ = false;
-        sense_sign_ = sense;
     }
 
     /// After phase 1, pivot still-basic artificials out on any eligible
@@ -190,7 +142,7 @@ private:
     /// zero-valued artificial that phase 2 will never re-enter.
     void expel_basic_artificials() {
         for (std::size_t r = 0; r < m_; ++r) {
-            if (!is_artificial_[basis_[r]]) continue;
+            if (!is_artificial(basis_[r])) continue;
             std::size_t col = n_total_;  // sentinel: none found
             for (std::size_t c = 0; c < art_begin_; ++c) {
                 if (std::fabs(cell(r, c)) > kPivotTolerance) {
@@ -205,7 +157,7 @@ private:
 
     [[nodiscard]] bool column_eligible(std::size_t c) const {
         // Artificials may never re-enter once phase 1 ends.
-        return phase1_ || !is_artificial_[c];
+        return phase1_ || !is_artificial(c);
     }
 
     /// Entering column under Dantzig pricing; n_total_ if optimal.
@@ -342,26 +294,16 @@ private:
         return SolveStatus::kIterationLimit;
     }
 
-public:
-    [[nodiscard]] double signed_objective() const {
-        return sense_sign_ * current_objective();
-    }
-
-private:
     std::vector<double> tab_;
     std::vector<double> factor_buf_;  // scratch for pivot()
     std::vector<std::size_t> basis_;
-    std::vector<bool> is_artificial_;
     std::size_t n_struct_ = 0;
-    std::size_t slack_begin_ = 0;
     std::size_t art_begin_ = 0;
     std::size_t n_total_ = 0;
     std::size_t col_stride_ = 0;  // m_ + 1 (rows per stored column)
     std::size_t m_ = 0;
     std::size_t iterations_ = 0;
-    bool needs_phase1_ = false;
     bool phase1_ = false;
-    double sense_sign_ = 1.0;
 };
 
 }  // namespace

@@ -26,16 +26,4 @@ Mm1kMetrics analyze_mm1k(double lambda, double mu, std::size_t k) {
     return m;
 }
 
-std::size_t min_capacity_for_blocking(double lambda, double mu, double target,
-                                      std::size_t max_k) {
-    SOCBUF_REQUIRE_MSG(target > 0.0 && target < 1.0,
-                       "target blocking must be in (0,1)");
-    SOCBUF_REQUIRE_MSG(max_k > 0, "max_k must be positive");
-    for (std::size_t k = 1; k <= max_k; ++k) {
-        if (analyze_mm1k(lambda, mu, k).blocking_probability <= target)
-            return k;
-    }
-    return max_k;
-}
-
 }  // namespace socbuf::queueing

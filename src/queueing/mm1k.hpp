@@ -22,10 +22,4 @@ struct Mm1kMetrics {
 [[nodiscard]] Mm1kMetrics analyze_mm1k(double lambda, double mu,
                                        std::size_t k);
 
-/// Smallest capacity k whose M/M/1/K blocking probability is <= `target`.
-/// Returns `max_k` if even that capacity cannot reach the target.
-[[nodiscard]] std::size_t min_capacity_for_blocking(double lambda, double mu,
-                                                    double target,
-                                                    std::size_t max_k = 4096);
-
 }  // namespace socbuf::queueing

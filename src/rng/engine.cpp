@@ -56,11 +56,6 @@ long RandomEngine::uniform_int(long lo, long hi) {
     return dist(gen_);
 }
 
-bool RandomEngine::bernoulli(double p) {
-    SOCBUF_REQUIRE_MSG(p >= 0.0 && p <= 1.0, "bernoulli: p outside [0,1]");
-    return uniform() < p;
-}
-
 std::size_t RandomEngine::discrete(const double* weights, std::size_t count) {
     SOCBUF_REQUIRE_MSG(count > 0, "discrete: no weights");
     double total = 0.0;

@@ -33,9 +33,6 @@ public:
     /// Integer in [lo, hi] inclusive. Requires lo <= hi.
     long uniform_int(long lo, long hi);
 
-    /// Bernoulli trial.
-    bool bernoulli(double p);
-
     /// Index drawn proportionally to non-negative `weights`
     /// (at least one must be positive).
     std::size_t discrete(const double* weights, std::size_t count);

@@ -4,9 +4,9 @@
 #include "core/engine.hpp"
 #include "exec/task_graph.hpp"
 #include "insertion/search.hpp"
+#include "scenario/scenario_io.hpp"
 #include "sim/simulator.hpp"
 #include "split/splitter.hpp"
-#include "util/contracts.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
 
@@ -54,47 +54,6 @@ struct SizingOutcome {
     bool timeout_evaluated = false;
     InsertionRunReport insertion;
 };
-
-/// Resolve the candidate sites of a spec's placement search: the spec's
-/// named subset, or (empty list) every traffic-carrying bridge site of
-/// the built system. Returns strictly increasing site ids — the order
-/// insertion::search_placements requires.
-std::vector<arch::SiteId> resolve_candidates(
-    const ScenarioSpec& spec, const arch::TestSystem& system,
-    const std::vector<arch::BufferSite>& sites) {
-    // Traffic-carrying bridge sites, via the default (all-selected) split:
-    // a bridge direction no flow crosses has nothing to place.
-    const split::SplitResult split = split::split_architecture(system);
-    std::vector<arch::SiteId> carrying;
-    for (const auto& sub : split.subsystems)
-        for (const auto& flow : sub.flows)
-            if (sites[flow.site].kind == arch::SiteKind::kBridge)
-                carrying.push_back(flow.site);
-    std::sort(carrying.begin(), carrying.end());
-    carrying.erase(std::unique(carrying.begin(), carrying.end()),
-                   carrying.end());
-    if (spec.insertion.candidates.empty()) return carrying;
-    std::vector<arch::SiteId> resolved;
-    for (const std::string& name : spec.insertion.candidates) {
-        bool found = false;
-        for (std::size_t s = 0; s < sites.size(); ++s) {
-            if (sites[s].name != name) continue;
-            SOCBUF_REQUIRE_MSG(
-                std::find(carrying.begin(), carrying.end(), s) !=
-                    carrying.end(),
-                "insertion candidate '" + name +
-                    "' is not a traffic-carrying bridge site");
-            resolved.push_back(s);
-            found = true;
-            break;
-        }
-        SOCBUF_REQUIRE_MSG(found, "unknown insertion candidate site: " + name);
-    }
-    std::sort(resolved.begin(), resolved.end());
-    resolved.erase(std::unique(resolved.begin(), resolved.end()),
-                   resolved.end());
-    return resolved;
-}
 
 /// Stage 1 of one job: the placement search (when the spec asks for it),
 /// the final sizing run under the chosen placement — whose `before` /
@@ -252,7 +211,10 @@ BatchReport BatchRunner::run(const ScenarioSpec& spec) {
 }
 
 BatchReport BatchRunner::run(const std::vector<ScenarioSpec>& specs) {
-    for (const auto& spec : specs) spec.validate();
+    for (const auto& spec : specs) {
+        spec.validate();
+        check_runnable(spec);
+    }
 
     // Expansion order defines result order: spec-major, variant, budget.
     std::vector<SizingJob> jobs;

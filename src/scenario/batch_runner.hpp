@@ -151,8 +151,9 @@ class BatchRunner {
 public:
     explicit BatchRunner(exec::Executor& executor, BatchOptions options = {});
 
-    /// Run every spec (validated first) and fold the results in expansion
-    /// order. Deterministic for any executor width.
+    /// Run every spec (validated first: ScenarioSpec::validate, then
+    /// scenario::check_runnable) and fold the results in expansion order.
+    /// Deterministic for any executor width.
     [[nodiscard]] BatchReport run(const std::vector<ScenarioSpec>& specs);
     [[nodiscard]] BatchReport run(const ScenarioSpec& spec);
 

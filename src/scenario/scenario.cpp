@@ -347,13 +347,6 @@ const ScenarioSpec& ScenarioRegistry::get(const std::string& name) const {
                                    __LINE__, "unknown scenario: " + name);
 }
 
-std::vector<std::string> ScenarioRegistry::names() const {
-    std::vector<std::string> out;
-    out.reserve(specs_.size());
-    for (const auto& spec : specs_) out.push_back(spec.name);
-    return out;
-}
-
 std::size_t ScenarioRegistry::load_json(const util::JsonValue& document) {
     return adopt_document(document_from_json(document));
 }
@@ -394,11 +387,6 @@ std::size_t ScenarioRegistry::load_text(const std::string& text) {
 
 std::size_t ScenarioRegistry::load_file(const std::string& path) {
     return adopt_document(load_scenario_document(path));
-}
-
-void ScenarioRegistry::merge(const ScenarioRegistry& other) {
-    for (const auto& spec : other.specs_) add(spec);
-    for (const auto& batch : other.batches_) add_batch(batch);
 }
 
 void ScenarioRegistry::add_batch(BatchPreset batch) {

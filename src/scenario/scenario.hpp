@@ -170,8 +170,6 @@ public:
     [[nodiscard]] bool contains(const std::string& name) const;
     /// Throws util::ContractViolation for unknown names.
     [[nodiscard]] const ScenarioSpec& get(const std::string& name) const;
-    /// Registered names in registration order (presets first).
-    [[nodiscard]] std::vector<std::string> names() const;
     [[nodiscard]] std::size_t size() const { return specs_.size(); }
     [[nodiscard]] const std::vector<ScenarioSpec>& specs() const {
         return specs_;
@@ -187,9 +185,6 @@ public:
     /// As load_json, reading `path`; unreadable files throw ScenarioIoError
     /// naming the file.
     std::size_t load_file(const std::string& path);
-    /// Adopt every scenario and batch preset of `other` (same-name
-    /// replaces, registration order appends).
-    void merge(const ScenarioRegistry& other);
 
     /// Named batch presets (lists of registered scenarios).
     void add_batch(BatchPreset batch);

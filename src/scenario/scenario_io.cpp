@@ -1,8 +1,11 @@
 #include "scenario/scenario_io.hpp"
 
+#include "core/allocation.hpp"
+#include "split/splitter.hpp"
 #include "util/contracts.hpp"
 #include "util/strings.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <set>
@@ -583,6 +586,68 @@ ScenarioDocument load_scenario_document(const std::string& path) {
 
 std::vector<ScenarioSpec> load_scenario_file(const std::string& path) {
     return load_scenario_document(path).scenarios;
+}
+
+std::vector<arch::SiteId> resolve_candidates(
+    const ScenarioSpec& spec, const arch::TestSystem& system,
+    const std::vector<arch::BufferSite>& sites, const std::string& path) {
+    // Traffic-carrying bridge sites, via the default (all-selected) split:
+    // a bridge direction no flow crosses has nothing to place.
+    std::vector<arch::SiteId> carrying;
+    for (const arch::SiteId s :
+         core::active_sites(split::split_architecture(system)))
+        if (sites[s].kind == arch::SiteKind::kBridge) carrying.push_back(s);
+    carrying.erase(std::unique(carrying.begin(), carrying.end()),
+                   carrying.end());
+    if (spec.insertion.candidates.empty()) return carrying;
+    std::vector<arch::SiteId> resolved;
+    for (std::size_t i = 0; i < spec.insertion.candidates.size(); ++i) {
+        const std::string& name = spec.insertion.candidates[i];
+        const std::string name_path =
+            at_index(path + ".insertion.candidates", i);
+        const auto site =
+            std::find_if(sites.begin(), sites.end(),
+                         [&](const arch::BufferSite& s) { return s.name == name; });
+        if (site == sites.end())
+            fail(name_path, "unknown buffer site '" + name + "' in " +
+                                system.name);
+        const auto id = static_cast<arch::SiteId>(site - sites.begin());
+        if (!std::binary_search(carrying.begin(), carrying.end(), id))
+            fail(name_path, "'" + name +
+                                "' is not a traffic-carrying bridge site of " +
+                                system.name);
+        resolved.push_back(id);
+    }
+    std::sort(resolved.begin(), resolved.end());
+    resolved.erase(std::unique(resolved.begin(), resolved.end()),
+                   resolved.end());
+    return resolved;
+}
+
+void check_runnable(const ScenarioSpec& spec, const std::string& path) {
+    for (std::size_t v = 0; v < spec.variants.size(); ++v) {
+        const arch::TestSystem system = spec.build_system(v);
+        // Every allocation policy gives each traffic-carrying site at
+        // least one slot, whatever the placement (a deselected bridge
+        // site keeps a one-slot passthrough).
+        const std::size_t site_count =
+            core::active_sites(split::split_architecture(system)).size();
+        for (std::size_t i = 0; i < spec.budgets.size(); ++i) {
+            if (spec.budgets[i] >= static_cast<long>(site_count)) continue;
+            const std::string& label = spec.variants[v].label;
+            fail(at_index(path + ".budgets", i),
+                 "budget " + std::to_string(spec.budgets[i]) +
+                     " is below the " + std::to_string(site_count) +
+                     " traffic-carrying buffer sites of scenario '" +
+                     spec.name + "'" +
+                     (label.empty() ? "" : " variant '" + label + "'") +
+                     " (each needs at least one slot)");
+        }
+        if (!spec.insertion.candidates.empty())
+            (void)resolve_candidates(
+                spec, system, arch::enumerate_buffer_sites(system.architecture),
+                path);
+    }
 }
 
 }  // namespace socbuf::scenario

@@ -8,11 +8,6 @@
 
 namespace socbuf::util {
 
-bool approx_equal(double a, double b, double atol, double rtol) {
-    return std::fabs(a - b) <=
-           atol + rtol * std::max(std::fabs(a), std::fabs(b));
-}
-
 double stable_sum(const std::vector<double>& values) {
     double sum = 0.0;
     double carry = 0.0;

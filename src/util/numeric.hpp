@@ -1,4 +1,4 @@
-// Numeric helpers shared by the solvers: tolerant comparisons, compensated
+// Numeric helpers shared by the solvers: compensated
 // summation, and integer apportionment (largest-remainder rounding), which
 // the sizing engine uses to turn fractional buffer shares into an integer
 // allocation that exactly exhausts the budget.
@@ -8,10 +8,6 @@
 #include <vector>
 
 namespace socbuf::util {
-
-/// |a - b| <= atol + rtol * max(|a|, |b|).
-[[nodiscard]] bool approx_equal(double a, double b, double atol = 1e-9,
-                                double rtol = 1e-9);
 
 /// Kahan-compensated sum of `values`.
 [[nodiscard]] double stable_sum(const std::vector<double>& values);

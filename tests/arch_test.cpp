@@ -46,20 +46,11 @@ TEST(Architecture, RejectsBadConstruction) {
                  socbuf::util::ContractViolation);
 }
 
-TEST(Architecture, ProcessorsOnBus) {
-    const auto a = line_arch();
-    const auto on_y = a.processors_on_bus(1);
-    ASSERT_EQ(on_y.size(), 1u);
-    EXPECT_EQ(a.processor(on_y[0]).name, "py");
-}
-
 TEST(Architecture, BridgeQueries) {
     const auto a = line_arch();
     EXPECT_EQ(a.bridge_peer(0, 0), 1u);
     EXPECT_EQ(a.bridge_peer(0, 1), 0u);
     EXPECT_THROW((void)a.bridge_peer(0, 2), socbuf::util::ContractViolation);
-    ASSERT_TRUE(a.bridge_between(0, 1).has_value());
-    EXPECT_FALSE(a.bridge_between(0, 2).has_value());
 }
 
 TEST(Architecture, RoutesAreShortest) {
@@ -80,10 +71,9 @@ TEST(Architecture, DisconnectedBusesDetected) {
     const auto y = a.add_bus("y", 1.0);
     a.add_processor("px", x);
     a.add_processor("py", y);
-    EXPECT_FALSE(a.bus_graph_connected());
     EXPECT_THROW(a.route(x, y), socbuf::util::ModelError);
     a.add_bridge("xy", x, y);
-    EXPECT_TRUE(a.bus_graph_connected());
+    EXPECT_EQ(a.route(x, y).size(), 1u);
 }
 
 TEST(Sites, EnumerationOrderAndContent) {
@@ -187,9 +177,8 @@ TEST(Figure1, MatchesPaperStructure) {
     EXPECT_EQ(sa::enumerate_buffer_sites(a).size(), 5u + 4u);
     // Bus "a" is processor-only (no bridges).
     EXPECT_TRUE(a.bridges_of_bus(0).empty());
-    // Buses b, f, g talk to each other.
-    EXPECT_TRUE(a.bus_graph_connected() ||
-                a.bridges_of_bus(0).empty());  // a may be isolated
+    // Buses b, f, g talk to each other: b reaches g through f.
+    EXPECT_EQ(a.route(1, 3).size(), 2u);
     EXPECT_FALSE(a.bridges_of_bus(1).empty());
     EXPECT_FALSE(a.bridges_of_bus(2).empty());
     EXPECT_FALSE(a.bridges_of_bus(3).empty());
@@ -217,7 +206,8 @@ TEST(NetworkProcessor, SeventeenProcessorsFiveBuses) {
     EXPECT_EQ(a.processor_count(), 17u);  // 16 PEs + control processor
     EXPECT_EQ(a.bus_count(), 5u);
     EXPECT_EQ(a.bridge_count(), 4u);
-    EXPECT_TRUE(a.bus_graph_connected());
+    for (sa::BusId bus = 1; bus < a.bus_count(); ++bus)
+        EXPECT_NO_THROW((void)a.route(0, bus)) << "bus " << bus;
     EXPECT_EQ(sa::enumerate_buffer_sites(a).size(), 17u + 8u);
 }
 
@@ -250,7 +240,8 @@ TEST(NetworkProcessor, EveryBusIsStableInTheLongRun) {
 
 TEST(NetworkProcessor, AsymmetricTrafficForHotEgress) {
     const auto sys = sa::network_processor_system();
-    const auto rates = sa::offered_rate_per_processor(sys);
+    std::vector<double> rates(sys.architecture.processor_count(), 0.0);
+    for (const auto& f : sys.flows) rates[f.source] += f.rate;
     ASSERT_EQ(rates.size(), 17u);
     // Display processors 15 and 16 (ids 14, 15) are the schedulers whose
     // outbound load dominates — the paper's big winners after resizing.

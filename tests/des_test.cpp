@@ -141,13 +141,11 @@ TEST(Scheduler, EmptyQueueFiresNothing) {
     EXPECT_EQ(sched.fired_count(), 0u);
 }
 
-TEST(Tally, MomentsAndExtrema) {
+TEST(Tally, MeanAndExtrema) {
     sd::Tally t;
     for (double v : {2.0, 4.0, 6.0}) t.observe(v);
     EXPECT_EQ(t.count(), 3u);
     EXPECT_DOUBLE_EQ(t.mean(), 4.0);
-    EXPECT_NEAR(t.variance(), 4.0, 1e-12);
-    EXPECT_NEAR(t.stddev(), 2.0, 1e-12);
     EXPECT_DOUBLE_EQ(t.min(), 2.0);
     EXPECT_DOUBLE_EQ(t.max(), 6.0);
     EXPECT_DOUBLE_EQ(t.total(), 12.0);
@@ -157,7 +155,6 @@ TEST(Tally, EmptyIsSafe) {
     const sd::Tally t;
     EXPECT_EQ(t.count(), 0u);
     EXPECT_DOUBLE_EQ(t.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(t.variance(), 0.0);
 }
 
 TEST(TimeWeighted, PiecewiseConstantAverage) {

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <future>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace se = socbuf::exec;
@@ -185,6 +187,28 @@ TEST(Executor, IsReusableAcrossManyMaps) {
     EXPECT_EQ(total, 10u * (31u * 32u / 2u));
 }
 
+TEST(Executor, TopLevelMapRunsAtMostWorkersBodiesAtOnce) {
+    // The calling thread drives the loop too, so it counts as one of the
+    // executor's workers: an N-worker map called from outside the pool
+    // must never run more than N bodies at once. Each body sleeps long
+    // enough that every thread taking part overlaps with the others.
+    se::Executor exec(2);
+    std::atomic<int> running{0};
+    std::atomic<int> peak{0};
+    const auto out = exec.map(12, [&](std::size_t i) {
+        const int now = ++running;
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        --running;
+        return i;
+    });
+    EXPECT_EQ(out.size(), 12u);
+    EXPECT_LE(peak.load(), 2);
+    EXPECT_GE(peak.load(), 1);
+}
+
 TEST(ParallelForIndex, VisitsEveryIndexOnce) {
     se::ThreadPool pool(4);
     std::vector<std::atomic<int>> visits(500);
@@ -237,7 +261,6 @@ TEST(TaskGraph, RunsEverySubmittedTask) {
         graph.submit([&counter] { ++counter; });
     graph.wait();
     EXPECT_EQ(counter.load(), 100);
-    EXPECT_EQ(graph.submitted(), 100u);
 }
 
 TEST(TaskGraph, TasksMaySubmitContinuations) {
@@ -255,7 +278,6 @@ TEST(TaskGraph, TasksMaySubmitContinuations) {
     graph.wait();
     for (std::size_t p = 0; p < child_runs.size(); ++p)
         EXPECT_EQ(child_runs[p].load(), 4) << "parent " << p;
-    EXPECT_EQ(graph.submitted(), 50u);
 }
 
 TEST(TaskGraph, SerialExecutorRunsInlineDepthFirst) {
@@ -294,7 +316,6 @@ TEST(TaskGraph, MixedPrioritiesRunEveryTaskExactlyOnce) {
     graph.wait();
     for (std::size_t p = 0; p < runs.size(); ++p)
         EXPECT_EQ(runs[p].load(), 1) << "parent " << p;
-    EXPECT_EQ(graph.submitted(), 24u);
 }
 
 TEST(TaskGraph, PrioritizedGraphMatchesFifoGraphResultSlots) {

@@ -27,12 +27,6 @@ TEST(Matrix, FromRowsValidatesShape) {
                  socbuf::util::ContractViolation);
 }
 
-TEST(Matrix, IdentityMultiplyIsNoOp) {
-    const auto id = sl::Matrix::identity(3);
-    const sl::Vector x{1.0, -2.0, 0.5};
-    EXPECT_EQ(id.multiply(x), x);
-}
-
 TEST(Matrix, MultiplyKnownValues) {
     const auto a = sl::Matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}});
     const auto y = a.multiply(sl::Vector{1.0, 1.0});
@@ -51,32 +45,15 @@ TEST(Matrix, MultiplyTransposedMatchesExplicitTranspose) {
         EXPECT_NEAR(fast[i], slow[i], 1e-14);
 }
 
-TEST(Matrix, MatrixMatrixProduct) {
-    const auto a = sl::Matrix::from_rows({{1.0, 2.0}, {0.0, 1.0}});
-    const auto b = sl::Matrix::from_rows({{3.0, 0.0}, {1.0, 1.0}});
-    const auto c = a.multiply(b);
-    EXPECT_DOUBLE_EQ(c(0, 0), 5.0);
-    EXPECT_DOUBLE_EQ(c(0, 1), 2.0);
-    EXPECT_DOUBLE_EQ(c(1, 0), 1.0);
-    EXPECT_DOUBLE_EQ(c(1, 1), 1.0);
-}
-
-TEST(Matrix, NormsAndScaling) {
-    const auto a = sl::Matrix::from_rows({{1.0, -2.0}, {3.0, 4.0}});
-    EXPECT_DOUBLE_EQ(a.infinity_norm(), 7.0);
+TEST(Matrix, MaxAbs) {
+    const auto a = sl::Matrix::from_rows({{1.0, -2.0}, {3.0, -4.0}});
     EXPECT_DOUBLE_EQ(a.max_abs(), 4.0);
-    EXPECT_DOUBLE_EQ(a.scaled(2.0)(1, 1), 8.0);
-    EXPECT_DOUBLE_EQ(a.add(a)(0, 1), -4.0);
 }
 
 TEST(VectorOps, Arithmetic) {
     const sl::Vector a{1.0, 2.0};
     const sl::Vector b{3.0, -1.0};
-    EXPECT_EQ(sl::add(a, b), (sl::Vector{4.0, 1.0}));
-    EXPECT_EQ(sl::subtract(a, b), (sl::Vector{-2.0, 3.0}));
     EXPECT_EQ(sl::scale(a, 2.0), (sl::Vector{2.0, 4.0}));
-    EXPECT_DOUBLE_EQ(sl::dot(a, b), 1.0);
-    EXPECT_DOUBLE_EQ(sl::norm2({3.0, 4.0}), 5.0);
     EXPECT_DOUBLE_EQ(sl::norm_inf(b), 3.0);
     EXPECT_DOUBLE_EQ(sl::sum(a), 3.0);
     EXPECT_DOUBLE_EQ(sl::max_abs_diff(a, b), 3.0);
@@ -91,11 +68,12 @@ TEST(Lu, SolvesKnownSystem) {
     EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
-TEST(Lu, DeterminantWithPivoting) {
-    // Requires a row swap; det = -2.
+TEST(Lu, SolvesThroughARowSwap) {
+    // A zero leading pivot forces a row swap: y = 1; 2x = 4.
     const auto a = sl::Matrix::from_rows({{0.0, 1.0}, {2.0, 0.0}});
-    sl::LuDecomposition lu(a);
-    EXPECT_NEAR(lu.determinant(), -2.0, 1e-12);
+    const auto x = sl::LuDecomposition(a).solve({1.0, 4.0});
+    EXPECT_DOUBLE_EQ(x[0], 2.0);
+    EXPECT_DOUBLE_EQ(x[1], 1.0);
 }
 
 TEST(Lu, SingularMatrixThrows) {
@@ -153,14 +131,6 @@ sl::Matrix random_banded(int n, int bw, unsigned salt) {
 }
 
 }  // namespace
-
-TEST(Banded, BandwidthsOfDetectsBands) {
-    const auto a = sl::Matrix::from_rows(
-        {{1.0, 2.0, 0.0}, {0.0, 3.0, 4.0}, {5.0, 0.0, 6.0}});
-    const auto bw = sl::bandwidths_of(a);
-    EXPECT_EQ(bw.lower, 2u);  // a(2,0)
-    EXPECT_EQ(bw.upper, 1u);  // a(0,1), a(1,2)
-}
 
 TEST(Banded, MatrixStorageRoundTrip) {
     sl::BandedMatrix b(4, 1, 1);

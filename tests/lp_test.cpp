@@ -10,16 +10,16 @@ namespace slp = socbuf::lp;
 
 namespace {
 
-/// max 3x + 2y s.t. x + y <= 4, x + 3y <= 6  => x=4, y=0, obj=12.
+/// max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, written as
+/// min -3x - 2y s.t. x + y + s1 = 4, x + 3y + s2 = 6  => x=4, y=0, obj=-12.
 slp::LinearProgram textbook_max() {
     slp::LinearProgram p;
-    p.set_sense(slp::Sense::kMaximize);
-    const auto x = p.add_variable(3.0, "x");
-    const auto y = p.add_variable(2.0, "y");
-    p.add_constraint({{{x, 1.0}, {y, 1.0}}, slp::Relation::kLessEqual, 4.0,
-                      "c1"});
-    p.add_constraint({{{x, 1.0}, {y, 3.0}}, slp::Relation::kLessEqual, 6.0,
-                      "c2"});
+    const auto x = p.add_variable(-3.0);
+    const auto y = p.add_variable(-2.0);
+    const auto s1 = p.add_variable();
+    const auto s2 = p.add_variable();
+    p.add_constraint({{{x, 1.0}, {y, 1.0}, {s1, 1.0}}, 4.0});
+    p.add_constraint({{{x, 1.0}, {y, 3.0}, {s2, 1.0}}, 6.0});
     return p;
 }
 
@@ -27,19 +27,18 @@ slp::LinearProgram textbook_max() {
 
 TEST(Problem, BuilderBasics) {
     slp::LinearProgram p;
-    const auto x = p.add_variable(1.0, "cost_x");
-    EXPECT_EQ(p.variable_count(), 1u);
-    EXPECT_EQ(p.variable_name(x), "cost_x");
+    const auto x = p.add_variable(1.0);
+    const auto slack = p.add_variable();
+    EXPECT_EQ(p.variable_count(), 2u);
     EXPECT_DOUBLE_EQ(p.objective_coeff(x), 1.0);
-    p.set_objective_coeff(x, -2.0);
-    EXPECT_DOUBLE_EQ(p.objective_coeff(x), -2.0);
+    EXPECT_DOUBLE_EQ(p.objective_coeff(slack), 0.0);
+    EXPECT_THROW((void)p.objective_coeff(2), socbuf::util::ContractViolation);
 }
 
 TEST(Problem, DuplicateTermsAreMerged) {
     slp::LinearProgram p;
     const auto x = p.add_variable(1.0);
-    const auto c =
-        p.add_constraint({{{x, 1.0}, {x, 2.0}}, slp::Relation::kEqual, 3.0, ""});
+    const auto c = p.add_constraint({{{x, 1.0}, {x, 2.0}}, 3.0});
     ASSERT_EQ(p.constraint(c).terms.size(), 1u);
     EXPECT_DOUBLE_EQ(p.constraint(c).terms[0].second, 3.0);
 }
@@ -47,37 +46,40 @@ TEST(Problem, DuplicateTermsAreMerged) {
 TEST(Problem, UnknownVariableRejected) {
     slp::LinearProgram p;
     p.add_variable(1.0);
-    EXPECT_THROW(
-        p.add_constraint({{{7, 1.0}}, slp::Relation::kEqual, 0.0, ""}),
-        socbuf::util::ContractViolation);
+    EXPECT_THROW(p.add_constraint({{{7, 1.0}}, 0.0}),
+                 socbuf::util::ContractViolation);
 }
 
-TEST(Problem, MaxViolationMeasuresAllRelations) {
+TEST(Problem, MaxViolationMeasuresRowsAndDomain) {
+    // x + s = 1 over x, s >= 0.
     slp::LinearProgram p;
     const auto x = p.add_variable(0.0);
-    p.add_constraint({{{x, 1.0}}, slp::Relation::kLessEqual, 1.0, ""});
-    p.add_constraint({{{x, 1.0}}, slp::Relation::kGreaterEqual, 0.5, ""});
-    EXPECT_DOUBLE_EQ(p.max_violation({2.0}), 1.0);   // <= violated by 1
-    EXPECT_DOUBLE_EQ(p.max_violation({0.0}), 0.5);   // >= violated by 0.5
-    EXPECT_DOUBLE_EQ(p.max_violation({0.75}), 0.0);  // feasible
+    const auto s = p.add_variable(0.0);
+    p.add_constraint({{{x, 1.0}, {s, 1.0}}, 1.0});
+    EXPECT_DOUBLE_EQ(p.max_violation({2.0, 0.0}), 1.0);   // row over by 1
+    EXPECT_DOUBLE_EQ(p.max_violation({0.25, 0.25}), 0.5);  // row under
+    EXPECT_DOUBLE_EQ(p.max_violation({1.5, -0.5}), 0.5);   // s < 0
+    EXPECT_DOUBLE_EQ(p.max_violation({0.75, 0.25}), 0.0);  // feasible
 }
 
-TEST(Simplex, SolvesTextbookMaximization) {
+TEST(Simplex, SolvesTextbookMaximizationWithSlacks) {
     const auto sol = slp::solve(textbook_max());
     ASSERT_EQ(sol.status, slp::SolveStatus::kOptimal);
-    EXPECT_NEAR(sol.objective, 12.0, 1e-9);
+    EXPECT_NEAR(sol.objective, -12.0, 1e-9);
     EXPECT_NEAR(sol.x[0], 4.0, 1e-9);
     EXPECT_NEAR(sol.x[1], 0.0, 1e-9);
+    EXPECT_NEAR(sol.x[3], 2.0, 1e-9);  // c2's slack: 6 - 4
     EXPECT_LT(sol.max_violation, 1e-9);
 }
 
-TEST(Simplex, SolvesMinimizationWithEqualities) {
-    // min x + 2y s.t. x + y = 1, x <= 0.4  => x=0.4, y=0.6, obj=1.6.
+TEST(Simplex, SolvesMinimizationWithASlackRow) {
+    // min x + 2y s.t. x + y = 1, x + s = 0.4  => x=0.4, y=0.6, obj=1.6.
     slp::LinearProgram p;
     const auto x = p.add_variable(1.0);
     const auto y = p.add_variable(2.0);
-    p.add_constraint({{{x, 1.0}, {y, 1.0}}, slp::Relation::kEqual, 1.0, ""});
-    p.add_constraint({{{x, 1.0}}, slp::Relation::kLessEqual, 0.4, ""});
+    const auto s = p.add_variable();
+    p.add_constraint({{{x, 1.0}, {y, 1.0}}, 1.0});
+    p.add_constraint({{{x, 1.0}, {s, 1.0}}, 0.4});
     const auto sol = slp::solve(p);
     ASSERT_EQ(sol.status, slp::SolveStatus::kOptimal);
     EXPECT_NEAR(sol.objective, 1.6, 1e-9);
@@ -86,29 +88,35 @@ TEST(Simplex, SolvesMinimizationWithEqualities) {
 }
 
 TEST(Simplex, DetectsInfeasibility) {
+    // x + s1 = 1 (x <= 1) and x - s2 = 2 (x >= 2).
     slp::LinearProgram p;
     const auto x = p.add_variable(1.0);
-    p.add_constraint({{{x, 1.0}}, slp::Relation::kLessEqual, 1.0, ""});
-    p.add_constraint({{{x, 1.0}}, slp::Relation::kGreaterEqual, 2.0, ""});
+    const auto s1 = p.add_variable();
+    const auto s2 = p.add_variable();
+    p.add_constraint({{{x, 1.0}, {s1, 1.0}}, 1.0});
+    p.add_constraint({{{x, 1.0}, {s2, -1.0}}, 2.0});
     EXPECT_EQ(slp::solve(p).status, slp::SolveStatus::kInfeasible);
 }
 
 TEST(Simplex, DetectsUnboundedness) {
+    // min -x s.t. -x + s = 0: x = s can grow without limit.
     slp::LinearProgram p;
-    p.set_sense(slp::Sense::kMaximize);
-    const auto x = p.add_variable(1.0);
-    p.add_constraint({{{x, -1.0}}, slp::Relation::kLessEqual, 0.0, ""});
+    const auto x = p.add_variable(-1.0);
+    const auto s = p.add_variable();
+    p.add_constraint({{{x, -1.0}, {s, 1.0}}, 0.0});
     EXPECT_EQ(slp::solve(p).status, slp::SolveStatus::kUnbounded);
 }
 
 TEST(Simplex, HandlesNegativeRhsByRowFlip) {
-    // -x <= -2  <=>  x >= 2; min x => x = 2.
+    // -x + s = -2  <=>  x = 2 + s >= 2; min x => x = 2.
     slp::LinearProgram p;
     const auto x = p.add_variable(1.0);
-    p.add_constraint({{{x, -1.0}}, slp::Relation::kLessEqual, -2.0, ""});
+    const auto s = p.add_variable();
+    p.add_constraint({{{x, -1.0}, {s, 1.0}}, -2.0});
     const auto sol = slp::solve(p);
     ASSERT_EQ(sol.status, slp::SolveStatus::kOptimal);
     EXPECT_NEAR(sol.x[0], 2.0, 1e-9);
+    EXPECT_NEAR(sol.x[1], 0.0, 1e-9);
 }
 
 TEST(Simplex, RedundantEqualitiesAreTolerated) {
@@ -117,7 +125,7 @@ TEST(Simplex, RedundantEqualitiesAreTolerated) {
     const auto x = p.add_variable(1.0);
     const auto y = p.add_variable(1.0);
     for (int i = 0; i < 3; ++i)
-        p.add_constraint({{{x, 1.0}, {y, 1.0}}, slp::Relation::kEqual, 2.0, ""});
+        p.add_constraint({{{x, 1.0}, {y, 1.0}}, 2.0});
     const auto sol = slp::solve(p);
     ASSERT_EQ(sol.status, slp::SolveStatus::kOptimal);
     EXPECT_NEAR(sol.objective, 2.0, 1e-9);
@@ -125,40 +133,33 @@ TEST(Simplex, RedundantEqualitiesAreTolerated) {
 }
 
 TEST(Simplex, DegenerateProblemTerminates) {
-    // Klee-Minty-flavoured degeneracy: many ties in the ratio test.
+    // Klee-Minty-flavoured degeneracy, many ties in the ratio test:
+    // max x + y + z s.t. x <= 0, x + y <= 0, x + y + z <= 1, as
+    // min -(x + y + z) over three slack rows.
     slp::LinearProgram p;
-    p.set_sense(slp::Sense::kMaximize);
-    const auto x = p.add_variable(1.0);
-    const auto y = p.add_variable(1.0);
-    const auto z = p.add_variable(1.0);
-    p.add_constraint({{{x, 1.0}}, slp::Relation::kLessEqual, 0.0, ""});
-    p.add_constraint({{{x, 1.0}, {y, 1.0}}, slp::Relation::kLessEqual, 0.0, ""});
-    p.add_constraint(
-        {{{x, 1.0}, {y, 1.0}, {z, 1.0}}, slp::Relation::kLessEqual, 1.0, ""});
+    const auto x = p.add_variable(-1.0);
+    const auto y = p.add_variable(-1.0);
+    const auto z = p.add_variable(-1.0);
+    const auto s1 = p.add_variable();
+    const auto s2 = p.add_variable();
+    const auto s3 = p.add_variable();
+    p.add_constraint({{{x, 1.0}, {s1, 1.0}}, 0.0});
+    p.add_constraint({{{x, 1.0}, {y, 1.0}, {s2, 1.0}}, 0.0});
+    p.add_constraint({{{x, 1.0}, {y, 1.0}, {z, 1.0}, {s3, 1.0}}, 1.0});
     const auto sol = slp::solve(p);
     ASSERT_EQ(sol.status, slp::SolveStatus::kOptimal);
-    EXPECT_NEAR(sol.objective, 1.0, 1e-9);
+    EXPECT_NEAR(sol.objective, -1.0, 1e-9);
 }
 
-TEST(Simplex, EqualityOnlyProblemNeedsNoSlacks) {
+TEST(Simplex, PutsAllMassOnTheCheaperVariable) {
     slp::LinearProgram p;
     const auto x = p.add_variable(2.0);
     const auto y = p.add_variable(1.0);
-    p.add_constraint({{{x, 1.0}, {y, 1.0}}, slp::Relation::kEqual, 5.0, ""});
+    p.add_constraint({{{x, 1.0}, {y, 1.0}}, 5.0});
     const auto sol = slp::solve(p);
     ASSERT_EQ(sol.status, slp::SolveStatus::kOptimal);
     EXPECT_NEAR(sol.objective, 5.0, 1e-9);  // all mass on y
     EXPECT_NEAR(sol.x[1], 5.0, 1e-9);
-}
-
-TEST(Simplex, DenseConstraintHelper) {
-    slp::LinearProgram p;
-    p.add_variable(1.0);
-    p.add_variable(1.0);
-    p.add_dense_constraint({1.0, 1.0}, slp::Relation::kGreaterEqual, 2.0);
-    const auto sol = slp::solve(p);
-    ASSERT_EQ(sol.status, slp::SolveStatus::kOptimal);
-    EXPECT_NEAR(sol.objective, 2.0, 1e-9);
 }
 
 TEST(Simplex, RejectsEmptyProgram) {
@@ -177,10 +178,13 @@ TEST_P(SimplexPropertyTest, RandomFeasibleProblemsSolveCleanly) {
     const std::size_t n = 4 + GetParam() % 5;
     const std::size_t m = 3 + GetParam() % 4;
 
-    // Build around a known interior point x* > 0.
+    // Build around a known interior point x* > 0 of the structural
+    // variables.
     std::vector<double> xstar(n);
     for (auto& v : xstar) v = pos(gen);
 
+    // Each row is a <= row made an equality by its own slack variable,
+    // whose value at x* extends x* to a strictly positive feasible point.
     slp::LinearProgram p;
     for (std::size_t j = 0; j < n; ++j) p.add_variable(pos(gen));
     for (std::size_t i = 0; i < m; ++i) {
@@ -191,16 +195,17 @@ TEST_P(SimplexPropertyTest, RandomFeasibleProblemsSolveCleanly) {
             c.terms.emplace_back(j, a);
             lhs += a * xstar[j];
         }
-        c.relation = slp::Relation::kLessEqual;
-        c.rhs = lhs + pos(gen);  // strictly feasible at x*
+        const double slack_at_xstar = pos(gen);
+        c.terms.emplace_back(p.add_variable(), 1.0);
+        c.rhs = lhs + slack_at_xstar;
+        xstar.push_back(slack_at_xstar);
         p.add_constraint(std::move(c));
     }
     const auto sol = slp::solve(p);
     ASSERT_EQ(sol.status, slp::SolveStatus::kOptimal) << "seed "
                                                       << GetParam();
     EXPECT_LT(sol.max_violation, 1e-7);
-    // Minimization with positive costs: optimum cannot exceed the value at
-    // the known feasible point x*.
+    // The optimum cannot exceed the value at the known feasible point x*.
     EXPECT_LE(sol.objective, p.objective_value(xstar) + 1e-9);
 }
 
@@ -224,12 +229,9 @@ TEST(Simplex, TotallyDegenerateBalanceSystemTerminates) {
         p.add_constraint({{{x[static_cast<std::size_t>(i)], 1.0},
                            {x[static_cast<std::size_t>((i + n - 1) % n)],
                             -1.0}},
-                          slp::Relation::kEqual,
-                          0.0,
-                          ""});
+                          0.0});
     }
     slp::Constraint norm;
-    norm.relation = slp::Relation::kEqual;
     norm.rhs = 1.0;
     for (int i = 0; i < n; ++i)
         norm.terms.emplace_back(x[static_cast<std::size_t>(i)], 1.0);
@@ -250,7 +252,7 @@ TEST(Simplex, PerturbationErrorStaysBelowFeasibilityTolerance) {
     slp::LinearProgram p;
     const auto x = p.add_variable(1.0);
     const auto y = p.add_variable(2.0);
-    p.add_constraint({{{x, 1.0}, {y, 1.0}}, slp::Relation::kEqual, 1.0, ""});
+    p.add_constraint({{{x, 1.0}, {y, 1.0}}, 1.0});
     const auto sol = slp::solve(p);
     ASSERT_EQ(sol.status, slp::SolveStatus::kOptimal);
     EXPECT_NEAR(sol.x[0], 1.0, 1e-8);

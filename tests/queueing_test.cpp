@@ -40,15 +40,6 @@ TEST(Mm1k, OverloadedQueueKeepsLosing) {
     EXPECT_NEAR(m.blocking_probability, 0.5, 1e-6);
 }
 
-TEST(Mm1k, MinCapacitySearch) {
-    const std::size_t k =
-        sq::min_capacity_for_blocking(0.8, 1.0, 0.01);
-    // Verify minimality.
-    EXPECT_LE(sq::analyze_mm1k(0.8, 1.0, k).blocking_probability, 0.01);
-    ASSERT_GT(k, 1u);
-    EXPECT_GT(sq::analyze_mm1k(0.8, 1.0, k - 1).blocking_probability, 0.01);
-}
-
 TEST(Mm1k, RejectsBadArguments) {
     EXPECT_THROW((void)sq::analyze_mm1k(-1.0, 1.0, 3),
                  socbuf::util::ContractViolation);

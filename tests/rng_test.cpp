@@ -92,16 +92,6 @@ TEST(Rng, UniformIntCoversRangeInclusive) {
     EXPECT_TRUE(saw_hi);
 }
 
-TEST(Rng, BernoulliFrequency) {
-    sr::RandomEngine e(29);
-    int hits = 0;
-    const int n = 100000;
-    for (int i = 0; i < n; ++i)
-        if (e.bernoulli(0.3)) ++hits;
-    EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
-    EXPECT_THROW(e.bernoulli(1.5), socbuf::util::ContractViolation);
-}
-
 TEST(Rng, DiscreteFollowsWeights) {
     sr::RandomEngine e(31);
     const std::vector<double> w{1.0, 0.0, 3.0};

@@ -311,7 +311,7 @@ TEST(ScenarioIo, BatchWithUnknownMemberLeavesRegistryUntouched) {
     // document nor already registered must reject the whole load —
     // scenarios listed before it are NOT half-adopted.
     ss::ScenarioRegistry registry;
-    const auto names_before = registry.names();
+    const auto specs_before = registry.specs();
     const auto batches_before = registry.batches().size();
     EXPECT_THROW(
         (void)registry.load_text(
@@ -319,7 +319,7 @@ TEST(ScenarioIo, BatchWithUnknownMemberLeavesRegistryUntouched) {
             " \"batches\": [{\"name\": \"broken\","
             " \"scenarios\": [\"fresh\", \"no-such-scenario\"]}]}"),
         ss::ScenarioIoError);
-    EXPECT_EQ(registry.names(), names_before);
+    EXPECT_TRUE(registry.specs() == specs_before);
     EXPECT_FALSE(registry.contains("fresh"));
     EXPECT_EQ(registry.batches().size(), batches_before);
 }
@@ -346,7 +346,7 @@ TEST(ScenarioIo, EngineOwnedSimFieldsAreRejectedOnBothSides) {
     }
 }
 
-TEST(ScenarioIo, RegistryLoadsTextFilesAndMerges) {
+TEST(ScenarioIo, RegistryLoadsTextAndFiles) {
     ss::ScenarioRegistry registry;
     const std::size_t presets = registry.size();
     const std::size_t added = registry.load_text(
@@ -359,20 +359,13 @@ TEST(ScenarioIo, RegistryLoadsTextFilesAndMerges) {
 
     // A malformed document leaves the registry unchanged.
     ss::ScenarioRegistry untouched;
-    const auto names_before = untouched.names();
+    const auto specs_before = untouched.specs();
     EXPECT_THROW(
         (void)untouched.load_text(
             "{\"scenarios\": [{\"name\": \"ok\"}, {\"name\": \"bad\", "
             "\"budgets\": []}]}"),
         ss::ScenarioIoError);
-    EXPECT_EQ(untouched.names(), names_before);
-
-    // merge() adopts scenarios and batches (same-name replaces).
-    ss::ScenarioRegistry target;
-    target.merge(registry);
-    EXPECT_TRUE(target.contains("from-text"));
-    EXPECT_EQ(target.get("figure1").budgets, std::vector<long>{7});
-    EXPECT_TRUE(target.contains_batch("paper-suite"));
+    EXPECT_TRUE(untouched.specs() == specs_before);
 
     // load_file round: write, load, compare.
     const std::string path = "scenario_io_test_tmp.json";

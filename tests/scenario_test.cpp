@@ -1,6 +1,7 @@
 #include "exec/executor.hpp"
 #include "scenario/batch_runner.hpp"
 #include "scenario/scenario.hpp"
+#include "scenario/scenario_io.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/routing.hpp"
 #include "util/contracts.hpp"
@@ -282,11 +283,39 @@ TEST(BatchRunner, InsertionCandidatesResolveByNameAndRejectUnknowns) {
                   report.runs[0].insertion.deselected_sites.size(),
               2u);
 
-    ss::ScenarioSpec unknown = spec;
-    unknown.insertion.candidates = {"no-such-site"};
+    // Unresolvable names are rejected before any job runs, naming the
+    // JSON path: an unknown site, and a processor site (not a bridge).
     ss::BatchRunner reject(serial);
-    EXPECT_THROW((void)reject.run(unknown),
-                 socbuf::util::ContractViolation);
+    for (const char* bad : {"no-such-site", "1"}) {
+        ss::ScenarioSpec unknown = spec;
+        unknown.insertion.candidates = {"bf:b>f", bad};
+        try {
+            (void)reject.run(unknown);
+            FAIL() << "candidate '" << bad << "' must be rejected";
+        } catch (const ss::ScenarioIoError& error) {
+            EXPECT_EQ(error.path(), "$.insertion.candidates[1]") << bad;
+        }
+    }
+}
+
+TEST(BatchRunner, RejectsABudgetBelowTheSiteCountBeforeRunning) {
+    // Figure 1 has 9 traffic-carrying buffer sites; every allocation
+    // gives each one slot, so a budget of 8 cannot run. The check names
+    // the offending budget's JSON path; 9 runs.
+    ss::ScenarioSpec spec = small_figure1();
+    spec.budgets = {9, 8};
+    spec.replications = 1;
+    spec.sizing_iterations = 1;
+    socbuf::exec::Executor serial(1);
+    ss::BatchRunner runner(serial);
+    try {
+        (void)runner.run(spec);
+        FAIL() << "budget 8 must be rejected";
+    } catch (const ss::ScenarioIoError& error) {
+        EXPECT_EQ(error.path(), "$.budgets[1]");
+    }
+    spec.budgets = {9};
+    EXPECT_EQ(runner.run(spec).runs.size(), 1u);
 }
 
 TEST(BatchRunner, MixedSpecBatchBitIdenticalForAnyWorkerCount) {

@@ -68,12 +68,6 @@ TEST(Strings, StartsWith) {
     EXPECT_FALSE(su::starts_with("bal", "balance"));
 }
 
-TEST(Numeric, ApproxEqual) {
-    EXPECT_TRUE(su::approx_equal(1.0, 1.0 + 1e-12));
-    EXPECT_FALSE(su::approx_equal(1.0, 1.1));
-    EXPECT_TRUE(su::approx_equal(1e9, 1e9 + 1.0, 0.0, 1e-8));
-}
-
 TEST(Numeric, StableSumBeatsNaiveOnCancellation) {
     std::vector<double> values;
     values.push_back(1.0);

@@ -17,8 +17,11 @@
 //       Every registered scenario to DIR/<name>.json (default: the
 //       current directory), plus every batch preset as a catalog file.
 //   socbuf_cli validate --file F [--file F ...]
-//       Parse + strictly validate scenario files; exit 0 and per-file
-//       spec counts, or exit 2 with a diagnostic naming the JSON path.
+//       Parse + strictly validate scenario files, and check that each
+//       can run (scenario::check_runnable: every budget covers the
+//       traffic-carrying buffer sites, every insertion candidate
+//       resolves); exit 0 and per-file spec counts, or exit 2 with a
+//       diagnostic naming the JSON path.
 //   socbuf_cli run <name|--file F> [more names/files] [options]
 //       Execute scenarios (registered names, batch presets, and/or files)
 //       as one pipelined batch on a shared executor and print the summary
@@ -28,7 +31,8 @@
 //   --threads N          worker threads (0 = hardware concurrency;
 //                        default 0)
 //   --budgets A,B,...    override every selected scenario's budget list
-//                        (at least one value, each >= 1)
+//                        (no empty entries; each value at least the
+//                        scenario's traffic-carrying buffer-site count)
 //   --replications R     override the evaluation replication count (>= 1)
 //   --iterations I       override the sizing iteration count (>= 1)
 //   --horizon H          override the simulation horizon (> 0 time
@@ -145,8 +149,8 @@ bool parse_number(const std::string& text, double& out) {
 }
 
 /// Parse a comma-separated budget list. Every token must be a whole
-/// number >= 1 and at least one token must be present (so "--budgets ,"
-/// cannot silently fall through to the preset values).
+/// number >= 1, so an empty entry ("--budgets 50,,70" or "--budgets ,")
+/// is malformed rather than silently dropped.
 bool parse_budgets(const std::string& csv, std::vector<long>& out) {
     out.clear();
     std::string token;
@@ -155,13 +159,12 @@ bool parse_budgets(const std::string& csv, std::vector<long>& out) {
             token.push_back(c);
             continue;
         }
-        if (token.empty()) continue;
         long value = 0;
         if (!parse_number(token, value) || value < 1) return false;
         out.push_back(value);
         token.clear();
     }
-    return !out.empty();
+    return true;
 }
 
 int bad_value(const std::string& flag, const std::string& value,
@@ -378,8 +381,10 @@ int validate_files(const std::vector<std::string>& args) {
             const auto specs = socbuf::scenario::load_scenario_file(file);
             // Round-trip check: a valid file must survive
             // dump -> parse -> from_json bit-identically, so schema and
-            // serializer cannot drift apart silently.
+            // serializer cannot drift apart silently. And it must run:
+            // budgets that cover every site, candidates that resolve.
             for (const auto& spec : specs) {
+                socbuf::scenario::check_runnable(spec);
                 const auto json = socbuf::scenario::to_json(spec);
                 const auto again = socbuf::scenario::spec_from_json(
                     socbuf::util::JsonValue::parse(json.dump()));
@@ -411,6 +416,7 @@ int run_scenarios(const std::vector<std::string>& args) {
     // --horizon 0, an empty --budgets list) are rejected right here
     // rather than silently falling through to the preset values.
     std::vector<long> budgets_override;
+    std::string budgets_text;
     std::size_t replications_override = 0;
     int iterations_override = 0;
     double horizon_override = 0.0;
@@ -459,6 +465,7 @@ int run_scenarios(const std::vector<std::string>& args) {
                 return bad_value(
                     arg, *v,
                     "expected a comma-separated list of whole numbers >= 1");
+            budgets_text = *v;
         } else if (arg == "--replications") {
             const std::string* v = next_value();
             if (v == nullptr) return 2;
@@ -546,6 +553,19 @@ int run_scenarios(const std::vector<std::string>& args) {
                          spec.name.c_str(), spec.sim.warmup,
                          spec.sim.horizon);
             return 2;
+        }
+        // A budget too small for the built system or an unresolvable
+        // insertion candidate would only fail mid-batch; report it here,
+        // naming --budgets when the budgets came from the flag.
+        try {
+            socbuf::scenario::check_runnable(spec);
+        } catch (const ScenarioIoError& error) {
+            if (!budgets_override.empty() &&
+                error.path().rfind("$.budgets", 0) == 0)
+                return bad_value(
+                    "--budgets", budgets_text,
+                    std::string(error.what()).substr(error.path().size() + 2));
+            return bad_scenario_file(error);
         }
     }
 
