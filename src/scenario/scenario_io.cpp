@@ -590,7 +590,7 @@ std::vector<ScenarioSpec> load_scenario_file(const std::string& path) {
 
 std::vector<arch::SiteId> resolve_candidates(
     const ScenarioSpec& spec, const arch::TestSystem& system,
-    const std::vector<arch::BufferSite>& sites, const std::string& path) {
+    const std::vector<arch::BufferSite>& sites) {
     // Traffic-carrying bridge sites, via the default (all-selected) split:
     // a bridge direction no flow crosses has nothing to place.
     std::vector<arch::SiteId> carrying;
@@ -603,11 +603,10 @@ std::vector<arch::SiteId> resolve_candidates(
     std::vector<arch::SiteId> resolved;
     for (std::size_t i = 0; i < spec.insertion.candidates.size(); ++i) {
         const std::string& name = spec.insertion.candidates[i];
-        const std::string name_path =
-            at_index(path + ".insertion.candidates", i);
-        const auto site =
-            std::find_if(sites.begin(), sites.end(),
-                         [&](const arch::BufferSite& s) { return s.name == name; });
+        const std::string name_path = at_index("$.insertion.candidates", i);
+        const auto site = std::find_if(
+            sites.begin(), sites.end(),
+            [&](const arch::BufferSite& s) { return s.name == name; });
         if (site == sites.end())
             fail(name_path, "unknown buffer site '" + name + "' in " +
                                 system.name);
@@ -624,7 +623,7 @@ std::vector<arch::SiteId> resolve_candidates(
     return resolved;
 }
 
-void check_runnable(const ScenarioSpec& spec, const std::string& path) {
+void check_runnable(const ScenarioSpec& spec) {
     for (std::size_t v = 0; v < spec.variants.size(); ++v) {
         const arch::TestSystem system = spec.build_system(v);
         // Every allocation policy gives each traffic-carrying site at
@@ -635,7 +634,7 @@ void check_runnable(const ScenarioSpec& spec, const std::string& path) {
         for (std::size_t i = 0; i < spec.budgets.size(); ++i) {
             if (spec.budgets[i] >= static_cast<long>(site_count)) continue;
             const std::string& label = spec.variants[v].label;
-            fail(at_index(path + ".budgets", i),
+            fail(at_index("$.budgets", i),
                  "budget " + std::to_string(spec.budgets[i]) +
                      " is below the " + std::to_string(site_count) +
                      " traffic-carrying buffer sites of scenario '" +
@@ -645,8 +644,8 @@ void check_runnable(const ScenarioSpec& spec, const std::string& path) {
         }
         if (!spec.insertion.candidates.empty())
             (void)resolve_candidates(
-                spec, system, arch::enumerate_buffer_sites(system.architecture),
-                path);
+                spec, system,
+                arch::enumerate_buffer_sites(system.architecture));
     }
 }
 

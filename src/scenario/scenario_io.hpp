@@ -153,19 +153,19 @@ struct ScenarioDocument {
 /// every traffic-carrying bridge site of the default split. Returns
 /// strictly increasing site ids, the order insertion::search_placements
 /// requires. A name that is not a traffic-carrying bridge site throws
-/// ScenarioIoError at `path`.insertion.candidates[i].
+/// ScenarioIoError at $.insertion.candidates[i].
 [[nodiscard]] std::vector<arch::SiteId> resolve_candidates(
     const ScenarioSpec& spec, const arch::TestSystem& system,
-    const std::vector<arch::BufferSite>& sites, const std::string& path = "$");
+    const std::vector<arch::BufferSite>& sites);
 
 /// What a spec's fields cannot settle on their own, checked on every
 /// variant's built system: each budget must leave every traffic-carrying
-/// buffer site at least one slot (`path`.budgets[i]), and each named
+/// buffer site at least one slot ($.budgets[i]), and each named
 /// insertion candidate must resolve (see resolve_candidates). Throws
 /// ScenarioIoError naming the path. `socbuf_cli validate`, `socbuf_cli
 /// run` and BatchRunner::run call it; loading a document does not, as it
 /// builds and splits every variant.
-void check_runnable(const ScenarioSpec& spec, const std::string& path = "$");
+void check_runnable(const ScenarioSpec& spec);
 
 /// Solver-choice names used by the schema ("auto", "lp",
 /// "value-iteration", "policy-iteration").
