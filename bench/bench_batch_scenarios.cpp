@@ -1,4 +1,4 @@
-// B1 — the scenario & batch-execution layer, measured. Five claims:
+// B1 — the scenario & batch-execution layer, measured. Three claims:
 //
 //   1. cache — a Table 1-style budget sweep re-solves identical subsystem
 //      CTMDPs (the round-0 models coincide across budgets once caps clamp
@@ -6,15 +6,7 @@
 //      SolveCache turns those into hits, reported as a hit rate,
 //   2. scaling — the same batch gets faster with more workers on one
 //      shared pool (threads = 1/2/4 wall-clock and speedup),
-//   3. pipelining — there is no stage barrier: the "overlap" column
-//      counts evaluation jobs that started while another job's sizing
-//      run was still in flight (0 serially, > 0 once workers pipeline),
-//   4. latency — the "first eval" column is the wall-clock until the
-//      first evaluation job *completed*: a finished sizing job's
-//      evaluations are claimed ahead of still-queued sizing work
-//      (exec::Priority::kEvaluation > kSizing), so the first usable
-//      result lands before the batch's sizing stage drains,
-//   5. determinism — every thread count produces bit-identical batch
+//   3. determinism — every thread count produces bit-identical batch
 //      reports (the exec-layer contract lifted to whole batches), shown
 //      in the table rather than assumed.
 //
@@ -140,8 +132,7 @@ void print_batch_scaling() {
         100.0 * m.cached.cache.hit_rate(), m.cached_s, m.uncached_s);
 
     socbuf::util::Table table({"threads", "batch [s]", "speedup",
-                               "cache hit rate", "overlap", "first eval [s]",
-                               "identical"});
+                               "cache hit rate", "identical"});
     for (const ScalingRow& row : m.scaling)
         table.add_row(
             {std::to_string(row.threads),
@@ -150,13 +141,8 @@ void print_batch_scaling() {
              socbuf::util::format_fixed(
                  100.0 * row.report.cache.hit_rate(), 0) +
                  "%",
-             std::to_string(row.report.eval_overlap),
-             socbuf::util::format_fixed(row.report.first_eval_latency_s, 3),
              row.identical ? "yes" : "NO"});
     std::printf("%s", table.to_string().c_str());
-    std::printf(
-        "overlap = evaluation jobs started while another sizing run was "
-        "still in flight (pipelined task graph; 0 in serial execution)\n");
 }
 
 /// The --json measurement: the table mode's rows as one document.
@@ -183,14 +169,10 @@ void write_json_report(const std::string& path) {
         node.set("threads", row.threads);
         node.set("batch_s", row.batch_s);
         node.set("speedup", row.speedup);
-        node.set("overlap", row.report.eval_overlap);
-        node.set("first_eval_s", row.report.first_eval_latency_s);
         node.set("identical_results", row.identical);
         scaling.push_back(std::move(node));
-        std::printf("threads %zu: %.3fs (%.2fx), first eval %.3fs, "
-                    "results %s\n",
+        std::printf("threads %zu: %.3fs (%.2fx), results %s\n",
                     row.threads, row.batch_s, row.speedup,
-                    row.report.first_eval_latency_s,
                     row.identical ? "identical" : "DIFFER");
     }
 

@@ -442,7 +442,7 @@ ViResult relative_value_iteration(const CtmdpModel& model,
     // serial loop (one chunk), so "no executor" and "executor with one
     // worker" share the code path with any-width runs byte for byte.
     exec::Executor* executor =
-        (options.executor != nullptr && !options.executor->serial() &&
+        (options.executor != nullptr && options.executor->workers() > 1 &&
          model.state_count() >= options.parallel_min_states)
             ? options.executor
             : nullptr;

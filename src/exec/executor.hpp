@@ -11,15 +11,13 @@
 // any worker count, including 1.
 //
 // Nesting rule: map() may be called from *inside* a job that is itself
-// running on this executor's workers. parallel_for_index makes its caller
-// participate in the claim-and-run loop, so a nested fan-out always makes
-// progress on the calling worker and recruits other workers only when
-// they are free — no deadlock for any nesting depth. A BatchRunner sizing
-// job therefore fans its subsystem solves on the same shared executor it
-// runs on (the old rule — hand pool jobs a serial context — is gone).
-// The one remaining restriction: blocking *waits* that only another
-// worker can satisfy (exec::TaskGraph::wait) must stay off the workers;
-// see task_graph.hpp.
+// running on this executor's workers, to any depth. A worker that starts
+// a fan-out drives its own claim-and-run loop and recruits other workers
+// only when they are free, so a nested fan-out always makes progress and
+// never deadlocks; a fan-out started from any other thread hands every
+// body to the workers and waits. Either way at most workers() bodies run
+// at once. A BatchRunner sizing job therefore fans its subsystem solves
+// and its evaluation replications on the same shared executor it runs on.
 #pragma once
 
 #include "exec/parallel.hpp"
@@ -44,10 +42,6 @@ public:
     Executor& operator=(const Executor&) = delete;
 
     [[nodiscard]] std::size_t workers() const { return workers_; }
-    [[nodiscard]] bool serial() const { return pool_ == nullptr; }
-
-    /// The underlying pool, or nullptr for a serial executor.
-    [[nodiscard]] ThreadPool* pool() { return pool_.get(); }
 
     /// Map fn over [0, n) on this executor's workers; results in index
     /// order, bit-identical for any worker count. `priority` labels the

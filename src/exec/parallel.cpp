@@ -63,19 +63,19 @@ void parallel_for_index(ThreadPool& pool, std::size_t n,
     state->body = body;
     state->total = n;
 
-    // Helpers let idle workers join in; the caller drives its own loop
-    // below, so completion never depends on a worker being free — which
-    // is what makes this safe to call *from* one of the pool's workers
-    // (the nested fan-out case). The caller counts as one of the
-    // min(size, n) drivers, so a call from outside the pool never runs
-    // more than size() bodies at once. A straggler helper that only gets
-    // dequeued after the call returned sees an exhausted cursor and
-    // exits immediately.
-    const std::size_t helpers = std::min(pool.size(), n) - 1;
+    // Only a worker of this pool drives the loop itself: that keeps a
+    // nested fan-out making progress on its own worker whether or not
+    // any other worker is free, so nesting never deadlocks. Any other
+    // caller only submits helpers and waits, so at most size() bodies of
+    // this pool run at once however deep the fan-outs nest. A straggler
+    // helper that only gets dequeued after the call returned sees an
+    // exhausted cursor and exits immediately.
+    const bool drives = pool.on_worker();
+    const std::size_t helpers = std::min(pool.size(), n) - (drives ? 1 : 0);
     for (std::size_t w = 0; w < helpers; ++w)
         pool.submit([state] { drive(*state); }, priority);
 
-    drive(*state);
+    if (drives) drive(*state);
 
     std::unique_lock<std::mutex> lock(state->mutex);
     state->done.wait(lock, [&] {

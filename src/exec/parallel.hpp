@@ -27,13 +27,13 @@ namespace socbuf::exec {
 /// (dynamic load balancing, no stealing); the first exception thrown by
 /// any body is rethrown here once every claimed index has finished.
 ///
-/// The *caller participates*: it runs the same claim-and-run loop as the
-/// pool's workers, so the call always makes progress even when every
-/// worker is busy — which makes it safe to call from *inside* a job that
-/// is itself running on the pool (a nested fan-out never deadlocks; at
-/// worst the inner indices all run on the calling worker). The caller is
-/// one of the drivers, so a call from outside the pool runs at most
-/// pool.size() bodies at once.
+/// A caller that is one of the pool's own workers *participates*: it runs
+/// the same claim-and-run loop as the helper jobs, so a nested fan-out
+/// always makes progress on the calling worker even when every other
+/// worker is busy (no deadlock at any nesting depth; at worst the inner
+/// indices all run on the calling worker). Any other caller submits
+/// min(pool.size(), n) helper jobs and waits, so however deep the
+/// fan-outs nest, at most pool.size() bodies run at once.
 ///
 /// `priority` labels the helper jobs the fan-out submits (kDefault keeps
 /// the classic claim order). Schedule-only, like every priority in the
@@ -44,7 +44,7 @@ void parallel_for_index(ThreadPool& pool, std::size_t n,
 
 /// Split [0, n) into contiguous chunks of `min_chunk` indices (the last
 /// chunk takes the remainder) and run body(lo, hi) for each chunk on the
-/// pool's workers (caller participating, same nesting guarantee as
+/// pool's workers (same caller rule and nesting guarantee as
 /// parallel_for_index). The chunk boundaries depend only on n and
 /// min_chunk — never on the pool size or scheduling — so a body whose
 /// chunk results land in index-addressed storage is bit-identical for any

@@ -7,6 +7,13 @@
 
 namespace socbuf::exec {
 
+namespace {
+
+/// The pool whose worker_loop runs on this thread (nullptr elsewhere).
+thread_local const ThreadPool* current_pool = nullptr;
+
+}  // namespace
+
 std::size_t resolve_thread_count(std::size_t requested) {
     SOCBUF_REQUIRE_MSG(requested <= kMaxThreads,
                        "thread count exceeds exec::kMaxThreads");
@@ -54,7 +61,10 @@ void ThreadPool::wait_idle() {
     idle_.wait(lock, [this] { return queues_empty() && active_ == 0; });
 }
 
+bool ThreadPool::on_worker() const { return current_pool == this; }
+
 void ThreadPool::worker_loop() {
+    current_pool = this;
     for (;;) {
         std::function<void()> job;
         {

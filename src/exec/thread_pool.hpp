@@ -8,11 +8,11 @@
 //
 // Priorities order *claims*, never results: a worker looking for work
 // always takes the oldest job of the highest non-empty priority level, so
-// latency-critical jobs (a finished sizing run's evaluation replications)
-// jump ahead of bulk work queued earlier (still-pending sizing jobs)
-// without any preemption — running jobs are never interrupted. Because
-// every socbuf fan-out writes index-addressed slots, reordering claims
-// reorders only the schedule, not the folded results.
+// a sized job's evaluation replications jump ahead of helper jobs for
+// sizing jobs not yet claimed, without any preemption — running jobs are
+// never interrupted. Because every socbuf fan-out writes index-addressed
+// slots, reordering claims reorders only the schedule, not the folded
+// results.
 #pragma once
 
 #include <array>
@@ -27,9 +27,8 @@
 namespace socbuf::exec {
 
 /// Claim-ordering levels for pool jobs, highest first. The set is small
-/// and fixed on purpose: kEvaluation (a completed sizing job's evaluation
-/// replications — finishing these first is what batch latency feels),
-/// kSizing (queued sizing jobs, the bulk stage-1 work), and kDefault
+/// and fixed on purpose: kEvaluation (a sized job's evaluation
+/// replications), kSizing (the batch's sizing jobs), and kDefault
 /// (everything else: data-parallel helper jobs, ad-hoc tasks), which
 /// preserves the pre-priority FIFO position of unlabeled work.
 enum class Priority : std::size_t {
@@ -66,6 +65,9 @@ public:
     ThreadPool& operator=(const ThreadPool&) = delete;
 
     [[nodiscard]] std::size_t size() const { return workers_.size(); }
+
+    /// True when the calling thread is one of this pool's workers.
+    [[nodiscard]] bool on_worker() const;
 
     /// Enqueue a job at `priority` (jobs of the same level run FIFO; a
     /// higher level is always claimed before a lower one). Jobs must not

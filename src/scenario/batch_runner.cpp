@@ -2,7 +2,6 @@
 
 #include "arch/sites.hpp"
 #include "core/engine.hpp"
-#include "exec/task_graph.hpp"
 #include "insertion/search.hpp"
 #include "scenario/scenario_io.hpp"
 #include "sim/simulator.hpp"
@@ -11,10 +10,7 @@
 #include "util/strings.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <cstdint>
 #include <utility>
 
 namespace socbuf::scenario {
@@ -172,7 +168,7 @@ EvalSample run_eval(const ScenarioSpec& spec, const SizingOutcome& sized,
 /// (model_cap+1)^flows CTMDP states times ~(flows+1) actions, doubled per
 /// bursty flow when the spec uses modulated (MMPP) models. A deliberate
 /// back-of-envelope — it only has to *rank* the sizing jobs for
-/// longest-first submission, and the state count dominates every solver's
+/// longest-first claims, and the state count dominates every solver's
 /// runtime, so ranking by it tracks wall-clock well enough.
 double estimated_sizing_cost(const ScenarioSpec& spec, std::size_t variant) {
     const arch::TestSystem system = spec.build_system(variant);
@@ -201,6 +197,46 @@ void fold_replications(const std::vector<sim::SimResult>& results,
     total_out = means.mean_total_lost;
 }
 
+/// One whole job: its sizing run, then its evaluation replications fanned
+/// at Priority::kEvaluation on the same executor, folded in replication
+/// order into the job's report row.
+ScenarioRunResult run_job(const ScenarioSpec& spec, const SizingJob& job,
+                          exec::Executor& executor,
+                          ctmdp::SolveCache* cache) {
+    const SizingOutcome outcome = run_sizing(spec, job, executor, cache);
+    std::vector<EvalSample> samples = executor.map(
+        spec.replications,
+        [&](std::size_t r) { return run_eval(spec, outcome, r); },
+        exec::Priority::kEvaluation);
+
+    ScenarioRunResult run;
+    run.scenario = spec.name;
+    run.variant = spec.variants[job.variant].label;
+    run.budget = job.budget;
+    run.replications = spec.replications;
+    run.constant_alloc = outcome.initial;
+    run.resized_alloc = outcome.best;
+    run.engine_rounds = outcome.engine_rounds;
+    run.lp_solves = outcome.lp_solves;
+    run.vi_solves = outcome.vi_solves;
+    run.pi_solves = outcome.pi_solves;
+    run.timeout_threshold = outcome.timeout_threshold;
+    run.insertion = outcome.insertion;
+
+    std::vector<sim::SimResult> pre, post, timeout;
+    for (EvalSample& sample : samples) {
+        pre.push_back(std::move(sample.pre));
+        post.push_back(std::move(sample.post));
+        if (outcome.timeout_evaluated)
+            timeout.push_back(std::move(sample.timeout));
+    }
+    fold_replications(pre, run.pre_loss, run.pre_total);
+    fold_replications(post, run.post_loss, run.post_total);
+    if (outcome.timeout_evaluated)
+        fold_replications(timeout, run.timeout_loss, run.timeout_total);
+    return run;
+}
+
 }  // namespace
 
 BatchRunner::BatchRunner(exec::Executor& executor, BatchOptions options)
@@ -223,21 +259,16 @@ BatchReport BatchRunner::run(const std::vector<ScenarioSpec>& specs) {
             for (const long budget : specs[s].budgets)
                 jobs.push_back({s, v, budget});
 
-    std::vector<std::size_t> eval_offset(jobs.size() + 1, 0);
-    for (std::size_t j = 0; j < jobs.size(); ++j)
-        eval_offset[j + 1] =
-            eval_offset[j] + specs[jobs[j].spec].replications;
-
     ctmdp::SolveCache cache;
     ctmdp::SolveCache* cache_ptr = options_.use_solve_cache ? &cache : nullptr;
 
-    // Longest-first submission: order same-priority sizing jobs by
-    // descending estimated cost (stable, so ties keep expansion order and
-    // the schedule stays reproducible), so the biggest CTMDPs start first
-    // and the batch's makespan is not hostage to a large job queued last. Same-cost memoization per
-    // (spec, variant): budgets share a model, so one estimate covers a
-    // whole sweep. Submission order is invisible to the results — slots
-    // are index-addressed and folded in expansion order below.
+    // Longest first: claim the jobs in descending estimated cost
+    // (stable, so ties keep expansion order and the schedule stays
+    // reproducible), so the biggest CTMDPs start first and the batch's
+    // makespan is not hostage to a large job claimed last. One estimate
+    // per (spec, variant): budgets share a model, so it covers a whole
+    // sweep. Claim order is invisible to the results — each job's row
+    // lands at its expansion index below.
     std::vector<std::size_t> order(jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j) order[j] = j;
     if (jobs.size() > 1) {
@@ -261,110 +292,25 @@ BatchReport BatchRunner::run(const std::vector<ScenarioSpec>& specs) {
                          });
     }
 
-    // One dependency-aware fan-out, no stage barrier: every sizing job is
-    // submitted up front and submits its own evaluation replications the
-    // moment it finishes, so evaluation work starts while other sizing
-    // jobs are still running. Sizing enters the graph at Priority::kSizing
-    // and evaluations at Priority::kEvaluation, so a finished job's
-    // evaluations are claimed before queued sizing work — that ordering
-    // is what first_eval_latency_s measures; it cannot change the
-    // results. Sizing jobs keep the shared executor
-    // for their nested fan-outs (subsystem solves, per-round eval sims,
-    // calibration sims) — nested maps are deadlock-free by the executor's
-    // nesting rule. Every job writes an index-addressed slot; the fold
-    // below reads them in expansion order, which is what keeps the report
-    // bit-identical for any worker count.
-    std::vector<SizingOutcome> sized(jobs.size());
-    std::vector<EvalSample> samples(eval_offset.back());
-    std::atomic<std::size_t> sizing_in_flight{0};
-    std::atomic<std::size_t> overlap{0};
-    // Completion time of the earliest-finishing evaluation job, in
-    // microseconds since batch start (-1 = none finished yet). A
-    // CAS-min keeps the earliest value under concurrent finishes.
-    std::atomic<std::int64_t> first_eval_us{-1};
-    // socbuf-lint: allow(wall-clock) — feeds first_eval_latency_s, a scheduling diagnostic; report folds never read it.
-    const auto batch_start = std::chrono::steady_clock::now();
-    exec::TaskGraph graph(executor_);
-    for (const std::size_t j : order) {
-        graph.submit(
-            [&, j] {
-                ++sizing_in_flight;
-                sized[j] = run_sizing(specs[jobs[j].spec], jobs[j],
-                                      executor_, cache_ptr);
-                --sizing_in_flight;
-                for (std::size_t e = eval_offset[j]; e < eval_offset[j + 1];
-                     ++e) {
-                    graph.submit(
-                        [&, j, e] {
-                            // Scheduling diagnostics only — results never
-                            // read them.
-                            if (sizing_in_flight.load(
-                                    std::memory_order_relaxed) > 0)
-                                overlap.fetch_add(1,
-                                                  std::memory_order_relaxed);
-                            samples[e] = run_eval(specs[jobs[j].spec],
-                                                  sized[j],
-                                                  e - eval_offset[j]);
-                            const auto us =
-                                std::chrono::duration_cast<
-                                    std::chrono::microseconds>(
-                                    // socbuf-lint: allow(wall-clock) — first_eval_latency_s diagnostic; never folded into results.
-                                    std::chrono::steady_clock::now() -
-                                    batch_start)
-                                    .count();
-                            std::int64_t seen = first_eval_us.load(
-                                std::memory_order_relaxed);
-                            while ((seen < 0 || us < seen) &&
-                                   !first_eval_us.compare_exchange_weak(
-                                       seen, us, std::memory_order_relaxed)) {
-                            }
-                        },
-                        exec::Priority::kEvaluation);
-                }
-            },
-            exec::Priority::kSizing);
-    }
-    graph.wait();
+    // One fan-out over the jobs, longest first at Priority::kSizing; each
+    // job fans its own nested work (subsystem solves, per-round eval
+    // sims, calibration sims, evaluation replications) on the same
+    // executor. Each job returns its report row and the rows land in
+    // expansion order, which keeps the report bit-identical for any
+    // worker count.
+    std::vector<ScenarioRunResult> by_rank = executor_.map(
+        order.size(),
+        [&](std::size_t k) {
+            const SizingJob& job = jobs[order[k]];
+            return run_job(specs[job.spec], job, executor_, cache_ptr);
+        },
+        exec::Priority::kSizing);
 
-    // Fold, in expansion order.
     BatchReport report;
     report.workers = executor_.workers();
-    report.eval_overlap = overlap.load();
-    report.first_eval_latency_s =
-        first_eval_us.load() < 0
-            ? -1.0
-            : static_cast<double>(first_eval_us.load()) * 1e-6;
-    report.runs.reserve(jobs.size());
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        const ScenarioSpec& spec = specs[jobs[j].spec];
-        const SizingOutcome& outcome = sized[j];
-        ScenarioRunResult run;
-        run.scenario = spec.name;
-        run.variant = spec.variants[jobs[j].variant].label;
-        run.budget = jobs[j].budget;
-        run.replications = spec.replications;
-        run.constant_alloc = outcome.initial;
-        run.resized_alloc = outcome.best;
-        run.engine_rounds = outcome.engine_rounds;
-        run.lp_solves = outcome.lp_solves;
-        run.vi_solves = outcome.vi_solves;
-        run.pi_solves = outcome.pi_solves;
-        run.timeout_threshold = outcome.timeout_threshold;
-        run.insertion = outcome.insertion;
-
-        std::vector<sim::SimResult> pre, post, timeout;
-        for (std::size_t e = eval_offset[j]; e < eval_offset[j + 1]; ++e) {
-            pre.push_back(std::move(samples[e].pre));
-            post.push_back(std::move(samples[e].post));
-            if (outcome.timeout_evaluated)
-                timeout.push_back(std::move(samples[e].timeout));
-        }
-        fold_replications(pre, run.pre_loss, run.pre_total);
-        fold_replications(post, run.post_loss, run.post_total);
-        if (outcome.timeout_evaluated)
-            fold_replications(timeout, run.timeout_loss, run.timeout_total);
-        report.runs.push_back(std::move(run));
-    }
+    report.runs.resize(jobs.size());
+    for (std::size_t k = 0; k < order.size(); ++k)
+        report.runs[order[k]] = std::move(by_rank[k]);
     report.cache = cache.stats();
     report.cache_enabled = options_.use_solve_cache;
     return report;

@@ -1,44 +1,34 @@
-// Deterministic, pipelined batch execution of scenarios on one shared
-// executor.
+// Deterministic batch execution of scenarios on one shared executor.
 //
-// A batch expands its ScenarioSpecs into two deterministic job lists:
+// A batch expands its ScenarioSpecs into sizing jobs, one per (scenario,
+// variant, budget). Each job is independent, because the paper's split
+// makes every per-bus subsystem its own problem, so a batch is one
+// fork-join: a single Executor::map over the jobs, longest estimated
+// solve first, at exec::Priority::kSizing. One job body
 //
-//   sizing jobs, one per (scenario, variant, budget): build the
-//     testbench, run the BufferSizingEngine (through the batch's own
-//     ctmdp::SolveCache, so identical subsystem CTMDPs across rounds,
-//     budgets and replications are solved once), and calibrate the
-//     timeout policy when the spec asks for it;
-//   evaluation jobs, one per (sizing job, replication): simulate the
-//     constant and resized allocations (and optionally the timeout
-//     policy) with seed = spec.sim.seed + replication.
+//   builds the testbench and runs the BufferSizingEngine (through the
+//     batch's own ctmdp::SolveCache, so identical subsystem CTMDPs across
+//     rounds, budgets and replications are solved once), calibrating the
+//     timeout policy when the spec asks for it; then
+//   maps its evaluation replications at exec::Priority::kEvaluation:
+//     simulate the constant and resized allocations (and optionally the
+//     timeout policy) with seed = spec.sim.seed + replication.
+//     Replication 0 reuses the final sizing run's `before` / `after`.
 //
-// There is **no stage barrier** between the two: the runner submits every
-// sizing job to one exec::TaskGraph up front, and each sizing job submits
-// its own evaluation replications the moment it finishes — so evaluation
-// work overlaps the remaining sizing work (BatchReport::eval_overlap
-// counts how often) instead of the whole batch idling until the slowest
-// sizing run completes. Scheduling is **priority-aware** on top: sizing
-// jobs enter the graph at exec::Priority::kSizing, longest estimated
-// solve first, and evaluation replications at exec::Priority::kEvaluation,
-// so a finished sizing job's evaluations are claimed before still-queued
-// sizing work — first results land as early as the pool allows
-// (BatchReport::first_eval_latency_s measures it). Sizing jobs keep the
-// *shared* executor for their per-subsystem solves, per-round evaluation
-// sims and timeout-calibration sims (spec.calibration_replications fans
-// the latter): nested fan-outs on one pool are safe (the caller drives
-// its own loop — see the nesting rule in exec/executor.hpp), so a lone
-// sizing run still parallelizes internally.
+// Every nested fan-out (per-subsystem solves, per-round evaluation sims,
+// timeout-calibration sims, evaluation replications) runs on the same
+// shared executor — see the nesting rule in exec/executor.hpp — so a lone
+// sizing run still parallelizes internally and the batch never runs more
+// than workers() bodies at once.
 //
-// Every job writes an index-addressed slot and the runner folds the slots
-// in expansion order, so a BatchReport is **bit-identical for any worker
-// count, including 1** — the same contract the exec layer gives
-// parallel_map, lifted to whole batches. That covers the runs
-// *and* the solve-cache counters (each resident key is solved exactly
-// once, and every run tallies the algorithm behind each solution it
-// consumed, so neither depends on scheduling). Two fields reflect the
-// execution rather than the workload by design: `workers` records the
-// width, and `eval_overlap` is a scheduling-dependent pipelining
-// diagnostic; neither is serialized into the run data.
+// Every job's row lands at its expansion index and each row folds its
+// replications in replication order, so a BatchReport is **bit-identical
+// for any worker count, including 1** — the same contract the exec layer
+// gives parallel_map, lifted to whole batches. That covers the runs *and*
+// the solve-cache counters (each resident key is solved exactly once, and
+// every run tallies the algorithm behind each solution it consumed, so
+// neither depends on scheduling). One field reflects the execution rather
+// than the workload by design: `workers` records the width.
 #pragma once
 
 #include "core/allocation.hpp"
@@ -125,18 +115,6 @@ struct BatchReport {
     /// consumers tell "disabled" apart from "enabled but cold".
     bool cache_enabled = true;
     std::size_t workers = 1;
-    /// Pipelining diagnostic: evaluation jobs that *started* while some
-    /// other job's sizing run was still in flight — 0 under a serial
-    /// executor, > 0 once the task graph overlaps the stages. Depends on
-    /// scheduling by nature, so it is excluded from to_json()/to_csv().
-    std::size_t eval_overlap = 0;
-    /// Latency diagnostic: seconds from batch start until the *first*
-    /// evaluation job completed — the time to the first usable result,
-    /// which priority scheduling is designed to shrink (evaluations are
-    /// claimed before queued sizing jobs). Wall-clock and scheduling
-    /// dependent by nature, so — like eval_overlap — it is excluded from
-    /// to_json()/to_csv(). Negative when the batch ran no evaluation.
-    double first_eval_latency_s = -1.0;
 
     /// One row per run: totals, gain, solver work.
     [[nodiscard]] util::Table summary_table() const;

@@ -310,7 +310,7 @@ ScenarioRegistry::ScenarioRegistry() {
     add(insertion_figure1_preset());
     add(insertion_np_search_preset());
     // The mixed-testbench default batch: the Figure 1 sample and Table 1's
-    // budget sweep as one pipelined batch (two different testbenches on
+    // budget sweep as one batch (two different testbenches on
     // one shared executor and solve cache).
     add_batch({"paper-suite",
                "The paper's two testbenches in one batch: figure1 plus "

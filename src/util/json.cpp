@@ -59,15 +59,16 @@ const JsonValue& JsonValue::at(std::size_t index) const {
     return array_[index];
 }
 
-void JsonValue::set(const std::string& key, JsonValue value) {
+bool JsonValue::set(const std::string& key, JsonValue value) {
     if (kind_ != Kind::kObject) kind_error("an object");
     for (auto& member : object_) {
         if (member.first == key) {
             member.second = std::move(value);
-            return;
+            return false;
         }
     }
     object_.emplace_back(key, std::move(value));
+    return true;
 }
 
 bool JsonValue::contains(const std::string& key) const {
@@ -263,36 +264,54 @@ private:
         }
     }
 
+    /// Enter one container level; past kMaxJsonDepth the parse fails at
+    /// the opening bracket instead of recursing off the stack.
+    void descend() {
+        if (depth_ == kMaxJsonDepth)
+            fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                 " levels");
+        ++depth_;
+    }
+
     JsonValue object() {
+        descend();
         expect('{');
         JsonValue out = JsonValue::object();
         skip_whitespace();
         if (peek() == '}') {
             ++pos_;
+            --depth_;
             return out;
         }
         for (;;) {
             skip_whitespace();
+            const std::size_t key_pos = pos_;
             std::string key = string();
             skip_whitespace();
             expect(':');
-            out.set(key, value());
+            if (!out.set(key, value())) {
+                pos_ = key_pos;
+                fail("duplicate key " + json_quote(key));
+            }
             skip_whitespace();
             if (peek() == ',') {
                 ++pos_;
                 continue;
             }
             expect('}');
+            --depth_;
             return out;
         }
     }
 
     JsonValue array() {
+        descend();
         expect('[');
         JsonValue out = JsonValue::array();
         skip_whitespace();
         if (peek() == ']') {
             ++pos_;
+            --depth_;
             return out;
         }
         for (;;) {
@@ -303,6 +322,7 @@ private:
                 continue;
             }
             expect(']');
+            --depth_;
             return out;
         }
     }
@@ -385,6 +405,7 @@ private:
 
     const std::string& text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;  // containers open around pos_
 };
 
 }  // namespace

@@ -7,8 +7,9 @@
 //   * numbers are doubles emitted with shortest round-trip precision via
 //     std::to_chars/from_chars — locale-independent, so dump -> parse ->
 //     dump is a fixed point under any LC_NUMERIC,
-//   * the parser rejects trailing garbage, unterminated strings/containers
-//     and malformed numbers with a JsonError naming the byte offset.
+//   * the parser rejects trailing garbage, unterminated strings/containers,
+//     malformed numbers, repeated object keys and nesting deeper than
+//     kMaxJsonDepth with a JsonError naming the byte offset.
 #pragma once
 
 #include <cstddef>
@@ -18,6 +19,11 @@
 #include <vector>
 
 namespace socbuf::util {
+
+/// The deepest container nesting JsonValue::parse accepts. The parser
+/// recurses once per level, so a bound keeps a hostile file from
+/// overflowing the stack; real documents nest a handful of levels.
+inline constexpr std::size_t kMaxJsonDepth = 512;
 
 class JsonError : public std::runtime_error {
 public:
@@ -58,8 +64,9 @@ public:
     /// Array: element access with bounds checking.
     [[nodiscard]] const JsonValue& at(std::size_t index) const;
 
-    /// Object: insert-or-assign keeping first-insertion order.
-    void set(const std::string& key, JsonValue value);
+    /// Object: insert-or-assign keeping first-insertion order; true when
+    /// `key` was new, false when it replaced an existing member.
+    bool set(const std::string& key, JsonValue value);
     [[nodiscard]] bool contains(const std::string& key) const;
     /// Object: member access; JsonError when the key is absent.
     [[nodiscard]] const JsonValue& at(const std::string& key) const;
@@ -70,7 +77,8 @@ public:
     /// with `indent` spaces per level.
     [[nodiscard]] std::string dump(int indent = -1) const;
 
-    /// Strict parse of a complete JSON document (throws JsonError).
+    /// Strict parse of a complete JSON document (throws JsonError, also
+    /// for a repeated object key or nesting past kMaxJsonDepth).
     [[nodiscard]] static JsonValue parse(const std::string& text);
 
     friend bool operator==(const JsonValue& a, const JsonValue& b);

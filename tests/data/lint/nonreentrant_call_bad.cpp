@@ -14,10 +14,10 @@ int count_fields(char* text) {
     return count;
 }
 
-void parse_all(exec::TaskGraph& graph, char** rows, int* out,
-               std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i)
-        graph.submit([&, i] { out[i] = count_fields(rows[i]); });
+std::vector<int> parse_all(exec::Executor& executor, char** rows,
+                           std::size_t n) {
+    return executor.map(n,
+                        [&](std::size_t i) { return count_fields(rows[i]); });
 }
 
 }  // namespace socbuf::scenario

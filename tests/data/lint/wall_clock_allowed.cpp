@@ -1,5 +1,5 @@
 // Fixture: the same clock read as wall_clock_bad.cpp, justified as a
-// timing diagnostic (the batch runner's first_eval_latency_s pattern).
+// timing diagnostic that never reaches a report.
 #include <chrono>
 
 double stamp() {

@@ -1,6 +1,5 @@
 #include "exec/executor.hpp"
 #include "exec/parallel.hpp"
-#include "exec/task_graph.hpp"
 #include "exec/thread_pool.hpp"
 #include "util/contracts.hpp"
 
@@ -152,14 +151,19 @@ TEST(ParallelMap, PoolIsReusableAcrossManyMaps) {
     EXPECT_EQ(total, 20u * (31u * 32u / 2u));
 }
 
-TEST(Executor, SerialExecutorOwnsNoPool) {
+TEST(Executor, SerialExecutorRunsEveryBodyOnTheCallingThread) {
     se::Executor exec(1);
     EXPECT_EQ(exec.workers(), 1u);
-    EXPECT_TRUE(exec.serial());
-    EXPECT_EQ(exec.pool(), nullptr);
-    const auto r = exec.map(5, [](std::size_t i) { return i * 3; });
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ran_on(5);
+    const auto r = exec.map(5, [&](std::size_t i) {
+        ran_on[i] = std::this_thread::get_id();
+        return i * 3;
+    });
     ASSERT_EQ(r.size(), 5u);
     EXPECT_EQ(r[4], 12u);
+    for (std::size_t i = 0; i < ran_on.size(); ++i)
+        EXPECT_EQ(ran_on[i], caller) << "index " << i;
 }
 
 TEST(Executor, ParallelExecutorMatchesSerialBitForBit) {
@@ -169,8 +173,6 @@ TEST(Executor, ParallelExecutorMatchesSerialBitForBit) {
     for (const std::size_t threads : {2UL, 4UL}) {
         se::Executor exec(threads);
         EXPECT_EQ(exec.workers(), threads);
-        EXPECT_FALSE(exec.serial());
-        ASSERT_NE(exec.pool(), nullptr);
         const auto got =
             exec.map(113, [](std::size_t i) { return 1.0 / (1.0 + i); });
         EXPECT_EQ(got, expected) << "threads=" << threads;
@@ -188,10 +190,10 @@ TEST(Executor, IsReusableAcrossManyMaps) {
 }
 
 TEST(Executor, TopLevelMapRunsAtMostWorkersBodiesAtOnce) {
-    // The calling thread drives the loop too, so it counts as one of the
-    // executor's workers: an N-worker map called from outside the pool
-    // must never run more than N bodies at once. Each body sleeps long
-    // enough that every thread taking part overlaps with the others.
+    // A map called from outside the pool hands its bodies to the
+    // workers: an N-worker map must never run more than N bodies at once.
+    // Each body sleeps long enough that every thread taking part overlaps
+    // with the others.
     se::Executor exec(2);
     std::atomic<int> running{0};
     std::atomic<int> peak{0};
@@ -205,6 +207,30 @@ TEST(Executor, TopLevelMapRunsAtMostWorkersBodiesAtOnce) {
         return i;
     });
     EXPECT_EQ(out.size(), 12u);
+    EXPECT_LE(peak.load(), 2);
+    EXPECT_GE(peak.load(), 1);
+}
+
+TEST(Executor, NestedMapFromOutsideRunsAtMostWorkersLeafBodiesAtOnce) {
+    // A fan-out started outside the pool whose bodies fan again: the
+    // calling thread must not drive the nested maps beside the workers,
+    // or a 2-worker executor runs 3 leaf bodies at once.
+    se::Executor exec(2);
+    std::atomic<int> running{0};
+    std::atomic<int> peak{0};
+    const auto out = exec.map(2, [&](std::size_t i) {
+        const auto inner = exec.map(8, [&](std::size_t k) {
+            const int now = ++running;
+            int seen = peak.load();
+            while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            --running;
+            return i * 8 + k;
+        });
+        return std::accumulate(inner.begin(), inner.end(), std::size_t{0});
+    });
+    EXPECT_EQ(out[0] + out[1], 15u * 16u / 2u);
     EXPECT_LE(peak.load(), 2);
     EXPECT_GE(peak.load(), 1);
 }
@@ -253,120 +279,3 @@ TEST(Executor, NestedMapMatchesSerialBitForBit) {
     }
 }
 
-TEST(TaskGraph, RunsEverySubmittedTask) {
-    se::Executor exec(4);
-    se::TaskGraph graph(exec);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i)
-        graph.submit([&counter] { ++counter; });
-    graph.wait();
-    EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(TaskGraph, TasksMaySubmitContinuations) {
-    // The BatchRunner shape: parents submit their children from inside
-    // their own bodies; wait() covers the whole cascade.
-    se::Executor exec(3);
-    se::TaskGraph graph(exec);
-    std::vector<std::atomic<int>> child_runs(10);
-    for (std::size_t p = 0; p < child_runs.size(); ++p) {
-        graph.submit([&graph, &child_runs, p] {
-            for (int c = 0; c < 4; ++c)
-                graph.submit([&child_runs, p] { ++child_runs[p]; });
-        });
-    }
-    graph.wait();
-    for (std::size_t p = 0; p < child_runs.size(); ++p)
-        EXPECT_EQ(child_runs[p].load(), 4) << "parent " << p;
-}
-
-TEST(TaskGraph, SerialExecutorRunsInlineDepthFirst) {
-    se::Executor serial(1);
-    se::TaskGraph graph(serial);
-    std::vector<int> order;
-    for (int p = 0; p < 3; ++p) {
-        graph.submit([&graph, &order, p] {
-            order.push_back(10 * p);
-            graph.submit([&order, p] { order.push_back(10 * p + 1); });
-        });
-    }
-    graph.wait();
-    // Each parent's continuation runs before the next parent — the
-    // serial reference order the parallel runs must reproduce through
-    // index-addressed slots.
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 20, 21}));
-}
-
-TEST(TaskGraph, MixedPrioritiesRunEveryTaskExactlyOnce) {
-    // Priorities reorder claims, nothing else: every task still runs
-    // exactly once and wait() covers the whole cascade, whatever the
-    // labeling — including continuations submitted at a *higher*
-    // priority than their parents (the BatchRunner shape).
-    se::Executor exec(3);
-    se::TaskGraph graph(exec);
-    std::vector<std::atomic<int>> runs(12);
-    for (std::size_t p = 0; p < runs.size(); ++p) {
-        graph.submit(
-            [&graph, &runs, p] {
-                graph.submit([&runs, p] { ++runs[p]; },
-                             se::Priority::kEvaluation);
-            },
-            se::Priority::kSizing);
-    }
-    graph.wait();
-    for (std::size_t p = 0; p < runs.size(); ++p)
-        EXPECT_EQ(runs[p].load(), 1) << "parent " << p;
-}
-
-TEST(TaskGraph, PrioritizedGraphMatchesFifoGraphResultSlots) {
-    // The determinism contract under relabeling: index-addressed slots
-    // hold the same values whether the graph runs FIFO (all kDefault) or
-    // priority-scheduled, at any width.
-    const auto run_with = [](se::Executor& exec, bool prioritized) {
-        se::TaskGraph graph(exec);
-        std::vector<double> slots(40, 0.0);
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            const se::Priority priority =
-                !prioritized ? se::Priority::kDefault
-                : i % 2 == 0 ? se::Priority::kEvaluation
-                             : se::Priority::kSizing;
-            graph.submit(
-                [&slots, i] { slots[i] = 1.0 / (1.0 + static_cast<double>(i)); },
-                priority);
-        }
-        graph.wait();
-        return slots;
-    };
-    se::Executor serial(1);
-    const auto expected = run_with(serial, true);
-    for (const std::size_t threads : {2UL, 4UL}) {
-        se::Executor exec(threads);
-        EXPECT_EQ(run_with(exec, true), expected) << "threads=" << threads;
-        EXPECT_EQ(run_with(exec, false), expected) << "threads=" << threads;
-    }
-}
-
-TEST(TaskGraph, WaitRethrowsTheFirstErrorAndSkipsPendingTasks) {
-    se::Executor exec(2);
-    se::TaskGraph graph(exec);
-    std::atomic<int> ran{0};
-    graph.submit([] { throw std::runtime_error("boom"); });
-    for (int i = 0; i < 50; ++i)
-        graph.submit([&ran] { ++ran; });
-    EXPECT_THROW(graph.wait(), std::runtime_error);
-    // Skipped or ran, every slot drained; the graph stays usable.
-    EXPECT_LE(ran.load(), 50);
-    graph.submit([&ran] { ++ran; });
-    EXPECT_NO_THROW(graph.wait());
-}
-
-TEST(TaskGraph, SerialErrorsAreAlsoDeferredToWait) {
-    se::Executor serial(1);
-    se::TaskGraph graph(serial);
-    std::vector<int> ran;
-    graph.submit([&ran] { ran.push_back(1); });
-    graph.submit([] { throw std::runtime_error("boom"); });
-    graph.submit([&ran] { ran.push_back(2); });  // skipped: cancelled
-    EXPECT_THROW(graph.wait(), std::runtime_error);
-    EXPECT_EQ(ran, std::vector<int>{1});
-}

@@ -160,6 +160,26 @@ TEST(ScenarioIo, SchemaVersionIsStampedAndEnforced) {
                     "$.version");
 }
 
+TEST(ScenarioIo, RepeatedKeyIsAnIoErrorNotLastWins) {
+    // Last-wins once let the second "budgets" replace the first, so this
+    // document ran at budget 2. Loading it must fail at the document
+    // root, naming the key and the byte of its repetition.
+    const std::string text =
+        "{\"version\":2,\"name\":\"x\",\"testbench\":\"figure1\","
+        "\"budgets\":[24],\"budgets\":[2],\"insertion\":{\"search\":false}}";
+    try {
+        ss::ScenarioRegistry registry;
+        (void)registry.load_text(text);
+        FAIL() << "a repeated key must be rejected";
+    } catch (const ss::ScenarioIoError& error) {
+        EXPECT_EQ(error.path(), "$");
+        EXPECT_NE(std::string(error.what())
+                      .find("byte 61: duplicate key \"budgets\""),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
 TEST(ScenarioIo, VersionTwoRequiresTheInsertionBlock) {
     // The v2-defining key: a version-2 document must declare $.insertion
     // (even just {"search": false}), and a legacy document must not —

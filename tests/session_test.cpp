@@ -139,7 +139,6 @@ TEST(Session, ReportsBitIdenticalForAnyThreadCount) {
             auto got = parallel.run(spec);
             EXPECT_EQ(got.workers, threads);
             got.workers = reference.workers;  // the one width-reflecting field
-            got.eval_overlap = reference.eval_overlap;  // diagnostic
             EXPECT_EQ(got.to_json(), reference.to_json())
                 << spec.name << " threads=" << threads;
         }
@@ -224,8 +223,6 @@ TEST(Session, MixedBatchWithViRungModelsIsThreadInvariant) {
         Session parallel({threads});
         auto got = parallel.run(mixed);
         got.workers = reference.workers;  // the one width-reflecting field
-        got.eval_overlap = reference.eval_overlap;  // diagnostics
-        got.first_eval_latency_s = reference.first_eval_latency_s;
         EXPECT_EQ(got.to_json(), reference.to_json())
             << "threads=" << threads;
     }
@@ -247,8 +244,6 @@ TEST(Session, LegacyGaussSeidelKeyChangesNoReport) {
         Session parallel({4});
         auto got = parallel.run(spec);
         got.workers = reference.workers;
-        got.eval_overlap = reference.eval_overlap;
-        got.first_eval_latency_s = reference.first_eval_latency_s;
         EXPECT_EQ(got.to_json(), reference.to_json())
             << "gauss_seidel " << legacy;
     }

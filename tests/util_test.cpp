@@ -313,3 +313,49 @@ TEST(Json, ParserRejectsMalformedDocuments) {
     EXPECT_THROW((void)su::JsonValue::parse("1.2.3"), su::JsonError);
     EXPECT_THROW((void)su::JsonValue::parse("nul"), su::JsonError);
 }
+
+TEST(Json, ParserAcceptsNestingUpToTheLimit) {
+    const std::size_t depth = su::kMaxJsonDepth;
+    const su::JsonValue arrays = su::JsonValue::parse(
+        std::string(depth, '[') + std::string(depth, ']'));
+    EXPECT_TRUE(arrays.is_array());
+    std::string objects;
+    for (std::size_t i = 0; i < depth; ++i) objects += "{\"a\":";
+    objects += "1" + std::string(depth, '}');
+    EXPECT_TRUE(su::JsonValue::parse(objects).is_object());
+}
+
+TEST(Json, ParserRejectsNestingPastTheLimitAtTheOpeningByte) {
+    // One level past the limit fails at the bracket that opens it, long
+    // before a deep document could overflow the stack.
+    const std::size_t depth = su::kMaxJsonDepth + 1;
+    for (const std::string& text :
+         {std::string(depth, '[') + std::string(depth, ']'),
+          std::string(50000, '[')}) {
+        try {
+            (void)su::JsonValue::parse(text);
+            FAIL() << "nesting past the limit must be rejected";
+        } catch (const su::JsonError& error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find("byte 512: nesting deeper than 512"),
+                      std::string::npos)
+                << what;
+        }
+    }
+}
+
+TEST(Json, ParserRejectsARepeatedKeyNamingItAndItsByte) {
+    try {
+        (void)su::JsonValue::parse(
+            "{\"a\": 1, \"b\": {\"a\": 2}, \"a\": 3}");
+        FAIL() << "a repeated key must be rejected, not last-wins";
+    } catch (const su::JsonError& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("byte 24: duplicate key \"a\""),
+                  std::string::npos)
+            << what;
+    }
+    EXPECT_THROW(
+        (void)su::JsonValue::parse("{\"o\": {\"k\": 1, \"k\": 1}}"),
+        su::JsonError);
+}

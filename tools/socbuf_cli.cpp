@@ -24,7 +24,7 @@
 //       diagnostic naming the JSON path.
 //   socbuf_cli run <name|--file F> [more names/files] [options]
 //       Execute scenarios (registered names, batch presets, and/or files)
-//       as one pipelined batch on a shared executor and print the summary
+//       as one batch on a shared executor and print the summary
 //       table.
 //
 // Run options:
