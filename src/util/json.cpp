@@ -248,8 +248,18 @@ private:
         skip_whitespace();
         const char c = peek();
         switch (c) {
-            case '{': return object();
-            case '[': return array();
+            case '{':
+            case '[': {
+                // Past kMaxJsonDepth the parse fails at the opening
+                // bracket instead of recursing off the stack.
+                if (depth_ == kMaxJsonDepth)
+                    fail("nesting deeper than " +
+                         std::to_string(kMaxJsonDepth) + " levels");
+                ++depth_;
+                JsonValue out = c == '{' ? object() : array();
+                --depth_;
+                return out;
+            }
             case '"': return JsonValue(string());
             case 't':
                 if (!consume_literal("true")) fail("bad literal");
@@ -264,23 +274,12 @@ private:
         }
     }
 
-    /// Enter one container level; past kMaxJsonDepth the parse fails at
-    /// the opening bracket instead of recursing off the stack.
-    void descend() {
-        if (depth_ == kMaxJsonDepth)
-            fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
-                 " levels");
-        ++depth_;
-    }
-
     JsonValue object() {
-        descend();
         expect('{');
         JsonValue out = JsonValue::object();
         skip_whitespace();
         if (peek() == '}') {
             ++pos_;
-            --depth_;
             return out;
         }
         for (;;) {
@@ -299,19 +298,16 @@ private:
                 continue;
             }
             expect('}');
-            --depth_;
             return out;
         }
     }
 
     JsonValue array() {
-        descend();
         expect('[');
         JsonValue out = JsonValue::array();
         skip_whitespace();
         if (peek() == ']') {
             ++pos_;
-            --depth_;
             return out;
         }
         for (;;) {
@@ -322,7 +318,6 @@ private:
                 continue;
             }
             expect(']');
-            --depth_;
             return out;
         }
     }
