@@ -5,14 +5,21 @@
 // SizingReport — allocations, simulated results, round history, rung
 // counts, scores and service weights — must not depend on the choice:
 // both sweeps return the tie-robust policy of their bias, so actions
-// that tie in exact arithmetic resolve the same way.
+// that tie in exact arithmetic resolve the same way. Beneath the report,
+// every VI-rung model of the first round must give the same occupation
+// measure bit for bit under either sweep.
+#include "core/allocation.hpp"
 #include "core/engine.hpp"
+#include "core/subsystem_model.hpp"
+#include "ctmdp/solver.hpp"
 #include "exec/executor.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -63,15 +70,79 @@ void expect_same_report(const sc::SizingReport& a, const sc::SizingReport& b,
     EXPECT_EQ(a.pi_solves, b.pi_solves) << what;
 }
 
+/// The solver-level oracle under the report check: the subsystem models
+/// of the engine's first round (uniform allocation, rates measured by the
+/// baseline simulation, the engine's dispatch) that land on the VI rung
+/// must yield bit-identical occupation measures x(s,a) under either
+/// sweep. The occupation is the policy's whole stationary state-action
+/// law, so this catches a policy difference even where the report's
+/// scores happen to round it away. Returns the number of VI models
+/// compared.
+std::size_t expect_same_occupation(const socbuf::arch::TestSystem& system,
+                                   const sc::SizingOptions& options,
+                                   socbuf::exec::Executor& executor,
+                                   const std::string& what) {
+    const auto split =
+        socbuf::split::split_architecture(system, options.placement);
+    const auto alloc = sc::uniform_allocation(split, options.total_budget);
+    const auto baseline = socbuf::sim::simulate(system, alloc, options.sim);
+    // The engine's dispatch (core/engine.cpp, make_dispatch).
+    socbuf::ctmdp::DispatchOptions dispatch;
+    dispatch.choice = options.solver;
+    dispatch.lp_pair_limit = options.lp_pair_limit;
+    dispatch.pi_state_limit = options.pi_state_limit;
+    dispatch.solver.vi.tolerance = 1e-7;
+    dispatch.solver.vi.max_iterations = 50000;
+    dispatch.solver.vi.executor = &executor;
+    const socbuf::ctmdp::SolverRegistry registry;
+    std::size_t compared = 0;
+    for (std::size_t i = 0; i < split.subsystems.size(); ++i) {
+        const auto model = sc::build_subsystem_model(
+            split, i, alloc, options.model_cap,
+            options.use_measured_rates ? baseline.site_observed_rate
+                                       : std::vector<double>{},
+            options.use_modulated_models);
+        if (registry.select(model.model(), dispatch) !=
+            socbuf::ctmdp::SolverKind::kValueIteration)
+            continue;
+        const std::string where =
+            what + " bus " + split.subsystems[i].bus_name;
+        dispatch.solver.vi.sweep = socbuf::ctmdp::ViSweep::kJacobi;
+        const auto jacobi = registry.solve(model.model(), dispatch);
+        dispatch.solver.vi.sweep = socbuf::ctmdp::ViSweep::kGaussSeidel;
+        const auto gauss_seidel = registry.solve(model.model(), dispatch);
+        EXPECT_EQ(jacobi.solved_by, socbuf::ctmdp::SolverKind::kValueIteration)
+            << where;
+        EXPECT_EQ(gauss_seidel.solved_by,
+                  socbuf::ctmdp::SolverKind::kValueIteration)
+            << where;
+        EXPECT_EQ(jacobi.occupation.size(), model.model().pair_count())
+            << where;
+        if (gauss_seidel.occupation.size() != jacobi.occupation.size()) {
+            ADD_FAILURE() << where << ": occupation sizes differ";
+            continue;
+        }
+        EXPECT_EQ(std::memcmp(jacobi.occupation.data(),
+                              gauss_seidel.occupation.data(),
+                              jacobi.occupation.size() * sizeof(double)),
+                  0)
+            << where << ": occupation measures differ";
+        ++compared;
+    }
+    return compared;
+}
+
 /// Size every selected variant of `scenario` at every budget with each
 /// sweep, trimmed as the scenario-file smoke tests are (2 sizing rounds,
-/// horizon 300), and require identical reports.
+/// horizon 300), and require identical reports and, on the first round's
+/// VI models, identical occupation measures.
 void expect_sweep_invariant(const std::string& scenario,
                             const std::vector<std::string>& labels) {
     const ss::ScenarioRegistry registry;
     const ss::ScenarioSpec& spec = registry.get(scenario);
     socbuf::exec::Executor executor(4);
     std::size_t vi_solves = 0;
+    std::size_t vi_models = 0;
     for (std::size_t v = 0; v < spec.variants.size(); ++v) {
         const std::string& label = spec.variants[v].label;
         if (!labels.empty() &&
@@ -94,10 +165,15 @@ void expect_sweep_invariant(const std::string& scenario,
                                scenario + " [" + label + "] budget " +
                                    std::to_string(budget));
             vi_solves += gauss_seidel.vi_solves;
+            vi_models += expect_same_occupation(
+                system, options, executor,
+                scenario + " [" + label + "] budget " +
+                    std::to_string(budget));
         }
     }
-    // The comparison means something only if the VI rung ran.
+    // The comparisons mean something only if the VI rung ran.
     EXPECT_GT(vi_solves, 0u) << scenario;
+    EXPECT_GT(vi_models, 0u) << scenario;
 }
 
 }  // namespace
