@@ -52,23 +52,21 @@ ctmdp::DispatchOptions make_dispatch(const SizingOptions& options) {
 
 /// What the fold keeps of one solved subsystem: the rung behind its
 /// solution, its switching-state count, and per local flow the
-/// K-switching score and service share.
+/// K-switching score.
 struct SubsystemScore {
     ctmdp::SolverKind solved_by = ctmdp::SolverKind::kLp;
     std::size_t switching_states = 0;
     std::vector<double> scores;
-    std::vector<double> shares;
 };
 
 /// Score every subsystem (in parallel — the solves are independent) and
 /// fold the scores, in subsystem order, into the report's K-switching
-/// scores and service weights; the ordered fold keeps the report
-/// bit-identical for any executor width. Each task builds its subsystem's
-/// model (with phase digits when options.use_modulated_models), solves it
-/// and reduces it to its SubsystemScore before the model and its solution
-/// are dropped, so at most one model per running task is alive — a
-/// batch's largest buses never sit in memory side by side waiting for the
-/// fold.
+/// scores; the ordered fold keeps the report bit-identical for any
+/// executor width. Each task builds its subsystem's model (with phase
+/// digits when options.use_modulated_models), solves it and reduces it to
+/// its SubsystemScore before the model and its solution are dropped, so
+/// at most one model per running task is alive — a batch's largest buses
+/// never sit in memory side by side waiting for the fold.
 void score_subsystems(const split::SplitResult& split,
                       const Allocation& alloc,
                       const std::vector<double>& rates,
@@ -96,7 +94,6 @@ void score_subsystems(const split::SplitResult& split,
         SubsystemScore out;
         out.solved_by = sol.solved_by;
         out.switching_states = sol.switching_states;
-        out.shares = sub_model.service_shares(sol.occupation);
         const auto& flows = sub_model.subsystem().flows;
         for (std::size_t f = 0; f < flows.size(); ++f) {
             const auto marginal = sub_model.flow_marginal(sol.stationary, f);
@@ -133,10 +130,8 @@ void score_subsystems(const split::SplitResult& split,
         }
         report.switching_states += sub.switching_states;
         const auto& flows = split.subsystems[m].flows;
-        for (std::size_t f = 0; f < flows.size(); ++f) {
+        for (std::size_t f = 0; f < flows.size(); ++f)
             report.site_scores[flows[f].site] = std::max(sub.scores[f], 1e-6);
-            report.site_service_weights[flows[f].site] = sub.shares[f];
-        }
     }
 }
 
@@ -247,7 +242,6 @@ SizingReport BufferSizingEngine::run(const arch::TestSystem& system,
     std::vector<double> measured_occ = baseline.site_mean_occupancy;
 
     report.site_scores.assign(n_sites, 0.0);
-    report.site_service_weights.assign(n_sites, 0.0);
 
     // Active (apportionable) sites, in deterministic order. Pinned sites
     // — bridge sites the placement deselected — keep one passthrough

@@ -10,7 +10,9 @@
 //      quantiles + means, apportioned to the integer budget),
 //   4. re-simulate with the new buffer lengths, compare losses, and
 //      iterate (default 10 rounds, as in the paper), refreshing arrival
-//      rates from the measured traffic each round,
+//      rates from the measured traffic each round; the simulator's buses
+//      arbitrate round-robin, so the CTMDP's arbitration choice reaches
+//      the simulation only through the buffer sizes it translates into,
 //   5. keep the best allocation seen.
 #pragma once
 
@@ -108,8 +110,6 @@ struct SizingReport {
     std::vector<IterationRecord> history;
     /// K-switching scores of the last round (per site; 0 = no traffic).
     std::vector<double> site_scores;
-    /// CTMDP service shares per site (weights for a randomized arbiter).
-    std::vector<double> site_service_weights;
     // Per-algorithm counts of the subsystem solutions this run consumed,
     // tallied from each solution's solved_by — the same whether a
     // solution was computed here or served from a shared solve cache, so

@@ -61,8 +61,10 @@ public:
         const linalg::Vector& pi, std::size_t f) const;
 
     /// Long-run fraction of service effort given to each flow under the
-    /// occupation measure x(s,a) (pair-indexed); the service shares behind
-    /// the K-switching translation and the randomized arbiter weights.
+    /// occupation measure x(s,a) (pair-indexed). The engine does not read
+    /// it: the simulator arbitrates round-robin, so the policy reaches a
+    /// run only through the buffer sizes. pipebench's traced replay calls
+    /// it once per solve.
     [[nodiscard]] std::vector<double> service_shares(
         const std::vector<double>& occupation) const;
 

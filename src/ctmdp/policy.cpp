@@ -60,13 +60,6 @@ double RandomizedPolicy::probability(std::size_t state,
     return flat_->probs[flat_->offset[state] + action];
 }
 
-std::size_t RandomizedPolicy::sample(std::size_t state,
-                                     rng::RandomEngine& engine) const {
-    const std::size_t actions = action_count(state);
-    return engine.discrete(flat_->probs.data() + flat_->offset[state],
-                           actions);
-}
-
 std::size_t RandomizedPolicy::switching_state_count(double tol) const {
     std::size_t count = 0;
     for (std::size_t s = 0; s < states_; ++s) {
@@ -76,20 +69,6 @@ std::size_t RandomizedPolicy::switching_state_count(double tol) const {
         if (support > 1) ++count;
     }
     return count;
-}
-
-DeterministicPolicy RandomizedPolicy::mode() const {
-    std::vector<std::size_t> choice(states_, 0);
-    for (std::size_t s = 0; s < states_; ++s) {
-        double best = -1.0;
-        for (std::size_t i = flat_->offset[s]; i < flat_->offset[s + 1]; ++i) {
-            if (flat_->probs[i] > best) {
-                best = flat_->probs[i];
-                choice[s] = i - flat_->offset[s];
-            }
-        }
-    }
-    return DeterministicPolicy(std::move(choice));
 }
 
 ctmc::Generator induced_generator(const CtmdpModel& model,

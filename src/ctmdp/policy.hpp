@@ -7,7 +7,6 @@
 
 #include "ctmc/generator.hpp"
 #include "ctmdp/model.hpp"
-#include "rng/engine.hpp"
 
 #include <cstddef>
 #include <memory>
@@ -59,10 +58,6 @@ public:
     [[nodiscard]] double probability(std::size_t state,
                                      std::size_t action) const;
 
-    /// Sample an action for `state`.
-    [[nodiscard]] std::size_t sample(std::size_t state,
-                                     rng::RandomEngine& engine) const;
-
     /// Number of states whose distribution puts mass > `tol` on more than
     /// one action — the "switching" states of the K-switching policy.
     [[nodiscard]] std::size_t switching_state_count(double tol = 1e-9) const;
@@ -71,9 +66,6 @@ public:
     [[nodiscard]] bool is_deterministic(double tol = 1e-9) const {
         return switching_state_count(tol) == 0;
     }
-
-    /// Most likely action in each state.
-    [[nodiscard]] DeterministicPolicy mode() const;
 
 private:
     struct Flat {

@@ -56,20 +56,4 @@ long RandomEngine::uniform_int(long lo, long hi) {
     return dist(gen_);
 }
 
-std::size_t RandomEngine::discrete(const double* weights, std::size_t count) {
-    SOCBUF_REQUIRE_MSG(count > 0, "discrete: no weights");
-    double total = 0.0;
-    for (std::size_t i = 0; i < count; ++i) {
-        SOCBUF_REQUIRE_MSG(weights[i] >= 0.0, "discrete: negative weight");
-        total += weights[i];
-    }
-    SOCBUF_REQUIRE_MSG(total > 0.0, "discrete: all weights zero");
-    double x = uniform() * total;
-    for (std::size_t i = 0; i < count; ++i) {
-        x -= weights[i];
-        if (x <= 0.0) return i;
-    }
-    return count - 1;  // round-off fallback
-}
-
 }  // namespace socbuf::rng

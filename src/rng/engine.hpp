@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <random>
-#include <vector>
 
 namespace socbuf::rng {
 
@@ -32,13 +31,6 @@ public:
 
     /// Integer in [lo, hi] inclusive. Requires lo <= hi.
     long uniform_int(long lo, long hi);
-
-    /// Index drawn proportionally to non-negative `weights`
-    /// (at least one must be positive).
-    std::size_t discrete(const double* weights, std::size_t count);
-    std::size_t discrete(const std::vector<double>& weights) {
-        return discrete(weights.data(), weights.size());
-    }
 
     /// Underlying engine, for std distributions not wrapped here.
     std::mt19937_64& raw() { return gen_; }

@@ -175,13 +175,16 @@ sim::SimConfig sim_from_json(const util::JsonValue& value,
     if (const auto* seed = reader.find("seed"))
         sim.seed = static_cast<std::uint64_t>(
             read_integer(*seed, path + ".seed", 0));
+    // Legacy key: every bus arbitrates round-robin. Older files still
+    // load when they ask for it; any other discipline is an error, since
+    // running round-robin instead would change the run silently.
     if (const auto* arbiter = reader.find("arbiter")) {
         const std::string name = read_string(*arbiter, path + ".arbiter");
-        if (!arbiter_from_string(name, sim.arbiter))
+        if (name != "round-robin")
             fail(path + ".arbiter",
-                 "unknown arbiter '" + name +
-                     "' (expected fixed-priority, round-robin, "
-                     "longest-queue or weighted-random)");
+                 "arbiter '" + name +
+                     "' was removed; round-robin is the only arbiter "
+                     "(drop the key)");
     }
     if (sim.warmup >= sim.horizon) {
         // Blame the key the document actually wrote: with no explicit
@@ -295,14 +298,14 @@ util::JsonValue batch_to_json(const BatchPreset& batch) {
 util::JsonValue sim_to_json(const sim::SimConfig& sim,
                             const std::string& path) {
     // A spec-level sim config is a plain evaluation setup; the engine-owned
-    // fields (arbitration weights, timeout state) are run artifacts, never
-    // scenario inputs — a spec carrying them cannot round-trip, so refuse
-    // to serialize it rather than drop them silently.
+    // timeout state is a run artifact, never a scenario input — a spec
+    // carrying it cannot round-trip, so refuse to serialize it rather than
+    // drop it silently.
     if (sim.timeout_enabled || sim.timeout_threshold != 0.0 ||
-        !sim.site_weights.empty() || !sim.site_timeout_thresholds.empty())
+        !sim.site_timeout_thresholds.empty())
         fail(path,
-             "engine-owned sim fields (timeouts, site weights) are not part "
-             "of the scenario schema; use evaluate_timeout_policy");
+             "engine-owned sim fields (timeouts) are not part of the "
+             "scenario schema; use evaluate_timeout_policy");
     // JSON numbers are doubles: a seed past 2^53 would be emitted rounded
     // and rejected on the way back in — refuse it here, symmetrically with
     // read_integer's exactness bound, so every exported spec is loadable.
@@ -313,7 +316,6 @@ util::JsonValue sim_to_json(const sim::SimConfig& sim,
     node.set("horizon", sim.horizon);
     node.set("warmup", sim.warmup);
     node.set("seed", sim.seed);
-    node.set("arbiter", to_string(sim.arbiter));
     return node;
 }
 
@@ -334,25 +336,6 @@ bool solver_from_string(const std::string& text, core::SolverChoice& out) {
     else if (text == "lp") out = core::SolverChoice::kLp;
     else if (text == "value-iteration") out = core::SolverChoice::kValueIteration;
     else if (text == "policy-iteration") out = core::SolverChoice::kPolicyIteration;
-    else return false;
-    return true;
-}
-
-const char* to_string(sim::ArbiterKind arbiter) {
-    switch (arbiter) {
-        case sim::ArbiterKind::kFixedPriority: return "fixed-priority";
-        case sim::ArbiterKind::kRoundRobin: return "round-robin";
-        case sim::ArbiterKind::kLongestQueue: return "longest-queue";
-        case sim::ArbiterKind::kWeightedRandom: return "weighted-random";
-    }
-    return "?";
-}
-
-bool arbiter_from_string(const std::string& text, sim::ArbiterKind& out) {
-    if (text == "fixed-priority") out = sim::ArbiterKind::kFixedPriority;
-    else if (text == "round-robin") out = sim::ArbiterKind::kRoundRobin;
-    else if (text == "longest-queue") out = sim::ArbiterKind::kLongestQueue;
-    else if (text == "weighted-random") out = sim::ArbiterKind::kWeightedRandom;
     else return false;
     return true;
 }

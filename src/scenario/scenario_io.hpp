@@ -50,8 +50,11 @@
 //       "bridge_site_cost": 1.0,          > 0
 //       "exhaustive_limit": 4},           candidate counts <= this take
 //                                         the exhaustive 2^n sweep
-//     "sim": {"horizon": 4000.0, "warmup": 400.0, "seed": 2005,
-//             "arbiter": "round-robin"}
+//     "sim": {"horizon": 4000.0, "warmup": 400.0, "seed": 2005}
+//                                         "arbiter" is a legacy key:
+//                                         "round-robin" is accepted and
+//                                         ignored, never written; any
+//                                         other value is an error
 //   }
 //
 // A *document* is either one spec object or a catalog
@@ -172,11 +175,5 @@ void check_runnable(const ScenarioSpec& spec);
 [[nodiscard]] const char* to_string(core::SolverChoice solver);
 [[nodiscard]] bool solver_from_string(const std::string& text,
                                       core::SolverChoice& out);
-
-/// Arbiter names used by the schema ("fixed-priority", "round-robin",
-/// "longest-queue", "weighted-random").
-[[nodiscard]] const char* to_string(sim::ArbiterKind arbiter);
-[[nodiscard]] bool arbiter_from_string(const std::string& text,
-                                       sim::ArbiterKind& out);
 
 }  // namespace socbuf::scenario

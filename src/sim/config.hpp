@@ -6,22 +6,11 @@
 
 namespace socbuf::sim {
 
-/// Bus arbitration disciplines available at simulation time.
-enum class ArbiterKind {
-    kFixedPriority,   // lowest site id wins
-    kRoundRobin,      // rotate over the bus's sites
-    kLongestQueue,    // deepest backlog wins
-    kWeightedRandom,  // sample non-empty sites by configured weights
-};
-
+/// Every bus arbitrates round-robin over its buffer sites.
 struct SimConfig {
     double horizon = 4000.0;  // simulated time units
     double warmup = 400.0;    // statistics discarded before this time
     std::uint64_t seed = 1;
-    ArbiterKind arbiter = ArbiterKind::kRoundRobin;
-    /// Per-site weights for kWeightedRandom (empty = all ones). The sizing
-    /// engine fills these from the CTMDP policy's service shares.
-    std::vector<double> site_weights;
     /// Timeout drop policy (the paper's third bar): packets whose waiting
     /// time exceeds the threshold are dropped at arbitration instants.
     bool timeout_enabled = false;
@@ -34,9 +23,7 @@ struct SimConfig {
 
 inline bool operator==(const SimConfig& a, const SimConfig& b) {
     return a.horizon == b.horizon && a.warmup == b.warmup &&
-           a.seed == b.seed && a.arbiter == b.arbiter &&
-           a.site_weights == b.site_weights &&
-           a.timeout_enabled == b.timeout_enabled &&
+           a.seed == b.seed && a.timeout_enabled == b.timeout_enabled &&
            a.timeout_threshold == b.timeout_threshold &&
            a.site_timeout_thresholds == b.site_timeout_thresholds;
 }

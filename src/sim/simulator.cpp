@@ -75,20 +75,13 @@ public:
         for (arch::BusId b = 0; b < bus_rt_.size(); ++b)
             bus_rt_[b].sites = arch::sites_on_bus(sites_, b);
 
-        if (config.arbiter == ArbiterKind::kWeightedRandom &&
-            !config.site_weights.empty())
-            SOCBUF_REQUIRE_MSG(config.site_weights.size() == sites_.size(),
-                               "site weight vector must cover every site");
-
         for (std::size_t f = 0; f < system.flows.size(); ++f) {
             arrivals_.push_back(
                 traffic::make_arrival_process(system.flows[f]));
             flow_engines_.push_back(root_engine_.spawn(f));
         }
-        for (arch::BusId b = 0; b < bus_rt_.size(); ++b) {
+        for (arch::BusId b = 0; b < bus_rt_.size(); ++b)
             bus_engines_.push_back(root_engine_.spawn(100000u + b));
-            arbiter_engines_.push_back(root_engine_.spawn(200000u + b));
-        }
     }
 
     SimResult run() {
@@ -180,53 +173,19 @@ private:
         }
     }
 
-    /// Arbitration: pick the next site this bus serves; sites_.size() when
-    /// every queue is empty.
+    /// Round-robin arbitration: the next non-empty site at or after the
+    /// bus's cursor; sites_.size() when every queue is empty.
     arch::SiteId arbitrate(arch::BusId bus_id) {
         BusRuntime& bus = bus_rt_[bus_id];
-        const arch::SiteId none = sites_.size();
-        switch (config_.arbiter) {
-            case ArbiterKind::kFixedPriority:
-                for (const auto site : bus.sites)
-                    if (!site_rt_[site].queue.empty()) return site;
-                return none;
-            case ArbiterKind::kRoundRobin:
-                // Next non-empty site at or after the cursor.
-                for (std::size_t k = 0; k < bus.sites.size(); ++k) {
-                    const std::size_t idx =
-                        (bus.rr_cursor + k) % bus.sites.size();
-                    const auto site = bus.sites[idx];
-                    if (!site_rt_[site].queue.empty()) {
-                        bus.rr_cursor = (idx + 1) % bus.sites.size();
-                        return site;
-                    }
-                }
-                return none;
-            case ArbiterKind::kLongestQueue: {
-                arch::SiteId best = none;
-                for (const auto site : bus.sites)
-                    if (!site_rt_[site].queue.empty() &&
-                        (best == none || site_rt_[site].queue.size() >
-                                             site_rt_[best].queue.size()))
-                        best = site;
-                return best;
-            }
-            case ArbiterKind::kWeightedRandom: {
-                ready_.clear();
-                weights_.clear();
-                for (const auto site : bus.sites) {
-                    if (site_rt_[site].queue.empty()) continue;
-                    ready_.push_back(site);
-                    weights_.push_back(
-                        config_.site_weights.empty()
-                            ? 1.0
-                            : std::max(config_.site_weights[site], 1e-6));
-                }
-                if (ready_.empty()) return none;
-                return ready_[arbiter_engines_[bus_id].discrete(weights_)];
+        for (std::size_t k = 0; k < bus.sites.size(); ++k) {
+            const std::size_t idx = (bus.rr_cursor + k) % bus.sites.size();
+            const auto site = bus.sites[idx];
+            if (!site_rt_[site].queue.empty()) {
+                bus.rr_cursor = (idx + 1) % bus.sites.size();
+                return site;
             }
         }
-        return none;
+        return sites_.size();
     }
 
     void begin_service(arch::BusId bus_id) {
@@ -319,13 +278,9 @@ private:
     std::vector<std::unique_ptr<traffic::ArrivalProcess>> arrivals_;
     std::vector<rng::RandomEngine> flow_engines_;
     std::vector<rng::RandomEngine> bus_engines_;
-    std::vector<rng::RandomEngine> arbiter_engines_;
     std::vector<SiteRuntime> site_rt_;
     std::vector<BusRuntime> bus_rt_;
     des::Scheduler sched_;
-    // Weighted-random arbitration scratch, reused across service events.
-    std::vector<arch::SiteId> ready_;
-    std::vector<double> weights_;
 
     std::vector<std::uint64_t> offered_ =
         std::vector<std::uint64_t>(system_.architecture.processor_count(), 0);

@@ -1,6 +1,6 @@
 // Event-driven simulator of an SoC communication architecture with finite
-// buffers. Packets are generated per flow, queue at buffer sites, win bus
-// arbitration, hop across bridges, and are counted as lost (attributed to
+// buffers. Packets are generated per flow, queue at buffer sites, win the
+// bus's round-robin arbitration, hop across bridges, and are counted as lost (attributed to
 // their origin processor) whenever they meet a full buffer or trip the
 // timeout policy.
 #pragma once

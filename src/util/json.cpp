@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <set>
 
 namespace socbuf::util {
 
@@ -201,9 +202,7 @@ bool operator==(const JsonValue& a, const JsonValue& b) {
     return false;
 }
 
-namespace {
-
-class Parser {
+class JsonValue::Parser {
 public:
     explicit Parser(const std::string& text) : text_(text) {}
 
@@ -282,16 +281,21 @@ private:
             ++pos_;
             return out;
         }
+        // Keys seen so far: one set lookup per member, where set() would
+        // scan every earlier member and make a k-key object O(k^2).
+        std::set<std::string> keys;
         for (;;) {
             skip_whitespace();
             const std::size_t key_pos = pos_;
             std::string key = string();
             skip_whitespace();
             expect(':');
-            if (!out.set(key, value())) {
+            JsonValue member = value();
+            if (!keys.insert(key).second) {
                 pos_ = key_pos;
                 fail("duplicate key " + json_quote(key));
             }
+            out.object_.emplace_back(std::move(key), std::move(member));
             skip_whitespace();
             if (peek() == ',') {
                 ++pos_;
@@ -402,8 +406,6 @@ private:
     std::size_t pos_ = 0;
     std::size_t depth_ = 0;  // containers open around pos_
 };
-
-}  // namespace
 
 JsonValue JsonValue::parse(const std::string& text) {
     return Parser(text).run();

@@ -9,7 +9,8 @@
 //     dump is a fixed point under any LC_NUMERIC,
 //   * the parser rejects trailing garbage, unterminated strings/containers,
 //     malformed numbers, repeated object keys and nesting deeper than
-//     kMaxJsonDepth with a JsonError naming the byte offset.
+//     kMaxJsonDepth with a JsonError naming the byte offset; an object of
+//     k members parses in O(k log k), so a hostile file cannot stall it.
 #pragma once
 
 #include <cstddef>
@@ -87,6 +88,7 @@ public:
     }
 
 private:
+    class Parser;  // json.cpp; appends parsed members directly
     void write(std::string& out, int indent, int depth) const;
 
     Kind kind_ = Kind::kNull;

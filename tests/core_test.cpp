@@ -33,6 +33,18 @@ const sp::SplitResult& figure1_split() {
     return split;
 }
 
+/// The most likely action of each state (the first on a tie): the greedy
+/// policy a randomized solution encodes.
+std::vector<std::size_t> modal_actions(
+    const socbuf::ctmdp::RandomizedPolicy& policy) {
+    std::vector<std::size_t> choice(policy.state_count(), 0);
+    for (std::size_t s = 0; s < policy.state_count(); ++s)
+        for (std::size_t a = 1; a < policy.action_count(s); ++a)
+            if (policy.probability(s, a) > policy.probability(s, choice[s]))
+                choice[s] = a;
+    return choice;
+}
+
 }  // namespace
 
 TEST(Allocation, UniformExhaustsBudgetOverActiveSites) {
@@ -236,29 +248,6 @@ TEST(Engine, SwitchingStatesBoundedByConstraints) {
     EXPECT_EQ(report.switching_states, 0u);
 }
 
-TEST(Engine, WeightedArbiterUsesCtmdpServiceShares) {
-    // The engine exports per-site service weights from the CTMDP policy;
-    // feeding them to the weighted-random arbiter must produce a valid
-    // simulation (and the weights must cover every active site).
-    sc::SizingOptions opts;
-    opts.total_budget = 36;
-    opts.iterations = 2;
-    opts.sim.horizon = 800.0;
-    opts.sim.warmup = 100.0;
-    const auto report = sc::BufferSizingEngine(opts).run(figure1());
-    socbuf::sim::SimConfig cfg = opts.sim;
-    cfg.arbiter = socbuf::sim::ArbiterKind::kWeightedRandom;
-    cfg.site_weights = report.site_service_weights;
-    const auto r = socbuf::sim::simulate(figure1(), report.best, cfg);
-    EXPECT_GT(r.total_delivered(), 0u);
-    for (const auto& sub : report.split.subsystems) {
-        double bus_total = 0.0;
-        for (const auto& f : sub.flows)
-            bus_total += report.site_service_weights[f.site];
-        EXPECT_NEAR(bus_total, 1.0, 1e-6) << "bus " << sub.bus_name;
-    }
-}
-
 TEST(Engine, EarlyStopCanBeDisabled) {
     sc::SizingOptions opts;
     opts.total_budget = 36;
@@ -310,7 +299,7 @@ TEST(SolverLayer, RegistryAgreesOnSubsystemCtmdps) {
             << "bus " << sub.bus_name;
         EXPECT_NEAR(sols[2].gain, sols[0].gain, 1e-6)
             << "bus " << sub.bus_name;
-        EXPECT_EQ(sols[1].policy.mode(), sols[2].policy.mode())
+        EXPECT_EQ(modal_actions(sols[1].policy), modal_actions(sols[2].policy))
             << "bus " << sub.bus_name;
     }
     // A forced choice is solved by the forced algorithm.

@@ -30,6 +30,18 @@ namespace sm = socbuf::ctmdp;
 
 namespace {
 
+/// The most likely action of each state (the first on a tie): the greedy
+/// policy a randomized solution encodes.
+std::vector<std::size_t> modal_actions(
+    const socbuf::ctmdp::RandomizedPolicy& policy) {
+    std::vector<std::size_t> choice(policy.state_count(), 0);
+    for (std::size_t s = 0; s < policy.state_count(); ++s)
+        for (std::size_t a = 1; a < policy.action_count(s); ++a)
+            if (policy.probability(s, a) > policy.probability(s, choice[s]))
+                choice[s] = a;
+    return choice;
+}
+
 /// Two-state toy with a hand-computable optimum.
 /// State 0 offers: A (rate 1 -> state 1, cost 2) giving average cost 4/3,
 /// or B (rate 4 -> state 1, cost 3) giving average cost 1. B is optimal.
@@ -256,17 +268,7 @@ TEST(Policy, RandomizedPolicyValidation) {
     const sm::RandomizedPolicy p({{0.25, 0.75}});
     EXPECT_NEAR(p.probability(0, 1), 0.75, 1e-12);
     EXPECT_EQ(p.switching_state_count(), 1u);
-    EXPECT_EQ(p.mode().action(0), 1u);
-}
-
-TEST(Policy, SamplingFollowsDistribution) {
-    const sm::RandomizedPolicy p({{0.2, 0.8}});
-    socbuf::rng::RandomEngine eng(99);
-    int ones = 0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i)
-        if (p.sample(0, eng) == 1) ++ones;
-    EXPECT_NEAR(static_cast<double>(ones) / n, 0.8, 0.02);
+    EXPECT_EQ(modal_actions(p), std::vector<std::size_t>{1});
 }
 
 TEST(Policy, InducedGeneratorMixesActions) {
@@ -341,7 +343,8 @@ TEST(SolverRegistry, AllSolversAgreeOnGainPolicyAndStationary) {
             EXPECT_NEAR(sols[i].gain, sols[0].gain, 1e-6)
                 << "seed " << seed;
             // Same greedy (modal) policy...
-            EXPECT_EQ(sols[i].policy.mode(), sols[0].policy.mode())
+            EXPECT_EQ(modal_actions(sols[i].policy),
+                      modal_actions(sols[0].policy))
                 << "seed " << seed;
             // ...hence the same stationary distribution.
             ASSERT_EQ(sols[i].stationary.size(), sols[0].stationary.size());

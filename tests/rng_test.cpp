@@ -92,19 +92,6 @@ TEST(Rng, UniformIntCoversRangeInclusive) {
     EXPECT_TRUE(saw_hi);
 }
 
-TEST(Rng, DiscreteFollowsWeights) {
-    sr::RandomEngine e(31);
-    const std::vector<double> w{1.0, 0.0, 3.0};
-    std::vector<int> counts(3, 0);
-    const int n = 100000;
-    for (int i = 0; i < n; ++i) ++counts[e.discrete(w)];
-    EXPECT_EQ(counts[1], 0);
-    EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.25, 0.01);
-    EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.75, 0.01);
-    EXPECT_THROW(e.discrete({0.0, 0.0}), socbuf::util::ContractViolation);
-    EXPECT_THROW(e.discrete({}), socbuf::util::ContractViolation);
-}
-
 TEST(Rng, SplitMix64KnownToBeNonTrivial) {
     std::uint64_t s = 0;
     const auto a = sr::splitmix64(s);

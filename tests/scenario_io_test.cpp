@@ -73,7 +73,6 @@ TEST(ScenarioIo, RoundTripCoversEveryKnob) {
     spec.sim.horizon = 900.0;
     spec.sim.warmup = 90.0;
     spec.sim.seed = 123456789;
-    spec.sim.arbiter = socbuf::sim::ArbiterKind::kLongestQueue;
     spec.validate();
     EXPECT_TRUE(round_trip(spec) == spec);
 }
@@ -133,6 +132,28 @@ TEST(ScenarioIo, LegacyGaussSeidelKeyLoadsAndIsNeverWritten) {
     EXPECT_FALSE(ss::to_json(plain).contains("gauss_seidel"));
     expect_io_error("{\"name\": \"x\", \"gauss_seidel\": 1}",
                     "$.gauss_seidel");
+}
+
+TEST(ScenarioIo, LegacyArbiterKeyLoadsOnlyAsRoundRobin) {
+    // Every bus arbitrates round-robin: a file asking for it still loads,
+    // equal to the default spec, and to_json no longer writes the key. A
+    // removed discipline is an error naming the key, since running
+    // round-robin instead would change the run silently; so is a
+    // non-string.
+    const auto plain =
+        ss::spec_from_json(JsonValue::parse("{\"name\": \"legacy\"}"));
+    const auto spec = ss::spec_from_json(JsonValue::parse(
+        "{\"name\": \"legacy\", \"sim\": {\"arbiter\": \"round-robin\"}}"));
+    EXPECT_TRUE(spec == plain);
+    EXPECT_FALSE(ss::to_json(plain).at("sim").contains("arbiter"));
+    for (const char* removed :
+         {"fixed-priority", "longest-queue", "weighted-random"})
+        expect_io_error(std::string("{\"name\": \"x\", \"sim\": "
+                                    "{\"arbiter\": \"") +
+                            removed + "\"}}",
+                        "$.sim.arbiter");
+    expect_io_error("{\"name\": \"x\", \"sim\": {\"arbiter\": 1}}",
+                    "$.sim.arbiter");
 }
 
 TEST(ScenarioIo, SchemaVersionIsStampedAndEnforced) {
@@ -411,18 +432,8 @@ TEST(ScenarioIo, NamesRoundTripThroughEnumHelpers) {
         ASSERT_TRUE(ss::solver_from_string(ss::to_string(solver), parsed));
         EXPECT_EQ(parsed, solver);
     }
-    using socbuf::sim::ArbiterKind;
-    for (const auto arbiter :
-         {ArbiterKind::kFixedPriority, ArbiterKind::kRoundRobin,
-          ArbiterKind::kLongestQueue, ArbiterKind::kWeightedRandom}) {
-        ArbiterKind parsed{};
-        ASSERT_TRUE(ss::arbiter_from_string(ss::to_string(arbiter), parsed));
-        EXPECT_EQ(parsed, arbiter);
-    }
     socbuf::core::SolverChoice solver{};
     EXPECT_FALSE(ss::solver_from_string("magic", solver));
-    socbuf::sim::ArbiterKind arbiter{};
-    EXPECT_FALSE(ss::arbiter_from_string("coin", arbiter));
     ss::Testbench testbench{};
     EXPECT_TRUE(ss::testbench_from_string("figure1", testbench));
     EXPECT_FALSE(ss::testbench_from_string("figure2", testbench));

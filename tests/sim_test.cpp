@@ -62,19 +62,13 @@ const std::vector<GoldenResult>& golden_results() {
     return results;
 }
 
-/// The golden cases' configuration: short horizon, uneven capacities,
-/// non-uniform weights for the weighted-random arbiter and per-site
-/// thresholds when the timeout policy is on.
-ss::SimConfig golden_config(std::size_t sites, ss::ArbiterKind arbiter,
-                            bool timeout) {
+/// The golden cases' configuration: short horizon, uneven capacities and
+/// per-site thresholds when the timeout policy is on.
+ss::SimConfig golden_config(std::size_t sites, bool timeout) {
     ss::SimConfig cfg;
     cfg.horizon = 200.0;
     cfg.warmup = 20.0;
     cfg.seed = 2005;
-    cfg.arbiter = arbiter;
-    if (arbiter == ss::ArbiterKind::kWeightedRandom)
-        for (std::size_t s = 0; s < sites; ++s)
-            cfg.site_weights.push_back(0.5 + static_cast<double>(s % 3));
     if (timeout) {
         cfg.timeout_enabled = true;
         for (std::size_t s = 0; s < sites; ++s)
@@ -95,44 +89,36 @@ std::vector<long> golden_capacities(std::size_t sites) {
 
 TEST(Simulator, GoldenResultsPinned) {
     // Cross-version oracle: the simulator must reproduce these results bit
-    // for bit, so a rewrite of the event queue or the arbiters cannot
+    // for bit, so a rewrite of the event queue or the arbiter cannot
     // silently change event order or RNG draws.
-    const std::pair<ss::ArbiterKind, const char*> arbiters[] = {
-        {ss::ArbiterKind::kFixedPriority, "fixed-priority"},
-        {ss::ArbiterKind::kRoundRobin, "round-robin"},
-        {ss::ArbiterKind::kLongestQueue, "longest-queue"},
-        {ss::ArbiterKind::kWeightedRandom, "weighted-random"}};
     const auto& golden = golden_results();
     std::size_t next = 0;
     for (const auto& sys :
          {sa::figure1_system(), sa::network_processor_system()}) {
         const std::size_t sites =
             sa::enumerate_buffer_sites(sys.architecture).size();
-        for (const auto& [arbiter, arbiter_name] : arbiters) {
-            for (const bool timeout : {false, true}) {
-                const std::string name = sys.name + "/" + arbiter_name +
-                                         (timeout ? "/timeout" : "/no-timeout");
-                ASSERT_LT(next, golden.size()) << name;
-                const GoldenResult& want = golden[next++];
-                ASSERT_EQ(name, want.name);
-                const auto got =
-                    ss::simulate(sys, golden_capacities(sites),
-                                 golden_config(sites, arbiter, timeout));
-                EXPECT_EQ(got.measured_time, want.measured_time) << name;
-                EXPECT_EQ(got.offered, want.offered) << name;
-                EXPECT_EQ(got.delivered, want.delivered) << name;
-                EXPECT_EQ(got.lost, want.lost) << name;
-                EXPECT_EQ(got.flow_lost, want.flow_lost) << name;
-                EXPECT_EQ(got.site_arrivals, want.site_arrivals) << name;
-                EXPECT_EQ(got.site_losses, want.site_losses) << name;
-                EXPECT_EQ(got.site_served, want.site_served) << name;
-                EXPECT_EQ(got.site_mean_wait, want.site_mean_wait) << name;
-                EXPECT_EQ(got.site_mean_occupancy, want.site_mean_occupancy)
-                    << name;
-                EXPECT_EQ(got.site_observed_rate, want.site_observed_rate)
-                    << name;
-                EXPECT_EQ(got.bus_utilization, want.bus_utilization) << name;
-            }
+        for (const bool timeout : {false, true}) {
+            const std::string name = sys.name + "/round-robin" +
+                                     (timeout ? "/timeout" : "/no-timeout");
+            ASSERT_LT(next, golden.size()) << name;
+            const GoldenResult& want = golden[next++];
+            ASSERT_EQ(name, want.name);
+            const auto got = ss::simulate(sys, golden_capacities(sites),
+                                          golden_config(sites, timeout));
+            EXPECT_EQ(got.measured_time, want.measured_time) << name;
+            EXPECT_EQ(got.offered, want.offered) << name;
+            EXPECT_EQ(got.delivered, want.delivered) << name;
+            EXPECT_EQ(got.lost, want.lost) << name;
+            EXPECT_EQ(got.flow_lost, want.flow_lost) << name;
+            EXPECT_EQ(got.site_arrivals, want.site_arrivals) << name;
+            EXPECT_EQ(got.site_losses, want.site_losses) << name;
+            EXPECT_EQ(got.site_served, want.site_served) << name;
+            EXPECT_EQ(got.site_mean_wait, want.site_mean_wait) << name;
+            EXPECT_EQ(got.site_mean_occupancy, want.site_mean_occupancy)
+                << name;
+            EXPECT_EQ(got.site_observed_rate, want.site_observed_rate)
+                << name;
+            EXPECT_EQ(got.bus_utilization, want.bus_utilization) << name;
         }
     }
     EXPECT_EQ(next, golden.size());
@@ -369,39 +355,6 @@ TEST(Simulator, FannedCalibrationIsBitIdenticalForAnyWorkerCount) {
     const ss::TimeoutCalibration single =
         ss::calibrate_timeout(sys, caps, cfg, 4.0, serial, 1);
     EXPECT_NE(single.global_threshold, reference.global_threshold);
-}
-
-TEST(Simulator, ArbiterKindsAllRun) {
-    const auto sys = sa::figure1_system();
-    const std::vector<long> caps(9, 4);
-    for (const auto kind :
-         {ss::ArbiterKind::kFixedPriority, ss::ArbiterKind::kRoundRobin,
-          ss::ArbiterKind::kLongestQueue, ss::ArbiterKind::kWeightedRandom}) {
-        ss::SimConfig cfg;
-        cfg.horizon = 500.0;
-        cfg.warmup = 50.0;
-        cfg.arbiter = kind;
-        const auto r = ss::simulate(sys, caps, cfg);
-        EXPECT_GT(r.total_offered(), 0u);
-        EXPECT_GT(r.total_delivered(), 0u);
-    }
-}
-
-TEST(Simulator, WeightedRandomArbiterUsesWeights) {
-    // Two competing queues; a heavily skewed weight vector must skew
-    // service (and thus losses) toward the unweighted queue.
-    sa::TestSystem sys;
-    const auto bus = sys.architecture.add_bus("bus", 1.0);
-    const auto a = sys.architecture.add_processor("a", bus);
-    const auto b = sys.architecture.add_processor("b", bus);
-    const auto c = sys.architecture.add_processor("c", bus);
-    sys.flows.push_back({a, c, 0.6, 1.0, 0.0, 0.0});
-    sys.flows.push_back({b, c, 0.6, 1.0, 0.0, 0.0});
-    ss::SimConfig cfg = long_config(5);
-    cfg.arbiter = ss::ArbiterKind::kWeightedRandom;
-    cfg.site_weights = {100.0, 1.0, 1.0};
-    const auto r = ss::simulate(sys, {6, 6, 1}, cfg);
-    EXPECT_LT(r.lost[0], r.lost[1]);
 }
 
 TEST(Simulator, RejectsBadConfig) {

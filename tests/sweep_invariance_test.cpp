@@ -3,7 +3,7 @@
 // SizingOptions::gauss_seidel is off. The two reach the same fixed point
 // by different trajectories, so on the shipped cluster workloads the
 // SizingReport — allocations, simulated results, round history, rung
-// counts, scores and service weights — must not depend on the choice:
+// counts and scores — must not depend on the choice:
 // both sweeps return the tie-robust policy of their bias, so actions
 // that tie in exact arithmetic resolve the same way. Beneath the report,
 // every VI-rung model of the first round must give the same occupation
@@ -60,10 +60,9 @@ void expect_same_report(const sc::SizingReport& a, const sc::SizingReport& b,
         EXPECT_EQ(a.history[r].weighted_loss, b.history[r].weighted_loss)
             << what;
     }
-    // Scores and service weights are moments of the chosen policy's
-    // stationary law: equal policies give equal bits.
+    // Scores are moments of the chosen policy's stationary law: equal
+    // policies give equal bits.
     EXPECT_EQ(a.site_scores, b.site_scores) << what;
-    EXPECT_EQ(a.site_service_weights, b.site_service_weights) << what;
     EXPECT_EQ(a.switching_states, b.switching_states) << what;
     EXPECT_EQ(a.lp_solves, b.lp_solves) << what;
     EXPECT_EQ(a.vi_solves, b.vi_solves) << what;
@@ -75,9 +74,9 @@ void expect_same_report(const sc::SizingReport& a, const sc::SizingReport& b,
 /// baseline simulation, the engine's dispatch) that land on the VI rung
 /// must yield bit-identical occupation measures x(s,a) under either
 /// sweep. The occupation is the policy's whole stationary state-action
-/// law, so this catches a policy difference even where the report's
-/// scores happen to round it away. Returns the number of VI models
-/// compared.
+/// law (the service shares are a function of it), so this catches a
+/// policy difference even where the report's scores happen to round it
+/// away. Returns the number of VI models compared.
 std::size_t expect_same_occupation(const socbuf::arch::TestSystem& system,
                                    const sc::SizingOptions& options,
                                    socbuf::exec::Executor& executor,

@@ -359,3 +359,34 @@ TEST(Json, ParserRejectsARepeatedKeyNamingItAndItsByte) {
         (void)su::JsonValue::parse("{\"o\": {\"k\": 1, \"k\": 1}}"),
         su::JsonError);
 }
+
+TEST(Json, ParserTakesAWideObjectInOneOrderedPass) {
+    // Duplicate detection must not rescan every earlier member: a
+    // quadratic check takes over a minute on this object.
+    constexpr std::size_t kKeys = 200000;
+    std::string text = "{";
+    for (std::size_t i = 0; i < kKeys; ++i) {
+        if (i > 0) text += ", ";
+        text += "\"k" + std::to_string(i) + "\": " + std::to_string(i);
+    }
+    const auto wide = su::JsonValue::parse(text + "}");
+    ASSERT_EQ(wide.size(), kKeys);
+    EXPECT_EQ(wide.members().front().first, "k0");
+    EXPECT_EQ(wide.members()[kKeys / 2].first,
+              "k" + std::to_string(kKeys / 2));
+    EXPECT_EQ(wide.members().back().first, "k" + std::to_string(kKeys - 1));
+    EXPECT_EQ(wide.at("k123456").as_number(), 123456.0);
+
+    // A repeat is found however it is spelled, and named at its own byte.
+    const std::size_t repeat_byte = text.size() + 2;
+    try {
+        (void)su::JsonValue::parse(text + ", \"\\u006b7\": 0}");
+        FAIL() << "a repeated key must be rejected";
+    } catch (const su::JsonError& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("byte " + std::to_string(repeat_byte) +
+                            ": duplicate key \"k7\""),
+                  std::string::npos)
+            << what;
+    }
+}
